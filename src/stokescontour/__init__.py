@@ -10,7 +10,6 @@ turning instability.
 """
 
 from .geometry import (
-    DiagnosticsRecord,
     GraphInterface,
     ParamCurve,
     central_diff,
@@ -32,9 +31,10 @@ from .kernels import (
     dK12,
     stokeslet,
 )
-from .integrators import IntegratorParams, StepFailureError
+from .integrators import BlowupError, IntegratorParams, StepFailureError
 from .diagnostics import (
     DiagnosticsOptions,
+    DiagnosticsRecord,
     FingerDecomposition,
     Trajectory,
     dE_dt_fd,
@@ -45,15 +45,7 @@ from .diagnostics import (
     finger_decomposition,
     wiener_norm,
 )
-from .evolution_graph import (
-    BlowupError,
-    GraphState,
-    SchemeParams,
-    evolve,
-    rhs_graph,
-    singular_cell_correction,
-    step_adaptive,
-)
+from .evolution_graph import GraphState, SchemeParams, evolve, rhs_graph
 from .evolution_curve import CurveState, evolve_curve, rhs_curve
 from .turning import (
     BracketingError,

@@ -85,7 +85,6 @@ class RunConfig:
     quadrature: str = "spectral_log"
     singular_cell_variant: str = "halfangle"
     f1_reading: str = "corrected"
-    deterministic: bool = True
     schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self):
@@ -99,8 +98,9 @@ class RunConfig:
             raise ConfigError(f"unknown f1_reading {self.f1_reading!r}")
         if (self.sample_times is None) == (self.sample_dt is None):
             raise ConfigError("exactly one of sample_times / sample_dt is required")
-        if self.m < 8 or self.m % 2:
-            raise ConfigError("m must be even and >= 8")
+        # the symmetry monitors of every record need 0 and +-pi/2 as nodes
+        if self.m < 8 or self.m % 4:
+            raise ConfigError(f"m must be a multiple of 4 and >= 8, got {self.m}")
 
     def resolved_sample_times(self, t0: float = 0.0) -> List[float]:
         if self.sample_times is not None:
@@ -119,6 +119,8 @@ def config_to_dict(cfg: RunConfig) -> dict:
 def config_from_dict(data: dict) -> RunConfig:
     try:
         data = dict(data)
+        # v1 configs may still carry the retired, never-read "deterministic"
+        data.pop("deterministic", None)
         initial = dict(data.pop("initial"))
         turning = initial.pop("turning", None)
         if turning is not None:

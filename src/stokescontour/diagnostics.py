@@ -31,7 +31,6 @@ import numpy as np
 
 from .geometry import (
     TWO_PI,
-    DiagnosticsRecord,
     GraphInterface,
     ParamCurve,
     central_diff,
@@ -222,6 +221,30 @@ def wiener_norm(interface: GraphInterface, s: float, nu: float) -> float:
 
 # ---------------------------------------------------------------------------
 # per-sample records and trajectory container
+
+
+@dataclass
+class DiagnosticsRecord:
+    """One time slice of the scalar monitors along a trajectory.
+
+    ``min_slope_x1`` is populated only for curve-formulation runs; ``delta``,
+    ``finger_count`` and ``wiener_norm`` only for graph runs (the energy
+    reduction backing delta needs a graph).
+    """
+
+    t: float
+    energy: float
+    delta: float
+    perimeter: float
+    max_curvature: float
+    max_height: float
+    min_height: float
+    central_sym_err: float
+    even_sym_err: float
+    finger_count: Optional[int] = None
+    wiener_norm: Optional[float] = None
+    dEdt: float = float("nan")
+    min_slope_x1: Optional[float] = None
 
 
 @dataclass

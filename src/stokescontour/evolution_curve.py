@@ -18,23 +18,22 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .diagnostics import DiagnosticsOptions, Trajectory, record_for_curve
-from .evolution_graph import AMPLITUDE_GUARD, BlowupError
 from .geometry import (
     TWO_PI,
     ParamCurve,
     central_diff,
+    curve_derivatives,
     even_projection_curve,
     odd_projection_curve,
     symmetry_errors,
 )
-from .integrators import IntegratorParams, StepFailureError, advance
+from .integrators import BlowupError, IntegratorParams, integrate
+from .kernels import clausen2
 
 ONE_OVER_8PI = 1.0 / (8.0 * np.pi)
 
@@ -48,21 +47,6 @@ class CurveState:
     t: float
     curve: ParamCurve
     delta_rho: float
-
-
-@lru_cache(maxsize=32)
-def _half_cell_log_integral(half_width: float) -> float:
-    """int_0^{half_width} log(4 sin^2(s/2)) ds, the frozen half-panel weight."""
-    val, _ = quad(
-        lambda s: np.log(4.0 * np.sin(s / 2.0) ** 2),
-        0.0,
-        half_width,
-        points=[0.0],
-        limit=200,
-        epsabs=1e-13,
-        epsrel=1e-12,
-    )
-    return float(val)
 
 
 def _rhs_curve_arrays(z1, z2, alpha, delta_rho):
@@ -82,7 +66,8 @@ def _rhs_curve_arrays_raw(z1: np.ndarray, z2: np.ndarray, alpha: np.ndarray, del
     v1 = -dz2 * z2
     v2 = dz1 * z2
 
-    cell = 2.0 * _half_cell_log_integral(0.5 * d)
+    # two half panels of int_0^{d/2} log(4 sin^2(s/2)) ds = -2 Cl2(d/2)
+    cell = -4.0 * clausen2(0.5 * d)
 
     # r = 0: diagonal limits; the log singular factor contributes the frozen
     # half-panel cell, the smooth remainder its limit log |zdot|^2, and the
@@ -121,23 +106,21 @@ def _rhs_curve_arrays_raw(z1: np.ndarray, z2: np.ndarray, alpha: np.ndarray, del
 def rhs_curve(state: CurveState):
     """Material velocity (dz1/dt, dz2/dt) of the contour dynamics."""
     c = state.curve
-    ratio = _speed_ratio(c)
+    _warn_if_clustered(c)
+    return _rhs_curve_arrays(c.z1, c.z2, c.alpha, state.delta_rho)
+
+
+def _warn_if_clustered(curve: ParamCurve) -> None:
+    """Warn when the max/min node-speed ratio exceeds SPEED_RATIO_WARN."""
+    speed = np.hypot(*curve_derivatives(curve))
+    ratio = float(np.max(speed) / np.min(speed))
     if ratio > SPEED_RATIO_WARN:
         warnings.warn(
             f"node clustering: max/min speed ratio {ratio:.1f} exceeds "
             f"{SPEED_RATIO_WARN}",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-    return _rhs_curve_arrays(c.z1, c.z2, c.alpha, state.delta_rho)
-
-
-def _speed_ratio(curve: ParamCurve) -> float:
-    from .geometry import curve_derivatives
-
-    dz1, dz2 = curve_derivatives(curve)
-    speed = np.hypot(dz1, dz2)
-    return float(np.max(speed) / np.min(speed))
 
 
 def evolve_curve(
@@ -151,14 +134,12 @@ def evolve_curve(
 
     Snapshots land exactly on the sample times; each record additionally
     stores min_slope_x1 so turning (a sign change of the minimum slope) can
-    be read off the trajectory. Failures truncate the trajectory as in the
-    graph scheme. Symmetries present in the initial curve to machine
-    precision are enforced by projection after every accepted step, as in
-    the graph scheme.
+    be read off the trajectory, and each sample warns when the nodes cluster
+    beyond SPEED_RATIO_WARN. Failures truncate the trajectory as in the
+    graph scheme, including a sample that self-intersects or degenerates.
+    Symmetries present in the initial curve to machine precision are
+    enforced by projection after every accepted step, as in the graph scheme.
     """
-    from .evolution_graph import _prepare_samples
-
-    ts = _prepare_samples(initial.t, ip, sample_times)
     m = initial.curve.m
     alpha = initial.curve.alpha
     traj = Trajectory()
@@ -174,12 +155,16 @@ def evolve_curve(
             z1, z2 = even_projection_curve(z1, z2)
         return np.concatenate([z1, z2])
 
+    def guard(y):
+        return np.maximum(np.abs(y[:m] - alpha), np.abs(y[m:]))
+
     def f(t, y):
         u1, u2 = _rhs_curve_arrays(y[:m], y[m:], alpha, initial.delta_rho)
         return np.concatenate([u1, u2])
 
     def take_sample(t, y):
         curve = ParamCurve(z1=y[:m].copy(), z2=y[m:].copy())
+        _warn_if_clustered(curve)
         state = CurveState(t=t, curve=curve, delta_rho=initial.delta_rho)
         rec = record_for_curve(t, curve, options)
         traj.states.append(state)
@@ -187,29 +172,9 @@ def evolve_curve(
         if on_sample is not None:
             on_sample(state, rec)
 
-    t = initial.t
-    y = np.concatenate([initial.curve.z1, initial.curve.z2]).astype(float)
-    idx = 0
-    if abs(ts[0] - t) <= 1e-14:
-        take_sample(t, y)
-        idx = 1
-    dt = ip.dt_init
-    k1 = None
-    try:
-        while idx < ts.size:
-            target = ts[idx]
-            t, y, _, _, dt, k1 = advance(
-                f, t, y, dt, ip, k1=k1, dt_cap=target - t,
-                recoverable=(BlowupError,),
-            )
-            y = project(y)
-            if np.max(np.abs(np.concatenate([y[:m] - alpha, y[m:]]))) > AMPLITUDE_GUARD:
-                raise BlowupError(int(np.argmax(np.abs(y))), t)
-            if abs(t - target) <= 1e-12:
-                t = target
-                take_sample(t, y)
-                idx += 1
-    except (BlowupError, StepFailureError, ValueError) as exc:
+    y0 = np.concatenate([initial.curve.z1, initial.curve.z2]).astype(float)
+    t, exc = integrate(f, initial.t, y0, ip, sample_times, project, guard, take_sample)
+    if exc is not None:
         traj.failed = True
         traj.failure_time = t
         traj.failure_message = str(exc)

@@ -43,7 +43,6 @@ from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .diagnostics import DiagnosticsOptions, Trajectory, record_for_graph
 from .geometry import (
@@ -56,23 +55,11 @@ from .geometry import (
     second_diff,
     symmetry_errors,
 )
-from .integrators import IntegratorParams, StepFailureError, advance
+from .integrators import BlowupError, IntegratorParams, integrate
+from .kernels import clausen2
 
 QUADRATURES = ("spectral_log", "taylor_cell")
-
-# accepted states beyond this amplitude are treated as blown up
-AMPLITUDE_GUARD = 1e6
 CELL_VARIANTS = ("halfangle", "printed")
-
-
-class BlowupError(RuntimeError):
-    """Non-finite value produced by the right-hand side."""
-
-    def __init__(self, node: int, t: Optional[float] = None):
-        super().__init__(f"non-finite right-hand side at node {node}" +
-                         (f", t={t}" if t is not None else ""))
-        self.node = node
-        self.t = t
 
 
 @dataclass(frozen=True)
@@ -108,19 +95,6 @@ class SchemeParams:
             raise ValueError(f"unknown cell variant {self.singular_cell_variant!r}")
 
 
-@lru_cache(maxsize=32)
-def _log_cell_integral(width: float, variant: str) -> float:
-    """int_0^width of the cell logarithm (integrable endpoint singularity)."""
-    if variant == "halfangle":
-        f = lambda b: np.log(4.0 * np.sin(b / 2.0) ** 2)
-    elif variant == "printed":
-        f = lambda b: np.log(4.0 * np.sin(b) ** 2)
-    else:
-        raise ValueError(f"unknown cell variant {variant!r}")
-    val, _ = quad(f, 0.0, width, points=[0.0], limit=200, epsabs=1e-13, epsrel=1e-12)
-    return float(val)
-
-
 @lru_cache(maxsize=8)
 def _log_circulant(m: int) -> np.ndarray:
     """Column of the circulant integrating log(4 sin^2(.)/2) exactly.
@@ -151,24 +125,14 @@ def _taylor_cell_weights(m: int) -> np.ndarray:
 
 
 def _cell_correction_values(h, dh, width, variant):
-    """Vectorized single-panel Taylor cell value at every node."""
-    clog = _log_cell_integral(width, variant)
+    """Vectorized single-panel Taylor cell value at every node.
+
+    The cell logarithm integrates in closed form: log(4 sin^2(b/2)) over
+    [0, w] gives -2 Cl2(w), and the printed log(4 sin^2 b) half of that at 2w.
+    """
+    clog = -2.0 * clausen2(width) if variant == "halfangle" else -clausen2(2.0 * width)
     one_p = 1.0 + dh * dh
     return h * one_p * clog + h * one_p * np.log(one_p) * width + 2.0 * h * dh * dh * width
-
-
-def singular_cell_correction(state: GraphState, node: int, panel_width: float) -> float:
-    """Taylor-cell value of the singular panel [0, panel_width] at one node.
-
-    The mirror panel at the other side of the singularity has the same value
-    by the symmetry of the frozen-coefficient expansion; the full scheme adds
-    the cell twice.
-    """
-    h = state.interface.h
-    dh = central_diff(h, state.interface.spacing)
-    return float(
-        _cell_correction_values(h[node], dh[node], panel_width, "halfangle")
-    )
 
 
 def _rhs_arrays(h: np.ndarray, params: SchemeParams) -> np.ndarray:
@@ -244,30 +208,6 @@ def rhs_graph(state: GraphState, params: SchemeParams) -> np.ndarray:
     return _rhs_arrays(state.interface.h, params)
 
 
-def step_adaptive(state: GraphState, params: SchemeParams, ip: IntegratorParams):
-    """One accepted adaptive step. Returns (new_state, dt_used, error_estimate)."""
-
-    def f(t, y):
-        return _rhs_arrays(y, params)
-
-    t_new, y_new, dt_used, err, _, _ = advance(
-        f, state.t, state.interface.h.copy(), ip.dt_init, ip,
-        recoverable=(BlowupError,),
-    )
-    return GraphState(t=t_new, interface=GraphInterface(h=y_new)), dt_used, err
-
-
-def _prepare_samples(t0: float, ip: IntegratorParams, sample_times) -> np.ndarray:
-    ts = np.asarray(list(sample_times), dtype=float)
-    if ts.size == 0:
-        raise ValueError("sample_times must be nonempty")
-    if np.any(np.diff(ts) <= 0):
-        raise ValueError("sample_times must be strictly increasing")
-    if ts[0] < t0 - 1e-12 or ts[-1] > ip.t_end + 1e-12:
-        raise ValueError("sample_times must lie within [initial.t, t_end]")
-    return ts
-
-
 def evolve(
     initial: GraphState,
     params: SchemeParams,
@@ -289,7 +229,6 @@ def evolve(
     each accepted state, so roundoff asymmetries cannot be amplified by the
     unstable dynamics.
     """
-    ts = _prepare_samples(initial.t, ip, sample_times)
     traj = Trajectory()
     csym0, esym0 = symmetry_errors(graph_to_curve(initial.interface))
     enforce_odd = csym0 <= 1e-12
@@ -313,29 +252,9 @@ def evolve(
         if on_sample is not None:
             on_sample(state, rec)
 
-    t = initial.t
-    y = initial.interface.h.copy()
-    idx = 0
-    if abs(ts[0] - t) <= 1e-14:
-        take_sample(t, y)
-        idx = 1
-    dt = ip.dt_init
-    k1 = None
-    try:
-        while idx < ts.size:
-            target = ts[idx]
-            t, y, _, _, dt, k1 = advance(
-                f, t, y, dt, ip, k1=k1, dt_cap=target - t,
-                recoverable=(BlowupError,),
-            )
-            y = project(y)
-            if np.max(np.abs(y)) > AMPLITUDE_GUARD:
-                raise BlowupError(int(np.argmax(np.abs(y))), t)
-            if abs(t - target) <= 1e-12:
-                t = target
-                take_sample(t, y)
-                idx += 1
-    except (BlowupError, StepFailureError) as exc:
+    t, exc = integrate(f, initial.t, initial.interface.h.copy(), ip, sample_times,
+                       project, np.abs, take_sample)
+    if exc is not None:
         traj.failed = True
         traj.failure_time = t
         traj.failure_message = str(exc)

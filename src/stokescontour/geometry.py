@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -155,6 +154,10 @@ class ParamCurve:
 
 def _check_no_self_intersection(z1, z2, tol: float = 1e-12, block: int = 256) -> None:
     m = z1.size
+    # x-monotone with every gap, the wrap gap included, at least tol: every
+    # pair is then at least tol apart in z1 mod 2pi and the scan cannot raise
+    if np.min(np.diff(z1)) >= tol and z1[0] + TWO_PI - z1[-1] >= tol:
+        return
     for start in range(0, m, block):
         stop = min(start + block, m)
         dx = z1[start:stop, None] - z1[None, :]
@@ -311,30 +314,6 @@ def even_projection_curve(z1: np.ndarray, z2: np.ndarray):
     k = (m // 2 - j) % m
     c = np.where(j <= m // 2, -np.pi, np.pi)
     return 0.5 * (z1 + c - z1[k]), 0.5 * (z2 + z2[k])
-
-
-@dataclass
-class DiagnosticsRecord:
-    """One time slice of the scalar monitors along a trajectory.
-
-    ``min_slope_x1`` is populated only for curve-formulation runs; ``delta``,
-    ``finger_count`` and ``wiener_norm`` only for graph runs (the energy
-    reduction backing delta needs a graph).
-    """
-
-    t: float
-    energy: float
-    delta: float
-    perimeter: float
-    max_curvature: float
-    max_height: float
-    min_height: float
-    central_sym_err: float
-    even_sym_err: float
-    finger_count: Optional[int] = None
-    wiener_norm: Optional[float] = None
-    dEdt: float = float("nan")
-    min_slope_x1: Optional[float] = None
 
 
 # ---------------------------------------------------------------------------

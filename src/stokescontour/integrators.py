@@ -9,13 +9,33 @@ step (FSAL). Step control is plain proportional,
 
 with the error normalized componentwise by abs_tol + rel_tol * |y| and a step
 accepted when the norm is <= 1.
+
+``integrate`` is the one stepping driver behind both the graph scheme and the
+parametric contour dynamics: it lands on the sample times, projects each
+accepted state, guards its amplitude and turns a failure into an early end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Optional, Tuple
 
 import numpy as np
+
+from .geometry import DegenerateParametrizationError, SelfIntersectionError
+
+# accepted states deviating beyond this amplitude are treated as blown up
+AMPLITUDE_GUARD = 1e6
+
+
+class BlowupError(RuntimeError):
+    """Non-finite value produced by the right-hand side."""
+
+    def __init__(self, node: int, t: Optional[float] = None):
+        super().__init__(f"non-finite right-hand side at node {node}" +
+                         (f", t={t}" if t is not None else ""))
+        self.node = node
+        self.t = t
 
 
 class StepFailureError(RuntimeError):
@@ -127,3 +147,67 @@ def advance(f, t, y, dt, ip: IntegratorParams, k1=None, dt_cap=None, recoverable
             raise StepFailureError(t)
         # the first stage f(t, y) stays valid on retry; only dt shrinks
         dt = max(dt_try * _step_factor(err_norm), ip.dt_min)
+
+
+def _prepare_samples(t0: float, ip: IntegratorParams, sample_times) -> np.ndarray:
+    ts = np.asarray(list(sample_times), dtype=float)
+    if ts.size == 0:
+        raise ValueError("sample_times must be nonempty")
+    if np.any(np.diff(ts) <= 0):
+        raise ValueError("sample_times must be strictly increasing")
+    if ts[0] < t0 - 1e-12 or ts[-1] > ip.t_end + 1e-12:
+        raise ValueError("sample_times must lie within [initial.t, t_end]")
+    return ts
+
+
+def integrate(
+    f: Callable,
+    t0: float,
+    y0: np.ndarray,
+    ip: IntegratorParams,
+    sample_times,
+    project: Callable,
+    guard: Callable,
+    on_sample: Callable,
+) -> Tuple[float, Optional[Exception]]:
+    """Integrate y' = f(t, y) from (t0, y0), stopping exactly at each sample time.
+
+    The proposed step is shortened to land on each sample time, so samples
+    are step endpoints, not interpolants; ``on_sample(t, y)`` is called at
+    each. Every accepted state is replaced by ``project(y)``. ``guard(y)``
+    gives each node's deviation from the rest state; once the largest
+    exceeds AMPLITUDE_GUARD the run blows up at that node. A blowup, a step
+    failure or a self-intersecting or degenerate curve (raised by
+    ``on_sample``) ends the run early.
+
+    Returns (t, error): the last time reached and the error that ended the
+    run, or None if every sample was taken.
+    """
+    ts = _prepare_samples(t0, ip, sample_times)
+    t = t0
+    y = y0
+    idx = 0
+    if abs(ts[0] - t) <= 1e-14:
+        on_sample(t, y)
+        idx = 1
+    dt = ip.dt_init
+    k1 = None
+    try:
+        while idx < ts.size:
+            target = ts[idx]
+            t, y, _, _, dt, k1 = advance(
+                f, t, y, dt, ip, k1=k1, dt_cap=target - t,
+                recoverable=(BlowupError,),
+            )
+            y = project(y)
+            deviation = guard(y)
+            if np.max(deviation) > AMPLITUDE_GUARD:
+                raise BlowupError(int(np.argmax(deviation)), t)
+            if abs(t - target) <= 1e-12:
+                t = target
+                on_sample(t, y)
+                idx += 1
+    except (BlowupError, StepFailureError, SelfIntersectionError,
+            DegenerateParametrizationError) as exc:
+        return t, exc
+    return t, None

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import bernoulli, zeta
@@ -179,21 +180,36 @@ def _polylog23(w: np.ndarray):
     li2[small] = acc2
     li3[small] = acc3
 
-    wb = w[~small]
-    mu = np.log(wb)
+    li2[~small], li3[~small] = _polylog23_near_one(np.log(w[~small]))
+    return li2, li3
+
+
+def _polylog23_near_one(mu: np.ndarray):
+    """Li2(e^mu) and Li3(e^mu) by the expansion around mu = 0 (|mu| < 2pi)."""
     # mu = 0 occurs only at w = 1; the log factor is multiplied by mu/mu^2
     safe = np.where(mu == 0, 1.0, mu)
     lg = np.log(-safe)
-    s2 = np.zeros_like(wb)
-    s3 = np.zeros_like(wb)
-    p = np.ones_like(wb)
+    s2 = np.zeros_like(mu)
+    s3 = np.zeros_like(mu)
+    p = np.ones_like(mu)
     for k in range(_EXP_TERMS):
         s2 += _C2[k] * p
         s3 += _C3[k] * p
         p = p * mu
-    li2[~small] = mu * (1.0 - lg) + s2
-    li3[~small] = 0.5 * mu**2 * (1.5 - lg) + s3
-    return li2, li3
+    return mu * (1.0 - lg) + s2, 0.5 * mu**2 * (1.5 - lg) + s3
+
+
+@lru_cache(maxsize=32)
+def clausen2(w: float) -> float:
+    """Clausen function Cl2(w) = Im Li2(e^{iw}) for |w| < 2pi.
+
+    It closes the log-singular panel integral of both evolution schemes,
+    int_0^w log(4 sin^2(b/2)) db = -2 Cl2(w). The expansion is fed
+    mu = i w directly; going through log(exp(i w)) would cost about a digit
+    at small w.
+    """
+    li2, _ = _polylog23_near_one(np.array([1j * w]))
+    return float(li2[0].imag)
 
 
 def bilaplacian_pair_kernel_exact(x1, x2):

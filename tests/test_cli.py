@@ -233,6 +233,25 @@ def test_main_bad_config_exit_code(tmp_path):
     assert main(["run", str(path)]) == EXIT_CONFIG
 
 
+def test_main_rejects_m_not_multiple_of_4(tmp_path):
+    # m = 10 is even but has no nodes at +-pi/2 for the symmetry monitors
+    data = config_to_dict(base_config(tmp_path))
+    data["m"] = 10
+    path = tmp_path / "m10.json"
+    path.write_text(json.dumps(data))
+    assert main(["run", str(path)]) == EXIT_CONFIG
+    assert not os.path.exists(data["outputs"]["diagnostics_csv"])
+
+
+def test_legacy_deterministic_key_still_loads(tmp_path):
+    cfg = base_config(tmp_path)
+    data = config_to_dict(cfg)
+    data["deterministic"] = True
+    path = tmp_path / "v1.json"
+    path.write_text(json.dumps(data))
+    assert load_config(path) == cfg
+
+
 def test_main_preset_dump(tmp_path):
     out = tmp_path / "f2.csv"
     assert main(["preset-dump", "f2", "--m", "64", "--out", str(out)]) == EXIT_OK

@@ -6,11 +6,11 @@ from hypothesis import strategies as st
 import stokescontour as sc
 from stokescontour.diagnostics import (
     DIAG_COLUMNS,
+    DiagnosticsRecord,
     DiagnosticsWriter,
     dEdt_series,
     read_diagnostics_csv,
 )
-from stokescontour.geometry import DiagnosticsRecord
 
 from conftest import make_integrator, sine_interface
 

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -89,6 +90,30 @@ def test_node_clustering_warning():
     curve = sc.build_turning_family(p, 512)
     with pytest.warns(RuntimeWarning, match="node clustering"):
         sc.rhs_curve(sc.CurveState(0.0, curve, delta_rho=1.0))
+
+
+def test_node_clustering_warning_during_evolve_curve():
+    p = sc.TurningFamilyParams(b=40.0)
+    curve = sc.build_turning_family(p, 256)
+    ip = make_integrator(t_end=1e-4)
+    with pytest.warns(RuntimeWarning, match="node clustering"):
+        traj = sc.evolve_curve(sc.CurveState(0.0, curve, delta_rho=1.0), ip, [0.0, 1e-4])
+    assert not traj.failed
+
+
+def test_amplitude_guard_reports_offending_node():
+    # a far-lifted curve barely moves (tiny density jump); the guard trips
+    # after the first accepted step at the node of largest |z2|
+    m, k = 64, 37
+    al = sc.uniform_grid(m)
+    z2 = 2e6 + 0.5 * np.exp(-(((al - al[k]) / 0.2) ** 2))
+    curve = sc.ParamCurve(z1=al.copy(), z2=z2)
+    ip = make_integrator(t_end=0.1)
+    traj = sc.evolve_curve(sc.CurveState(0.0, curve, delta_rho=1e-12), ip, [0.0, 0.1])
+    assert traj.failed
+    node = int(re.search(r"at node (\d+)", traj.failure_message).group(1))
+    assert 0 <= node < m
+    assert node == k
 
 
 def test_evolve_curve_snapshots_and_min_slope():

@@ -3,11 +3,8 @@ import pytest
 from scipy.integrate import quad
 
 import stokescontour as sc
-from stokescontour.evolution_graph import (
-    BlowupError,
-    _log_cell_integral,
-    _rhs_arrays,
-)
+from stokescontour.evolution_graph import _cell_correction_values, _rhs_arrays
+from stokescontour.integrators import BlowupError, advance
 
 from conftest import make_integrator, sine_interface
 
@@ -99,20 +96,23 @@ def test_rhs_blowup_error_carries_node():
 # --- singular cell -----------------------------------------------------------
 
 
+def cell_values(h, w, variant="halfangle"):
+    """Taylor-cell value of the singular panel [0, w] at every node."""
+    return _cell_correction_values(h, sc.central_diff(h, 2 * np.pi / h.size), w, variant)
+
+
 def test_singular_cell_zero_height():
     m = 256
     h = np.zeros(m)
     h[0] = 0.3  # nonzero somewhere else; node m//2 has h = 0 and flat slope
-    st = sc.GraphState(0.0, sc.GraphInterface(h=h))
-    assert sc.singular_cell_correction(st, m // 2, 2 * np.pi / m) == 0.0
+    assert cell_values(h, 2 * np.pi / m)[m // 2] == 0.0
 
 
 def test_singular_cell_flat_slope_value():
     # dh = 0, h = 1: the cell reduces to the log integral, a negative number
     m = 256
     w = 2 * np.pi / m
-    st = sc.GraphState(0.0, sc.GraphInterface(h=np.ones(m)))
-    val = sc.singular_cell_correction(st, 5, w)
+    val = cell_values(np.ones(m), w)[5]
     oracle, _ = quad(lambda b: np.log(4 * np.sin(b / 2) ** 2), 0, w,
                      points=[0.0], limit=200, epsabs=1e-13)
     assert val < 0
@@ -123,31 +123,42 @@ def test_singular_cell_shrinks_superlinearly():
     # w log w scaling: halving the panel better than halves the correction
     vals = {}
     for m in (256, 512, 1024):
-        st = sc.GraphState(0.0, sc.GraphInterface(h=np.ones(m)))
-        vals[m] = abs(sc.singular_cell_correction(st, 3, 2 * np.pi / m))
+        vals[m] = abs(cell_values(np.ones(m), 2 * np.pi / m)[3])
     assert vals[512] / vals[256] <= 0.62
     assert vals[1024] / vals[512] <= 0.62
 
 
 def test_log_cell_variants_differ():
+    # with h = 1 and a flat slope the cell is the bare log integral
     w = 2 * np.pi / 256
-    assert _log_cell_integral(w, "halfangle") != _log_cell_integral(w, "printed")
+    h = np.ones(8)
+    half, printed = cell_values(h, w, "halfangle")[0], cell_values(h, w, "printed")[0]
+    assert half != printed
     # the printed variant drops the half angle: log(4 sin^2 b) over the panel
     oracle, _ = quad(lambda b: np.log(4 * np.sin(b) ** 2), 0, w,
                      points=[0.0], limit=200, epsabs=1e-13)
-    assert abs(_log_cell_integral(w, "printed") - oracle) <= 1e-12
+    assert abs(printed - oracle) <= 1e-12
 
 
 # --- stepping and evolve --------------------------------------------------------
 
 
+def step(h, params, ip):
+    """One accepted adaptive step of the graph scheme: (h_new, dt_used, err)."""
+    f = lambda t, y: _rhs_arrays(y, params)
+    t, h_new, dt_used, err, _, _ = advance(
+        f, 0.0, h.copy(), ip.dt_init, ip, recoverable=(BlowupError,)
+    )
+    assert t == dt_used
+    return h_new, dt_used, err
+
+
 def test_step_adaptive_flat_state():
     m = 64
-    st = sc.GraphState(0.0, sc.GraphInterface(h=np.zeros(m)))
+    h = np.zeros(m)
     ip = make_integrator(t_end=1.0, dt_init=1e-3, dt_max=0.5)
-    new, dt_used, err = sc.step_adaptive(st, params_for(m), ip)
-    assert np.array_equal(new.interface.h, st.interface.h)
-    assert new.t == pytest.approx(dt_used)
+    new, dt_used, err = step(h, params_for(m), ip)
+    assert np.array_equal(new, h)
     assert err <= 1.0
 
 
@@ -157,13 +168,13 @@ def test_step_doubling_consistency():
     h = sc.preset_f2(m)
     p = params_for(m)
     ip = make_integrator(t_end=1.0, dt_init=0.02, dt_max=0.02, rel_tol=1e-6, abs_tol=1e-9)
-    full, dt_used, err = sc.step_adaptive(sc.GraphState(0.0, sc.GraphInterface(h=h)), p, ip)
+    full, dt_used, err = step(h, p, ip)
     ip_half = make_integrator(t_end=1.0, dt_init=dt_used / 2, dt_max=dt_used / 2,
                               rel_tol=1e-6, abs_tol=1e-9)
-    half1, *_ = sc.step_adaptive(sc.GraphState(0.0, sc.GraphInterface(h=h)), p, ip_half)
-    half2, *_ = sc.step_adaptive(half1, p, ip_half)
-    scale = ip.abs_tol + ip.rel_tol * np.max(np.abs(full.interface.h))
-    diff = np.max(np.abs(full.interface.h - half2.interface.h))
+    half1, *_ = step(h, p, ip_half)
+    half2, *_ = step(half1, p, ip_half)
+    scale = ip.abs_tol + ip.rel_tol * np.max(np.abs(full))
+    diff = np.max(np.abs(full - half2))
     assert diff <= 2.0 * scale
 
 

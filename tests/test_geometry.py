@@ -204,6 +204,20 @@ def test_self_intersection_rejected():
         sc.ParamCurve(z1=z1, z2=np.zeros(m))
 
 
+@pytest.mark.parametrize("where", ["interior", "seam"])
+def test_self_intersection_of_close_nodes_on_monotone_curve(where):
+    # x-monotone, but one gap (or the wrap gap across the seam) is below the
+    # coincidence tolerance, so the full scan must still run and raise
+    m = 64
+    z1 = sc.uniform_grid(m)
+    if where == "interior":
+        z1[5] = z1[4] + 5e-13
+    else:
+        z1[-1] = z1[0] + 2 * np.pi - 5e-13
+    with pytest.raises(SelfIntersectionError):
+        sc.ParamCurve(z1=z1, z2=np.zeros(m))
+
+
 def test_simpson_weights_integrate_trig_exactly():
     m = 64
     w = simpson_weights(m, 2 * np.pi / m)

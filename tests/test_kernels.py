@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 import stokescontour as sc
-from stokescontour.kernels import bilaplacian_pair_kernel_exact
+from stokescontour.kernels import bilaplacian_pair_kernel_exact, clausen2
 
 
 def random_points(rng, n, x2_scale=3.0):
@@ -191,3 +191,12 @@ def test_biharm_exact_matches_series_and_mpmath(rng):
 def test_biharm_exact_equals_sentinel_mode():
     x1, x2 = 0.7, 0.3
     assert sc.biharm_pair_kernel(x1, x2, 0) == bilaplacian_pair_kernel_exact(x1, x2)
+
+
+@pytest.mark.parametrize("m", [2**k for k in range(3, 15)])
+def test_clausen2_matches_mpmath_on_cell_widths(m):
+    # the half panel, panel and printed-cell widths of an m-node grid
+    with mp.workdps(30):
+        for w in (np.pi / m, 2 * np.pi / m, 4 * np.pi / m):
+            ref = float(mp.clsin(2, w))
+            assert abs(clausen2(w) - ref) <= 2e-15 * abs(ref)
