@@ -129,7 +129,7 @@ def run(config: RunConfig) -> int:
     """
     try:
         state = build_initial(config)
-        sample_times = config.resolved_sample_times(t0=0.0)
+        sample_times = config.resolved_sample_times()
     except (ConfigError, OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

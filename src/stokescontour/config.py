@@ -9,11 +9,12 @@ in the file; no ambient defaults or environment variables.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from typing import List, Optional
 
 from .diagnostics import DiagnosticsOptions
-from .integrators import IntegratorParams
+from .integrators import IntegratorParams, _prepare_samples
 from .turning import TurningFamilyParams
 
 SCHEMA_VERSION = 1
@@ -101,15 +102,19 @@ class RunConfig:
         # the symmetry monitors of every record need 0 and +-pi/2 as nodes
         if self.m < 8 or self.m % 4:
             raise ConfigError(f"m must be a multiple of 4 and >= 8, got {self.m}")
+        try:
+            _prepare_samples(0.0, self.integrator, self.resolved_sample_times())
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
-    def resolved_sample_times(self, t0: float = 0.0) -> List[float]:
+    def resolved_sample_times(self) -> List[float]:
         if self.sample_times is not None:
             return list(self.sample_times)
         dt = self.sample_dt
-        if dt is None or dt <= 0:
+        if dt <= 0:
             raise ConfigError("sample_dt must be positive")
-        n = int(round((self.integrator.t_end - t0) / dt))
-        return [t0 + i * dt for i in range(n + 1)]
+        # the last sample may not pass t_end; the slack absorbs roundoff only
+        return [i * dt for i in range(math.floor(self.integrator.t_end / dt + 1e-9) + 1)]
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
@@ -119,7 +124,8 @@ def config_to_dict(cfg: RunConfig) -> dict:
 def config_from_dict(data: dict) -> RunConfig:
     try:
         data = dict(data)
-        # v1 configs may still carry the retired, never-read "deterministic"
+        # v1 configs may still carry the retired "deterministic" (never read)
+        # and "delta_n_max" (0, the exact kernel, was the only value used)
         data.pop("deterministic", None)
         initial = dict(data.pop("initial"))
         turning = initial.pop("turning", None)
@@ -127,7 +133,10 @@ def config_from_dict(data: dict) -> RunConfig:
             turning = TurningFamilyParams(**turning)
         integrator = IntegratorParams(**data.pop("integrator"))
         outputs = OutputSpec(**data.pop("outputs"))
-        diagnostics = DiagnosticsOptions(**data.pop("diagnostics", {}))
+        diagnostics = dict(data.pop("diagnostics", {}))
+        if diagnostics.pop("delta_n_max", 0) != 0:
+            raise ConfigError("delta_n_max is retired; delta uses the exact kernel")
+        diagnostics = DiagnosticsOptions(**diagnostics)
         return RunConfig(
             initial=InitialSpec(turning=turning, **initial),
             integrator=integrator,

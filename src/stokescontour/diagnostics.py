@@ -94,7 +94,7 @@ def delta_spectral(interface: GraphInterface, n_max: int = 0) -> float:
     return val
 
 
-def delta_rate(interface: GraphInterface, sign_factor: float, n_max: int = 0) -> float:
+def delta_rate(interface: GraphInterface, sign_factor: float) -> float:
     """delta expressed in the time units of a run with the given sign_factor.
 
     The contour velocity scales linearly with the density jump
@@ -102,7 +102,7 @@ def delta_rate(interface: GraphInterface, sign_factor: float, n_max: int = 0) ->
     along such a run dE/dt = -4 pi * sign_factor * delta_spectral. Negative
     values (stable stratification, sign_factor > 0) mean E decreases.
     """
-    return -4.0 * np.pi * sign_factor * delta_spectral(interface, n_max)
+    return -4.0 * np.pi * sign_factor * delta_spectral(interface)
 
 
 def dE_dt_fd(trajectory: "Trajectory") -> np.ndarray:
@@ -243,7 +243,6 @@ class DiagnosticsRecord:
     even_sym_err: float
     finger_count: Optional[int] = None
     wiener_norm: Optional[float] = None
-    dEdt: float = float("nan")
     min_slope_x1: Optional[float] = None
 
 
@@ -254,7 +253,6 @@ class DiagnosticsOptions:
     mu: float = 0.05
     wiener_s: float = 0.0
     wiener_nu: float = 0.0
-    delta_n_max: int = 0
     compute_delta: bool = True
 
 
@@ -285,7 +283,7 @@ def record_for_graph(
     big, small = height_extremes(curve)
     csym, esym = symmetry_errors(curve)
     if opt.compute_delta:
-        delta = delta_rate(interface, sign_factor, opt.delta_n_max)
+        delta = delta_rate(interface, sign_factor)
     else:
         delta = float("nan")
     try:

@@ -33,9 +33,7 @@ from .geometry import (
     symmetry_errors,
 )
 from .integrators import BlowupError, IntegratorParams, integrate
-from .kernels import clausen2
-
-ONE_OVER_8PI = 1.0 / (8.0 * np.pi)
+from .kernels import ONE_OVER_8PI, clausen2, stokeslet_terms
 
 SPEED_RATIO_WARN = 20.0
 
@@ -83,13 +81,7 @@ def _rhs_curve_arrays_raw(z1: np.ndarray, z2: np.ndarray, alpha: np.ndarray, del
         # seam is immaterial here
         x1 = z1 - np.roll(z1, r)
         x2 = z2 - np.roll(z2, r)
-        sh2 = np.sinh(0.5 * x2)
-        sn2 = np.sin(0.5 * x1)
-        den = 2.0 * (sh2 * sh2 + sn2 * sn2)
-        lg = np.log(2.0 * den)
-        q = x2 / den
-        a_ss = q * np.sinh(x2)
-        a_sn = q * np.sin(x1)
+        lg, a_ss, a_sn = stokeslet_terms(x1, x2)
         v1b = np.roll(v1, r)
         v2b = np.roll(v2, r)
         u1 += d * ((lg + a_ss) * v1b - a_sn * v2b)

@@ -56,7 +56,7 @@ from .geometry import (
     symmetry_errors,
 )
 from .integrators import BlowupError, IntegratorParams, integrate
-from .kernels import clausen2
+from .kernels import clausen2, stokeslet_terms
 
 QUADRATURES = ("spectral_log", "taylor_cell")
 CELL_VARIANTS = ("halfangle", "printed")
@@ -149,51 +149,37 @@ def _rhs_arrays_raw(h: np.ndarray, params: SchemeParams) -> np.ndarray:
         raise ValueError(f"state has m={m} but params.m={params.m}")
     d = TWO_PI / m
     dh = central_diff(h, d)
-    hdh = h * dh
+    spectral = params.quadrature == "spectral_log"
 
-    if params.quadrature == "spectral_log":
+    if spectral:
+        # r = 0: removable limits of the three terms, trapezoid cell weight d;
+        # the log(4 sin^2) factor is integrated by the circulant omega
+        weights = np.full(m, d)
         omega = _log_circulant(m)
-        acc = np.zeros(m)
-        log_a = np.zeros(m)
-        log_b = np.zeros(m)
-        # r = 0: removable limits of the three terms, trapezoid cell weight d
+        hdh = h * dh
         one_p = 1.0 + dh * dh
-        g0 = np.log(one_p)
         t23_0 = 2.0 * h * dh * dh * (dh * dh - 1.0) / one_p + 4.0 * h * dh * dh / one_p
-        acc += d * (g0 * h * one_p + t23_0)
-        log_a += omega[0] * h
-        log_b += omega[0] * hdh
-        for r in range(1, m):
-            hb = np.roll(h, r)
-            dhb = np.roll(dh, r)
-            x2 = h - hb
-            sh2 = np.sinh(0.5 * x2)
-            s_half = np.sin(0.5 * r * d)
-            den = 2.0 * (sh2 * sh2 + s_half * s_half)
-            g = np.log1p((sh2 / s_half) ** 2)
-            q = hb * x2 / den
-            t1 = g * hb * (1.0 + dh * dhb)
-            t2 = q * (dh * dhb - 1.0) * np.sinh(x2)
-            t3 = q * (dh + dhb) * np.sin(r * d)
-            acc += d * (t1 + t2 + t3)
+        acc = d * (np.log(one_p) * h * one_p + t23_0)
+        log_a = omega[0] * h
+        log_b = omega[0] * hdh
+    else:  # taylor_cell
+        weights = _taylor_cell_weights(m)
+        acc = np.zeros(m)
+    for r in range(1, m):
+        x1 = r * d
+        hb = np.roll(h, r)
+        dhb = np.roll(dh, r)
+        lg, a_ss, a_sn = stokeslet_terms(x1, h - hb)
+        if spectral:
+            # keep the smooth remainder of the log only
+            lg = lg - np.log(4.0 * np.sin(0.5 * x1) ** 2)
             log_a += omega[r] * hb
             log_b += omega[r] * np.roll(hdh, r)
+        dd = dh * dhb
+        acc += weights[r] * hb * (lg * (1.0 + dd) + a_ss * (dd - 1.0) + a_sn * (dh + dhb))
+    if spectral:
         integral = acc + log_a + dh * log_b
-    else:  # taylor_cell
-        w = _taylor_cell_weights(m)
-        acc = np.zeros(m)
-        for r in range(1, m):
-            hb = np.roll(h, r)
-            dhb = np.roll(dh, r)
-            x2 = h - hb
-            sh2 = np.sinh(0.5 * x2)
-            s_half = np.sin(0.5 * r * d)
-            den = 2.0 * (sh2 * sh2 + s_half * s_half)
-            q = hb * x2 / den
-            t1 = np.log(2.0 * den) * hb * (1.0 + dh * dhb)
-            t2 = q * (dh * dhb - 1.0) * np.sinh(x2)
-            t3 = q * (dh + dhb) * np.sin(r * d)
-            acc += w[r] * (t1 + t2 + t3)
+    else:
         cell = _cell_correction_values(h, dh, d, params.singular_cell_variant)
         integral = acc + 2.0 * cell
 

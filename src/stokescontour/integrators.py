@@ -27,6 +27,9 @@ from .geometry import DegenerateParametrizationError, SelfIntersectionError
 # accepted states deviating beyond this amplitude are treated as blown up
 AMPLITUDE_GUARD = 1e6
 
+# a step end or t0 this close to a sample time is taken as that sample
+_SAMPLE_TOL = 1e-12
+
 
 class BlowupError(RuntimeError):
     """Non-finite value produced by the right-hand side."""
@@ -150,12 +153,13 @@ def advance(f, t, y, dt, ip: IntegratorParams, k1=None, dt_cap=None, recoverable
 
 
 def _prepare_samples(t0: float, ip: IntegratorParams, sample_times) -> np.ndarray:
+    """Sample times as an array, or ValueError unless increasing within [t0, t_end]."""
     ts = np.asarray(list(sample_times), dtype=float)
     if ts.size == 0:
         raise ValueError("sample_times must be nonempty")
     if np.any(np.diff(ts) <= 0):
         raise ValueError("sample_times must be strictly increasing")
-    if ts[0] < t0 - 1e-12 or ts[-1] > ip.t_end + 1e-12:
+    if ts[0] < t0 - _SAMPLE_TOL or ts[-1] > ip.t_end + _SAMPLE_TOL:
         raise ValueError("sample_times must lie within [initial.t, t_end]")
     return ts
 
@@ -187,7 +191,7 @@ def integrate(
     t = t0
     y = y0
     idx = 0
-    if abs(ts[0] - t) <= 1e-14:
+    if abs(ts[0] - t) <= _SAMPLE_TOL:
         on_sample(t, y)
         idx = 1
     dt = ip.dt_init
@@ -203,7 +207,7 @@ def integrate(
             deviation = guard(y)
             if np.max(deviation) > AMPLITUDE_GUARD:
                 raise BlowupError(int(np.argmax(deviation)), t)
-            if abs(t - target) <= 1e-12:
+            if abs(t - target) <= _SAMPLE_TOL:
                 t = target
                 on_sample(t, y)
                 idx += 1

@@ -28,10 +28,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import bernoulli, zeta
+
+from .geometry import TWO_PI
 
 ONE_OVER_8PI = 1.0 / (8.0 * np.pi)
 ONE_OVER_4PI = 1.0 / (4.0 * np.pi)
@@ -49,11 +51,28 @@ class Stokeslet2x2:
     s22: np.ndarray
 
 
-def _denominator(x1, x2):
-    den = np.cosh(x2) - np.cos(x1)
-    if np.any(den <= 0.0):
+def stokeslet_terms(x1, x2):
+    """The three scalar terms of the periodic Stokeslet, for every caller.
+
+    Returns (log(2D), x2 sinh(x2)/D, x2 sin(x1)/D), D = cosh x2 - cos x1 in
+    the half-angle form 2(sinh^2(x2/2) + sin^2(x1/2)), free of cancellation
+    near the singularity; the third term is 8pi d1 d2 K. x1 may be a scalar
+    against an array x2; coincident points give non-finite values.
+    """
+    sh2 = np.sinh(0.5 * x2)
+    sn2 = np.sin(0.5 * x1)
+    den = 2.0 * (sh2 * sh2 + sn2 * sn2)
+    q = x2 / den
+    return np.log(2.0 * den), q * np.sinh(x2), q * np.sin(x1)
+
+
+def _regular_args(x1, x2):
+    x1 = np.asarray(x1, dtype=float)
+    x2 = np.asarray(x2, dtype=float)
+    # the float multiples of 2pi: the half-angle D there is ~1e-32, not 0
+    if np.any((x2 == 0.0) & (x1 == TWO_PI * np.round(x1 / TWO_PI))):
         raise ValueError("stokeslet kernel evaluated at a singular point")
-    return den
+    return x1, x2
 
 
 def stokeslet(x1, x2) -> Stokeslet2x2:
@@ -64,23 +83,15 @@ def stokeslet(x1, x2) -> Stokeslet2x2:
     ValueError
         At the singular points (x1, x2) = (0 mod 2pi, 0).
     """
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    den = _denominator(x1, x2)
-    logterm = np.log(2.0 * den)
-    q = x2 / den
-    s11 = ONE_OVER_8PI * (logterm + q * np.sinh(x2))
-    s22 = ONE_OVER_8PI * (logterm - q * np.sinh(x2))
-    s12 = -ONE_OVER_8PI * q * np.sin(x1)
-    return Stokeslet2x2(s11=s11, s12=s12, s21=s12, s22=s22)
+    lg, a_ss, a_sn = stokeslet_terms(*_regular_args(x1, x2))
+    s12 = -ONE_OVER_8PI * a_sn
+    return Stokeslet2x2(s11=ONE_OVER_8PI * (lg + a_ss), s12=s12, s21=s12,
+                        s22=ONE_OVER_8PI * (lg - a_ss))
 
 
 def dK12(x1, x2):
     """Mixed derivative d1 d2 K of the bilaplacian Green function (closed form)."""
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    den = _denominator(x1, x2)
-    return ONE_OVER_8PI * x2 * np.sin(x1) / den
+    return ONE_OVER_8PI * stokeslet_terms(*_regular_args(x1, x2))[2]
 
 
 def _auto_nmax(x2) -> int:
@@ -136,30 +147,28 @@ def biharm_pair_kernel(x1, x2, n_max: int):
 #   Li2(e^mu) = mu (1 - log(-mu))      + sum_{k != 1} zeta(2-k) mu^k / k!
 #   Li3(e^mu) = mu^2/2 (3/2 - log(-mu)) + sum_{k != 2} zeta(3-k) mu^k / k!
 #
-# zeta at non-positive integers comes from Bernoulli numbers.
+# zeta at non-positive integers comes from exact Bernoulli numbers, so both
+# coefficient tables are correctly rounded.
 
 _EXP_TERMS = 60
 _SERIES_TERMS = 48
 
 
-def _zeta_int(n: int) -> float:
-    if n > 1:
-        return float(zeta(n))
-    if n == 0:
-        return -0.5
-    if n == 1:
-        raise ValueError("zeta(1) requested")
-    k = -n
-    return float(-_BERNOULLI[k + 1] / (k + 1))
+def _bernoulli(n: int):
+    """Exact Bernoulli numbers B_0..B_n (B_1 = -1/2)."""
+    b = [Fraction(1)]
+    for k in range(1, n + 1):
+        b.append(-sum(math.comb(k + 1, j) * b[j] for j in range(k) if b[j]) / (k + 1))
+    return b
 
 
-_BERNOULLI = bernoulli(_EXP_TERMS + 4)
-_C2 = np.array(
-    [0.0 if (2 - k) == 1 else _zeta_int(2 - k) / math.factorial(k) for k in range(_EXP_TERMS)]
-)
-_C3 = np.array(
-    [0.0 if (3 - k) == 1 else _zeta_int(3 - k) / math.factorial(k) for k in range(_EXP_TERMS)]
-)
+_BERNOULLI = _bernoulli(_EXP_TERMS)
+# zeta(n) at n = 3 and 2 (pi^2/6 is correctly rounded), 0 in the slot n = 1
+# of the log term, and zeta(-j) = (-1)^j B_{j+1}/(j+1) exactly
+_ZETA = {3: 1.2020569031595942, 2: math.pi**2 / 6, 1: 0.0}
+_ZETA.update({-j: (-1) ** j * _BERNOULLI[j + 1] / (j + 1) for j in range(_EXP_TERMS)})
+_C2 = np.array([float(_ZETA[2 - k] / math.factorial(k)) for k in range(_EXP_TERMS)])
+_C3 = np.array([float(_ZETA[3 - k] / math.factorial(k)) for k in range(_EXP_TERMS)])
 
 
 def _polylog23(w: np.ndarray):

@@ -35,8 +35,8 @@ from typing import Tuple
 import numpy as np
 
 from .geometry import ParamCurve, TWO_PI, central_diff, symmetry_errors, uniform_grid
+from .kernels import ONE_OVER_4PI, stokeslet_terms
 
-ONE_OVER_4PI = 1.0 / (4.0 * np.pi)
 ONE_OVER_2PI = 1.0 / (2.0 * np.pi)
 
 # default shape constants (amplitudes chosen so the b = 1 certificate is
@@ -299,9 +299,8 @@ def turning_integral(curve: ParamCurve) -> Tuple[float, float, float]:
     """
     slope0 = _require_certificate_preconditions(curve)
     z1, z2, dz1 = _half_period_arrays(curve)
-    den = np.cosh(z2) - np.cos(z1)
     g = np.zeros_like(z2)
-    g[1:] = z2[1:] * np.sin(z1[1:]) * dz1[1:] / den[1:]
+    g[1:] = stokeslet_terms(z1[1:], z2[1:])[2] * dz1[1:]
     pref = slope0 * ONE_OVER_4PI
     return _split_certificate(curve, g, pref, upper_index=curve.m // 2)
 
@@ -309,7 +308,8 @@ def turning_integral(curve: ParamCurve) -> Tuple[float, float, float]:
 def turning_integral_even(curve: ParamCurve) -> Tuple[float, float, float]:
     """Certificate (K1, K2, K1 + K2) of the even-symmetric family.
 
-    Folded kernel z2 sin(z1) cosh(z2) / (cosh^2 z2 - cos^2 z1) with prefactor
+    Folded kernel z2 sin(z1) cosh(z2) / (cosh^2 z2 - cos^2 z1), the mean of
+    the basic kernel at (z1, z2) and (pi - z1, z2), with prefactor
     z2'(0)/(2 pi), integrated over [0, alpha2] and [alpha2, pi/2]; both
     endpoint singularities are removable with limit 0 (z2 is flat-zero near
     pi/2 by construction).
@@ -320,12 +320,11 @@ def turning_integral_even(curve: ParamCurve) -> Tuple[float, float, float]:
     z1, z2, dz1 = _half_period_arrays(curve)
     quarter = curve.m // 4
     z1, z2, dz1 = z1[: quarter + 1], z2[: quarter + 1], dz1[: quarter + 1]
-    den = np.cosh(z2) ** 2 - np.cos(z1) ** 2
     g = np.zeros_like(z2)
     inner = slice(1, quarter)  # beta = 0 and pi/2 carry limit value 0
-    g[inner] = (
-        z2[inner] * np.sin(z1[inner]) * np.cosh(z2[inner]) * dz1[inner] / den[inner]
-    )
+    z1i, z2i = z1[inner], z2[inner]
+    folded = stokeslet_terms(z1i, z2i)[2] + stokeslet_terms(np.pi - z1i, z2i)[2]
+    g[inner] = 0.5 * folded * dz1[inner]
     pref = slope0 * ONE_OVER_2PI
     return _split_certificate(curve, g, pref, upper_index=quarter)
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import stokescontour as sc
 
@@ -17,3 +18,20 @@ def make_integrator(t_end, rel_tol=1e-6, abs_tol=1e-9, dt_init=1e-3, dt_max=0.02
     return sc.IntegratorParams(
         t_end=t_end, rel_tol=rel_tol, abs_tol=abs_tol, dt_init=dt_init, dt_max=dt_max
     )
+
+
+# hypothesis inputs for the right-hand-side properties: small grids and a
+# few low Fourier modes, each mode an (a_k, b_k) pair of cos/sin amplitudes
+grids = st.sampled_from([8, 16, 32, 48, 64])
+modes = st.lists(
+    st.tuples(st.floats(-0.3, 0.3), st.floats(-0.3, 0.3)), min_size=1, max_size=6
+)
+
+
+def band_limited(m, coeffs):
+    """sum_k a_k cos(k alpha) + b_k sin(k alpha) on m nodes, k = 1, 2, ..."""
+    al = sc.uniform_grid(m)
+    h = np.zeros(m)
+    for k, (a, b) in enumerate(coeffs, start=1):
+        h += a * np.cos(k * al) + b * np.sin(k * al)
+    return h

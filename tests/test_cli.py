@@ -116,6 +116,10 @@ def test_config_validation_errors(tmp_path):
         )  # turning family needs the curve formulation
     with pytest.raises(ConfigError):
         config_from_dict({"schema_version": 99})
+    data = config_to_dict(base_config(tmp_path))
+    data["diagnostics"]["delta_n_max"] = 64  # only the exact kernel (0) remains
+    with pytest.raises(ConfigError):
+        config_from_dict(data)
 
 
 # --- run -----------------------------------------------------------------------
@@ -247,9 +251,36 @@ def test_legacy_deterministic_key_still_loads(tmp_path):
     cfg = base_config(tmp_path)
     data = config_to_dict(cfg)
     data["deterministic"] = True
+    data["diagnostics"]["delta_n_max"] = 0  # retired; dumped v1 configs carry it
     path = tmp_path / "v1.json"
     path.write_text(json.dumps(data))
     assert load_config(path) == cfg
+
+
+@pytest.mark.parametrize(
+    "samples",
+    [
+        {"sample_dt": 0.1, "sample_times": None},    # 0.3 would pass t_end = 0.26
+        {"sample_times": [0.0, 0.1, 0.3]},           # past t_end
+        {"sample_times": [0.0, 0.2, 0.1]},           # not increasing
+    ],
+    ids=["dt_rounding", "past_t_end", "not_increasing"],
+)
+def test_main_sample_times(tmp_path, samples):
+    data = config_to_dict(base_config(tmp_path))
+    data["integrator"]["t_end"] = 0.26
+    data["m"] = 16
+    data.update(samples)
+    path = tmp_path / "samples.json"
+    path.write_text(json.dumps(data))
+    if "sample_dt" in samples:
+        # the samples stop at the last one not past t_end
+        assert main(["run", str(path)]) == EXIT_OK
+        t = read_diagnostics_csv(data["outputs"]["diagnostics_csv"])["t"]
+        assert t.tolist() == [0.0, 0.1, 0.2]
+    else:
+        assert main(["run", str(path)]) == EXIT_CONFIG
+        assert not os.path.exists(data["outputs"]["diagnostics_csv"])
 
 
 def test_main_preset_dump(tmp_path):

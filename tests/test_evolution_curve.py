@@ -3,11 +3,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import stokescontour as sc
 from stokescontour.geometry import curve_derivatives
 
-from conftest import make_integrator, sine_interface
+from conftest import grids, make_integrator, sine_interface
 
 
 def test_flat_curve_zero_velocity():
@@ -18,10 +20,13 @@ def test_flat_curve_zero_velocity():
     assert np.max(np.abs(u2)) == 0.0
 
 
-def test_normal_velocity_matches_graph_scheme():
-    # cross-formulation oracle on the graph lift of a small sine
-    m, a = 1024, 1e-3
-    g = sine_interface(m, a)
+@given(m=grids, k=st.integers(1, 4), a=st.floats(1e-3, 0.3), phase=st.floats(0.0, 6.3))
+@example(m=1024, k=1, a=1e-3, phase=0.0)
+@settings(max_examples=10, deadline=None)
+def test_normal_velocity_matches_graph_scheme(m, k, a, phase):
+    # cross-formulation oracle on the graph lift of one resolved Fourier mode
+    assume(k <= m // 8)
+    g = sc.GraphInterface(h=a * np.sin(k * sc.uniform_grid(m) + phase))
     ht = sc.rhs_graph(
         sc.GraphState(0.0, g),
         sc.SchemeParams(sign_factor=-1.0, viscosity=0.0, m=m),
@@ -33,7 +38,9 @@ def test_normal_velocity_matches_graph_scheme():
     normal_curve = (-dz2 * u1 + dz1 * u2) / speed
     normal_graph = ht / np.sqrt(1.0 + dz2**2)
     scale = np.max(np.abs(normal_graph))
-    assert np.max(np.abs(normal_curve - normal_graph)) <= 1e-3 * scale
+    # the two schemes differ at first order in k d (at most 0.061 k d
+    # measured for k <= m/8, m <= 64, a <= 0.3); 6.1e-4 in the m = 1024 example
+    assert np.max(np.abs(normal_curve - normal_graph)) <= 0.1 * k * (2 * np.pi / m) * scale
 
 
 def test_rhs_centrally_antisymmetric(rng):

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import stokescontour as sc
 from stokescontour.evolution_graph import _cell_correction_values, _rhs_arrays
 from stokescontour.integrators import BlowupError, advance
 
-from conftest import make_integrator, sine_interface
+from conftest import band_limited, grids, make_integrator, modes, sine_interface
 
 
 def params_for(m, quadrature="spectral_log", viscosity=1e-3, sign=-1.0):
@@ -24,8 +26,10 @@ def test_full_period_log_integral_vanishes():
 
 
 @pytest.mark.parametrize("c", [0.0, 0.5, -0.5, 1.0, -1.0])
-def test_flat_states_steady(c):
-    m = 256
+@given(m=grids)
+@example(m=256)
+@settings(max_examples=10, deadline=None)
+def test_flat_states_steady(c, m):
     state = sc.GraphState(0.0, sc.GraphInterface(h=np.full(m, c)))
     rhs = sc.rhs_graph(state, params_for(m))
     assert np.max(np.abs(rhs)) <= 1e-10
@@ -65,10 +69,13 @@ def test_constant_plus_wiggle_taylor_cell_consistency():
     assert np.max(np.abs(r1 - r2)) <= 2e-3 * max(np.max(np.abs(r1)), 1e-12)
 
 
-def test_rhs_odd_symmetry(rng):
-    m = 256
+@given(m=grids, coeffs=modes)
+@example(m=256, coeffs=[(0.0, 0.2), (0.1, -0.1), (0.0, 0.05)])
+@settings(max_examples=10, deadline=None)
+def test_rhs_odd_symmetry(m, coeffs):
+    # the sine part mirrored node by node, so h is odd on the grid exactly
     h = np.zeros(m)
-    h[1 : m // 2] = rng.normal(scale=0.2, size=m // 2 - 1)
+    h[1 : m // 2] = band_limited(m, [(0.0, b) for _, b in coeffs])[1 : m // 2]
     h[m // 2 + 1 :] = -h[1 : m // 2][::-1]
     rhs = sc.rhs_graph(sc.GraphState(0.0, sc.GraphInterface(h=h)), params_for(m))
     j = np.arange(m)
@@ -76,13 +83,15 @@ def test_rhs_odd_symmetry(rng):
 
 
 @pytest.mark.parametrize("quadrature", ["spectral_log", "taylor_cell"])
-def test_grid_translation_equivariance(quadrature, rng):
-    m = 128
-    h = np.fft.irfft(np.fft.rfft(rng.normal(size=m))[:7], m)
+@given(m=grids, coeffs=modes, shift=st.integers(1, 63))
+@example(m=128, coeffs=[(0.3, -0.2), (0.1, 0.2), (-0.05, 0.1)], shift=1)
+@settings(max_examples=10, deadline=None)
+def test_grid_translation_equivariance(quadrature, m, coeffs, shift):
+    h = band_limited(m, coeffs)
     p = params_for(m, quadrature=quadrature)
     rhs = _rhs_arrays(h, p)
-    rhs_shifted = _rhs_arrays(np.roll(h, 1), p)
-    assert np.array_equal(rhs_shifted, np.roll(rhs, 1))
+    rhs_shifted = _rhs_arrays(np.roll(h, shift), p)
+    assert np.array_equal(rhs_shifted, np.roll(rhs, shift))
 
 
 def test_rhs_blowup_error_carries_node():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import stokescontour as sc
-from stokescontour.integrators import StepFailureError, advance, dopri_step
+from stokescontour.integrators import StepFailureError, advance, dopri_step, integrate
 
 from conftest import make_integrator
 
@@ -77,3 +77,15 @@ def test_recoverable_blowup_is_rejected_not_fatal():
     t, y, dt_used, *_ = advance(f, 0.0, np.ones(1), 0.2, ip, recoverable=(Boom,))
     assert t == pytest.approx(dt_used)
     assert dt_used < 0.2  # had to shrink past the failing trials
+
+
+def test_first_sample_just_before_t0_is_the_initial_state():
+    # accepted as in range, so taken at t0 without a backward step
+    samples = []
+    y0 = np.array([1.0, -2.0])
+    ip = make_integrator(t_end=0.1, dt_max=0.05)
+    t, exc = integrate(lambda t, y: -y, 0.0, y0, ip, [-5e-13, 0.1], lambda y: y,
+                       np.abs, lambda t, y: samples.append((t, y.copy())))
+    assert exc is None and t == 0.1
+    assert samples[0][0] == 0.0 and np.array_equal(samples[0][1], y0)
+    assert [s[0] for s in samples] == [0.0, 0.1]

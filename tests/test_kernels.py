@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
+
 import mpmath as mp
 import numpy as np
 import pytest
 
 import stokescontour as sc
+from stokescontour import kernels
 from stokescontour.kernels import bilaplacian_pair_kernel_exact, clausen2
 
 
@@ -80,6 +85,24 @@ def test_stokeslet_singular_point_raises():
         sc.stokeslet(0.0, 0.0)
     with pytest.raises(ValueError):
         sc.stokeslet(2 * np.pi, 0.0)
+
+
+def test_stokeslet_and_dk12_match_mpmath_near_singularity():
+    # rays into (0, 0) off the axes, where cosh x2 - cos x1 cancels; the
+    # reference is evaluated at the exact float inputs
+    theta = np.array([0.3, 1.1, 2.0, 2.9, 4.0, 5.5])
+    c = 1 / (8 * mp.pi)
+    with mp.workdps(60):
+        for r in (1e-3, 1e-5, 1e-7, 1e-9):
+            x1, x2 = r * np.cos(theta), r * np.sin(theta)
+            s, k12 = sc.stokeslet(x1, x2), sc.dK12(x1, x2)
+            for i in range(theta.size):
+                a, b = mp.mpf(x1[i]), mp.mpf(x2[i])
+                den = mp.cosh(b) - mp.cos(a)
+                lg, a_ss, a_sn = mp.log(2 * den), b * mp.sinh(b) / den, b * mp.sin(a) / den
+                for val, ref in ((s.s11[i], c * (lg + a_ss)), (s.s22[i], c * (lg - a_ss)),
+                                 (s.s12[i], -c * a_sn), (k12[i], c * a_sn)):
+                    assert abs(val - float(ref)) <= 1e-13 * abs(float(ref))
 
 
 # --- dK12 ----------------------------------------------------------------------
@@ -200,3 +223,20 @@ def test_clausen2_matches_mpmath_on_cell_widths(m):
         for w in (np.pi / m, 2 * np.pi / m, 4 * np.pi / m):
             ref = float(mp.clsin(2, w))
             assert abs(clausen2(w) - ref) <= 2e-15 * abs(ref)
+
+
+def test_expansion_tables_are_correctly_rounded():
+    # zeta(s - k)/k! of the Li2/Li3 expansions, bit for bit
+    with mp.workdps(50):
+        for s, table in ((2, kernels._C2), (3, kernels._C3)):
+            ref = [0.0 if s - k == 1 else float(mp.zeta(s - k) / mp.factorial(k))
+                   for k in range(table.size)]
+            assert np.array_equal(table, ref)
+
+
+def test_package_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(sc.__file__))
+    code = ("import stokescontour, sys; "
+            "assert not any(k.split('.')[0] == 'scipy' for k in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
