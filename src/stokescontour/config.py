@@ -13,7 +13,7 @@ import math
 from dataclasses import asdict, dataclass, field
 from typing import List, Optional
 
-from .diagnostics import DiagnosticsOptions
+from .diagnostics import WIENER_EXPONENT_MAX, DiagnosticsOptions
 from .integrators import IntegratorParams, _prepare_samples
 from .turning import TurningFamilyParams
 
@@ -102,6 +102,19 @@ class RunConfig:
         # the symmetry monitors of every record need 0 and +-pi/2 as nodes
         if self.m < 8 or self.m % 4:
             raise ConfigError(f"m must be a multiple of 4 and >= 8, got {self.m}")
+        diag = self.diagnostics
+        if not diag.mu > 0:
+            raise ConfigError(f"diagnostics.mu must be positive, got {diag.mu}")
+        if not (diag.wiener_s >= 0 and diag.wiener_nu >= 0):
+            raise ConfigError(
+                f"diagnostics.wiener_s and wiener_nu must be nonnegative, got "
+                f"{diag.wiener_s} and {diag.wiener_nu}"
+            )
+        if diag.wiener_nu * (self.m / 2) > WIENER_EXPONENT_MAX:
+            raise ConfigError(
+                f"diagnostics.wiener_nu * m/2 = {diag.wiener_nu * self.m / 2:g} exceeds "
+                f"the overflow guard ({WIENER_EXPONENT_MAX:g})"
+            )
         try:
             _prepare_samples(0.0, self.integrator, self.resolved_sample_times())
         except ValueError as exc:

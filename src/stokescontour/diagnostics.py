@@ -30,7 +30,6 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .geometry import (
-    TWO_PI,
     GraphInterface,
     ParamCurve,
     central_diff,
@@ -63,12 +62,24 @@ def energy_curve(curve: ParamCurve) -> float:
     return float(np.dot(w, curve.z2**2 * dz1))
 
 
+# offset rows of the delta pair sum evaluated at once: every temporary is
+# (_BLOCK_ROWS x m), never m x m
+_BLOCK_ROWS = 32
+
+
 def delta_spectral(interface: GraphInterface, n_max: int = 0) -> float:
     """Dissipation rate delta in the rho = +-1 normalization.
 
     Double periodic-trapezoid quadrature of
     4 * h'(a) h'(b) Kpair(a - b, h(a) - h(b)); ``n_max = 0`` evaluates the
     pair kernel exactly, ``n_max >= 16`` uses the truncated series.
+
+    On the uniform grid x1 depends only on the offset r = (i - j) mod m, and
+    Kpair is even in x1 and depends on |x2| only, so offsets r and m - r
+    contribute equally. The sum runs over half the offsets, r = 0..m/2 with
+    weights 1, 2, ..., 2, 1, in blocks of _BLOCK_ROWS offset rows, each row
+    being sum_i h'_i h'_{i-r} Kpair(r d, h_i - h_{i-r}); memory is
+    O(block * m).
 
     Raises
     ------
@@ -79,16 +90,24 @@ def delta_spectral(interface: GraphInterface, n_max: int = 0) -> float:
     if n_max != 0 and n_max < 16:
         raise ValueError("n_max must be 0 (exact) or >= 16")
     h = interface.h
+    m = interface.m
     d = interface.spacing
     hp = central_diff(h, d)
-    x1 = interface.alpha[:, None] - interface.alpha[None, :]
-    x1 = (x1 + np.pi) % TWO_PI - np.pi
-    x2 = h[:, None] - h[None, :]
-    if n_max == 0:
-        ker = bilaplacian_pair_kernel_exact(x1, x2)
-    else:
-        ker = biharm_pair_kernel(x1, x2, n_max)
-    val = 4.0 * d * d * float(hp @ ker @ hp)
+    half = m // 2
+    nodes = np.arange(m)
+    total = 0.0
+    for r0 in range(0, half + 1, _BLOCK_ROWS):
+        r = np.arange(r0, min(r0 + _BLOCK_ROWS, half + 1))
+        partner = (nodes - r[:, None]) % m  # node i - r in row r, column i
+        x2 = h - h[partner]
+        x1 = np.broadcast_to((r * d)[:, None], x2.shape)
+        if n_max == 0:
+            ker = bilaplacian_pair_kernel_exact(x1, x2)
+        else:
+            ker = biharm_pair_kernel(x1, x2, n_max)
+        weight = np.where((r == 0) | (r == half), 1.0, 2.0)
+        total += float(weight @ ((ker * hp[partner]) @ hp))
+    val = 4.0 * d * d * total
     if val < -1e-6:
         raise ValueError(f"delta_spectral returned {val}, inconsistent quadrature")
     return val
@@ -195,6 +214,10 @@ def finger_decomposition(interface: GraphInterface, mu: float) -> FingerDecompos
     )
 
 
+# largest exponent nu * |k| of the Wiener weights: e^700 is still finite
+WIENER_EXPONENT_MAX = 700.0
+
+
 def wiener_norm(interface: GraphInterface, s: float, nu: float) -> float:
     """Weighted Fourier-coefficient sum  sum_k e^{nu |k|} |k|^s |h_hat(k)|.
 
@@ -207,8 +230,8 @@ def wiener_norm(interface: GraphInterface, s: float, nu: float) -> float:
         raise ValueError("wiener_norm requires m to be a power of two")
     if nu < 0 or s < 0:
         raise ValueError("s and nu must be nonnegative")
-    if nu * (m / 2) > 700.0:
-        raise ValueError("nu * m/2 exceeds the overflow guard (700)")
+    if nu * (m / 2) > WIENER_EXPONENT_MAX:
+        raise ValueError(f"nu * m/2 exceeds the overflow guard ({WIENER_EXPONENT_MAX:g})")
     coeffs = np.abs(np.fft.fft(interface.h)) / m
     # coefficients at FFT roundoff level are exact zeros of the data; without
     # this floor the e^{nu k} weight amplifies machine noise astronomically
@@ -286,10 +309,9 @@ def record_for_graph(
         delta = delta_rate(interface, sign_factor)
     else:
         delta = float("nan")
-    try:
+    wnorm = None
+    if interface.m & (interface.m - 1) == 0:  # the norm needs a power-of-two grid
         wnorm = wiener_norm(interface, opt.wiener_s, opt.wiener_nu)
-    except ValueError:
-        wnorm = None
     return DiagnosticsRecord(
         t=t,
         energy=energy(interface),

@@ -21,7 +21,10 @@ functional is
 smooth everywhere (including the origin). Besides the truncated sums, an
 exact evaluation through the polylogarithms Li2/Li3 of w = exp(-|x2| + i x1)
 is provided; it agrees with the series to machine precision and costs O(1)
-per point.
+per point. Both run on one Horner-summed polylog path, which ``clausen2``
+shares. ``diagnostics.delta_spectral`` evaluates the pair kernel over half
+the grid offsets only (it is even in x1 and depends on |x2|), a fixed block
+of offset rows at a time, so its memory is O(block * m) rather than O(m^2).
 """
 
 from __future__ import annotations
@@ -121,7 +124,9 @@ def dK1_series(x1, x2, n_max: int):
 def biharm_pair_kernel(x1, x2, n_max: int):
     """Partial sum of the k != 0 bilaplacian pair kernel.
 
-    Returns (1/4pi) sum_{n=1..n_max} (1 + n|x2|)/n^3 e^{-n|x2|} cos(n x1).
+    Returns (1/4pi) sum_{n=1..n_max} (1 + n|x2|)/n^3 e^{-n|x2|} cos(n x1),
+    i.e. the truncated Li3 + |x2| Li2 series of w = e^{-|x2| + i x1}, summed
+    by Horner in w (memory of the size of x, independent of n_max).
     ``n_max = 0`` switches to the exact polylogarithm evaluation.
     """
     if n_max < 0:
@@ -129,29 +134,31 @@ def biharm_pair_kernel(x1, x2, n_max: int):
     if n_max == 0:
         return bilaplacian_pair_kernel_exact(x1, x2)
     x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    n = np.arange(1, n_max + 1, dtype=float)
-    a = np.abs(x2)[..., None]
-    terms = (1.0 + n * a) / n**3 * np.exp(-n * a) * np.cos(n * x1[..., None])
-    return ONE_OVER_4PI * terms.sum(axis=-1)
+    a = np.abs(np.asarray(x2, dtype=float))
+    li2, li3 = _polylog23_series(np.exp(-a + 1j * x1), n_max)
+    return ONE_OVER_4PI * (li3.real + a * li2.real)
 
 
 # ---------------------------------------------------------------------------
 # exact evaluation via polylogarithms
 #
 # Kpair = (1/4pi) (Re Li3(w) + |x2| Re Li2(w)),  w = exp(-|x2| + i x1).
-# For |w| <= 1/2 the defining series converges fast; otherwise |x2| < log 2
-# and the expansion of Li_s(e^mu) around mu = 0 applies, mu = -|x2| + i x1
-# staying inside its |mu| < 2pi disk of validity:
+# For |w| <= 1/2 (|x2| >= log 2) the defining series converges fast; its
+# first n_max terms are also the truncated series of ``biharm_pair_kernel``.
+# Otherwise |x2| < log 2 and the expansion of Li_s(e^mu) around mu = 0
+# applies, mu = -|x2| + i x1 staying inside its |mu| < 2pi disk of validity:
 #
 #   Li2(e^mu) = mu (1 - log(-mu))      + sum_{k != 1} zeta(2-k) mu^k / k!
 #   Li3(e^mu) = mu^2/2 (3/2 - log(-mu)) + sum_{k != 2} zeta(3-k) mu^k / k!
 #
-# zeta at non-positive integers comes from exact Bernoulli numbers, so both
+# Both sums run by Horner, and they are the one polylog path of the package:
+# the pair kernels, delta and ``clausen2`` all go through them. zeta at
+# non-positive integers comes from exact Bernoulli numbers, so both
 # coefficient tables are correctly rounded.
 
 _EXP_TERMS = 60
 _SERIES_TERMS = 48
+_LOG2 = math.log(2.0)
 
 
 def _bernoulli(n: int):
@@ -171,40 +178,30 @@ _C2 = np.array([float(_ZETA[2 - k] / math.factorial(k)) for k in range(_EXP_TERM
 _C3 = np.array([float(_ZETA[3 - k] / math.factorial(k)) for k in range(_EXP_TERMS)])
 
 
-def _polylog23(w: np.ndarray):
-    """Li2 and Li3 on the closed unit disk, vectorized, ~1e-14 absolute."""
-    w = np.asarray(w, dtype=complex)
-    li2 = np.empty_like(w)
-    li3 = np.empty_like(w)
-
-    small = np.abs(w) <= 0.5
-    ws = w[small]
-    acc2 = np.zeros_like(ws)
-    acc3 = np.zeros_like(ws)
-    p = np.ones_like(ws)
-    for n in range(1, _SERIES_TERMS + 1):
-        p = p * ws
-        acc2 += p / n**2
-        acc3 += p / n**3
-    li2[small] = acc2
-    li3[small] = acc3
-
-    li2[~small], li3[~small] = _polylog23_near_one(np.log(w[~small]))
-    return li2, li3
+def _polylog23_series(w, n_terms: int):
+    """Li2(w) and Li3(w) summed over n = 1..n_terms, by Horner in w."""
+    s2 = np.full_like(w, 1.0 / n_terms**2)
+    s3 = np.full_like(w, 1.0 / n_terms**3)
+    for n in range(n_terms - 1, 0, -1):
+        s2 *= w
+        s2 += 1.0 / n**2
+        s3 *= w
+        s3 += 1.0 / n**3
+    return w * s2, w * s3
 
 
 def _polylog23_near_one(mu: np.ndarray):
-    """Li2(e^mu) and Li3(e^mu) by the expansion around mu = 0 (|mu| < 2pi)."""
+    """Li2(e^mu) and Li3(e^mu) by the expansion around mu = 0 (|mu| < 2pi), Horner."""
     # mu = 0 occurs only at w = 1; the log factor is multiplied by mu/mu^2
     safe = np.where(mu == 0, 1.0, mu)
     lg = np.log(-safe)
-    s2 = np.zeros_like(mu)
-    s3 = np.zeros_like(mu)
-    p = np.ones_like(mu)
-    for k in range(_EXP_TERMS):
-        s2 += _C2[k] * p
-        s3 += _C3[k] * p
-        p = p * mu
+    s2 = np.full_like(mu, _C2[-1])
+    s3 = np.full_like(mu, _C3[-1])
+    for k in range(_EXP_TERMS - 2, -1, -1):
+        s2 *= mu
+        s2 += _C2[k]
+        s3 *= mu
+        s3 += _C3[k]
     return mu * (1.0 - lg) + s2, 0.5 * mu**2 * (1.5 - lg) + s3
 
 
@@ -222,10 +219,19 @@ def clausen2(w: float) -> float:
 
 
 def bilaplacian_pair_kernel_exact(x1, x2):
-    """Exact k != 0 bilaplacian pair kernel via Li2/Li3 (the n_max -> inf limit)."""
+    """Exact k != 0 bilaplacian pair kernel via Li2/Li3 (the n_max -> inf limit).
+
+    Evaluated at mu = -|x2| + i x1 with x1 reduced to [-pi, pi] (values
+    already there are kept bit for bit), so |mu| < 2pi where the expansion
+    around mu = 0 is used.
+    """
     x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    a = np.abs(x2)
-    w = np.exp(-a) * (np.cos(x1) + 1j * np.sin(x1))
-    li2, li3 = _polylog23(w)
+    a = np.abs(np.asarray(x2, dtype=float))
+    mu = -a + 1j * (x1 - TWO_PI * np.round(x1 / TWO_PI))
+    li2 = np.empty_like(mu)
+    li3 = np.empty_like(mu)
+    far = np.broadcast_to(a >= _LOG2, mu.shape)  # |w| <= 1/2
+    li2[far], li3[far] = _polylog23_series(np.exp(mu[far]), _SERIES_TERMS)
+    near = ~far
+    li2[near], li3[near] = _polylog23_near_one(mu[near])
     return ONE_OVER_4PI * (li3.real + a * li2.real)

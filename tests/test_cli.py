@@ -247,6 +247,27 @@ def test_main_rejects_m_not_multiple_of_4(tmp_path):
     assert not os.path.exists(data["outputs"]["diagnostics_csv"])
 
 
+@pytest.mark.parametrize(
+    "option, value",
+    [
+        ("mu", 0.0),            # the finger count needs a positive threshold
+        ("mu", -0.05),
+        ("wiener_s", -1.0),     # the Wiener weights need s, nu >= 0
+        ("wiener_nu", -0.1),
+        ("wiener_nu", 22.0),    # nu * m/2 = 704 is past the overflow guard
+    ],
+    ids=["mu_zero", "mu_negative", "wiener_s_negative", "wiener_nu_negative",
+         "wiener_nu_overflow"],
+)
+def test_main_rejects_bad_diagnostics_options(tmp_path, option, value):
+    data = config_to_dict(base_config(tmp_path))  # m = 64
+    data["diagnostics"][option] = value
+    path = tmp_path / "diag_options.json"
+    path.write_text(json.dumps(data))
+    assert main(["run", str(path)]) == EXIT_CONFIG
+    assert not os.path.exists(data["outputs"]["diagnostics_csv"])
+
+
 def test_legacy_deterministic_key_still_loads(tmp_path):
     cfg = base_config(tmp_path)
     data = config_to_dict(cfg)

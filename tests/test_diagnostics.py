@@ -1,18 +1,25 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import stokescontour as sc
 from stokescontour.diagnostics import (
     DIAG_COLUMNS,
+    DiagnosticsOptions,
     DiagnosticsRecord,
     DiagnosticsWriter,
     dEdt_series,
     read_diagnostics_csv,
+    record_for_graph,
 )
+from stokescontour.kernels import bilaplacian_pair_kernel_exact
 
-from conftest import make_integrator, sine_interface
+from conftest import band_limited, grids, make_integrator, modes, sine_interface
 
 
 # --- energy -------------------------------------------------------------------
@@ -100,6 +107,75 @@ def test_delta_series_mode_close_to_exact():
     assert abs(exact - series) <= 1e-6 * max(exact, 1e-30)
     with pytest.raises(ValueError):
         sc.delta_spectral(g, 8)
+
+
+def drawn_interface(m, coeffs):
+    h = band_limited(m, coeffs)
+    # delta is quadratic in h: keep h'^2 clear of the subnormal range
+    assume(np.max(np.abs(h)) >= 1e-100)
+    return sc.GraphInterface(h=h)
+
+
+@given(m=grids, coeffs=modes)
+@settings(max_examples=10, deadline=None)
+def test_delta_nonnegative(m, coeffs):
+    assert sc.delta_spectral(drawn_interface(m, coeffs)) >= 0.0
+
+
+@given(m=grids, coeffs=modes, shift=st.integers(-8, 8), roll=st.integers(1, 63))
+@settings(max_examples=10, deadline=None)
+def test_delta_invariant_under_vertical_shift_and_roll(m, coeffs, shift, roll):
+    # heights on a 2^-40 grid, so h + shift/4 is exact in floating point and
+    # the comparison sees delta, not the rounding of the shifted data
+    h = np.round(drawn_interface(m, coeffs).h * 2.0**40) / 2.0**40
+    base = sc.delta_spectral(sc.GraphInterface(h=h))
+    for moved in (h + shift / 4, np.roll(h, roll)):
+        assert abs(sc.delta_spectral(sc.GraphInterface(h=moved)) - base) <= 1e-12 * base
+
+
+@given(m=grids, coeffs=modes)
+@settings(max_examples=10, deadline=None)
+def test_delta_series_kernel_agrees_with_exact(m, coeffs):
+    g = drawn_interface(m, coeffs)
+    n = 800
+    # the pair-kernel series tail past n is below (1 + 1/e)/(8 pi n^2) at every
+    # point: sum_{k>n} 1/k^3 <= 1/(2n^2) and a e^{-ka}/k^2 <= 1/(e k^3)
+    tail = (1.0 + 1.0 / np.e) / (8.0 * np.pi * n**2)
+    hp = sc.central_diff(g.h, g.spacing)
+    bound = 4.0 * g.spacing**2 * np.sum(np.abs(hp)) ** 2 * tail
+    exact = sc.delta_spectral(g)
+    assert abs(sc.delta_spectral(g, n) - exact) <= bound + 1e-12 * exact
+
+
+@given(m=grids, coeffs=modes)
+@settings(max_examples=10, deadline=None)
+def test_delta_matches_dense_pair_sum(m, coeffs):
+    g = drawn_interface(m, coeffs)
+    hp = sc.central_diff(g.h, g.spacing)
+    ker = bilaplacian_pair_kernel_exact(
+        g.alpha[:, None] - g.alpha[None, :], g.h[:, None] - g.h[None, :]
+    )
+    dense = 4.0 * g.spacing**2 * (hp @ ker @ hp)
+    assert abs(sc.delta_spectral(g) - dense) <= 1e-12 * dense
+
+
+def test_delta_m4096_in_bounded_memory():
+    # in a child process, so ru_maxrss (kB) is this computation's peak alone;
+    # an m x m kernel evaluation would need about 2.8 GB here
+    code = (
+        "import resource, stokescontour as sc\n"
+        "g = sc.GraphInterface(h=sc.preset_f2(4096))\n"
+        "base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "val = sc.delta_spectral(g)\n"
+        "print(repr(val), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sc.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", code], check=True, capture_output=True, text=True, env=env
+    ).stdout.split()
+    val, grown_kb = float(out[0]), int(out[1])
+    assert np.isfinite(val) and val > 0.0
+    assert grown_kb < 200 * 1024
 
 
 # --- dE/dt finite differences ----------------------------------------------------
@@ -220,6 +296,16 @@ def test_wiener_guards():
 
 
 # --- records and CSV ---------------------------------------------------------------
+
+
+def test_record_for_graph_wiener_only_on_power_of_two_grids():
+    opts = DiagnosticsOptions(wiener_s=1.0, wiener_nu=0.1, compute_delta=False)
+    g = sine_interface(64, 0.1)
+    assert record_for_graph(0.0, g, -1.0, opts).wiener_norm == sc.wiener_norm(g, 1.0, 0.1)
+    assert record_for_graph(0.0, sine_interface(96, 0.1), -1.0, opts).wiener_norm is None
+    # any other invalid knob is an error, not a silent gap (configs reject it)
+    with pytest.raises(ValueError, match="overflow guard"):
+        record_for_graph(0.0, g, -1.0, DiagnosticsOptions(wiener_nu=22.0, compute_delta=False))
 
 
 def test_diagnostics_csv_roundtrip(tmp_path):
