@@ -14,6 +14,7 @@ error, 4 verification failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -125,7 +126,8 @@ def run(config: RunConfig) -> int:
 
     The diagnostics CSV is flushed row by row so a failed run still leaves a
     valid file; failures additionally write ``failure.json`` next to it with
-    the failure time and message.
+    the failure time and message. A failure record left by an earlier run on
+    the same path is removed as the run starts.
     """
     try:
         state = build_initial(config)
@@ -136,9 +138,12 @@ def run(config: RunConfig) -> int:
 
     out = config.outputs
     snapdir = out.snapshots_dir
+    failure_path = out.diagnostics_csv + ".failure.json"
     try:
         if snapdir:
             os.makedirs(snapdir, exist_ok=True)
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(failure_path)
         writer = DiagnosticsWriter(out.diagnostics_csv)
     except OSError as exc:
         print(f"config error: cannot write outputs: {exc}", file=sys.stderr)
@@ -181,7 +186,7 @@ def run(config: RunConfig) -> int:
             "message": traj.failure_message,
             "samples_written": sample_count,
         }
-        with open(out.diagnostics_csv + ".failure.json", "w") as fh:
+        with open(failure_path, "w") as fh:
             json.dump(failure, fh, indent=2)
         print(f"partial run: {traj.failure_message}", file=sys.stderr)
         return EXIT_PARTIAL

@@ -42,7 +42,12 @@ from .geometry import (
     simpson_weights,
     symmetry_errors,
 )
-from .kernels import biharm_pair_kernel, bilaplacian_pair_kernel_exact
+from .kernels import (
+    biharm_pair_kernel,
+    bilaplacian_pair_kernel_exact,
+    offset_blocks,
+    partner_rows,
+)
 
 
 def energy(interface: GraphInterface) -> float:
@@ -62,11 +67,6 @@ def energy_curve(curve: ParamCurve) -> float:
     return float(np.dot(w, curve.z2**2 * dz1))
 
 
-# offset rows of the delta pair sum evaluated at once: every temporary is
-# (_BLOCK_ROWS x m), never m x m
-_BLOCK_ROWS = 32
-
-
 def delta_spectral(interface: GraphInterface, n_max: int = 0) -> float:
     """Dissipation rate delta in the rho = +-1 normalization.
 
@@ -77,8 +77,8 @@ def delta_spectral(interface: GraphInterface, n_max: int = 0) -> float:
     On the uniform grid x1 depends only on the offset r = (i - j) mod m, and
     Kpair is even in x1 and depends on |x2| only, so offsets r and m - r
     contribute equally. The sum runs over half the offsets, r = 0..m/2 with
-    weights 1, 2, ..., 2, 1, in blocks of _BLOCK_ROWS offset rows, each row
-    being sum_i h'_i h'_{i-r} Kpair(r d, h_i - h_{i-r}); memory is
+    weights 1, 2, ..., 2, 1, in blocks of offset rows (``offset_blocks``),
+    each row being sum_i h'_i h'_{i-r} Kpair(r d, h_i - h_{i-r}); memory is
     O(block * m).
 
     Raises
@@ -94,19 +94,16 @@ def delta_spectral(interface: GraphInterface, n_max: int = 0) -> float:
     d = interface.spacing
     hp = central_diff(h, d)
     half = m // 2
-    nodes = np.arange(m)
     total = 0.0
-    for r0 in range(0, half + 1, _BLOCK_ROWS):
-        r = np.arange(r0, min(r0 + _BLOCK_ROWS, half + 1))
-        partner = (nodes - r[:, None]) % m  # node i - r in row r, column i
-        x2 = h - h[partner]
+    for r in offset_blocks(m, 0):
+        x2 = h - partner_rows(h, r)
         x1 = np.broadcast_to((r * d)[:, None], x2.shape)
         if n_max == 0:
             ker = bilaplacian_pair_kernel_exact(x1, x2)
         else:
             ker = biharm_pair_kernel(x1, x2, n_max)
         weight = np.where((r == 0) | (r == half), 1.0, 2.0)
-        total += float(weight @ ((ker * hp[partner]) @ hp))
+        total += float(weight @ ((ker * partner_rows(hp, r)) @ hp))
     val = 4.0 * d * d * total
     if val < -1e-6:
         raise ValueError(f"delta_spectral returned {val}, inconsistent quadrature")

@@ -10,8 +10,11 @@ limits filled in (the log remainder tends to log |zdot(a)|^2 and the rational
 matrix term to -(1/4pi)(dz2/|zdot|^2) [[-dz2, dz1], [dz1, dz2]]), while the
 log(4 sin^2((a-b)/2)) factor is integrated analytically over the two half
 panels adjacent to the singular node against the frozen node value. The
-tangential component of the velocity is kept exactly as the integral
-produces it; node clustering is only monitored.
+Stokeslet is even, S(-x) = S(x), so each unordered pair of nodes is
+evaluated once and feeds both nodes: the sum runs over the offsets
+r = 1..m/2 in blocks of offset rows, every node accumulating in the same
+order. The tangential component of the velocity is kept exactly as the
+integral produces it; node clustering is only monitored.
 """
 
 from __future__ import annotations
@@ -33,7 +36,14 @@ from .geometry import (
     symmetry_errors,
 )
 from .integrators import BlowupError, IntegratorParams, integrate
-from .kernels import ONE_OVER_8PI, clausen2, stokeslet_terms
+from .kernels import (
+    ONE_OVER_8PI,
+    clausen2,
+    fold_block,
+    offset_blocks,
+    partner_rows,
+    stokeslet_terms,
+)
 
 SPEED_RATIO_WARN = 20.0
 
@@ -76,16 +86,21 @@ def _rhs_curve_arrays_raw(z1: np.ndarray, z2: np.ndarray, alpha: np.ndarray, del
     u1 = d * (g0 * v1 + a_ss0 * v1 - a_sn0 * v2) + cell * v1
     u2 = d * (g0 * v2 - a_sn0 * v1 - a_ss0 * v2) + cell * v2
 
-    for r in range(1, m):
+    # the Stokeslet is even, so the offsets r and m - r share one evaluation
+    acc1 = np.zeros(m)
+    acc2 = np.zeros(m)
+    for r in offset_blocks(m, 1):
         # the kernel is 2pi-periodic in x1, so the winding of z1 across the
         # seam is immaterial here
-        x1 = z1 - np.roll(z1, r)
-        x2 = z2 - np.roll(z2, r)
-        lg, a_ss, a_sn = stokeslet_terms(x1, x2)
-        v1b = np.roll(v1, r)
-        v2b = np.roll(v2, r)
-        u1 += d * ((lg + a_ss) * v1b - a_sn * v2b)
-        u2 += d * (lg * v2b - a_sn * v1b - a_ss * v2b)
+        lg, a_ss, a_sn = stokeslet_terms(z1 - partner_rows(z1, r), z2 - partner_rows(z2, r))
+        s11 = lg + a_ss
+        s22 = lg - a_ss
+        v1b = partner_rows(v1, r)
+        v2b = partner_rows(v2, r)
+        acc1 += fold_block(s11 * v1b - a_sn * v2b, s11 * v1 - a_sn * v2, r)
+        acc2 += fold_block(s22 * v2b - a_sn * v1b, s22 * v2 - a_sn * v1, r)
+    u1 += d * acc1
+    u2 += d * acc2
 
     u1 *= delta_rho * ONE_OVER_8PI
     u2 *= delta_rho * ONE_OVER_8PI

@@ -32,8 +32,13 @@ half-angle form of the cell logarithm is the small-height limit of the true
 kernel; the variant "printed" drops the half angle and is kept selectable
 for A/B comparison.
 
-Everything is evaluated in fixed offset order, so shifting the state by one
-grid node shifts the right-hand side by exactly one node, bitwise.
+The integrand is symmetric in its two nodes and both quadratures weight the
+offsets r and m - r alike, so every unordered pair is evaluated once: the sum
+runs over the offsets r = 1..m/2 in blocks of offset rows
+(``kernels.offset_blocks``), each pair feeding both of its nodes, and the
+spectral circulant joins the same rows. Every node accumulates its terms in
+the same order, so shifting the state by one grid node shifts the
+right-hand side by exactly one node, bitwise.
 """
 
 from __future__ import annotations
@@ -56,7 +61,7 @@ from .geometry import (
     symmetry_errors,
 )
 from .integrators import BlowupError, IntegratorParams, integrate
-from .kernels import clausen2, stokeslet_terms
+from .kernels import clausen2, fold_block, offset_blocks, partner_rows, stokeslet_terms
 
 QUADRATURES = ("spectral_log", "taylor_cell")
 CELL_VARIANTS = ("halfangle", "printed")
@@ -156,34 +161,28 @@ def _rhs_arrays_raw(h: np.ndarray, params: SchemeParams) -> np.ndarray:
         # the log(4 sin^2) factor is integrated by the circulant omega
         weights = np.full(m, d)
         omega = _log_circulant(m)
-        hdh = h * dh
         one_p = 1.0 + dh * dh
         t23_0 = 2.0 * h * dh * dh * (dh * dh - 1.0) / one_p + 4.0 * h * dh * dh / one_p
-        acc = d * (np.log(one_p) * h * one_p + t23_0)
-        log_a = omega[0] * h
-        log_b = omega[0] * hdh
+        acc = d * (np.log(one_p) * h * one_p + t23_0) + omega[0] * h * one_p
     else:  # taylor_cell
         weights = _taylor_cell_weights(m)
-        acc = np.zeros(m)
-    for r in range(1, m):
+        acc = 2.0 * _cell_correction_values(h, dh, d, params.singular_cell_variant)
+    # the pair integrand below is symmetric in its two nodes and both weights
+    # are even in the offset, so the offsets r and m - r share one evaluation
+    for r in offset_blocks(m, 1):
         x1 = r * d
-        hb = np.roll(h, r)
-        dhb = np.roll(dh, r)
-        lg, a_ss, a_sn = stokeslet_terms(x1, h - hb)
+        hb = partner_rows(h, r)
+        dhb = partner_rows(dh, r)
+        lg, a_ss, a_sn = stokeslet_terms(x1[:, None], h - hb)
         if spectral:
-            # keep the smooth remainder of the log only
-            lg = lg - np.log(4.0 * np.sin(0.5 * x1) ** 2)
-            log_a += omega[r] * hb
-            log_b += omega[r] * np.roll(hdh, r)
+            # keep the smooth remainder of the log only; the circulant weight
+            # omega_r of its log(4 sin^2) factor joins it per offset row
+            lg += (omega[r] / d - np.log(4.0 * np.sin(0.5 * x1) ** 2))[:, None]
         dd = dh * dhb
-        acc += weights[r] * hb * (lg * (1.0 + dd) + a_ss * (dd - 1.0) + a_sn * (dh + dhb))
-    if spectral:
-        integral = acc + log_a + dh * log_b
-    else:
-        cell = _cell_correction_values(h, dh, d, params.singular_cell_variant)
-        integral = acc + 2.0 * cell
+        pair = weights[r][:, None] * (lg * (1.0 + dd) + a_ss * (dd - 1.0) + a_sn * (dh + dhb))
+        acc += fold_block(hb * pair, h * pair, r)
 
-    rhs = params.sign_factor * integral + params.viscosity * second_diff(h, d)
+    rhs = params.sign_factor * acc + params.viscosity * second_diff(h, d)
     if not np.all(np.isfinite(rhs)):
         raise BlowupError(int(np.flatnonzero(~np.isfinite(rhs))[0]))
     return rhs

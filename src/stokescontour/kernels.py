@@ -22,9 +22,13 @@ smooth everywhere (including the origin). Besides the truncated sums, an
 exact evaluation through the polylogarithms Li2/Li3 of w = exp(-|x2| + i x1)
 is provided; it agrees with the series to machine precision and costs O(1)
 per point. Both run on one Horner-summed polylog path, which ``clausen2``
-shares. ``diagnostics.delta_spectral`` evaluates the pair kernel over half
-the grid offsets only (it is even in x1 and depends on |x2|), a fixed block
-of offset rows at a time, so its memory is O(block * m) rather than O(m^2).
+shares.
+
+All three pair sums of the package (both right-hand sides and
+``diagnostics.delta_spectral``) use that their kernels are even: they run
+over half the grid offsets, r <= m/2, a fixed block of offset rows at a time
+(``offset_blocks``, ``partner_rows``, ``fold_block``), so their memory is
+O(block * m) rather than O(m^2).
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .geometry import TWO_PI
 
@@ -42,6 +47,10 @@ ONE_OVER_8PI = 1.0 / (8.0 * np.pi)
 ONE_OVER_4PI = 1.0 / (4.0 * np.pi)
 
 _NMAX_CAP = 100_000
+
+# offset rows per block of the pair sums (both right-hand sides and delta):
+# their temporaries are (_BLOCK_ROWS x m), never m x m
+_BLOCK_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -60,13 +69,58 @@ def stokeslet_terms(x1, x2):
     Returns (log(2D), x2 sinh(x2)/D, x2 sin(x1)/D), D = cosh x2 - cos x1 in
     the half-angle form 2(sinh^2(x2/2) + sin^2(x1/2)), free of cancellation
     near the singularity; the third term is 8pi d1 d2 K. x1 may be a scalar
-    against an array x2; coincident points give non-finite values.
+    or a column against an array x2; coincident points give non-finite values.
+    All three terms are even under x -> -x and 2pi-periodic in x1.
     """
     sh2 = np.sinh(0.5 * x2)
     sn2 = np.sin(0.5 * x1)
-    den = 2.0 * (sh2 * sh2 + sn2 * sn2)
+    sh2sq = sh2 * sh2
+    den = 2.0 * (sh2sq + sn2 * sn2)
     q = x2 / den
-    return np.log(2.0 * den), q * np.sinh(x2), q * np.sin(x1)
+    # sinh x2 = 2 sinh(x2/2) cosh(x2/2), with the cosh from the sinh already at hand
+    return np.log(2.0 * den), q * (2.0 * sh2 * np.sqrt(1.0 + sh2sq)), q * np.sin(x1)
+
+
+def offset_blocks(m: int, first: int):
+    """Consecutive grid offsets r = first..m/2, up to _BLOCK_ROWS at a time.
+
+    The pair kernels are even, so a pair sum over all offsets folds onto
+    these half offsets.
+    """
+    half = m // 2
+    for r0 in range(first, half + 1, _BLOCK_ROWS):
+        yield np.arange(r0, min(r0 + _BLOCK_ROWS, half + 1))
+
+
+def partner_rows(x, r):
+    """x at the partner node i - r (mod m) of every column i, a row per offset.
+
+    A read-only window view of x repeated twice (r must be consecutive), so
+    no index arrays are built.
+    """
+    m = x.size
+    return sliding_window_view(np.concatenate([x, x]), m)[m - r[-1] : m - r[0] + 1][::-1]
+
+
+def fold_block(near, far, r):
+    """Per-node total of one offset block, each unordered pair evaluated once.
+
+    Row r, column i holds the pair (i, i - r): ``near`` is its term for node
+    i, ``far`` its term for node i - r. Node i collects near[k, i] and, from
+    the pair (i + r, i), far[k, i + r]. At r = m/2 the nodes i + r and i - r
+    coincide, so that row's far term is dropped. ``near`` is overwritten. The
+    rows are reduced in one fixed order, so shifting the data by a node shifts
+    the total by a node, bitwise.
+    """
+    m = near.shape[1]
+    n = int(np.count_nonzero(2 * r < m))
+    if n:
+        # with r_k = r_0 + k, far[k, (i + r_k) mod m] is element
+        # r_0 + k (2m + 1) + i of the rows of far, each repeated twice, laid
+        # end to end
+        twice = np.concatenate([far[:n], far[:n]], axis=1).ravel()
+        near[:n] += sliding_window_view(twice, m)[r[0] :: 2 * m + 1][:n]
+    return near.sum(axis=0)
 
 
 def _regular_args(x1, x2):

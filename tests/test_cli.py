@@ -160,6 +160,24 @@ def test_run_partial_writes_valid_csv_and_failure_record(tmp_path):
     assert "failure_time" in failure and failure["samples_written"] == 1
 
 
+def test_good_rerun_removes_earlier_failure_record(tmp_path):
+    failing = base_config(
+        tmp_path,
+        initial=InitialSpec(kind="fourier", fourier_coeffs=[[1, 0.5]]),
+        integrator=sc.IntegratorParams(
+            t_end=1.0, rel_tol=1e-12, abs_tol=1e-12, dt_init=0.5, dt_min=0.5, dt_max=0.5
+        ),
+        sample_times=[0.0, 0.5, 1.0],
+    )
+    record = failing.outputs.diagnostics_csv + ".failure.json"
+    assert sc.run(failing) == EXIT_PARTIAL
+    assert os.path.exists(record)
+    good = base_config(tmp_path)  # same diagnostics_csv path
+    assert sc.run(good) == EXIT_OK
+    assert read_diagnostics_csv(good.outputs.diagnostics_csv)["t"].size == 3
+    assert not os.path.exists(record)
+
+
 def test_run_from_snapshot_file(tmp_path):
     snap = tmp_path / "init.csv"
     sc.write_snapshot(snap, sc.GraphInterface(h=sc.preset_f2(64)))

@@ -7,9 +7,37 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import stokescontour as sc
-from stokescontour.geometry import curve_derivatives
+from stokescontour.evolution_curve import _rhs_curve_arrays
+from stokescontour.geometry import central_diff, curve_derivatives, even_projection_curve
+from stokescontour.kernels import ONE_OVER_8PI, clausen2, stokeslet_terms
 
-from conftest import grids, make_integrator, sine_interface
+from conftest import band_limited, grids, make_integrator, modes, sine_interface
+
+
+def lifted_curve(m, lift, shear):
+    """z1 = alpha + 0.1 * shear(alpha), z2 = lift(alpha): an x-monotone curve."""
+    al = sc.uniform_grid(m)
+    return al + 0.1 * band_limited(m, shear), band_limited(m, lift), al
+
+
+def all_offsets_curve_rhs(z1, z2, alpha, delta_rho):
+    """The curve RHS as a plain sum over every offset r = 1..m-1, one at a time."""
+    m = z1.size
+    d = 2 * np.pi / m
+    dz1 = 1.0 + central_diff(z1 - alpha, d)
+    dz2 = central_diff(z2, d)
+    speed2 = dz1 * dz1 + dz2 * dz2
+    v1, v2 = -dz2 * z2, dz1 * z2
+    cell = -4.0 * clausen2(0.5 * d)
+    g0, a_ss0, a_sn0 = np.log(speed2), 2 * dz2 * dz2 / speed2, 2 * dz2 * dz1 / speed2
+    u1 = d * (g0 * v1 + a_ss0 * v1 - a_sn0 * v2) + cell * v1
+    u2 = d * (g0 * v2 - a_sn0 * v1 - a_ss0 * v2) + cell * v2
+    for r in range(1, m):
+        lg, a_ss, a_sn = stokeslet_terms(z1 - np.roll(z1, r), z2 - np.roll(z2, r))
+        v1b, v2b = np.roll(v1, r), np.roll(v2, r)
+        u1 += d * ((lg + a_ss) * v1b - a_sn * v2b)
+        u2 += d * ((lg - a_ss) * v2b - a_sn * v1b)
+    return delta_rho * ONE_OVER_8PI * u1, delta_rho * ONE_OVER_8PI * u2
 
 
 def test_flat_curve_zero_velocity():
@@ -41,6 +69,33 @@ def test_normal_velocity_matches_graph_scheme(m, k, a, phase):
     # the two schemes differ at first order in k d (at most 0.061 k d
     # measured for k <= m/8, m <= 64, a <= 0.3); 6.1e-4 in the m = 1024 example
     assert np.max(np.abs(normal_curve - normal_graph)) <= 0.1 * k * (2 * np.pi / m) * scale
+
+
+@given(m=grids, lift=modes, shear=modes)
+# m = 200: the last block of offset rows is partial and holds r = m/2
+@example(m=200, lift=[(0.3, -0.2), (0.1, 0.2), (-0.05, 0.1)], shear=[(0.2, 0.1), (0.0, -0.1)])
+@settings(max_examples=10, deadline=None)
+def test_blocked_curve_rhs_matches_all_offsets_sum(m, lift, shear):
+    z1, z2, al = lifted_curve(m, lift, shear)
+    u1, u2 = _rhs_curve_arrays(z1, z2, al, -2.0)
+    r1, r2 = all_offsets_curve_rhs(z1, z2, al, -2.0)
+    scale = max(np.max(np.abs(r1)), np.max(np.abs(r2)))
+    assert max(np.max(np.abs(u1 - r1)), np.max(np.abs(u2 - r2))) <= 1e-12 * scale
+
+
+@given(m=grids, lift=modes, shear=modes)
+@example(m=256, lift=[(0.3, -0.2), (0.1, 0.2), (-0.05, 0.1)], shear=[(0.2, 0.1), (0.0, -0.1)])
+@settings(max_examples=10, deadline=None)
+def test_rhs_even_symmetry(m, lift, shear):
+    # a curve mirror-symmetric about the lines z1 = -pi/2 and z1 = pi/2 (node
+    # j pairs with m/2 - j) moves mirror-symmetrically
+    z1, z2, al = lifted_curve(m, lift, shear)
+    z1, z2 = even_projection_curve(z1, z2)
+    u1, u2 = _rhs_curve_arrays(z1, z2, al, -2.0)
+    k = (m // 2 - np.arange(m)) % m
+    scale = max(np.max(np.abs(u1)), np.max(np.abs(u2)))
+    assert np.max(np.abs(u1 + u1[k])) <= 1e-12 * scale
+    assert np.max(np.abs(u2 - u2[k])) <= 1e-12 * scale
 
 
 def test_rhs_centrally_antisymmetric(rng):

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -5,8 +9,15 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import stokescontour as sc
-from stokescontour.evolution_graph import _cell_correction_values, _rhs_arrays
+from stokescontour.evolution_graph import (
+    _cell_correction_values,
+    _log_circulant,
+    _rhs_arrays,
+    _taylor_cell_weights,
+)
+from stokescontour.geometry import central_diff, second_diff
 from stokescontour.integrators import BlowupError, advance
+from stokescontour.kernels import stokeslet_terms
 
 from conftest import band_limited, grids, make_integrator, modes, sine_interface
 
@@ -82,9 +93,58 @@ def test_rhs_odd_symmetry(m, coeffs):
     assert np.max(np.abs(rhs + rhs[(-j) % m])) <= 1e-12
 
 
+def all_offsets_rhs(h, params):
+    """The graph RHS as a plain sum over every offset r = 1..m-1, one at a time."""
+    m = h.size
+    d = 2 * np.pi / m
+    dh = central_diff(h, d)
+    spectral = params.quadrature == "spectral_log"
+    if spectral:
+        omega = _log_circulant(m)
+        one_p = 1.0 + dh * dh
+        acc = d * (np.log(one_p) * h * one_p
+                   + 2 * h * dh * dh * (dh * dh - 1) / one_p + 4 * h * dh * dh / one_p)
+        log_a, log_b = omega[0] * h, omega[0] * h * dh
+        weights = np.full(m, d)
+    else:
+        acc = 2 * _cell_correction_values(h, dh, d, params.singular_cell_variant)
+        weights = _taylor_cell_weights(m)
+    for r in range(1, m):
+        hb, dhb = np.roll(h, r), np.roll(dh, r)
+        lg, a_ss, a_sn = stokeslet_terms(r * d, h - hb)
+        if spectral:
+            lg = lg - np.log(4 * np.sin(0.5 * r * d) ** 2)
+            log_a += omega[r] * hb
+            log_b += omega[r] * np.roll(h * dh, r)
+        dd = dh * dhb
+        acc += weights[r] * hb * (lg * (1 + dd) + a_ss * (dd - 1) + a_sn * (dh + dhb))
+    if spectral:
+        acc += log_a + dh * log_b
+    return params.sign_factor * acc + params.viscosity * second_diff(h, d)
+
+
+@pytest.mark.parametrize("quadrature, cell", [("spectral_log", "halfangle"),
+                                              ("taylor_cell", "halfangle"),
+                                              ("taylor_cell", "printed")])
+@given(m=grids, coeffs=modes)
+# m = 200: the last block of offset rows is partial and holds r = m/2; m = 66:
+# the row r = m/2 is a block of its own
+@example(m=200, coeffs=[(0.3, -0.2), (0.1, 0.2), (-0.05, 0.1)])
+@example(m=66, coeffs=[(0.0, 0.3), (0.2, 0.0)])
+@settings(max_examples=10, deadline=None)
+def test_blocked_rhs_matches_all_offsets_sum(quadrature, cell, m, coeffs):
+    h = band_limited(m, coeffs)
+    p = sc.SchemeParams(sign_factor=-1.0, viscosity=1e-3, m=m, quadrature=quadrature,
+                        singular_cell_variant=cell)
+    ref = all_offsets_rhs(h, p)
+    assert np.max(np.abs(_rhs_arrays(h, p) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 @pytest.mark.parametrize("quadrature", ["spectral_log", "taylor_cell"])
 @given(m=grids, coeffs=modes, shift=st.integers(1, 63))
 @example(m=128, coeffs=[(0.3, -0.2), (0.1, 0.2), (-0.05, 0.1)], shift=1)
+# several blocks of offset rows
+@example(m=256, coeffs=[(0.3, -0.2), (0.1, 0.2), (-0.05, 0.1)], shift=45)
 @settings(max_examples=10, deadline=None)
 def test_grid_translation_equivariance(quadrature, m, coeffs, shift):
     h = band_limited(m, coeffs)
@@ -92,6 +152,34 @@ def test_grid_translation_equivariance(quadrature, m, coeffs, shift):
     rhs = _rhs_arrays(h, p)
     rhs_shifted = _rhs_arrays(np.roll(h, shift), p)
     assert np.array_equal(rhs_shifted, np.roll(rhs, shift))
+
+
+@pytest.mark.parametrize("formulation", ["graph", "curve"])
+def test_rhs_m4096_in_bounded_memory(formulation):
+    # in a child process, so ru_maxrss (kB) is this evaluation's peak alone;
+    # temporaries of a block of offset rows are O(block * m), not O(m^2)
+    call = {
+        "graph": "_rhs_arrays(h, sc.SchemeParams(sign_factor=-1.0, viscosity=1e-3, m=m))",
+        "curve": "np.concatenate(_rhs_curve_arrays(c.z1, c.z2, c.alpha, -2.0))",
+    }[formulation]
+    code = (
+        "import resource, numpy as np, stokescontour as sc\n"
+        "from stokescontour.evolution_graph import _rhs_arrays\n"
+        "from stokescontour.evolution_curve import _rhs_curve_arrays\n"
+        "m = 4096\n"
+        "h = sc.preset_f2(m)\n"
+        "c = sc.graph_to_curve(sc.GraphInterface(h=h))\n"
+        "base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        f"out = {call}\n"
+        "print(bool(np.all(np.isfinite(out))),"
+        " resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sc.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", code], check=True, capture_output=True, text=True, env=env
+    ).stdout.split()
+    assert out[0] == "True"
+    assert int(out[1]) < 50 * 1024
 
 
 def test_rhs_blowup_error_carries_node():
