@@ -31,12 +31,11 @@ from .kernels import (
     dK12,
     stokeslet,
 )
-from .integrators import BlowupError, IntegratorParams, StepFailureError
+from .integrators import BlowupError, IntegratorParams, StepFailureError, Trajectory
 from .diagnostics import (
     DiagnosticsOptions,
     DiagnosticsRecord,
     FingerDecomposition,
-    Trajectory,
     dE_dt_fd,
     delta_rate,
     delta_spectral,

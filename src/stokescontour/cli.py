@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, load_config
+from .config import ConfigError, RunConfig, check_grid_size, load_config
 from .diagnostics import (
     DiagnosticsWriter,
     dEdt_series,
@@ -34,6 +34,7 @@ from .geometry import (
     GraphInterface,
     ParamCurve,
     graph_to_curve,
+    read_snapshot,
     symmetry_errors,
     uniform_grid,
     write_snapshot,
@@ -90,6 +91,7 @@ def fourier_heights(m: int, coeffs) -> np.ndarray:
 def build_initial(config: RunConfig):
     """Construct the configured initial state (GraphState or CurveState)."""
     kind = config.initial.kind
+    delta_rho = 8.0 * np.pi * config.sign_factor
     if kind == "preset_f1":
         h = preset_f1(config.m, config.f1_reading)
         interface = GraphInterface(h=h)
@@ -98,26 +100,23 @@ def build_initial(config: RunConfig):
     elif kind == "fourier":
         interface = GraphInterface(h=fourier_heights(config.m, config.initial.fourier_coeffs))
     elif kind == "snapshot_file":
-        from .geometry import read_snapshot
-
-        obj = read_snapshot(config.initial.path)
-        if isinstance(obj, ParamCurve):
+        interface = read_snapshot(config.initial.path)
+        if interface.m != config.m:
+            raise ConfigError(
+                f"snapshot grid m={interface.m} does not match config m={config.m}"
+            )
+        if isinstance(interface, ParamCurve):
             if config.formulation != "curve":
                 raise ConfigError("curve snapshot requires the curve formulation")
-            return CurveState(t=0.0, curve=obj, delta_rho=8.0 * np.pi * config.sign_factor)
-        interface = obj
+            return CurveState(t=0.0, curve=interface, delta_rho=delta_rho)
     elif kind == "turning_family":
         curve = build_turning_family(config.initial.turning, config.m)
-        return CurveState(t=0.0, curve=curve, delta_rho=8.0 * np.pi * config.sign_factor)
+        return CurveState(t=0.0, curve=curve, delta_rho=delta_rho)
     else:  # pragma: no cover - InitialSpec already validates
         raise ConfigError(f"unknown initial kind {kind!r}")
 
-    if interface.m != config.m:
-        raise ConfigError(f"snapshot grid m={interface.m} does not match config m={config.m}")
     if config.formulation == "curve":
-        return CurveState(
-            t=0.0, curve=graph_to_curve(interface), delta_rho=8.0 * np.pi * config.sign_factor
-        )
+        return CurveState(t=0.0, curve=graph_to_curve(interface), delta_rho=delta_rho)
     return GraphState(t=0.0, interface=interface)
 
 
@@ -264,6 +263,11 @@ def _print_report(report: dict) -> None:
 
 
 def preset_dump(name: str, m: int, path: str, f1_reading: str = "corrected") -> int:
+    try:
+        check_grid_size(m)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     if name == "f1":
         obj = GraphInterface(h=preset_f1(m, f1_reading))
     elif name == "f2":

@@ -28,6 +28,15 @@ class ConfigError(ValueError):
     """Malformed or inconsistent run configuration."""
 
 
+def check_grid_size(m: int) -> None:
+    """ConfigError unless m is a multiple of 4 and >= 8.
+
+    The symmetry monitors of every record need 0 and +-pi/2 as nodes.
+    """
+    if m < 8 or m % 4:
+        raise ConfigError(f"m must be a multiple of 4 and >= 8, got {m}")
+
+
 @dataclass
 class InitialSpec:
     """Initial interface: a named preset, sine series, file, or turning family.
@@ -99,9 +108,7 @@ class RunConfig:
             raise ConfigError(f"unknown f1_reading {self.f1_reading!r}")
         if (self.sample_times is None) == (self.sample_dt is None):
             raise ConfigError("exactly one of sample_times / sample_dt is required")
-        # the symmetry monitors of every record need 0 and +-pi/2 as nodes
-        if self.m < 8 or self.m % 4:
-            raise ConfigError(f"m must be a multiple of 4 and >= 8, got {self.m}")
+        check_grid_size(self.m)
         diag = self.diagnostics
         if not diag.mu > 0:
             raise ConfigError(f"diagnostics.mu must be positive, got {diag.mu}")

@@ -24,7 +24,7 @@ strictly between steep nodes. A state with no steep region has no fingers.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -42,12 +42,8 @@ from .geometry import (
     simpson_weights,
     symmetry_errors,
 )
-from .kernels import (
-    biharm_pair_kernel,
-    bilaplacian_pair_kernel_exact,
-    offset_blocks,
-    partner_rows,
-)
+from .integrators import Trajectory
+from .kernels import bilaplacian_pair_kernel_exact, offset_blocks, partner_rows
 
 
 def energy(interface: GraphInterface) -> float:
@@ -67,12 +63,12 @@ def energy_curve(curve: ParamCurve) -> float:
     return float(np.dot(w, curve.z2**2 * dz1))
 
 
-def delta_spectral(interface: GraphInterface, n_max: int = 0) -> float:
+def delta_spectral(interface: GraphInterface) -> float:
     """Dissipation rate delta in the rho = +-1 normalization.
 
     Double periodic-trapezoid quadrature of
-    4 * h'(a) h'(b) Kpair(a - b, h(a) - h(b)); ``n_max = 0`` evaluates the
-    pair kernel exactly, ``n_max >= 16`` uses the truncated series.
+    4 * h'(a) h'(b) Kpair(a - b, h(a) - h(b)), the pair kernel evaluated
+    exactly by ``bilaplacian_pair_kernel_exact``.
 
     On the uniform grid x1 depends only on the offset r = (i - j) mod m, and
     Kpair is even in x1 and depends on |x2| only, so offsets r and m - r
@@ -84,11 +80,9 @@ def delta_spectral(interface: GraphInterface, n_max: int = 0) -> float:
     Raises
     ------
     ValueError
-        If the quadrature returns a value below -1e-6 (series/quadrature
-        inconsistency; the exact result is a squared norm).
+        If the quadrature returns a value below -1e-6 (the exact result is
+        a squared norm).
     """
-    if n_max != 0 and n_max < 16:
-        raise ValueError("n_max must be 0 (exact) or >= 16")
     h = interface.h
     m = interface.m
     d = interface.spacing
@@ -98,10 +92,7 @@ def delta_spectral(interface: GraphInterface, n_max: int = 0) -> float:
     for r in offset_blocks(m, 0):
         x2 = h - partner_rows(h, r)
         x1 = np.broadcast_to((r * d)[:, None], x2.shape)
-        if n_max == 0:
-            ker = bilaplacian_pair_kernel_exact(x1, x2)
-        else:
-            ker = biharm_pair_kernel(x1, x2, n_max)
+        ker = bilaplacian_pair_kernel_exact(x1, x2)
         weight = np.where((r == 0) | (r == half), 1.0, 2.0)
         total += float(weight @ ((ker * partner_rows(hp, r)) @ hp))
     val = 4.0 * d * d * total
@@ -121,7 +112,7 @@ def delta_rate(interface: GraphInterface, sign_factor: float) -> float:
     return -4.0 * np.pi * sign_factor * delta_spectral(interface)
 
 
-def dE_dt_fd(trajectory: "Trajectory") -> np.ndarray:
+def dE_dt_fd(trajectory: Trajectory) -> np.ndarray:
     """Centered finite differences of the energy series in t (one-sided at ends)."""
     t = np.array([r.t for r in trajectory.records])
     e = np.array([r.energy for r in trajectory.records])
@@ -276,54 +267,6 @@ class DiagnosticsOptions:
     compute_delta: bool = True
 
 
-@dataclass
-class Trajectory:
-    """Time-ordered states and their diagnostics records.
-
-    ``states`` holds GraphState or CurveState snapshots at the sample times;
-    a failed run keeps everything recorded up to the failure time.
-    """
-
-    states: list = field(default_factory=list)
-    records: List[DiagnosticsRecord] = field(default_factory=list)
-    failed: bool = False
-    failure_time: Optional[float] = None
-    failure_message: Optional[str] = None
-
-
-def record_for_graph(
-    t: float,
-    interface: GraphInterface,
-    sign_factor: float,
-    options: Optional[DiagnosticsOptions] = None,
-) -> DiagnosticsRecord:
-    """DiagnosticsRecord for a graph state (delta in the run's time units)."""
-    opt = options or DiagnosticsOptions()
-    curve = graph_to_curve(interface)
-    big, small = height_extremes(curve)
-    csym, esym = symmetry_errors(curve)
-    if opt.compute_delta:
-        delta = delta_rate(interface, sign_factor)
-    else:
-        delta = float("nan")
-    wnorm = None
-    if interface.m & (interface.m - 1) == 0:  # the norm needs a power-of-two grid
-        wnorm = wiener_norm(interface, opt.wiener_s, opt.wiener_nu)
-    return DiagnosticsRecord(
-        t=t,
-        energy=energy(interface),
-        delta=delta,
-        perimeter=perimeter(curve),
-        max_curvature=float(np.max(curvature(curve))),
-        max_height=big,
-        min_height=small,
-        central_sym_err=csym,
-        even_sym_err=esym,
-        finger_count=finger_decomposition(interface, opt.mu).zero_count_in_R,
-        wiener_norm=wnorm,
-    )
-
-
 def record_for_curve(
     t: float, curve: ParamCurve, options: Optional[DiagnosticsOptions] = None
 ) -> DiagnosticsRecord:
@@ -341,6 +284,31 @@ def record_for_curve(
         central_sym_err=csym,
         even_sym_err=esym,
         min_slope_x1=min_slope_x1(curve),
+    )
+
+
+def record_for_graph(
+    t: float,
+    interface: GraphInterface,
+    sign_factor: float,
+    options: Optional[DiagnosticsOptions] = None,
+) -> DiagnosticsRecord:
+    """DiagnosticsRecord for a graph state (delta in the run's time units).
+
+    The curve monitors are those of the lifted curve (its ``energy_curve``
+    equals ``energy``); delta, the finger count and the Wiener norm are
+    added, and min_slope_x1 stays unset.
+    """
+    opt = options or DiagnosticsOptions()
+    wnorm = None
+    if interface.m & (interface.m - 1) == 0:  # the norm needs a power-of-two grid
+        wnorm = wiener_norm(interface, opt.wiener_s, opt.wiener_nu)
+    return replace(
+        record_for_curve(t, graph_to_curve(interface), opt),
+        delta=delta_rate(interface, sign_factor) if opt.compute_delta else float("nan"),
+        finger_count=finger_decomposition(interface, opt.mu).zero_count_in_R,
+        wiener_norm=wnorm,
+        min_slope_x1=None,
     )
 
 

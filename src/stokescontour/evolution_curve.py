@@ -15,6 +15,11 @@ evaluated once and feeds both nodes: the sum runs over the offsets
 r = 1..m/2 in blocks of offset rows, every node accumulating in the same
 order. The tangential component of the velocity is kept exactly as the
 integral produces it; node clustering is only monitored.
+
+``evolve_curve`` supplies only the right-hand side on the state vector
+(z1, z2), ``geometry.symmetry_projection``, the amplitude guard and the
+per-sample record; ``integrators.integrate`` steps, samples and builds the
+Trajectory.
 """
 
 from __future__ import annotations
@@ -25,17 +30,15 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .diagnostics import DiagnosticsOptions, Trajectory, record_for_curve
+from .diagnostics import DiagnosticsOptions, record_for_curve
 from .geometry import (
     TWO_PI,
     ParamCurve,
     central_diff,
     curve_derivatives,
-    even_projection_curve,
-    odd_projection_curve,
-    symmetry_errors,
+    symmetry_projection,
 )
-from .integrators import BlowupError, IntegratorParams, integrate
+from .integrators import BlowupError, IntegratorParams, Trajectory, integrate
 from .kernels import (
     ONE_OVER_8PI,
     clausen2,
@@ -139,28 +142,21 @@ def evolve_curve(
 ) -> Trajectory:
     """Integrate the contour dynamics with the shared embedded RK machinery.
 
-    Snapshots land exactly on the sample times; each record additionally
+    ``integrators.integrate`` steps, samples and captures failures as for the
+    graph scheme; the state vector is (z1, z2). Each record additionally
     stores min_slope_x1 so turning (a sign change of the minimum slope) can
     be read off the trajectory, and each sample warns when the nodes cluster
-    beyond SPEED_RATIO_WARN. Failures truncate the trajectory as in the
-    graph scheme, including a sample that self-intersects or degenerates.
-    Symmetries present in the initial curve to machine precision are
-    enforced by projection after every accepted step, as in the graph scheme.
+    beyond SPEED_RATIO_WARN. A sample that self-intersects or degenerates
+    ends the run early like a blowup. The symmetries the initial curve
+    carries to machine precision are enforced after every accepted step by
+    ``geometry.symmetry_projection``.
     """
     m = initial.curve.m
     alpha = initial.curve.alpha
-    traj = Trajectory()
-    csym0, esym0 = symmetry_errors(initial.curve)
-    enforce_odd = csym0 <= 1e-12
-    enforce_even = esym0 <= 1e-12
+    symmetrize = symmetry_projection(initial.curve)
 
     def project(y):
-        z1, z2 = y[:m], y[m:]
-        if enforce_odd:
-            z1, z2 = odd_projection_curve(z1, z2)
-        if enforce_even:
-            z1, z2 = even_projection_curve(z1, z2)
-        return np.concatenate([z1, z2])
+        return np.concatenate(symmetrize(y[:m], y[m:]))
 
     def guard(y):
         return np.maximum(np.abs(y[:m] - alpha), np.abs(y[m:]))
@@ -169,20 +165,11 @@ def evolve_curve(
         u1, u2 = _rhs_curve_arrays(y[:m], y[m:], alpha, initial.delta_rho)
         return np.concatenate([u1, u2])
 
-    def take_sample(t, y):
+    def sample(t, y):
         curve = ParamCurve(z1=y[:m].copy(), z2=y[m:].copy())
         _warn_if_clustered(curve)
         state = CurveState(t=t, curve=curve, delta_rho=initial.delta_rho)
-        rec = record_for_curve(t, curve, options)
-        traj.states.append(state)
-        traj.records.append(rec)
-        if on_sample is not None:
-            on_sample(state, rec)
+        return state, record_for_curve(t, curve, options)
 
     y0 = np.concatenate([initial.curve.z1, initial.curve.z2]).astype(float)
-    t, exc = integrate(f, initial.t, y0, ip, sample_times, project, guard, take_sample)
-    if exc is not None:
-        traj.failed = True
-        traj.failure_time = t
-        traj.failure_message = str(exc)
-    return traj
+    return integrate(f, initial.t, y0, ip, sample_times, project, guard, sample, on_sample)

@@ -39,6 +39,10 @@ runs over the offsets r = 1..m/2 in blocks of offset rows
 spectral circulant joins the same rows. Every node accumulates its terms in
 the same order, so shifting the state by one grid node shifts the
 right-hand side by exactly one node, bitwise.
+
+``evolve`` supplies only the right-hand side, the symmetry projection (the
+z2 half of ``geometry.symmetry_projection``) and the per-sample record;
+``integrators.integrate`` steps, samples and builds the Trajectory.
 """
 
 from __future__ import annotations
@@ -49,18 +53,16 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .diagnostics import DiagnosticsOptions, Trajectory, record_for_graph
+from .diagnostics import DiagnosticsOptions, record_for_graph
 from .geometry import (
     GraphInterface,
     TWO_PI,
     central_diff,
-    even_projection_graph,
     graph_to_curve,
-    odd_projection_graph,
     second_diff,
-    symmetry_errors,
+    symmetry_projection,
 )
-from .integrators import BlowupError, IntegratorParams, integrate
+from .integrators import BlowupError, IntegratorParams, Trajectory, integrate
 from .kernels import clausen2, fold_block, offset_blocks, partner_rows, stokeslet_terms
 
 QUADRATURES = ("spectral_log", "taylor_cell")
@@ -203,44 +205,23 @@ def evolve(
 ) -> Trajectory:
     """Integrate the graph scheme, snapshotting exactly at the sample times.
 
-    The proposed step is shortened to land on each sample time, so snapshots
-    are step endpoints, not interpolants. Diagnostics records are computed at
-    every sample; ``on_sample(state, record)`` is invoked as each one is cut
-    (used for incremental output). A blowup or step failure ends the run
-    early and is recorded on the returned Trajectory.
-
-    Symmetries the initial data carries to machine precision (central and/or
-    two-line even, both conserved by the flow) are enforced by projecting
-    each accepted state, so roundoff asymmetries cannot be amplified by the
-    unstable dynamics.
+    Stepping, sampling and failure capture are ``integrators.integrate``'s:
+    snapshots are step endpoints, a diagnostics record is computed at every
+    sample, ``on_sample(state, record)`` is invoked as each one is cut (used
+    for incremental output), and a blowup or step failure ends the run early
+    and is recorded on the returned Trajectory. The symmetries the initial
+    data carries to machine precision are enforced on every accepted state
+    by the z2 half of ``geometry.symmetry_projection`` of its lift.
     """
-    traj = Trajectory()
-    csym0, esym0 = symmetry_errors(graph_to_curve(initial.interface))
-    enforce_odd = csym0 <= 1e-12
-    enforce_even = esym0 <= 1e-12
-
-    def project(y):
-        if enforce_odd:
-            y = odd_projection_graph(y)
-        if enforce_even:
-            y = even_projection_graph(y)
-        return y
+    alpha = initial.interface.alpha
+    symmetrize = symmetry_projection(graph_to_curve(initial.interface))
 
     def f(t, y):
         return _rhs_arrays(y, params)
 
-    def take_sample(t, y):
+    def sample(t, y):
         state = GraphState(t=t, interface=GraphInterface(h=y.copy()))
-        rec = record_for_graph(t, state.interface, params.sign_factor, options)
-        traj.states.append(state)
-        traj.records.append(rec)
-        if on_sample is not None:
-            on_sample(state, rec)
+        return state, record_for_graph(t, state.interface, params.sign_factor, options)
 
-    t, exc = integrate(f, initial.t, initial.interface.h.copy(), ip, sample_times,
-                       project, np.abs, take_sample)
-    if exc is not None:
-        traj.failed = True
-        traj.failure_time = t
-        traj.failure_message = str(exc)
-    return traj
+    return integrate(f, initial.t, initial.interface.h.copy(), ip, sample_times,
+                     lambda y: symmetrize(alpha, y)[1], np.abs, sample, on_sample)

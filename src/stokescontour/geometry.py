@@ -281,19 +281,6 @@ def symmetry_errors(curve: ParamCurve):
     return central, even
 
 
-def odd_projection_graph(h: np.ndarray) -> np.ndarray:
-    """Project heights onto the centrally symmetric (odd) subspace."""
-    j = np.arange(h.size)
-    return 0.5 * (h - h[(-j) % h.size])
-
-
-def even_projection_graph(h: np.ndarray) -> np.ndarray:
-    """Project heights onto the subspace of the two-line even symmetry."""
-    m = h.size
-    j = np.arange(m)
-    return 0.5 * (h + h[(m // 2 - j) % m])
-
-
 def odd_projection_curve(z1: np.ndarray, z2: np.ndarray):
     """Project a curve onto central symmetry z(alpha) = -z(-alpha).
 
@@ -314,6 +301,27 @@ def even_projection_curve(z1: np.ndarray, z2: np.ndarray):
     k = (m // 2 - j) % m
     c = np.where(j <= m // 2, -np.pi, np.pi)
     return 0.5 * (z1 + c - z1[k]), 0.5 * (z2 + z2[k])
+
+
+def symmetry_projection(curve: ParamCurve):
+    """Projection onto the symmetries ``curve`` carries to machine precision.
+
+    Central and two-line even symmetry are both conserved by the flow; each
+    one whose ``symmetry_errors`` value is <= 1e-12 is enforced, so roundoff
+    asymmetries cannot be amplified by unstable dynamics. Returns
+    ``project(z1, z2) -> (z1, z2)``; the z2 half alone projects the heights
+    of a graph, whose lift is z = (alpha, h).
+    """
+    central, even = symmetry_errors(curve)
+    steps = [step for step, err in ((odd_projection_curve, central),
+                                    (even_projection_curve, even)) if err <= 1e-12]
+
+    def project(z1, z2):
+        for step in steps:
+            z1, z2 = step(z1, z2)
+        return z1, z2
+
+    return project
 
 
 # ---------------------------------------------------------------------------
@@ -338,14 +346,22 @@ def write_snapshot(path, obj) -> None:
 
 
 def read_snapshot(path):
-    """Read a snapshot CSV, returning GraphInterface or ParamCurve per header."""
+    """Read a snapshot CSV, returning GraphInterface or ParamCurve per header.
+
+    Raises ValueError naming the path for a file without data rows, with an
+    unrecognized header or with a row of the wrong length.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
         rows = [[float(x) for x in row] for row in reader if row]
+    if not rows:
+        raise ValueError(f"{path}: snapshot has no data rows")
+    if header not in (["alpha", "h"], ["alpha", "z1", "z2"]):
+        raise ValueError(f"{path}: unrecognized snapshot header {header!r}")
+    if any(len(row) != len(header) for row in rows):
+        raise ValueError(f"{path}: every snapshot row needs {len(header)} values")
     data = np.asarray(rows)
-    if header == ["alpha", "h"]:
+    if len(header) == 2:
         return GraphInterface(h=data[:, 1])
-    if header == ["alpha", "z1", "z2"]:
-        return ParamCurve(z1=data[:, 1], z2=data[:, 2])
-    raise ValueError(f"unrecognized snapshot header {header!r}")
+    return ParamCurve(z1=data[:, 1], z2=data[:, 2])

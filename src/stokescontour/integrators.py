@@ -12,13 +12,14 @@ accepted when the norm is <= 1.
 
 ``integrate`` is the one stepping driver behind both the graph scheme and the
 parametric contour dynamics: it lands on the sample times, projects each
-accepted state, guards its amplitude and turns a failure into an early end.
+accepted state, guards its amplitude, builds the ``Trajectory`` of sampled
+states and records, and turns a failure into an early end recorded on it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -114,14 +115,14 @@ def _step_factor(err_norm: float) -> float:
     return min(MAX_FACTOR, max(MIN_FACTOR, SAFETY * err_norm ** (-0.2)))
 
 
-def advance(f, t, y, dt, ip: IntegratorParams, k1=None, dt_cap=None, recoverable=()):
+def advance(f, t, y, dt, ip: IntegratorParams, k1=None, dt_cap=None):
     """Advance one *accepted* step, retrying with smaller dt on rejection.
 
     ``dt_cap`` optionally shortens the attempted step (used to land exactly
-    on sample times). Exceptions of the ``recoverable`` types raised while
-    evaluating a *trial* step count as an infinite error estimate and shrink
-    the step like any rejection (a blowup at the current state itself still
-    propagates, as does one persisting at dt_min). Returns
+    on sample times). A BlowupError raised while evaluating a *trial* step
+    counts as an infinite error estimate and shrinks the step like any
+    rejection (a blowup at the current state itself still propagates, as
+    does one persisting at dt_min). Returns
     (t_new, y_new, dt_used, err_norm, dt_next, k1_next) where dt_next is the
     uncapped proposal for the following step.
 
@@ -139,7 +140,7 @@ def advance(f, t, y, dt, ip: IntegratorParams, k1=None, dt_cap=None, recoverable
             y_new, err_norm, k_last = dopri_step(
                 f, t, y, dt_try, ip.rel_tol, ip.abs_tol, k1=k1
             )
-        except recoverable:
+        except BlowupError:
             if dt_try <= ip.dt_min:
                 raise
             err_norm = np.inf
@@ -164,6 +165,21 @@ def _prepare_samples(t0: float, ip: IntegratorParams, sample_times) -> np.ndarra
     return ts
 
 
+@dataclass
+class Trajectory:
+    """Time-ordered states and their diagnostics records.
+
+    ``states`` holds GraphState or CurveState snapshots at the sample times;
+    a failed run keeps everything recorded up to the failure time.
+    """
+
+    states: list = field(default_factory=list)
+    records: list = field(default_factory=list)
+    failed: bool = False
+    failure_time: Optional[float] = None
+    failure_message: Optional[str] = None
+
+
 def integrate(
     f: Callable,
     t0: float,
@@ -172,46 +188,55 @@ def integrate(
     sample_times,
     project: Callable,
     guard: Callable,
-    on_sample: Callable,
-) -> Tuple[float, Optional[Exception]]:
+    sample: Callable,
+    on_sample: Optional[Callable] = None,
+) -> Trajectory:
     """Integrate y' = f(t, y) from (t0, y0), stopping exactly at each sample time.
 
     The proposed step is shortened to land on each sample time, so samples
-    are step endpoints, not interpolants; ``on_sample(t, y)`` is called at
-    each. Every accepted state is replaced by ``project(y)``. ``guard(y)``
-    gives each node's deviation from the rest state; once the largest
-    exceeds AMPLITUDE_GUARD the run blows up at that node. A blowup, a step
-    failure or a self-intersecting or degenerate curve (raised by
-    ``on_sample``) ends the run early.
-
-    Returns (t, error): the last time reached and the error that ended the
-    run, or None if every sample was taken.
+    are step endpoints, not interpolants. At each, ``sample(t, y)`` returns
+    the (state, record) pair appended to the Trajectory, and
+    ``on_sample(state, record)``, if given, is called with it (used for
+    incremental output). Every accepted state is replaced by ``project(y)``.
+    ``guard(y)`` gives each node's deviation from the rest state; once the
+    largest exceeds AMPLITUDE_GUARD the run blows up at that node. A blowup,
+    a step failure or a self-intersecting or degenerate curve (raised by
+    ``sample``) ends the run early; the Trajectory records the last time
+    reached and the error message.
     """
+    traj = Trajectory()
+
+    def take_sample(t, y):
+        state, record = sample(t, y)
+        traj.states.append(state)
+        traj.records.append(record)
+        if on_sample is not None:
+            on_sample(state, record)
+
     ts = _prepare_samples(t0, ip, sample_times)
     t = t0
     y = y0
     idx = 0
     if abs(ts[0] - t) <= _SAMPLE_TOL:
-        on_sample(t, y)
+        take_sample(t, y)
         idx = 1
     dt = ip.dt_init
     k1 = None
     try:
         while idx < ts.size:
             target = ts[idx]
-            t, y, _, _, dt, k1 = advance(
-                f, t, y, dt, ip, k1=k1, dt_cap=target - t,
-                recoverable=(BlowupError,),
-            )
+            t, y, _, _, dt, k1 = advance(f, t, y, dt, ip, k1=k1, dt_cap=target - t)
             y = project(y)
             deviation = guard(y)
             if np.max(deviation) > AMPLITUDE_GUARD:
                 raise BlowupError(int(np.argmax(deviation)), t)
             if abs(t - target) <= _SAMPLE_TOL:
                 t = target
-                on_sample(t, y)
+                take_sample(t, y)
                 idx += 1
     except (BlowupError, StepFailureError, SelfIntersectionError,
             DegenerateParametrizationError) as exc:
-        return t, exc
-    return t, None
+        traj.failed = True
+        traj.failure_time = t
+        traj.failure_message = str(exc)
+    return traj

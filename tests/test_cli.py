@@ -192,6 +192,28 @@ def test_run_snapshot_grid_mismatch_is_config_error(tmp_path):
     assert sc.run(cfg) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("m_snap", [32, 10], ids=["m32", "m10_not_multiple_of_4"])
+def test_run_curve_snapshot_grid_mismatch_is_config_error(tmp_path, m_snap):
+    snap = tmp_path / "init.csv"
+    sc.write_snapshot(snap, sc.graph_to_curve(sc.GraphInterface(h=sc.preset_f2(m_snap))))
+    cfg = base_config(tmp_path, initial=InitialSpec(kind="snapshot_file", path=str(snap)),
+                      formulation="curve")
+    assert sc.run(cfg) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "content",
+    ["", "alpha,h\n", "alpha,h\n" + "0.5\n" * 64],
+    ids=["empty", "header_only", "short_rows"],
+)
+def test_run_malformed_snapshot_is_config_error(tmp_path, content, capsys):
+    snap = tmp_path / "init.csv"
+    snap.write_text(content)
+    cfg = base_config(tmp_path, initial=InitialSpec(kind="snapshot_file", path=str(snap)))
+    assert sc.run(cfg) == EXIT_CONFIG
+    assert str(snap) in capsys.readouterr().err
+
+
 def test_run_curve_formulation(tmp_path):
     cfg = base_config(
         tmp_path,
@@ -328,6 +350,14 @@ def test_main_preset_dump(tmp_path):
     obj = sc.read_snapshot(out)
     assert isinstance(obj, sc.GraphInterface)
     assert obj.m == 64
+
+
+@pytest.mark.parametrize("m", [7, 10])
+def test_main_preset_dump_rejects_bad_m(tmp_path, m):
+    # the grid rule of RunConfig: a multiple of 4, >= 8
+    out = tmp_path / "f1.csv"
+    assert main(["preset-dump", "f1", "--m", str(m), "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
 
 
 def test_run_unwritable_output_is_config_error(tmp_path):

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 import stokescontour as sc
-from stokescontour.integrators import StepFailureError, advance, dopri_step, integrate
+from stokescontour.integrators import (
+    BlowupError,
+    StepFailureError,
+    advance,
+    dopri_step,
+    integrate,
+)
 
 from conftest import make_integrator
 
@@ -64,28 +70,25 @@ def test_step_failure_at_dt_min():
 def test_recoverable_blowup_is_rejected_not_fatal():
     calls = {"n": 0}
 
-    class Boom(RuntimeError):
-        pass
-
     def f(t, y):
         calls["n"] += 1
         if t > 0.0 and calls["n"] < 12:
-            raise Boom()  # any stage away from the current state explodes
+            raise BlowupError(0, t)  # any stage away from the current state explodes
         return -y
 
     ip = make_integrator(t_end=1.0, dt_init=0.2, dt_max=0.2)
-    t, y, dt_used, *_ = advance(f, 0.0, np.ones(1), 0.2, ip, recoverable=(Boom,))
+    t, y, dt_used, *_ = advance(f, 0.0, np.ones(1), 0.2, ip)
     assert t == pytest.approx(dt_used)
     assert dt_used < 0.2  # had to shrink past the failing trials
 
 
 def test_first_sample_just_before_t0_is_the_initial_state():
     # accepted as in range, so taken at t0 without a backward step
-    samples = []
     y0 = np.array([1.0, -2.0])
     ip = make_integrator(t_end=0.1, dt_max=0.05)
-    t, exc = integrate(lambda t, y: -y, 0.0, y0, ip, [-5e-13, 0.1], lambda y: y,
-                       np.abs, lambda t, y: samples.append((t, y.copy())))
-    assert exc is None and t == 0.1
+    traj = integrate(lambda t, y: -y, 0.0, y0, ip, [-5e-13, 0.1], lambda y: y,
+                     np.abs, lambda t, y: ((t, y.copy()), t))
+    samples = traj.states
+    assert not traj.failed and traj.records == [0.0, 0.1]
     assert samples[0][0] == 0.0 and np.array_equal(samples[0][1], y0)
     assert [s[0] for s in samples] == [0.0, 0.1]
