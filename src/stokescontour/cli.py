@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, check_grid_size, load_config
+from .config import ConfigError, RunConfig, load_config
 from .diagnostics import (
     DiagnosticsWriter,
     dEdt_series,
@@ -33,9 +33,10 @@ from .evolution_graph import GraphState, SchemeParams, evolve
 from .geometry import (
     GraphInterface,
     ParamCurve,
+    carried_symmetries,
+    check_grid_size,
     graph_to_curve,
     read_snapshot,
-    symmetry_errors,
     uniform_grid,
     write_snapshot,
 )
@@ -196,10 +197,11 @@ def verify(config: RunConfig) -> tuple[int, dict]:
     """Replay the invariant suite on a completed run's outputs.
 
     Checks energy monotonicity (unstable sign only), conservation of the
-    symmetries present in the initial data, the height/energy lower bound
-    max(M, m) >= sqrt(E)/(2 sqrt(pi)), and agreement of the stored delta
-    column with the centered dE/dt where the latter is resolvable. Returns
-    (exit_code, report) with worst-case margins per check.
+    symmetries the run enforced (``geometry.carried_symmetries`` of the
+    initial data), the height/energy lower bound max(M, m) >= sqrt(E)/(2
+    sqrt(pi)), and agreement of the stored delta column with the centered
+    dE/dt where the latter is resolvable. Returns (exit_code, report) with
+    worst-case margins per check.
     """
     try:
         data = read_diagnostics_csv(config.outputs.diagnostics_csv)
@@ -220,13 +222,11 @@ def verify(config: RunConfig) -> tuple[int, dict]:
         report["energy_monotone"] = {"pass": bool(margin >= -MONOTONE_SLACK), "worst_drop": margin}
 
     curve0 = state.curve if isinstance(state, CurveState) else graph_to_curve(state.interface)
-    c0, e0 = symmetry_errors(curve0)
-    if c0 <= 1e-10:
-        worst = float(np.max(data["csym"]))
-        report["central_symmetry"] = {"pass": bool(worst <= SYMMETRY_TOL), "worst": worst}
-    if e0 <= 1e-10:
-        worst = float(np.max(data["esym"]))
-        report["even_symmetry"] = {"pass": bool(worst <= SYMMETRY_TOL), "worst": worst}
+    for name, column, carried in zip(("central_symmetry", "even_symmetry"), ("csym", "esym"),
+                                     carried_symmetries(curve0)):
+        if carried:
+            worst = float(np.max(data[column]))
+            report[name] = {"pass": bool(worst <= SYMMETRY_TOL), "worst": worst}
 
     lhs = np.maximum(data["Mheight"], data["mheight"])
     rhs = np.sqrt(np.maximum(e, 0.0)) / (2.0 * np.sqrt(np.pi))
@@ -265,7 +265,7 @@ def _print_report(report: dict) -> None:
 def preset_dump(name: str, m: int, path: str, f1_reading: str = "corrected") -> int:
     try:
         check_grid_size(m)
-    except ConfigError as exc:
+    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     if name == "f1":

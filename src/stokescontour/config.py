@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass, field
 from typing import List, Optional
 
 from .diagnostics import WIENER_EXPONENT_MAX, DiagnosticsOptions
+from .geometry import check_grid_size
 from .integrators import IntegratorParams, _prepare_samples
 from .turning import TurningFamilyParams
 
@@ -26,15 +27,6 @@ F1_READINGS = ("corrected", "printed")
 
 class ConfigError(ValueError):
     """Malformed or inconsistent run configuration."""
-
-
-def check_grid_size(m: int) -> None:
-    """ConfigError unless m is a multiple of 4 and >= 8.
-
-    The symmetry monitors of every record need 0 and +-pi/2 as nodes.
-    """
-    if m < 8 or m % 4:
-        raise ConfigError(f"m must be a multiple of 4 and >= 8, got {m}")
 
 
 @dataclass
@@ -108,7 +100,11 @@ class RunConfig:
             raise ConfigError(f"unknown f1_reading {self.f1_reading!r}")
         if (self.sample_times is None) == (self.sample_dt is None):
             raise ConfigError("exactly one of sample_times / sample_dt is required")
-        check_grid_size(self.m)
+        try:
+            check_grid_size(self.m)
+            _prepare_samples(0.0, self.integrator, self.resolved_sample_times())
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         diag = self.diagnostics
         if not diag.mu > 0:
             raise ConfigError(f"diagnostics.mu must be positive, got {diag.mu}")
@@ -122,10 +118,6 @@ class RunConfig:
                 f"diagnostics.wiener_nu * m/2 = {diag.wiener_nu * self.m / 2:g} exceeds "
                 f"the overflow guard ({WIENER_EXPONENT_MAX:g})"
             )
-        try:
-            _prepare_samples(0.0, self.integrator, self.resolved_sample_times())
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
 
     def resolved_sample_times(self) -> List[float]:
         if self.sample_times is not None:

@@ -8,6 +8,11 @@ horizontal period, ``z1(alpha + 2*pi) = z1(alpha) + 2*pi`` with ``z2`` periodic.
 Everything here is a pure function of node values: derivatives are periodic
 central differences, integrals are composite Simpson sums on the uniform grid,
 and extrema are node-wise (no sub-grid interpolation).
+
+The curve conventions live here alone: the grid rule ``check_grid_size``, the
+winding-aware tangent ``curve_derivatives`` and the table of the two
+symmetries the flow conserves, from which ``carried_symmetries`` decides what
+every run enforces and ``verify`` checks.
 """
 
 from __future__ import annotations
@@ -33,9 +38,10 @@ def uniform_grid(m: int) -> np.ndarray:
     return -np.pi + TWO_PI * np.arange(m) / m
 
 
-def _validate_grid_size(m: int) -> None:
-    if m < 8 or m % 2 != 0:
-        raise ValueError(f"grid size must be even and >= 8, got m={m}")
+def check_grid_size(m: int) -> None:
+    """ValueError unless m >= 8 is a multiple of 4, so that 0 and +-pi/2 are nodes."""
+    if m < 8 or m % 4:
+        raise ValueError(f"m must be a multiple of 4 and >= 8, got {m}")
 
 
 def central_diff(values, spacing: float) -> np.ndarray:
@@ -74,7 +80,7 @@ def simpson_weights(m: int, spacing: float) -> np.ndarray:
     With periodic closure f[m] = f[0] the classical rule collapses to weight
     2*spacing/3 on even nodes and 4*spacing/3 on odd nodes.
     """
-    _validate_grid_size(m)
+    check_grid_size(m)
     w = np.empty(m)
     w[0::2] = 2.0
     w[1::2] = 4.0
@@ -90,7 +96,7 @@ class GraphInterface:
     h : ndarray
         Heights at the m grid nodes.
     m : int
-        Grid size (even, >= 8).
+        Grid size (a multiple of 4, >= 8).
     alpha : ndarray
         Nodes -pi + 2*pi*j/m.
     """
@@ -101,7 +107,7 @@ class GraphInterface:
 
     def __post_init__(self):
         h = np.asarray(self.h, dtype=float)
-        _validate_grid_size(h.size)
+        check_grid_size(h.size)
         if not np.all(np.isfinite(h)):
             raise ValueError("heights must be finite")
         object.__setattr__(self, "h", h)
@@ -132,7 +138,7 @@ class ParamCurve:
         z2 = np.asarray(self.z2, dtype=float)
         if z1.shape != z2.shape or z1.ndim != 1:
             raise ValueError("z1 and z2 must be 1-d arrays of equal length")
-        _validate_grid_size(z1.size)
+        check_grid_size(z1.size)
         if not (np.all(np.isfinite(z1)) and np.all(np.isfinite(z2))):
             raise ValueError("curve samples must be finite")
         object.__setattr__(self, "z1", z1)
@@ -231,94 +237,54 @@ def min_slope_x1(curve: ParamCurve) -> float:
     return float(np.min(dz1))
 
 
-def _z1_at(curve: ParamCurve, idx: np.ndarray) -> np.ndarray:
-    """z1 at possibly out-of-range node indices, adding one period per wrap."""
-    wraps, j = np.divmod(idx, curve.m)
-    return curve.z1[j] + TWO_PI * wraps
+CARRIED_TOL = 1e-12  # a symmetry error at most this counts as carried
+
+
+def _reflections(m: int):
+    """Central and two-line even symmetry as rows (k, c, sign), for all nodes j:
+
+    z1[j] + z1[k[j]] = c[j] and z2[j] = sign * z2[k[j]]. Central symmetry
+    z(alpha) = -z(-alpha) pairs j with -j, the seam node with itself across
+    one period. Even symmetry pairs j with m/2 - j, mirroring the curve about
+    the lines z1 = -pi/2 on [-pi, 0] and z1 = pi/2 on (0, pi).
+    """
+    j = np.arange(m)
+    central = ((-j) % m, np.where(j == 0, -TWO_PI, 0.0), -1.0)
+    even = ((m // 2 - j) % m, np.where(j <= m // 2, -np.pi, np.pi), 1.0)
+    return central, even
 
 
 def symmetry_errors(curve: ParamCurve):
     """Max deviation from central symmetry and from the two-line even symmetry.
 
-    Central symmetry is z(alpha) = -z(-alpha); the even symmetry identities
-    are z1(alpha) = -pi - z1(-pi - alpha), z2(alpha) = z2(-pi - alpha) on
-    (-pi, 0] and z1(alpha) = pi - z1(pi - alpha), z2(alpha) = z2(pi - alpha)
-    on (0, pi]. Requires m divisible by 4 so that 0 and +-pi/2 are nodes.
-
     Returns
     -------
     (central, even) : pair of floats
     """
-    m = curve.m
-    if m % 4 != 0:
-        raise ValueError("symmetry_errors requires m divisible by 4")
-    j = np.arange(m)
-
-    # central: z(alpha_j) + z(-alpha_j) with the one-period z1 convention at j=0
-    k = (-j) % m
-    c1 = curve.z1 + curve.z1[k] + np.where(j == 0, TWO_PI, 0.0)
-    c2 = curve.z2 + curve.z2[k]
-    central = float(max(np.max(np.abs(c1)), np.max(np.abs(c2))))
-
-    # even, line alpha in [-pi, 0]: partner index m/2 - j
-    ja = np.arange(0, m // 2 + 1)
-    ka = m // 2 - ja
-    e1a = curve.z1[ja] + np.pi + curve.z1[ka]
-    e2a = curve.z2[ja] - curve.z2[ka]
-    # even, line alpha in [0, pi): partner index 3m/2 - j (may wrap with winding)
-    jb = np.arange(m // 2, m)
-    kb = 3 * (m // 2) - jb
-    e1b = curve.z1[jb] + _z1_at(curve, kb) - np.pi
-    e2b = curve.z2[jb] - curve.z2[kb % m]
-    even = float(
-        max(
-            np.max(np.abs(e1a)),
-            np.max(np.abs(e2a)),
-            np.max(np.abs(e1b)),
-            np.max(np.abs(e2b)),
-        )
+    z1, z2 = curve.z1, curve.z2
+    return tuple(
+        float(max(np.max(np.abs(z1 + z1[k] - c)), np.max(np.abs(z2 - sign * z2[k]))))
+        for k, c, sign in _reflections(curve.m)
     )
-    return central, even
 
 
-def odd_projection_curve(z1: np.ndarray, z2: np.ndarray):
-    """Project a curve onto central symmetry z(alpha) = -z(-alpha).
-
-    The z1 component at the seam node carries the one-period winding, which
-    pins z1(-pi) = -pi.
-    """
-    m = z1.size
-    j = np.arange(m)
-    k = (-j) % m
-    const = np.where(j == 0, TWO_PI, 0.0)
-    return 0.5 * (z1 - z1[k] - const), 0.5 * (z2 - z2[k])
-
-
-def even_projection_curve(z1: np.ndarray, z2: np.ndarray):
-    """Project a curve onto the two-line even symmetry."""
-    m = z1.size
-    j = np.arange(m)
-    k = (m // 2 - j) % m
-    c = np.where(j <= m // 2, -np.pi, np.pi)
-    return 0.5 * (z1 + c - z1[k]), 0.5 * (z2 + z2[k])
+def carried_symmetries(curve: ParamCurve):
+    """(central, even): whether ``curve`` carries each symmetry to CARRIED_TOL."""
+    return tuple(err <= CARRIED_TOL for err in symmetry_errors(curve))
 
 
 def symmetry_projection(curve: ParamCurve):
-    """Projection onto the symmetries ``curve`` carries to machine precision.
+    """Projection onto the symmetries ``curve`` carries (``carried_symmetries``).
 
-    Central and two-line even symmetry are both conserved by the flow; each
-    one whose ``symmetry_errors`` value is <= 1e-12 is enforced, so roundoff
-    asymmetries cannot be amplified by unstable dynamics. Returns
-    ``project(z1, z2) -> (z1, z2)``; the z2 half alone projects the heights
-    of a graph, whose lift is z = (alpha, h).
+    Both are conserved by the flow, so enforcing them keeps roundoff
+    asymmetries from growing under unstable dynamics. Returns ``project(z1,
+    z2) -> (z1, z2)``; its z2 half alone projects the heights of a graph.
     """
-    central, even = symmetry_errors(curve)
-    steps = [step for step, err in ((odd_projection_curve, central),
-                                    (even_projection_curve, even)) if err <= 1e-12]
+    rows = [row for row, on in zip(_reflections(curve.m), carried_symmetries(curve)) if on]
 
     def project(z1, z2):
-        for step in steps:
-            z1, z2 = step(z1, z2)
+        for k, c, sign in rows:
+            z1, z2 = 0.5 * (z1 + c - z1[k]), 0.5 * (z2 + sign * z2[k])
         return z1, z2
 
     return project
@@ -349,19 +315,24 @@ def read_snapshot(path):
     """Read a snapshot CSV, returning GraphInterface or ParamCurve per header.
 
     Raises ValueError naming the path for a file without data rows, with an
-    unrecognized header or with a row of the wrong length.
+    unrecognized header, with a row of the wrong length, with a value that is
+    not a number or with data the constructor rejects (a grid off the grid
+    rule, say).
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        rows = [[float(x) for x in row] for row in reader if row]
+        rows = [row for row in reader if row]
     if not rows:
         raise ValueError(f"{path}: snapshot has no data rows")
     if header not in (["alpha", "h"], ["alpha", "z1", "z2"]):
         raise ValueError(f"{path}: unrecognized snapshot header {header!r}")
     if any(len(row) != len(header) for row in rows):
         raise ValueError(f"{path}: every snapshot row needs {len(header)} values")
-    data = np.asarray(rows)
-    if len(header) == 2:
-        return GraphInterface(h=data[:, 1])
-    return ParamCurve(z1=data[:, 1], z2=data[:, 2])
+    try:
+        data = np.asarray([[float(x) for x in row] for row in rows])
+        if len(header) == 2:
+            return GraphInterface(h=data[:, 1])
+        return ParamCurve(z1=data[:, 1], z2=data[:, 2])
+    except ValueError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc

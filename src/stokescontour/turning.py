@@ -34,7 +34,14 @@ from typing import Tuple
 
 import numpy as np
 
-from .geometry import ParamCurve, TWO_PI, central_diff, symmetry_errors, uniform_grid
+from .geometry import (
+    TWO_PI,
+    ParamCurve,
+    check_grid_size,
+    curve_derivatives,
+    symmetry_errors,
+    uniform_grid,
+)
 from .kernels import ONE_OVER_4PI, stokeslet_terms
 
 ONE_OVER_2PI = 1.0 / (2.0 * np.pi)
@@ -165,7 +172,7 @@ def _z1_even(alpha, p: TurningFamilyParams):
 
 
 def build_turning_family(p: TurningFamilyParams, m: int) -> ParamCurve:
-    """Sample the family on m nodes (m divisible by 4) and verify its signs.
+    """Sample the family on m nodes and verify its signs.
 
     Raises
     ------
@@ -173,8 +180,7 @@ def build_turning_family(p: TurningFamilyParams, m: int) -> ParamCurve:
         Naming the violated sign property, when the sampled zstar or z1 does
         not realize the pattern the turning argument needs.
     """
-    if m % 4 != 0:
-        raise ValueError("grid must contain 0 and +-pi/2: m divisible by 4")
+    check_grid_size(m)  # before the sign checks, which assume 0 is a node
     alpha = uniform_grid(m)
 
     if p.variant == "basic":
@@ -203,7 +209,7 @@ def build_turning_family(p: TurningFamilyParams, m: int) -> ParamCurve:
 
     curve = ParamCurve(z1=z1, z2=z2)
     d = curve.spacing
-    dz1 = 1.0 + central_diff(z1 - alpha, d)
+    dz1, dz2 = curve_derivatives(curve)
     j0 = m // 2
     if not dz1[j0] <= d * d:
         raise ConstructionError("condition 2: slope of z1 at 0 not vanishing")
@@ -213,7 +219,6 @@ def build_turning_family(p: TurningFamilyParams, m: int) -> ParamCurve:
         interior[0] = False  # reflection forces a vertical tangent at +-pi too
     if np.any(dz1[interior] <= 0.0):
         raise ConstructionError("condition 2: z1 not increasing away from 0")
-    dz2 = central_diff(z2, d)
     if dz2[j0] <= 0.0:
         raise ConstructionError("condition 2: slope of z2 at 0 not positive")
     return curve
@@ -266,27 +271,22 @@ def _simpson_on_nodes(values: np.ndarray, spacing: float) -> float:
 
 
 def _half_period_arrays(curve: ParamCurve):
-    """z1, z2, dz1 on the closed node range alpha in [0, pi] (winding-aware)."""
-    m = curve.m
-    d = curve.spacing
-    dz1_full = 1.0 + central_diff(curve.z1 - curve.alpha, d)
-    idx = np.arange(m // 2, m + 1)
-    wrapped = idx % m
-    z1 = curve.z1[wrapped] + TWO_PI * (idx // m)
-    z2 = curve.z2[wrapped]
-    dz1 = dz1_full[wrapped]
-    return z1, z2, dz1
+    """z2'(0), then z1, z2, dz1 on the closed node range alpha in [0, pi].
 
-
-def _require_certificate_preconditions(curve: ParamCurve):
+    z1 is winding-aware. Raises ValueError unless the curve is centrally
+    symmetric with z2'(0) >= 0, the preconditions of both certificates.
+    """
     central, _ = symmetry_errors(curve)
     if central > 1e-8:
         raise ValueError(f"turning integrals need central symmetry, error {central:.2e}")
-    dz2 = central_diff(curve.z2, curve.spacing)
-    slope0 = dz2[curve.m // 2]
+    m = curve.m
+    dz1, dz2 = curve_derivatives(curve)
+    slope0 = dz2[m // 2]
     if slope0 < 0.0:
         raise ValueError("turning integrals need dz2/da >= 0 at alpha = 0")
-    return slope0
+    idx = np.arange(m // 2, m + 1)
+    wrapped = idx % m
+    return slope0, curve.z1[wrapped] + TWO_PI * (idx // m), curve.z2[wrapped], dz1[wrapped]
 
 
 def turning_integral(curve: ParamCurve) -> Tuple[float, float, float]:
@@ -297,8 +297,7 @@ def turning_integral(curve: ParamCurve) -> Tuple[float, float, float]:
     scaled by z2'(0)/(4 pi). The integrand's removable endpoint singularity
     at beta = 0 is evaluated as its limit 0.
     """
-    slope0 = _require_certificate_preconditions(curve)
-    z1, z2, dz1 = _half_period_arrays(curve)
+    slope0, z1, z2, dz1 = _half_period_arrays(curve)
     g = np.zeros_like(z2)
     g[1:] = stokeslet_terms(z1[1:], z2[1:])[2] * dz1[1:]
     pref = slope0 * ONE_OVER_4PI
@@ -314,10 +313,7 @@ def turning_integral_even(curve: ParamCurve) -> Tuple[float, float, float]:
     endpoint singularities are removable with limit 0 (z2 is flat-zero near
     pi/2 by construction).
     """
-    slope0 = _require_certificate_preconditions(curve)
-    if curve.m % 4 != 0:
-        raise ValueError("even certificate needs m divisible by 4")
-    z1, z2, dz1 = _half_period_arrays(curve)
+    slope0, z1, z2, dz1 = _half_period_arrays(curve)
     quarter = curve.m // 4
     z1, z2, dz1 = z1[: quarter + 1], z2[: quarter + 1], dz1[: quarter + 1]
     g = np.zeros_like(z2)

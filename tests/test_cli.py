@@ -194,8 +194,11 @@ def test_run_snapshot_grid_mismatch_is_config_error(tmp_path):
 
 @pytest.mark.parametrize("m_snap", [32, 10], ids=["m32", "m10_not_multiple_of_4"])
 def test_run_curve_snapshot_grid_mismatch_is_config_error(tmp_path, m_snap):
+    # written as text: the API builds no curve on m = 10
     snap = tmp_path / "init.csv"
-    sc.write_snapshot(snap, sc.graph_to_curve(sc.GraphInterface(h=sc.preset_f2(m_snap))))
+    al = sc.uniform_grid(m_snap)
+    snap.write_text("alpha,z1,z2\n" + "".join(f"{a:.17g},{a:.17g},{np.sin(a) ** 3:.17g}\n"
+                                               for a in al))
     cfg = base_config(tmp_path, initial=InitialSpec(kind="snapshot_file", path=str(snap)),
                       formulation="curve")
     assert sc.run(cfg) == EXIT_CONFIG
@@ -203,8 +206,9 @@ def test_run_curve_snapshot_grid_mismatch_is_config_error(tmp_path, m_snap):
 
 @pytest.mark.parametrize(
     "content",
-    ["", "alpha,h\n", "alpha,h\n" + "0.5\n" * 64],
-    ids=["empty", "header_only", "short_rows"],
+    ["", "alpha,h\n", "alpha,h\n" + "0.5\n" * 64, "alpha,h\n" + "0.5,0.5\n" * 10,
+     "alpha,h\n" + "0.5,0.5\n" * 63 + "0.5,nan0\n"],
+    ids=["empty", "header_only", "short_rows", "m10_not_multiple_of_4", "not_a_number"],
 )
 def test_run_malformed_snapshot_is_config_error(tmp_path, content, capsys):
     snap = tmp_path / "init.csv"
@@ -240,6 +244,22 @@ def test_verify_passes_on_good_run(tmp_path):
     assert report["energy_monotone"]["pass"]
     assert report["central_symmetry"]["pass"]
     assert report["perimeter_lower_bound"]["pass"]
+
+
+def test_verify_checks_only_the_enforced_symmetries(tmp_path):
+    # errors of 5e-11: above the tolerance at which the run enforces a
+    # symmetry, so verify may not check either one
+    h = sc.preset_f2(64)
+    h[5] += 5e-11
+    snap = tmp_path / "init.csv"
+    sc.write_snapshot(snap, sc.GraphInterface(h=h))
+    cfg = base_config(tmp_path, initial=InitialSpec(kind="snapshot_file", path=str(snap)),
+                      integrator=sc.IntegratorParams(t_end=0.1, dt_max=0.02),
+                      sample_times=[0.0, 0.05, 0.1])
+    assert sc.run(cfg) == EXIT_OK
+    code, report = sc.verify(cfg)
+    assert code == EXIT_OK
+    assert "central_symmetry" not in report and "even_symmetry" not in report
 
 
 def test_verify_detects_corrupted_energy(tmp_path):

@@ -8,7 +8,12 @@ from hypothesis import strategies as st
 
 import stokescontour as sc
 from stokescontour.evolution_curve import _rhs_curve_arrays
-from stokescontour.geometry import central_diff, curve_derivatives, even_projection_curve
+from stokescontour.geometry import (
+    carried_symmetries,
+    central_diff,
+    curve_derivatives,
+    symmetry_projection,
+)
 from stokescontour.kernels import ONE_OVER_8PI, clausen2, stokeslet_terms
 
 from conftest import band_limited, grids, make_integrator, modes, sine_interface
@@ -18,6 +23,70 @@ def lifted_curve(m, lift, shear):
     """z1 = alpha + 0.1 * shear(alpha), z2 = lift(alpha): an x-monotone curve."""
     al = sc.uniform_grid(m)
     return al + 0.1 * band_limited(m, shear), band_limited(m, lift), al
+
+
+# References for the reflection table of ``geometry``: the central and even
+# projections and the symmetry errors written out one symmetry at a time.
+
+
+def odd_projection_curve(z1, z2):
+    """Project a curve onto central symmetry z(alpha) = -z(-alpha)."""
+    m = z1.size
+    j = np.arange(m)
+    k = (-j) % m
+    const = np.where(j == 0, 2 * np.pi, 0.0)
+    return 0.5 * (z1 - z1[k] - const), 0.5 * (z2 - z2[k])
+
+
+def even_projection_curve(z1, z2):
+    """Project a curve onto the two-line even symmetry."""
+    m = z1.size
+    j = np.arange(m)
+    k = (m // 2 - j) % m
+    c = np.where(j <= m // 2, -np.pi, np.pi)
+    return 0.5 * (z1 + c - z1[k]), 0.5 * (z2 + z2[k])
+
+
+def reference_symmetry_errors(z1, z2):
+    """(central, even) deviations, each even half-line with its own partner rule."""
+    m = z1.size
+    j = np.arange(m)
+    k = (-j) % m
+    c1 = z1 + z1[k] + np.where(j == 0, 2 * np.pi, 0.0)
+    central = max(np.max(np.abs(c1)), np.max(np.abs(z2 + z2[k])))
+    ja = np.arange(0, m // 2 + 1)  # alpha in [-pi, 0]: partner m/2 - j
+    ka = m // 2 - ja
+    jb = np.arange(m // 2, m)  # alpha in [0, pi): partner 3m/2 - j, wrapping once
+    kb = 3 * (m // 2) - jb
+    z1_kb = z1[kb % m] + 2 * np.pi * (kb // m)
+    even = max(
+        np.max(np.abs(z1[ja] + np.pi + z1[ka])),
+        np.max(np.abs(z2[ja] - z2[ka])),
+        np.max(np.abs(z1[jb] + z1_kb - np.pi)),
+        np.max(np.abs(z2[jb] - z2[kb % m])),
+    )
+    return float(central), float(even)
+
+
+@given(m=grids, lift=modes, shear=modes)
+@settings(max_examples=25, deadline=None)
+def test_reflection_table_matches_reference(m, lift, shear):
+    z1, z2, _ = lifted_curve(m, lift, shear)
+    tol = 4 * np.spacing(max(np.max(np.abs(z1)), np.max(np.abs(z2))))
+    errors = sc.symmetry_errors(sc.ParamCurve(z1=z1, z2=z2))
+    assert np.max(np.abs(np.subtract(errors, reference_symmetry_errors(z1, z2)))) <= tol
+    # a curve carrying a symmetry yields the projection onto it (onto both,
+    # central first), applied here to the unprojected data
+    odd = odd_projection_curve(z1, z2)
+    for carrier in (odd, even_projection_curve(z1, z2), even_projection_curve(*odd)):
+        curve = sc.ParamCurve(z1=carrier[0], z2=carrier[1])
+        carried = tuple(err <= 1e-12 for err in reference_symmetry_errors(*carrier))
+        assert carried_symmetries(curve) == carried
+        reference = (z1, z2)
+        for step, on in zip((odd_projection_curve, even_projection_curve), carried):
+            reference = step(*reference) if on else reference
+        p1, p2 = symmetry_projection(curve)(z1, z2)
+        assert max(np.max(np.abs(p1 - reference[0])), np.max(np.abs(p2 - reference[1]))) <= tol
 
 
 def all_offsets_curve_rhs(z1, z2, alpha, delta_rho):

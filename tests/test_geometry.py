@@ -131,6 +131,11 @@ def test_odd_grid_rejected():
         sc.GraphInterface(h=np.zeros(9))
     with pytest.raises(ValueError):
         sc.GraphInterface(h=np.zeros(4))
+    # even but not a multiple of 4: no nodes at +-pi/2
+    with pytest.raises(ValueError, match="multiple of 4"):
+        sc.GraphInterface(h=np.zeros(10))
+    with pytest.raises(ValueError, match="multiple of 4"):
+        sc.ParamCurve(z1=sc.uniform_grid(10), z2=np.zeros(10))
 
 
 # --- extremes, slopes, symmetry ---------------------------------------------
