@@ -43,7 +43,7 @@ from .geometry import (
     symmetry_errors,
 )
 from .integrators import Trajectory
-from .kernels import bilaplacian_pair_kernel_exact, offset_blocks, partner_rows
+from .kernels import bilaplacian_pair_kernel_offset_rows, offset_blocks, partner_rows
 
 
 def energy(interface: GraphInterface) -> float:
@@ -68,13 +68,15 @@ def delta_spectral(interface: GraphInterface) -> float:
 
     Double periodic-trapezoid quadrature of
     4 * h'(a) h'(b) Kpair(a - b, h(a) - h(b)), the pair kernel evaluated
-    exactly by ``bilaplacian_pair_kernel_exact``.
+    exactly, by the evaluation behind ``bilaplacian_pair_kernel_exact``.
 
     On the uniform grid x1 depends only on the offset r = (i - j) mod m, and
     Kpair is even in x1 and depends on |x2| only, so offsets r and m - r
     contribute equally. The sum runs over half the offsets, r = 0..m/2 with
     weights 1, 2, ..., 2, 1, in blocks of offset rows (``offset_blocks``),
-    each row being sum_i h'_i h'_{i-r} Kpair(r d, h_i - h_{i-r}); memory is
+    each row being sum_i h'_i h'_{i-r} Kpair(r d, h_i - h_{i-r}). x1 is fixed
+    along a row, so ``bilaplacian_pair_kernel_offset_rows`` evaluates Kpair in
+    real arithmetic from per-row tables built once per m; memory is
     O(block * m).
 
     Raises
@@ -90,9 +92,7 @@ def delta_spectral(interface: GraphInterface) -> float:
     half = m // 2
     total = 0.0
     for r in offset_blocks(m, 0):
-        x2 = h - partner_rows(h, r)
-        x1 = np.broadcast_to((r * d)[:, None], x2.shape)
-        ker = bilaplacian_pair_kernel_exact(x1, x2)
+        ker = bilaplacian_pair_kernel_offset_rows(m, r, h - partner_rows(h, r))
         weight = np.where((r == 0) | (r == half), 1.0, 2.0)
         total += float(weight @ ((ker * partner_rows(hp, r)) @ hp))
     val = 4.0 * d * d * total

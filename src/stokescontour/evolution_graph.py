@@ -213,7 +213,6 @@ def evolve(
     data carries to machine precision are enforced on every accepted state
     by the z2 half of ``geometry.symmetry_projection`` of its lift.
     """
-    alpha = initial.interface.alpha
     symmetrize = symmetry_projection(graph_to_curve(initial.interface))
 
     def f(t, y):
@@ -224,4 +223,4 @@ def evolve(
         return state, record_for_graph(t, state.interface, params.sign_factor, options)
 
     return integrate(f, initial.t, initial.interface.h.copy(), ip, sample_times,
-                     lambda y: symmetrize(alpha, y)[1], np.abs, sample, on_sample)
+                     lambda y: symmetrize(None, y)[1], np.abs, sample, on_sample)

@@ -278,13 +278,16 @@ def symmetry_projection(curve: ParamCurve):
 
     Both are conserved by the flow, so enforcing them keeps roundoff
     asymmetries from growing under unstable dynamics. Returns ``project(z1,
-    z2) -> (z1, z2)``; its z2 half alone projects the heights of a graph.
+    z2) -> (z1, z2)``; its z2 half alone projects the heights of a graph,
+    and ``project(None, h)`` computes only that half.
     """
     rows = [row for row, on in zip(_reflections(curve.m), carried_symmetries(curve)) if on]
 
     def project(z1, z2):
         for k, c, sign in rows:
-            z1, z2 = 0.5 * (z1 + c - z1[k]), 0.5 * (z2 + sign * z2[k])
+            if z1 is not None:
+                z1 = 0.5 * (z1 + c - z1[k])
+            z2 = 0.5 * (z2 + sign * z2[k])
         return z1, z2
 
     return project

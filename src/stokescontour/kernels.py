@@ -20,9 +20,11 @@ functional is
 
 smooth everywhere (including the origin). Besides the truncated sums, an
 exact evaluation through the polylogarithms Li2/Li3 of w = exp(-|x2| + i x1)
-is provided; it agrees with the series to machine precision and costs O(1)
-per point. Both run on one Horner-summed polylog path, which ``clausen2``
-shares.
+is provided; it agrees with the series to machine precision. It runs in real
+arithmetic from per-x coefficient tables, built once per m for the offset
+rows of the grid, so a point costs a log1p and a short real Horner loop, plus
+an exp and a second loop where |x2| >= 2. The complex expansion behind those
+tables also gives ``clausen2``.
 
 All three pair sums of the package (both right-hand sides and
 ``diagnostics.delta_spectral``) use that their kernels are even: they run
@@ -194,25 +196,21 @@ def biharm_pair_kernel(x1, x2, n_max: int):
 
 
 # ---------------------------------------------------------------------------
-# exact evaluation via polylogarithms
+# polylogarithms
 #
 # Kpair = (1/4pi) (Re Li3(w) + |x2| Re Li2(w)),  w = exp(-|x2| + i x1).
-# For |w| <= 1/2 (|x2| >= log 2) the defining series converges fast; its
-# first n_max terms are also the truncated series of ``biharm_pair_kernel``.
-# Otherwise |x2| < log 2 and the expansion of Li_s(e^mu) around mu = 0
-# applies, mu = -|x2| + i x1 staying inside its |mu| < 2pi disk of validity:
+# The defining series, summed by Horner in w, is the truncated kernel of
+# ``biharm_pair_kernel``. Around mu = 0 (|mu| < 2pi) the expansion
 #
 #   Li2(e^mu) = mu (1 - log(-mu))      + sum_{k != 1} zeta(2-k) mu^k / k!
 #   Li3(e^mu) = mu^2/2 (3/2 - log(-mu)) + sum_{k != 2} zeta(3-k) mu^k / k!
 #
-# Both sums run by Horner, and they are the one polylog path of the package:
-# the pair kernels, delta and ``clausen2`` all go through them. zeta at
+# applies; ``clausen2`` sums it by Horner at mu = i w, and the exact pair
+# kernel re-expands its two sums into real per-row tables (below). zeta at
 # non-positive integers comes from exact Bernoulli numbers, so both
 # coefficient tables are correctly rounded.
 
 _EXP_TERMS = 60
-_SERIES_TERMS = 48
-_LOG2 = math.log(2.0)
 
 
 def _bernoulli(n: int):
@@ -272,20 +270,145 @@ def clausen2(w: float) -> float:
     return float(li2[0].imag)
 
 
-def bilaplacian_pair_kernel_exact(x1, x2):
-    """Exact k != 0 bilaplacian pair kernel via Li2/Li3 (the n_max -> inf limit).
+# ---------------------------------------------------------------------------
+# the pair kernel on offset rows, in real arithmetic
+#
+# For x = |x1| reduced to [0, pi] and a = |x2|, mu = -a + i x, the log terms
+# of the expansion above have a real part in closed form (the arg(-mu) parts
+# cancel),
+#
+#   Re[mu^2/2 (3/2 - log(-mu)) + a mu (1 - log(-mu))]
+#       = rho^2/4 log(rho^2) - (a^2 + 3 x^2)/4,      rho^2 = a^2 + x^2,
+#
+# and the real part of the two regular sums, Taylor re-expanded around
+# mu_c = -1 + i x, is a real polynomial in t = a - 1 whose coefficients depend
+# on x alone. It serves a < 2 (|t| <= 1; |mu_c| + 1 < 2pi). For a >= 2 the
+# defining series is real in q = e^{-a} <= e^{-2}, with coefficients
+# cos(n x)/n^3 and cos(n x)/n^2. So both branches are Horner loops over
+# per-x tables, built once per set of x values: once per m on the grid. An
+# error in a table is shared by every point of its row, so the tables are
+# summed in extended precision and the log term is split to keep the
+# polynomial small (``_row_tables``).
 
-    Evaluated at mu = -|x2| + i x1 with x1 reduced to [-pi, pi] (values
-    already there are kept bit for bit), so |mu| < 2pi where the expansion
-    around mu = 0 is used.
+_NEAR_DEGREE = 31  # coefficient tail below 5e-19 on every row
+_FAR_FROM = 2.0
+_FAR_TERMS = 20  # tail below 1e-20 for a >= 2
+_LOG1P_FLOOR = np.nextafter(-1.0, 0.0)
+
+
+def _extended(v) -> np.longdouble:
+    """A Fraction or float in extended precision (np.longdouble)."""
+    v = Fraction(v)
+    return np.longdouble(v.numerator) / np.longdouble(v.denominator)
+
+
+@lru_cache(maxsize=1)
+def _taylor_shifts():
+    """S2, S3: Re(mu_c^n)_n @ S is Re of the t^j coefficients of sum_k c[k] (mu_c - t)^k.
+
+    Each term c[k] mu^k holds c[k] binom(k, j) mu_c^(k - j) (-t)^j; c[k] is
+    zeta(s - k)/k! of Li2 or Li3 (the _C2, _C3 values before rounding), and
+    j runs up to _NEAR_DEGREE. Extended precision throughout.
     """
-    x1 = np.asarray(x1, dtype=float)
-    a = np.abs(np.asarray(x2, dtype=float))
-    mu = -a + 1j * (x1 - TWO_PI * np.round(x1 / TWO_PI))
-    li2 = np.empty_like(mu)
-    li3 = np.empty_like(mu)
-    far = np.broadcast_to(a >= _LOG2, mu.shape)  # |w| <= 1/2
-    li2[far], li3[far] = _polylog23_series(np.exp(mu[far]), _SERIES_TERMS)
-    near = ~far
-    li2[near], li3[near] = _polylog23_near_one(mu[near])
-    return ONE_OVER_4PI * (li3.real + a * li2.real)
+    n, j = np.ogrid[:_EXP_TERMS, : _NEAR_DEGREE + 1]
+    binom = np.array([[_extended(math.comb(k + i, i)) for i in range(_NEAR_DEGREE + 1)]
+                      for k in range(_EXP_TERMS)])
+    pad = [np.longdouble(0)] * (_NEAR_DEGREE + 1)
+    return tuple(
+        (-1) ** j * binom
+        * np.array([_extended(Fraction(_ZETA[s - k]) / math.factorial(k))
+                    for k in range(_EXP_TERMS)] + pad)[n + j]
+        for s in (2, 3)
+    )
+
+
+def _row_tables(x: np.ndarray):
+    """Per-x tables (x^2, scale, shift, near, far3, far2) of Kpair, x in [0, pi].
+
+    The log term rho^2/4 log(rho^2) is rho^2/4 (log1p(a^2 scale + shift) + L):
+    for x >= 1, scale = 1/x^2, shift = 0 and L = log(x^2), so the log1p
+    argument stays below 4/x^2; below x = 1, scale = 1, shift = x^2 - 1 and
+    L = 0. near[j] multiplies t^j in the a < 2 polynomial, which includes
+    -(a^2 + 3x^2)/4 + rho^2 L/4; far3[n - 1] = cos(n x)/n^3 and
+    far2[n - 1] = cos(n x)/n^2. Each table has one column per x.
+
+    A rounding error in near is the same at every point of its row, so it
+    does not average out of a pair sum: near is summed in extended precision
+    (np.longdouble, 64-bit mantissa on x86-64) and rounded once.
+    """
+    xe = x.astype(np.longdouble)
+    xsq = xe * xe
+    wide = xsq >= 1
+    lg = np.where(wide, np.log(np.where(wide, xsq, 1)), 0)
+    powers = np.vander(-1 + 1j * xe, _EXP_TERMS, increasing=True).real
+    p2, p3 = (np.dot(powers, shift).T for shift in _taylor_shifts())
+    near = p3 + p2  # regular parts of Re Li3 + (1 + t) Re Li2
+    near[1:] += p2[:-1]
+    near[0] += (lg - 1) / 4 + xsq * (lg - 3) / 4
+    near[1] += (lg - 1) / 2
+    near[2] += (lg - 1) / 4
+    n = np.arange(1, _FAR_TERMS + 1, dtype=float)[:, None]
+    cos = np.cos(n * x)
+    return (x * x, np.where(wide, 1 / np.where(wide, xsq, 1), 1).astype(float),
+            np.where(wide, 0, xsq - 1).astype(float), near.astype(float),
+            cos / n**3, cos / n**2)
+
+
+@lru_cache(maxsize=8)
+def _grid_row_tables(m: int):
+    """``_row_tables`` of the offsets r = 0..m/2 of an m-node grid, x = r 2pi/m."""
+    return _row_tables(np.arange(m // 2 + 1) * (TWO_PI / m))
+
+
+def _pair_kernel(tables, rows, a):
+    """Kpair at heights a = |x2| on the table columns ``rows`` (broadcast to a)."""
+    xsq, scale, shift, near, far3, far2 = tables
+    # the a < 2 branch runs on every point, a clipped to 2; points at a >= 2
+    # are overwritten below
+    clipped = np.minimum(a, _FAR_FROM)
+    t = clipped - 1.0
+    s = near[-1][rows] * t
+    for c in near[-2:0:-1]:
+        s += c[rows]
+        s *= t
+    s += near[0][rows]
+    csq = clipped * clipped
+    # the log1p argument falls to -1 only as rho -> 0, where the term vanishes
+    arg = np.maximum(csq * scale[rows] + shift[rows], _LOG1P_FLOOR)
+    s += 0.25 * (csq + xsq[rows]) * np.log1p(arg)
+    far = a >= _FAR_FROM
+    if far.any():
+        af = a[far]
+        cols = np.broadcast_to(rows, a.shape)[far]
+        q = np.exp(-af)
+        s3 = far3[-1][cols]
+        s2 = far2[-1][cols]
+        for n in range(_FAR_TERMS - 2, -1, -1):
+            s3 *= q
+            s3 += far3[n][cols]
+            s2 *= q
+            s2 += far2[n][cols]
+        s[far] = q * (s3 + af * s2)
+    return ONE_OVER_4PI * s
+
+
+def bilaplacian_pair_kernel_offset_rows(m: int, r: np.ndarray, x2: np.ndarray):
+    """Kpair(r 2pi/m, x2) on an m-node grid, row k of x2 at the offset r[k].
+
+    The offsets r lie in 0..m/2; the tables are built once per m.
+    """
+    return _pair_kernel(_grid_row_tables(m), r[:, None], np.abs(x2))
+
+
+def bilaplacian_pair_kernel_exact(x1, x2):
+    """Exact k != 0 bilaplacian pair kernel, the n_max -> inf limit.
+
+    Kpair is even and 2pi-periodic in x1, so x1 is reduced to |x1| in [0, pi]
+    and the per-x tables are built for the distinct reduced values; the
+    evaluation is the one behind ``delta_spectral``.
+    """
+    x1, x2 = np.broadcast_arrays(np.asarray(x1, dtype=float), np.asarray(x2, dtype=float))
+    x = np.abs(x1 - TWO_PI * np.round(x1 / TWO_PI))
+    distinct, cols = np.unique(x.ravel(), return_inverse=True)
+    k = _pair_kernel(_row_tables(distinct), cols, np.abs(x2).ravel())
+    return k.reshape(x1.shape)[()]

@@ -4,7 +4,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import stokescontour as sc
@@ -126,6 +126,7 @@ def test_delta_invariant_under_vertical_shift_and_roll(m, coeffs, shift, roll):
 
 @given(m=grids, coeffs=modes)
 @settings(max_examples=10, deadline=None)
+@example(m=64, coeffs=[(0.0, 4.0)])  # heights 8 apart: both kernel branches, a < 2 and a >= 2
 def test_delta_matches_dense_pair_sum(m, coeffs):
     g = drawn_interface(m, coeffs)
     hp = sc.central_diff(g.h, g.spacing)

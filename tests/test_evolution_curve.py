@@ -87,6 +87,9 @@ def test_reflection_table_matches_reference(m, lift, shear):
             reference = step(*reference) if on else reference
         p1, p2 = symmetry_projection(curve)(z1, z2)
         assert max(np.max(np.abs(p1 - reference[0])), np.max(np.abs(p2 - reference[1]))) <= tol
+        # the heights-only form used by graph runs: the same z2 half, bitwise
+        q1, q2 = symmetry_projection(curve)(None, z2)
+        assert q1 is None and np.array_equal(q2, p2)
 
 
 def all_offsets_curve_rhs(z1, z2, alpha, delta_rho):

@@ -5,10 +5,16 @@ import sys
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stokescontour as sc
 from stokescontour import kernels
-from stokescontour.kernels import bilaplacian_pair_kernel_exact, clausen2
+from stokescontour.kernels import (
+    bilaplacian_pair_kernel_exact,
+    bilaplacian_pair_kernel_offset_rows,
+    clausen2,
+)
 
 
 def random_points(rng, n, x2_scale=3.0):
@@ -209,6 +215,67 @@ def test_biharm_exact_matches_series_and_mpmath(rng):
             (mp.polylog(3, w).real + abs(x2[i]) * mp.polylog(2, w).real) / (4 * mp.pi)
         )
         assert abs(exact[i] - ref) <= 1e-13
+
+
+def complex_pair_kernel(x1, x2):
+    """Kpair by complex Horner sums: the defining series in w = e^mu for
+    |x2| >= log 2, else the expansion of Li2/Li3 around mu = 0."""
+    x1 = np.asarray(x1, dtype=float)
+    a = np.abs(np.asarray(x2, dtype=float))
+    mu = -a + 1j * (x1 - 2 * np.pi * np.round(x1 / (2 * np.pi)))
+    li2 = np.empty_like(mu)
+    li3 = np.empty_like(mu)
+    far = np.broadcast_to(a >= np.log(2.0), mu.shape)
+    li2[far], li3[far] = kernels._polylog23_series(np.exp(mu[far]), 48)
+    li2[~far], li3[~far] = kernels._polylog23_near_one(mu[~far])
+    return (li3.real + a * li2.real) / (4 * np.pi)
+
+
+# |x2| on both sides of the branch switches: 2 here, log 2 in the reference
+heights = st.one_of(
+    st.floats(0.0, 4.0),
+    st.floats(1.99, 2.01),
+    st.floats(0.69, 0.70),
+    st.floats(0.0, 1e-6),
+    st.floats(4.0, 800.0),
+)
+
+
+@given(
+    log2m=st.integers(3, 13),
+    row=st.floats(0.0, 1.0),
+    x2=st.lists(heights, min_size=1, max_size=40),
+    sign=st.sampled_from([1.0, -1.0]),
+)
+@settings(max_examples=200, deadline=None)
+def test_offset_rows_match_complex_reference(log2m, row, x2, sign):
+    m = 2**log2m
+    r = np.array([round(row * m / 2)])
+    x2 = sign * np.array([x2])
+    x1 = r[0] * (2 * np.pi / m)
+    ref = complex_pair_kernel(x1, x2)
+    assert np.max(np.abs(bilaplacian_pair_kernel_offset_rows(m, r, x2) - ref)) <= 1e-15
+    # the pointwise entry point, also off [0, pi] (evenness and periodicity)
+    for shift in (0.0, -2 * x1, 2 * np.pi, -6 * np.pi):
+        got = bilaplacian_pair_kernel_exact(x1 + shift, x2)
+        assert np.max(np.abs(got - complex_pair_kernel(x1 + shift, x2))) <= 1e-15
+
+
+@pytest.mark.parametrize("m", [8, 512, 4096])
+def test_offset_rows_match_mpmath(m):
+    heights = [0.0, 1e-300, 1e-12, 1.0, np.nextafter(2.0, 0.0), 2.0,
+               np.nextafter(2.0, 3.0), 10.0, 40.0, 700.0]
+    rows = np.array([0, 1, m // 2 - 1, m // 2])
+    got = bilaplacian_pair_kernel_offset_rows(
+        m, rows, np.broadcast_to(np.array(heights), (rows.size, len(heights))))
+    with mp.workdps(40):
+        for k, r in enumerate(rows):
+            for j, a in enumerate(heights):
+                w = mp.exp(mp.mpf(-a) + 1j * mp.mpf(r * (2 * np.pi / m)))
+                ref = (mp.polylog(3, w).real + mp.mpf(a) * mp.polylog(2, w).real) / (4 * mp.pi)
+                assert abs(got[k, j] - float(ref)) <= 1e-15
+    far = bilaplacian_pair_kernel_offset_rows(m, rows, np.full((rows.size, 1), 2e6))
+    assert np.all(np.isfinite(far))
 
 
 def test_biharm_exact_equals_sentinel_mode():
