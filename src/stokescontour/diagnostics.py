@@ -91,10 +91,12 @@ def delta_spectral(interface: GraphInterface) -> float:
     hp = central_diff(h, d)
     half = m // 2
     total = 0.0
+    partners = partner_rows(h, hp)
     for r in offset_blocks(m, 0):
-        ker = bilaplacian_pair_kernel_offset_rows(m, r, h - partner_rows(h, r))
+        hb, hpb = partners(r)
+        ker = bilaplacian_pair_kernel_offset_rows(m, r, h - hb)
         weight = np.where((r == 0) | (r == half), 1.0, 2.0)
-        total += float(weight @ ((ker * partner_rows(hp, r)) @ hp))
+        total += float(weight @ ((ker * hpb) @ hp))
     val = 4.0 * d * d * total
     if val < -1e-6:
         raise ValueError(f"delta_spectral returned {val}, inconsistent quadrature")

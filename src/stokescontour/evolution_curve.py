@@ -13,7 +13,11 @@ panels adjacent to the singular node against the frozen node value. The
 Stokeslet is even, S(-x) = S(x), so each unordered pair of nodes is
 evaluated once and feeds both nodes: the sum runs over the offsets
 r = 1..m/2 in blocks of offset rows, every node accumulating in the same
-order. The tangential component of the velocity is kept exactly as the
+order. The kernel needs sin(x1/2) and sin(x1) of every pair: the first
+block (r <= 32) takes them from the half angle of the pair, where nearby
+nodes would cancel in a difference, and the further rows read them from
+per-node sin and cos of z1/2 by angle subtraction, so no pair costs a sine.
+The tangential component of the velocity is kept exactly as the
 integral produces it; node clustering is only monitored.
 
 ``evolve_curve`` supplies only the right-hand side on the state vector
@@ -41,11 +45,12 @@ from .geometry import (
 from .integrators import BlowupError, IntegratorParams, Trajectory, integrate
 from .kernels import (
     ONE_OVER_8PI,
+    block_folder,
     clausen2,
-    fold_block,
     offset_blocks,
     partner_rows,
     stokeslet_terms,
+    stokeslet_terms_from_sines,
 )
 
 SPEED_RATIO_WARN = 20.0
@@ -92,16 +97,26 @@ def _rhs_curve_arrays_raw(z1: np.ndarray, z2: np.ndarray, alpha: np.ndarray, del
     # the Stokeslet is even, so the offsets r and m - r share one evaluation
     acc1 = np.zeros(m)
     acc2 = np.zeros(m)
+    # sin and cos of z1/2 per node: the sines of a far pair by angle subtraction
+    s = np.sin(0.5 * z1)
+    c = np.cos(0.5 * z1)
+    partners = partner_rows(z1, z2, v1, v2, s, c)
+    fold = block_folder(m)
     for r in offset_blocks(m, 1):
+        z1b, z2b, v1b, v2b, sb, cb = partners(r)
         # the kernel is 2pi-periodic in x1, so the winding of z1 across the
         # seam is immaterial here
-        lg, a_ss, a_sn = stokeslet_terms(z1 - partner_rows(z1, r), z2 - partner_rows(z2, r))
+        if r[0] == 1:
+            # near pairs: the direct half angle, which subtraction would cancel
+            lg, a_ss, a_sn = stokeslet_terms(z1 - z1b, z2 - z2b)
+        else:
+            sn2 = s * cb - c * sb
+            sn = 2.0 * sn2 * (c * cb + s * sb)
+            lg, a_ss, a_sn = stokeslet_terms_from_sines(sn2, sn, z2 - z2b)
         s11 = lg + a_ss
         s22 = lg - a_ss
-        v1b = partner_rows(v1, r)
-        v2b = partner_rows(v2, r)
-        acc1 += fold_block(s11 * v1b - a_sn * v2b, s11 * v1 - a_sn * v2, r)
-        acc2 += fold_block(s22 * v2b - a_sn * v1b, s22 * v2 - a_sn * v1, r)
+        acc1 += fold(s11 * v1b - a_sn * v2b, s11 * v1 - a_sn * v2, r)
+        acc2 += fold(s22 * v2b - a_sn * v1b, s22 * v2 - a_sn * v1, r)
     u1 += d * acc1
     u2 += d * acc2
 

@@ -63,7 +63,7 @@ from .geometry import (
     symmetry_projection,
 )
 from .integrators import BlowupError, IntegratorParams, Trajectory, integrate
-from .kernels import clausen2, fold_block, offset_blocks, partner_rows, stokeslet_terms
+from .kernels import block_folder, clausen2, offset_blocks, partner_rows, stokeslet_terms
 
 QUADRATURES = ("spectral_log", "taylor_cell")
 CELL_VARIANTS = ("halfangle", "printed")
@@ -171,10 +171,11 @@ def _rhs_arrays_raw(h: np.ndarray, params: SchemeParams) -> np.ndarray:
         acc = 2.0 * _cell_correction_values(h, dh, d, params.singular_cell_variant)
     # the pair integrand below is symmetric in its two nodes and both weights
     # are even in the offset, so the offsets r and m - r share one evaluation
+    partners = partner_rows(h, dh)
+    fold = block_folder(m)
     for r in offset_blocks(m, 1):
         x1 = r * d
-        hb = partner_rows(h, r)
-        dhb = partner_rows(dh, r)
+        hb, dhb = partners(r)
         lg, a_ss, a_sn = stokeslet_terms(x1[:, None], h - hb)
         if spectral:
             # keep the smooth remainder of the log only; the circulant weight
@@ -182,7 +183,7 @@ def _rhs_arrays_raw(h: np.ndarray, params: SchemeParams) -> np.ndarray:
             lg += (omega[r] / d - np.log(4.0 * np.sin(0.5 * x1) ** 2))[:, None]
         dd = dh * dhb
         pair = weights[r][:, None] * (lg * (1.0 + dd) + a_ss * (dd - 1.0) + a_sn * (dh + dhb))
-        acc += fold_block(hb * pair, h * pair, r)
+        acc += fold(hb * pair, h * pair, r)
 
     rhs = params.sign_factor * acc + params.viscosity * second_diff(h, d)
     if not np.all(np.isfinite(rhs)):

@@ -13,6 +13,10 @@ The curve conventions live here alone: the grid rule ``check_grid_size``, the
 winding-aware tangent ``curve_derivatives`` and the table of the two
 symmetries the flow conserves, from which ``carried_symmetries`` decides what
 every run enforces and ``verify`` checks.
+
+A ``ParamCurve`` is validated on construction: no two nodes may coincide in
+(z1 mod 2pi, z2), checked on the nodes sorted by z1 mod 2pi in O(m log m)
+time and O(m) memory, and the discrete tangent may not vanish.
 """
 
 from __future__ import annotations
@@ -30,7 +34,10 @@ class DegenerateParametrizationError(ValueError):
 
 
 class SelfIntersectionError(ValueError):
-    """Two distinct curve nodes coincide in (z1 mod 2pi, z2)."""
+    """Two distinct curve nodes coincide in (z1 mod 2pi, z2), to within 1e-12.
+
+    Only nodes are compared: segments that cross between nodes go undetected.
+    """
 
 
 def uniform_grid(m: int) -> np.ndarray:
@@ -126,6 +133,8 @@ class ParamCurve:
     The closure convention is one horizontal period: z1(alpha + 2*pi) =
     z1(alpha) + 2*pi and z2 periodic. Construction rejects curves whose
     nodes coincide in (z1 mod 2pi, z2) or whose discrete tangent vanishes.
+    The node check takes O(m) for a curve that is x-monotone and
+    O(m log m) for one that is not; it does not test segment crossings.
     """
 
     z1: np.ndarray
@@ -158,23 +167,42 @@ class ParamCurve:
         return TWO_PI / self.m
 
 
-def _check_no_self_intersection(z1, z2, tol: float = 1e-12, block: int = 256) -> None:
-    m = z1.size
+def _check_no_self_intersection(z1, z2, tol: float = 1e-12) -> None:
+    """SelfIntersectionError if two distinct nodes lie within tol in (z1 mod 2pi, z2).
+
+    The distance of nodes i and j is hypot(((z1_i - z1_j) + pi) % 2pi - pi,
+    z2_i - z2_j). Sorted on z1 mod 2pi, with the nodes within 2 tol of 0
+    repeated 2pi higher to cover the seam, only neighbours in that order less
+    than 2 tol apart can come within tol (the margin covers the rounding of
+    the reduction), so O(m log m) time and O(m) memory for any curve that is
+    not dense in z1.
+    """
     # x-monotone with every gap, the wrap gap included, at least tol: every
-    # pair is then at least tol apart in z1 mod 2pi and the scan cannot raise
+    # pair is then at least tol apart in z1 mod 2pi and no pair can be close
     if np.min(np.diff(z1)) >= tol and z1[0] + TWO_PI - z1[-1] >= tol:
         return
-    for start in range(0, m, block):
-        stop = min(start + block, m)
-        dx = z1[start:stop, None] - z1[None, :]
-        dx = (dx + np.pi) % TWO_PI - np.pi
-        dy = z2[start:stop, None] - z2[None, :]
-        dist = np.hypot(dx, dy)
-        rows = np.arange(start, stop)
-        dist[rows - start, rows] = np.inf
-        if np.any(dist < tol):
-            i = int(np.argmin(dist) // m) + start
-            raise SelfIntersectionError(f"nodes coincide near index {i}")
+    x = z1 % TWO_PI
+    order = np.argsort(x, kind="stable")
+    key = x[order]
+    seam = key < 2.0 * tol
+    key = np.concatenate([key, key[seam] + TWO_PI])
+    order = np.concatenate([order, order[seam]])
+    # the candidate pairs (order[k], order[k + s]), s = 1, 2, ... while within
+    # 2 tol; ``near`` keeps the k still in reach, so the work is the pair count
+    near = np.arange(key.size)
+    for step in range(1, key.size):
+        near = near[near + step < key.size]
+        near = near[key[near + step] - key[near] <= 2.0 * tol]
+        if near.size == 0:
+            return
+        i, j = order[near], order[near + step]
+        # both orders: the rounding of the reduction is not odd in z1_i - z1_j
+        for a, b in ((i, j), (j, i)):
+            dist = np.hypot((z1[a] - z1[b] + np.pi) % TWO_PI - np.pi, z2[a] - z2[b])
+            hit = dist < tol
+            if hit.any():
+                raise SelfIntersectionError(
+                    f"nodes coincide near index {int(min(a[hit][0], b[hit][0]))}")
 
 
 def graph_to_curve(interface: GraphInterface) -> ParamCurve:

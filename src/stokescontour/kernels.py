@@ -7,8 +7,12 @@ The velocity kernel is the x1-periodic Stokeslet
                                                 [ sin x1, sinh x2]] ],
 
 which is smooth away from x = (0 mod 2pi, 0) where it has a log singularity.
-The mixed second derivative of the bilaplacian Green function K (with
-Delta^2 K = delta on T x R) has the closed form
+One body, ``stokeslet_terms_from_sines``, evaluates its terms from x2 and
+the sines sin(x1/2) and sin(x1); ``stokeslet_terms`` takes those sines of
+x1 for every caller but the curve right-hand side, which forms them on its
+far rows from per-node values. The mixed second derivative of the
+bilaplacian Green function K (with Delta^2 K = delta on T x R) has the
+closed form
 
     d1 d2 K(x) = (1/8pi) x2 sin(x1) / (cosh x2 - cos x1),
 
@@ -29,8 +33,9 @@ tables also gives ``clausen2``.
 All three pair sums of the package (both right-hand sides and
 ``diagnostics.delta_spectral``) use that their kernels are even: they run
 over half the grid offsets, r <= m/2, a fixed block of offset rows at a time
-(``offset_blocks``, ``partner_rows``, ``fold_block``), so their memory is
-O(block * m) rather than O(m^2).
+(``offset_blocks``, ``partner_rows``, ``block_folder``), so their memory
+is O(block * m) rather than O(m^2). The partner and fold windows are built
+once per sum, not per block.
 """
 
 from __future__ import annotations
@@ -74,13 +79,21 @@ def stokeslet_terms(x1, x2):
     or a column against an array x2; coincident points give non-finite values.
     All three terms are even under x -> -x and 2pi-periodic in x1.
     """
+    return stokeslet_terms_from_sines(np.sin(0.5 * x1), np.sin(x1), x2)
+
+
+def stokeslet_terms_from_sines(sn2, sn, x2):
+    """``stokeslet_terms`` given sn2 = sin(x1/2) and sn = sin(x1) instead of x1.
+
+    The curve right-hand side reads the sines of its far pairs from per-node
+    sines and cosines of z1/2 by angle subtraction.
+    """
     sh2 = np.sinh(0.5 * x2)
-    sn2 = np.sin(0.5 * x1)
     sh2sq = sh2 * sh2
     den = 2.0 * (sh2sq + sn2 * sn2)
     q = x2 / den
     # sinh x2 = 2 sinh(x2/2) cosh(x2/2), with the cosh from the sinh already at hand
-    return np.log(2.0 * den), q * (2.0 * sh2 * np.sqrt(1.0 + sh2sq)), q * np.sin(x1)
+    return np.log(2.0 * den), q * (2.0 * sh2 * np.sqrt(1.0 + sh2sq)), q * sn
 
 
 def offset_blocks(m: int, first: int):
@@ -94,35 +107,49 @@ def offset_blocks(m: int, first: int):
         yield np.arange(r0, min(r0 + _BLOCK_ROWS, half + 1))
 
 
-def partner_rows(x, r):
-    """x at the partner node i - r (mod m) of every column i, a row per offset.
+def partner_rows(*xs):
+    """Reader of the partner rows of the arrays xs, for the blocks of one pair sum.
 
-    A read-only window view of x repeated twice (r must be consecutive), so
-    no index arrays are built.
+    ``rows(r)`` holds, for consecutive offsets r, each x at the partner node
+    i - r (mod m) of every column i, a row per offset: shape (len(xs),
+    len(r), m). The rows are read-only views of one window over the arrays
+    repeated twice, built once here, so no index arrays are built per block.
     """
-    m = x.size
-    return sliding_window_view(np.concatenate([x, x]), m)[m - r[-1] : m - r[0] + 1][::-1]
+    m = xs[0].size
+    win = sliding_window_view(np.tile(np.stack(xs), 2), m, axis=1)
+
+    def rows(r):
+        return win[:, m - r[-1] : m - r[0] + 1][:, ::-1]
+
+    return rows
 
 
-def fold_block(near, far, r):
-    """Per-node total of one offset block, each unordered pair evaluated once.
+def block_folder(m: int):
+    """``fold(near, far, r)``: per-node total of one offset block of an m-node sum.
 
-    Row r, column i holds the pair (i, i - r): ``near`` is its term for node
-    i, ``far`` its term for node i - r. Node i collects near[k, i] and, from
-    the pair (i + r, i), far[k, i + r]. At r = m/2 the nodes i + r and i - r
-    coincide, so that row's far term is dropped. ``near`` is overwritten. The
-    rows are reduced in one fixed order, so shifting the data by a node shifts
-    the total by a node, bitwise.
+    Each unordered pair is evaluated once. Row r, column i holds the pair
+    (i, i - r): ``near`` is its term for node i, ``far`` its term for node
+    i - r. Node i collects near[k, i] and, from the pair (i + r, i),
+    far[k, i + r]. At r = m/2 the nodes i + r and i - r coincide, so that
+    row's far term is dropped. ``near`` is overwritten. The rows are reduced
+    in one fixed order, so shifting the data by a node shifts the total by a
+    node, bitwise. The far rows are read through one window over a buffer,
+    both built once here for all the blocks of the sum.
     """
-    m = near.shape[1]
-    n = int(np.count_nonzero(2 * r < m))
-    if n:
-        # with r_k = r_0 + k, far[k, (i + r_k) mod m] is element
-        # r_0 + k (2m + 1) + i of the rows of far, each repeated twice, laid
-        # end to end
-        twice = np.concatenate([far[:n], far[:n]], axis=1).ravel()
-        near[:n] += sliding_window_view(twice, m)[r[0] :: 2 * m + 1][:n]
-    return near.sum(axis=0)
+    twice = np.empty((_BLOCK_ROWS, 2 * m))
+    # with r_k = r_0 + k, far[k, (i + r_k) mod m] is element r_0 + k (2m + 1) + i
+    # of the rows of far, each repeated twice, laid end to end
+    win = sliding_window_view(twice.reshape(-1), m)
+
+    def fold(near, far, r):
+        n = int(np.count_nonzero(2 * r < m))
+        if n:
+            twice[:n, :m] = far[:n]
+            twice[:n, m:] = far[:n]
+            near[:n] += win[r[0] :: 2 * m + 1][:n]
+        return near.sum(axis=0)
+
+    return fold
 
 
 def _regular_args(x1, x2):

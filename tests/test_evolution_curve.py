@@ -155,6 +155,22 @@ def test_blocked_curve_rhs_matches_all_offsets_sum(m, lift, shear):
     assert max(np.max(np.abs(u1 - r1)), np.max(np.abs(u2 - r2))) <= 1e-12 * scale
 
 
+@pytest.mark.parametrize("fold", [0.0, 0.2])
+@pytest.mark.parametrize("variant, b", [("basic", 16.9), ("even_symmetric", 10.4)])
+@pytest.mark.parametrize("m", [256, 512, 1024])
+def test_far_rows_match_direct_half_angle(m, variant, b, fold):
+    # beyond the first block of offset rows (r > 32) the pair sines come from
+    # per-node sines and cosines of z1/2; the reference takes them directly
+    # from the half angle of every pair. The turning families' velocity is a
+    # 1e-3 remainder of O(1) terms; fold > 0 turns the curve past vertical.
+    curve = sc.build_turning_family(sc.TurningFamilyParams(b=b, variant=variant), m)
+    z1 = curve.z1 - fold * np.sin(curve.alpha)
+    u1, u2 = _rhs_curve_arrays(z1, curve.z2, curve.alpha, 1.0)
+    r1, r2 = all_offsets_curve_rhs(z1, curve.z2, curve.alpha, 1.0)
+    scale = max(np.max(np.abs(r1)), np.max(np.abs(r2)))
+    assert max(np.max(np.abs(u1 - r1)), np.max(np.abs(u2 - r2))) <= 1e-12 * scale
+
+
 @given(m=grids, lift=modes, shear=modes)
 @example(m=256, lift=[(0.3, -0.2), (0.1, 0.2), (-0.05, 0.1)], shear=[(0.2, 0.1), (0.0, -0.1)])
 @settings(max_examples=10, deadline=None)

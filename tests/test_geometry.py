@@ -1,6 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -8,6 +10,7 @@ import stokescontour as sc
 from stokescontour.geometry import (
     DegenerateParametrizationError,
     SelfIntersectionError,
+    _check_no_self_intersection,
     curve_derivatives,
     simpson_weights,
 )
@@ -183,9 +186,18 @@ def test_symmetry_errors_mirrored_construction(rng):
     assert csym <= 1e-12
 
 
-def test_symmetry_errors_requires_divisible_by_four():
-    with pytest.raises(ValueError):
-        sc.symmetry_errors(sc.graph_to_curve(sc.GraphInterface(h=np.zeros(10))))
+def test_symmetry_errors_zero_on_symmetric_curve_and_positive_on_moved_node():
+    # m = 12: the node values are sums of pi, pi/2 and halves, so both
+    # reflections hold exactly in floating point
+    p, q = np.pi, np.pi / 2
+    z1 = np.array([-p, -p + 0.5, -p + 1.0, -q, -1.0, -0.5,
+                   0.0, 0.5, 1.0, q, p - 1.0, p - 0.5])
+    z2 = np.array([0.0, 0.25, 0.5, 0.75, 0.5, 0.25,
+                   0.0, -0.25, -0.5, -0.75, -0.5, -0.25])
+    assert sc.symmetry_errors(sc.ParamCurve(z1=z1, z2=z2)) == (0.0, 0.0)
+    z1[2] += 0.125
+    z2[2] += 0.25
+    assert sc.symmetry_errors(sc.ParamCurve(z1=z1, z2=z2)) == (0.25, 0.25)
 
 
 def test_height_energy_lower_bound(rng):
@@ -221,6 +233,111 @@ def test_self_intersection_of_close_nodes_on_monotone_curve(where):
         z1[-1] = z1[0] + 2 * np.pi - 5e-13
     with pytest.raises(SelfIntersectionError):
         sc.ParamCurve(z1=z1, z2=np.zeros(m))
+
+
+TOL = 1e-12  # the coincidence tolerance of ParamCurve
+# planted node distances on both sides of the tolerance, and on it
+PLANTED = [0.5 * TOL, np.nextafter(TOL, 0.0), TOL, 2 * TOL]
+
+
+def all_pairs_coincide(z1, z2, tol=TOL):
+    """Whether two distinct nodes lie within tol, every pair tested (O(m^2))."""
+    dx = (z1[:, None] - z1[None, :] + np.pi) % (2 * np.pi) - np.pi
+    dist = np.hypot(dx, z2[:, None] - z2[None, :])
+    np.fill_diagonal(dist, np.inf)
+    return bool(np.any(dist < tol))
+
+
+def assert_check_matches_all_pairs(z1, z2):
+    if all_pairs_coincide(z1, z2):
+        with pytest.raises(SelfIntersectionError):
+            _check_no_self_intersection(z1, z2)
+    else:
+        _check_no_self_intersection(z1, z2)
+
+
+@given(
+    m=st.sampled_from([8, 16, 64, 256]),
+    fold=st.floats(0.0, 3.0),
+    i=st.one_of(st.none(), st.integers(0, 255)),
+    j=st.integers(0, 255),
+    dist=st.sampled_from(PLANTED),
+    angle=st.one_of(st.sampled_from([0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi]),
+                    st.floats(0.0, 2 * np.pi)),
+    winding=st.integers(-2, 2),
+)
+# node m/2 sits at z1 = 0, the seam of z1 mod 2pi: a partner just below it
+# reduces to just below 2pi, whole periods away or not
+@example(m=64, fold=1.5, i=None, j=40, dist=0.5 * TOL, angle=np.pi, winding=1)
+@example(m=64, fold=1.5, i=None, j=5, dist=0.5 * TOL, angle=0.75 * np.pi, winding=0)
+@example(m=64, fold=1.5, i=None, j=5, dist=np.nextafter(TOL, 0.0), angle=np.pi, winding=-1)
+@settings(max_examples=200, deadline=None)
+def test_node_check_matches_all_pairs(m, fold, i, j, dist, angle, winding):
+    # a folded (x-monotone only for fold <= 1) curve with node j planted at
+    # distance dist from node i (i = None: node m/2), possibly whole periods
+    # away in z1
+    i = m // 2 if i is None else i % m
+    j %= m
+    al = sc.uniform_grid(m)
+    z1 = al - fold * np.sin(al)
+    z2 = 0.3 * np.sin(2 * al)
+    if i != j:
+        z1[j] = z1[i] + dist * np.cos(angle) + winding * 2 * np.pi
+        z2[j] = z2[i] + dist * np.sin(angle)
+    assert_check_matches_all_pairs(z1, z2)
+
+
+@given(
+    m=st.sampled_from([16, 64, 256]),
+    start=st.integers(0, 255),
+    gaps=st.lists(st.sampled_from(PLANTED + [-g for g in PLANTED] + [1e-3, -1e-3]),
+                  min_size=1, max_size=40),
+)
+# the coincident nodes are two apart in the run, with a node between them
+@example(m=64, start=10, gaps=[1e-3, -1e-3])
+@settings(max_examples=100, deadline=None)
+def test_node_check_vertical_run_matches_all_pairs(m, start, gaps):
+    # a vertical run: consecutive nodes share z1 and step in z2 by the gaps
+    start %= m
+    al = sc.uniform_grid(m)
+    z1 = al - 1.5 * np.sin(al)
+    z2 = 0.3 * np.sin(2 * al)
+    run = np.arange(start, start + len(gaps) + 1) % m
+    z1[run] = z1[start]
+    z2[run] = z2[start] + np.concatenate([[0.0], np.cumsum(gaps)])
+    assert_check_matches_all_pairs(z1, z2)
+
+
+@pytest.mark.parametrize("variant, b", [("basic", 8.0), ("basic", 16.9), ("basic", 40.0),
+                                        ("even_symmetric", 5.0), ("even_symmetric", 10.4)])
+@pytest.mark.parametrize("m", [256, 1024])
+def test_turning_families_build_and_fold_without_coincidence(variant, b, m):
+    # the basic family's nodes near alpha = 0 are only d^3/6 apart in z1
+    curve = sc.build_turning_family(sc.TurningFamilyParams(b=b, variant=variant), m)
+    assert not all_pairs_coincide(curve.z1, curve.z2)
+    # folded past turning, so the x-monotone shortcut does not apply
+    z1 = curve.z1 - 0.2 * np.sin(curve.alpha)
+    assert np.min(np.diff(z1)) < 0
+    assert_check_matches_all_pairs(z1, curve.z2)
+    sc.ParamCurve(z1=z1, z2=curve.z2)
+
+
+def test_node_check_m8192_in_bounded_memory():
+    # peak traced allocation (NumPy reports its buffers to tracemalloc) while
+    # validating a non-monotone turning-family curve: a dense scan holds
+    # 16 MB blocks of pair distances at this size. ru_maxrss cannot show it
+    # here: a child process starts from the test process's high-water mark.
+    m = 8192
+    curve = sc.build_turning_family(sc.TurningFamilyParams(b=16.9), m)
+    z1 = curve.z1 - 0.2 * np.sin(curve.alpha)
+    assert np.min(np.diff(z1)) < 0
+    tracemalloc.start()
+    try:
+        sc.ParamCurve(z1=z1, z2=curve.z2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
 
 
 def test_simpson_weights_integrate_trig_exactly():
