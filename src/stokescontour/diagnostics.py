@@ -43,7 +43,12 @@ from .geometry import (
     symmetry_errors,
 )
 from .integrators import Trajectory
-from .kernels import bilaplacian_pair_kernel_offset_rows, offset_blocks, partner_rows
+from .kernels import (
+    bilaplacian_pair_kernel_offset_rows,
+    offset_blocks,
+    pair_sum_width,
+    partner_rows,
+)
 
 
 def energy(interface: GraphInterface) -> float:
@@ -77,7 +82,10 @@ def delta_spectral(interface: GraphInterface) -> float:
     each row being sum_i h'_i h'_{i-r} Kpair(r d, h_i - h_{i-r}). x1 is fixed
     along a row, so ``bilaplacian_pair_kernel_offset_rows`` evaluates Kpair in
     real arithmetic from per-row tables built once per m; memory is
-    O(block * m).
+    O(block * m). On heights with h(alpha + pi) = -h(alpha) exactly, as
+    every record of a run projected onto both symmetries has, the columns
+    i and i + m/2 of a row hold the same term, so only the first m/2 columns
+    are summed, with weights 2, 4, ..., 4, 2.
 
     Raises
     ------
@@ -90,13 +98,16 @@ def delta_spectral(interface: GraphInterface) -> float:
     d = interface.spacing
     hp = central_diff(h, d)
     half = m // 2
+    # on heights with h(alpha + pi) = -h(alpha) exactly, column i + m/2 of a
+    # row repeats column i (both slopes and the height difference change sign)
+    width = pair_sum_width(h)
     total = 0.0
-    partners = partner_rows(h, hp)
+    partners = partner_rows(h, hp, width=width)
     for r in offset_blocks(m, 0):
         hb, hpb = partners(r)
-        ker = bilaplacian_pair_kernel_offset_rows(m, r, h - hb)
-        weight = np.where((r == 0) | (r == half), 1.0, 2.0)
-        total += float(weight @ ((ker * hpb) @ hp))
+        ker = bilaplacian_pair_kernel_offset_rows(m, r, h[:width] - hb)
+        weight = np.where((r == 0) | (r == half), 1.0, 2.0) * (m // width)
+        total += float(weight @ ((ker * hpb) @ hp[:width]))
     val = 4.0 * d * d * total
     if val < -1e-6:
         raise ValueError(f"delta_spectral returned {val}, inconsistent quadrature")

@@ -40,6 +40,13 @@ spectral circulant joins the same rows. Every node accumulates its terms in
 the same order, so shifting the state by one grid node shifts the
 right-hand side by exactly one node, bitwise.
 
+The central and even symmetries together give h(alpha + pi) = -h(alpha),
+and every state of a run projected onto both has it exactly. Then every
+term of node i + m/2 is the negated term of node i, bitwise, so the sum
+runs over the nodes i < m/2 only (m/2 * m/2 pairs instead of m/2 * m) and
+the other half is their negation: the same result, bit for bit, at half
+the cost. Any other state takes the full sum.
+
 ``evolve`` supplies only the right-hand side, the symmetry projection (the
 z2 half of ``geometry.symmetry_projection``) and the per-sample record;
 ``integrators.integrate`` steps, samples and builds the Trajectory.
@@ -63,7 +70,14 @@ from .geometry import (
     symmetry_projection,
 )
 from .integrators import BlowupError, IntegratorParams, Trajectory, integrate
-from .kernels import block_folder, clausen2, offset_blocks, partner_rows, stokeslet_terms
+from .kernels import (
+    block_folder,
+    clausen2,
+    offset_blocks,
+    pair_sum_width,
+    partner_rows,
+    stokeslet_terms,
+)
 
 QUADRATURES = ("spectral_log", "taylor_cell")
 CELL_VARIANTS = ("halfangle", "printed")
@@ -157,33 +171,41 @@ def _rhs_arrays_raw(h: np.ndarray, params: SchemeParams) -> np.ndarray:
     d = TWO_PI / m
     dh = central_diff(h, d)
     spectral = params.quadrature == "spectral_log"
+    # on heights with h(alpha + pi) = -h(alpha) exactly, every term of node
+    # i + m/2 is the negated term of node i, bitwise: only the nodes i < m/2
+    # are summed
+    width = pair_sum_width(h)
+    antiperiodic = width < m
+    hw, dhw = h[:width], dh[:width]
 
     if spectral:
         # r = 0: removable limits of the three terms, trapezoid cell weight d;
         # the log(4 sin^2) factor is integrated by the circulant omega
         weights = np.full(m, d)
         omega = _log_circulant(m)
-        one_p = 1.0 + dh * dh
-        t23_0 = 2.0 * h * dh * dh * (dh * dh - 1.0) / one_p + 4.0 * h * dh * dh / one_p
-        acc = d * (np.log(one_p) * h * one_p + t23_0) + omega[0] * h * one_p
+        one_p = 1.0 + dhw * dhw
+        t23_0 = 2.0 * hw * dhw * dhw * (dhw * dhw - 1.0) / one_p + 4.0 * hw * dhw * dhw / one_p
+        acc = d * (np.log(one_p) * hw * one_p + t23_0) + omega[0] * hw * one_p
     else:  # taylor_cell
         weights = _taylor_cell_weights(m)
-        acc = 2.0 * _cell_correction_values(h, dh, d, params.singular_cell_variant)
+        acc = 2.0 * _cell_correction_values(hw, dhw, d, params.singular_cell_variant)
     # the pair integrand below is symmetric in its two nodes and both weights
     # are even in the offset, so the offsets r and m - r share one evaluation
-    partners = partner_rows(h, dh)
-    fold = block_folder(m)
+    partners = partner_rows(h, dh, width=width)
+    fold = block_folder(m, antiperiodic)
     for r in offset_blocks(m, 1):
         x1 = r * d
         hb, dhb = partners(r)
-        lg, a_ss, a_sn = stokeslet_terms(x1[:, None], h - hb)
+        lg, a_ss, a_sn = stokeslet_terms(x1[:, None], hw - hb)
         if spectral:
             # keep the smooth remainder of the log only; the circulant weight
             # omega_r of its log(4 sin^2) factor joins it per offset row
             lg += (omega[r] / d - np.log(4.0 * np.sin(0.5 * x1) ** 2))[:, None]
-        dd = dh * dhb
-        pair = weights[r][:, None] * (lg * (1.0 + dd) + a_ss * (dd - 1.0) + a_sn * (dh + dhb))
-        acc += fold(hb * pair, h * pair, r)
+        dd = dhw * dhb
+        pair = weights[r][:, None] * (lg * (1.0 + dd) + a_ss * (dd - 1.0) + a_sn * (dhw + dhb))
+        acc += fold(hb * pair, hw * pair, r)
+    if antiperiodic:
+        acc = np.concatenate([acc, -acc])
 
     rhs = params.sign_factor * acc + params.viscosity * second_diff(h, d)
     if not np.all(np.isfinite(rhs)):

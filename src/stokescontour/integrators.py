@@ -11,9 +11,12 @@ with the error normalized componentwise by abs_tol + rel_tol * |y| and a step
 accepted when the norm is <= 1.
 
 ``integrate`` is the one stepping driver behind both the graph scheme and the
-parametric contour dynamics: it lands on the sample times, projects each
-accepted state, guards its amplitude, builds the ``Trajectory`` of sampled
-states and records, and turns a failure into an early end recorded on it.
+parametric contour dynamics: it lands on the sample times, projects the
+initial and each accepted state, guards its amplitude, builds the
+``Trajectory`` of sampled states and records, and turns a failure into an
+early end recorded on it. Every step therefore starts from a projected state:
+a stage keeps each exact symmetry its start state and the right-hand side
+both have, which the graph right-hand side uses to halve its pair sum.
 """
 
 from __future__ import annotations
@@ -197,7 +200,9 @@ def integrate(
     are step endpoints, not interpolants. At each, ``sample(t, y)`` returns
     the (state, record) pair appended to the Trajectory, and
     ``on_sample(state, record)``, if given, is called with it (used for
-    incremental output). Every accepted state is replaced by ``project(y)``.
+    incremental output). The initial state and every accepted state are
+    replaced by ``project(y)``, so the first sample and every step start
+    from a projected state.
     ``guard(y)`` gives each node's deviation from the rest state; once the
     largest exceeds AMPLITUDE_GUARD the run blows up at that node. A blowup,
     a step failure or a self-intersecting or degenerate curve (raised by
@@ -215,7 +220,7 @@ def integrate(
 
     ts = _prepare_samples(t0, ip, sample_times)
     t = t0
-    y = y0
+    y = project(y0)
     idx = 0
     if abs(ts[0] - t) <= _SAMPLE_TOL:
         take_sample(t, y)

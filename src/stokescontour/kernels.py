@@ -35,7 +35,11 @@ All three pair sums of the package (both right-hand sides and
 over half the grid offsets, r <= m/2, a fixed block of offset rows at a time
 (``offset_blocks``, ``partner_rows``, ``block_folder``), so their memory
 is O(block * m) rather than O(m^2). The partner and fold windows are built
-once per sum, not per block.
+once per sum, not per block. On graph heights with h(alpha + pi) =
+-h(alpha) exactly, which the central and even symmetries together give,
+the terms of column i + m/2 of a row are those of column i up to sign, so
+the graph right-hand side and ``delta`` read only the first m/2 columns
+(``pair_sum_width``).
 """
 
 from __future__ import annotations
@@ -107,16 +111,28 @@ def offset_blocks(m: int, first: int):
         yield np.arange(r0, min(r0 + _BLOCK_ROWS, half + 1))
 
 
-def partner_rows(*xs):
+def pair_sum_width(h) -> int:
+    """Columns of the offset rows that a pair sum over the heights h reads.
+
+    m/2 when h(alpha + pi) = -h(alpha) holds exactly on the grid: the terms
+    of column i + m/2 are then those of column i up to sign (``partner_rows``
+    with that width, ``block_folder(antiperiodic=True)``). Otherwise m.
+    """
+    half = h.size // 2
+    return half if np.array_equal(h[half:], -h[:half]) else h.size
+
+
+def partner_rows(*xs, width=None):
     """Reader of the partner rows of the arrays xs, for the blocks of one pair sum.
 
     ``rows(r)`` holds, for consecutive offsets r, each x at the partner node
-    i - r (mod m) of every column i, a row per offset: shape (len(xs),
-    len(r), m). The rows are read-only views of one window over the arrays
-    repeated twice, built once here, so no index arrays are built per block.
+    i - r (mod m) of every column i < width (all m columns by default): shape
+    (len(xs), len(r), width). The rows are read-only views of one window over
+    the arrays repeated twice, built once here, so no index arrays are built
+    per block.
     """
     m = xs[0].size
-    win = sliding_window_view(np.tile(np.stack(xs), 2), m, axis=1)
+    win = sliding_window_view(np.tile(np.stack(xs), 2), m, axis=1)[..., :width]
 
     def rows(r):
         return win[:, m - r[-1] : m - r[0] + 1][:, ::-1]
@@ -124,7 +140,7 @@ def partner_rows(*xs):
     return rows
 
 
-def block_folder(m: int):
+def block_folder(m: int, antiperiodic: bool = False):
     """``fold(near, far, r)``: per-node total of one offset block of an m-node sum.
 
     Each unordered pair is evaluated once. Row r, column i holds the pair
@@ -135,18 +151,27 @@ def block_folder(m: int):
     in one fixed order, so shifting the data by a node shifts the total by a
     node, bitwise. The far rows are read through one window over a buffer,
     both built once here for all the blocks of the sum.
+
+    ``antiperiodic``: the terms of column i + m/2 are those of column i
+    negated (as for heights with h(alpha + pi) = -h(alpha)), so the rows hold
+    only the columns i < m/2 and the total is that of the nodes i < m/2. A
+    far column i + r >= m/2 is then read as the negated column i + r - m/2;
+    every node collects the same values in the same order as in the full
+    sum, so its total is bitwise the full sum's.
     """
-    twice = np.empty((_BLOCK_ROWS, 2 * m))
-    # with r_k = r_0 + k, far[k, (i + r_k) mod m] is element r_0 + k (2m + 1) + i
-    # of the rows of far, each repeated twice, laid end to end
-    win = sliding_window_view(twice.reshape(-1), m)
+    width, sign = (m // 2, -1.0) if antiperiodic else (m, 1.0)
+    twice = np.empty((_BLOCK_ROWS, 2 * width))
+    # with r_k = r_0 + k, far[k, i + r_k] is element r_0 + k (2 width + 1) + i
+    # of the rows of far, each followed by its wrapped copy (times sign), laid
+    # end to end
+    win = sliding_window_view(twice.reshape(-1), width)
 
     def fold(near, far, r):
         n = int(np.count_nonzero(2 * r < m))
         if n:
-            twice[:n, :m] = far[:n]
-            twice[:n, m:] = far[:n]
-            near[:n] += win[r[0] :: 2 * m + 1][:n]
+            twice[:n, :width] = far[:n]
+            np.multiply(far[:n], sign, out=twice[:n, width:])
+            near[:n] += win[r[0] :: 2 * width + 1][:n]
         return near.sum(axis=0)
 
     return fold

@@ -35,3 +35,9 @@ def band_limited(m, coeffs):
     for k, (a, b) in enumerate(coeffs, start=1):
         h += a * np.cos(k * al) + b * np.sin(k * al)
     return h
+
+
+def antiperiodic(h):
+    """h on its first m/2 nodes, continued by h(alpha + pi) = -h(alpha) exactly."""
+    half = h[: h.size // 2]
+    return np.concatenate([half, -half])

@@ -19,7 +19,7 @@ from stokescontour.diagnostics import (
 )
 from stokescontour.kernels import bilaplacian_pair_kernel_exact
 
-from conftest import band_limited, grids, make_integrator, modes, sine_interface
+from conftest import antiperiodic, band_limited, grids, make_integrator, modes, sine_interface
 
 
 # --- energy -------------------------------------------------------------------
@@ -100,8 +100,10 @@ def test_delta_rate_sign_convention():
     assert sc.delta_rate(g, 1 / (8 * np.pi)) == pytest.approx(-0.5 * base)
 
 
-def drawn_interface(m, coeffs):
+def drawn_interface(m, coeffs, anti=False):
     h = band_limited(m, coeffs)
+    if anti:
+        h = antiperiodic(h)
     # delta is quadratic in h: keep h'^2 clear of the subnormal range
     assume(np.max(np.abs(h)) >= 1e-100)
     return sc.GraphInterface(h=h)
@@ -124,11 +126,14 @@ def test_delta_invariant_under_vertical_shift_and_roll(m, coeffs, shift, roll):
         assert abs(sc.delta_spectral(sc.GraphInterface(h=moved)) - base) <= 1e-12 * base
 
 
-@given(m=grids, coeffs=modes)
+@given(m=grids, coeffs=modes, anti=st.booleans())
 @settings(max_examples=10, deadline=None)
-@example(m=64, coeffs=[(0.0, 4.0)])  # heights 8 apart: both kernel branches, a < 2 and a >= 2
-def test_delta_matches_dense_pair_sum(m, coeffs):
-    g = drawn_interface(m, coeffs)
+# heights 8 apart: both kernel branches, a < 2 and a >= 2
+@example(m=64, coeffs=[(0.0, 4.0)], anti=False)
+# h(alpha + pi) = -h(alpha) exactly: the sum over the first m/2 columns
+@example(m=64, coeffs=[(0.0, 4.0), (0.3, 0.1), (0.1, -0.2)], anti=True)
+def test_delta_matches_dense_pair_sum(m, coeffs, anti):
+    g = drawn_interface(m, coeffs, anti)
     hp = sc.central_diff(g.h, g.spacing)
     ker = bilaplacian_pair_kernel_exact(
         g.alpha[:, None] - g.alpha[None, :], g.h[:, None] - g.h[None, :]

@@ -1,6 +1,4 @@
-import os
-import subprocess
-import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,11 +13,12 @@ from stokescontour.evolution_graph import (
     _rhs_arrays,
     _taylor_cell_weights,
 )
-from stokescontour.geometry import central_diff, second_diff
+from stokescontour.evolution_curve import _rhs_curve_arrays
+from stokescontour.geometry import central_diff, graph_to_curve, second_diff, symmetry_projection
 from stokescontour.integrators import BlowupError, advance
 from stokescontour.kernels import stokeslet_terms
 
-from conftest import band_limited, grids, make_integrator, modes, sine_interface
+from conftest import antiperiodic, band_limited, grids, make_integrator, modes, sine_interface
 
 
 def params_for(m, quadrature="spectral_log", viscosity=1e-3, sign=-1.0):
@@ -126,60 +125,76 @@ def all_offsets_rhs(h, params):
 @pytest.mark.parametrize("quadrature, cell", [("spectral_log", "halfangle"),
                                               ("taylor_cell", "halfangle"),
                                               ("taylor_cell", "printed")])
-@given(m=grids, coeffs=modes)
+@given(m=grids, coeffs=modes, anti=st.booleans())
 # m = 200: the last block of offset rows is partial and holds r = m/2; m = 66:
 # the row r = m/2 is a block of its own
-@example(m=200, coeffs=[(0.3, -0.2), (0.1, 0.2), (-0.05, 0.1)])
-@example(m=66, coeffs=[(0.0, 0.3), (0.2, 0.0)])
+@example(m=200, coeffs=[(0.3, -0.2), (0.1, 0.2), (-0.05, 0.1)], anti=False)
+@example(m=66, coeffs=[(0.0, 0.3), (0.2, 0.0)], anti=False)
+# the half sum of antiperiodic heights, m/2 even and odd
+@example(m=200, coeffs=[(0.3, -0.2), (0.1, 0.2), (-0.05, 0.1)], anti=True)
+@example(m=66, coeffs=[(0.0, 0.3), (0.2, 0.0)], anti=True)
 @settings(max_examples=10, deadline=None)
-def test_blocked_rhs_matches_all_offsets_sum(quadrature, cell, m, coeffs):
+def test_blocked_rhs_matches_all_offsets_sum(quadrature, cell, m, coeffs, anti):
     h = band_limited(m, coeffs)
+    if anti:
+        h = antiperiodic(h)
     p = sc.SchemeParams(sign_factor=-1.0, viscosity=1e-3, m=m, quadrature=quadrature,
                         singular_cell_variant=cell)
+    rhs = _rhs_arrays(h, p)
+    if anti:
+        assert np.array_equal(rhs[m // 2 :], -rhs[: m // 2])
     ref = all_offsets_rhs(h, p)
-    assert np.max(np.abs(_rhs_arrays(h, p) - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert np.max(np.abs(rhs - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("quadrature", ["spectral_log", "taylor_cell"])
-@given(m=grids, coeffs=modes, shift=st.integers(1, 63))
-@example(m=128, coeffs=[(0.3, -0.2), (0.1, 0.2), (-0.05, 0.1)], shift=1)
+@given(m=grids, coeffs=modes, shift=st.integers(1, 63), anti=st.booleans())
+@example(m=128, coeffs=[(0.3, -0.2), (0.1, 0.2), (-0.05, 0.1)], shift=1, anti=False)
 # several blocks of offset rows
-@example(m=256, coeffs=[(0.3, -0.2), (0.1, 0.2), (-0.05, 0.1)], shift=45)
+@example(m=256, coeffs=[(0.3, -0.2), (0.1, 0.2), (-0.05, 0.1)], shift=45, anti=False)
+# the half sum of antiperiodic heights
+@example(m=256, coeffs=[(0.3, -0.2), (0.1, 0.2), (-0.05, 0.1)], shift=45, anti=True)
 @settings(max_examples=10, deadline=None)
-def test_grid_translation_equivariance(quadrature, m, coeffs, shift):
+def test_grid_translation_equivariance(quadrature, m, coeffs, shift, anti):
     h = band_limited(m, coeffs)
+    if anti:
+        h = antiperiodic(h)
     p = params_for(m, quadrature=quadrature)
     rhs = _rhs_arrays(h, p)
     rhs_shifted = _rhs_arrays(np.roll(h, shift), p)
     assert np.array_equal(rhs_shifted, np.roll(rhs, shift))
 
 
-@pytest.mark.parametrize("formulation", ["graph", "curve"])
+@pytest.mark.parametrize("formulation", ["graph", "graph-antiperiodic", "curve"])
 def test_rhs_m4096_in_bounded_memory(formulation):
-    # in a child process, so ru_maxrss (kB) is this evaluation's peak alone;
-    # temporaries of a block of offset rows are O(block * m), not O(m^2)
-    call = {
-        "graph": "_rhs_arrays(h, sc.SchemeParams(sign_factor=-1.0, viscosity=1e-3, m=m))",
-        "curve": "np.concatenate(_rhs_curve_arrays(c.z1, c.z2, c.alpha, -2.0))",
-    }[formulation]
-    code = (
-        "import resource, numpy as np, stokescontour as sc\n"
-        "from stokescontour.evolution_graph import _rhs_arrays\n"
-        "from stokescontour.evolution_curve import _rhs_curve_arrays\n"
-        "m = 4096\n"
-        "h = sc.preset_f2(m)\n"
-        "c = sc.graph_to_curve(sc.GraphInterface(h=h))\n"
-        "base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-        f"out = {call}\n"
-        "print(bool(np.all(np.isfinite(out))),"
-        " resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base)\n"
-    )
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sc.__file__)))
-    out = subprocess.run(
-        [sys.executable, "-c", code], check=True, capture_output=True, text=True, env=env
-    ).stdout.split()
-    assert out[0] == "True"
-    assert int(out[1]) < 50 * 1024
+    # peak traced allocation (NumPy reports its buffers to tracemalloc) of one
+    # evaluation: the temporaries of a block of offset rows are O(block * m),
+    # where one m x m array of pair terms alone is 128 MB. ru_maxrss cannot
+    # show it here: a child process starts from the test process's
+    # high-water mark. Raw preset_f2 takes the full sum, its projection
+    # (exactly antiperiodic) the half sum.
+    m = 4096
+    h = sc.preset_f2(m)
+    if formulation == "graph-antiperiodic":
+        h = symmetry_projection(graph_to_curve(sc.GraphInterface(h=h)))(None, h)[1]
+        assert np.array_equal(h[m // 2 :], -h[: m // 2])
+    else:
+        assert not np.array_equal(h[m // 2 :], -h[: m // 2])
+    c = sc.graph_to_curve(sc.GraphInterface(h=h))
+    if formulation == "curve":
+        def call():
+            return np.concatenate(_rhs_curve_arrays(c.z1, c.z2, c.alpha, -2.0))
+    else:
+        def call():
+            return _rhs_arrays(h, sc.SchemeParams(sign_factor=-1.0, viscosity=1e-3, m=m))
+    tracemalloc.start()
+    try:
+        out = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(out))
+    assert peak < 50 * 2**20
 
 
 def test_rhs_blowup_error_carries_node():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import stokescontour as sc
+from stokescontour import evolution_graph
 from stokescontour.integrators import (
     BlowupError,
     StepFailureError,
@@ -92,3 +93,46 @@ def test_first_sample_just_before_t0_is_the_initial_state():
     assert not traj.failed and traj.records == [0.0, 0.1]
     assert samples[0][0] == 0.0 and np.array_equal(samples[0][1], y0)
     assert [s[0] for s in samples] == [0.0, 0.1]
+
+
+def test_first_step_starts_from_the_projected_initial_state():
+    # y0 is projected before the first sample and the first right-hand side
+    y0 = np.array([1.0, 2.0, -0.5, 3.0])
+
+    def project(y):
+        return 0.5 * (y - y[::-1])
+
+    seen = []
+
+    def f(t, y):
+        seen.append(y.copy())
+        return -y
+
+    ip = make_integrator(t_end=0.1, dt_max=0.05)
+    traj = integrate(f, 0.0, y0, ip, [0.0, 0.1], project, np.abs,
+                     lambda t, y: ((t, y.copy()), t))
+    assert not traj.failed
+    assert np.array_equal(seen[0], project(y0))
+    assert np.array_equal(traj.states[0][1], project(y0))
+
+
+def test_graph_run_right_hand_side_sees_antiperiodic_states(monkeypatch):
+    # preset_f2 carries both symmetries, which together give
+    # h(alpha + pi) = -h(alpha); once y0 is projected, every stage state of
+    # every step has it exactly, so each call takes the half pair sum
+    m = 64
+    h = sc.preset_f2(m)
+    assert not np.array_equal(h[m // 2 :], -h[: m // 2])
+    exact = []
+    rhs = evolution_graph._rhs_arrays
+
+    def traced(y, params):
+        exact.append(np.array_equal(y[m // 2 :], -y[: m // 2]))
+        return rhs(y, params)
+
+    monkeypatch.setattr(evolution_graph, "_rhs_arrays", traced)
+    params = sc.SchemeParams(sign_factor=-1.0, viscosity=1e-3, m=m)
+    traj = sc.evolve(sc.GraphState(0.0, sc.GraphInterface(h=h)), params,
+                     make_integrator(t_end=0.02, dt_max=0.01), [0.0, 0.02])
+    assert not traj.failed
+    assert len(exact) > 7 and all(exact)
