@@ -20,6 +20,17 @@ per-node sin and cos of z1/2 by angle subtraction, so no pair costs a sine.
 The tangential component of the velocity is kept exactly as the
 integral produces it; node clustering is only monitored.
 
+On a curve with z(-alpha) = -z(alpha) exactly on the grid
+(``kernels.centrally_symmetric``) the velocity is odd, and the pair of
+nodes (-i, -j) carries the negated terms of (i, j). The sum then evaluates
+one pair of each such mirror orbit, (m/2) * (m/2 + 1) pairs instead of
+(m/2) * m, totals the nodes alpha in [-pi, 0] and gives the others the
+negated totals; the nodes alpha = -pi and 0 are exactly 0. The result
+agrees with the full sum to roundoff (not bitwise) and is exactly odd, so
+every stage of a run from a projected symmetric state is symmetric again
+and takes this path: both turning families do. Any other curve takes the
+full sum.
+
 ``evolve_curve`` supplies only the right-hand side on the state vector
 (z1, z2), ``geometry.symmetry_projection``, the amplitude guard and the
 per-sample record; ``integrators.integrate`` steps, samples and builds the
@@ -46,6 +57,9 @@ from .integrators import BlowupError, IntegratorParams, Trajectory, integrate
 from .kernels import (
     ONE_OVER_8PI,
     block_folder,
+    central_folder,
+    central_pair_rows,
+    centrally_symmetric,
     clausen2,
     offset_blocks,
     partner_rows,
@@ -94,34 +108,45 @@ def _rhs_curve_arrays_raw(z1: np.ndarray, z2: np.ndarray, alpha: np.ndarray, del
     u1 = d * (g0 * v1 + a_ss0 * v1 - a_sn0 * v2) + cell * v1
     u2 = d * (g0 * v2 - a_sn0 * v1 - a_ss0 * v2) + cell * v2
 
-    # the Stokeslet is even, so the offsets r and m - r share one evaluation
-    acc1 = np.zeros(m)
-    acc2 = np.zeros(m)
     # sin and cos of z1/2 per node: the sines of a far pair by angle subtraction
-    s = np.sin(0.5 * z1)
-    c = np.cos(0.5 * z1)
-    partners = partner_rows(z1, z2, v1, v2, s, c)
-    fold = block_folder(m)
+    xs = (z1, z2, v1, v2, np.sin(0.5 * z1), np.cos(0.5 * z1))
+    central = centrally_symmetric(z1, z2)
+    if central:
+        # one pair of each mirror orbit, folded onto the nodes 0..m/2
+        rows, fold = central_pair_rows(*xs), central_folder(m)
+    else:
+        # the Stokeslet is even, so the offsets r and m - r share one evaluation
+        partners = partner_rows(*xs)
+        rows, fold = (lambda r: (xs, partners(r))), block_folder(m)
+    acc1 = np.zeros(m // 2 + 1 if central else m)
+    acc2 = np.zeros(acc1.size)
     for r in offset_blocks(m, 1):
-        z1b, z2b, v1b, v2b, sb, cb = partners(r)
+        (z1a, z2a, v1a, v2a, sa, ca), (z1b, z2b, v1b, v2b, sb, cb) = rows(r)
         # the kernel is 2pi-periodic in x1, so the winding of z1 across the
         # seam is immaterial here
         if r[0] == 1:
             # near pairs: the direct half angle, which subtraction would cancel
-            lg, a_ss, a_sn = stokeslet_terms(z1 - z1b, z2 - z2b)
+            lg, a_ss, a_sn = stokeslet_terms(z1a - z1b, z2a - z2b)
         else:
-            sn2 = s * cb - c * sb
-            sn = 2.0 * sn2 * (c * cb + s * sb)
-            lg, a_ss, a_sn = stokeslet_terms_from_sines(sn2, sn, z2 - z2b)
+            sn2 = sa * cb - ca * sb
+            sn = 2.0 * sn2 * (ca * cb + sa * sb)
+            lg, a_ss, a_sn = stokeslet_terms_from_sines(sn2, sn, z2a - z2b)
         s11 = lg + a_ss
         s22 = lg - a_ss
-        acc1 += fold(s11 * v1b - a_sn * v2b, s11 * v1 - a_sn * v2, r)
-        acc2 += fold(s22 * v2b - a_sn * v1b, s22 * v2 - a_sn * v1, r)
-    u1 += d * acc1
-    u2 += d * acc2
+        acc1 += fold(s11 * v1b - a_sn * v2b, s11 * v1a - a_sn * v2a, r)
+        acc2 += fold(s22 * v2b - a_sn * v1b, s22 * v2a - a_sn * v1a, r)
+    u1[: acc1.size] += d * acc1
+    u2[: acc2.size] += d * acc2
 
     u1 *= delta_rho * ONE_OVER_8PI
     u2 *= delta_rho * ONE_OVER_8PI
+    if central:
+        # the velocity is odd: nodes m/2 + 1.. mirror 1..m/2 - 1, and 0 and
+        # m/2 are pinned
+        half = m // 2
+        for u in (u1, u2):
+            u[half + 1 :] = -u[half - 1 : 0 : -1]
+            u[::half] = 0.0
     if not (np.all(np.isfinite(u1)) and np.all(np.isfinite(u2))):
         bad = ~(np.isfinite(u1) & np.isfinite(u2))
         raise BlowupError(int(np.flatnonzero(bad)[0]))

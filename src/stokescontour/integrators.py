@@ -16,7 +16,7 @@ initial and each accepted state, guards its amplitude, builds the
 ``Trajectory`` of sampled states and records, and turns a failure into an
 early end recorded on it. Every step therefore starts from a projected state:
 a stage keeps each exact symmetry its start state and the right-hand side
-both have, which the graph right-hand side uses to halve its pair sum.
+both have, which both right-hand sides use to halve their pair sums.
 """
 
 from __future__ import annotations

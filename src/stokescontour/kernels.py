@@ -39,7 +39,13 @@ once per sum, not per block. On graph heights with h(alpha + pi) =
 -h(alpha) exactly, which the central and even symmetries together give,
 the terms of column i + m/2 of a row are those of column i up to sign, so
 the graph right-hand side and ``delta`` read only the first m/2 columns
-(``pair_sum_width``).
+(``pair_sum_width``). On a curve with z(-alpha) = -z(alpha) exactly
+(``centrally_symmetric``), the mirror (-i, r - i) of the pair (i, i - r)
+lies in the same offset row with its terms negated, so the curve
+right-hand side reads one pair of each mirror orbit, indexed by the pair
+centre (``central_pair_rows``), and folds the terms onto the nodes
+alpha in [-pi, 0] (``central_folder``): about half the pairs, still in
+O(block * m) memory.
 """
 
 from __future__ import annotations
@@ -122,6 +128,19 @@ def pair_sum_width(h) -> int:
     return half if np.array_equal(h[half:], -h[:half]) else h.size
 
 
+def centrally_symmetric(z1, z2) -> bool:
+    """Whether the curve (z1, z2) has z(-alpha) = -z(alpha) exactly on the grid.
+
+    Node j pairs with node m - j, and the seam node 0 (alpha = -pi) with
+    itself across one period: z1[0] = -pi, z2[0] = 0. A pair sum over such a
+    curve reads one pair of each mirror orbit (``central_pair_rows``,
+    ``central_folder``).
+    """
+    return bool(z1[0] == -np.pi and z2[0] == 0.0
+                and np.array_equal(z1[1:], -z1[:0:-1])
+                and np.array_equal(z2[1:], -z2[:0:-1]))
+
+
 def partner_rows(*xs, width=None):
     """Reader of the partner rows of the arrays xs, for the blocks of one pair sum.
 
@@ -173,6 +192,90 @@ def block_folder(m: int, antiperiodic: bool = False):
             np.multiply(far[:n], sign, out=twice[:n, width:])
             near[:n] += win[r[0] :: 2 * width + 1][:n]
         return near.sum(axis=0)
+
+    return fold
+
+
+def central_pair_rows(*xs):
+    """Reader of the pair rows of a sum over a centrally symmetric curve.
+
+    The pair (i, i - r) of offset row r has its mirror (-i, r - i) in the
+    same row, so a row indexed by the pair centre k = 0..m/2 holds one pair
+    of each mirror orbit: (k + s, k - s) for r = 2s and (k + s + 1, k - s)
+    for r = 2s + 1. ``rows(r)``, for a block of an even number of
+    consecutive offsets from an odd r[0] (as ``offset_blocks(m, 1)`` gives,
+    m/2 being even), returns (near, far): each x at the near and the far
+    node of those pairs, shapes (len(xs), n, 1, m/2 + 1) and
+    (len(xs), n, 2, m/2 + 1) with n = len(r)/2, where row (j, p) is the
+    offset r[2j + p]. The near
+    node s + 1 + k of rows 2s + 1 and 2s + 2 is the same. Both are read-only
+    views of windows built once here, so no index arrays are built per block.
+    """
+    m = xs[0].size
+    x = np.stack(xs)
+    near_win = sliding_window_view(x, m // 2 + 1, axis=1)
+    # element [:, t, q, k] is x at node t + q + k (mod m)
+    far_win = np.moveaxis(
+        sliding_window_view(sliding_window_view(np.tile(x, 2), m // 2 + 1, axis=1), 2, axis=1),
+        -1, 2)
+
+    def rows(r):
+        s0, n = r[0] // 2, r.size // 2
+        # far node k - (s0 + j + p), read at t = m - s0 - j - 1, q = 1 - p
+        far = far_win[:, m - s0 - n : m - s0][:, ::-1, ::-1]
+        return near_win[:, s0 + 1 : s0 + 1 + n, None], far
+
+    return rows
+
+
+def central_folder(m: int):
+    """``fold(near, far, r)``: total of one block of ``central_pair_rows`` at the nodes 0..m/2.
+
+    ``near`` and ``far`` (shape (len(r)/2, 2, m/2 + 1), as the rows) hold
+    each pair's term for its near and its far node. The terms of a mirror
+    pair are those of the pair negated, so on the nodes 0..m/2 the sum over
+    all pairs is the sum over the held pairs of their terms to a node n
+    minus their terms to -n: a node past m/2 folds, negated, onto its
+    mirror. A pair that is its own mirror counts half: the centres 0 and m/2
+    of an even row, and every pair of the r = m/2 row, which holds each of
+    its pairs twice. The centre m/2 of an odd row repeats the orbit of
+    centre m/2 - 1 and counts zero. Nodes 0 and m/2 total exactly 0 (for
+    finite terms), as the symmetry requires. ``near`` and ``far`` are
+    overwritten.
+
+    The rows are shifted into one unwrapped line of the nodes -m/4..3m/4
+    through a window over a buffer whose rows are laid end to end (row j
+    read j places further right), both built once here for all the blocks
+    of the sum; the line is then folded.
+    """
+    half, quarter = m // 2, m // 4
+    width = half + 1 + _BLOCK_ROWS // 2
+    buf = np.zeros((_BLOCK_ROWS // 2 + 1, width))
+    # element (j, i) of row j of the window is buf[j, i - j], or a zero of
+    # the tail of row j - 1 for i < j: columns half + 1.. are never written
+    win = sliding_window_view(buf.reshape(-1), width)[:: width - 1]
+    line = np.empty(m + 1)
+
+    def fold(near, far, r):
+        for t in (near, far):
+            t[:, 1, ::half] *= 0.5
+            t[:, 0, half] = 0.0
+            if r[-1] == half:
+                t[-1, 1] *= 0.5
+        s0, n = r[0] // 2, r.size // 2
+        line.fill(0.0)
+        # near node s0 + 1 + j + k, the same for both rows of a pair j
+        np.add(near[:, 0], near[:, 1], out=buf[:n, : half + 1])
+        line[quarter + s0 + 1 : quarter + s0 + half + n + 1] += win[:n].sum(axis=0)[: half + n]
+        # far node k - (s0 + n) + u, buffer row u = n - j - p
+        buf[:n, : half + 1] = far[::-1, 1]
+        buf[n, : half + 1] = 0.0
+        buf[1 : n + 1, : half + 1] += far[::-1, 0]
+        line[quarter - s0 - n : quarter - s0 + half + 1] += win[: n + 1].sum(axis=0)[: half + n + 1]
+        total = line[quarter : quarter + half + 1].copy()
+        total[quarter:] -= line[quarter + half :][::-1]
+        total[: quarter + 1] -= line[: quarter + 1][::-1]
+        return total
 
     return fold
 

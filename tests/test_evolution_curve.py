@@ -7,6 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import stokescontour as sc
+from stokescontour import evolution_curve
 from stokescontour.evolution_curve import _rhs_curve_arrays
 from stokescontour.geometry import (
     carried_symmetries,
@@ -14,7 +15,7 @@ from stokescontour.geometry import (
     curve_derivatives,
     symmetry_projection,
 )
-from stokescontour.kernels import ONE_OVER_8PI, clausen2, stokeslet_terms
+from stokescontour.kernels import ONE_OVER_8PI, centrally_symmetric, clausen2, stokeslet_terms
 
 from conftest import band_limited, grids, make_integrator, modes, sine_interface
 
@@ -23,6 +24,11 @@ def lifted_curve(m, lift, shear):
     """z1 = alpha + 0.1 * shear(alpha), z2 = lift(alpha): an x-monotone curve."""
     al = sc.uniform_grid(m)
     return al + 0.1 * band_limited(m, shear), band_limited(m, lift), al
+
+
+# the lift and shear of the explicit examples
+LIFT = [(0.3, -0.2), (0.1, 0.2), (-0.05, 0.1)]
+SHEAR = [(0.2, 0.1), (0.0, -0.1)]
 
 
 # References for the reflection table of ``geometry``: the central and even
@@ -143,16 +149,37 @@ def test_normal_velocity_matches_graph_scheme(m, k, a, phase):
     assert np.max(np.abs(normal_curve - normal_graph)) <= 0.1 * k * (2 * np.pi / m) * scale
 
 
-@given(m=grids, lift=modes, shear=modes)
-# m = 200: the last block of offset rows is partial and holds r = m/2
-@example(m=200, lift=[(0.3, -0.2), (0.1, 0.2), (-0.05, 0.1)], shear=[(0.2, 0.1), (0.0, -0.1)])
-@settings(max_examples=10, deadline=None)
-def test_blocked_curve_rhs_matches_all_offsets_sum(m, lift, shear):
-    z1, z2, al = lifted_curve(m, lift, shear)
-    u1, u2 = _rhs_curve_arrays(z1, z2, al, -2.0)
-    r1, r2 = all_offsets_curve_rhs(z1, z2, al, -2.0)
+def assert_rhs_matches_all_offsets(z1, z2, al, delta_rho):
+    """The blocked RHS against the reference sum, to 1e-12 of its scale. On an
+    exactly centrally symmetric curve, where the half sum runs, it is also
+    exactly odd and exactly 0 at the nodes alpha = -pi and 0."""
+    u1, u2 = _rhs_curve_arrays(z1, z2, al, delta_rho)
+    r1, r2 = all_offsets_curve_rhs(z1, z2, al, delta_rho)
     scale = max(np.max(np.abs(r1)), np.max(np.abs(r2)))
     assert max(np.max(np.abs(u1 - r1)), np.max(np.abs(u2 - r2))) <= 1e-12 * scale
+    if centrally_symmetric(z1, z2):
+        for u in (u1, u2):
+            assert np.array_equal(u[1:], -u[:0:-1])
+            assert u[0] == 0.0 and u[z1.size // 2] == 0.0
+
+
+@given(m=grids, lift=modes, shear=modes, odd=st.booleans())
+# m = 200: the last block of offset rows is partial and holds r = m/2
+@example(m=200, lift=LIFT, shear=SHEAR, odd=False)
+# the half sum: one block (m = 8), a partial last block holding r = m/2
+# (m = 200) and m/4 odd (m = 12, 204)
+@example(m=8, lift=LIFT, shear=SHEAR, odd=True)
+@example(m=12, lift=LIFT, shear=SHEAR, odd=True)
+@example(m=200, lift=LIFT, shear=SHEAR, odd=True)
+@example(m=204, lift=LIFT, shear=SHEAR, odd=True)
+@example(m=1024, lift=LIFT, shear=SHEAR, odd=True)
+@settings(max_examples=10, deadline=None)
+def test_blocked_curve_rhs_matches_all_offsets_sum(m, lift, shear, odd):
+    z1, z2, al = lifted_curve(m, lift, shear)
+    if odd:
+        z1, z2 = odd_projection_curve(z1, z2)
+        assert centrally_symmetric(z1, z2)
+    assert_rhs_matches_all_offsets(z1, z2, al, -2.0)
 
 
 @pytest.mark.parametrize("fold", [0.0, 0.2])
@@ -165,14 +192,73 @@ def test_far_rows_match_direct_half_angle(m, variant, b, fold):
     # 1e-3 remainder of O(1) terms; fold > 0 turns the curve past vertical.
     curve = sc.build_turning_family(sc.TurningFamilyParams(b=b, variant=variant), m)
     z1 = curve.z1 - fold * np.sin(curve.alpha)
-    u1, u2 = _rhs_curve_arrays(z1, curve.z2, curve.alpha, 1.0)
-    r1, r2 = all_offsets_curve_rhs(z1, curve.z2, curve.alpha, 1.0)
+    assert_rhs_matches_all_offsets(z1, curve.z2, curve.alpha, 1.0)
+
+
+@pytest.mark.parametrize("fold", [0.0, 0.2])
+@pytest.mark.parametrize("variant, b", [("basic", 16.9), ("even_symmetric", 10.4)])
+@pytest.mark.parametrize("m", [256, 1024])
+def test_half_sum_on_projected_turning_families(m, variant, b, fold):
+    # the states of turning runs: the raw families are not exactly symmetric
+    curve = sc.build_turning_family(sc.TurningFamilyParams(b=b, variant=variant), m)
+    z1 = curve.z1 - fold * np.sin(curve.alpha)
+    z1, z2 = symmetry_projection(sc.ParamCurve(z1=z1, z2=curve.z2))(z1, curve.z2)
+    assert centrally_symmetric(z1, z2)
+    assert_rhs_matches_all_offsets(z1, z2, curve.alpha, 1.0)
+
+
+@pytest.mark.parametrize("variant, b", [("basic", 16.9), ("even_symmetric", 10.4)])
+def test_turning_run_states_stay_centrally_symmetric(monkeypatch, variant, b):
+    # the projected initial state is exactly symmetric and the half sum is
+    # exactly odd, so every DOPRI5 stage and accepted state stays symmetric
+    # and every call of the run takes the half sum
+    symmetric = []
+    rhs = evolution_curve._rhs_curve_arrays
+
+    def spy(z1, z2, alpha, delta_rho):
+        symmetric.append(centrally_symmetric(z1, z2))
+        return rhs(z1, z2, alpha, delta_rho)
+
+    monkeypatch.setattr(evolution_curve, "_rhs_curve_arrays", spy)
+    curve = sc.build_turning_family(sc.TurningFamilyParams(b=b, variant=variant), 256)
+    ip = make_integrator(t_end=0.003, dt_max=0.001)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # node clustering
+        traj = sc.evolve_curve(sc.CurveState(0.0, curve, delta_rho=1.0), ip, [0.0, 0.003])
+    assert not traj.failed
+    assert len(symmetric) >= 1 + 3 * 6 and all(symmetric)
+
+
+@pytest.mark.parametrize("change", ["shift", "seam"])
+def test_asymmetric_curve_takes_the_full_sum(monkeypatch, change):
+    curve = sc.build_turning_family(sc.TurningFamilyParams(b=16.9), 256)
+    z1, z2 = symmetry_projection(curve)(curve.z1, curve.z2)
+    u1, u2 = _rhs_curve_arrays(z1, z2, curve.alpha, -2.0)
+    if change == "shift":
+        # the same curve, its nodes shifted by one: no longer symmetric on the grid
+        z1, z2 = np.roll(z1, 1), np.roll(z2, 1)
+        z1[0] -= 2 * np.pi
+        u1, u2 = np.roll(u1, 1), np.roll(u2, 1)
+    else:
+        # symmetric but for the seam node alpha = -pi, moved along the curve
+        z1 = z1.copy()
+        z1[0] += 1e-3
+    assert not centrally_symmetric(z1, z2)
+
+    def no_half_sum(m):
+        raise AssertionError("the half sum was taken")
+
+    monkeypatch.setattr(evolution_curve, "central_folder", no_half_sum)
+    s1, s2 = _rhs_curve_arrays(z1, z2, curve.alpha, -2.0)
+    r1, r2 = all_offsets_curve_rhs(z1, z2, curve.alpha, -2.0)
     scale = max(np.max(np.abs(r1)), np.max(np.abs(r2)))
-    assert max(np.max(np.abs(u1 - r1)), np.max(np.abs(u2 - r2))) <= 1e-12 * scale
+    assert max(np.max(np.abs(s1 - r1)), np.max(np.abs(s2 - r2))) <= 1e-12 * scale
+    if change == "shift":
+        assert max(np.max(np.abs(s1 - u1)), np.max(np.abs(s2 - u2))) <= 1e-12 * scale
 
 
 @given(m=grids, lift=modes, shear=modes)
-@example(m=256, lift=[(0.3, -0.2), (0.1, 0.2), (-0.05, 0.1)], shear=[(0.2, 0.1), (0.0, -0.1)])
+@example(m=256, lift=LIFT, shear=SHEAR)
 @settings(max_examples=10, deadline=None)
 def test_rhs_even_symmetry(m, lift, shear):
     # a curve mirror-symmetric about the lines z1 = -pi/2 and z1 = pi/2 (node

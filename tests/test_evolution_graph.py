@@ -16,7 +16,7 @@ from stokescontour.evolution_graph import (
 from stokescontour.evolution_curve import _rhs_curve_arrays
 from stokescontour.geometry import central_diff, graph_to_curve, second_diff, symmetry_projection
 from stokescontour.integrators import BlowupError, advance
-from stokescontour.kernels import stokeslet_terms
+from stokescontour.kernels import centrally_symmetric, stokeslet_terms
 
 from conftest import antiperiodic, band_limited, grids, make_integrator, modes, sine_interface
 
@@ -165,14 +165,15 @@ def test_grid_translation_equivariance(quadrature, m, coeffs, shift, anti):
     assert np.array_equal(rhs_shifted, np.roll(rhs, shift))
 
 
-@pytest.mark.parametrize("formulation", ["graph", "graph-antiperiodic", "curve"])
+@pytest.mark.parametrize("formulation", ["graph", "graph-antiperiodic", "curve", "curve-central"])
 def test_rhs_m4096_in_bounded_memory(formulation):
     # peak traced allocation (NumPy reports its buffers to tracemalloc) of one
     # evaluation: the temporaries of a block of offset rows are O(block * m),
     # where one m x m array of pair terms alone is 128 MB. ru_maxrss cannot
     # show it here: a child process starts from the test process's
     # high-water mark. Raw preset_f2 takes the full sum, its projection
-    # (exactly antiperiodic) the half sum.
+    # (exactly antiperiodic) the half sum; the projected lift (exactly
+    # centrally symmetric) takes the curve's half sum.
     m = 4096
     h = sc.preset_f2(m)
     if formulation == "graph-antiperiodic":
@@ -181,9 +182,15 @@ def test_rhs_m4096_in_bounded_memory(formulation):
     else:
         assert not np.array_equal(h[m // 2 :], -h[: m // 2])
     c = sc.graph_to_curve(sc.GraphInterface(h=h))
-    if formulation == "curve":
+    z1, z2 = c.z1, c.z2
+    if formulation == "curve-central":
+        z1, z2 = symmetry_projection(c)(z1, z2)
+        assert centrally_symmetric(z1, z2)
+    elif formulation == "curve":
+        assert not centrally_symmetric(z1, z2)
+    if formulation.startswith("curve"):
         def call():
-            return np.concatenate(_rhs_curve_arrays(c.z1, c.z2, c.alpha, -2.0))
+            return np.concatenate(_rhs_curve_arrays(z1, z2, c.alpha, -2.0))
     else:
         def call():
             return _rhs_arrays(h, sc.SchemeParams(sign_factor=-1.0, viscosity=1e-3, m=m))
