@@ -13,10 +13,9 @@ panels adjacent to the singular node against the frozen node value. The
 Stokeslet is even, S(-x) = S(x), so each unordered pair of nodes is
 evaluated once and feeds both nodes: the sum runs over the offsets
 r = 1..m/2 in blocks of offset rows, every node accumulating in the same
-order. The kernel needs sin(x1/2) and sin(x1) of every pair: the first
-block (r <= 32) takes them from the half angle of the pair, where nearby
-nodes would cancel in a difference, and the further rows read them from
-per-node sin and cos of z1/2 by angle subtraction, so no pair costs a sine.
+order. The kernel needs sin(x1/2) and sin(x1) of every pair: every row
+reads them from per-node sin and cos of z1/2 by angle subtraction, so no
+pair costs a sine.
 The tangential component of the velocity is kept exactly as the
 integral produces it; node clustering is only monitored.
 
@@ -63,7 +62,6 @@ from .kernels import (
     clausen2,
     offset_blocks,
     partner_rows,
-    stokeslet_terms,
     stokeslet_terms_from_sines,
 )
 
@@ -79,12 +77,9 @@ class CurveState:
     delta_rho: float
 
 
-def _rhs_curve_arrays(z1, z2, alpha, delta_rho):
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return _rhs_curve_arrays_raw(z1, z2, alpha, delta_rho)
-
-
-def _rhs_curve_arrays_raw(z1: np.ndarray, z2: np.ndarray, alpha: np.ndarray, delta_rho: float):
+# transient over/underflows surface as the finiteness check below
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _rhs_curve_arrays(z1: np.ndarray, z2: np.ndarray, alpha: np.ndarray, delta_rho: float):
     m = z1.size
     d = TWO_PI / m
     p = z1 - alpha
@@ -108,8 +103,10 @@ def _rhs_curve_arrays_raw(z1: np.ndarray, z2: np.ndarray, alpha: np.ndarray, del
     u1 = d * (g0 * v1 + a_ss0 * v1 - a_sn0 * v2) + cell * v1
     u2 = d * (g0 * v2 - a_sn0 * v1 - a_ss0 * v2) + cell * v2
 
-    # sin and cos of z1/2 per node: the sines of a far pair by angle subtraction
-    xs = (z1, z2, v1, v2, np.sin(0.5 * z1), np.cos(0.5 * z1))
+    # sin and cos of z1/2 per node: the sines of every pair by angle
+    # subtraction; the kernel is 2pi-periodic in x1, so the winding of z1
+    # across the seam is immaterial here
+    xs = (z2, v1, v2, np.sin(0.5 * z1), np.cos(0.5 * z1))
     central = centrally_symmetric(z1, z2)
     if central:
         # one pair of each mirror orbit, folded onto the nodes 0..m/2
@@ -121,16 +118,10 @@ def _rhs_curve_arrays_raw(z1: np.ndarray, z2: np.ndarray, alpha: np.ndarray, del
     acc1 = np.zeros(m // 2 + 1 if central else m)
     acc2 = np.zeros(acc1.size)
     for r in offset_blocks(m, 1):
-        (z1a, z2a, v1a, v2a, sa, ca), (z1b, z2b, v1b, v2b, sb, cb) = rows(r)
-        # the kernel is 2pi-periodic in x1, so the winding of z1 across the
-        # seam is immaterial here
-        if r[0] == 1:
-            # near pairs: the direct half angle, which subtraction would cancel
-            lg, a_ss, a_sn = stokeslet_terms(z1a - z1b, z2a - z2b)
-        else:
-            sn2 = sa * cb - ca * sb
-            sn = 2.0 * sn2 * (ca * cb + sa * sb)
-            lg, a_ss, a_sn = stokeslet_terms_from_sines(sn2, sn, z2a - z2b)
+        (z2a, v1a, v2a, sa, ca), (z2b, v1b, v2b, sb, cb) = rows(r)
+        sn2 = sa * cb - ca * sb
+        sn = 2.0 * sn2 * (ca * cb + sa * sb)
+        lg, a_ss, a_sn = stokeslet_terms_from_sines(sn2, sn, z2a - z2b)
         s11 = lg + a_ss
         s22 = lg - a_ss
         acc1 += fold(s11 * v1b - a_sn * v2b, s11 * v1a - a_sn * v2a, r)
@@ -141,12 +132,10 @@ def _rhs_curve_arrays_raw(z1: np.ndarray, z2: np.ndarray, alpha: np.ndarray, del
     u1 *= delta_rho * ONE_OVER_8PI
     u2 *= delta_rho * ONE_OVER_8PI
     if central:
-        # the velocity is odd: nodes m/2 + 1.. mirror 1..m/2 - 1, and 0 and
-        # m/2 are pinned
+        # the velocity is odd: nodes m/2 + 1.. mirror 1..m/2 - 1
         half = m // 2
         for u in (u1, u2):
             u[half + 1 :] = -u[half - 1 : 0 : -1]
-            u[::half] = 0.0
     if not (np.all(np.isfinite(u1)) and np.all(np.isfinite(u2))):
         bad = ~(np.isfinite(u1) & np.isfinite(u2))
         raise BlowupError(int(np.flatnonzero(bad)[0]))

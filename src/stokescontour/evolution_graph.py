@@ -156,15 +156,11 @@ def _cell_correction_values(h, dh, width, variant):
     return h * one_p * clog + h * one_p * np.log(one_p) * width + 2.0 * h * dh * dh * width
 
 
+# transient over/underflows surface as the finiteness check below; the
+# adaptive driver treats the resulting BlowupError on a trial step as a
+# rejection
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _rhs_arrays(h: np.ndarray, params: SchemeParams) -> np.ndarray:
-    # transient over/underflows surface as the finiteness check below; the
-    # adaptive driver treats the resulting BlowupError on a trial step as a
-    # rejection
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return _rhs_arrays_raw(h, params)
-
-
-def _rhs_arrays_raw(h: np.ndarray, params: SchemeParams) -> np.ndarray:
     m = h.size
     if m != params.m:
         raise ValueError(f"state has m={m} but params.m={params.m}")

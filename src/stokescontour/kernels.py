@@ -9,8 +9,8 @@ The velocity kernel is the x1-periodic Stokeslet
 which is smooth away from x = (0 mod 2pi, 0) where it has a log singularity.
 One body, ``stokeslet_terms_from_sines``, evaluates its terms from x2 and
 the sines sin(x1/2) and sin(x1); ``stokeslet_terms`` takes those sines of
-x1 for every caller but the curve right-hand side, which forms them on its
-far rows from per-node values. The mixed second derivative of the
+x1 for every caller but the curve right-hand side, which forms them on all
+its rows from per-node values. The mixed second derivative of the
 bilaplacian Green function K (with Delta^2 K = delta on T x R) has the
 closed form
 
@@ -63,8 +63,6 @@ from .geometry import TWO_PI
 ONE_OVER_8PI = 1.0 / (8.0 * np.pi)
 ONE_OVER_4PI = 1.0 / (4.0 * np.pi)
 
-_NMAX_CAP = 100_000
-
 # offset rows per block of the pair sums (both right-hand sides and delta):
 # their temporaries are (_BLOCK_ROWS x m), never m x m
 _BLOCK_ROWS = 32
@@ -81,7 +79,7 @@ class Stokeslet2x2:
 
 
 def stokeslet_terms(x1, x2):
-    """The three scalar terms of the periodic Stokeslet, for every caller.
+    """The three scalar terms of the periodic Stokeslet, from x1 and x2.
 
     Returns (log(2D), x2 sinh(x2)/D, x2 sin(x1)/D), D = cosh x2 - cos x1 in
     the half-angle form 2(sinh^2(x2/2) + sin^2(x1/2)), free of cancellation
@@ -95,7 +93,7 @@ def stokeslet_terms(x1, x2):
 def stokeslet_terms_from_sines(sn2, sn, x2):
     """``stokeslet_terms`` given sn2 = sin(x1/2) and sn = sin(x1) instead of x1.
 
-    The curve right-hand side reads the sines of its far pairs from per-node
+    The curve right-hand side reads the sines of its pairs from per-node
     sines and cosines of z1/2 by angle subtraction.
     """
     sh2 = np.sinh(0.5 * x2)
@@ -310,15 +308,15 @@ def dK12(x1, x2):
 
 def _auto_nmax(x2) -> int:
     scale = max(float(np.min(np.abs(x2))), 0.05)
-    return min(_NMAX_CAP, max(64, math.ceil(40.0 / scale)))
+    return max(64, math.ceil(40.0 / scale))
 
 
 def dK1_series(x1, x2, n_max: int):
     """Partial sum of d1 K(x) = -(1/4pi) sum (n|x2|+1)/n^2 e^{-n|x2|} sin(n x1).
 
     ``n_max = 0`` picks the truncation from x2 so that the geometric tail is
-    below 1e-12 for |x2| >= 0.1 (n_max = ceil(40/|x2|), floored at 64 and
-    capped at 1e5).
+    below 1e-12 for |x2| >= 0.1 (n_max = ceil(40/|x2|), floored at 64; |x2|
+    is floored at 0.05, so n_max <= 800).
     """
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
@@ -337,13 +335,11 @@ def biharm_pair_kernel(x1, x2, n_max: int):
 
     Returns (1/4pi) sum_{n=1..n_max} (1 + n|x2|)/n^3 e^{-n|x2|} cos(n x1),
     i.e. the truncated Li3 + |x2| Li2 series of w = e^{-|x2| + i x1}, summed
-    by Horner in w (memory of the size of x, independent of n_max).
-    ``n_max = 0`` switches to the exact polylogarithm evaluation.
+    by Horner in w (memory of the size of x, independent of n_max). The
+    n_max -> inf limit is ``bilaplacian_pair_kernel_exact``.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 1, or 0 for the exact evaluation")
-    if n_max == 0:
-        return bilaplacian_pair_kernel_exact(x1, x2)
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
     x1 = np.asarray(x1, dtype=float)
     a = np.abs(np.asarray(x2, dtype=float))
     li2, li3 = _polylog23_series(np.exp(-a + 1j * x1), n_max)

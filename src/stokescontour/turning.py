@@ -293,9 +293,9 @@ def turning_integral(curve: ParamCurve) -> Tuple[float, float, float]:
     """Certificate (J1, J2, J1 + J2) of the basic family.
 
     Composite Simpson of z2 sin(z1) z1' / (cosh z2 - cos z1) over [0, alpha2]
-    and [alpha2, pi] (split at the nearest node; the family vanishes there),
-    scaled by z2'(0)/(4 pi). The integrand's removable endpoint singularity
-    at beta = 0 is evaluated as its limit 0.
+    and [alpha2, pi] (split at the first node where z2 stops being positive;
+    the family vanishes there), scaled by z2'(0)/(4 pi). The integrand's
+    removable endpoint singularity at beta = 0 is evaluated as its limit 0.
     """
     slope0, z1, z2, dz1 = _half_period_arrays(curve)
     g = np.zeros_like(z2)
@@ -327,28 +327,25 @@ def turning_integral_even(curve: ParamCurve) -> Tuple[float, float, float]:
 
 def _split_certificate(curve, g, pref, upper_index):
     d = curve.spacing
-    # alpha2 recovered from the sampled z2: the split node is where the scaled
-    # hump region ends; using the nearest node to the stored split is exact
-    # enough because every default family vanishes at the split point.
-    a2 = _find_split(curve)
-    k = int(round(a2 / d))
-    k = min(max(k, 1), upper_index - 1)
+    # alpha2 recovered from the sampled z2: the split node is the first node
+    # where z2 stops being positive, which is exact enough because every
+    # default family vanishes at the split point.
+    k = min(max(_find_split(curve), 1), upper_index - 1)
     j1 = pref * _simpson_on_nodes(g[: k + 1], d)
     j2 = pref * _simpson_on_nodes(g[k:], d)
     return j1, j2, j1 + j2
 
 
-def _find_split(curve: ParamCurve) -> float:
-    """First positive node where z2 crosses from positive to nonpositive."""
+def _find_split(curve: ParamCurve) -> int:
+    """Index, from alpha = 0, of the first node where z2 stops being positive."""
     m = curve.m
     half = curve.z2[m // 2 :]
     pos = np.flatnonzero(half > 0.0)
     if pos.size == 0:
-        return curve.spacing
+        return 1
     first = pos[0]
     rest = np.flatnonzero(half[first:] <= 0.0)
-    k = first + (rest[0] if rest.size else half.size - 1)
-    return k * curve.spacing
+    return int(first + (rest[0] if rest.size else half.size - 1))
 
 
 def find_b_threshold(

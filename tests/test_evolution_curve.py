@@ -182,13 +182,18 @@ def test_blocked_curve_rhs_matches_all_offsets_sum(m, lift, shear, odd):
     assert_rhs_matches_all_offsets(z1, z2, al, -2.0)
 
 
-@pytest.mark.parametrize("fold", [0.0, 0.2])
-@pytest.mark.parametrize("variant, b", [("basic", 16.9), ("even_symmetric", 10.4)])
-@pytest.mark.parametrize("m", [256, 512, 1024])
+@pytest.mark.parametrize(
+    "m, variant, b, fold",
+    [(m, variant, b, fold) for m in (256, 512, 1024)
+     for variant, b in (("basic", 16.9), ("even_symmetric", 10.4)) for fold in (0.0, 0.2)]
+    # the vertical tangent at large m: the near rows, where subtraction
+    # would cancel first
+    + [(4096, "basic", 16.9, 0.2)],
+)
 def test_far_rows_match_direct_half_angle(m, variant, b, fold):
-    # beyond the first block of offset rows (r > 32) the pair sines come from
-    # per-node sines and cosines of z1/2; the reference takes them directly
-    # from the half angle of every pair. The turning families' velocity is a
+    # every offset row takes the pair sines from per-node sines and cosines
+    # of z1/2 by angle subtraction; the reference takes them directly from
+    # the half angle of every pair. The turning families' velocity is a
     # 1e-3 remainder of O(1) terms; fold > 0 turns the curve past vertical.
     curve = sc.build_turning_family(sc.TurningFamilyParams(b=b, variant=variant), m)
     z1 = curve.z1 - fold * np.sin(curve.alpha)

@@ -278,9 +278,11 @@ def test_offset_rows_match_mpmath(m):
     assert np.all(np.isfinite(far))
 
 
-def test_biharm_exact_equals_sentinel_mode():
-    x1, x2 = 0.7, 0.3
-    assert sc.biharm_pair_kernel(x1, x2, 0) == bilaplacian_pair_kernel_exact(x1, x2)
+def test_biharm_pair_kernel_rejects_n_max_below_one():
+    # the exact kernel has its own entry point, bilaplacian_pair_kernel_exact
+    for n_max in (0, -1):
+        with pytest.raises(ValueError):
+            sc.biharm_pair_kernel(0.7, 0.3, n_max)
 
 
 @pytest.mark.parametrize("m", [2**k for k in range(3, 15)])
