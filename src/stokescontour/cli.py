@@ -29,7 +29,7 @@ from .diagnostics import (
     read_diagnostics_csv,
 )
 from .evolution_curve import CurveState, evolve_curve
-from .evolution_graph import GraphState, SchemeParams, evolve
+from .evolution_graph import GraphState, evolve
 from .geometry import (
     GraphInterface,
     ParamCurve,
@@ -163,15 +163,8 @@ def run(config: RunConfig) -> int:
 
     with writer:
         if isinstance(state, GraphState):
-            params = SchemeParams(
-                sign_factor=config.sign_factor,
-                viscosity=config.viscosity,
-                m=config.m,
-                quadrature=config.quadrature,
-                singular_cell_variant=config.singular_cell_variant,
-            )
             traj = evolve(
-                state, params, config.integrator, sample_times,
+                state, config.scheme_params(), config.integrator, sample_times,
                 options=config.diagnostics, on_sample=on_sample,
             )
         else:

@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass, field
 from typing import List, Optional
 
 from .diagnostics import WIENER_EXPONENT_MAX, DiagnosticsOptions
+from .evolution_graph import SchemeParams
 from .geometry import check_grid_size
 from .integrators import IntegratorParams, _prepare_samples
 from .turning import TurningFamilyParams
@@ -102,6 +103,7 @@ class RunConfig:
             raise ConfigError("exactly one of sample_times / sample_dt is required")
         try:
             check_grid_size(self.m)
+            self.scheme_params()
             _prepare_samples(0.0, self.integrator, self.resolved_sample_times())
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
@@ -118,6 +120,16 @@ class RunConfig:
                 f"diagnostics.wiener_nu * m/2 = {diag.wiener_nu * self.m / 2:g} exceeds "
                 f"the overflow guard ({WIENER_EXPONENT_MAX:g})"
             )
+
+    def scheme_params(self) -> SchemeParams:
+        """The graph scheme's constants; ValueError on a bad scheme value."""
+        return SchemeParams(
+            sign_factor=self.sign_factor,
+            viscosity=self.viscosity,
+            m=self.m,
+            quadrature=self.quadrature,
+            singular_cell_variant=self.singular_cell_variant,
+        )
 
     def resolved_sample_times(self) -> List[float]:
         if self.sample_times is not None:

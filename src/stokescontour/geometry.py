@@ -328,18 +328,16 @@ def symmetry_projection(curve: ParamCurve):
 
 def write_snapshot(path, obj) -> None:
     """Write a GraphInterface or ParamCurve as a snapshot CSV."""
+    if isinstance(obj, GraphInterface):
+        header, columns = "alpha,h", (obj.alpha, obj.h)
+    elif isinstance(obj, ParamCurve):
+        header, columns = "alpha,z1,z2", (obj.alpha, obj.z1, obj.z2)
+    else:
+        raise TypeError(f"cannot snapshot object of type {type(obj)!r}")
+    # CRLF row ends, as the csv module writes them, on every platform
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        if isinstance(obj, GraphInterface):
-            writer.writerow(["alpha", "h"])
-            for a, h in zip(obj.alpha, obj.h):
-                writer.writerow([f"{a:.17g}", f"{h:.17g}"])
-        elif isinstance(obj, ParamCurve):
-            writer.writerow(["alpha", "z1", "z2"])
-            for a, x, y in zip(obj.alpha, obj.z1, obj.z2):
-                writer.writerow([f"{a:.17g}", f"{x:.17g}", f"{y:.17g}"])
-        else:
-            raise TypeError(f"cannot snapshot object of type {type(obj)!r}")
+        np.savetxt(fh, np.column_stack(columns), fmt="%.17g", delimiter=",",
+                   header=header, comments="", newline="\r\n")
 
 
 def read_snapshot(path):

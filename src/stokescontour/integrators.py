@@ -11,8 +11,9 @@ with the error normalized componentwise by abs_tol + rel_tol * |y| and a step
 accepted when the norm is <= 1.
 
 ``integrate`` is the one stepping driver behind both the graph scheme and the
-parametric contour dynamics: it lands on the sample times, projects the
-initial and each accepted state, guards its amplitude, builds the
+parametric contour dynamics, and its loop is the only place that accepts or
+rejects a trial step (``dopri_step``): it lands on the sample times, projects
+the initial and each accepted state, guards its amplitude, builds the
 ``Trajectory`` of sampled states and records, and turns a failure into an
 early end recorded on it. Every step therefore starts from a projected state:
 a stage keeps each exact symmetry its start state and the right-hand side
@@ -118,44 +119,6 @@ def _step_factor(err_norm: float) -> float:
     return min(MAX_FACTOR, max(MIN_FACTOR, SAFETY * err_norm ** (-0.2)))
 
 
-def advance(f, t, y, dt, ip: IntegratorParams, k1=None, dt_cap=None):
-    """Advance one *accepted* step, retrying with smaller dt on rejection.
-
-    ``dt_cap`` optionally shortens the attempted step (used to land exactly
-    on sample times). A BlowupError raised while evaluating a *trial* step
-    counts as an infinite error estimate and shrinks the step like any
-    rejection (a blowup at the current state itself still propagates, as
-    does one persisting at dt_min). Returns
-    (t_new, y_new, dt_used, err_norm, dt_next, k1_next) where dt_next is the
-    uncapped proposal for the following step.
-
-    Raises
-    ------
-    StepFailureError
-        If the error cannot be brought under tolerance at dt_min.
-    """
-    dt = min(max(dt, ip.dt_min), ip.dt_max)
-    if k1 is None:
-        k1 = f(t, y)
-    while True:
-        dt_try = dt if dt_cap is None else min(dt, dt_cap)
-        try:
-            y_new, err_norm, k_last = dopri_step(
-                f, t, y, dt_try, ip.rel_tol, ip.abs_tol, k1=k1
-            )
-        except BlowupError:
-            if dt_try <= ip.dt_min:
-                raise
-            err_norm = np.inf
-        if err_norm <= 1.0:
-            dt_next = min(max(dt_try * _step_factor(err_norm), ip.dt_min), ip.dt_max)
-            return t + dt_try, y_new, dt_try, err_norm, dt_next, k_last
-        if dt_try <= ip.dt_min:
-            raise StepFailureError(t)
-        # the first stage f(t, y) stays valid on retry; only dt shrinks
-        dt = max(dt_try * _step_factor(err_norm), ip.dt_min)
-
-
 def _prepare_samples(t0: float, ip: IntegratorParams, sample_times) -> np.ndarray:
     """Sample times as an array, or ValueError unless increasing within [t0, t_end]."""
     ts = np.asarray(list(sample_times), dtype=float)
@@ -196,8 +159,15 @@ def integrate(
 ) -> Trajectory:
     """Integrate y' = f(t, y) from (t0, y0), stopping exactly at each sample time.
 
-    The proposed step is shortened to land on each sample time, so samples
-    are step endpoints, not interpolants. At each, ``sample(t, y)`` returns
+    Each trial step is the proposed dt clamped to [dt_min, dt_max] and
+    shortened to land on the next sample time, so samples are step
+    endpoints, not interpolants. A trial step whose error norm is > 1 is
+    rejected and retried from the same state with dt shrunk by
+    ``_step_factor``; so is one whose stages raise BlowupError (an infinite
+    error norm). A rejection at dt_min is a StepFailureError ("step size
+    underflow"), or the BlowupError itself, and a BlowupError at the current
+    state ends the run at once. An accepted step proposes the next dt from
+    its error norm. At each sample, ``sample(t, y)`` returns
     the (state, record) pair appended to the Trajectory, and
     ``on_sample(state, record)``, if given, is called with it (used for
     incremental output). The initial state and every accepted state are
@@ -230,8 +200,26 @@ def integrate(
     try:
         while idx < ts.size:
             target = ts[idx]
-            t, y, _, _, dt, k1 = advance(f, t, y, dt, ip, k1=k1, dt_cap=target - t)
-            y = project(y)
+            if k1 is None:
+                k1 = f(t, y)
+            dt_try = min(max(dt, ip.dt_min), ip.dt_max, target - t)
+            try:
+                y_new, err_norm, k_last = dopri_step(
+                    f, t, y, dt_try, ip.rel_tol, ip.abs_tol, k1=k1
+                )
+            except BlowupError:
+                if dt_try <= ip.dt_min:
+                    raise
+                err_norm = np.inf
+            dt = dt_try * _step_factor(err_norm)  # clamped as the next trial starts
+            if not err_norm <= 1.0:  # a NaN norm is rejected too
+                if dt_try <= ip.dt_min:
+                    raise StepFailureError(t)
+                continue  # retry from the same state; k1 = f(t, y) stays valid
+            # k_last is f at the unprojected y_new; the projection moves that
+            # state only at roundoff, so it still serves as the next k1 (FSAL)
+            t, k1 = t + dt_try, k_last
+            y = project(y_new)
             deviation = guard(y)
             if np.max(deviation) > AMPLITUDE_GUARD:
                 raise BlowupError(int(np.argmax(deviation)), t)

@@ -316,7 +316,9 @@ def dK1_series(x1, x2, n_max: int):
 
     ``n_max = 0`` picks the truncation from x2 so that the geometric tail is
     below 1e-12 for |x2| >= 0.1 (n_max = ceil(40/|x2|), floored at 64; |x2|
-    is floored at 0.05, so n_max <= 800).
+    is floored at 0.05, so n_max <= 800). The sum is -(1/4pi) Im[Li2 + |x2|
+    Li1] of w = e^{-|x2| + i x1}, truncated and summed by Horner in w as in
+    ``biharm_pair_kernel`` (memory of the size of x, independent of n_max).
     """
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
@@ -324,10 +326,9 @@ def dK1_series(x1, x2, n_max: int):
         raise ValueError("n_max must be >= 1, or 0 for automatic truncation")
     if n_max == 0:
         n_max = _auto_nmax(x2)
-    n = np.arange(1, n_max + 1, dtype=float)
-    a = np.abs(x2)[..., None]
-    terms = (n * a + 1.0) / n**2 * np.exp(-n * a) * np.sin(n * x1[..., None])
-    return -ONE_OVER_4PI * terms.sum(axis=-1)
+    a = np.abs(x2)
+    li1, li2 = _polylog_series(np.exp(-a + 1j * x1), n_max, (1, 2))
+    return -ONE_OVER_4PI * (li2.imag + a * li1.imag)
 
 
 def biharm_pair_kernel(x1, x2, n_max: int):
@@ -342,7 +343,7 @@ def biharm_pair_kernel(x1, x2, n_max: int):
         raise ValueError("n_max must be >= 1")
     x1 = np.asarray(x1, dtype=float)
     a = np.abs(np.asarray(x2, dtype=float))
-    li2, li3 = _polylog23_series(np.exp(-a + 1j * x1), n_max)
+    li2, li3 = _polylog_series(np.exp(-a + 1j * x1), n_max, (2, 3))
     return ONE_OVER_4PI * (li3.real + a * li2.real)
 
 
@@ -381,16 +382,14 @@ _C2 = np.array([float(_ZETA[2 - k] / math.factorial(k)) for k in range(_EXP_TERM
 _C3 = np.array([float(_ZETA[3 - k] / math.factorial(k)) for k in range(_EXP_TERMS)])
 
 
-def _polylog23_series(w, n_terms: int):
-    """Li2(w) and Li3(w) summed over n = 1..n_terms, by Horner in w."""
-    s2 = np.full_like(w, 1.0 / n_terms**2)
-    s3 = np.full_like(w, 1.0 / n_terms**3)
+def _polylog_series(w, n_terms: int, orders):
+    """Li_p(w) for each p in ``orders``, summed over n = 1..n_terms by Horner in w."""
+    sums = [np.full_like(w, 1.0 / n_terms**p) for p in orders]
     for n in range(n_terms - 1, 0, -1):
-        s2 *= w
-        s2 += 1.0 / n**2
-        s3 *= w
-        s3 += 1.0 / n**3
-    return w * s2, w * s3
+        for s, p in zip(sums, orders):
+            s *= w
+            s += 1.0 / n**p
+    return [w * s for s in sums]
 
 
 def _polylog23_near_one(mu: np.ndarray):

@@ -328,6 +328,26 @@ def test_main_rejects_bad_diagnostics_options(tmp_path, option, value):
     assert not os.path.exists(data["outputs"]["diagnostics_csv"])
 
 
+@pytest.mark.parametrize("verb", ["run", "verify"])
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("quadrature", "exact"),
+        ("singular_cell_variant", "x"),
+        ("viscosity", -1e-3),
+        ("sign_factor", 0.0),
+    ],
+    ids=["quadrature", "cell_variant", "viscosity_negative", "sign_factor_zero"],
+)
+def test_main_rejects_bad_scheme_values(tmp_path, key, value, verb):
+    data = config_to_dict(base_config(tmp_path))
+    data[key] = value
+    path = tmp_path / "scheme.json"
+    path.write_text(json.dumps(data))
+    assert main([verb, str(path)]) == EXIT_CONFIG
+    assert not os.path.exists(data["outputs"]["diagnostics_csv"])
+
+
 def test_legacy_deterministic_key_still_loads(tmp_path):
     cfg = base_config(tmp_path)
     data = config_to_dict(cfg)

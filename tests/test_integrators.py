@@ -6,7 +6,7 @@ from stokescontour import evolution_graph
 from stokescontour.integrators import (
     BlowupError,
     StepFailureError,
-    advance,
+    _step_factor,
     dopri_step,
     integrate,
 )
@@ -44,19 +44,45 @@ def test_error_norm_semantics():
     assert err_big > 1.0
 
 
+def run(f, ip, sample_times, y0=np.ones(2), project=lambda y: y):
+    """integrate with the identity guard input and (t, y) samples."""
+    return integrate(f, 0.0, y0, ip, sample_times, project, np.abs,
+                     lambda t, y: ((t, y.copy()), t))
+
+
 def test_advance_grows_dt_on_trivial_field():
-    f = lambda t, y: np.zeros_like(y)
-    ip = make_integrator(t_end=10.0, dt_init=1e-3, dt_max=0.5)
-    t, y, dt_used, err, dt_next, _ = advance(f, 0.0, np.ones(4), ip.dt_init, ip)
-    assert err == 0.0
-    assert dt_next == pytest.approx(min(5 * dt_used, ip.dt_max))
+    # on a zero field every error norm is 0, so dt grows by MAX_FACTOR = 5
+    # per step up to dt_max; the last stage of each step is at its end time
+    times = []
+
+    def f(t, y):
+        times.append(t)
+        return np.zeros_like(y)
+
+    ip = make_integrator(t_end=1.0, dt_init=1e-3, dt_max=0.5)
+    traj = run(f, ip, [0.0, 1.0])
+    assert not traj.failed and traj.records == [0.0, 1.0]
+    ends = np.array([0.0] + times[6::6])  # times[0] is the first stage f(0, y0)
+    assert len(times) == 1 + 6 * (len(ends) - 1)
+    dts = np.diff(ends)
+    assert dts[:4] == pytest.approx([1e-3, 5e-3, 2.5e-2, 0.125], rel=1e-12)
+    assert dts[4] == 0.5  # clamped at dt_max
+    assert ends[-1] == pytest.approx(1.0)  # the last step is capped at the sample
 
 
 def test_advance_respects_cap():
-    f = lambda t, y: -y
+    # a step longer than the gap to the next sample lands exactly on it
+    times = []
+
+    def f(t, y):
+        times.append(t)
+        return -y
+
     ip = make_integrator(t_end=1.0, dt_init=0.01, dt_max=0.5)
-    t, *_ = advance(f, 0.0, np.ones(2), 0.01, ip, dt_cap=0.003)
-    assert t == pytest.approx(0.003)
+    traj = run(f, ip, [0.0, 0.003, 1.0])
+    assert not traj.failed
+    assert times[6] == 0.003  # the first step ends at the sample, not at dt_init
+    assert traj.records == [0.0, 0.003, 1.0]
 
 
 def test_step_failure_at_dt_min():
@@ -64,23 +90,138 @@ def test_step_failure_at_dt_min():
     ip = sc.IntegratorParams(
         t_end=1.0, rel_tol=1e-10, abs_tol=1e-12, dt_init=0.5, dt_min=0.5, dt_max=0.5
     )
-    with pytest.raises(StepFailureError):
-        advance(f, 0.0, np.ones(3), 0.5, ip)
+    traj = run(f, ip, [0.0, 1.0], y0=np.ones(3))
+    assert traj.failed and traj.failure_time == 0.0
+    assert "step size underflow" in traj.failure_message
+    assert traj.records == [0.0]  # the run ended at the first step
 
 
 def test_recoverable_blowup_is_rejected_not_fatal():
     calls = {"n": 0}
+    times = []
 
     def f(t, y):
         calls["n"] += 1
+        times.append(t)
         if t > 0.0 and calls["n"] < 12:
             raise BlowupError(0, t)  # any stage away from the current state explodes
         return -y
 
     ip = make_integrator(t_end=1.0, dt_init=0.2, dt_max=0.2)
-    t, y, dt_used, *_ = advance(f, 0.0, np.ones(1), 0.2, ip)
-    assert t == pytest.approx(dt_used)
-    assert dt_used < 0.2  # had to shrink past the failing trials
+    traj = run(f, ip, [0.0, 1.0], y0=np.ones(1))
+    assert not traj.failed and traj.records == [0.0, 1.0]
+    # calls 2-11 are the first stages of ten blown-up trials, each an
+    # infinite error norm that shrinks dt by MIN_FACTOR = 0.2; the eleventh
+    # trial is accepted and its last stage (call 17) is at its end time
+    assert times[1:11] == pytest.approx([0.2 * 0.2**i / 5 for i in range(10)], rel=1e-12)
+    assert times[16] == pytest.approx(0.2 * 0.2**10, rel=1e-12)
+
+
+def test_blowup_at_the_current_state_ends_the_run():
+    def f(t, y):
+        raise BlowupError(1, t)
+
+    traj = run(f, make_integrator(t_end=1.0), [0.0, 1.0])
+    assert traj.failed and traj.failure_time == 0.0
+    assert traj.failure_message == "non-finite right-hand side at node 1, t=0.0"
+    assert traj.records == [0.0]
+
+
+def test_blowup_persisting_at_dt_min_ends_the_run():
+    def f(t, y):
+        if t > 0.0:
+            raise BlowupError(0, t)
+        return -y
+
+    traj = run(f, make_integrator(t_end=1.0), [0.0, 1.0])
+    assert traj.failed and traj.failure_time == 0.0
+    assert traj.failure_message.startswith("non-finite right-hand side at node 0")
+
+
+def reference_integrate(f, y0, ip, sample_times, project):
+    """The stepping loop with accept/reject in a separate retry function.
+
+    A second, independent statement of the step control on top of
+    ``dopri_step``: each accepted step retries from the same state with dt
+    shrunk after a rejection (error norm > 1 or a BlowupError on a trial
+    stage), raises StepFailureError at dt_min and proposes the next dt
+    clamped to [dt_min, dt_max]. Returns the (t, y) samples, the failure
+    message (or None) and counts of the step events.
+    """
+    events = {"accepted": 0, "rejected": 0, "blown_up": 0, "capped": 0}
+
+    def accepted_step(t, y, dt, k1, dt_cap):
+        dt = min(max(dt, ip.dt_min), ip.dt_max)
+        while True:
+            dt_try = min(dt, dt_cap)
+            try:
+                y_new, err, k_last = dopri_step(f, t, y, dt_try, ip.rel_tol,
+                                                ip.abs_tol, k1=k1)
+            except BlowupError:
+                if dt_try <= ip.dt_min:
+                    raise
+                events["blown_up"] += 1
+                err = np.inf
+            if err <= 1.0:
+                events["accepted"] += 1
+                events["capped"] += dt_try < dt
+                dt_next = min(max(dt_try * _step_factor(err), ip.dt_min), ip.dt_max)
+                return t + dt_try, y_new, dt_next, k_last
+            if dt_try <= ip.dt_min:
+                raise StepFailureError(t)
+            events["rejected"] += 1
+            dt = max(dt_try * _step_factor(err), ip.dt_min)
+
+    t, y, dt = 0.0, project(y0), ip.dt_init
+    samples = [(t, y.copy())]
+    try:
+        k1 = f(t, y)
+        for target in sample_times[1:]:
+            while abs(t - target) > 1e-12:
+                t, y, dt, k1 = accepted_step(t, y, dt, k1, target - t)
+                y = project(y)
+            t = target
+            samples.append((t, y.copy()))
+    except (BlowupError, StepFailureError) as exc:
+        return samples, str(exc), events
+    return samples, None, events
+
+
+@pytest.mark.parametrize("rel_tol, dt_min", [(1e-8, 1e-12), (1e-12, 1e-3)],
+                         ids=["completes", "step_failure"])
+def test_integrate_matches_a_reference_retry_loop_bitwise(rel_tol, dt_min):
+    # rejections, capped landings and blown-up trial stages, all on one run
+    def f(t, y):
+        calls.append((t, y.copy()))
+        if np.max(np.abs(y)) > 2.0:
+            raise BlowupError(int(np.argmax(np.abs(y))), t)
+        return -12.0 * (1.0 + np.cos(3.0 * t)) * y
+
+    def project(y):
+        return 0.5 * (y - y[::-1])
+
+    y0 = np.array([1.0, -0.3, 0.2, -1.1])
+    ip = sc.IntegratorParams(t_end=1.0, rel_tol=rel_tol, abs_tol=1e-10,
+                             dt_init=0.5, dt_min=dt_min, dt_max=0.5)
+    sample_times = [0.0, 0.37, 1.0]
+    calls = []
+    samples, failure, events = reference_integrate(f, y0, ip, sample_times, project)
+    reference_calls, calls = calls, []
+    traj = run(f, ip, sample_times, y0=y0, project=project)
+
+    assert traj.failed == (failure is not None)
+    assert traj.failure_message == failure
+    assert len(traj.states) == len(samples)
+    for (t, y), (t_ref, y_ref) in zip(traj.states, samples):
+        assert t == t_ref and np.array_equal(y, y_ref)
+    assert len(calls) == len(reference_calls)
+    assert all(t == t_ref and np.array_equal(y, y_ref)
+               for (t, y), (t_ref, y_ref) in zip(calls, reference_calls))
+    assert events["rejected"] > 0 and events["blown_up"] > 0
+    if failure is None:
+        assert events["capped"] > 0
+    else:
+        assert "step size underflow" in failure
 
 
 def test_first_sample_just_before_t0_is_the_initial_state():

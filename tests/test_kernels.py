@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -165,6 +166,20 @@ def test_dk1_series_auto_truncation_tail():
     assert abs(val_auto - val_big) <= 1e-12
 
 
+def test_dk1_series_memory_is_independent_of_n_max(rng):
+    # peak traced allocation of 20,000 points at the automatic truncation,
+    # here n_max = 800: a (points, n_max) array of terms would be 128 MB
+    x1, x2 = random_points(rng, 20_000)
+    x2[0] = 0.01  # |x2| floored at 0.05 sets n_max = 800
+    tracemalloc.start()
+    try:
+        sc.dK1_series(x1, x2, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
 # --- bilaplacian pair kernel -----------------------------------------------------
 
 
@@ -226,7 +241,7 @@ def complex_pair_kernel(x1, x2):
     li2 = np.empty_like(mu)
     li3 = np.empty_like(mu)
     far = np.broadcast_to(a >= np.log(2.0), mu.shape)
-    li2[far], li3[far] = kernels._polylog23_series(np.exp(mu[far]), 48)
+    li2[far], li3[far] = kernels._polylog_series(np.exp(mu[far]), 48, (2, 3))
     li2[~far], li3[~far] = kernels._polylog23_near_one(mu[~far])
     return (li3.real + a * li2.real) / (4 * np.pi)
 
