@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, load_config
+from .config import F1_READINGS, ConfigError, RunConfig, load_config
 from .diagnostics import (
     DiagnosticsWriter,
     dEdt_series,
@@ -60,8 +60,11 @@ def preset_f1(m: int, reading: str = "corrected") -> np.ndarray:
 
     The printed third branch -x - pi jumps away from the plateau value; the
     corrected reading -(x - pi) restores continuity at both junctions and is
-    the default. Both are sampled on x = alpha mod 2pi.
+    the default. Both are sampled on x = alpha mod 2pi. Any other ``reading``
+    raises ValueError.
     """
+    if reading not in F1_READINGS:
+        raise ValueError(f"f1 reading must be one of {F1_READINGS}, got {reading!r}")
     x = np.mod(uniform_grid(m), 2.0 * np.pi)
 
     def positive_part(xx):

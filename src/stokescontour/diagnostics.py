@@ -329,20 +329,22 @@ def record_for_graph(
 # diagnostics CSV: fixed column order, full precision, one flushed row per
 # sample so a crashed run still leaves a valid file.
 
-DIAG_COLUMNS = [
-    "t",
-    "E",
-    "dEdt",
-    "delta",
-    "L",
-    "Kmax",
-    "Mheight",
-    "mheight",
-    "csym",
-    "esym",
-    "fingers",
-    "wiener",
-]
+# (column, DiagnosticsRecord field); dEdt is the writer's own difference
+_DIAG_FIELDS = (
+    ("t", "t"),
+    ("E", "energy"),
+    ("dEdt", None),
+    ("delta", "delta"),
+    ("L", "perimeter"),
+    ("Kmax", "max_curvature"),
+    ("Mheight", "max_height"),
+    ("mheight", "min_height"),
+    ("csym", "central_sym_err"),
+    ("esym", "even_sym_err"),
+    ("fingers", "finger_count"),
+    ("wiener", "wiener_norm"),
+)
+DIAG_COLUMNS = [column for column, _ in _DIAG_FIELDS]
 
 
 def _fmt(x) -> str:
@@ -371,21 +373,7 @@ class DiagnosticsWriter:
         if self._prev is not None and rec.t > self._prev[0]:
             dEdt = (rec.energy - self._prev[1]) / (rec.t - self._prev[0])
         self._writer.writerow(
-            [
-                _fmt(rec.t),
-                _fmt(rec.energy),
-                _fmt(dEdt),
-                _fmt(rec.delta),
-                _fmt(rec.perimeter),
-                _fmt(rec.max_curvature),
-                _fmt(rec.max_height),
-                _fmt(rec.min_height),
-                _fmt(rec.central_sym_err),
-                _fmt(rec.even_sym_err),
-                _fmt(rec.finger_count),
-                _fmt(rec.wiener_norm),
-            ]
-        )
+            [_fmt(dEdt if name is None else getattr(rec, name)) for _, name in _DIAG_FIELDS])
         self._fh.flush()
         self._prev = (rec.t, rec.energy)
 

@@ -20,7 +20,7 @@ The tangential component of the velocity is kept exactly as the
 integral produces it; node clustering is only monitored.
 
 On a curve with z(-alpha) = -z(alpha) exactly on the grid
-(``kernels.centrally_symmetric``) the velocity is odd, and the pair of
+(``geometry.centrally_symmetric``) the velocity is odd, and the pair of
 nodes (-i, -j) carries the negated terms of (i, j). The sum then evaluates
 one pair of each such mirror orbit, (m/2) * (m/2 + 1) pairs instead of
 (m/2) * m, totals the nodes alpha in [-pi, 0] and gives the others the
@@ -49,6 +49,7 @@ from .geometry import (
     TWO_PI,
     ParamCurve,
     central_diff,
+    centrally_symmetric,
     curve_derivatives,
     symmetry_projection,
 )
@@ -58,7 +59,6 @@ from .kernels import (
     block_folder,
     central_folder,
     central_pair_rows,
-    centrally_symmetric,
     clausen2,
     offset_blocks,
     partner_rows,

@@ -22,13 +22,16 @@ functional is
 
     Kpair(x) = (1/4pi) sum_{n>=1} (1 + n|x2|)/n^3 * exp(-n|x2|) cos(n x1),
 
-smooth everywhere (including the origin). Besides the truncated sums, an
-exact evaluation through the polylogarithms Li2/Li3 of w = exp(-|x2| + i x1)
-is provided; it agrees with the series to machine precision. It runs in real
-arithmetic from per-x coefficient tables, built once per m for the offset
-rows of the grid, so a point costs a log1p and a short real Horner loop, plus
-an exp and a second loop where |x2| >= 2. The complex expansion behind those
-tables also gives ``clausen2``.
+smooth everywhere (including the origin). Each series is summed one way.
+The defining series of the polylogarithms Li2/Li3 of w = exp(-|x2| + i x1),
+by Horner in w, gives the truncated sums and the exact kernel (the
+n_max -> inf limit) where |x2| >= 2. Below that the exact kernel runs in
+real arithmetic from per-x coefficient tables of the expansion of Li2/Li3
+around w = 1, built once per m for the offset rows of the grid, so a point
+costs a log1p and a short real Horner loop; it agrees with the series to
+machine precision. The coefficients of that expansion are rounded from one
+table of exact zeta values, which also gives the real series of
+``clausen2``.
 
 All three pair sums of the package (both right-hand sides and
 ``diagnostics.delta_spectral``) use that their kernels are even: they run
@@ -40,8 +43,8 @@ once per sum, not per block. On graph heights with h(alpha + pi) =
 the terms of column i + m/2 of a row are those of column i up to sign, so
 the graph right-hand side and ``delta`` read only the first m/2 columns
 (``pair_sum_width``). On a curve with z(-alpha) = -z(alpha) exactly
-(``centrally_symmetric``), the mirror (-i, r - i) of the pair (i, i - r)
-lies in the same offset row with its terms negated, so the curve
+(``geometry.centrally_symmetric``), the mirror (-i, r - i) of the pair
+(i, i - r) lies in the same offset row with its terms negated, so the curve
 right-hand side reads one pair of each mirror orbit, indexed by the pair
 centre (``central_pair_rows``), and folds the terms onto the nodes
 alpha in [-pi, 0] (``central_folder``): about half the pairs, still in
@@ -124,19 +127,6 @@ def pair_sum_width(h) -> int:
     """
     half = h.size // 2
     return half if np.array_equal(h[half:], -h[:half]) else h.size
-
-
-def centrally_symmetric(z1, z2) -> bool:
-    """Whether the curve (z1, z2) has z(-alpha) = -z(alpha) exactly on the grid.
-
-    Node j pairs with node m - j, and the seam node 0 (alpha = -pi) with
-    itself across one period: z1[0] = -pi, z2[0] = 0. A pair sum over such a
-    curve reads one pair of each mirror orbit (``central_pair_rows``,
-    ``central_folder``).
-    """
-    return bool(z1[0] == -np.pi and z2[0] == 0.0
-                and np.array_equal(z1[1:], -z1[:0:-1])
-                and np.array_equal(z2[1:], -z2[:0:-1]))
 
 
 def partner_rows(*xs, width=None):
@@ -351,16 +341,17 @@ def biharm_pair_kernel(x1, x2, n_max: int):
 # polylogarithms
 #
 # Kpair = (1/4pi) (Re Li3(w) + |x2| Re Li2(w)),  w = exp(-|x2| + i x1).
-# The defining series, summed by Horner in w, is the truncated kernel of
-# ``biharm_pair_kernel``. Around mu = 0 (|mu| < 2pi) the expansion
+# The defining series, summed by Horner in w (``_polylog_series``), is the
+# truncated kernel of ``biharm_pair_kernel``, gives ``dK1_series`` and the
+# exact kernel at |x2| >= 2. Around mu = 0 (|mu| < 2pi) the expansion
 #
 #   Li2(e^mu) = mu (1 - log(-mu))      + sum_{k != 1} zeta(2-k) mu^k / k!
 #   Li3(e^mu) = mu^2/2 (3/2 - log(-mu)) + sum_{k != 2} zeta(3-k) mu^k / k!
 #
-# applies; ``clausen2`` sums it by Horner at mu = i w, and the exact pair
-# kernel re-expands its two sums into real per-row tables (below). zeta at
-# non-positive integers comes from exact Bernoulli numbers, so both
-# coefficient tables are correctly rounded.
+# applies. The exact pair kernel re-expands its two sums into real per-row
+# tables (below); at mu = i w the imaginary part of the first is the real
+# series of ``clausen2``. zeta at non-positive integers comes from exact
+# Bernoulli numbers, and every coefficient is rounded once from it.
 
 _EXP_TERMS = 60
 
@@ -378,8 +369,9 @@ _BERNOULLI = _bernoulli(_EXP_TERMS)
 # of the log term, and zeta(-j) = (-1)^j B_{j+1}/(j+1) exactly
 _ZETA = {3: 1.2020569031595942, 2: math.pi**2 / 6, 1: 0.0}
 _ZETA.update({-j: (-1) ** j * _BERNOULLI[j + 1] / (j + 1) for j in range(_EXP_TERMS)})
-_C2 = np.array([float(_ZETA[2 - k] / math.factorial(k)) for k in range(_EXP_TERMS)])
-_C3 = np.array([float(_ZETA[3 - k] / math.factorial(k)) for k in range(_EXP_TERMS)])
+# (-1)^j zeta(1 - 2j)/(2j + 1)!, the w^(2j + 1) coefficients of Cl2 (0 at j = 0)
+_CL2 = np.array([float((-1) ** j * _ZETA[1 - 2 * j] / math.factorial(2 * j + 1))
+                 for j in range(_EXP_TERMS // 2)])
 
 
 def _polylog_series(w, n_terms: int, orders):
@@ -392,32 +384,21 @@ def _polylog_series(w, n_terms: int, orders):
     return [w * s for s in sums]
 
 
-def _polylog23_near_one(mu: np.ndarray):
-    """Li2(e^mu) and Li3(e^mu) by the expansion around mu = 0 (|mu| < 2pi), Horner."""
-    # mu = 0 occurs only at w = 1; the log factor is multiplied by mu/mu^2
-    safe = np.where(mu == 0, 1.0, mu)
-    lg = np.log(-safe)
-    s2 = np.full_like(mu, _C2[-1])
-    s3 = np.full_like(mu, _C3[-1])
-    for k in range(_EXP_TERMS - 2, -1, -1):
-        s2 *= mu
-        s2 += _C2[k]
-        s3 *= mu
-        s3 += _C3[k]
-    return mu * (1.0 - lg) + s2, 0.5 * mu**2 * (1.5 - lg) + s3
-
-
 @lru_cache(maxsize=32)
 def clausen2(w: float) -> float:
-    """Clausen function Cl2(w) = Im Li2(e^{iw}) for |w| < 2pi.
+    """Clausen function Cl2(w) = Im Li2(e^{iw}) for 0 < w < 2pi.
 
     It closes the log-singular panel integral of both evolution schemes,
-    int_0^w log(4 sin^2(b/2)) db = -2 Cl2(w). The expansion is fed
-    mu = i w directly; going through log(exp(i w)) would cost about a digit
-    at small w.
+    int_0^w log(4 sin^2(b/2)) db = -2 Cl2(w). The real series
+    Cl2(w) = w (1 - log w) + sum_{j>=1} (-1)^j zeta(1 - 2j) w^(2j+1)/(2j+1)!
+    is summed by Horner in w^2 over j < 30: double precision up to w = pi
+    (the cells use w <= pi/2), fewer digits towards 2pi.
     """
-    li2, _ = _polylog23_near_one(np.array([1j * w]))
-    return float(li2[0].imag)
+    w2 = w * w
+    s = _CL2[-1]
+    for c in _CL2[-2::-1]:
+        s = s * w2 + c
+    return float(w * (1.0 - math.log(w)) + w * s)
 
 
 # ---------------------------------------------------------------------------
@@ -432,13 +413,12 @@ def clausen2(w: float) -> float:
 #
 # and the real part of the two regular sums, Taylor re-expanded around
 # mu_c = -1 + i x, is a real polynomial in t = a - 1 whose coefficients depend
-# on x alone. It serves a < 2 (|t| <= 1; |mu_c| + 1 < 2pi). For a >= 2 the
-# defining series is real in q = e^{-a} <= e^{-2}, with coefficients
-# cos(n x)/n^3 and cos(n x)/n^2. So both branches are Horner loops over
-# per-x tables, built once per set of x values: once per m on the grid. An
+# on x alone. It serves a < 2 (|t| <= 1; |mu_c| + 1 < 2pi): a Horner loop over
+# per-x tables, built once per set of x values, once per m on the grid. An
 # error in a table is shared by every point of its row, so the tables are
 # summed in extended precision and the log term is split to keep the
-# polynomial small (``_row_tables``).
+# polynomial small (``_row_tables``). For a >= 2 the defining series
+# converges fast (|w| <= e^{-2}) and is summed as is.
 
 _NEAR_DEGREE = 31  # coefficient tail below 5e-19 on every row
 _FAR_FROM = 2.0
@@ -457,7 +437,7 @@ def _taylor_shifts():
     """S2, S3: Re(mu_c^n)_n @ S is Re of the t^j coefficients of sum_k c[k] (mu_c - t)^k.
 
     Each term c[k] mu^k holds c[k] binom(k, j) mu_c^(k - j) (-t)^j; c[k] is
-    zeta(s - k)/k! of Li2 or Li3 (the _C2, _C3 values before rounding), and
+    zeta(s - k)/k! of Li2 (s = 2) or Li3 (s = 3), from the exact _ZETA, and
     j runs up to _NEAR_DEGREE. Extended precision throughout.
     """
     n, j = np.ogrid[:_EXP_TERMS, : _NEAR_DEGREE + 1]
@@ -473,14 +453,14 @@ def _taylor_shifts():
 
 
 def _row_tables(x: np.ndarray):
-    """Per-x tables (x^2, scale, shift, near, far3, far2) of Kpair, x in [0, pi].
+    """Per-x tables (x, x^2, scale, shift, near) of Kpair, x in [0, pi].
 
     The log term rho^2/4 log(rho^2) is rho^2/4 (log1p(a^2 scale + shift) + L):
     for x >= 1, scale = 1/x^2, shift = 0 and L = log(x^2), so the log1p
     argument stays below 4/x^2; below x = 1, scale = 1, shift = x^2 - 1 and
     L = 0. near[j] multiplies t^j in the a < 2 polynomial, which includes
-    -(a^2 + 3x^2)/4 + rho^2 L/4; far3[n - 1] = cos(n x)/n^3 and
-    far2[n - 1] = cos(n x)/n^2. Each table has one column per x.
+    -(a^2 + 3x^2)/4 + rho^2 L/4; it has one column per x. The a >= 2 branch
+    reads x alone.
 
     A rounding error in near is the same at every point of its row, so it
     does not average out of a pair sum: near is summed in extended precision
@@ -497,11 +477,8 @@ def _row_tables(x: np.ndarray):
     near[0] += (lg - 1) / 4 + xsq * (lg - 3) / 4
     near[1] += (lg - 1) / 2
     near[2] += (lg - 1) / 4
-    n = np.arange(1, _FAR_TERMS + 1, dtype=float)[:, None]
-    cos = np.cos(n * x)
-    return (x * x, np.where(wide, 1 / np.where(wide, xsq, 1), 1).astype(float),
-            np.where(wide, 0, xsq - 1).astype(float), near.astype(float),
-            cos / n**3, cos / n**2)
+    return (x, x * x, np.where(wide, 1 / np.where(wide, xsq, 1), 1).astype(float),
+            np.where(wide, 0, xsq - 1).astype(float), near.astype(float))
 
 
 @lru_cache(maxsize=8)
@@ -512,7 +489,7 @@ def _grid_row_tables(m: int):
 
 def _pair_kernel(tables, rows, a):
     """Kpair at heights a = |x2| on the table columns ``rows`` (broadcast to a)."""
-    xsq, scale, shift, near, far3, far2 = tables
+    x, xsq, scale, shift, near = tables
     # the a < 2 branch runs on every point, a clipped to 2; points at a >= 2
     # are overwritten below
     clipped = np.minimum(a, _FAR_FROM)
@@ -529,16 +506,9 @@ def _pair_kernel(tables, rows, a):
     far = a >= _FAR_FROM
     if far.any():
         af = a[far]
-        cols = np.broadcast_to(rows, a.shape)[far]
-        q = np.exp(-af)
-        s3 = far3[-1][cols]
-        s2 = far2[-1][cols]
-        for n in range(_FAR_TERMS - 2, -1, -1):
-            s3 *= q
-            s3 += far3[n][cols]
-            s2 *= q
-            s2 += far2[n][cols]
-        s[far] = q * (s3 + af * s2)
+        xf = x[np.broadcast_to(rows, a.shape)[far]]
+        li2, li3 = _polylog_series(np.exp(-af + 1j * xf), _FAR_TERMS, (2, 3))
+        s[far] = li3.real + af * li2.real
     return ONE_OVER_4PI * s
 
 

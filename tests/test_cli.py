@@ -60,6 +60,12 @@ def test_preset_f1_values_and_readings():
     assert not np.allclose(h, hp)
 
 
+@pytest.mark.parametrize("reading", ["Corrected", "print", None])
+def test_preset_f1_rejects_unknown_reading(reading):
+    with pytest.raises(ValueError, match="corrected.*printed"):
+        sc.preset_f1(64, reading)
+
+
 def test_preset_f2_values():
     m = 2048
     h = sc.preset_f2(m)

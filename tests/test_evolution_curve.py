@@ -12,10 +12,11 @@ from stokescontour.evolution_curve import _rhs_curve_arrays
 from stokescontour.geometry import (
     carried_symmetries,
     central_diff,
+    centrally_symmetric,
     curve_derivatives,
     symmetry_projection,
 )
-from stokescontour.kernels import ONE_OVER_8PI, centrally_symmetric, clausen2, stokeslet_terms
+from stokescontour.kernels import ONE_OVER_8PI, clausen2, stokeslet_terms
 
 from conftest import band_limited, grids, make_integrator, modes, sine_interface
 

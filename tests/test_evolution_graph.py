@@ -14,9 +14,15 @@ from stokescontour.evolution_graph import (
     _taylor_cell_weights,
 )
 from stokescontour.evolution_curve import _rhs_curve_arrays
-from stokescontour.geometry import central_diff, graph_to_curve, second_diff, symmetry_projection
+from stokescontour.geometry import (
+    central_diff,
+    centrally_symmetric,
+    graph_to_curve,
+    second_diff,
+    symmetry_projection,
+)
 from stokescontour.integrators import BlowupError, dopri_step
-from stokescontour.kernels import centrally_symmetric, stokeslet_terms
+from stokescontour.kernels import stokeslet_terms
 
 from conftest import antiperiodic, band_limited, grids, make_integrator, modes, sine_interface
 

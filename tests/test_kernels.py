@@ -232,6 +232,34 @@ def test_biharm_exact_matches_series_and_mpmath(rng):
         assert abs(exact[i] - ref) <= 1e-13
 
 
+def expansion_table(s):
+    """zeta(s - k)/k!, k < 60: the mu^k coefficients of Li_s(e^mu) around mu = 0.
+
+    The log term takes the slot k = s - 1, which holds 0.
+    """
+    with mp.workdps(50):
+        return np.array([0.0 if s - k == 1 else float(mp.zeta(s - k) / mp.factorial(k))
+                         for k in range(60)])
+
+
+C2, C3 = expansion_table(2), expansion_table(3)
+
+
+def polylog23_near_one(mu):
+    """Li2(e^mu) and Li3(e^mu) by the expansion around mu = 0 (|mu| < 2pi), Horner."""
+    # mu = 0 occurs only at w = 1; the log factor is multiplied by mu/mu^2
+    safe = np.where(mu == 0, 1.0, mu)
+    lg = np.log(-safe)
+    s2 = np.full_like(mu, C2[-1])
+    s3 = np.full_like(mu, C3[-1])
+    for k in range(C2.size - 2, -1, -1):
+        s2 *= mu
+        s2 += C2[k]
+        s3 *= mu
+        s3 += C3[k]
+    return mu * (1.0 - lg) + s2, 0.5 * mu**2 * (1.5 - lg) + s3
+
+
 def complex_pair_kernel(x1, x2):
     """Kpair by complex Horner sums: the defining series in w = e^mu for
     |x2| >= log 2, else the expansion of Li2/Li3 around mu = 0."""
@@ -242,7 +270,7 @@ def complex_pair_kernel(x1, x2):
     li3 = np.empty_like(mu)
     far = np.broadcast_to(a >= np.log(2.0), mu.shape)
     li2[far], li3[far] = kernels._polylog_series(np.exp(mu[far]), 48, (2, 3))
-    li2[~far], li3[~far] = kernels._polylog23_near_one(mu[~far])
+    li2[~far], li3[~far] = polylog23_near_one(mu[~far])
     return (li3.real + a * li2.real) / (4 * np.pi)
 
 
@@ -293,6 +321,23 @@ def test_offset_rows_match_mpmath(m):
     assert np.all(np.isfinite(far))
 
 
+@pytest.mark.parametrize("m", [64, 1024])
+def test_far_rows_match_mpmath(rng, m):
+    # the |x2| >= 2 branch sums the defining series by the same Horner loop
+    # as complex_pair_kernel, so it is checked against mpmath here
+    rows = rng.integers(0, m // 2 + 1, 40)
+    x2 = rng.uniform(2.0, 14.0, 40) * rng.choice([-1.0, 1.0], 40)
+    got = bilaplacian_pair_kernel_offset_rows(m, rows, x2[:, None])[:, 0]
+    exact = bilaplacian_pair_kernel_exact(rows * (2 * np.pi / m), x2)
+    with mp.workdps(30):
+        for k, r in enumerate(rows):
+            a = abs(mp.mpf(x2[k]))
+            w = mp.exp(-a + 1j * mp.mpf(r * (2 * np.pi / m)))
+            ref = float((mp.polylog(3, w).real + a * mp.polylog(2, w).real) / (4 * mp.pi))
+            assert abs(got[k] - ref) <= 1e-15
+            assert abs(exact[k] - ref) <= 1e-15
+
+
 def test_biharm_pair_kernel_rejects_n_max_below_one():
     # the exact kernel has its own entry point, bilaplacian_pair_kernel_exact
     for n_max in (0, -1):
@@ -300,7 +345,7 @@ def test_biharm_pair_kernel_rejects_n_max_below_one():
             sc.biharm_pair_kernel(0.7, 0.3, n_max)
 
 
-@pytest.mark.parametrize("m", [2**k for k in range(3, 15)])
+@pytest.mark.parametrize("m", [2**k for k in range(3, 15)] + [12, 200, 204])
 def test_clausen2_matches_mpmath_on_cell_widths(m):
     # the half panel, panel and printed-cell widths of an m-node grid
     with mp.workdps(30):
@@ -310,10 +355,17 @@ def test_clausen2_matches_mpmath_on_cell_widths(m):
 
 
 def test_expansion_tables_are_correctly_rounded():
-    # zeta(s - k)/k! of the Li2/Li3 expansions, bit for bit
+    # (-1)^j zeta(1 - 2j)/(2j + 1)! of the Cl2 series, bit for bit
     with mp.workdps(50):
-        for s, table in ((2, kernels._C2), (3, kernels._C3)):
-            ref = [0.0 if s - k == 1 else float(mp.zeta(s - k) / mp.factorial(k))
+        ref = [0.0] + [float((-1) ** j * mp.zeta(1 - 2 * j) / mp.factorial(2 * j + 1))
+                       for j in range(1, kernels._CL2.size)]
+        assert np.array_equal(kernels._CL2, ref)
+        # the reference tables, with zeta(-j) = (-1)^j B_{j+1}/(j + 1)
+        def zeta(n):
+            return mp.zeta(n) if n > 1 else (-1) ** -n * mp.bernoulli(1 - n) / (1 - n)
+
+        for s, table in ((2, C2), (3, C3)):
+            ref = [0.0 if s - k == 1 else float(zeta(s - k) / mp.factorial(k))
                    for k in range(table.size)]
             assert np.array_equal(table, ref)
 
