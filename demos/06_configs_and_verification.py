@@ -19,7 +19,8 @@ import tempfile
 import stokescontour as sc
 from stokescontour.config import InitialSpec, OutputSpec, RunConfig, dump_config, load_config
 
-workdir = pathlib.Path(tempfile.mkdtemp(prefix="stokescontour_demo_"))
+tmpdir = tempfile.TemporaryDirectory(prefix="stokescontour_demo_")
+workdir = pathlib.Path(tmpdir.name)
 config = RunConfig(
     initial=InitialSpec(kind="preset_f2"),
     formulation="graph",
@@ -55,3 +56,5 @@ print(f"\nverification exit code: {exit_code}")
 for name, entry in report.items():
     detail = {k: v for k, v in entry.items() if k != "pass"}
     print(f"  [{'PASS' if entry['pass'] else 'FAIL'}] {name}: {json.dumps(detail)}")
+
+tmpdir.cleanup()

@@ -57,12 +57,13 @@ from .integrators import BlowupError, IntegratorParams, Trajectory, integrate
 from .kernels import (
     ONE_OVER_8PI,
     block_folder,
+    block_workspace,
     central_folder,
     central_pair_rows,
     clausen2,
     offset_blocks,
     partner_rows,
-    stokeslet_terms_from_sines,
+    stokeslet_terms_into,
 )
 
 SPEED_RATIO_WARN = 20.0
@@ -117,15 +118,29 @@ def _rhs_curve_arrays(z1: np.ndarray, z2: np.ndarray, alpha: np.ndarray, delta_r
         rows, fold = (lambda r: (xs, partners(r))), block_folder(m)
     acc1 = np.zeros(m // 2 + 1 if central else m)
     acc2 = np.zeros(acc1.size)
+    # the block terms are computed in place in one workspace for all blocks
+    work = block_workspace(6, acc1.size, central)
     for r in offset_blocks(m, 1):
         (z2a, v1a, v2a, sa, ca), (z2b, v1b, v2b, sb, cb) = rows(r)
-        sn2 = sa * cb - ca * sb
-        sn = 2.0 * sn2 * (ca * cb + sa * sb)
-        lg, a_ss, a_sn = stokeslet_terms_from_sines(sn2, sn, z2a - z2b)
-        s11 = lg + a_ss
-        s22 = lg - a_ss
-        acc1 += fold(s11 * v1b - a_sn * v2b, s11 * v1a - a_sn * v2a, r)
-        acc2 += fold(s22 * v2b - a_sn * v1b, s22 * v2a - a_sn * v1a, r)
+        sn2, sn, x2, lg, a_ss, a_sn = work[:, : len(z2b)]
+        # lg holds intermediates until the Stokeslet terms are written
+        np.multiply(sa, cb, out=sn2)
+        sn2 -= np.multiply(ca, sb, out=lg)
+        np.multiply(ca, cb, out=sn)
+        sn += np.multiply(sa, sb, out=lg)
+        np.multiply(np.multiply(sn2, 2.0, out=lg), sn, out=sn)
+        stokeslet_terms_into(sn2, sn, np.subtract(z2a, z2b, out=x2), lg, a_ss, a_sn)
+        s11 = np.add(lg, a_ss, out=sn2)
+        s22 = np.subtract(lg, a_ss, out=sn)
+        # the terms of each component for the near and the far node,
+        # s v_b - a_sn w_b and s v_a - a_sn w_a
+        for acc, s, va, vb, wa, wb in ((acc1, s11, v1a, v1b, v2a, v2b),
+                                       (acc2, s22, v2a, v2b, v1a, v1b)):
+            near = np.multiply(s, vb, out=lg)
+            near -= np.multiply(a_sn, wb, out=a_ss)
+            far = np.multiply(s, va, out=a_ss)
+            far -= np.multiply(a_sn, wa, out=x2)
+            acc += fold(near, far, r)
     u1[: acc1.size] += d * acc1
     u2[: acc2.size] += d * acc2
 

@@ -72,11 +72,12 @@ from .geometry import (
 from .integrators import BlowupError, IntegratorParams, Trajectory, integrate
 from .kernels import (
     block_folder,
+    block_workspace,
     clausen2,
     offset_blocks,
     pair_sum_width,
     partner_rows,
-    stokeslet_terms,
+    stokeslet_terms_into,
 )
 
 QUADRATURES = ("spectral_log", "taylor_cell")
@@ -189,17 +190,29 @@ def _rhs_arrays(h: np.ndarray, params: SchemeParams) -> np.ndarray:
     # are even in the offset, so the offsets r and m - r share one evaluation
     partners = partner_rows(h, dh, width=width)
     fold = block_folder(m, antiperiodic)
+    # the block terms are computed in place in one workspace for all blocks
+    work = block_workspace(5, width)
     for r in offset_blocks(m, 1):
         x1 = r * d
+        sn2 = np.sin(0.5 * x1)
         hb, dhb = partners(r)
-        lg, a_ss, a_sn = stokeslet_terms(x1[:, None], hw - hb)
+        x2, lg, a_ss, a_sn, dd = work[:, : r.size]
+        stokeslet_terms_into(sn2[:, None], np.sin(x1)[:, None], np.subtract(hw, hb, out=x2),
+                             lg, a_ss, a_sn)
         if spectral:
             # keep the smooth remainder of the log only; the circulant weight
             # omega_r of its log(4 sin^2) factor joins it per offset row
-            lg += (omega[r] / d - np.log(4.0 * np.sin(0.5 * x1) ** 2))[:, None]
-        dd = dhw * dhb
-        pair = weights[r][:, None] * (lg * (1.0 + dd) + a_ss * (dd - 1.0) + a_sn * (dhw + dhb))
-        acc += fold(hb * pair, hw * pair, r)
+            lg += (omega[r] / d - np.log(4.0 * sn2**2))[:, None]
+        # pair = w_r (lg (1 + dd) + a_ss (dd - 1) + a_sn (h'_i + h'_j)), in place
+        np.multiply(dhw, dhb, out=dd)
+        a_ss *= np.subtract(dd, 1.0, out=x2)
+        dd += 1.0
+        lg *= dd
+        lg += a_ss
+        a_sn *= np.add(dhw, dhb, out=x2)
+        lg += a_sn
+        pair = np.multiply(lg, weights[r][:, None], out=lg)
+        acc += fold(np.multiply(hb, pair, out=x2), np.multiply(hw, pair, out=a_ss), r)
     if antiperiodic:
         acc = np.concatenate([acc, -acc])
 

@@ -7,10 +7,12 @@ The velocity kernel is the x1-periodic Stokeslet
                                                 [ sin x1, sinh x2]] ],
 
 which is smooth away from x = (0 mod 2pi, 0) where it has a log singularity.
-One body, ``stokeslet_terms_from_sines``, evaluates its terms from x2 and
-the sines sin(x1/2) and sin(x1); ``stokeslet_terms`` takes those sines of
-x1 for every caller but the curve right-hand side, which forms them on all
-its rows from per-node values. The mixed second derivative of the
+One body, ``stokeslet_terms_into``, evaluates its terms from x2 and the
+sines sin(x1/2) and sin(x1) into arrays the caller gives: both right-hand
+sides write into their block workspace, the curve one from sines it forms
+on all its rows from per-node values. ``stokeslet_terms`` (which takes x1)
+and ``stokeslet_terms_from_sines`` call it with new arrays, for the turning
+certificates, ``stokeslet`` and ``dK12``. The mixed second derivative of the
 bilaplacian Green function K (with Delta^2 K = delta on T x R) has the
 closed form
 
@@ -38,7 +40,11 @@ All three pair sums of the package (both right-hand sides and
 over half the grid offsets, r <= m/2, a fixed block of offset rows at a time
 (``offset_blocks``, ``partner_rows``, ``block_folder``), so their memory
 is O(block * m) rather than O(m^2). The partner and fold windows are built
-once per sum, not per block. On graph heights with h(alpha + pi) =
+once per sum, not per block. The right-hand sides compute the terms of a
+block in place in one workspace of (block x m) arrays (``block_workspace``),
+made once per call and reused by every block, and the folds overwrite the
+near and far terms they are given, so a block allocates no (block x m)
+array. On graph heights with h(alpha + pi) =
 -h(alpha) exactly, which the central and even symmetries together give,
 the terms of column i + m/2 of a row are those of column i up to sign, so
 the graph right-hand side and ``delta`` read only the first m/2 columns
@@ -67,7 +73,8 @@ ONE_OVER_8PI = 1.0 / (8.0 * np.pi)
 ONE_OVER_4PI = 1.0 / (4.0 * np.pi)
 
 # offset rows per block of the pair sums (both right-hand sides and delta):
-# their temporaries are (_BLOCK_ROWS x m), never m x m
+# their temporaries are (_BLOCK_ROWS x m), never m x m; each right-hand side
+# holds them in one workspace per sum, reused by every block
 _BLOCK_ROWS = 32
 
 
@@ -96,15 +103,35 @@ def stokeslet_terms(x1, x2):
 def stokeslet_terms_from_sines(sn2, sn, x2):
     """``stokeslet_terms`` given sn2 = sin(x1/2) and sn = sin(x1) instead of x1.
 
-    The curve right-hand side reads the sines of its pairs from per-node
-    sines and cosines of z1/2 by angle subtraction.
+    The terms are new arrays (scalars for scalar arguments).
     """
-    sh2 = np.sinh(0.5 * x2)
-    sh2sq = sh2 * sh2
-    den = 2.0 * (sh2sq + sn2 * sn2)
-    q = x2 / den
+    shape = np.broadcast_shapes(np.shape(sn2), np.shape(sn), np.shape(x2))
+    out = stokeslet_terms_into(sn2, sn, x2, *(np.empty(shape) for _ in range(3)))
+    return tuple(t[()] for t in out)
+
+
+def stokeslet_terms_into(sn2, sn, x2, lg, a_ss, a_sn):
+    """``stokeslet_terms_from_sines`` written into the given arrays lg, a_ss, a_sn.
+
+    The one body of the Stokeslet terms. The output arrays, of the broadcast
+    shape of the arguments, also hold its intermediates, so an evaluation
+    allocates nothing; the arguments are only read. Every term takes the
+    operations of the plain expression in their order (only the operands of
+    + and * swap), so the values do not depend on where they are written.
+    """
+    sh2 = np.sinh(np.multiply(x2, 0.5, out=a_ss), out=a_ss)
+    sh2sq = np.multiply(sh2, sh2, out=lg)
+    den = np.multiply(sn2, sn2, out=a_sn)
+    den += sh2sq
+    den *= 2.0
     # sinh x2 = 2 sinh(x2/2) cosh(x2/2), with the cosh from the sinh already at hand
-    return np.log(2.0 * den), q * (2.0 * sh2 * np.sqrt(1.0 + sh2sq)), q * sn
+    sh2 *= 2.0
+    sh2 *= np.sqrt(np.add(sh2sq, 1.0, out=lg), out=lg)
+    np.log(np.multiply(den, 2.0, out=lg), out=lg)
+    q = np.divide(x2, den, out=a_sn)
+    a_ss *= q
+    q *= sn
+    return lg, a_ss, a_sn
 
 
 def offset_blocks(m: int, first: int):
@@ -116,6 +143,18 @@ def offset_blocks(m: int, first: int):
     half = m // 2
     for r0 in range(first, half + 1, _BLOCK_ROWS):
         yield np.arange(r0, min(r0 + _BLOCK_ROWS, half + 1))
+
+
+def block_workspace(count: int, width: int, central: bool = False):
+    """``count`` arrays for the terms of one block of a pair sum, reused by every block.
+
+    Each holds _BLOCK_ROWS offset rows of ``width`` columns: shape
+    (_BLOCK_ROWS, width), or (_BLOCK_ROWS/2, 2, width) for the rows of
+    ``central_pair_rows`` (``central``). A shorter last block takes the
+    leading rows, ``work[:, :n]``, whose arrays are contiguous like new ones.
+    """
+    rows = (_BLOCK_ROWS // 2, 2) if central else (_BLOCK_ROWS,)
+    return np.empty((count, *rows, width))
 
 
 def pair_sum_width(h) -> int:

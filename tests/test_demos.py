@@ -16,3 +16,5 @@ def test_demo_runs(path, tmp_path):
     src = os.path.dirname(os.path.dirname(sc.__file__))
     env = dict(os.environ, PYTHONPATH=src, TMPDIR=str(tmp_path))
     subprocess.run([sys.executable, path], check=True, env=env, cwd=tmp_path)
+    # a demo removes the temporary directories it makes
+    assert not list(tmp_path.glob("stokescontour_demo_*"))

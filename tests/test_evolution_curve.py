@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import stokescontour as sc
-from stokescontour import evolution_curve
+from stokescontour import evolution_curve, kernels
 from stokescontour.evolution_curve import _rhs_curve_arrays
 from stokescontour.geometry import (
     carried_symmetries,
@@ -233,6 +233,90 @@ def test_turning_run_states_stay_centrally_symmetric(monkeypatch, variant, b):
         traj = sc.evolve_curve(sc.CurveState(0.0, curve, delta_rho=1.0), ip, [0.0, 0.003])
     assert not traj.failed
     assert len(symmetric) >= 1 + 3 * 6 and all(symmetric)
+
+
+def out_of_place_curve_rhs(z1, z2, alpha, delta_rho):
+    """The curve RHS with a fresh array for every term of every block.
+
+    The same operations in the same order as ``_rhs_curve_arrays``, which
+    computes the block terms in place in one workspace: the two agree bit
+    for bit, on the full and on the central half sum.
+    """
+    m = z1.size
+    d = 2 * np.pi / m
+    dz1 = 1.0 + central_diff(z1 - alpha, d)
+    dz2 = central_diff(z2, d)
+    speed2 = dz1 * dz1 + dz2 * dz2
+    v1 = -dz2 * z2
+    v2 = dz1 * z2
+    cell = -4.0 * clausen2(0.5 * d)
+    g0 = np.log(speed2)
+    a_ss0 = 2.0 * dz2 * dz2 / speed2
+    a_sn0 = 2.0 * dz2 * dz1 / speed2
+    u1 = d * (g0 * v1 + a_ss0 * v1 - a_sn0 * v2) + cell * v1
+    u2 = d * (g0 * v2 - a_sn0 * v1 - a_ss0 * v2) + cell * v2
+    xs = (z2, v1, v2, np.sin(0.5 * z1), np.cos(0.5 * z1))
+    central = centrally_symmetric(z1, z2)
+    if central:
+        rows, fold = kernels.central_pair_rows(*xs), kernels.central_folder(m)
+    else:
+        partners = kernels.partner_rows(*xs)
+        rows, fold = (lambda r: (xs, partners(r))), kernels.block_folder(m)
+    acc1 = np.zeros(m // 2 + 1 if central else m)
+    acc2 = np.zeros(acc1.size)
+    for r in kernels.offset_blocks(m, 1):
+        (z2a, v1a, v2a, sa, ca), (z2b, v1b, v2b, sb, cb) = rows(r)
+        sn2 = sa * cb - ca * sb
+        sn = 2.0 * sn2 * (ca * cb + sa * sb)
+        lg, a_ss, a_sn = kernels.stokeslet_terms_from_sines(sn2, sn, z2a - z2b)
+        s11 = lg + a_ss
+        s22 = lg - a_ss
+        acc1 += fold(s11 * v1b - a_sn * v2b, s11 * v1a - a_sn * v2a, r)
+        acc2 += fold(s22 * v2b - a_sn * v1b, s22 * v2a - a_sn * v1a, r)
+    u1[: acc1.size] += d * acc1
+    u2[: acc2.size] += d * acc2
+    u1 *= delta_rho * ONE_OVER_8PI
+    u2 *= delta_rho * ONE_OVER_8PI
+    if central:
+        half = m // 2
+        for u in (u1, u2):
+            u[half + 1 :] = -u[half - 1 : 0 : -1]
+    return u1, u2
+
+
+def turning_curve_nodes(m, variant, b, fold, project):
+    """(z1, z2, alpha) of a turning family at m nodes, folded by fold * sin(alpha).
+
+    Below m = 48 the family is not built on its own grid; its nodes are read
+    from the family built on 48 nodes, every (48/m)-th.
+    """
+    step = max(1, 48 // m)
+    curve = sc.build_turning_family(sc.TurningFamilyParams(b=b, variant=variant), m * step)
+    alpha = sc.uniform_grid(m)
+    z1 = curve.z1[::step] - fold * np.sin(alpha)
+    z2 = curve.z2[::step]
+    if project:
+        z1, z2 = symmetry_projection(sc.ParamCurve(z1=z1, z2=z2))(z1, z2)
+        assert centrally_symmetric(z1, z2)
+    return z1, z2, alpha
+
+
+@pytest.mark.parametrize("m", [8, 12, 200, 1024])
+@pytest.mark.parametrize(
+    "case",
+    [(variant, b, fold, project) for variant, b in (("basic", 16.9), ("even_symmetric", 10.4))
+     for fold in (0.0, 0.2) for project in (False, True)] + ["graph lift"],
+    ids=str,
+)
+def test_rhs_bitwise_equals_out_of_place_blocks(m, case):
+    if case == "graph lift":
+        c = sc.graph_to_curve(sc.GraphInterface(h=sc.preset_f2(m)))
+        z1, z2, alpha = c.z1, c.z2, c.alpha
+    else:
+        z1, z2, alpha = turning_curve_nodes(m, *case)
+    new = np.concatenate(_rhs_curve_arrays(z1, z2, alpha, -2.0))
+    ref = np.concatenate(out_of_place_curve_rhs(z1, z2, alpha, -2.0))
+    assert np.array_equal(new.view(np.uint64), ref.view(np.uint64))
 
 
 @pytest.mark.parametrize("change", ["shift", "seam"])
