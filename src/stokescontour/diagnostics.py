@@ -45,6 +45,7 @@ from .geometry import (
 from .integrators import Trajectory
 from .kernels import (
     bilaplacian_pair_kernel_offset_rows,
+    block_workspace,
     offset_blocks,
     pair_sum_width,
     partner_rows,
@@ -103,11 +104,15 @@ def delta_spectral(interface: GraphInterface) -> float:
     width = pair_sum_width(h)
     total = 0.0
     partners = partner_rows(h, hp, width=width)
+    # the kernel of a block is computed in place in one workspace for all blocks
+    work = block_workspace(4, width)
     for r in offset_blocks(m, 0):
         hb, hpb = partners(r)
-        ker = bilaplacian_pair_kernel_offset_rows(m, r, h[:width] - hb)
+        block = work[:, : r.size]
+        x2 = np.subtract(h[:width], hb, out=block[0])
+        ker = bilaplacian_pair_kernel_offset_rows(m, r, x2, block)
         weight = np.where((r == 0) | (r == half), 1.0, 2.0) * (m // width)
-        total += float(weight @ ((ker * hpb) @ hp[:width]))
+        total += float(weight @ (np.multiply(ker, hpb, out=ker) @ hp[:width]))
     val = 4.0 * d * d * total
     if val < -1e-6:
         raise ValueError(f"delta_spectral returned {val}, inconsistent quadrature")

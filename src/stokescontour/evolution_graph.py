@@ -36,16 +36,27 @@ The integrand is symmetric in its two nodes and both quadratures weight the
 offsets r and m - r alike, so every unordered pair is evaluated once: the sum
 runs over the offsets r = 1..m/2 in blocks of offset rows
 (``kernels.offset_blocks``), each pair feeding both of its nodes, and the
-spectral circulant joins the same rows. Every node accumulates its terms in
-the same order, so shifting the state by one grid node shifts the
-right-hand side by exactly one node, bitwise.
+spectral circulant joins the same rows. On the full and the half sum below
+every node accumulates its terms in the same order, so shifting the state
+by one grid node shifts the right-hand side by exactly one node, bitwise.
 
-The central and even symmetries together give h(alpha + pi) = -h(alpha),
-and every state of a run projected onto both has it exactly. Then every
-term of node i + m/2 is the negated term of node i, bitwise, so the sum
-runs over the nodes i < m/2 only (m/2 * m/2 pairs instead of m/2 * m) and
-the other half is their negation: the same result, bit for bit, at half
-the cost. Any other state takes the full sum.
+The sum takes one of three paths, chosen by exact O(m) tests of the
+heights. The central and even symmetries together give
+h(alpha + pi) = -h(alpha). On heights with that antiperiodicity exactly,
+every term of node i + m/2 is the negated term of node i, bitwise, so the
+half sum runs over the nodes i < m/2 only (m/2 * m/2 pairs instead of
+m/2 * m) and the other half is their negation: the same result, bit for
+bit, at half the cost. Heights that are also exactly odd,
+h(-alpha) = -h(alpha), as every state of a run projected onto both
+symmetries is, take the quarter sum: the pairs (i, j), (-i, -j),
+(i + m/2, j + m/2) and (m/2 - i, m/2 - j) carry the same terms up to sign,
+so one pair of each such orbit is evaluated, indexed by its centre
+0..m/4 in every offset row (``kernels.central_pair_rows``,
+``kernels.central_folder``): m/2 * (m/4 + 1) pairs. The nodes 0..m/4 are
+totalled and the others written by the two reflections. The result agrees
+with the full sum to roundoff (not bitwise) and is exactly odd and
+antiperiodic, so every stage of such a run takes this path again. Any
+other state takes the full sum.
 
 ``evolve`` supplies only the right-hand side, the symmetry projection (the
 z2 half of ``geometry.symmetry_projection``) and the per-sample record;
@@ -65,14 +76,18 @@ from .geometry import (
     GraphInterface,
     TWO_PI,
     central_diff,
+    centrally_symmetric,
     graph_to_curve,
     second_diff,
     symmetry_projection,
 )
 from .integrators import BlowupError, IntegratorParams, Trajectory, integrate
 from .kernels import (
+    QUARTER_BLOCK_ROWS,
     block_folder,
     block_workspace,
+    central_folder,
+    central_pair_rows,
     clausen2,
     offset_blocks,
     pair_sum_width,
@@ -173,6 +188,11 @@ def _rhs_arrays(h: np.ndarray, params: SchemeParams) -> np.ndarray:
     # are summed
     width = pair_sum_width(h)
     antiperiodic = width < m
+    # heights that are also odd, h(-alpha) = -h(alpha): one pair of each
+    # orbit of both symmetries, summed onto the nodes 0..m/4
+    quarter = antiperiodic and m % 4 == 0 and centrally_symmetric(None, h)
+    if quarter:
+        width = m // 4 + 1
     hw, dhw = h[:width], dh[:width]
 
     if spectral:
@@ -188,35 +208,46 @@ def _rhs_arrays(h: np.ndarray, params: SchemeParams) -> np.ndarray:
         acc = 2.0 * _cell_correction_values(hw, dhw, d, params.singular_cell_variant)
     # the pair integrand below is symmetric in its two nodes and both weights
     # are even in the offset, so the offsets r and m - r share one evaluation
-    partners = partner_rows(h, dh, width=width)
-    fold = block_folder(m, antiperiodic)
     # the block terms are computed in place in one workspace for all blocks
-    work = block_workspace(5, width)
-    for r in offset_blocks(m, 1):
+    if quarter:
+        rows, fold = central_pair_rows(h, dh, centres=width), central_folder(m, antiperiodic=True)
+        blocks = offset_blocks(m, 1, QUARTER_BLOCK_ROWS)
+        work = block_workspace(5, width, central=True, rows=QUARTER_BLOCK_ROWS)
+        row_shape = (-1, 2, 1)
+    else:
+        partners = partner_rows(h, dh, width=width)
+        rows, fold = (lambda r: ((hw, dhw), partners(r))), block_folder(m, antiperiodic)
+        blocks, work, row_shape = offset_blocks(m, 1), block_workspace(5, width), (-1, 1)
+    for r in blocks:
         x1 = r * d
         sn2 = np.sin(0.5 * x1)
-        hb, dhb = partners(r)
-        x2, lg, a_ss, a_sn, dd = work[:, : r.size]
-        stokeslet_terms_into(sn2[:, None], np.sin(x1)[:, None], np.subtract(hw, hb, out=x2),
-                             lg, a_ss, a_sn)
+        (ha, dha), (hb, dhb) = rows(r)
+        x2, lg, a_ss, a_sn, dd = work[:, : len(hb)]
+        stokeslet_terms_into(sn2.reshape(row_shape), np.sin(x1).reshape(row_shape),
+                             np.subtract(ha, hb, out=x2), lg, a_ss, a_sn)
         if spectral:
             # keep the smooth remainder of the log only; the circulant weight
             # omega_r of its log(4 sin^2) factor joins it per offset row
-            lg += (omega[r] / d - np.log(4.0 * sn2**2))[:, None]
+            lg += (omega[r] / d - np.log(4.0 * sn2**2)).reshape(row_shape)
         # pair = w_r (lg (1 + dd) + a_ss (dd - 1) + a_sn (h'_i + h'_j)), in place
-        np.multiply(dhw, dhb, out=dd)
+        np.multiply(dha, dhb, out=dd)
         a_ss *= np.subtract(dd, 1.0, out=x2)
         dd += 1.0
         lg *= dd
         lg += a_ss
-        a_sn *= np.add(dhw, dhb, out=x2)
+        a_sn *= np.add(dha, dhb, out=x2)
         lg += a_sn
-        pair = np.multiply(lg, weights[r][:, None], out=lg)
-        acc += fold(np.multiply(hb, pair, out=x2), np.multiply(hw, pair, out=a_ss), r)
-    if antiperiodic:
+        pair = np.multiply(lg, weights[r].reshape(row_shape), out=lg)
+        acc += fold(np.multiply(hb, pair, out=x2), np.multiply(ha, pair, out=a_ss), r)
+    if antiperiodic and not quarter:
         acc = np.concatenate([acc, -acc])
 
-    rhs = params.sign_factor * acc + params.viscosity * second_diff(h, d)
+    rhs = params.sign_factor * acc + params.viscosity * second_diff(h, d)[: acc.size]
+    if quarter:
+        # exactly odd and antiperiodic: nodes m/4 + 1..m/2 repeat m/4 - 1..0,
+        # nodes m/2 + 1.. negate 1..m/2 - 1
+        rhs = np.concatenate([rhs, rhs[-2::-1]])
+        rhs = np.concatenate([rhs, -rhs[1:-1]])
     if not np.all(np.isfinite(rhs)):
         raise BlowupError(int(np.flatnonzero(~np.isfinite(rhs))[0]))
     return rhs

@@ -299,12 +299,15 @@ def symmetry_errors(curve: ParamCurve):
 def centrally_symmetric(z1, z2) -> bool:
     """Whether the curve (z1, z2) has z(-alpha) = -z(alpha) exactly on the grid.
 
-    The central row of ``_reflections`` with zero error. A pair sum over such
-    a curve reads one pair of each mirror orbit (``kernels.central_pair_rows``,
+    The central row of ``_reflections`` with zero error; with z1 None, only
+    its z2 half, h(-alpha) = -h(alpha) for the heights z2 of a graph. A pair
+    sum over such a curve, or over such heights that are also antiperiodic,
+    reads one pair of each mirror orbit (``kernels.central_pair_rows``,
     ``kernels.central_folder``).
     """
-    k, c, sign = _reflections(z1.size)[0]
-    return bool(np.array_equal(z1 + z1[k], c) and np.array_equal(z2, sign * z2[k]))
+    k, c, sign = _reflections(z2.size)[0]
+    return bool((z1 is None or np.array_equal(z1 + z1[k], c))
+                and np.array_equal(z2, sign * z2[k]))
 
 
 def carried_symmetries(curve: ParamCurve):

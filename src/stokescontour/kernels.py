@@ -41,20 +41,26 @@ over half the grid offsets, r <= m/2, a fixed block of offset rows at a time
 (``offset_blocks``, ``partner_rows``, ``block_folder``), so their memory
 is O(block * m) rather than O(m^2). The partner and fold windows are built
 once per sum, not per block. The right-hand sides compute the terms of a
-block in place in one workspace of (block x m) arrays (``block_workspace``),
-made once per call and reused by every block, and the folds overwrite the
-near and far terms they are given, so a block allocates no (block x m)
-array. On graph heights with h(alpha + pi) =
--h(alpha) exactly, which the central and even symmetries together give,
-the terms of column i + m/2 of a row are those of column i up to sign, so
-the graph right-hand side and ``delta`` read only the first m/2 columns
-(``pair_sum_width``). On a curve with z(-alpha) = -z(alpha) exactly
+block, and ``delta`` its pair kernel, in place in one workspace of
+(block x m) arrays (``block_workspace``), made once per call and reused by
+every block, and the folds overwrite the near and far terms they are
+given, so a block allocates no (block x m) array. On graph heights with
+h(alpha + pi) = -h(alpha) exactly, which the central and even symmetries
+together give, the terms of column i + m/2 of a row are those of column i
+up to sign, so the graph right-hand side and ``delta`` read only the first
+m/2 columns (``pair_sum_width``). On a curve with z(-alpha) = -z(alpha) exactly
 (``geometry.centrally_symmetric``), the mirror (-i, r - i) of the pair
 (i, i - r) lies in the same offset row with its terms negated, so the curve
 right-hand side reads one pair of each mirror orbit, indexed by the pair
 centre (``central_pair_rows``), and folds the terms onto the nodes
 alpha in [-pi, 0] (``central_folder``): about half the pairs, still in
-O(block * m) memory.
+O(block * m) memory. Graph heights that are exactly odd as well as
+antiperiodic, as every state of a graph run projected onto both
+symmetries is, take the same reader and folder with the shift by m/2 as a
+second symmetry: the graph right-hand side reads the pair centres
+0..m/4 only, in blocks of QUARTER_BLOCK_ROWS offsets, and folds the terms
+onto the nodes 0..m/4 through their four images, about a quarter of the
+pairs.
 """
 
 from __future__ import annotations
@@ -73,9 +79,12 @@ ONE_OVER_8PI = 1.0 / (8.0 * np.pi)
 ONE_OVER_4PI = 1.0 / (4.0 * np.pi)
 
 # offset rows per block of the pair sums (both right-hand sides and delta):
-# their temporaries are (_BLOCK_ROWS x m), never m x m; each right-hand side
-# holds them in one workspace per sum, reused by every block
+# their temporaries are (_BLOCK_ROWS x m), never m x m; each sum holds them
+# in one workspace, reused by every block
 _BLOCK_ROWS = 32
+# the rows of the graph's quarter sum hold m/4 + 1 pair centres, so twice
+# the rows make a block of the half sums' size, (_BLOCK_ROWS x m/2)
+QUARTER_BLOCK_ROWS = 2 * _BLOCK_ROWS
 
 
 @dataclass(frozen=True)
@@ -134,27 +143,27 @@ def stokeslet_terms_into(sn2, sn, x2, lg, a_ss, a_sn):
     return lg, a_ss, a_sn
 
 
-def offset_blocks(m: int, first: int):
-    """Consecutive grid offsets r = first..m/2, up to _BLOCK_ROWS at a time.
+def offset_blocks(m: int, first: int, rows: int = _BLOCK_ROWS):
+    """Consecutive grid offsets r = first..m/2, up to ``rows`` at a time.
 
     The pair kernels are even, so a pair sum over all offsets folds onto
     these half offsets.
     """
     half = m // 2
-    for r0 in range(first, half + 1, _BLOCK_ROWS):
-        yield np.arange(r0, min(r0 + _BLOCK_ROWS, half + 1))
+    for r0 in range(first, half + 1, rows):
+        yield np.arange(r0, min(r0 + rows, half + 1))
 
 
-def block_workspace(count: int, width: int, central: bool = False):
+def block_workspace(count: int, width: int, central: bool = False, rows: int = _BLOCK_ROWS):
     """``count`` arrays for the terms of one block of a pair sum, reused by every block.
 
-    Each holds _BLOCK_ROWS offset rows of ``width`` columns: shape
-    (_BLOCK_ROWS, width), or (_BLOCK_ROWS/2, 2, width) for the rows of
-    ``central_pair_rows`` (``central``). A shorter last block takes the
-    leading rows, ``work[:, :n]``, whose arrays are contiguous like new ones.
+    Each holds ``rows`` offset rows of ``width`` columns: shape (rows, width),
+    or (rows/2, 2, width) for the rows of ``central_pair_rows``
+    (``central``). A shorter last block takes the leading rows,
+    ``work[:, :n]``, whose arrays are contiguous like new ones.
     """
-    rows = (_BLOCK_ROWS // 2, 2) if central else (_BLOCK_ROWS,)
-    return np.empty((count, *rows, width))
+    shape = (rows // 2, 2) if central else (rows,)
+    return np.empty((count, *shape, width))
 
 
 def pair_sum_width(h) -> int:
@@ -223,27 +232,31 @@ def block_folder(m: int, antiperiodic: bool = False):
     return fold
 
 
-def central_pair_rows(*xs):
-    """Reader of the pair rows of a sum over a centrally symmetric curve.
+def central_pair_rows(*xs, centres=None):
+    """Reader of the pair rows of a sum over a centrally symmetric curve or graph.
 
     The pair (i, i - r) of offset row r has its mirror (-i, r - i) in the
-    same row, so a row indexed by the pair centre k = 0..m/2 holds one pair
-    of each mirror orbit: (k + s, k - s) for r = 2s and (k + s + 1, k - s)
-    for r = 2s + 1. ``rows(r)``, for a block of an even number of
-    consecutive offsets from an odd r[0] (as ``offset_blocks(m, 1)`` gives,
-    m/2 being even), returns (near, far): each x at the near and the far
-    node of those pairs, shapes (len(xs), n, 1, m/2 + 1) and
-    (len(xs), n, 2, m/2 + 1) with n = len(r)/2, where row (j, p) is the
-    offset r[2j + p]. The near
-    node s + 1 + k of rows 2s + 1 and 2s + 2 is the same. Both are read-only
+    same row, so a row indexed by the pair centre k = 0..m/2 (``centres``
+    m/2 + 1, the default) holds one pair of each mirror orbit: (k + s, k - s)
+    for r = 2s and (k + s + 1, k - s) for r = 2s + 1. On graph heights that
+    are also antiperiodic, the shift by m/2 maps the pair of centre k to that
+    of centre k + m/2, so the centres k = 0..m/4 (``centres`` m/4 + 1) hold
+    one pair of each orbit of both symmetries. ``rows(r)``, for a block of
+    an even number of consecutive offsets from an odd r[0] (as
+    ``offset_blocks(m, 1)`` gives, m/2 being even), returns (near, far):
+    each x at the near and the far node of those pairs, shapes
+    (len(xs), n, 1, centres) and (len(xs), n, 2, centres) with
+    n = len(r)/2, where row (j, p) is the offset r[2j + p]. The near node
+    s + 1 + k of rows 2s + 1 and 2s + 2 is the same. Both are read-only
     views of windows built once here, so no index arrays are built per block.
     """
     m = xs[0].size
+    centres = m // 2 + 1 if centres is None else centres
     x = np.stack(xs)
-    near_win = sliding_window_view(x, m // 2 + 1, axis=1)
+    near_win = sliding_window_view(x, centres, axis=1)
     # element [:, t, q, k] is x at node t + q + k (mod m)
     far_win = np.moveaxis(
-        sliding_window_view(sliding_window_view(np.tile(x, 2), m // 2 + 1, axis=1), 2, axis=1),
+        sliding_window_view(sliding_window_view(np.tile(x, 2), centres, axis=1), 2, axis=1),
         -1, 2)
 
     def rows(r):
@@ -255,7 +268,7 @@ def central_pair_rows(*xs):
     return rows
 
 
-def central_folder(m: int):
+def central_folder(m: int, antiperiodic: bool = False):
     """``fold(near, far, r)``: total of one block of ``central_pair_rows`` at the nodes 0..m/2.
 
     ``near`` and ``far`` (shape (len(r)/2, 2, m/2 + 1), as the rows) hold
@@ -270,35 +283,56 @@ def central_folder(m: int):
     finite terms), as the symmetry requires. ``near`` and ``far`` are
     overwritten.
 
-    The rows are shifted into one unwrapped line of the nodes -m/4..3m/4
+    ``antiperiodic``: the rows hold the centres 0..m/4 of graph heights
+    that are also antiperiodic, h(alpha + pi) = -h(alpha), in blocks of
+    QUARTER_BLOCK_ROWS offsets, and the total is that of the nodes 0..m/4.
+    The shift by W = m/2 negates the terms too, so a node n collects the
+    held terms to n, minus those to -n and to n + W, plus those to W - n.
+    The weights are those above with m/4 in place of m/2: the centres 0 and
+    m/4 of an even row count half, the centre m/4 of an odd row zero, and
+    the r = m/2 row half again. Node 0 totals exactly 0 (for finite terms).
+
+    The rows are shifted into one unwrapped line of the nodes from -m/4
     through a window over a buffer whose rows are laid end to end (row j
     read j places further right), both built once here for all the blocks
     of the sum; the line is then folded.
     """
     half, quarter = m // 2, m // 4
-    width = half + 1 + _BLOCK_ROWS // 2
-    buf = np.zeros((_BLOCK_ROWS // 2 + 1, width))
+    # the last pair centre, and the line of nodes -m/4..last + m/4
+    last = quarter if antiperiodic else half
+    block = QUARTER_BLOCK_ROWS if antiperiodic else _BLOCK_ROWS
+    width = last + 1 + block // 2
+    buf = np.zeros((block // 2 + 1, width))
     # element (j, i) of row j of the window is buf[j, i - j], or a zero of
-    # the tail of row j - 1 for i < j: columns half + 1.. are never written
+    # the tail of row j - 1 for i < j: columns last + 1.. are never written
     win = sliding_window_view(buf.reshape(-1), width)[:: width - 1]
-    line = np.empty(m + 1)
+    line = np.empty(2 * quarter + last + 1)
 
     def fold(near, far, r):
         for t in (near, far):
-            t[:, 1, ::half] *= 0.5
-            t[:, 0, half] = 0.0
+            t[:, 1, ::last] *= 0.5
+            t[:, 0, last] = 0.0
             if r[-1] == half:
                 t[-1, 1] *= 0.5
         s0, n = r[0] // 2, r.size // 2
         line.fill(0.0)
         # near node s0 + 1 + j + k, the same for both rows of a pair j
-        np.add(near[:, 0], near[:, 1], out=buf[:n, : half + 1])
-        line[quarter + s0 + 1 : quarter + s0 + half + n + 1] += win[:n].sum(axis=0)[: half + n]
+        np.add(near[:, 0], near[:, 1], out=buf[:n, : last + 1])
+        line[quarter + s0 + 1 : quarter + s0 + last + n + 1] += win[:n].sum(axis=0)[: last + n]
         # far node k - (s0 + n) + u, buffer row u = n - j - p
-        buf[:n, : half + 1] = far[::-1, 1]
-        buf[n, : half + 1] = 0.0
-        buf[1 : n + 1, : half + 1] += far[::-1, 0]
-        line[quarter - s0 - n : quarter - s0 + half + 1] += win[: n + 1].sum(axis=0)[: half + n + 1]
+        buf[:n, : last + 1] = far[::-1, 1]
+        buf[n, : last + 1] = 0.0
+        buf[1 : n + 1, : last + 1] += far[::-1, 0]
+        line[quarter - s0 - n : quarter - s0 + last + 1] += win[: n + 1].sum(axis=0)[: last + n + 1]
+        if antiperiodic:
+            # the line holds the nodes -m/4..m/2: of the nodes n + W only
+            # W (n = 0) and -m/4 (n = m/4)
+            total = line[quarter : half + 1] - line[quarter::-1]
+            images = line[3 * quarter : half - 1 : -1].copy()
+            images[0] -= line[3 * quarter]
+            images[quarter] -= line[0]
+            total += images
+            return total
         total = line[quarter : quarter + half + 1].copy()
         total[quarter:] -= line[quarter + half :][::-1]
         total[: quarter + 1] -= line[: quarter + 1][::-1]
@@ -526,37 +560,54 @@ def _grid_row_tables(m: int):
     return _row_tables(np.arange(m // 2 + 1) * (TWO_PI / m))
 
 
-def _pair_kernel(tables, rows, a):
-    """Kpair at heights a = |x2| on the table columns ``rows`` (broadcast to a)."""
+def _pair_kernel(tables, rows, a, s, u, v):
+    """Kpair at heights a = |x2| on the table columns ``rows`` (broadcast to a), into s.
+
+    s, u and v have a's shape; u and v hold the intermediates, a is only
+    read, so the evaluation allocates no array of a's size but the mask of
+    the points at a >= 2.
+    """
     x, xsq, scale, shift, near = tables
     # the a < 2 branch runs on every point, a clipped to 2; points at a >= 2
     # are overwritten below
-    clipped = np.minimum(a, _FAR_FROM)
-    t = clipped - 1.0
-    s = near[-1][rows] * t
+    clipped = np.minimum(a, _FAR_FROM, out=u)
+    t = np.subtract(clipped, 1.0, out=v)
+    np.multiply(near[-1][rows], t, out=s)
     for c in near[-2:0:-1]:
         s += c[rows]
         s *= t
     s += near[0][rows]
-    csq = clipped * clipped
+    csq = np.multiply(clipped, clipped, out=v)
     # the log1p argument falls to -1 only as rho -> 0, where the term vanishes
-    arg = np.maximum(csq * scale[rows] + shift[rows], _LOG1P_FLOOR)
-    s += 0.25 * (csq + xsq[rows]) * np.log1p(arg)
+    arg = np.multiply(csq, scale[rows], out=u)
+    arg += shift[rows]
+    np.maximum(arg, _LOG1P_FLOOR, out=arg)
+    # s += 0.25 (csq + x^2) log1p(arg)
+    csq += xsq[rows]
+    csq *= 0.25
+    csq *= np.log1p(arg, out=arg)
+    s += csq
     far = a >= _FAR_FROM
     if far.any():
         af = a[far]
         xf = x[np.broadcast_to(rows, a.shape)[far]]
         li2, li3 = _polylog_series(np.exp(-af + 1j * xf), _FAR_TERMS, (2, 3))
         s[far] = li3.real + af * li2.real
-    return ONE_OVER_4PI * s
+    s *= ONE_OVER_4PI
+    return s
 
 
-def bilaplacian_pair_kernel_offset_rows(m: int, r: np.ndarray, x2: np.ndarray):
+def bilaplacian_pair_kernel_offset_rows(m: int, r: np.ndarray, x2: np.ndarray, work=None):
     """Kpair(r 2pi/m, x2) on an m-node grid, row k of x2 at the offset r[k].
 
-    The offsets r lie in 0..m/2; the tables are built once per m.
+    The offsets r lie in 0..m/2; the tables are built once per m. ``work``,
+    four arrays of x2's shape (new ones by default), holds |x2| in the first
+    (which may be x2 itself), the kernel, returned, in the second and the
+    intermediates, so that a block of a pair sum allocates no array of its
+    size (``diagnostics.delta_spectral``).
     """
-    return _pair_kernel(_grid_row_tables(m), r[:, None], np.abs(x2))
+    a, s, u, v = np.empty((4, *np.shape(x2))) if work is None else work
+    return _pair_kernel(_grid_row_tables(m), r[:, None], np.abs(x2, out=a), s, u, v)
 
 
 def bilaplacian_pair_kernel_exact(x1, x2):
@@ -569,5 +620,6 @@ def bilaplacian_pair_kernel_exact(x1, x2):
     x1, x2 = np.broadcast_arrays(np.asarray(x1, dtype=float), np.asarray(x2, dtype=float))
     x = np.abs(x1 - TWO_PI * np.round(x1 / TWO_PI))
     distinct, cols = np.unique(x.ravel(), return_inverse=True)
-    k = _pair_kernel(_row_tables(distinct), cols, np.abs(x2).ravel())
+    a = np.abs(x2).ravel()
+    k = _pair_kernel(_row_tables(distinct), cols, a, *np.empty((3, a.size)))
     return k.reshape(x1.shape)[()]

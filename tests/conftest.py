@@ -41,3 +41,20 @@ def antiperiodic(h):
     """h on its first m/2 nodes, continued by h(alpha + pi) = -h(alpha) exactly."""
     half = h[: h.size // 2]
     return np.concatenate([half, -half])
+
+
+def doubly_symmetric(h):
+    """h on its nodes 1..m/4, continued exactly odd, h(-alpha) = -h(alpha), and
+    antiperiodic, h(alpha + pi) = -h(alpha): 0 at the nodes 0 and m/2, node
+    m/2 - n repeats node n."""
+    m, q = h.size, h.size // 4
+    out = np.zeros(m)
+    out[1 : q + 1] = h[1 : q + 1]
+    out[q + 1 : 2 * q] = out[q - 1 : 0 : -1]
+    out[2 * q + 1 :] = -out[1 : 2 * q]
+    return out
+
+
+def bits(*arrays):
+    """The arrays' float64 bit patterns, sign bits and NaN payloads included."""
+    return [np.ascontiguousarray(a, dtype=np.float64).view(np.uint64) for a in arrays]

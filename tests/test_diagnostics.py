@@ -15,9 +15,10 @@ from stokescontour.diagnostics import (
     read_diagnostics_csv,
     record_for_graph,
 )
+from stokescontour import kernels
 from stokescontour.kernels import bilaplacian_pair_kernel_exact
 
-from conftest import antiperiodic, band_limited, grids, make_integrator, modes, sine_interface
+from conftest import antiperiodic, band_limited, bits, grids, make_integrator, modes, sine_interface
 
 
 # --- energy -------------------------------------------------------------------
@@ -138,6 +139,60 @@ def test_delta_matches_dense_pair_sum(m, coeffs, anti):
     )
     dense = 4.0 * g.spacing**2 * (hp @ ker @ hp)
     assert abs(sc.delta_spectral(g) - dense) <= 1e-12 * dense
+
+
+def out_of_place_delta(interface):
+    """delta_spectral with a fresh array for every step of the pair kernel.
+
+    The same operations in the same order as ``delta_spectral``, which
+    evaluates the kernel of a block in place in one workspace: the two agree
+    bit for bit.
+    """
+    h, m, d = interface.h, interface.m, interface.spacing
+    hp = sc.central_diff(h, d)
+    half = m // 2
+    width = kernels.pair_sum_width(h)
+    x, xsq, scale, shift, near = kernels._grid_row_tables(m)
+    total = 0.0
+    partners = kernels.partner_rows(h, hp, width=width)
+    for r in kernels.offset_blocks(m, 0):
+        hb, hpb = partners(r)
+        rows = r[:, None]
+        a = np.abs(h[:width] - hb)
+        clipped = np.minimum(a, 2.0)
+        t = clipped - 1.0
+        s = near[-1][rows] * t
+        for c in near[-2:0:-1]:
+            s = (s + c[rows]) * t
+        s = s + near[0][rows]
+        csq = clipped * clipped
+        arg = np.maximum(csq * scale[rows] + shift[rows], np.nextafter(-1.0, 0.0))
+        s = s + 0.25 * (csq + xsq[rows]) * np.log1p(arg)
+        far = a >= 2.0
+        if far.any():
+            af = a[far]
+            xf = x[np.broadcast_to(rows, a.shape)[far]]
+            li2, li3 = kernels._polylog_series(np.exp(-af + 1j * xf), kernels._FAR_TERMS, (2, 3))
+            s[far] = li3.real + af * li2.real
+        ker = kernels.ONE_OVER_4PI * s
+        weight = np.where((r == 0) | (r == half), 1.0, 2.0) * (m // width)
+        total += float(weight @ ((ker * hpb) @ hp[:width]))
+    return 4.0 * d * d * total
+
+
+# heights 8 apart: both kernel branches, a < 2 and a >= 2
+@pytest.mark.parametrize("coeffs", [[(0.3, -0.2), (0.1, 0.2), (-0.05, 0.1)], [(0.0, 4.0)]])
+@pytest.mark.parametrize("anti", [False, True])
+# m = 200, 204: m/2 is not a multiple of the block, so the last block is short
+@pytest.mark.parametrize("m", [8, 12, 200, 204, 512])
+def test_delta_bitwise_equals_out_of_place_kernel(m, anti, coeffs):
+    h = sc.preset_f2(m) + band_limited(m, coeffs)
+    if anti:
+        h = antiperiodic(h)
+    assert (kernels.pair_sum_width(h) < m) == anti
+    g = sc.GraphInterface(h=h)
+    new, ref = bits(sc.delta_spectral(g), out_of_place_delta(g))
+    assert np.array_equal(new, ref)
 
 
 def test_delta_m4096_in_bounded_memory():

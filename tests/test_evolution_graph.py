@@ -2,11 +2,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import stokescontour as sc
+from stokescontour import evolution_graph
 from stokescontour.evolution_graph import (
     _cell_correction_values,
     _log_circulant,
@@ -25,7 +26,16 @@ from stokescontour.geometry import (
 from stokescontour.integrators import BlowupError, dopri_step
 from stokescontour.kernels import dK12, stokeslet, stokeslet_terms
 
-from conftest import antiperiodic, band_limited, grids, make_integrator, modes, sine_interface
+from conftest import (
+    antiperiodic,
+    band_limited,
+    bits,
+    doubly_symmetric,
+    grids,
+    make_integrator,
+    modes,
+    sine_interface,
+)
 
 
 def params_for(m, quadrature="spectral_log", viscosity=1e-3, sign=-1.0):
@@ -129,6 +139,27 @@ def all_offsets_rhs(h, params):
     return params.sign_factor * acc + params.viscosity * second_diff(h, d)
 
 
+QUADRATURES = [("spectral_log", "halfangle"), ("taylor_cell", "halfangle"),
+               ("taylor_cell", "printed")]
+COEFFS = [(0.3, -0.2), (0.1, 0.2), (-0.05, 0.1)]
+
+
+def assert_quarter_sum_matches_all_offsets(h, quadrature, cell):
+    """On exactly odd and antiperiodic heights, where the quarter sum runs, the
+    RHS agrees with the reference sum to 1e-13 of its scale and is exactly
+    odd and exactly antiperiodic."""
+    m = h.size
+    j = np.arange(m)
+    assert np.array_equal(h, -h[(-j) % m]) and np.array_equal(h[m // 2 :], -h[: m // 2])
+    p = sc.SchemeParams(sign_factor=-1.0, viscosity=1e-3, m=m, quadrature=quadrature,
+                        singular_cell_variant=cell)
+    rhs = _rhs_arrays(h, p)
+    ref = all_offsets_rhs(h, p)
+    assert np.max(np.abs(rhs - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert np.array_equal(rhs, -rhs[(-j) % m])
+    assert np.array_equal(rhs[m // 2 :], -rhs[: m // 2])
+
+
 @pytest.mark.parametrize("quadrature, cell", [("spectral_log", "halfangle"),
                                               ("taylor_cell", "halfangle"),
                                               ("taylor_cell", "printed")])
@@ -152,6 +183,59 @@ def test_blocked_rhs_matches_all_offsets_sum(quadrature, cell, m, coeffs, anti):
         assert np.array_equal(rhs[m // 2 :], -rhs[: m // 2])
     ref = all_offsets_rhs(h, p)
     assert np.max(np.abs(rhs - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def projected(h):
+    """h projected onto the symmetries it carries, as every state of a run is."""
+    return symmetry_projection(graph_to_curve(sc.GraphInterface(h=h)))(None, h)[1]
+
+
+@pytest.mark.parametrize("quadrature, cell", QUADRATURES)
+@pytest.mark.parametrize("preset", ["f1", "f2"])
+# one block of offset rows (m = 8, 12), a short last block (m = 200, 204:
+# m/2 is not a multiple of the block) and several blocks (m = 512)
+@pytest.mark.parametrize("m", [8, 12, 200, 204, 512])
+def test_quarter_sum_on_projected_presets(quadrature, cell, preset, m):
+    h = projected({"f1": sc.preset_f1, "f2": sc.preset_f2}[preset](m))
+    assert_quarter_sum_matches_all_offsets(h, quadrature, cell)
+
+
+@pytest.mark.parametrize("quadrature, cell", QUADRATURES)
+@given(m=grids, coeffs=modes)
+@example(m=8, coeffs=COEFFS)
+@example(m=12, coeffs=COEFFS)
+@example(m=200, coeffs=COEFFS)
+@example(m=204, coeffs=COEFFS)
+@example(m=512, coeffs=COEFFS)
+@settings(max_examples=10, deadline=None)
+def test_quarter_sum_matches_all_offsets_sum(quadrature, cell, m, coeffs):
+    h = doubly_symmetric(band_limited(m, coeffs))
+    # the reference's scale: not all heights 0
+    assume(np.max(np.abs(h)) >= 1e-100)
+    assert_quarter_sum_matches_all_offsets(h, quadrature, cell)
+
+
+@pytest.mark.parametrize("preset", ["f1", "f2"])
+def test_graph_run_states_stay_doubly_symmetric(monkeypatch, preset):
+    # the projected initial state is exactly odd and antiperiodic and so is
+    # the quarter sum, so every DOPRI5 stage and accepted state stays so and
+    # every call of the run takes the quarter sum
+    m = 128
+    symmetric = []
+    j = np.arange(m)
+
+    def spy(h, params):
+        symmetric.append(np.array_equal(h, -h[(-j) % m])
+                         and np.array_equal(h[m // 2 :], -h[: m // 2]))
+        return rhs(h, params)
+
+    rhs = evolution_graph._rhs_arrays
+    monkeypatch.setattr(evolution_graph, "_rhs_arrays", spy)
+    h = {"f1": sc.preset_f1, "f2": sc.preset_f2}[preset](m)
+    traj = sc.evolve(sc.GraphState(0.0, sc.GraphInterface(h=h)), params_for(m),
+                     make_integrator(t_end=0.12, dt_max=0.01), [0.0, 0.06, 0.12])
+    assert not traj.failed
+    assert len(symmetric) >= 1 + 6 * 12 and all(symmetric)
 
 
 @pytest.mark.parametrize("quadrature", ["spectral_log", "taylor_cell"])
@@ -210,11 +294,6 @@ def out_of_place_rhs(h, params):
     return params.sign_factor * acc + params.viscosity * second_diff(h, d)
 
 
-def bits(*arrays):
-    """The arrays' float64 bit patterns, sign bits and NaN payloads included."""
-    return [np.ascontiguousarray(a, dtype=np.float64).view(np.uint64) for a in arrays]
-
-
 @pytest.mark.parametrize("quadrature, cell", [("spectral_log", "halfangle"),
                                               ("taylor_cell", "halfangle"),
                                               ("taylor_cell", "printed")])
@@ -241,7 +320,8 @@ def test_inputs_left_unchanged(call):
     x1 = np.linspace(0.1, 6.0, 40).reshape(8, 5)
     x2 = np.cos(3.0 * x1)
     if call == "graph":
-        cases = [(y, params_for(m, quadrature=q)) for y in (h, antiperiodic(h))
+        # the full, the half and the quarter sum
+        cases = [(y, params_for(m, quadrature=q)) for y in (h, antiperiodic(h), projected(h))
                  for q in ("spectral_log", "taylor_cell")]
         f = _rhs_arrays
     elif call == "curve":
@@ -261,25 +341,34 @@ def test_inputs_left_unchanged(call):
 
 
 # traced peak of one RHS call at m = 4096, 20 % above the peaks measured in
-# a fresh process (7.6, 3.9, 8.9 and 4.3 MiB, NumPy 2.4 on x86-64): the one
-# block workspace of each sum (5.0, 2.5, 6.0 and 3.0 MiB) made twice, or
-# made anew per block while the last is still held, exceeds them
-PEAK_MIB = {"graph": 9.1, "graph-antiperiodic": 4.7, "curve": 10.6, "curve-central": 5.2}
+# a fresh process (7.6, 3.9, 3.4, 8.9 and 4.3 MiB, NumPy 2.4 on x86-64): the
+# one block workspace of each sum (5.0, 2.5, 2.5, 6.0 and 3.0 MiB) made
+# twice, or made anew per block while the last is still held, exceeds them
+PEAK_MIB = {"graph": 9.1, "graph-antiperiodic": 4.7, "graph-quarter": 4.1, "curve": 10.6,
+            "curve-central": 5.2}
 
 
-@pytest.mark.parametrize("formulation", ["graph", "graph-antiperiodic", "curve", "curve-central"])
+@pytest.mark.parametrize("formulation", ["graph", "graph-antiperiodic", "graph-quarter", "curve",
+                                         "curve-central"])
 def test_rhs_m4096_in_bounded_memory(formulation):
     # peak traced allocation (NumPy reports its buffers to tracemalloc) of one
     # evaluation: the temporaries of a block of offset rows are O(block * m),
     # where one m x m array of pair terms alone is 128 MB. ru_maxrss cannot
     # show it here: a child process starts from the test process's
     # high-water mark. Raw preset_f2 takes the full sum, its projection
-    # (exactly antiperiodic) the half sum; the projected lift (exactly
+    # (exactly odd and antiperiodic) the quarter sum, and heights that are
+    # antiperiodic but not odd the half sum; the projected lift (exactly
     # centrally symmetric) takes the curve's half sum.
     m = 4096
     h = sc.preset_f2(m)
-    if formulation == "graph-antiperiodic":
-        h = symmetry_projection(graph_to_curve(sc.GraphInterface(h=h)))(None, h)[1]
+    j = np.arange(m)
+    if formulation == "graph-quarter":
+        h = projected(h)
+        assert np.array_equal(h, -h[(-j) % m])
+    elif formulation == "graph-antiperiodic":
+        h = antiperiodic(h + 0.1 * np.cos(sc.uniform_grid(m)))
+        assert not np.array_equal(h, -h[(-j) % m])
+    if formulation in ("graph-antiperiodic", "graph-quarter"):
         assert np.array_equal(h[m // 2 :], -h[: m // 2])
     else:
         assert not np.array_equal(h[m // 2 :], -h[: m // 2])
