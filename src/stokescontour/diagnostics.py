@@ -9,10 +9,14 @@ normalization rho+- = +-1 is
     delta = 4 * iint h'(a) h'(b) Kpair(a - b, h(a) - h(b)) da db,
 
 the squared L2 norm of (-Delta)^{-1} d1 rho written through the measure form
-of grad rho. A run integrated with a different density jump is the same flow
-with time rescaled; ``delta_rate`` applies that exact factor so the stored
-dissipation matches dE/dt in the run's own time units (sign_factor =
-(rho^- - rho^+)/(8 pi), so the factor is -4 pi * sign_factor).
+of grad rho. ``delta_spectral`` evaluates it as a pair sum over the grid
+offsets, reading all m columns of every offset row, the first m/2 on
+antiperiodic heights, or m/4 + 1 pair centres on heights that are also odd
+(the full, half and quarter sums). A run integrated with a different
+density jump is the same flow with time rescaled; ``delta_rate`` applies
+that exact factor so the stored dissipation matches dE/dt in the run's own
+time units (sign_factor = (rho^- - rho^+)/(8 pi), so the factor is
+-4 pi * sign_factor).
 
 Finger counting follows the flat/steep decomposition: I_mu collects the
 maximal node ranges where |h'| <= mu, and the count is the number of such
@@ -44,11 +48,14 @@ from .geometry import (
 )
 from .integrators import Trajectory
 from .kernels import (
+    QUARTER_BLOCK_ROWS,
     bilaplacian_pair_kernel_offset_rows,
     block_workspace,
+    central_pair_rows,
     offset_blocks,
-    pair_sum_width,
+    pair_sum_path,
     partner_rows,
+    stabilizer_weights,
 )
 
 
@@ -83,10 +90,20 @@ def delta_spectral(interface: GraphInterface) -> float:
     each row being sum_i h'_i h'_{i-r} Kpair(r d, h_i - h_{i-r}). x1 is fixed
     along a row, so ``bilaplacian_pair_kernel_offset_rows`` evaluates Kpair in
     real arithmetic from per-row tables built once per m; memory is
-    O(block * m). On heights with h(alpha + pi) = -h(alpha) exactly, as
-    every record of a run projected onto both symmetries has, the columns
-    i and i + m/2 of a row hold the same term, so only the first m/2 columns
-    are summed, with weights 2, 4, ..., 4, 2.
+    O(block * m).
+
+    The sum takes one of three paths, chosen as the graph right-hand side
+    chooses its own (``kernels.pair_sum_path``). On heights with
+    h(alpha + pi) = -h(alpha) exactly, the columns i and i + m/2 of a row
+    hold the same term, so the half sum reads only the first m/2 columns,
+    with weights 2, 4, ..., 4, 2; it is bitwise the full sum. Heights that
+    are also exactly odd, h(-alpha) = -h(alpha), as every record of a run
+    projected onto both symmetries is, take the quarter sum: the mirror
+    i -> r - i and the shift i -> i + m/2 leave a row's term unchanged, so
+    each row is summed over one pair of each orbit, the pair centres 0..m/4
+    (``_quarter_pair_sum``). It agrees with the half sum to roundoff, not
+    bitwise. Any other state takes the full sum over all m columns. Every
+    path returns a Python float.
 
     Raises
     ------
@@ -98,25 +115,56 @@ def delta_spectral(interface: GraphInterface) -> float:
     m = interface.m
     d = interface.spacing
     hp = central_diff(h, d)
-    half = m // 2
-    # on heights with h(alpha + pi) = -h(alpha) exactly, column i + m/2 of a
-    # row repeats column i (both slopes and the height difference change sign)
-    width = pair_sum_width(h)
-    total = 0.0
-    partners = partner_rows(h, hp, width=width)
-    # the kernel of a block is computed in place in one workspace for all blocks
-    work = block_workspace(4, width)
-    for r in offset_blocks(m, 0):
-        hb, hpb = partners(r)
-        block = work[:, : r.size]
-        x2 = np.subtract(h[:width], hb, out=block[0])
-        ker = bilaplacian_pair_kernel_offset_rows(m, r, x2, block)
-        weight = np.where((r == 0) | (r == half), 1.0, 2.0) * (m // width)
-        total += float(weight @ (np.multiply(ker, hpb, out=ker) @ hp[:width]))
+    width, quarter = pair_sum_path(h)
+    if quarter:
+        total = _quarter_pair_sum(h, hp)
+    else:
+        half = m // 2
+        total = 0.0
+        # on heights with h(alpha + pi) = -h(alpha) exactly, column i + m/2 of
+        # a row repeats column i (both slopes and the height difference change
+        # sign)
+        partners = partner_rows(h, hp, width=width)
+        # the kernel of a block is computed in place in one workspace for all blocks
+        work = block_workspace(4, width)
+        for r in offset_blocks(m, 0):
+            hb, hpb = partners(r)
+            block = work[:, : r.size]
+            x2 = np.subtract(h[:width], hb, out=block[0])
+            ker = bilaplacian_pair_kernel_offset_rows(m, r, x2, block)
+            weight = np.where((r == 0) | (r == half), 1.0, 2.0) * (m // width)
+            total += float(weight @ (np.multiply(ker, hpb, out=ker) @ hp[:width]))
     val = 4.0 * d * d * total
     if val < -1e-6:
         raise ValueError(f"delta_spectral returned {val}, inconsistent quadrature")
     return val
+
+
+def _quarter_pair_sum(h, hp) -> float:
+    """The pair sum of ``delta_spectral`` over exactly odd, antiperiodic heights.
+
+    The term hp_i hp_{i-r} Kpair(r d, h_i - h_{i-r}) is unchanged by the
+    mirror i -> r - i and the shift i -> i + m/2, so each offset row r >= 1
+    is 4 times its sum over one pair of each orbit, the pair centres 0..m/4
+    of ``central_pair_rows`` weighted by ``stabilizer_weights``; with the
+    weight 2 of the offsets r < m/2 the blocks count 8 times. The r = 0 row
+    is Kpair(0, 0) sum_i hp_i^2.
+    """
+    m = h.size
+    centres = m // 4 + 1
+    rows = central_pair_rows(h, hp, centres=centres)
+    work = block_workspace(4, centres, central=True, rows=QUARTER_BLOCK_ROWS)
+    total = float(bilaplacian_pair_kernel_offset_rows(m, np.zeros(1, dtype=int),
+                                                      np.zeros((1, 1)))[0, 0] * (hp @ hp))
+    for r in offset_blocks(m, 1, QUARTER_BLOCK_ROWS):
+        (ha, hpa), (hb, hpb) = rows(r)
+        block = work[:, : r.size // 2]
+        x2 = np.subtract(ha, hb, out=block[0])
+        ker = bilaplacian_pair_kernel_offset_rows(m, r.reshape(-1, 2), x2, block)
+        ker *= hpb
+        ker *= hpa
+        total += 8.0 * float(stabilizer_weights(ker, r, m).sum())
+    return total
 
 
 def delta_rate(interface: GraphInterface, sign_factor: float) -> float:

@@ -76,7 +76,6 @@ from .geometry import (
     GraphInterface,
     TWO_PI,
     central_diff,
-    centrally_symmetric,
     graph_to_curve,
     second_diff,
     symmetry_projection,
@@ -90,7 +89,7 @@ from .kernels import (
     central_pair_rows,
     clausen2,
     offset_blocks,
-    pair_sum_width,
+    pair_sum_path,
     partner_rows,
     stokeslet_terms_into,
 )
@@ -185,12 +184,10 @@ def _rhs_arrays(h: np.ndarray, params: SchemeParams) -> np.ndarray:
     spectral = params.quadrature == "spectral_log"
     # on heights with h(alpha + pi) = -h(alpha) exactly, every term of node
     # i + m/2 is the negated term of node i, bitwise: only the nodes i < m/2
-    # are summed
-    width = pair_sum_width(h)
+    # are summed; on heights that are also odd, h(-alpha) = -h(alpha), one
+    # pair of each orbit of both symmetries, summed onto the nodes 0..m/4
+    width, quarter = pair_sum_path(h)
     antiperiodic = width < m
-    # heights that are also odd, h(-alpha) = -h(alpha): one pair of each
-    # orbit of both symmetries, summed onto the nodes 0..m/4
-    quarter = antiperiodic and m % 4 == 0 and centrally_symmetric(None, h)
     if quarter:
         width = m // 4 + 1
     hw, dhw = h[:width], dh[:width]

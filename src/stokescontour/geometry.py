@@ -70,7 +70,13 @@ def central_diff(values, spacing: float) -> np.ndarray:
         raise ValueError("central_diff needs a 1-d array of length >= 3")
     if spacing <= 0:
         raise ValueError("spacing must be positive")
-    return (np.roll(v, -1) - np.roll(v, 1)) / (2.0 * spacing)
+    # v[j+1] - v[j-1], the two wrapped ends apart, then one division
+    out = np.empty_like(v)
+    np.subtract(v[2:], v[:-2], out=out[1:-1])
+    out[0] = v[1] - v[-1]
+    out[-1] = v[0] - v[-2]
+    out /= 2.0 * spacing
+    return out
 
 
 def second_diff(values, spacing: float) -> np.ndarray:
@@ -78,7 +84,16 @@ def second_diff(values, spacing: float) -> np.ndarray:
     v = np.asarray(values, dtype=float)
     if v.ndim != 1 or v.size < 3:
         raise ValueError("second_diff needs a 1-d array of length >= 3")
-    return (np.roll(v, -1) - 2.0 * v + np.roll(v, 1)) / spacing**2
+    # (v[j+1] - 2 v[j]) + v[j-1] in that order, the two wrapped ends apart
+    out = 2.0 * v
+    np.subtract(v[2:], out[1:-1], out=out[1:-1])
+    out[0] = v[1] - out[0]
+    out[-1] = v[0] - out[-1]
+    out[1:-1] += v[:-2]
+    out[0] += v[-1]
+    out[-1] += v[-2]
+    out /= spacing**2
+    return out
 
 
 def simpson_weights(m: int, spacing: float) -> np.ndarray:

@@ -48,7 +48,8 @@ given, so a block allocates no (block x m) array. On graph heights with
 h(alpha + pi) = -h(alpha) exactly, which the central and even symmetries
 together give, the terms of column i + m/2 of a row are those of column i
 up to sign, so the graph right-hand side and ``delta`` read only the first
-m/2 columns (``pair_sum_width``). On a curve with z(-alpha) = -z(alpha) exactly
+m/2 columns (``pair_sum_width``), and ``pair_sum_path`` chooses the path
+of both sums. On a curve with z(-alpha) = -z(alpha) exactly
 (``geometry.centrally_symmetric``), the mirror (-i, r - i) of the pair
 (i, i - r) lies in the same offset row with its terms negated, so the curve
 right-hand side reads one pair of each mirror orbit, indexed by the pair
@@ -60,7 +61,9 @@ symmetries is, take the same reader and folder with the shift by m/2 as a
 second symmetry: the graph right-hand side reads the pair centres
 0..m/4 only, in blocks of QUARTER_BLOCK_ROWS offsets, and folds the terms
 onto the nodes 0..m/4 through their four images, about a quarter of the
-pairs.
+pairs. ``delta`` reads the same centres, its pair kernel evaluated in place
+in a workspace of those rows, and weights each held pair by its orbit
+(``stabilizer_weights``, shared with the folder).
 """
 
 from __future__ import annotations
@@ -73,7 +76,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .geometry import TWO_PI
+from .geometry import TWO_PI, centrally_symmetric
 
 ONE_OVER_8PI = 1.0 / (8.0 * np.pi)
 ONE_OVER_4PI = 1.0 / (4.0 * np.pi)
@@ -82,8 +85,9 @@ ONE_OVER_4PI = 1.0 / (4.0 * np.pi)
 # their temporaries are (_BLOCK_ROWS x m), never m x m; each sum holds them
 # in one workspace, reused by every block
 _BLOCK_ROWS = 32
-# the rows of the graph's quarter sum hold m/4 + 1 pair centres, so twice
-# the rows make a block of the half sums' size, (_BLOCK_ROWS x m/2)
+# the rows of the quarter sums (graph RHS and delta) hold m/4 + 1 pair
+# centres, so twice the rows make a block of the half sums' size,
+# (_BLOCK_ROWS x m/2)
 QUARTER_BLOCK_ROWS = 2 * _BLOCK_ROWS
 
 
@@ -177,6 +181,21 @@ def pair_sum_width(h) -> int:
     return half if np.array_equal(h[half:], -h[:half]) else h.size
 
 
+def pair_sum_path(h):
+    """(width, quarter): how a pair sum over the graph heights h reads its rows.
+
+    ``width`` is ``pair_sum_width(h)``. ``quarter`` holds when the heights
+    are antiperiodic (width < m), also exactly odd, h(-alpha) = -h(alpha),
+    and m % 4 == 0: the sum then reads the pair centres 0..m/4 of
+    ``central_pair_rows`` (``centres`` m/4 + 1). Both the graph right-hand
+    side and ``delta`` choose their path here, so they agree about every
+    state. O(m), exact.
+    """
+    m = h.size
+    width = pair_sum_width(h)
+    return width, width < m and m % 4 == 0 and centrally_symmetric(None, h)
+
+
 def partner_rows(*xs, width=None):
     """Reader of the partner rows of the arrays xs, for the blocks of one pair sum.
 
@@ -268,6 +287,26 @@ def central_pair_rows(*xs, centres=None):
     return rows
 
 
+def stabilizer_weights(t, r, m: int):
+    """Weight in place the terms t of one block of ``central_pair_rows`` by orbit size.
+
+    ``t`` has the rows' shape (len(r)/2, 2, last + 1), ``last`` being the
+    last pair centre (m/2, or m/4 on antiperiodic heights). A held pair that
+    is its own image counts half: the centres 0 and ``last`` of an even row,
+    and every pair of the r = m/2 row, which holds each of its pairs twice.
+    The centre ``last`` of an odd row repeats the orbit of centre last - 1
+    and counts zero. The rules of ``central_folder`` and of ``delta``'s
+    quarter sum.
+    """
+    last = t.shape[-1] - 1
+    # row (j, 1) is the even offset r[2j + 1]
+    t[:, 1, ::last] *= 0.5
+    t[:, 0, last] = 0.0
+    if r[-1] == m // 2:
+        t[-1, 1] *= 0.5
+    return t
+
+
 def central_folder(m: int, antiperiodic: bool = False):
     """``fold(near, far, r)``: total of one block of ``central_pair_rows`` at the nodes 0..m/2.
 
@@ -276,12 +315,12 @@ def central_folder(m: int, antiperiodic: bool = False):
     pair are those of the pair negated, so on the nodes 0..m/2 the sum over
     all pairs is the sum over the held pairs of their terms to a node n
     minus their terms to -n: a node past m/2 folds, negated, onto its
-    mirror. A pair that is its own mirror counts half: the centres 0 and m/2
-    of an even row, and every pair of the r = m/2 row, which holds each of
-    its pairs twice. The centre m/2 of an odd row repeats the orbit of
-    centre m/2 - 1 and counts zero. Nodes 0 and m/2 total exactly 0 (for
-    finite terms), as the symmetry requires. ``near`` and ``far`` are
-    overwritten.
+    mirror. The terms are weighted by ``stabilizer_weights``: a pair that is
+    its own mirror counts half (the centres 0 and m/2 of an even row, and
+    every pair of the r = m/2 row, which holds each of its pairs twice), and
+    the centre m/2 of an odd row, which repeats the orbit of centre
+    m/2 - 1, counts zero. Nodes 0 and m/2 total exactly 0 (for finite
+    terms), as the symmetry requires. ``near`` and ``far`` are overwritten.
 
     ``antiperiodic``: the rows hold the centres 0..m/4 of graph heights
     that are also antiperiodic, h(alpha + pi) = -h(alpha), in blocks of
@@ -290,7 +329,8 @@ def central_folder(m: int, antiperiodic: bool = False):
     held terms to n, minus those to -n and to n + W, plus those to W - n.
     The weights are those above with m/4 in place of m/2: the centres 0 and
     m/4 of an even row count half, the centre m/4 of an odd row zero, and
-    the r = m/2 row half again. Node 0 totals exactly 0 (for finite terms).
+    the r = m/2 row half again; ``delta``'s quarter sum weights its terms
+    the same way. Node 0 totals exactly 0 (for finite terms).
 
     The rows are shifted into one unwrapped line of the nodes from -m/4
     through a window over a buffer whose rows are laid end to end (row j
@@ -310,10 +350,7 @@ def central_folder(m: int, antiperiodic: bool = False):
 
     def fold(near, far, r):
         for t in (near, far):
-            t[:, 1, ::last] *= 0.5
-            t[:, 0, last] = 0.0
-            if r[-1] == half:
-                t[-1, 1] *= 0.5
+            stabilizer_weights(t, r, m)
         s0, n = r[0] // 2, r.size // 2
         line.fill(0.0)
         # near node s0 + 1 + j + k, the same for both rows of a pair j
@@ -600,14 +637,17 @@ def _pair_kernel(tables, rows, a, s, u, v):
 def bilaplacian_pair_kernel_offset_rows(m: int, r: np.ndarray, x2: np.ndarray, work=None):
     """Kpair(r 2pi/m, x2) on an m-node grid, row k of x2 at the offset r[k].
 
-    The offsets r lie in 0..m/2; the tables are built once per m. ``work``,
-    four arrays of x2's shape (new ones by default), holds |x2| in the first
-    (which may be x2 itself), the kernel, returned, in the second and the
-    intermediates, so that a block of a pair sum allocates no array of its
-    size (``diagnostics.delta_spectral``).
+    The offsets r lie in 0..m/2; the tables are built once per m. x2 has
+    the shape of r with one more axis, the columns of a row: (len(r), width)
+    for the rows of ``partner_rows``, or (n, 2, centres) for r of shape
+    (n, 2) and the rows of ``central_pair_rows``. ``work``, four arrays of
+    x2's shape (new ones by default), holds |x2| in the first (which may be
+    x2 itself), the kernel, returned, in the second and the intermediates,
+    so that a block of a pair sum allocates no array of its size (the half
+    and quarter sums of ``diagnostics.delta_spectral``).
     """
     a, s, u, v = np.empty((4, *np.shape(x2))) if work is None else work
-    return _pair_kernel(_grid_row_tables(m), r[:, None], np.abs(x2, out=a), s, u, v)
+    return _pair_kernel(_grid_row_tables(m), r[..., None], np.abs(x2, out=a), s, u, v)
 
 
 def bilaplacian_pair_kernel_exact(x1, x2):

@@ -18,7 +18,16 @@ from stokescontour.diagnostics import (
 from stokescontour import kernels
 from stokescontour.kernels import bilaplacian_pair_kernel_exact
 
-from conftest import antiperiodic, band_limited, bits, grids, make_integrator, modes, sine_interface
+from conftest import (
+    antiperiodic,
+    band_limited,
+    bits,
+    doubly_symmetric,
+    grids,
+    make_integrator,
+    modes,
+    sine_interface,
+)
 
 
 # --- energy -------------------------------------------------------------------
@@ -99,10 +108,10 @@ def test_delta_rate_sign_convention():
     assert sc.delta_rate(g, 1 / (8 * np.pi)) == pytest.approx(-0.5 * base)
 
 
-def drawn_interface(m, coeffs, anti=False):
+def drawn_interface(m, coeffs, symmetry=None):
     h = band_limited(m, coeffs)
-    if anti:
-        h = antiperiodic(h)
+    if symmetry is not None:
+        h = symmetry(h)
     # delta is quadratic in h: keep h'^2 clear of the subnormal range
     assume(np.max(np.abs(h)) >= 1e-100)
     return sc.GraphInterface(h=h)
@@ -125,14 +134,16 @@ def test_delta_invariant_under_vertical_shift_and_roll(m, coeffs, shift, roll):
         assert abs(sc.delta_spectral(sc.GraphInterface(h=moved)) - base) <= 1e-12 * base
 
 
-@given(m=grids, coeffs=modes, anti=st.booleans())
+@given(m=grids, coeffs=modes, symmetry=st.sampled_from([None, antiperiodic, doubly_symmetric]))
 @settings(max_examples=10, deadline=None)
 # heights 8 apart: both kernel branches, a < 2 and a >= 2
-@example(m=64, coeffs=[(0.0, 4.0)], anti=False)
+@example(m=64, coeffs=[(0.0, 4.0)], symmetry=None)
 # h(alpha + pi) = -h(alpha) exactly: the sum over the first m/2 columns
-@example(m=64, coeffs=[(0.0, 4.0), (0.3, 0.1), (0.1, -0.2)], anti=True)
-def test_delta_matches_dense_pair_sum(m, coeffs, anti):
-    g = drawn_interface(m, coeffs, anti)
+@example(m=64, coeffs=[(0.0, 4.0), (0.3, 0.1), (0.1, -0.2)], symmetry=antiperiodic)
+# also h(-alpha) = -h(alpha) exactly: the sum over the pair centres 0..m/4
+@example(m=64, coeffs=[(0.0, 4.0), (0.3, 0.1), (0.1, -0.2)], symmetry=doubly_symmetric)
+def test_delta_matches_dense_pair_sum(m, coeffs, symmetry):
+    g = drawn_interface(m, coeffs, symmetry)
     hp = sc.central_diff(g.h, g.spacing)
     ker = bilaplacian_pair_kernel_exact(
         g.alpha[:, None] - g.alpha[None, :], g.h[:, None] - g.h[None, :]
@@ -195,12 +206,65 @@ def test_delta_bitwise_equals_out_of_place_kernel(m, anti, coeffs):
     assert np.array_equal(new, ref)
 
 
-def test_delta_m4096_in_bounded_memory():
+def assert_quarter_sum_matches_half_sum(h):
+    assert kernels.pair_sum_path(h)[1]
+    g = sc.GraphInterface(h=h)
+    quarter, half = sc.delta_spectral(g), out_of_place_delta(g)
+    assert abs(quarter - half) <= 1e-14 * half
+
+
+@pytest.mark.parametrize("preset", [sc.preset_f1, sc.preset_f2])
+# one block of offset rows (m = 8, 12), a short last block (m = 200, 204:
+# m/2 is not a multiple of the block) and several blocks (m = 512)
+@pytest.mark.parametrize("m", [8, 12, 200, 204, 512])
+def test_delta_quarter_sum_on_doubly_symmetric_presets(preset, m):
+    # out_of_place_delta reads the first m/2 columns of every row: the half sum
+    assert_quarter_sum_matches_half_sum(doubly_symmetric(preset(m)))
+
+
+COEFFS = [(0.3, -0.2), (0.1, 0.2), (-0.05, 0.1)]
+
+
+@given(m=grids, coeffs=modes)
+@example(m=8, coeffs=COEFFS)
+@example(m=12, coeffs=COEFFS)
+@example(m=200, coeffs=COEFFS)
+@example(m=204, coeffs=COEFFS)
+@example(m=512, coeffs=COEFFS)
+@settings(max_examples=10, deadline=None)
+def test_delta_quarter_sum_matches_half_sum(m, coeffs):
+    assert_quarter_sum_matches_half_sum(drawn_interface(m, coeffs, doubly_symmetric).h)
+
+
+@pytest.mark.parametrize("symmetry", [None, antiperiodic, doubly_symmetric])
+def test_delta_is_a_python_float_on_every_path(symmetry):
+    h = sc.preset_f2(64) + band_limited(64, COEFFS)
+    if symmetry is not None:
+        h = symmetry(h)
+    width, quarter = kernels.pair_sum_path(h)
+    assert (width < 64, quarter) == (symmetry is not None, symmetry is doubly_symmetric)
+    assert type(sc.delta_spectral(sc.GraphInterface(h=h))) is float
+
+
+# peak traced allocation of one evaluation at m = 4096, MiB: the raw heights
+# take the full sum, their doubly symmetric continuation the quarter sum
+# (2.3 MiB in a fresh process)
+DELTA_PEAK_MIB = {"raw": 50, "doubly-symmetric": 2.8}
+
+
+@pytest.mark.parametrize("heights", DELTA_PEAK_MIB)
+def test_delta_m4096_in_bounded_memory(heights):
     # peak traced allocation (NumPy reports its buffers to tracemalloc) of one
     # evaluation: its blocks of offset rows are O(block * m), where one m x m
     # array of kernel values alone is 128 MB. ru_maxrss cannot show it here:
     # a child process starts from the test process's high-water mark.
     g = sc.GraphInterface(h=sc.preset_f2(4096))
+    if heights == "doubly-symmetric":
+        g = sc.GraphInterface(h=doubly_symmetric(g.h))
+        assert kernels.pair_sum_path(g.h)[1]
+        # the first evaluation at this m builds the per-offset kernel tables
+        # (about 7 MiB); with them warm the bound is that of the sum alone
+        sc.delta_spectral(g)
     tracemalloc.start()
     try:
         val = sc.delta_spectral(g)
@@ -208,7 +272,7 @@ def test_delta_m4096_in_bounded_memory():
     finally:
         tracemalloc.stop()
     assert np.isfinite(val) and val > 0.0
-    assert peak < 50 * 2**20
+    assert peak < DELTA_PEAK_MIB[heights] * 2**20
 
 
 # --- dE/dt finite differences ----------------------------------------------------

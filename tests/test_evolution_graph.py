@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import stokescontour as sc
-from stokescontour import evolution_graph
+from stokescontour import diagnostics, evolution_graph
 from stokescontour.evolution_graph import (
     _cell_correction_values,
     _log_circulant,
@@ -215,6 +215,13 @@ def test_quarter_sum_matches_all_offsets_sum(quadrature, cell, m, coeffs):
     assert_quarter_sum_matches_all_offsets(h, quadrature, cell)
 
 
+def exactly_doubly_symmetric(h):
+    """h(-alpha) = -h(alpha) and h(alpha + pi) = -h(alpha), bit for bit."""
+    m = h.size
+    return (np.array_equal(h, -h[(-np.arange(m)) % m])
+            and np.array_equal(h[m // 2 :], -h[: m // 2]))
+
+
 @pytest.mark.parametrize("preset", ["f1", "f2"])
 def test_graph_run_states_stay_doubly_symmetric(monkeypatch, preset):
     # the projected initial state is exactly odd and antiperiodic and so is
@@ -222,11 +229,9 @@ def test_graph_run_states_stay_doubly_symmetric(monkeypatch, preset):
     # every call of the run takes the quarter sum
     m = 128
     symmetric = []
-    j = np.arange(m)
 
     def spy(h, params):
-        symmetric.append(np.array_equal(h, -h[(-j) % m])
-                         and np.array_equal(h[m // 2 :], -h[: m // 2]))
+        symmetric.append(exactly_doubly_symmetric(h))
         return rhs(h, params)
 
     rhs = evolution_graph._rhs_arrays
@@ -236,6 +241,30 @@ def test_graph_run_states_stay_doubly_symmetric(monkeypatch, preset):
                      make_integrator(t_end=0.12, dt_max=0.01), [0.0, 0.06, 0.12])
     assert not traj.failed
     assert len(symmetric) >= 1 + 6 * 12 and all(symmetric)
+
+
+@pytest.mark.parametrize("preset", ["f1", "f2"])
+def test_graph_run_records_take_the_quarter_delta(monkeypatch, preset):
+    # every record of a projected run is exactly odd and antiperiodic, so
+    # every delta of the run takes the quarter sum
+    m = 128
+    seen = []
+
+    def spy(interface):
+        h = interface.h
+        seen.append(exactly_doubly_symmetric(h) and kernels.pair_sum_path(h)[1])
+        return delta(interface)
+
+    delta = diagnostics.delta_spectral
+    monkeypatch.setattr(diagnostics, "delta_spectral", spy)
+    h = {"f1": sc.preset_f1, "f2": sc.preset_f2}[preset](m)
+    samples = np.linspace(0.0, 0.12, 7)
+    traj = sc.evolve(sc.GraphState(0.0, sc.GraphInterface(h=h)), params_for(m),
+                     make_integrator(t_end=0.12, dt_max=0.01), samples,
+                     sc.DiagnosticsOptions(compute_delta=True))
+    assert not traj.failed
+    assert len(seen) == len(traj.records) == samples.size and all(seen)
+    assert all(np.isfinite(rec.delta) and rec.delta > 0.0 for rec in traj.records)
 
 
 @pytest.mark.parametrize("quadrature", ["spectral_log", "taylor_cell"])

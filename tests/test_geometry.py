@@ -12,10 +12,11 @@ from stokescontour.geometry import (
     SelfIntersectionError,
     _check_no_self_intersection,
     curve_derivatives,
+    second_diff,
     simpson_weights,
 )
 
-from conftest import sine_interface
+from conftest import bits, sine_interface
 
 
 # --- central_diff -----------------------------------------------------------
@@ -50,6 +51,34 @@ def test_central_diff_linear_via_curve_convention():
 def test_central_diff_rejects_short_input():
     with pytest.raises(ValueError):
         sc.central_diff(np.array([1.0, 2.0]), 0.1)
+
+
+def roll_central_diff(v, spacing):
+    return (np.roll(v, -1) - np.roll(v, 1)) / (2.0 * spacing)
+
+
+def roll_second_diff(v, spacing):
+    return (np.roll(v, -1) - 2.0 * v + np.roll(v, 1)) / spacing**2
+
+
+@given(
+    v=st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=3, max_size=64),
+    spacing=st.floats(1e-3, 10.0),
+)
+# length 3: each node's neighbours are the other two
+@example(v=[1.0, -2.5, 7.0], spacing=0.5)
+# non-finite entries: inf - inf and nan propagate as in the formulas
+@example(v=[np.inf, 1.0, np.inf, -np.inf, np.nan, 2.0], spacing=0.1)
+@settings(max_examples=40, deadline=None)
+def test_periodic_differences_bitwise_equal_roll_formulas(v, spacing):
+    # the slices into one output take each operation of the np.roll formulas
+    # in their order, so the results agree bit for bit
+    v = np.array(v)
+    with np.errstate(all="ignore"):
+        got = sc.central_diff(v, spacing), second_diff(v, spacing)
+        ref = roll_central_diff(v, spacing), roll_second_diff(v, spacing)
+    for a, b in zip(bits(*got), bits(*ref)):
+        assert np.array_equal(a, b)
 
 
 # --- curvature --------------------------------------------------------------
