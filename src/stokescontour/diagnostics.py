@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -148,14 +149,13 @@ def _quarter_pair_sum(h, hp) -> float:
     is 4 times its sum over one pair of each orbit, the pair centres 0..m/4
     of ``central_pair_rows`` weighted by ``stabilizer_weights``; with the
     weight 2 of the offsets r < m/2 the blocks count 8 times. The r = 0 row
-    is Kpair(0, 0) sum_i hp_i^2.
+    is Kpair(0, 0) sum_i hp_i^2, Kpair(0, 0) taken once per m (``_kpair_origin``).
     """
     m = h.size
     centres = m // 4 + 1
     rows = central_pair_rows(h, hp, centres=centres)
     work = block_workspace(4, centres, central=True, rows=QUARTER_BLOCK_ROWS)
-    total = float(bilaplacian_pair_kernel_offset_rows(m, np.zeros(1, dtype=int),
-                                                      np.zeros((1, 1)))[0, 0] * (hp @ hp))
+    total = float(_kpair_origin(m) * (hp @ hp))
     for r in offset_blocks(m, 1, QUARTER_BLOCK_ROWS):
         (ha, hpa), (hb, hpb) = rows(r)
         block = work[:, : r.size // 2]
@@ -165,6 +165,12 @@ def _quarter_pair_sum(h, hp) -> float:
         ker *= hpa
         total += 8.0 * float(stabilizer_weights(ker, r, m).sum())
     return total
+
+
+@lru_cache(maxsize=8)
+def _kpair_origin(m: int) -> np.float64:
+    """Kpair(0, 0) from the row tables of an m-node grid, evaluated once per m."""
+    return bilaplacian_pair_kernel_offset_rows(m, np.zeros(1, dtype=int), np.zeros((1, 1)))[0, 0]
 
 
 def delta_rate(interface: GraphInterface, sign_factor: float) -> float:

@@ -19,19 +19,37 @@ pair costs a sine.
 The tangential component of the velocity is kept exactly as the
 integral produces it; node clustering is only monitored.
 
-On a curve with z(-alpha) = -z(alpha) exactly on the grid
-(``geometry.centrally_symmetric``) the velocity is odd, and the pair of
-nodes (-i, -j) carries the negated terms of (i, j). The sum then evaluates
-one pair of each such mirror orbit, (m/2) * (m/2 + 1) pairs instead of
-(m/2) * m, totals the nodes alpha in [-pi, 0] and gives the others the
-negated totals; the nodes alpha = -pi and 0 are exactly 0. The result
-agrees with the full sum to roundoff (not bitwise) and is exactly odd, so
-every stage of a run from a projected symmetric state is symmetric again
-and takes this path: both turning families do. Any other curve takes the
-full sum.
+The state is (p, z2), with p = z1 - alpha the periodic remainder of z1.
+On it each symmetry of the curve is a sign and an index map with no
+constant: central symmetry z(-alpha) = -z(alpha) reads p[-j] = -p[j],
+z2[-j] = -z2[j]; the two-line even symmetry p[m/2 - j] = -p[j],
+z2[m/2 - j] = z2[j]; and their composition, the half-period symmetry
+z1(alpha + pi) = z1(alpha) + pi, z2(alpha + pi) = -z2(alpha), reads
+p[j + m/2] = p[j], z2[j + m/2] = -z2[j]. Rounding commutes with these maps,
+so a projected state, every DOPRI5 stage built from it and the velocity
+below keep them bit for bit. The sum takes one of three paths, chosen by
+the exact O(m) test ``kernels.curve_pair_sum_path`` on (p, z2):
+
+- on exactly odd p and z2 the velocity is odd, and the pair of nodes
+  (-i, -j) carries the negated terms of (i, j). The central half sum
+  evaluates one pair of each such mirror orbit, (m/2) * (m/2 + 1) pairs
+  instead of (m/2) * m, totals the nodes alpha in [-pi, 0] and gives the
+  others the negated totals; the nodes alpha = -pi and 0 are exactly 0;
+- on such a state that is also exactly half-period symmetric the shift by
+  m/2 keeps the u1 terms of a pair and negates its u2 terms. The quarter
+  sum evaluates one pair of each orbit of the four-element group,
+  (m/2) * (m/4 + 1) pairs, totals the nodes alpha in [-pi, -pi/2] and
+  writes the others by the reflection n -> m/2 - n (u1 odd, u2 even under
+  it) and the central mirror; u1 is exactly 0 at alpha = -pi/2 too;
+- any other state takes the full sum.
+
+The symmetric sums agree with the full sum to roundoff (not bitwise) and
+their output has the symmetries exactly, so every stage of a run from a
+projected state takes the path of its initial state: the basic turning
+family the half sum, the even one the quarter sum.
 
 ``evolve_curve`` supplies only the right-hand side on the state vector
-(z1, z2), ``geometry.symmetry_projection``, the amplitude guard and the
+(p, z2), ``geometry.symmetry_projection``, the amplitude guard and the
 per-sample record; ``integrators.integrate`` steps, samples and builds the
 Trajectory.
 """
@@ -49,18 +67,19 @@ from .geometry import (
     TWO_PI,
     ParamCurve,
     central_diff,
-    centrally_symmetric,
     curve_derivatives,
     symmetry_projection,
 )
 from .integrators import BlowupError, IntegratorParams, Trajectory, integrate
 from .kernels import (
     ONE_OVER_8PI,
+    QUARTER_BLOCK_ROWS,
     block_folder,
     block_workspace,
     central_folder,
     central_pair_rows,
     clausen2,
+    curve_pair_sum_path,
     offset_blocks,
     partner_rows,
     stokeslet_terms_into,
@@ -80,10 +99,9 @@ class CurveState:
 
 # transient over/underflows surface as the finiteness check below
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _rhs_curve_arrays(z1: np.ndarray, z2: np.ndarray, alpha: np.ndarray, delta_rho: float):
-    m = z1.size
+def _rhs_curve_arrays(p: np.ndarray, z2: np.ndarray, alpha: np.ndarray, delta_rho: float):
+    m = p.size
     d = TWO_PI / m
-    p = z1 - alpha
     dz1 = 1.0 + central_diff(p, d)
     dz2 = central_diff(z2, d)
     speed2 = dz1 * dz1 + dz2 * dz2
@@ -107,20 +125,33 @@ def _rhs_curve_arrays(z1: np.ndarray, z2: np.ndarray, alpha: np.ndarray, delta_r
     # sin and cos of z1/2 per node: the sines of every pair by angle
     # subtraction; the kernel is 2pi-periodic in x1, so the winding of z1
     # across the seam is immaterial here
+    z1 = p + alpha
     xs = (z2, v1, v2, np.sin(0.5 * z1), np.cos(0.5 * z1))
-    central = centrally_symmetric(z1, z2)
-    if central:
+    central, quarter = curve_pair_sum_path(p, z2)
+    # the block terms are computed in place in one workspace for all blocks
+    if quarter:
+        # one pair of each orbit of the mirror and the half-period shift,
+        # folded onto the nodes 0..m/4; the shift keeps the u1 terms and
+        # negates the u2 terms
+        width = m // 4 + 1
+        rows = central_pair_rows(*xs, centres=width)
+        folds = (central_folder(m, 1.0), central_folder(m, -1.0))
+        blocks = offset_blocks(m, 1, QUARTER_BLOCK_ROWS)
+        work = block_workspace(6, width, central=True, rows=QUARTER_BLOCK_ROWS)
+    elif central:
         # one pair of each mirror orbit, folded onto the nodes 0..m/2
-        rows, fold = central_pair_rows(*xs), central_folder(m)
+        width = m // 2 + 1
+        rows, folds = central_pair_rows(*xs), (central_folder(m),) * 2
+        blocks, work = offset_blocks(m, 1), block_workspace(6, width, central=True)
     else:
         # the Stokeslet is even, so the offsets r and m - r share one evaluation
+        width = m
         partners = partner_rows(*xs)
-        rows, fold = (lambda r: (xs, partners(r))), block_folder(m)
-    acc1 = np.zeros(m // 2 + 1 if central else m)
-    acc2 = np.zeros(acc1.size)
-    # the block terms are computed in place in one workspace for all blocks
-    work = block_workspace(6, acc1.size, central)
-    for r in offset_blocks(m, 1):
+        rows, folds = (lambda r: (xs, partners(r))), (block_folder(m),) * 2
+        blocks, work = offset_blocks(m, 1), block_workspace(6, width)
+    acc1 = np.zeros(width)
+    acc2 = np.zeros(width)
+    for r in blocks:
         (z2a, v1a, v2a, sa, ca), (z2b, v1b, v2b, sb, cb) = rows(r)
         sn2, sn, x2, lg, a_ss, a_sn = work[:, : len(z2b)]
         # lg holds intermediates until the Stokeslet terms are written
@@ -134,21 +165,26 @@ def _rhs_curve_arrays(z1: np.ndarray, z2: np.ndarray, alpha: np.ndarray, delta_r
         s22 = np.subtract(lg, a_ss, out=sn)
         # the terms of each component for the near and the far node,
         # s v_b - a_sn w_b and s v_a - a_sn w_a
-        for acc, s, va, vb, wa, wb in ((acc1, s11, v1a, v1b, v2a, v2b),
-                                       (acc2, s22, v2a, v2b, v1a, v1b)):
+        for acc, fold, s, va, vb, wa, wb in ((acc1, folds[0], s11, v1a, v1b, v2a, v2b),
+                                             (acc2, folds[1], s22, v2a, v2b, v1a, v1b)):
             near = np.multiply(s, vb, out=lg)
             near -= np.multiply(a_sn, wb, out=a_ss)
             far = np.multiply(s, va, out=a_ss)
             far -= np.multiply(a_sn, wa, out=x2)
             acc += fold(near, far, r)
-    u1[: acc1.size] += d * acc1
-    u2[: acc2.size] += d * acc2
+    u1[:width] += d * acc1
+    u2[:width] += d * acc2
 
     u1 *= delta_rho * ONE_OVER_8PI
     u2 *= delta_rho * ONE_OVER_8PI
+    half, q = m // 2, m // 4
+    if quarter:
+        # the reflection n -> m/2 - n, under which u1 is odd and u2 even:
+        # nodes m/4 + 1..m/2 repeat m/4 - 1..0
+        u1[q + 1 : half + 1] = -u1[q - 1 :: -1]
+        u2[q + 1 : half + 1] = u2[q - 1 :: -1]
     if central:
         # the velocity is odd: nodes m/2 + 1.. mirror 1..m/2 - 1
-        half = m // 2
         for u in (u1, u2):
             u[half + 1 :] = -u[half - 1 : 0 : -1]
     if not (np.all(np.isfinite(u1)) and np.all(np.isfinite(u2))):
@@ -161,7 +197,7 @@ def rhs_curve(state: CurveState):
     """Material velocity (dz1/dt, dz2/dt) of the contour dynamics."""
     c = state.curve
     _warn_if_clustered(c)
-    return _rhs_curve_arrays(c.z1, c.z2, c.alpha, state.delta_rho)
+    return _rhs_curve_arrays(c.z1 - c.alpha, c.z2, c.alpha, state.delta_rho)
 
 
 def _warn_if_clustered(curve: ParamCurve) -> None:
@@ -187,7 +223,8 @@ def evolve_curve(
     """Integrate the contour dynamics with the shared embedded RK machinery.
 
     ``integrators.integrate`` steps, samples and captures failures as for the
-    graph scheme; the state vector is (z1, z2). Each record additionally
+    graph scheme; the state vector is (p, z2), p = z1 - alpha, on which the
+    symmetries are sign and index maps. Each record additionally
     stores min_slope_x1 so turning (a sign change of the minimum slope) can
     be read off the trajectory, and each sample warns when the nodes cluster
     beyond SPEED_RATIO_WARN. A sample that self-intersects or degenerates
@@ -203,17 +240,18 @@ def evolve_curve(
         return np.concatenate(symmetrize(y[:m], y[m:]))
 
     def guard(y):
-        return np.maximum(np.abs(y[:m] - alpha), np.abs(y[m:]))
+        # one value per node, so that a blowup names the node
+        return np.maximum(np.abs(y[:m]), np.abs(y[m:]))
 
     def f(t, y):
         u1, u2 = _rhs_curve_arrays(y[:m], y[m:], alpha, initial.delta_rho)
         return np.concatenate([u1, u2])
 
     def sample(t, y):
-        curve = ParamCurve(z1=y[:m].copy(), z2=y[m:].copy())
+        curve = ParamCurve(z1=y[:m] + alpha, z2=y[m:].copy())
         _warn_if_clustered(curve)
         state = CurveState(t=t, curve=curve, delta_rho=initial.delta_rho)
         return state, record_for_curve(t, curve, options)
 
-    y0 = np.concatenate([initial.curve.z1, initial.curve.z2]).astype(float)
+    y0 = np.concatenate([initial.curve.z1 - alpha, initial.curve.z2]).astype(float)
     return integrate(f, initial.t, y0, ip, sample_times, project, guard, sample, on_sample)

@@ -207,7 +207,7 @@ def _rhs_arrays(h: np.ndarray, params: SchemeParams) -> np.ndarray:
     # are even in the offset, so the offsets r and m - r share one evaluation
     # the block terms are computed in place in one workspace for all blocks
     if quarter:
-        rows, fold = central_pair_rows(h, dh, centres=width), central_folder(m, antiperiodic=True)
+        rows, fold = central_pair_rows(h, dh, centres=width), central_folder(m, -1.0)
         blocks = offset_blocks(m, 1, QUARTER_BLOCK_ROWS)
         work = block_workspace(5, width, central=True, rows=QUARTER_BLOCK_ROWS)
         row_shape = (-1, 2, 1)

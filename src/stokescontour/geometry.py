@@ -21,8 +21,9 @@ time and O(m) memory, and the discrete tangent may not vanish.
 
 from __future__ import annotations
 
-import csv
+import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -41,8 +42,17 @@ class SelfIntersectionError(ValueError):
 
 
 def uniform_grid(m: int) -> np.ndarray:
-    """Nodes alpha_j = -pi + 2*pi*j/m for j = 0..m-1."""
+    """Nodes alpha_j = -pi + 2*pi*j/m for j = 0..m-1, a new writable array."""
     return -np.pi + TWO_PI * np.arange(m) / m
+
+
+@lru_cache(maxsize=8)
+def _shared_grid(m: int) -> np.ndarray:
+    """``uniform_grid(m)`` made read-only and cached: the ``alpha`` of every
+    GraphInterface and ParamCurve on m nodes."""
+    alpha = uniform_grid(m)
+    alpha.flags.writeable = False
+    return alpha
 
 
 def check_grid_size(m: int) -> None:
@@ -120,7 +130,7 @@ class GraphInterface:
     m : int
         Grid size (a multiple of 4, >= 8).
     alpha : ndarray
-        Nodes -pi + 2*pi*j/m.
+        Nodes -pi + 2*pi*j/m, read-only and shared by every interface on m nodes.
     """
 
     h: np.ndarray
@@ -134,7 +144,7 @@ class GraphInterface:
             raise ValueError("heights must be finite")
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "m", h.size)
-        object.__setattr__(self, "alpha", uniform_grid(h.size))
+        object.__setattr__(self, "alpha", _shared_grid(h.size))
 
     @property
     def spacing(self) -> float:
@@ -150,6 +160,7 @@ class ParamCurve:
     nodes coincide in (z1 mod 2pi, z2) or whose discrete tangent vanishes.
     The node check takes O(m) for a curve that is x-monotone and
     O(m log m) for one that is not; it does not test segment crossings.
+    ``alpha`` is read-only and shared by every curve on m nodes.
     """
 
     z1: np.ndarray
@@ -168,7 +179,7 @@ class ParamCurve:
         object.__setattr__(self, "z1", z1)
         object.__setattr__(self, "z2", z2)
         object.__setattr__(self, "m", z1.size)
-        object.__setattr__(self, "alpha", uniform_grid(z1.size))
+        object.__setattr__(self, "alpha", _shared_grid(z1.size))
         _check_no_self_intersection(z1, z2)
         dz1, dz2 = curve_derivatives(self)
         speed = np.hypot(dz1, dz2)
@@ -283,22 +294,32 @@ def min_slope_x1(curve: ParamCurve) -> float:
 CARRIED_TOL = 1e-12  # a symmetry error at most this counts as carried
 
 
+@lru_cache(maxsize=8)
 def _reflections(m: int):
-    """Central and two-line even symmetry as rows (k, c, sign), for all nodes j:
+    """Central and two-line even symmetry as rows (k, sign, c), for all nodes j:
 
-    z1[j] + z1[k[j]] = c[j] and z2[j] = sign * z2[k[j]]. Central symmetry
-    z(alpha) = -z(-alpha) pairs j with -j, the seam node with itself across
-    one period. Even symmetry pairs j with m/2 - j, mirroring the curve about
-    the lines z1 = -pi/2 on [-pi, 0] and z1 = pi/2 on (0, pi).
+    p[k[j]] = -p[j] and z2[k[j]] = sign * z2[j] on the remainder p = z1 - alpha,
+    which either reflection maps without a constant. Central symmetry
+    z(alpha) = -z(-alpha) pairs j with -j; even symmetry pairs j with
+    m/2 - j, mirroring the curve about the lines z1 = -pi/2 on [-pi, 0] and
+    z1 = pi/2 on (0, pi). Their composition is the half-period symmetry
+    p[j + m/2] = p[j], z2[j + m/2] = -z2[j]. On z1 itself a reflection
+    reads z1[j] + z1[k[j]] = c[j]: -2pi at the seam node j = 0 for central,
+    -pi on [-pi, 0] and pi beyond for even; only ``symmetry_errors``, which
+    measures the stored z1, reads c. The rows are read-only, built once per m.
     """
     j = np.arange(m)
-    central = ((-j) % m, np.where(j == 0, -TWO_PI, 0.0), -1.0)
-    even = ((m // 2 - j) % m, np.where(j <= m // 2, -np.pi, np.pi), 1.0)
-    return central, even
+    rows = (((-j) % m, -1.0, np.where(j == 0, -TWO_PI, 0.0)),
+            ((m // 2 - j) % m, 1.0, np.where(j <= m // 2, -np.pi, np.pi)))
+    for k, _, c in rows:
+        k.flags.writeable = c.flags.writeable = False
+    return rows
 
 
 def symmetry_errors(curve: ParamCurve):
     """Max deviation from central symmetry and from the two-line even symmetry.
+
+    Measured on z1 and z2 as stored, so the rounding of a lifted grid counts.
 
     Returns
     -------
@@ -307,22 +328,23 @@ def symmetry_errors(curve: ParamCurve):
     z1, z2 = curve.z1, curve.z2
     return tuple(
         float(max(np.max(np.abs(z1 + z1[k] - c)), np.max(np.abs(z2 - sign * z2[k]))))
-        for k, c, sign in _reflections(curve.m)
+        for k, sign, c in _reflections(curve.m)
     )
 
 
-def centrally_symmetric(z1, z2) -> bool:
-    """Whether the curve (z1, z2) has z(-alpha) = -z(alpha) exactly on the grid.
+def centrally_symmetric(p, z2) -> bool:
+    """Whether p = z1 - alpha and z2 are exactly odd on the grid, x(-alpha) = -x(alpha).
 
-    The central row of ``_reflections`` with zero error; with z1 None, only
+    The central row of ``_reflections`` with zero error on the remainder p,
+    so the test reads the state a curve run integrates; with p None, only
     its z2 half, h(-alpha) = -h(alpha) for the heights z2 of a graph. A pair
     sum over such a curve, or over such heights that are also antiperiodic,
-    reads one pair of each mirror orbit (``kernels.central_pair_rows``,
-    ``kernels.central_folder``).
+    reads one pair of each mirror orbit (``kernels.curve_pair_sum_path``,
+    ``kernels.pair_sum_path``). O(m), exact.
     """
-    k, c, sign = _reflections(z2.size)[0]
-    return bool((z1 is None or np.array_equal(z1 + z1[k], c))
-                and np.array_equal(z2, sign * z2[k]))
+    k, sign, _ = _reflections(z2.size)[0]
+    return bool((p is None or np.array_equal(p[k], -p))
+                and np.array_equal(z2[k], sign * z2))
 
 
 def carried_symmetries(curve: ParamCurve):
@@ -334,18 +356,21 @@ def symmetry_projection(curve: ParamCurve):
     """Projection onto the symmetries ``curve`` carries (``carried_symmetries``).
 
     Both are conserved by the flow, so enforcing them keeps roundoff
-    asymmetries from growing under unstable dynamics. Returns ``project(z1,
-    z2) -> (z1, z2)``; its z2 half alone projects the heights of a graph,
-    and ``project(None, h)`` computes only that half.
+    asymmetries from growing under unstable dynamics. Returns ``project(p,
+    z2) -> (p, z2)`` on the remainder p = z1 - alpha: each reflection is a
+    sign and index map there, so the result has both symmetries, and their
+    composition, the half-period symmetry, exactly. Its z2 half alone
+    projects the heights of a graph, and ``project(None, h)`` computes only
+    that half.
     """
     rows = [row for row, on in zip(_reflections(curve.m), carried_symmetries(curve)) if on]
 
-    def project(z1, z2):
-        for k, c, sign in rows:
-            if z1 is not None:
-                z1 = 0.5 * (z1 + c - z1[k])
+    def project(p, z2):
+        for k, sign, _ in rows:
+            if p is not None:
+                p = 0.5 * (p - p[k])
             z2 = 0.5 * (z2 + sign * z2[k])
-        return z1, z2
+        return p, z2
 
     return project
 
@@ -363,10 +388,12 @@ def write_snapshot(path, obj) -> None:
         header, columns = "alpha,z1,z2", (obj.alpha, obj.z1, obj.z2)
     else:
         raise TypeError(f"cannot snapshot object of type {type(obj)!r}")
-    # CRLF row ends, as the csv module writes them, on every platform
+    # CRLF row ends, as the csv module writes them, on every platform; all
+    # rows in one formatting of the flat values
+    row = ",".join(["%.17g"] * len(columns)) + "\r\n"
+    values = np.column_stack(columns).ravel().tolist()
     with open(path, "w", newline="") as fh:
-        np.savetxt(fh, np.column_stack(columns), fmt="%.17g", delimiter=",",
-                   header=header, comments="", newline="\r\n")
+        fh.write(header + "\r\n" + (row * obj.m) % tuple(values))
 
 
 def read_snapshot(path):
@@ -375,22 +402,24 @@ def read_snapshot(path):
     Raises ValueError naming the path for a file without data rows, with an
     unrecognized header, with a row of the wrong length, with a value that is
     not a number or with data the constructor rejects (a grid off the grid
-    rule, say).
+    rule, say). The columns are kept as contiguous copies, not views of the
+    parsed table.
     """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        rows = [row for row in reader if row]
-    if not rows:
-        raise ValueError(f"{path}: snapshot has no data rows")
-    if header not in (["alpha", "h"], ["alpha", "z1", "z2"]):
-        raise ValueError(f"{path}: unrecognized snapshot header {header!r}")
-    if any(len(row) != len(header) for row in rows):
-        raise ValueError(f"{path}: every snapshot row needs {len(header)} values")
-    try:
-        data = np.asarray([[float(x) for x in row] for row in rows])
-        if len(header) == 2:
-            return GraphInterface(h=data[:, 1])
-        return ParamCurve(z1=data[:, 1], z2=data[:, 2])
-    except ValueError as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
+        header = fh.readline().rstrip("\r\n").split(",")
+        try:
+            with warnings.catch_warnings():
+                # a file without data rows warns; it is rejected below
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+            if data.size == 0:
+                raise ValueError("snapshot has no data rows")
+            if header not in (["alpha", "h"], ["alpha", "z1", "z2"]):
+                raise ValueError(f"unrecognized snapshot header {header!r}")
+            if data.shape[1] != len(header):
+                raise ValueError(f"every snapshot row needs {len(header)} values")
+            if len(header) == 2:
+                return GraphInterface(h=data[:, 1].copy())
+            return ParamCurve(z1=data[:, 1].copy(), z2=data[:, 2].copy())
+        except ValueError as exc:
+            raise type(exc)(f"{path}: {exc}") from exc

@@ -49,20 +49,25 @@ h(alpha + pi) = -h(alpha) exactly, which the central and even symmetries
 together give, the terms of column i + m/2 of a row are those of column i
 up to sign, so the graph right-hand side and ``delta`` read only the first
 m/2 columns (``pair_sum_width``), and ``pair_sum_path`` chooses the path
-of both sums. On a curve with z(-alpha) = -z(alpha) exactly
-(``geometry.centrally_symmetric``), the mirror (-i, r - i) of the pair
-(i, i - r) lies in the same offset row with its terms negated, so the curve
-right-hand side reads one pair of each mirror orbit, indexed by the pair
-centre (``central_pair_rows``), and folds the terms onto the nodes
-alpha in [-pi, 0] (``central_folder``): about half the pairs, still in
-O(block * m) memory. Graph heights that are exactly odd as well as
-antiperiodic, as every state of a graph run projected onto both
-symmetries is, take the same reader and folder with the shift by m/2 as a
-second symmetry: the graph right-hand side reads the pair centres
-0..m/4 only, in blocks of QUARTER_BLOCK_ROWS offsets, and folds the terms
-onto the nodes 0..m/4 through their four images, about a quarter of the
-pairs. ``delta`` reads the same centres, its pair kernel evaluated in place
-in a workspace of those rows, and weights each held pair by its orbit
+of both sums. On a curve whose remainder p = z1 - alpha and height z2
+are exactly odd (``geometry.centrally_symmetric``), the mirror (-i, r - i)
+of the pair (i, i - r) lies in the same offset row with its terms negated,
+so the curve right-hand side reads one pair of each mirror orbit, indexed
+by the pair centre (``central_pair_rows``), and folds the terms onto the
+nodes alpha in [-pi, 0] (``central_folder``): about half the pairs, still
+in O(block * m) memory. A state with the shift by m/2 as a second exact
+symmetry takes the same reader and folder with that shift: graph heights
+that are odd and antiperiodic, as every state of a graph run projected
+onto both symmetries is, and curves that are odd and half-period
+symmetric, p(alpha + pi) = p(alpha), z2(alpha + pi) = -z2(alpha), as every
+state of a run of the even turning family is. The right-hand sides read
+the pair centres 0..m/4 only, in blocks of QUARTER_BLOCK_ROWS offsets, and
+fold the terms onto the nodes 0..m/4 through their four images, about a
+quarter of the pairs; the folder takes the sign the shift gives the terms
+(-1 for the graph and the curve's u2, +1 for its u1). ``pair_sum_path``
+and ``curve_pair_sum_path`` choose the paths. ``delta`` reads the same
+centres as the graph, its pair kernel evaluated in place in a workspace
+of those rows, and weights each held pair by its orbit
 (``stabilizer_weights``, shared with the folder).
 """
 
@@ -196,6 +201,25 @@ def pair_sum_path(h):
     return width, width < m and m % 4 == 0 and centrally_symmetric(None, h)
 
 
+def curve_pair_sum_path(p, z2):
+    """(central, quarter): how the curve pair sum over the state (p, z2) reads its rows.
+
+    p = z1 - alpha. ``central`` holds when p and z2 are exactly odd
+    (``geometry.centrally_symmetric``): the sum reads the pair centres
+    0..m/2 of ``central_pair_rows``. ``quarter`` holds when they also have
+    the half-period symmetry exactly, p(alpha + pi) = p(alpha) and
+    z2(alpha + pi) = -z2(alpha), and m % 4 == 0: the sum then reads the
+    centres 0..m/4 (``centres`` m/4 + 1) and folds u1 by
+    ``central_folder(m, 1.0)``, u2 by ``central_folder(m, -1.0)``. The curve
+    analogue of ``pair_sum_path``; O(m), exact.
+    """
+    m = p.size
+    central = centrally_symmetric(p, z2)
+    quarter = (central and m % 4 == 0 and np.array_equal(p[m // 2 :], p[: m // 2])
+               and pair_sum_width(z2) < m)
+    return central, quarter
+
+
 def partner_rows(*xs, width=None):
     """Reader of the partner rows of the arrays xs, for the blocks of one pair sum.
 
@@ -258,9 +282,10 @@ def central_pair_rows(*xs, centres=None):
     same row, so a row indexed by the pair centre k = 0..m/2 (``centres``
     m/2 + 1, the default) holds one pair of each mirror orbit: (k + s, k - s)
     for r = 2s and (k + s + 1, k - s) for r = 2s + 1. On graph heights that
-    are also antiperiodic, the shift by m/2 maps the pair of centre k to that
-    of centre k + m/2, so the centres k = 0..m/4 (``centres`` m/4 + 1) hold
-    one pair of each orbit of both symmetries. ``rows(r)``, for a block of
+    are also antiperiodic, or a curve that is also half-period symmetric,
+    the shift by m/2 maps the pair of centre k to that of centre k + m/2,
+    so the centres k = 0..m/4 (``centres`` m/4 + 1) hold one pair of each
+    orbit of both symmetries. ``rows(r)``, for a block of
     an even number of consecutive offsets from an odd r[0] (as
     ``offset_blocks(m, 1)`` gives, m/2 being even), returns (near, far):
     each x at the near and the far node of those pairs, shapes
@@ -291,7 +316,7 @@ def stabilizer_weights(t, r, m: int):
     """Weight in place the terms t of one block of ``central_pair_rows`` by orbit size.
 
     ``t`` has the rows' shape (len(r)/2, 2, last + 1), ``last`` being the
-    last pair centre (m/2, or m/4 on antiperiodic heights). A held pair that
+    last pair centre (m/2, or m/4 with the half-period shift). A held pair that
     is its own image counts half: the centres 0 and ``last`` of an even row,
     and every pair of the r = m/2 row, which holds each of its pairs twice.
     The centre ``last`` of an odd row repeats the orbit of centre last - 1
@@ -307,7 +332,7 @@ def stabilizer_weights(t, r, m: int):
     return t
 
 
-def central_folder(m: int, antiperiodic: bool = False):
+def central_folder(m: int, shift_sign: float = 0.0):
     """``fold(near, far, r)``: total of one block of ``central_pair_rows`` at the nodes 0..m/2.
 
     ``near`` and ``far`` (shape (len(r)/2, 2, m/2 + 1), as the rows) hold
@@ -322,15 +347,20 @@ def central_folder(m: int, antiperiodic: bool = False):
     m/2 - 1, counts zero. Nodes 0 and m/2 total exactly 0 (for finite
     terms), as the symmetry requires. ``near`` and ``far`` are overwritten.
 
-    ``antiperiodic``: the rows hold the centres 0..m/4 of graph heights
-    that are also antiperiodic, h(alpha + pi) = -h(alpha), in blocks of
-    QUARTER_BLOCK_ROWS offsets, and the total is that of the nodes 0..m/4.
-    The shift by W = m/2 negates the terms too, so a node n collects the
-    held terms to n, minus those to -n and to n + W, plus those to W - n.
-    The weights are those above with m/4 in place of m/2: the centres 0 and
-    m/4 of an even row count half, the centre m/4 of an odd row zero, and
-    the r = m/2 row half again; ``delta``'s quarter sum weights its terms
-    the same way. Node 0 totals exactly 0 (for finite terms).
+    ``shift_sign`` (+1 or -1; 0, the default, for none): the state also has
+    the half-period symmetry, the shift by W = m/2 maps the pair of centre
+    k to that of centre k + W and multiplies its terms by ``shift_sign``.
+    The rows then hold the centres 0..m/4, in blocks of QUARTER_BLOCK_ROWS
+    offsets, and the total is that of the nodes 0..m/4: a node n collects
+    the held terms to n, minus those to -n, plus ``shift_sign`` times those
+    to n + W minus those to W - n. The sign is -1 for graph heights with
+    h(alpha + pi) = -h(alpha) and for the u2 terms of a curve with
+    z1(alpha + pi) = z1(alpha) + pi, z2(alpha + pi) = -z2(alpha), whose u1
+    terms the shift leaves unchanged (+1). The weights are those above with
+    m/4 in place of m/2: the centres 0 and m/4 of an even row count half,
+    the centre m/4 of an odd row zero, and the r = m/2 row half again;
+    ``delta``'s quarter sum weights its terms the same way. Node 0 totals
+    exactly 0 (for finite terms), and so does node m/4 for the sign +1.
 
     The rows are shifted into one unwrapped line of the nodes from -m/4
     through a window over a buffer whose rows are laid end to end (row j
@@ -339,8 +369,8 @@ def central_folder(m: int, antiperiodic: bool = False):
     """
     half, quarter = m // 2, m // 4
     # the last pair centre, and the line of nodes -m/4..last + m/4
-    last = quarter if antiperiodic else half
-    block = QUARTER_BLOCK_ROWS if antiperiodic else _BLOCK_ROWS
+    last = quarter if shift_sign else half
+    block = QUARTER_BLOCK_ROWS if shift_sign else _BLOCK_ROWS
     width = last + 1 + block // 2
     buf = np.zeros((block // 2 + 1, width))
     # element (j, i) of row j of the window is buf[j, i - j], or a zero of
@@ -361,14 +391,15 @@ def central_folder(m: int, antiperiodic: bool = False):
         buf[n, : last + 1] = 0.0
         buf[1 : n + 1, : last + 1] += far[::-1, 0]
         line[quarter - s0 - n : quarter - s0 + last + 1] += win[: n + 1].sum(axis=0)[: last + n + 1]
-        if antiperiodic:
+        if shift_sign:
             # the line holds the nodes -m/4..m/2: of the nodes n + W only
-            # W (n = 0) and -m/4 (n = m/4)
+            # W (n = 0) and -m/4 (n = m/4); images holds the terms to W - n
+            # minus those to n + W
             total = line[quarter : half + 1] - line[quarter::-1]
             images = line[3 * quarter : half - 1 : -1].copy()
             images[0] -= line[3 * quarter]
             images[quarter] -= line[0]
-            total += images
+            total -= np.multiply(images, shift_sign, out=images)
             return total
         total = line[quarter : quarter + half + 1].copy()
         total[quarter:] -= line[quarter + half :][::-1]

@@ -18,7 +18,6 @@ from stokescontour import kernels
 from stokescontour.evolution_curve import _rhs_curve_arrays
 from stokescontour.geometry import (
     central_diff,
-    centrally_symmetric,
     graph_to_curve,
     second_diff,
     symmetry_projection,
@@ -354,10 +353,14 @@ def test_inputs_left_unchanged(call):
                  for q in ("spectral_log", "taylor_cell")]
         f = _rhs_arrays
     elif call == "curve":
-        # the full and the central half sum
-        c = sc.build_turning_family(sc.TurningFamilyParams(b=16.9), m)
-        cases = [(c.z1, c.z2, c.alpha, -2.0),
-                 (*symmetry_projection(c)(c.z1, c.z2), c.alpha, -2.0)]
+        # the full, the central half and the quarter sum, on the state (p, z2)
+        basic, even = (sc.build_turning_family(sc.TurningFamilyParams(b=b, variant=v), m)
+                       for v, b in (("basic", 16.9), ("even_symmetric", 10.4)))
+        cases = [(basic.z1 - basic.alpha, basic.z2, basic.alpha, -2.0)]
+        cases += [(*symmetry_projection(c)(c.z1 - c.alpha, c.z2), c.alpha, -2.0)
+                  for c in (basic, even)]
+        assert [kernels.curve_pair_sum_path(*args[:2]) for args in cases] == [
+            (False, False), (True, False), (True, True)]
         f = _rhs_curve_arrays
     else:
         cases = [(x1, x2), (x1[:, :1], x2), (x1[0, 0], x2[0, 0])]
@@ -370,15 +373,16 @@ def test_inputs_left_unchanged(call):
 
 
 # traced peak of one RHS call at m = 4096, 20 % above the peaks measured in
-# a fresh process (7.6, 3.9, 3.4, 8.9 and 4.3 MiB, NumPy 2.4 on x86-64): the
-# one block workspace of each sum (5.0, 2.5, 2.5, 6.0 and 3.0 MiB) made
-# twice, or made anew per block while the last is still held, exceeds them
+# a fresh process (7.6, 3.9, 3.4, 8.9, 4.3 and 4.65 MiB, NumPy 2.4 on
+# x86-64): the one block workspace of each sum (5.0, 2.5, 2.5, 6.0, 3.0 and
+# 3.0 MiB) made twice, or made anew per block while the last is still held,
+# exceeds them
 PEAK_MIB = {"graph": 9.1, "graph-antiperiodic": 4.7, "graph-quarter": 4.1, "curve": 10.6,
-            "curve-central": 5.2}
+            "curve-central": 5.2, "curve-quarter": 5.6}
 
 
 @pytest.mark.parametrize("formulation", ["graph", "graph-antiperiodic", "graph-quarter", "curve",
-                                         "curve-central"])
+                                         "curve-central", "curve-quarter"])
 def test_rhs_m4096_in_bounded_memory(formulation):
     # peak traced allocation (NumPy reports its buffers to tracemalloc) of one
     # evaluation: the temporaries of a block of offset rows are O(block * m),
@@ -386,31 +390,35 @@ def test_rhs_m4096_in_bounded_memory(formulation):
     # show it here: a child process starts from the test process's
     # high-water mark. Raw preset_f2 takes the full sum, its projection
     # (exactly odd and antiperiodic) the quarter sum, and heights that are
-    # antiperiodic but not odd the half sum; the projected lift (exactly
-    # centrally symmetric) takes the curve's half sum.
+    # antiperiodic but not odd the half sum. The lift of the projection
+    # takes the curve's quarter sum, the projected lift of odd heights that
+    # are not antiperiodic its central half sum, and the raw lift its full
+    # sum.
     m = 4096
     h = sc.preset_f2(m)
     j = np.arange(m)
-    if formulation == "graph-quarter":
+    if formulation in ("graph-quarter", "curve-quarter"):
         h = projected(h)
         assert np.array_equal(h, -h[(-j) % m])
     elif formulation == "graph-antiperiodic":
         h = antiperiodic(h + 0.1 * np.cos(sc.uniform_grid(m)))
         assert not np.array_equal(h, -h[(-j) % m])
-    if formulation in ("graph-antiperiodic", "graph-quarter"):
+    if formulation in ("graph-antiperiodic", "graph-quarter", "curve-quarter"):
         assert np.array_equal(h[m // 2 :], -h[: m // 2])
     else:
         assert not np.array_equal(h[m // 2 :], -h[: m // 2])
     c = sc.graph_to_curve(sc.GraphInterface(h=h))
-    z1, z2 = c.z1, c.z2
+    p, z2 = c.z1 - c.alpha, c.z2
     if formulation == "curve-central":
-        z1, z2 = symmetry_projection(c)(z1, z2)
-        assert centrally_symmetric(z1, z2)
-    elif formulation == "curve":
-        assert not centrally_symmetric(z1, z2)
+        c = sc.ParamCurve(z1=c.z1, z2=h + 0.1 * np.sin(2 * c.alpha))
+        p, z2 = symmetry_projection(c)(p, c.z2)
     if formulation.startswith("curve"):
+        path = {"curve": (False, False), "curve-central": (True, False),
+                "curve-quarter": (True, True)}[formulation]
+        assert kernels.curve_pair_sum_path(p, z2) == path
+
         def call():
-            return np.concatenate(_rhs_curve_arrays(z1, z2, c.alpha, -2.0))
+            return np.concatenate(_rhs_curve_arrays(p, z2, c.alpha, -2.0))
     else:
         def call():
             return _rhs_arrays(h, sc.SchemeParams(sign_factor=-1.0, viscosity=1e-3, m=m))

@@ -392,3 +392,70 @@ def test_snapshot_roundtrip(tmp_path):
     assert isinstance(back2, sc.ParamCurve)
     assert np.array_equal(back2.z1, curve.z1)
     assert np.array_equal(back2.z2, curve.z2)
+
+
+def savetxt_snapshot(path, header, columns):
+    """The snapshot writer as it was, row by row through ``np.savetxt``: the
+    reference for the bytes ``write_snapshot`` writes."""
+    with open(path, "w", newline="") as fh:
+        np.savetxt(fh, np.column_stack(columns), fmt="%.17g", delimiter=",",
+                   header=header, comments="", newline="\r\n")
+
+
+@pytest.mark.parametrize("kind", ["graph", "curve"])
+def test_snapshot_bytes_match_savetxt(tmp_path, kind):
+    # values of every kind the runs write: signed zeros, tiny and large
+    # magnitudes, and the 17 digits that round-trip a double
+    m = 64
+    h = 0.3 * np.sin(sc.uniform_grid(m)) + 1e-300 * np.cos(3 * sc.uniform_grid(m))
+    h[[4, 8, 12]] = 0.0, -0.0, 1.2345678901234567e15
+    if kind == "graph":
+        obj = sc.GraphInterface(h=h)
+        header, columns = "alpha,h", (obj.alpha, obj.h)
+    else:
+        obj = sc.build_turning_family(sc.TurningFamilyParams(b=8.0, variant="even_symmetric"),
+                                      m)
+        header, columns = "alpha,z1,z2", (obj.alpha, obj.z1, obj.z2)
+    sc.write_snapshot(tmp_path / "new.csv", obj)
+    savetxt_snapshot(tmp_path / "ref.csv", header, columns)
+    written = (tmp_path / "new.csv").read_bytes()
+    assert written == (tmp_path / "ref.csv").read_bytes()
+    assert written.startswith(header.encode() + b"\r\n") and written.count(b"\r\n") == m + 1
+    back = sc.read_snapshot(tmp_path / "new.csv")
+    for got, want in zip(((back.h,) if kind == "graph" else (back.z1, back.z2)), columns[1:]):
+        assert np.array_equal(bits(got)[0], bits(want)[0])
+        # a copy of its own, not a view keeping the whole parsed table alive
+        assert got.flags.c_contiguous and got.flags.owndata
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [("", "no data rows"), ("alpha,h\r\n", "no data rows"),
+     ("alpha,x\r\n" + "0.5,0.5\r\n" * 8, "unrecognized snapshot header"),
+     ("alpha,h\r\n" + "0.5\r\n" * 8, "every snapshot row needs 2 values"),
+     ("alpha,h\r\n" + "0.5,0.5\r\n" * 7 + "0.5\r\n", "number of columns"),
+     ("alpha,h\r\n" + "0.5,0.5\r\n" * 7 + "0.5,nan0\r\n", "nan0"),
+     ("alpha,h\r\n" + "0.5,0.5\r\n" * 7 + "#0.5,0.5\r\n", "#0.5"),
+     ("alpha,h\r\n" + "0.5,0.5\r\n" * 10, "multiple of 4")],
+    ids=["empty", "header_only", "header", "short_rows", "ragged", "not_a_number", "hash",
+         "grid_rule"],
+)
+def test_read_snapshot_errors_name_the_path(tmp_path, content, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(content, newline="")
+    with pytest.raises(ValueError, match=message) as info:
+        sc.read_snapshot(path)
+    assert str(info.value).startswith(f"{path}: ")
+
+
+def test_interfaces_share_one_read_only_grid_per_m():
+    # every interface on m nodes holds the same alpha; uniform_grid still
+    # hands out a new writable array
+    g = sine_interface(64, 0.3)
+    c = sc.graph_to_curve(g)
+    assert c.alpha is g.alpha is sc.GraphInterface(h=np.zeros(64)).alpha
+    assert not g.alpha.flags.writeable
+    assert np.array_equal(bits(g.alpha)[0], bits(sc.uniform_grid(64))[0])
+    fresh = sc.uniform_grid(64)
+    assert fresh.flags.writeable and fresh is not sc.uniform_grid(64)
+    assert sine_interface(128).alpha is not g.alpha
