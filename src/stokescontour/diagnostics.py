@@ -49,13 +49,16 @@ from .geometry import (
 )
 from .integrators import Trajectory
 from .kernels import (
-    QUARTER_BLOCK_ROWS,
     bilaplacian_pair_kernel_offset_rows,
     block_workspace,
+    central_block_rows,
     central_pair_rows,
     offset_blocks,
+    offset_row_tables,
+    pair_kernel_rows,
     pair_sum_path,
     partner_rows,
+    read_only,
     stabilizer_weights,
 )
 
@@ -120,7 +123,6 @@ def delta_spectral(interface: GraphInterface) -> float:
     if quarter:
         total = _quarter_pair_sum(h, hp)
     else:
-        half = m // 2
         total = 0.0
         # on heights with h(alpha + pi) = -h(alpha) exactly, column i + m/2 of
         # a row repeats column i (both slopes and the height difference change
@@ -128,13 +130,12 @@ def delta_spectral(interface: GraphInterface) -> float:
         partners = partner_rows(h, hp, width=width)
         # the kernel of a block is computed in place in one workspace for all blocks
         work = block_workspace(4, width)
-        for r in offset_blocks(m, 0):
+        for r, tables, weight in _kernel_blocks(m, False):
             hb, hpb = partners(r)
             block = work[:, : r.size]
             x2 = np.subtract(h[:width], hb, out=block[0])
-            ker = bilaplacian_pair_kernel_offset_rows(m, r, x2, block)
-            weight = np.where((r == 0) | (r == half), 1.0, 2.0) * (m // width)
-            total += float(weight @ (np.multiply(ker, hpb, out=ker) @ hp[:width]))
+            ker = pair_kernel_rows(tables, x2, block)
+            total += float((weight * (m // width)) @ (np.multiply(ker, hpb, out=ker) @ hp[:width]))
     val = 4.0 * d * d * total
     if val < -1e-6:
         raise ValueError(f"delta_spectral returned {val}, inconsistent quadrature")
@@ -154,17 +155,41 @@ def _quarter_pair_sum(h, hp) -> float:
     m = h.size
     centres = m // 4 + 1
     rows = central_pair_rows(h, hp, centres=centres)
-    work = block_workspace(4, centres, central=True, rows=QUARTER_BLOCK_ROWS)
+    work = block_workspace(4, centres, central=True, rows=central_block_rows(m, centres))
     total = float(_kpair_origin(m) * (hp @ hp))
-    for r in offset_blocks(m, 1, QUARTER_BLOCK_ROWS):
+    for r, tables, _ in _kernel_blocks(m, True):
         (ha, hpa), (hb, hpb) = rows(r)
         block = work[:, : r.size // 2]
         x2 = np.subtract(ha, hb, out=block[0])
-        ker = bilaplacian_pair_kernel_offset_rows(m, r.reshape(-1, 2), x2, block)
+        ker = pair_kernel_rows(tables, x2, block)
         ker *= hpb
         ker *= hpa
         total += 8.0 * float(stabilizer_weights(ker, r, m).sum())
     return total
+
+
+@lru_cache(maxsize=8)
+def _kernel_blocks(m: int, quarter: bool):
+    """The blocks of offset rows of ``delta``'s pair sum, with their kernel tables.
+
+    One tuple (r, tables, weight) per block, read-only: ``offset_row_tables``
+    of the block's rows, and the weight 1 of the offsets 0 and m/2, 2 of the
+    others. The full and half sums take the offsets 0..m/2 in rows of
+    partners; the quarter sum the offsets 1..m/2 in blocks of
+    ``central_block_rows(m, m/4 + 1)``, shaped (len(r)/2, 2), and no weight
+    (None). Built once per grid and path, not once per block and call.
+    """
+    if quarter:
+        blocks = offset_blocks(m, 1, central_block_rows(m, m // 4 + 1))
+    else:
+        blocks = offset_blocks(m, 0)
+    out = []
+    for r in blocks:
+        tables = offset_row_tables(m, r.reshape(-1, 2) if quarter else r)
+        weight = None if quarter else np.where((r == 0) | (r == m // 2), 1.0, 2.0)
+        read_only(r, *tables, weight)
+        out.append((r, tables, weight))
+    return tuple(out)
 
 
 @lru_cache(maxsize=8)

@@ -73,9 +73,9 @@ from .geometry import (
 from .integrators import BlowupError, IntegratorParams, Trajectory, integrate
 from .kernels import (
     ONE_OVER_8PI,
-    QUARTER_BLOCK_ROWS,
     block_folder,
     block_workspace,
+    central_block_rows,
     central_folder,
     central_pair_rows,
     clausen2,
@@ -129,20 +129,18 @@ def _rhs_curve_arrays(p: np.ndarray, z2: np.ndarray, alpha: np.ndarray, delta_rh
     xs = (z2, v1, v2, np.sin(0.5 * z1), np.cos(0.5 * z1))
     central, quarter = curve_pair_sum_path(p, z2)
     # the block terms are computed in place in one workspace for all blocks
-    if quarter:
-        # one pair of each orbit of the mirror and the half-period shift,
-        # folded onto the nodes 0..m/4; the shift keeps the u1 terms and
-        # negates the u2 terms
-        width = m // 4 + 1
+    if central:
+        # one pair of each mirror orbit, folded onto the nodes 0..m/2; on the
+        # quarter sum one pair of each orbit of the mirror and the
+        # half-period shift, folded onto the nodes 0..m/4, the shift keeping
+        # the u1 terms and negating the u2 terms
+        width = m // 4 + 1 if quarter else m // 2 + 1
         rows = central_pair_rows(*xs, centres=width)
-        folds = (central_folder(m, 1.0), central_folder(m, -1.0))
-        blocks = offset_blocks(m, 1, QUARTER_BLOCK_ROWS)
-        work = block_workspace(6, width, central=True, rows=QUARTER_BLOCK_ROWS)
-    elif central:
-        # one pair of each mirror orbit, folded onto the nodes 0..m/2
-        width = m // 2 + 1
-        rows, folds = central_pair_rows(*xs), (central_folder(m),) * 2
-        blocks, work = offset_blocks(m, 1), block_workspace(6, width, central=True)
+        folds = ((central_folder(m, 1.0), central_folder(m, -1.0)) if quarter
+                 else (central_folder(m),) * 2)
+        block = central_block_rows(m, width)
+        blocks = offset_blocks(m, 1, block)
+        work = block_workspace(6, width, central=True, rows=block)
     else:
         # the Stokeslet is even, so the offsets r and m - r share one evaluation
         width = m
@@ -153,16 +151,17 @@ def _rhs_curve_arrays(p: np.ndarray, z2: np.ndarray, alpha: np.ndarray, delta_rh
     acc2 = np.zeros(width)
     for r in blocks:
         (z2a, v1a, v2a, sa, ca), (z2b, v1b, v2b, sb, cb) = rows(r)
-        sn2, sn, x2, lg, a_ss, a_sn = work[:, : len(z2b)]
-        # lg holds intermediates until the Stokeslet terms are written
+        sn2, sc, x2, lg, a_ss, a_sn = work[:, : len(z2b)]
+        # lg holds intermediates until the Stokeslet terms are written; sc
+        # is sin(x1/2) cos(x1/2) = sin(x1)/2
         np.multiply(sa, cb, out=sn2)
         sn2 -= np.multiply(ca, sb, out=lg)
-        np.multiply(ca, cb, out=sn)
-        sn += np.multiply(sa, sb, out=lg)
-        np.multiply(np.multiply(sn2, 2.0, out=lg), sn, out=sn)
-        stokeslet_terms_into(sn2, sn, np.subtract(z2a, z2b, out=x2), lg, a_ss, a_sn)
+        np.multiply(ca, cb, out=sc)
+        sc += np.multiply(sa, sb, out=lg)
+        sc *= sn2
+        stokeslet_terms_into(sn2, sc, np.subtract(z2a, z2b, out=x2), lg, a_ss, a_sn)
         s11 = np.add(lg, a_ss, out=sn2)
-        s22 = np.subtract(lg, a_ss, out=sn)
+        s22 = np.subtract(lg, a_ss, out=sc)
         # the terms of each component for the near and the far node,
         # s v_b - a_sn w_b and s v_a - a_sn w_a
         for acc, fold, s, va, vb, wa, wb in ((acc1, folds[0], s11, v1a, v1b, v2a, v2b),
@@ -194,10 +193,17 @@ def _rhs_curve_arrays(p: np.ndarray, z2: np.ndarray, alpha: np.ndarray, delta_rh
 
 
 def rhs_curve(state: CurveState):
-    """Material velocity (dz1/dt, dz2/dt) of the contour dynamics."""
+    """Material velocity (dz1/dt, dz2/dt) of the contour dynamics.
+
+    The state (z1 - alpha, z2) is first projected onto the symmetries the
+    curve carries (``geometry.symmetry_projection``), as after every step of
+    a run: z1 - alpha recomputed from a stored z1 is odd only to roundoff,
+    and the projected state takes the sum of its symmetries.
+    """
     c = state.curve
     _warn_if_clustered(c)
-    return _rhs_curve_arrays(c.z1 - c.alpha, c.z2, c.alpha, state.delta_rho)
+    p, z2 = symmetry_projection(c)(c.z1 - c.alpha, c.z2)
+    return _rhs_curve_arrays(p, z2, c.alpha, state.delta_rho)
 
 
 def _warn_if_clustered(curve: ParamCurve) -> None:

@@ -82,15 +82,16 @@ from .geometry import (
 )
 from .integrators import BlowupError, IntegratorParams, Trajectory, integrate
 from .kernels import (
-    QUARTER_BLOCK_ROWS,
     block_folder,
     block_workspace,
+    central_block_rows,
     central_folder,
     central_pair_rows,
     clausen2,
     offset_blocks,
     pair_sum_path,
     partner_rows,
+    read_only,
     stokeslet_terms_into,
 )
 
@@ -145,7 +146,7 @@ def _log_circulant(m: int) -> np.ndarray:
     mult[nz] = -TWO_PI / np.abs(n[nz])
     omega = np.fft.ifft(mult).real
     omega -= omega.mean()  # exact zero mean: constants integrate to zero
-    return omega
+    return read_only(omega)[0]
 
 
 @lru_cache(maxsize=8)
@@ -157,7 +158,38 @@ def _taylor_cell_weights(m: int) -> np.ndarray:
     c[1:] = np.where(k % 2 == 0, 4.0, 2.0)
     c[1] = 1.0
     c[m - 1] = 1.0
-    return c * (d / 3.0)
+    return read_only(c * (d / 3.0))[0]
+
+
+@lru_cache(maxsize=16)
+def _block_constants(m: int, quadrature: str, quarter: bool):
+    """The blocks of offset rows of the graph pair sum, with their per-row constants.
+
+    One tuple (r, sin(x1/2), sin(x1)/2, log_row, weight) per block, x1 = r d
+    (the sines ``stokeslet_terms_into`` takes),
+    each constant in the shape of the block's rows ((len(r), 1), or
+    (len(r)/2, 2, 1) on the quarter sum, whose blocks are of
+    ``central_block_rows(m, m/4 + 1)`` offsets) and read-only. ``log_row``
+    is the spectral row term omega_r/d - log(4 sin^2(x1/2)), None for
+    "taylor_cell". Built once per grid, quadrature and path, block by block
+    with the operations the sum took on each block, so the values are those
+    it computed per call.
+    """
+    d = TWO_PI / m
+    spectral = quadrature == "spectral_log"
+    weights = np.full(m, d) if spectral else _taylor_cell_weights(m)
+    if quarter:
+        blocks, row_shape = offset_blocks(m, 1, central_block_rows(m, m // 4 + 1)), (-1, 2, 1)
+    else:
+        blocks, row_shape = offset_blocks(m, 1), (-1, 1)
+    out = []
+    for r in blocks:
+        x1 = r * d
+        sn2 = np.sin(0.5 * x1)
+        log_row = _log_circulant(m)[r] / d - np.log(4.0 * sn2**2) if spectral else None
+        out.append(read_only(r, *(None if a is None else a.reshape(row_shape)
+                                  for a in (sn2, 0.5 * np.sin(x1), log_row, weights[r]))))
+    return tuple(out)
 
 
 def _cell_correction_values(h, dh, width, variant):
@@ -195,37 +227,29 @@ def _rhs_arrays(h: np.ndarray, params: SchemeParams) -> np.ndarray:
     if spectral:
         # r = 0: removable limits of the three terms, trapezoid cell weight d;
         # the log(4 sin^2) factor is integrated by the circulant omega
-        weights = np.full(m, d)
-        omega = _log_circulant(m)
         one_p = 1.0 + dhw * dhw
         t23_0 = 2.0 * hw * dhw * dhw * (dhw * dhw - 1.0) / one_p + 4.0 * hw * dhw * dhw / one_p
-        acc = d * (np.log(one_p) * hw * one_p + t23_0) + omega[0] * hw * one_p
+        acc = d * (np.log(one_p) * hw * one_p + t23_0) + _log_circulant(m)[0] * hw * one_p
     else:  # taylor_cell
-        weights = _taylor_cell_weights(m)
         acc = 2.0 * _cell_correction_values(hw, dhw, d, params.singular_cell_variant)
     # the pair integrand below is symmetric in its two nodes and both weights
     # are even in the offset, so the offsets r and m - r share one evaluation
     # the block terms are computed in place in one workspace for all blocks
     if quarter:
         rows, fold = central_pair_rows(h, dh, centres=width), central_folder(m, -1.0)
-        blocks = offset_blocks(m, 1, QUARTER_BLOCK_ROWS)
-        work = block_workspace(5, width, central=True, rows=QUARTER_BLOCK_ROWS)
-        row_shape = (-1, 2, 1)
+        work = block_workspace(5, width, central=True, rows=central_block_rows(m, width))
     else:
         partners = partner_rows(h, dh, width=width)
         rows, fold = (lambda r: ((hw, dhw), partners(r))), block_folder(m, antiperiodic)
-        blocks, work, row_shape = offset_blocks(m, 1), block_workspace(5, width), (-1, 1)
-    for r in blocks:
-        x1 = r * d
-        sn2 = np.sin(0.5 * x1)
+        work = block_workspace(5, width)
+    for r, sn2, sc, log_row, weight in _block_constants(m, params.quadrature, quarter):
         (ha, dha), (hb, dhb) = rows(r)
         x2, lg, a_ss, a_sn, dd = work[:, : len(hb)]
-        stokeslet_terms_into(sn2.reshape(row_shape), np.sin(x1).reshape(row_shape),
-                             np.subtract(ha, hb, out=x2), lg, a_ss, a_sn)
+        stokeslet_terms_into(sn2, sc, np.subtract(ha, hb, out=x2), lg, a_ss, a_sn)
         if spectral:
             # keep the smooth remainder of the log only; the circulant weight
             # omega_r of its log(4 sin^2) factor joins it per offset row
-            lg += (omega[r] / d - np.log(4.0 * sn2**2)).reshape(row_shape)
+            lg += log_row
         # pair = w_r (lg (1 + dd) + a_ss (dd - 1) + a_sn (h'_i + h'_j)), in place
         np.multiply(dha, dhb, out=dd)
         a_ss *= np.subtract(dd, 1.0, out=x2)
@@ -234,7 +258,7 @@ def _rhs_arrays(h: np.ndarray, params: SchemeParams) -> np.ndarray:
         lg += a_ss
         a_sn *= np.add(dha, dhb, out=x2)
         lg += a_sn
-        pair = np.multiply(lg, weights[r].reshape(row_shape), out=lg)
+        pair = np.multiply(lg, weight, out=lg)
         acc += fold(np.multiply(hb, pair, out=x2), np.multiply(ha, pair, out=a_ss), r)
     if antiperiodic and not quarter:
         acc = np.concatenate([acc, -acc])

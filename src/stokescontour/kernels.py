@@ -7,10 +7,10 @@ The velocity kernel is the x1-periodic Stokeslet
                                                 [ sin x1, sinh x2]] ],
 
 which is smooth away from x = (0 mod 2pi, 0) where it has a log singularity.
-One body, ``stokeslet_terms_into``, evaluates its terms from x2 and the
-sines sin(x1/2) and sin(x1) into arrays the caller gives: both right-hand
-sides write into their block workspace, the curve one from sines it forms
-on all its rows from per-node values. ``stokeslet_terms`` (which takes x1)
+One body, ``stokeslet_terms_into``, evaluates its terms from x2, sin(x1/2)
+and sin(x1/2) cos(x1/2) = sin(x1)/2 into arrays the caller gives: both
+right-hand sides write into their block workspace, the curve one from sines
+it forms on all its rows from per-node values. ``stokeslet_terms`` (which takes x1)
 and ``stokeslet_terms_from_sines`` call it with new arrays, for the turning
 certificates, ``stokeslet`` and ``dK12``. The mixed second derivative of the
 bilaplacian Green function K (with Delta^2 K = delta on T x R) has the
@@ -37,38 +37,45 @@ table of exact zeta values, which also gives the real series of
 
 All three pair sums of the package (both right-hand sides and
 ``diagnostics.delta_spectral``) use that their kernels are even: they run
-over half the grid offsets, r <= m/2, a fixed block of offset rows at a time
+over half the grid offsets, r <= m/2, a block of offset rows at a time
 (``offset_blocks``, ``partner_rows``, ``block_folder``), so their memory
-is O(block * m) rather than O(m^2). The partner and fold windows are built
-once per sum, not per block. The right-hand sides compute the terms of a
-block, and ``delta`` its pair kernel, in place in one workspace of
-(block x m) arrays (``block_workspace``), made once per call and reused by
-every block, and the folds overwrite the near and far terms they are
-given, so a block allocates no (block x m) array. On graph heights with
-h(alpha + pi) = -h(alpha) exactly, which the central and even symmetries
-together give, the terms of column i + m/2 of a row are those of column i
-up to sign, so the graph right-hand side and ``delta`` read only the first
-m/2 columns (``pair_sum_width``), and ``pair_sum_path`` chooses the path
-of both sums. On a curve whose remainder p = z1 - alpha and height z2
-are exactly odd (``geometry.centrally_symmetric``), the mirror (-i, r - i)
-of the pair (i, i - r) lies in the same offset row with its terms negated,
-so the curve right-hand side reads one pair of each mirror orbit, indexed
-by the pair centre (``central_pair_rows``), and folds the terms onto the
-nodes alpha in [-pi, 0] (``central_folder``): about half the pairs, still
-in O(block * m) memory. A state with the shift by m/2 as a second exact
+is O(rows * width) per block rather than O(m^2). The full and half sums
+take 32 offsets a block; the sums over pair centres below take
+``central_block_rows``: as many as make about 16384 elements per workspace
+array, even, from 2 to m/2. Each reader and folder is one read-only
+strided view over a buffer made in the call of the sum, never kept across
+calls, so the sums are re-entrant and a block builds no index array. The
+per-grid constants of a block (the sines, log term and weights of the
+graph's rows, the kernel tables of ``delta``'s) are built once per grid
+and path and cached read-only by their sums. The right-hand sides compute
+the terms of a block, and ``delta`` its pair kernel, in place in one
+workspace of (rows x width) arrays (``block_workspace``), made once per
+call and reused by every block, and the folds overwrite the near and far
+terms they are given, so a block allocates no (rows x width) array. On
+graph heights with h(alpha + pi) = -h(alpha) exactly, which the central
+and even symmetries together give, the terms of column i + m/2 of a row
+are those of column i up to sign, so the graph right-hand side and
+``delta`` read only the first m/2 columns (``pair_sum_width``), and
+``pair_sum_path`` chooses the path of both sums. On a curve whose
+remainder p = z1 - alpha and height z2 are exactly odd
+(``geometry.centrally_symmetric``), the mirror (-i, r - i) of the pair
+(i, i - r) lies in the same offset row with its terms negated, so the
+curve right-hand side reads one pair of each mirror orbit, indexed by the
+pair centre (``central_pair_rows``), and folds the terms onto the nodes
+alpha in [-pi, 0] (``central_folder``): about half the pairs, still in
+O(rows * width) memory. A state with the shift by m/2 as a second exact
 symmetry takes the same reader and folder with that shift: graph heights
 that are odd and antiperiodic, as every state of a graph run projected
 onto both symmetries is, and curves that are odd and half-period
 symmetric, p(alpha + pi) = p(alpha), z2(alpha + pi) = -z2(alpha), as every
 state of a run of the even turning family is. The right-hand sides read
-the pair centres 0..m/4 only, in blocks of QUARTER_BLOCK_ROWS offsets, and
-fold the terms onto the nodes 0..m/4 through their four images, about a
-quarter of the pairs; the folder takes the sign the shift gives the terms
-(-1 for the graph and the curve's u2, +1 for its u1). ``pair_sum_path``
-and ``curve_pair_sum_path`` choose the paths. ``delta`` reads the same
-centres as the graph, its pair kernel evaluated in place in a workspace
-of those rows, and weights each held pair by its orbit
-(``stabilizer_weights``, shared with the folder).
+the pair centres 0..m/4 only and fold the terms onto the nodes 0..m/4
+through their four images, about a quarter of the pairs; the folder takes
+the sign the shift gives the terms (-1 for the graph and the curve's u2,
++1 for its u1). ``pair_sum_path`` and ``curve_pair_sum_path`` choose the
+paths. ``delta`` reads the same centres as the graph, its pair kernel
+evaluated in place in a workspace of those rows, and weights each held
+pair by its orbit (``stabilizer_weights``, shared with the folder).
 """
 
 from __future__ import annotations
@@ -79,21 +86,19 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .geometry import TWO_PI, centrally_symmetric
 
 ONE_OVER_8PI = 1.0 / (8.0 * np.pi)
 ONE_OVER_4PI = 1.0 / (4.0 * np.pi)
 
-# offset rows per block of the pair sums (both right-hand sides and delta):
-# their temporaries are (_BLOCK_ROWS x m), never m x m; each sum holds them
-# in one workspace, reused by every block
+# offset rows per block of the full and half pair sums (both right-hand sides
+# and delta): their temporaries are (_BLOCK_ROWS x width), never m x m; each
+# sum holds them in one workspace, reused by every block
 _BLOCK_ROWS = 32
-# the rows of the quarter sums (graph RHS and delta) hold m/4 + 1 pair
-# centres, so twice the rows make a block of the half sums' size,
-# (_BLOCK_ROWS x m/2)
-QUARTER_BLOCK_ROWS = 2 * _BLOCK_ROWS
+# elements per workspace array of a block of the sums over pair centres
+# (``central_block_rows``)
+_BLOCK_ELEMENTS = 16384
 
 
 @dataclass(frozen=True)
@@ -124,31 +129,33 @@ def stokeslet_terms_from_sines(sn2, sn, x2):
     The terms are new arrays (scalars for scalar arguments).
     """
     shape = np.broadcast_shapes(np.shape(sn2), np.shape(sn), np.shape(x2))
-    out = stokeslet_terms_into(sn2, sn, x2, *(np.empty(shape) for _ in range(3)))
+    out = stokeslet_terms_into(sn2, np.multiply(sn, 0.5), x2,
+                               *(np.empty(shape) for _ in range(3)))
     return tuple(t[()] for t in out)
 
 
-def stokeslet_terms_into(sn2, sn, x2, lg, a_ss, a_sn):
-    """``stokeslet_terms_from_sines`` written into the given arrays lg, a_ss, a_sn.
+def stokeslet_terms_into(sn2, sc, x2, lg, a_ss, a_sn):
+    """``stokeslet_terms_from_sines`` of sn2 = sin(x1/2) and sc = sin(x1)/2, into lg, a_ss, a_sn.
 
     The one body of the Stokeslet terms. The output arrays, of the broadcast
     shape of the arguments, also hold its intermediates, so an evaluation
     allocates nothing; the arguments are only read. Every term takes the
     operations of the plain expression in their order (only the operands of
-    + and * swap), so the values do not depend on where they are written.
+    + and * swap, and factors of 2 that cancel exactly are left out), so the
+    values do not depend on where they are written.
     """
     sh2 = np.sinh(np.multiply(x2, 0.5, out=a_ss), out=a_ss)
     sh2sq = np.multiply(sh2, sh2, out=lg)
+    # D/2: the factor 2 of D cancels against those of sinh x2 =
+    # 2 sinh(x2/2) cosh(x2/2) and sin x1 = 2 sc, exactly
     den = np.multiply(sn2, sn2, out=a_sn)
     den += sh2sq
-    den *= 2.0
-    # sinh x2 = 2 sinh(x2/2) cosh(x2/2), with the cosh from the sinh already at hand
-    sh2 *= 2.0
+    # sinh(x2)/2, with the cosh from the sinh already at hand
     sh2 *= np.sqrt(np.add(sh2sq, 1.0, out=lg), out=lg)
-    np.log(np.multiply(den, 2.0, out=lg), out=lg)
+    np.log(np.multiply(den, 4.0, out=lg), out=lg)
     q = np.divide(x2, den, out=a_sn)
     a_ss *= q
-    q *= sn
+    q *= sc
     return lg, a_ss, a_sn
 
 
@@ -161,6 +168,48 @@ def offset_blocks(m: int, first: int, rows: int = _BLOCK_ROWS):
     half = m // 2
     for r0 in range(first, half + 1, rows):
         yield np.arange(r0, min(r0 + rows, half + 1))
+
+
+def central_block_rows(m: int, width: int) -> int:
+    """Offset rows per block of a sum over ``width`` pair centres a row (``central_pair_rows``).
+
+    As many as make about _BLOCK_ELEMENTS elements per workspace array, so
+    the narrow rows of the quarter sums (m/4 + 1 centres) take more offsets
+    a block than the central half sum's (m/2 + 1), and a block's fixed cost
+    is spread over about the same work at every m. Even, as the reader pairs
+    the offsets 2s + 1 and 2s + 2; at least 2 and at most m/2 (m being a
+    multiple of 4).
+    """
+    return min(m // 2, 2 * max(1, round(_BLOCK_ELEMENTS / (2 * width))))
+
+
+def read_only(*arrays):
+    """The arrays, each (but None) made read-only in place: for constants held in a cache."""
+    for a in arrays:
+        if a is not None:
+            a.flags.writeable = False
+    return arrays
+
+
+def _window(buf, shape, strides, offset=0):
+    """A read-only view of the contiguous array ``buf``.
+
+    Its element ``idx`` is ``buf.flat[offset + sum(idx * strides)]``, the
+    strides counted in elements; every element lies inside ``buf``.
+    """
+    size = buf.itemsize
+    view = np.ndarray(shape, buf.dtype, buf, offset * size, tuple(s * size for s in strides))
+    view.flags.writeable = False
+    return view
+
+
+def _twice(xs):
+    """The arrays xs, each followed by a copy of itself: shape (len(xs), 2m)."""
+    m = xs[0].size
+    buf = np.empty((len(xs), 2 * m))
+    for row, x in zip(buf, xs):
+        row[:m] = row[m:] = x
+    return buf
 
 
 def block_workspace(count: int, width: int, central: bool = False, rows: int = _BLOCK_ROWS):
@@ -225,17 +274,14 @@ def partner_rows(*xs, width=None):
 
     ``rows(r)`` holds, for consecutive offsets r, each x at the partner node
     i - r (mod m) of every column i < width (all m columns by default): shape
-    (len(xs), len(r), width). The rows are read-only views of one window over
-    the arrays repeated twice, built once here, so no index arrays are built
-    per block.
+    (len(xs), len(r), width). The rows are read-only slices of one strided
+    view over the arrays repeated twice, both made here, so no index arrays
+    are built per block and no buffer outlives the sum.
     """
     m = xs[0].size
-    win = sliding_window_view(np.tile(np.stack(xs), 2), m, axis=1)[..., :width]
-
-    def rows(r):
-        return win[:, m - r[-1] : m - r[0] + 1][:, ::-1]
-
-    return rows
+    # element [k, r, i] is x_k at node i - r, column m + i - r of the buffer
+    win = _window(_twice(xs), (len(xs), m // 2 + 1, width or m), (2 * m, -1, 1), m)
+    return lambda r: win[:, r[0] : r[-1] + 1]
 
 
 def block_folder(m: int, antiperiodic: bool = False):
@@ -247,8 +293,8 @@ def block_folder(m: int, antiperiodic: bool = False):
     far[k, i + r]. At r = m/2 the nodes i + r and i - r coincide, so that
     row's far term is dropped. ``near`` is overwritten. The rows are reduced
     in one fixed order, so shifting the data by a node shifts the total by a
-    node, bitwise. The far rows are read through one window over a buffer,
-    both built once here for all the blocks of the sum.
+    node, bitwise. The far rows are read through one strided view over a
+    buffer, both made here for all the blocks of the sum.
 
     ``antiperiodic``: the terms of column i + m/2 are those of column i
     negated (as for heights with h(alpha + pi) = -h(alpha)), so the rows hold
@@ -258,18 +304,19 @@ def block_folder(m: int, antiperiodic: bool = False):
     sum, so its total is bitwise the full sum's.
     """
     width, sign = (m // 2, -1.0) if antiperiodic else (m, 1.0)
-    twice = np.empty((_BLOCK_ROWS, 2 * width))
+    # the rows of far, each followed by its wrapped copy (times sign), laid
+    # end to end, and a tail of _BLOCK_ROWS elements that is never read
+    flat = np.empty(_BLOCK_ROWS * (2 * width + 1))
+    twice = flat[: 2 * width * _BLOCK_ROWS].reshape(_BLOCK_ROWS, 2 * width)
     # with r_k = r_0 + k, far[k, i + r_k] is element r_0 + k (2 width + 1) + i
-    # of the rows of far, each followed by its wrapped copy (times sign), laid
-    # end to end
-    win = sliding_window_view(twice.reshape(-1), width)
+    win = _window(flat, (m // 2 + 1, _BLOCK_ROWS, width), (1, 2 * width + 1, 1))
 
     def fold(near, far, r):
-        n = int(np.count_nonzero(2 * r < m))
+        n = r.size - 1 if 2 * r[-1] == m else r.size
         if n:
             twice[:n, :width] = far[:n]
             np.multiply(far[:n], sign, out=twice[:n, width:])
-            near[:n] += win[r[0] :: 2 * width + 1][:n]
+            near[:n] += win[r[0], :n]
         return near.sum(axis=0)
 
     return fold
@@ -292,22 +339,23 @@ def central_pair_rows(*xs, centres=None):
     (len(xs), n, 1, centres) and (len(xs), n, 2, centres) with
     n = len(r)/2, where row (j, p) is the offset r[2j + p]. The near node
     s + 1 + k of rows 2s + 1 and 2s + 2 is the same. Both are read-only
-    views of windows built once here, so no index arrays are built per block.
+    slices of two strided views over the arrays repeated twice, all made
+    here, so no index arrays are built per block and no buffer outlives the
+    sum.
     """
     m = xs[0].size
     centres = m // 2 + 1 if centres is None else centres
-    x = np.stack(xs)
-    near_win = sliding_window_view(x, centres, axis=1)
-    # element [:, t, q, k] is x at node t + q + k (mod m)
-    far_win = np.moveaxis(
-        sliding_window_view(sliding_window_view(np.tile(x, 2), centres, axis=1), 2, axis=1),
-        -1, 2)
+    buf, shape = _twice(xs), (len(xs), m // 4)
+    # the pair rows of s = 0..m/4 - 1 (offsets 2s + 1, 2s + 2): near node
+    # s + 1 + k, column s + 1 + k of the buffer, and far node k - s - p,
+    # column m + k - s - p
+    near = _window(buf, (*shape, 1, centres), (2 * m, 1, 0, 1), 1)
+    far = _window(buf, (*shape, 2, centres), (2 * m, -1, -1, 1), m)
 
     def rows(r):
-        s0, n = r[0] // 2, r.size // 2
-        # far node k - (s0 + j + p), read at t = m - s0 - j - 1, q = 1 - p
-        far = far_win[:, m - s0 - n : m - s0][:, ::-1, ::-1]
-        return near_win[:, s0 + 1 : s0 + 1 + n, None], far
+        s0 = r[0] // 2
+        s1 = s0 + r.size // 2
+        return near[:, s0:s1], far[:, s0:s1]
 
     return rows
 
@@ -350,10 +398,9 @@ def central_folder(m: int, shift_sign: float = 0.0):
     ``shift_sign`` (+1 or -1; 0, the default, for none): the state also has
     the half-period symmetry, the shift by W = m/2 maps the pair of centre
     k to that of centre k + W and multiplies its terms by ``shift_sign``.
-    The rows then hold the centres 0..m/4, in blocks of QUARTER_BLOCK_ROWS
-    offsets, and the total is that of the nodes 0..m/4: a node n collects
-    the held terms to n, minus those to -n, plus ``shift_sign`` times those
-    to n + W minus those to W - n. The sign is -1 for graph heights with
+    The rows then hold the centres 0..m/4, and the total is that of the
+    nodes 0..m/4: a node n collects the held terms to n, minus those to -n,
+    plus ``shift_sign`` times those to n + W minus those to W - n. The sign is -1 for graph heights with
     h(alpha + pi) = -h(alpha) and for the u2 terms of a curve with
     z1(alpha + pi) = z1(alpha) + pi, z2(alpha + pi) = -z2(alpha), whose u1
     terms the shift leaves unchanged (+1). The weights are those above with
@@ -362,20 +409,21 @@ def central_folder(m: int, shift_sign: float = 0.0):
     ``delta``'s quarter sum weights its terms the same way. Node 0 totals
     exactly 0 (for finite terms), and so does node m/4 for the sign +1.
 
-    The rows are shifted into one unwrapped line of the nodes from -m/4
-    through a window over a buffer whose rows are laid end to end (row j
-    read j places further right), both built once here for all the blocks
-    of the sum; the line is then folded.
+    The blocks are of ``central_block_rows(m, last + 1)`` offsets. Their
+    rows are shifted into one unwrapped line of the nodes from -m/4 through
+    a strided view over a buffer whose rows are laid end to end (row j read
+    j places further right), both made here for all the blocks of the sum;
+    the line is then folded.
     """
     half, quarter = m // 2, m // 4
     # the last pair centre, and the line of nodes -m/4..last + m/4
     last = quarter if shift_sign else half
-    block = QUARTER_BLOCK_ROWS if shift_sign else _BLOCK_ROWS
-    width = last + 1 + block // 2
-    buf = np.zeros((block // 2 + 1, width))
-    # element (j, i) of row j of the window is buf[j, i - j], or a zero of
-    # the tail of row j - 1 for i < j: columns last + 1.. are never written
-    win = sliding_window_view(buf.reshape(-1), width)[:: width - 1]
+    pairs = central_block_rows(m, last + 1) // 2
+    width = last + 1 + pairs
+    buf = np.zeros((pairs + 1, width))
+    # element (j, i) of the view is buf[j, i - j], or a zero of the tail of
+    # row j - 1 for i < j: columns last + 1.. are never written
+    win = _window(buf, (pairs + 1, width), (width - 1, 1))
     line = np.empty(2 * quarter + last + 1)
 
     def fold(near, far, r):
@@ -585,12 +633,12 @@ def _taylor_shifts():
     binom = np.array([[_extended(math.comb(k + i, i)) for i in range(_NEAR_DEGREE + 1)]
                       for k in range(_EXP_TERMS)])
     pad = [np.longdouble(0)] * (_NEAR_DEGREE + 1)
-    return tuple(
+    return read_only(*(
         (-1) ** j * binom
         * np.array([_extended(Fraction(_ZETA[s - k]) / math.factorial(k))
                     for k in range(_EXP_TERMS)] + pad)[n + j]
         for s in (2, 3)
-    )
+    ))
 
 
 def _row_tables(x: np.ndarray):
@@ -624,12 +672,28 @@ def _row_tables(x: np.ndarray):
 
 @lru_cache(maxsize=8)
 def _grid_row_tables(m: int):
-    """``_row_tables`` of the offsets r = 0..m/2 of an m-node grid, x = r 2pi/m."""
-    return _row_tables(np.arange(m // 2 + 1) * (TWO_PI / m))
+    """``_row_tables`` of the offsets r = 0..m/2 of an m-node grid, x = r 2pi/m; read-only."""
+    return read_only(*_row_tables(np.arange(m // 2 + 1) * (TWO_PI / m)))
 
 
-def _pair_kernel(tables, rows, a, s, u, v):
-    """Kpair at heights a = |x2| on the table columns ``rows`` (broadcast to a), into s.
+def _take(tables, cols):
+    """The columns ``cols`` (any shape) of the tables, in the shape of cols."""
+    *per_x, near = tables
+    return (*(t[cols] for t in per_x), near[:, cols])
+
+
+def offset_row_tables(m: int, r):
+    """The tables of ``_pair_kernel`` for the offset rows r (0..m/2, any shape) of an m-node grid.
+
+    Shaped (*r.shape, 1), to broadcast against x2 of shape (*r.shape, width)
+    as ``bilaplacian_pair_kernel_offset_rows`` takes it. A pair sum takes
+    them once per block of its offsets and grid, not once per call.
+    """
+    return _take(_grid_row_tables(m), np.asarray(r)[..., None])
+
+
+def _pair_kernel(tables, a, s, u, v):
+    """Kpair at heights a = |x2| from ``tables`` broadcast to a's shape, into s.
 
     s, u and v have a's shape; u and v hold the intermediates, a is only
     read, so the evaluation allocates no array of a's size but the mask of
@@ -640,29 +704,41 @@ def _pair_kernel(tables, rows, a, s, u, v):
     # are overwritten below
     clipped = np.minimum(a, _FAR_FROM, out=u)
     t = np.subtract(clipped, 1.0, out=v)
-    np.multiply(near[-1][rows], t, out=s)
+    np.multiply(near[-1], t, out=s)
     for c in near[-2:0:-1]:
-        s += c[rows]
+        s += c
         s *= t
-    s += near[0][rows]
+    s += near[0]
     csq = np.multiply(clipped, clipped, out=v)
     # the log1p argument falls to -1 only as rho -> 0, where the term vanishes
-    arg = np.multiply(csq, scale[rows], out=u)
-    arg += shift[rows]
+    arg = np.multiply(csq, scale, out=u)
+    arg += shift
     np.maximum(arg, _LOG1P_FLOOR, out=arg)
     # s += 0.25 (csq + x^2) log1p(arg)
-    csq += xsq[rows]
+    csq += xsq
     csq *= 0.25
     csq *= np.log1p(arg, out=arg)
     s += csq
     far = a >= _FAR_FROM
     if far.any():
         af = a[far]
-        xf = x[np.broadcast_to(rows, a.shape)[far]]
+        xf = np.broadcast_to(x, a.shape)[far]
         li2, li3 = _polylog_series(np.exp(-af + 1j * xf), _FAR_TERMS, (2, 3))
         s[far] = li3.real + af * li2.real
     s *= ONE_OVER_4PI
     return s
+
+
+def pair_kernel_rows(tables, x2, work=None):
+    """Kpair on offset rows of heights x2, with the rows' ``offset_row_tables``.
+
+    ``work``, four arrays of x2's shape (new ones by default), holds |x2| in
+    the first (which may be x2 itself), the kernel, returned, in the second
+    and the intermediates, so that a block of a pair sum allocates no array
+    of its size (the half and quarter sums of ``diagnostics.delta_spectral``).
+    """
+    a, s, u, v = np.empty((4, *np.shape(x2))) if work is None else work
+    return _pair_kernel(tables, np.abs(x2, out=a), s, u, v)
 
 
 def bilaplacian_pair_kernel_offset_rows(m: int, r: np.ndarray, x2: np.ndarray, work=None):
@@ -671,26 +747,22 @@ def bilaplacian_pair_kernel_offset_rows(m: int, r: np.ndarray, x2: np.ndarray, w
     The offsets r lie in 0..m/2; the tables are built once per m. x2 has
     the shape of r with one more axis, the columns of a row: (len(r), width)
     for the rows of ``partner_rows``, or (n, 2, centres) for r of shape
-    (n, 2) and the rows of ``central_pair_rows``. ``work``, four arrays of
-    x2's shape (new ones by default), holds |x2| in the first (which may be
-    x2 itself), the kernel, returned, in the second and the intermediates,
-    so that a block of a pair sum allocates no array of its size (the half
-    and quarter sums of ``diagnostics.delta_spectral``).
+    (n, 2) and the rows of ``central_pair_rows``. ``work`` is that of
+    ``pair_kernel_rows``.
     """
-    a, s, u, v = np.empty((4, *np.shape(x2))) if work is None else work
-    return _pair_kernel(_grid_row_tables(m), r[..., None], np.abs(x2, out=a), s, u, v)
+    return pair_kernel_rows(offset_row_tables(m, r), x2, work)
 
 
 def bilaplacian_pair_kernel_exact(x1, x2):
     """Exact k != 0 bilaplacian pair kernel, the n_max -> inf limit.
 
     Kpair is even and 2pi-periodic in x1, so x1 is reduced to |x1| in [0, pi]
-    and the per-x tables are built for the distinct reduced values; the
-    evaluation is the one behind ``delta_spectral``.
+    and the per-x tables are built for the distinct reduced values, then
+    taken at every point; the evaluation is the one behind ``delta_spectral``.
     """
     x1, x2 = np.broadcast_arrays(np.asarray(x1, dtype=float), np.asarray(x2, dtype=float))
     x = np.abs(x1 - TWO_PI * np.round(x1 / TWO_PI))
     distinct, cols = np.unique(x.ravel(), return_inverse=True)
     a = np.abs(x2).ravel()
-    k = _pair_kernel(_row_tables(distinct), cols, a, *np.empty((3, a.size)))
+    k = _pair_kernel(_take(_row_tables(distinct), cols), a, *np.empty((3, a.size)))
     return k.reshape(x1.shape)[()]

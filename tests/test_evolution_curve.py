@@ -350,6 +350,41 @@ def test_turning_run_states_keep_their_sum_path(monkeypatch, case, path):
     assert len(paths) >= 1 + 3 * 6 and set(paths) == {path}
 
 
+@pytest.mark.parametrize("case, path", [("basic", (True, False)), ("even_symmetric", (True, True))])
+def test_rhs_curve_takes_the_symmetric_sum_on_sampled_states(monkeypatch, case, path):
+    # a sampled state stores z1, and z1 - alpha recomputed from it is odd
+    # only to roundoff: rhs_curve projects it, as every step of the run
+    # does, so it takes the sum of the run and agrees with the full sum on
+    # the state as stored
+    b = {"basic": 16.9, "even_symmetric": 10.4}[case]
+    curve = sc.build_turning_family(sc.TurningFamilyParams(b=b, variant=case), 256)
+    ip = make_integrator(t_end=0.003, dt_max=0.001)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # node clustering
+        traj = sc.evolve_curve(sc.CurveState(0.0, curve, delta_rho=1.0), ip,
+                               [0.0, 0.001, 0.002, 0.003])
+    assert not traj.failed
+    choose = evolution_curve.curve_pair_sum_path
+    stored = [choose(s.curve.z1 - s.curve.alpha, s.curve.z2) for s in traj.states]
+    assert (False, False) in stored
+    paths = []
+
+    def spy(p, z2):
+        paths.append(choose(p, z2))
+        return paths[-1]
+
+    monkeypatch.setattr(evolution_curve, "curve_pair_sum_path", spy)
+    for state in traj.states:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            u1, u2 = sc.rhs_curve(state)
+        c = state.curve
+        r1, r2 = all_offsets_curve_rhs(c.z1, c.z2, c.alpha, state.delta_rho)
+        scale = max(np.max(np.abs(r1)), np.max(np.abs(r2)))
+        assert max(np.max(np.abs(u1 - r1)), np.max(np.abs(u2 - r2))) <= 1e-12 * scale
+    assert paths == [path] * len(traj.states)
+
+
 def out_of_place_curve_rhs(p, z2, alpha, delta_rho):
     """The curve RHS with a fresh array for every term of every block.
 
@@ -373,17 +408,19 @@ def out_of_place_curve_rhs(p, z2, alpha, delta_rho):
     z1 = p + alpha
     xs = (z2, v1, v2, np.sin(0.5 * z1), np.cos(0.5 * z1))
     central, quarter = kernels.curve_pair_sum_path(p, z2)
+    width = m // 4 + 1 if quarter else m // 2 + 1 if central else m
+    # the blocks of offset rows of the production sum on each path
     blocks = kernels.offset_blocks(m, 1)
+    if central:
+        blocks = kernels.offset_blocks(m, 1, kernels.central_block_rows(m, width))
     if quarter:
-        rows = kernels.central_pair_rows(*xs, centres=m // 4 + 1)
+        rows = kernels.central_pair_rows(*xs, centres=width)
         folds = (kernels.central_folder(m, 1.0), kernels.central_folder(m, -1.0))
-        blocks = kernels.offset_blocks(m, 1, kernels.QUARTER_BLOCK_ROWS)
     elif central:
         rows, folds = kernels.central_pair_rows(*xs), (kernels.central_folder(m),) * 2
     else:
         partners = kernels.partner_rows(*xs)
         rows, folds = (lambda r: (xs, partners(r))), (kernels.block_folder(m),) * 2
-    width = m // 4 + 1 if quarter else m // 2 + 1 if central else m
     acc1 = np.zeros(width)
     acc2 = np.zeros(width)
     for r in blocks:

@@ -9,6 +9,7 @@ from scipy.integrate import quad
 import stokescontour as sc
 from stokescontour import diagnostics, evolution_graph
 from stokescontour.evolution_graph import (
+    _block_constants,
     _cell_correction_values,
     _log_circulant,
     _rhs_arrays,
@@ -308,7 +309,8 @@ def out_of_place_rhs(h, params):
         acc = 2.0 * _cell_correction_values(hw, dhw, d, params.singular_cell_variant)
     partners = kernels.partner_rows(h, dh, width=width)
     fold = kernels.block_folder(m, antiperiodic)
-    for r in kernels.offset_blocks(m, 1):
+    # the blocks of offset rows of the production sum on this path
+    for r, *_ in _block_constants(m, params.quadrature, False):
         x1 = r * d
         hb, dhb = partners(r)
         lg, a_ss, a_sn = stokeslet_terms(x1[:, None], hw - hb)
@@ -339,7 +341,8 @@ def test_rhs_bitwise_equals_out_of_place_blocks(quadrature, cell, anti, m):
     assert np.array_equal(new, ref)
 
 
-@pytest.mark.parametrize("call", ["graph", "curve", "stokeslet", "dK12", "stokeslet_terms"])
+@pytest.mark.parametrize("call", ["graph", "curve", "delta", "stokeslet", "dK12",
+                                  "stokeslet_terms"])
 def test_inputs_left_unchanged(call):
     # the right-hand sides and kernels compute in place in their own arrays
     # only: an input written over would corrupt the integrator's state
@@ -362,6 +365,17 @@ def test_inputs_left_unchanged(call):
         assert [kernels.curve_pair_sum_path(*args[:2]) for args in cases] == [
             (False, False), (True, False), (True, True)]
         f = _rhs_curve_arrays
+    elif call == "delta":
+        # the full, the half and the quarter sum; GraphInterface keeps the
+        # heights it is given, so delta reads this very array
+        cases = [(y,) for y in (h, antiperiodic(h), projected(h))]
+        assert [kernels.pair_sum_path(y) for y, in cases] == [
+            (m, False), (m // 2, False), (m // 2, True)]
+
+        def f(y):
+            g = sc.GraphInterface(h=y)
+            assert g.h is y
+            return sc.delta_spectral(g)
     else:
         cases = [(x1, x2), (x1[:, :1], x2), (x1[0, 0], x2[0, 0])]
         f = {"stokeslet": stokeslet, "dK12": dK12, "stokeslet_terms": stokeslet_terms}[call]
@@ -372,11 +386,83 @@ def test_inputs_left_unchanged(call):
         assert len(before) == len(after) and all(map(np.array_equal, bits(*before), bits(*after)))
 
 
-# traced peak of one RHS call at m = 4096, 20 % above the peaks measured in
-# a fresh process (7.6, 3.9, 3.4, 8.9, 4.3 and 4.65 MiB, NumPy 2.4 on
-# x86-64): the one block workspace of each sum (5.0, 2.5, 2.5, 6.0, 3.0 and
-# 3.0 MiB) made twice, or made anew per block while the last is still held,
-# exceeds them
+def cached_constants():
+    """Every cache of the package, by name, with arguments to fill it on a small grid."""
+    m = 64
+    args = {
+        "geometry._shared_grid": [(m,)],
+        "geometry._reflections": [(m,)],
+        "kernels.clausen2": [(0.1,)],
+        "kernels._taylor_shifts": [()],
+        "kernels._grid_row_tables": [(m,)],
+        "evolution_graph._log_circulant": [(m,)],
+        "evolution_graph._taylor_cell_weights": [(m,)],
+        "evolution_graph._block_constants": [(m, q, quarter) for q in evolution_graph.QUADRATURES
+                                             for quarter in (False, True)],
+        "diagnostics._kernel_blocks": [(m, False), (m, True)],
+        "diagnostics._kpair_origin": [(m,)],
+    }
+    found = {}
+    for module in (sc.geometry, kernels, sc.integrators, sc.turning, evolution_graph,
+                   sc.evolution_curve, diagnostics, sc.config, sc.cli):
+        for name, fn in vars(module).items():
+            if hasattr(fn, "cache_info") and fn.__module__ == module.__name__:
+                found[f"{module.__name__.split('.')[-1]}.{name}"] = fn
+    assert set(found) == set(args)
+    return [(name, found[name], a) for name in sorted(args) for a in args[name]]
+
+
+def arrays_in(value):
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for v in value:
+            yield from arrays_in(v)
+
+
+def test_cached_constants_are_read_only_and_bounded():
+    # a cache hands the same arrays to every call, so none may be written
+    # through, and each holds a bounded number of grids
+    for name, fn, args in cached_constants():
+        assert fn.cache_parameters()["maxsize"] is not None, name
+        for a in arrays_in(fn(*args)):
+            assert not a.flags.writeable, name
+            with pytest.raises(ValueError):
+                a[...] = 0.0
+
+
+def test_interleaved_grids_give_the_results_of_fresh_calls():
+    # the sums keep per-grid constants across calls and nothing else: sums
+    # on other grids and of the other kinds in between leave every result as
+    # it is with every cache emptied first
+    def sums(m):
+        h = projected(sc.preset_f2(m))
+        basic, even = (sc.build_turning_family(sc.TurningFamilyParams(b=b, variant=v), m)
+                       for v, b in (("basic", 16.9), ("even_symmetric", 10.4)))
+        curves = [(*symmetry_projection(c)(c.z1 - c.alpha, c.z2), c.alpha, -2.0)
+                  for c in (basic, even)]
+        return [lambda q=q: _rhs_arrays(h, params_for(m, quadrature=q))
+                for q in evolution_graph.QUADRATURES] + [
+                lambda: np.array(sc.delta_spectral(sc.GraphInterface(h=h)))] + [
+                lambda c=c: np.concatenate(_rhs_curve_arrays(*c)) for c in curves]
+
+    calls = [(m, f) for m in (512, 256, 512) for f in sums(m)]
+    fresh = []
+    for _, f in calls:
+        for _, fn, _ in cached_constants():
+            fn.cache_clear()
+        fresh.append(f())
+    interleaved = [f() for _, f in calls]
+    assert all(np.array_equal(*bits(a, b)) for a, b in zip(fresh, interleaved))
+
+
+# traced peak of one RHS call at m = 4096, set 20 % above the peaks once
+# measured in a fresh process with 32-row (64 on the quarter sums) blocks
+# (7.6, 3.9, 3.4, 8.9, 4.3 and 4.65 MiB, NumPy 2.4 on x86-64): the one block
+# workspace of the full and half sums (5.0, 2.5 and 6.0 MiB) made twice, or
+# made anew per block while the last is still held, exceeds them. The sums
+# over pair centres now take blocks of about 16,384 elements an array and
+# peak at 1.5, 1.7 and 1.85 MiB, well inside their bounds
 PEAK_MIB = {"graph": 9.1, "graph-antiperiodic": 4.7, "graph-quarter": 4.1, "curve": 10.6,
             "curve-central": 5.2, "curve-quarter": 5.6}
 

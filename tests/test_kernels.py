@@ -354,6 +354,55 @@ def test_clausen2_matches_mpmath_on_cell_widths(m):
             assert abs(clausen2(w) - ref) <= 2e-15 * abs(ref)
 
 
+# --- blocks of offset rows ------------------------------------------------------
+
+
+@pytest.mark.parametrize("m", [8, 12, 200, 204, 512, 2048, 8192])
+def test_central_block_rows_are_even_and_within_the_grid(m):
+    # the rows of the quarter and the central half sum, sized by their width
+    for width in (m // 4 + 1, m // 2 + 1):
+        rows = kernels.central_block_rows(m, width)
+        assert rows % 2 == 0 and 2 <= rows <= m // 2
+        # about _BLOCK_ELEMENTS elements per workspace array, unless the grid
+        # holds fewer offsets
+        assert rows == m // 2 or abs(rows * width - kernels._BLOCK_ELEMENTS) <= width
+
+
+def expected_rows(reader, x, r, m):
+    """x at the nodes ``partner_rows`` or ``central_pair_rows`` reads for the offsets r."""
+    if reader == "partner":
+        return x[(np.arange(m // 2) - r[:, None]) % m]
+    # centre c of the rows r = 2s + 1, 2s + 2: near node c + s + 1, far node
+    # c + s + 1 - r
+    r = r.reshape(-1, 2)
+    near = np.arange(m // 4 + 1) + (r[:, :1, None] + 1) // 2
+    return x[near % m], x[(near - r[..., None]) % m]
+
+
+@pytest.mark.parametrize("reader", ["partner", "central"])
+def test_reader_keeps_its_rows_after_another_is_built(rng, reader):
+    # each reader holds a buffer of its own, so a second reader of the same
+    # grid and width leaves the rows of the first as they were
+    m = 64
+    xs, ys = rng.normal(size=(2, 2, m))
+    if reader == "partner":
+        blocks = list(kernels.offset_blocks(m, 0, 8))
+        first, second = (kernels.partner_rows(*z, width=m // 2) for z in (xs, ys))
+    else:
+        blocks = list(kernels.offset_blocks(m, 1, 8))
+        first, second = (kernels.central_pair_rows(*z, centres=m // 4 + 1) for z in (xs, ys))
+    for r in blocks:
+        for rows, z in ((first, xs), (second, ys)):
+            got = rows(r)
+            for k, x in enumerate(z):
+                want = expected_rows(reader, x, r, m)
+                if reader == "partner":
+                    assert np.array_equal(got[k], want)
+                else:
+                    assert np.array_equal(got[0][k], want[0]) and np.array_equal(got[1][k], want[1])
+                    assert not (got[0].flags.writeable or got[1].flags.writeable)
+
+
 def test_expansion_tables_are_correctly_rounded():
     # (-1)^j zeta(1 - 2j)/(2j + 1)! of the Cl2 series, bit for bit
     with mp.workdps(50):
