@@ -365,11 +365,15 @@ class DiagnosticsOptions:
 
 
 def record_for_curve(
-    t: float, curve: ParamCurve, options: Optional[DiagnosticsOptions] = None
+    t: float, curve: ParamCurve, options: Optional[DiagnosticsOptions] = None, p=None
 ) -> DiagnosticsRecord:
-    """DiagnosticsRecord for a parametric state (no delta/finger/wiener)."""
+    """DiagnosticsRecord for a parametric state (no delta/finger/wiener).
+
+    The symmetry errors are measured on the remainder p = z1 - alpha, the
+    stored z1 minus alpha unless given (``geometry.symmetry_errors``).
+    """
     big, small = height_extremes(curve)
-    csym, esym = symmetry_errors(curve)
+    csym, esym = symmetry_errors(curve, p)
     return DiagnosticsRecord(
         t=t,
         energy=energy_curve(curve),

@@ -229,8 +229,11 @@ def evolve_curve(
     """Integrate the contour dynamics with the shared embedded RK machinery.
 
     ``integrators.integrate`` steps, samples and captures failures as for the
-    graph scheme; the state vector is (p, z2), p = z1 - alpha, on which the
-    symmetries are sign and index maps. Each record additionally
+    graph scheme: a sample inside a step is read from the step's continuous
+    extension, to the integration tolerance, and projected. The state vector
+    is (p, z2), p = z1 - alpha, on which the symmetries are sign and index
+    maps, and each record's symmetry errors are measured on that p, so a
+    projected state reads 0. Each record additionally
     stores min_slope_x1 so turning (a sign change of the minimum slope) can
     be read off the trajectory, and each sample warns when the nodes cluster
     beyond SPEED_RATIO_WARN. A sample that self-intersects or degenerates
@@ -257,7 +260,7 @@ def evolve_curve(
         curve = ParamCurve(z1=y[:m] + alpha, z2=y[m:].copy())
         _warn_if_clustered(curve)
         state = CurveState(t=t, curve=curve, delta_rho=initial.delta_rho)
-        return state, record_for_curve(t, curve, options)
+        return state, record_for_curve(t, curve, options, p=y[:m])
 
     y0 = np.concatenate([initial.curve.z1 - alpha, initial.curve.z2]).astype(float)
     return integrate(f, initial.t, y0, ip, sample_times, project, guard, sample, on_sample)

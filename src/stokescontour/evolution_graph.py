@@ -287,13 +287,15 @@ def evolve(
     options: Optional[DiagnosticsOptions] = None,
     on_sample: Optional[Callable] = None,
 ) -> Trajectory:
-    """Integrate the graph scheme, snapshotting exactly at the sample times.
+    """Integrate the graph scheme, with a snapshot at each sample time.
 
     Stepping, sampling and failure capture are ``integrators.integrate``'s:
-    snapshots are step endpoints, a diagnostics record is computed at every
-    sample, ``on_sample(state, record)`` is invoked as each one is cut (used
-    for incremental output), and a blowup or step failure ends the run early
-    and is recorded on the returned Trajectory. The symmetries the initial
+    a snapshot inside a step is read from the step's continuous extension
+    (to the integration tolerance) and one at a step end is that state, a
+    diagnostics record is computed at every sample, ``on_sample(state,
+    record)`` is invoked as each one is taken (used for incremental output),
+    and a blowup or step failure ends the run early and is recorded on the
+    returned Trajectory with the run's step counts. The symmetries the initial
     data carries to machine precision are enforced on every accepted state
     by the z2 half of ``geometry.symmetry_projection`` of its lift.
     """

@@ -296,39 +296,42 @@ CARRIED_TOL = 1e-12  # a symmetry error at most this counts as carried
 
 @lru_cache(maxsize=8)
 def _reflections(m: int):
-    """Central and two-line even symmetry as rows (k, sign, c), for all nodes j:
+    """Central and two-line even symmetry as rows (k, sign), for all nodes j:
 
     p[k[j]] = -p[j] and z2[k[j]] = sign * z2[j] on the remainder p = z1 - alpha,
     which either reflection maps without a constant. Central symmetry
     z(alpha) = -z(-alpha) pairs j with -j; even symmetry pairs j with
     m/2 - j, mirroring the curve about the lines z1 = -pi/2 on [-pi, 0] and
     z1 = pi/2 on (0, pi). Their composition is the half-period symmetry
-    p[j + m/2] = p[j], z2[j + m/2] = -z2[j]. On z1 itself a reflection
-    reads z1[j] + z1[k[j]] = c[j]: -2pi at the seam node j = 0 for central,
-    -pi on [-pi, 0] and pi beyond for even; only ``symmetry_errors``, which
-    measures the stored z1, reads c. The rows are read-only, built once per m.
+    p[j + m/2] = p[j], z2[j + m/2] = -z2[j]. The index rows are read-only,
+    built once per m.
     """
     j = np.arange(m)
-    rows = (((-j) % m, -1.0, np.where(j == 0, -TWO_PI, 0.0)),
-            ((m // 2 - j) % m, 1.0, np.where(j <= m // 2, -np.pi, np.pi)))
-    for k, _, c in rows:
-        k.flags.writeable = c.flags.writeable = False
+    rows = (((-j) % m, -1.0), ((m // 2 - j) % m, 1.0))
+    for k, _ in rows:
+        k.flags.writeable = False
     return rows
 
 
-def symmetry_errors(curve: ParamCurve):
+def symmetry_errors(curve: ParamCurve, p=None):
     """Max deviation from central symmetry and from the two-line even symmetry.
 
-    Measured on z1 and z2 as stored, so the rounding of a lifted grid counts.
+    Measured on the remainder p = z1 - alpha and on z2, where each
+    reflection is a sign and an index map (``_reflections``). p is the
+    stored z1 minus alpha unless given: a curve run passes the p it
+    integrates, so an exactly symmetric state reads 0 rather than the
+    rounding of z1 = p + alpha. A graph's lift has p = 0 exactly.
 
     Returns
     -------
     (central, even) : pair of floats
     """
-    z1, z2 = curve.z1, curve.z2
+    if p is None:
+        p = curve.z1 - curve.alpha
+    z2 = curve.z2
     return tuple(
-        float(max(np.max(np.abs(z1 + z1[k] - c)), np.max(np.abs(z2 - sign * z2[k]))))
-        for k, sign, c in _reflections(curve.m)
+        float(max(np.max(np.abs(p + p[k])), np.max(np.abs(z2 - sign * z2[k]))))
+        for k, sign in _reflections(curve.m)
     )
 
 
@@ -342,7 +345,7 @@ def centrally_symmetric(p, z2) -> bool:
     reads one pair of each mirror orbit (``kernels.curve_pair_sum_path``,
     ``kernels.pair_sum_path``). O(m), exact.
     """
-    k, sign, _ = _reflections(z2.size)[0]
+    k, sign = _reflections(z2.size)[0]
     return bool((p is None or np.array_equal(p[k], -p))
                 and np.array_equal(z2[k], sign * z2))
 
@@ -366,7 +369,7 @@ def symmetry_projection(curve: ParamCurve):
     rows = [row for row, on in zip(_reflections(curve.m), carried_symmetries(curve)) if on]
 
     def project(p, z2):
-        for k, sign, _ in rows:
+        for k, sign in rows:
             if p is not None:
                 p = 0.5 * (p - p[k])
             z2 = 0.5 * (z2 + sign * z2[k])

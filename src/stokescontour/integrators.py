@@ -12,12 +12,17 @@ accepted when the norm is <= 1.
 
 ``integrate`` is the one stepping driver behind both the graph scheme and the
 parametric contour dynamics, and its loop is the only place that accepts or
-rejects a trial step (``dopri_step``): it lands on the sample times, projects
-the initial and each accepted state, guards its amplitude, builds the
-``Trajectory`` of sampled states and records, and turns a failure into an
-early end recorded on it. Every step therefore starts from a projected state:
-a stage keeps each exact symmetry its start state and the right-hand side
-both have, which both right-hand sides use to halve their pair sums.
+rejects a trial step (``dopri_step``). It does not shorten a step to reach a
+sample time: a sample inside an accepted step is read from DOPRI5's free
+fourth-order continuous extension (``dense_output``, Hairer, Norsett &
+Wanner, Solving ODEs I, sec. II.6), as MATLAB's ode45 does, so a sample
+carries an error of the order of the integration tolerance. It projects the
+initial state, each accepted state and each interpolated sample, guards the
+amplitude, builds the ``Trajectory`` of sampled states and records with the
+counts of its steps, and turns a failure into an early end recorded on it.
+Every step therefore starts from a projected state: a stage keeps each
+exact symmetry its start state and the right-hand side both have, which
+both right-hand sides use to halve their pair sums.
 """
 
 from __future__ import annotations
@@ -70,6 +75,12 @@ _B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0
 _E = np.array(
     [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
 )
+# Shampine's coefficients of the continuous extension (Hairer's CONTD5)
+_D = np.array([
+    -12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
+    -10690763975 / 1880347072, 701980252875 / 199316789632,
+    -1453857185 / 822651844, 69997945 / 29380423,
+])
 
 MIN_FACTOR = 0.2
 MAX_FACTOR = 5.0
@@ -97,8 +108,9 @@ class IntegratorParams:
 def dopri_step(f, t, y, dt, rel_tol, abs_tol, k1=None):
     """One trial Dormand-Prince step from (t, y) of size dt.
 
-    Returns (y_new, err_norm, k_first_next) where err_norm <= 1 means the
-    step is acceptable and k_first_next is the FSAL stage f(t+dt, y_new).
+    Returns (y_new, err_norm, k) where err_norm <= 1 means the step is
+    acceptable and k is the list of the seven stages, the last one the FSAL
+    stage f(t+dt, y_new); ``dense_output`` reads the step from them.
     """
     k = [None] * 7
     k[0] = f(t, y) if k1 is None else k1
@@ -110,7 +122,23 @@ def dopri_step(f, t, y, dt, rel_tol, abs_tol, k1=None):
     err = dt * sum(e * kj for e, kj in zip(_E, k))
     scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
     err_norm = float(np.max(np.abs(err) / scale))
-    return y_new, err_norm, k[6]
+    return y_new, err_norm, k
+
+
+def dense_output(y, y_new, k, dt, theta):
+    """The state at t + theta*dt, 0 <= theta <= 1, inside the step (t, y) -> y_new.
+
+    DOPRI5's fourth-order continuous extension, built from the step's own
+    stages k (``dopri_step``) with Shampine's coefficients, so it costs no
+    right-hand side call; at theta = 0 it is y, at theta = 1 y_new up to roundoff.
+    """
+    # the coefficient arrays rcont2..rcont5 of Hairer's dopri5, in its order
+    ydiff = y_new - y
+    bspl = dt * k[0] - ydiff
+    c4 = ydiff - dt * k[6] - bspl
+    c5 = dt * sum(d * kj for d, kj in zip(_D, k))
+    rest = 1.0 - theta
+    return y + theta * (ydiff + rest * (bspl + theta * (c4 + rest * c5)))
 
 
 def _step_factor(err_norm: float) -> float:
@@ -132,11 +160,30 @@ def _prepare_samples(t0: float, ip: IntegratorParams, sample_times) -> np.ndarra
 
 
 @dataclass
+class RunStats:
+    """What ``integrate`` did: step and right-hand-side counts, accepted dt range.
+
+    Deterministic: a rerun of the same run gives equal stats. A trial step
+    that is not accepted (error norm > 1, a blown-up stage, or the step
+    that fails at dt_min) counts as rejected; ``rhs_calls`` counts every
+    evaluation of f, the ones that raised included. ``min_dt`` and
+    ``max_dt`` are None until a step is accepted.
+    """
+
+    accepted_steps: int = 0
+    rejected_steps: int = 0
+    rhs_calls: int = 0
+    min_dt: Optional[float] = None
+    max_dt: Optional[float] = None
+
+
+@dataclass
 class Trajectory:
     """Time-ordered states and their diagnostics records.
 
     ``states`` holds GraphState or CurveState snapshots at the sample times;
     a failed run keeps everything recorded up to the failure time.
+    ``stats`` counts the steps that produced them.
     """
 
     states: list = field(default_factory=list)
@@ -144,6 +191,7 @@ class Trajectory:
     failed: bool = False
     failure_time: Optional[float] = None
     failure_message: Optional[str] = None
+    stats: RunStats = field(default_factory=RunStats)
 
 
 def integrate(
@@ -157,29 +205,40 @@ def integrate(
     sample: Callable,
     on_sample: Optional[Callable] = None,
 ) -> Trajectory:
-    """Integrate y' = f(t, y) from (t0, y0), stopping exactly at each sample time.
+    """Integrate y' = f(t, y) from (t0, y0), sampling at each sample time.
 
-    Each trial step is the proposed dt clamped to [dt_min, dt_max] and
-    shortened to land on the next sample time, so samples are step
-    endpoints, not interpolants. A trial step whose error norm is > 1 is
-    rejected and retried from the same state with dt shrunk by
-    ``_step_factor``; so is one whose stages raise BlowupError (an infinite
-    error norm). A rejection at dt_min is a StepFailureError ("step size
-    underflow"), or the BlowupError itself, and a BlowupError at the current
-    state ends the run at once. An accepted step proposes the next dt from
-    its error norm. At each sample, ``sample(t, y)`` returns
-    the (state, record) pair appended to the Trajectory, and
+    Each trial step is the proposed dt clamped to [dt_min, dt_max] and to
+    the last sample time, so the run ends at a step end; it is not
+    shortened to reach the samples before that. A trial step whose error
+    norm is > 1 is rejected and retried from the same state with dt shrunk
+    by ``_step_factor``; so is one whose stages raise BlowupError (an
+    infinite error norm). A rejection at dt_min is a StepFailureError
+    ("step size underflow"), or the BlowupError itself, and a BlowupError
+    at the current state ends the run at once. An accepted step proposes
+    the next dt from its error norm. The initial state and every accepted
+    state are replaced by ``project(y)``, so the first sample and every
+    step start from a projected state. ``guard(y)`` gives each node's
+    deviation from the rest state; once the largest exceeds AMPLITUDE_GUARD
+    the run blows up at that node, with no sample taken inside that step.
+    Then every sample time the step reached is sampled: one within
+    _SAMPLE_TOL of the step end is that end state, bit for bit, and one
+    inside the step is ``project`` of the step's ``dense_output``, a
+    fourth-order interpolant, so it carries an error of the order of the
+    integration tolerance. At each sample, ``sample(t, y)`` returns the
+    (state, record) pair appended to the Trajectory, and
     ``on_sample(state, record)``, if given, is called with it (used for
-    incremental output). The initial state and every accepted state are
-    replaced by ``project(y)``, so the first sample and every step start
-    from a projected state.
-    ``guard(y)`` gives each node's deviation from the rest state; once the
-    largest exceeds AMPLITUDE_GUARD the run blows up at that node. A blowup,
-    a step failure or a self-intersecting or degenerate curve (raised by
-    ``sample``) ends the run early; the Trajectory records the last time
-    reached and the error message.
+    incremental output). A blowup, a step failure or a self-intersecting or
+    degenerate curve (raised by ``sample``) ends the run early; the
+    Trajectory records the last time reached (the sample's time when
+    ``sample`` raised) and the error message. ``Trajectory.stats`` counts
+    the run's steps and right-hand-side calls.
     """
     traj = Trajectory()
+    stats = traj.stats
+
+    def rhs(t, y):
+        stats.rhs_calls += 1
+        return f(t, y)
 
     def take_sample(t, y):
         state, record = sample(t, y)
@@ -191,7 +250,7 @@ def integrate(
     ts = _prepare_samples(t0, ip, sample_times)
     t = t0
     y = project(y0)
-    idx = 0
+    t_last, idx = float(ts[-1]), 0
     if abs(ts[0] - t) <= _SAMPLE_TOL:
         take_sample(t, y)
         idx = 1
@@ -199,37 +258,43 @@ def integrate(
     k1 = None
     try:
         while idx < ts.size:
-            target = ts[idx]
             if k1 is None:
-                k1 = f(t, y)
-            dt_try = min(max(dt, ip.dt_min), ip.dt_max, target - t)
+                k1 = rhs(t, y)
+            dt_try = min(max(dt, ip.dt_min), ip.dt_max, t_last - t)
+            blowup = None
             try:
-                y_new, err_norm, k_last = dopri_step(
-                    f, t, y, dt_try, ip.rel_tol, ip.abs_tol, k1=k1
+                y_new, err_norm, k = dopri_step(
+                    rhs, t, y, dt_try, ip.rel_tol, ip.abs_tol, k1=k1
                 )
-            except BlowupError:
-                if dt_try <= ip.dt_min:
-                    raise
-                err_norm = np.inf
+            except BlowupError as exc:
+                blowup, err_norm = exc, np.inf
             dt = dt_try * _step_factor(err_norm)  # clamped as the next trial starts
             if not err_norm <= 1.0:  # a NaN norm is rejected too
+                stats.rejected_steps += 1
                 if dt_try <= ip.dt_min:
-                    raise StepFailureError(t)
+                    raise blowup or StepFailureError(t)
                 continue  # retry from the same state; k1 = f(t, y) stays valid
-            # k_last is f at the unprojected y_new; the projection moves that
+            stats.accepted_steps += 1
+            stats.min_dt = dt_try if stats.min_dt is None else min(stats.min_dt, dt_try)
+            stats.max_dt = dt_try if stats.max_dt is None else max(stats.max_dt, dt_try)
+            # k[6] is f at the unprojected y_new; the projection moves that
             # state only at roundoff, so it still serves as the next k1 (FSAL)
-            t, k1 = t + dt_try, k_last
+            t_start, y_start = t, y
+            t, k1 = t + dt_try, k[6]
             y = project(y_new)
             deviation = guard(y)
             if np.max(deviation) > AMPLITUDE_GUARD:
                 raise BlowupError(int(np.argmax(deviation)), t)
-            if abs(t - target) <= _SAMPLE_TOL:
-                t = target
-                take_sample(t, y)
+            while idx < ts.size and ts[idx] <= t + _SAMPLE_TOL:
+                if ts[idx] >= t - _SAMPLE_TOL:
+                    take_sample(ts[idx], y)
+                else:
+                    theta = (ts[idx] - t_start) / dt_try
+                    take_sample(ts[idx], project(dense_output(y_start, y_new, k, dt_try, theta)))
                 idx += 1
-    except (BlowupError, StepFailureError, SelfIntersectionError,
-            DegenerateParametrizationError) as exc:
-        traj.failed = True
-        traj.failure_time = t
-        traj.failure_message = str(exc)
+    except (BlowupError, StepFailureError) as exc:
+        traj.failed, traj.failure_time, traj.failure_message = True, t, str(exc)
+    except (SelfIntersectionError, DegenerateParametrizationError) as exc:
+        # raised by ``sample`` at the sample time ts[idx]
+        traj.failed, traj.failure_time, traj.failure_message = True, ts[idx], str(exc)
     return traj

@@ -42,7 +42,7 @@ over half the grid offsets, r <= m/2, a block of offset rows at a time
 is O(rows * width) per block rather than O(m^2). The full and half sums
 take 32 offsets a block; the sums over pair centres below take
 ``central_block_rows``: as many as make about 16384 elements per workspace
-array, even, from 2 to m/2. Each reader and folder is one read-only
+array up to m = 1024 and that grid's rows beyond it, even, from 2 to m/2. Each reader and folder is one read-only
 strided view over a buffer made in the call of the sum, never kept across
 calls, so the sums are re-entrant and a block builds no index array. The
 per-grid constants of a block (the sines, log term and weights of the
@@ -97,8 +97,10 @@ ONE_OVER_4PI = 1.0 / (4.0 * np.pi)
 # sum holds them in one workspace, reused by every block
 _BLOCK_ROWS = 32
 # elements per workspace array of a block of the sums over pair centres
-# (``central_block_rows``)
+# (``central_block_rows``) up to m = _ROWS_FIXED_FROM; on larger grids the
+# arrays grow with m and the rows stay those of that grid
 _BLOCK_ELEMENTS = 16384
+_ROWS_FIXED_FROM = 1024
 
 
 @dataclass(frozen=True)
@@ -176,11 +178,15 @@ def central_block_rows(m: int, width: int) -> int:
     As many as make about _BLOCK_ELEMENTS elements per workspace array, so
     the narrow rows of the quarter sums (m/4 + 1 centres) take more offsets
     a block than the central half sum's (m/2 + 1), and a block's fixed cost
-    is spread over about the same work at every m. Even, as the reader pairs
-    the offsets 2s + 1 and 2s + 2; at least 2 and at most m/2 (m being a
-    multiple of 4).
+    is spread over about the same work at every m up to _ROWS_FIXED_FROM.
+    Beyond it the element count grows in proportion to m, so the rows stay
+    those of that grid (64 for the quarter sums, 32 for the central half
+    sum): fewer rows would make more blocks, each paying the fixed cost
+    again. Even, as the reader pairs the offsets 2s + 1 and 2s + 2; at least
+    2 and at most m/2 (m being a multiple of 4).
     """
-    return min(m // 2, 2 * max(1, round(_BLOCK_ELEMENTS / (2 * width))))
+    elements = _BLOCK_ELEMENTS * max(1.0, m / _ROWS_FIXED_FROM)
+    return min(m // 2, 2 * max(1, round(elements / (2 * width))))
 
 
 def read_only(*arrays):

@@ -247,10 +247,11 @@ def test_delta_is_a_python_float_on_every_path(symmetry):
 
 
 # peak traced allocation of one evaluation at m = 4096, MiB: the raw heights
-# take the full sum, their doubly symmetric continuation the quarter sum
-# (2.3 MiB in a fresh process with 64-row blocks, 0.75 MiB with the blocks
-# of about 16,384 elements an array that it now takes)
-DELTA_PEAK_MIB = {"raw": 50, "doubly-symmetric": 2.8}
+# take the full sum, their doubly symmetric continuation the quarter sum,
+# bounded 1.2 times its 2.26 MiB peak in a fresh process with the 64-row
+# blocks it takes at m >= 1024, so that its 2.0 MiB workspace made twice
+# exceeds the bound
+DELTA_PEAK_MIB = {"raw": 50, "doubly-symmetric": 2.7}
 
 
 @pytest.mark.parametrize("heights", DELTA_PEAK_MIB)

@@ -549,6 +549,8 @@ def test_even_symmetry_and_pinned_points_conserved():
             sc.CurveState(0.0, curve, delta_rho=1.0), ip, [0.0, 0.03, 0.06]
         )
     assert not traj.failed
+    # the records measure the projected state p = z1 - alpha itself
+    assert all(r.central_sym_err == 0.0 and r.even_sym_err == 0.0 for r in traj.records)
     m = 256
     for state in traj.states:
         c = state.curve

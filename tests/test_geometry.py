@@ -216,17 +216,20 @@ def test_symmetry_errors_mirrored_construction(rng):
 
 
 def test_symmetry_errors_zero_on_symmetric_curve_and_positive_on_moved_node():
-    # m = 12: the node values are sums of pi, pi/2 and halves, so both
-    # reflections hold exactly in floating point
-    p, q = np.pi, np.pi / 2
-    z1 = np.array([-p, -p + 0.5, -p + 1.0, -q, -1.0, -0.5,
-                   0.0, 0.5, 1.0, q, p - 1.0, p - 0.5])
+    # m = 12: the remainder p = z1 - alpha and z2 are exactly odd under both
+    # reflections, so the errors on the p a run integrates are exactly 0;
+    # the stored z1 = p + alpha minus alpha reads only the grid's rounding
+    a, b = 0.5, 0.25
+    p = np.array([0.0, a, b, 0.0, -b, -a, 0.0, a, b, 0.0, -b, -a])
     z2 = np.array([0.0, 0.25, 0.5, 0.75, 0.5, 0.25,
                    0.0, -0.25, -0.5, -0.75, -0.5, -0.25])
-    assert sc.symmetry_errors(sc.ParamCurve(z1=z1, z2=z2)) == (0.0, 0.0)
-    z1[2] += 0.125
+    curve = sc.ParamCurve(z1=p + sc.uniform_grid(12), z2=z2)
+    assert sc.symmetry_errors(curve, p) == (0.0, 0.0)
+    assert max(sc.symmetry_errors(curve)) <= 4 * np.spacing(np.pi)
+    p[2] += 0.125
     z2[2] += 0.25
-    assert sc.symmetry_errors(sc.ParamCurve(z1=z1, z2=z2)) == (0.25, 0.25)
+    curve = sc.ParamCurve(z1=p + sc.uniform_grid(12), z2=z2)
+    assert sc.symmetry_errors(curve, p) == (0.25, 0.25)
 
 
 def test_height_energy_lower_bound(rng):

@@ -3,10 +3,13 @@ import pytest
 
 import stokescontour as sc
 from stokescontour import evolution_graph
+from stokescontour.geometry import SelfIntersectionError
 from stokescontour.integrators import (
+    AMPLITUDE_GUARD,
     BlowupError,
     StepFailureError,
     _step_factor,
+    dense_output,
     dopri_step,
     integrate,
 )
@@ -44,6 +47,23 @@ def test_error_norm_semantics():
     assert err_big > 1.0
 
 
+def test_dense_output_is_fourth_order_on_exponential():
+    # the continuous extension's local error is O(dt^5), so on y' = -y it
+    # falls by at least 2^4 each time dt halves, at every point of the step
+    f = lambda t, y: -y
+    y0 = np.array([1.0])
+    thetas = (0.1, 0.3, 0.5, 0.7, 0.9)
+    errs = []
+    for dt in (0.4, 0.2, 0.1, 0.05):
+        y1, _, k = dopri_step(f, 0.0, y0, dt, 1e-6, 1e-9)
+        errs.append([abs(dense_output(y0, y1, k, dt, th)[0] - np.exp(-th * dt))
+                     for th in thetas])
+    errs = np.array(errs)
+    assert np.all(errs[:-1] / errs[1:] >= 2**4)
+    # and it starts at the step's start state
+    assert np.array_equal(dense_output(y0, y1, k, 0.05, 0.0), y0)
+
+
 def run(f, ip, sample_times, y0=np.ones(2), project=lambda y: y):
     """integrate with the identity guard input and (t, y) samples."""
     return integrate(f, 0.0, y0, ip, sample_times, project, np.abs,
@@ -71,7 +91,8 @@ def test_advance_grows_dt_on_trivial_field():
 
 
 def test_advance_respects_cap():
-    # a step longer than the gap to the next sample lands exactly on it
+    # a step is not shortened to reach a sample: the first step is dt_init,
+    # and the 0.003 sample inside it is read from the continuous extension
     times = []
 
     def f(t, y):
@@ -81,8 +102,10 @@ def test_advance_respects_cap():
     ip = make_integrator(t_end=1.0, dt_init=0.01, dt_max=0.5)
     traj = run(f, ip, [0.0, 0.003, 1.0])
     assert not traj.failed
-    assert times[6] == 0.003  # the first step ends at the sample, not at dt_init
+    assert times[6] == 0.01  # the first step ends at dt_init, past the sample
     assert traj.records == [0.0, 0.003, 1.0]
+    # a fourth-order interpolant errs by O(dt^5), here with a constant under 1e-3
+    assert np.max(np.abs(traj.states[1][1] - np.exp(-0.003))) <= 1e-3 * 0.01**5
 
 
 def test_step_failure_at_dt_min():
@@ -145,18 +168,19 @@ def reference_integrate(f, y0, ip, sample_times, project):
     ``dopri_step``: each accepted step retries from the same state with dt
     shrunk after a rejection (error norm > 1 or a BlowupError on a trial
     stage), raises StepFailureError at dt_min and proposes the next dt
-    clamped to [dt_min, dt_max]. Returns the (t, y) samples, the failure
-    message (or None) and counts of the step events.
+    clamped to [dt_min, dt_max]; only the last sample time caps a step. A
+    sample inside a step is the projected ``dense_output`` of that step, one
+    within 1e-12 of a step end the end state. Returns the (t, y) samples,
+    the failure message (or None) and counts of the step events.
     """
-    events = {"accepted": 0, "rejected": 0, "blown_up": 0, "capped": 0}
+    events = {"accepted": 0, "rejected": 0, "blown_up": 0, "interpolated": 0}
 
     def accepted_step(t, y, dt, k1, dt_cap):
         dt = min(max(dt, ip.dt_min), ip.dt_max)
         while True:
             dt_try = min(dt, dt_cap)
             try:
-                y_new, err, k_last = dopri_step(f, t, y, dt_try, ip.rel_tol,
-                                                ip.abs_tol, k1=k1)
+                y_new, err, k = dopri_step(f, t, y, dt_try, ip.rel_tol, ip.abs_tol, k1=k1)
             except BlowupError:
                 if dt_try <= ip.dt_min:
                     raise
@@ -164,9 +188,8 @@ def reference_integrate(f, y0, ip, sample_times, project):
                 err = np.inf
             if err <= 1.0:
                 events["accepted"] += 1
-                events["capped"] += dt_try < dt
                 dt_next = min(max(dt_try * _step_factor(err), ip.dt_min), ip.dt_max)
-                return t + dt_try, y_new, dt_next, k_last
+                return dt_try, y_new, k, dt_next
             if dt_try <= ip.dt_min:
                 raise StepFailureError(t)
             events["rejected"] += 1
@@ -174,14 +197,21 @@ def reference_integrate(f, y0, ip, sample_times, project):
 
     t, y, dt = 0.0, project(y0), ip.dt_init
     samples = [(t, y.copy())]
+    pending = list(sample_times[1:])
     try:
         k1 = f(t, y)
-        for target in sample_times[1:]:
-            while abs(t - target) > 1e-12:
-                t, y, dt, k1 = accepted_step(t, y, dt, k1, target - t)
-                y = project(y)
-            t = target
-            samples.append((t, y.copy()))
+        while pending:
+            h, y_new, k, dt = accepted_step(t, y, dt, k1, sample_times[-1] - t)
+            t_start, y_start = t, y
+            t, y, k1 = t + h, project(y_new), k[6]
+            while pending and pending[0] <= t + 1e-12:
+                target = pending.pop(0)
+                if target >= t - 1e-12:
+                    samples.append((target, y.copy()))
+                else:
+                    events["interpolated"] += 1
+                    y_mid = dense_output(y_start, y_new, k, h, (target - t_start) / h)
+                    samples.append((target, project(y_mid)))
     except (BlowupError, StepFailureError) as exc:
         return samples, str(exc), events
     return samples, None, events
@@ -190,7 +220,7 @@ def reference_integrate(f, y0, ip, sample_times, project):
 @pytest.mark.parametrize("rel_tol, dt_min", [(1e-8, 1e-12), (1e-12, 1e-3)],
                          ids=["completes", "step_failure"])
 def test_integrate_matches_a_reference_retry_loop_bitwise(rel_tol, dt_min):
-    # rejections, capped landings and blown-up trial stages, all on one run
+    # rejections, interpolated samples and blown-up trial stages, all on one run
     def f(t, y):
         calls.append((t, y.copy()))
         if np.max(np.abs(y)) > 2.0:
@@ -218,10 +248,156 @@ def test_integrate_matches_a_reference_retry_loop_bitwise(rel_tol, dt_min):
     assert all(t == t_ref and np.array_equal(y, y_ref)
                for (t, y), (t_ref, y_ref) in zip(calls, reference_calls))
     assert events["rejected"] > 0 and events["blown_up"] > 0
+    assert traj.stats.accepted_steps == events["accepted"]
+    assert traj.stats.rhs_calls == len(calls)
     if failure is None:
-        assert events["capped"] > 0
+        assert events["interpolated"] > 0
+        assert traj.stats.rejected_steps == events["rejected"]
     else:
         assert "step size underflow" in failure
+        # the trial that fails at dt_min counts as rejected too
+        assert traj.stats.rejected_steps == events["rejected"] + 1
+
+
+def test_sample_at_a_step_end_is_the_end_state_bitwise():
+    # samples do not move the steps: a rerun sampling at (and 5e-13 past) a
+    # step end makes the same calls and records that step's projected state
+    times, ends = [], []
+
+    def f(t, y):
+        times.append(t)
+        return -4.0 * (1.0 + t) * y
+
+    def project(y):
+        out = 0.5 * (y - y[::-1])
+        ends.append(out)
+        return out
+
+    y0 = np.array([1.0, -0.3, 0.2, -1.1])
+    ip = make_integrator(t_end=1.0, dt_init=0.05, dt_max=0.2)
+    first = run(f, ip, [0.0, 1.0], y0=y0, project=project)
+    assert not first.failed and first.stats.rejected_steps == 0
+    step_ends, states, calls = times[6::6], ends[1:], times
+    assert len(step_ends) == len(states) == first.stats.accepted_steps > 4
+    for offset in (0.0, 5e-13):
+        times, ends = [], []
+        t_end = step_ends[3]
+        traj = run(f, ip, [0.0, t_end + offset, 1.0], y0=y0, project=project)
+        assert times == calls
+        assert traj.records == [0.0, t_end + offset, 1.0]
+        assert np.array_equal(traj.states[1][1], states[3])
+        assert np.array_equal(traj.states[2][1], states[-1])
+
+
+def test_projected_f2_samples_are_exactly_odd_and_antiperiodic():
+    # samples read from the continuous extension are projected like the
+    # step ends, so each one keeps both symmetries exactly
+    m = 64
+    params = sc.SchemeParams(sign_factor=-1.0, viscosity=1e-3, m=m)
+    sample_times = np.linspace(0.0, 0.04, 17)
+    traj = sc.evolve(sc.GraphState(0.0, sc.GraphInterface(h=sc.preset_f2(m))), params,
+                     make_integrator(t_end=0.04, dt_max=0.01), sample_times)
+    assert not traj.failed and len(traj.states) == 17
+    # fewer steps than sample intervals: some samples lie inside a step
+    assert traj.stats.accepted_steps < 16
+    odd = (-np.arange(m)) % m
+    for state, record in zip(traj.states, traj.records):
+        h = state.interface.h
+        assert np.array_equal(h[odd], -h)
+        assert np.array_equal(h[m // 2 :], -h[: m // 2])
+        assert record.central_sym_err == record.even_sym_err == 0.0
+
+
+def test_sample_error_ends_the_run_at_that_sample_time():
+    # the 0.3 sample lies inside a step; its failure is the run's end time
+    def sample(t, y):
+        if t == 0.3:
+            raise SelfIntersectionError("nodes 1 and 2 coincide")
+        return (t, y.copy()), t
+
+    ip = make_integrator(t_end=1.0, dt_init=0.5, dt_max=0.5)
+    traj = integrate(lambda t, y: np.zeros_like(y), 0.0, np.ones(2), ip,
+                     [0.0, 0.1, 0.3, 1.0], lambda y: y, np.abs, sample)
+    assert traj.failed and traj.failure_time == 0.3
+    assert traj.failure_message == "nodes 1 and 2 coincide"
+    assert traj.records == [0.0, 0.1]
+    assert traj.stats.accepted_steps == 1  # 0 -> 0.5 holds both samples
+
+
+def test_samples_inside_a_step_that_fails_the_guard_are_not_recorded():
+    # on a zero field the first step, 0 -> 0.5, is accepted and holds the
+    # samples 0.1 and 0.2; its end state fails the amplitude guard
+    ip = make_integrator(t_end=1.0, dt_init=0.5, dt_max=0.5)
+    traj = integrate(lambda t, y: np.zeros_like(y), 0.0, np.ones(3), ip,
+                     [0.0, 0.1, 0.2, 1.0], lambda y: y,
+                     lambda y: np.full(y.shape, 2.0 * AMPLITUDE_GUARD),
+                     lambda t, y: ((t, y.copy()), t))
+    assert traj.failed and traj.failure_time == 0.5
+    assert traj.failure_message == "non-finite right-hand side at node 0, t=0.5"
+    assert traj.records == [0.0]
+
+
+def test_run_stats_count_steps_and_calls():
+    # ten blown-up trials, then accepted steps: the counts and the dt range
+    # are those of the run, and a rerun gives equal stats
+    def f(t, y):
+        calls.append(t)
+        if t > 0.0 and len(calls) < 12:
+            raise BlowupError(0, t)
+        return -y
+
+    ip = make_integrator(t_end=1.0, dt_init=0.2, dt_max=0.2)
+    stats = []
+    for _ in range(2):
+        calls = []
+        traj = run(f, ip, [0.0, 1.0], y0=np.ones(1))
+        assert not traj.failed
+        stats.append(traj.stats)
+    first = stats[0]
+    assert first == stats[1]
+    assert first.rejected_steps == 10
+    assert first.rhs_calls == len(calls) == 11 + 6 * first.accepted_steps
+    assert first.min_dt == pytest.approx(0.2 * 0.2**10, rel=1e-12)
+    assert first.max_dt == 0.2
+
+
+@pytest.mark.parametrize("preset, quadrature, cell", [
+    ("f1", "taylor_cell", "printed"), ("f2", "spectral_log", "halfangle")])
+def test_graph_samples_within_twice_the_tolerance_of_a_tight_run(preset, quadrature, cell):
+    # most samples lie inside a step and are read from the continuous
+    # extension; each stays within 2 rel_tol max|h| of a rel_tol = 1e-11 run
+    m = 512
+    h = sc.preset_f1(m) if preset == "f1" else sc.preset_f2(m)
+    params = sc.SchemeParams(sign_factor=-1.0, viscosity=1e-3, m=m,
+                             quadrature=quadrature, singular_cell_variant=cell)
+    sample_times = np.linspace(0.0, 0.12, 13)
+    runs = []
+    for rel_tol, abs_tol in ((1e-6, 1e-9), (1e-11, 1e-12)):
+        traj = sc.evolve(sc.GraphState(0.0, sc.GraphInterface(h=h)), params,
+                         make_integrator(0.12, rel_tol, abs_tol, dt_max=0.01), sample_times,
+                         sc.DiagnosticsOptions(compute_delta=False))
+        assert not traj.failed and len(traj.states) == 13
+        runs.append(np.array([s.interface.h for s in traj.states]))
+    run, ref = runs
+    err = np.max(np.abs(run - ref), axis=1)
+    assert np.all(err <= 2e-6 * np.max(np.abs(ref), axis=1))
+
+
+def test_graph_f1_step_economy():
+    # the polygon graph on the panel RHS with the benchmark's integrator
+    # settings at m = 64, where dt_max = 0.01 sets every step after the
+    # first two; sampled every 0.0075, so that steps cut short to end on the
+    # samples would take 18 steps and 109 calls instead of these
+    m = 64
+    params = sc.SchemeParams(sign_factor=-1.0, viscosity=1e-3, m=m,
+                             quadrature="taylor_cell", singular_cell_variant="printed")
+    ip = make_integrator(t_end=0.12, dt_max=0.01)
+    traj = sc.evolve(sc.GraphState(0.0, sc.GraphInterface(h=sc.preset_f1(m))), params, ip,
+                     np.linspace(0.0, 0.12, 17), sc.DiagnosticsOptions(compute_delta=False))
+    assert not traj.failed and len(traj.records) == 17
+    stats = traj.stats
+    assert (stats.accepted_steps, stats.rejected_steps, stats.rhs_calls) == (14, 0, 85)
+    assert (stats.min_dt, stats.max_dt) == (1e-3, 0.01)
 
 
 def test_first_sample_just_before_t0_is_the_initial_state():

@@ -363,9 +363,13 @@ def test_central_block_rows_are_even_and_within_the_grid(m):
     for width in (m // 4 + 1, m // 2 + 1):
         rows = kernels.central_block_rows(m, width)
         assert rows % 2 == 0 and 2 <= rows <= m // 2
-        # about _BLOCK_ELEMENTS elements per workspace array, unless the grid
-        # holds fewer offsets
-        assert rows == m // 2 or abs(rows * width - kernels._BLOCK_ELEMENTS) <= width
+        # about _BLOCK_ELEMENTS elements per workspace array up to m = 1024,
+        # unless the grid holds fewer offsets, and beyond it proportionally
+        # more, so that the rows stay those of m = 1024
+        elements = kernels._BLOCK_ELEMENTS * max(1, m / 1024)
+        assert rows == m // 2 or abs(rows * width - elements) <= width
+        if m >= 1024:
+            assert rows == (64 if width == m // 4 + 1 else 32)
 
 
 def expected_rows(reader, x, r, m):
