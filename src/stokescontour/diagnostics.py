@@ -10,9 +10,9 @@ normalization rho+- = +-1 is
 
 the squared L2 norm of (-Delta)^{-1} d1 rho written through the measure form
 of grad rho. ``delta_spectral`` evaluates it as a pair sum over the grid
-offsets, reading all m columns of every offset row, the first m/2 on
-antiperiodic heights, or m/4 + 1 pair centres on heights that are also odd
-(the full, half and quarter sums). A run integrated with a different
+offsets, reading all m columns of every offset row, or m/4 + 1 pair
+centres on heights that are exactly odd and antiperiodic (the full and
+quarter sums). A run integrated with a different
 density jump is the same flow with time rescaled; ``delta_rate`` applies
 that exact factor so the stored dissipation matches dE/dt in the run's own
 time units (sign_factor = (rho^- - rho^+)/(8 pi), so the factor is
@@ -96,18 +96,16 @@ def delta_spectral(interface: GraphInterface) -> float:
     real arithmetic from per-row tables built once per m; memory is
     O(block * m).
 
-    The sum takes one of three paths, chosen as the graph right-hand side
-    chooses its own (``kernels.pair_sum_path``). On heights with
-    h(alpha + pi) = -h(alpha) exactly, the columns i and i + m/2 of a row
-    hold the same term, so the half sum reads only the first m/2 columns,
-    with weights 2, 4, ..., 4, 2; it is bitwise the full sum. Heights that
-    are also exactly odd, h(-alpha) = -h(alpha), as every record of a run
-    projected onto both symmetries is, take the quarter sum: the mirror
-    i -> r - i and the shift i -> i + m/2 leave a row's term unchanged, so
-    each row is summed over one pair of each orbit, the pair centres 0..m/4
-    (``_quarter_pair_sum``). It agrees with the half sum to roundoff, not
-    bitwise. Any other state takes the full sum over all m columns. Every
-    path returns a Python float.
+    The sum takes one of two paths, chosen as the graph right-hand side
+    chooses its own (``kernels.pair_sum_path``). Heights that are exactly
+    odd, h(-alpha) = -h(alpha), and exactly antiperiodic,
+    h(alpha + pi) = -h(alpha), as every record of a run projected onto both
+    symmetries is, take the quarter sum: the mirror i -> r - i and the
+    shift i -> i + m/2 leave a row's term unchanged, so each row is summed
+    over one pair of each orbit, the pair centres 0..m/4
+    (``_quarter_pair_sum``). It agrees with the full sum to roundoff, not
+    bitwise. Any other state takes the full sum over all m columns. Both
+    paths return a Python float.
 
     Raises
     ------
@@ -119,23 +117,19 @@ def delta_spectral(interface: GraphInterface) -> float:
     m = interface.m
     d = interface.spacing
     hp = central_diff(h, d)
-    width, quarter = pair_sum_path(h)
-    if quarter:
+    if pair_sum_path(h):
         total = _quarter_pair_sum(h, hp)
     else:
         total = 0.0
-        # on heights with h(alpha + pi) = -h(alpha) exactly, column i + m/2 of
-        # a row repeats column i (both slopes and the height difference change
-        # sign)
-        partners = partner_rows(h, hp, width=width)
+        partners = partner_rows(h, hp)
         # the kernel of a block is computed in place in one workspace for all blocks
-        work = block_workspace(4, width)
+        work = block_workspace(4, m)
         for r, tables, weight in _kernel_blocks(m, False):
             hb, hpb = partners(r)
             block = work[:, : r.size]
-            x2 = np.subtract(h[:width], hb, out=block[0])
+            x2 = np.subtract(h, hb, out=block[0])
             ker = pair_kernel_rows(tables, x2, block)
-            total += float((weight * (m // width)) @ (np.multiply(ker, hpb, out=ker) @ hp[:width]))
+            total += float(weight @ (np.multiply(ker, hpb, out=ker) @ hp))
     val = 4.0 * d * d * total
     if val < -1e-6:
         raise ValueError(f"delta_spectral returned {val}, inconsistent quadrature")
@@ -174,8 +168,8 @@ def _kernel_blocks(m: int, quarter: bool):
 
     One tuple (r, tables, weight) per block, read-only: ``offset_row_tables``
     of the block's rows, and the weight 1 of the offsets 0 and m/2, 2 of the
-    others. The full and half sums take the offsets 0..m/2 in rows of
-    partners; the quarter sum the offsets 1..m/2 in blocks of
+    others. The full sum takes the offsets 0..m/2 in rows of partners; the
+    quarter sum the offsets 1..m/2 in blocks of
     ``central_block_rows(m, m/4 + 1)``, shaped (len(r)/2, 2), and no weight
     (None). Built once per grid and path, not once per block and call.
     """

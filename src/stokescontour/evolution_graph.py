@@ -36,27 +36,23 @@ The integrand is symmetric in its two nodes and both quadratures weight the
 offsets r and m - r alike, so every unordered pair is evaluated once: the sum
 runs over the offsets r = 1..m/2 in blocks of offset rows
 (``kernels.offset_blocks``), each pair feeding both of its nodes, and the
-spectral circulant joins the same rows. On the full and the half sum below
-every node accumulates its terms in the same order, so shifting the state
-by one grid node shifts the right-hand side by exactly one node, bitwise.
+spectral circulant joins the same rows.
 
-The sum takes one of three paths, chosen by exact O(m) tests of the
-heights. The central and even symmetries together give
-h(alpha + pi) = -h(alpha). On heights with that antiperiodicity exactly,
-every term of node i + m/2 is the negated term of node i, bitwise, so the
-half sum runs over the nodes i < m/2 only (m/2 * m/2 pairs instead of
-m/2 * m) and the other half is their negation: the same result, bit for
-bit, at half the cost. Heights that are also exactly odd,
-h(-alpha) = -h(alpha), as every state of a run projected onto both
-symmetries is, take the quarter sum: the pairs (i, j), (-i, -j),
-(i + m/2, j + m/2) and (m/2 - i, m/2 - j) carry the same terms up to sign,
-so one pair of each such orbit is evaluated, indexed by its centre
-0..m/4 in every offset row (``kernels.central_pair_rows``,
+The sum takes one of two paths, chosen by the exact O(m) test
+``kernels.pair_sum_path`` of the heights. Heights that are exactly odd,
+h(-alpha) = -h(alpha), and exactly antiperiodic, h(alpha + pi) = -h(alpha)
+(the central and even symmetries together), as every state of a run
+projected onto both symmetries is, take the quarter sum: the pairs (i, j),
+(-i, -j), (i + m/2, j + m/2) and (m/2 - i, m/2 - j) carry the same terms
+up to sign, so one pair of each such orbit is evaluated, indexed by its
+centre 0..m/4 in every offset row (``kernels.central_pair_rows``,
 ``kernels.central_folder``): m/2 * (m/4 + 1) pairs. The nodes 0..m/4 are
 totalled and the others written by the two reflections. The result agrees
 with the full sum to roundoff (not bitwise) and is exactly odd and
 antiperiodic, so every stage of such a run takes this path again. Any
-other state takes the full sum.
+other state takes the full sum over all m/2 * m pairs, on which every node
+accumulates its terms in the same order, so shifting the state by one grid
+node shifts the right-hand side by exactly one node, bitwise.
 
 ``evolve`` supplies only the right-hand side, the symmetry projection (the
 z2 half of ``geometry.symmetry_projection``) and the per-sample record;
@@ -214,14 +210,12 @@ def _rhs_arrays(h: np.ndarray, params: SchemeParams) -> np.ndarray:
     d = TWO_PI / m
     dh = central_diff(h, d)
     spectral = params.quadrature == "spectral_log"
-    # on heights with h(alpha + pi) = -h(alpha) exactly, every term of node
-    # i + m/2 is the negated term of node i, bitwise: only the nodes i < m/2
-    # are summed; on heights that are also odd, h(-alpha) = -h(alpha), one
-    # pair of each orbit of both symmetries, summed onto the nodes 0..m/4
-    width, quarter = pair_sum_path(h)
-    antiperiodic = width < m
-    if quarter:
-        width = m // 4 + 1
+    # on heights that are exactly odd, h(-alpha) = -h(alpha), and
+    # antiperiodic, h(alpha + pi) = -h(alpha), one pair of each orbit of both
+    # symmetries, summed onto the nodes 0..m/4; on any other heights every
+    # pair, summed onto every node
+    quarter = pair_sum_path(h)
+    width = m // 4 + 1 if quarter else m
     hw, dhw = h[:width], dh[:width]
 
     if spectral:
@@ -239,8 +233,8 @@ def _rhs_arrays(h: np.ndarray, params: SchemeParams) -> np.ndarray:
         rows, fold = central_pair_rows(h, dh, centres=width), central_folder(m, -1.0)
         work = block_workspace(5, width, central=True, rows=central_block_rows(m, width))
     else:
-        partners = partner_rows(h, dh, width=width)
-        rows, fold = (lambda r: ((hw, dhw), partners(r))), block_folder(m, antiperiodic)
+        partners = partner_rows(h, dh)
+        rows, fold = (lambda r: ((h, dh), partners(r))), block_folder(m)
         work = block_workspace(5, width)
     for r, sn2, sc, log_row, weight in _block_constants(m, params.quadrature, quarter):
         (ha, dha), (hb, dhb) = rows(r)
@@ -260,8 +254,6 @@ def _rhs_arrays(h: np.ndarray, params: SchemeParams) -> np.ndarray:
         lg += a_sn
         pair = np.multiply(lg, weight, out=lg)
         acc += fold(np.multiply(hb, pair, out=x2), np.multiply(ha, pair, out=a_ss), r)
-    if antiperiodic and not quarter:
-        acc = np.concatenate([acc, -acc])
 
     rhs = params.sign_factor * acc + params.viscosity * second_diff(h, d)[: acc.size]
     if quarter:

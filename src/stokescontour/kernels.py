@@ -39,25 +39,22 @@ All three pair sums of the package (both right-hand sides and
 ``diagnostics.delta_spectral``) use that their kernels are even: they run
 over half the grid offsets, r <= m/2, a block of offset rows at a time
 (``offset_blocks``, ``partner_rows``, ``block_folder``), so their memory
-is O(rows * width) per block rather than O(m^2). The full and half sums
-take 32 offsets a block; the sums over pair centres below take
-``central_block_rows``: as many as make about 16384 elements per workspace
-array up to m = 1024 and that grid's rows beyond it, even, from 2 to m/2. Each reader and folder is one read-only
-strided view over a buffer made in the call of the sum, never kept across
-calls, so the sums are re-entrant and a block builds no index array. The
+is O(rows * width) per block rather than O(m^2). The full sums take 32
+offsets a block and read all m columns of a row; the sums over pair
+centres below take ``central_block_rows``: as many as make about 16384
+elements per workspace array up to m = 1024 and that grid's rows beyond
+it, even, from 2 to m/2. Each reader and folder is one read-only strided
+view over a buffer made in the call of the sum, never kept across calls,
+so the sums are re-entrant and a block builds no index array. The
 per-grid constants of a block (the sines, log term and weights of the
 graph's rows, the kernel tables of ``delta``'s) are built once per grid
 and path and cached read-only by their sums. The right-hand sides compute
 the terms of a block, and ``delta`` its pair kernel, in place in one
 workspace of (rows x width) arrays (``block_workspace``), made once per
 call and reused by every block, and the folds overwrite the near and far
-terms they are given, so a block allocates no (rows x width) array. On
-graph heights with h(alpha + pi) = -h(alpha) exactly, which the central
-and even symmetries together give, the terms of column i + m/2 of a row
-are those of column i up to sign, so the graph right-hand side and
-``delta`` read only the first m/2 columns (``pair_sum_width``), and
-``pair_sum_path`` chooses the path of both sums. On a curve whose
-remainder p = z1 - alpha and height z2 are exactly odd
+terms they are given, so a block allocates no (rows x width) array.
+
+On a curve whose remainder p = z1 - alpha and height z2 are exactly odd
 (``geometry.centrally_symmetric``), the mirror (-i, r - i) of the pair
 (i, i - r) lies in the same offset row with its terms negated, so the
 curve right-hand side reads one pair of each mirror orbit, indexed by the
@@ -65,17 +62,21 @@ pair centre (``central_pair_rows``), and folds the terms onto the nodes
 alpha in [-pi, 0] (``central_folder``): about half the pairs, still in
 O(rows * width) memory. A state with the shift by m/2 as a second exact
 symmetry takes the same reader and folder with that shift: graph heights
-that are odd and antiperiodic, as every state of a graph run projected
-onto both symmetries is, and curves that are odd and half-period
-symmetric, p(alpha + pi) = p(alpha), z2(alpha + pi) = -z2(alpha), as every
-state of a run of the even turning family is. The right-hand sides read
-the pair centres 0..m/4 only and fold the terms onto the nodes 0..m/4
-through their four images, about a quarter of the pairs; the folder takes
-the sign the shift gives the terms (-1 for the graph and the curve's u2,
-+1 for its u1). ``pair_sum_path`` and ``curve_pair_sum_path`` choose the
-paths. ``delta`` reads the same centres as the graph, its pair kernel
-evaluated in place in a workspace of those rows, and weights each held
-pair by its orbit (``stabilizer_weights``, shared with the folder).
+that are odd and antiperiodic, h(alpha + pi) = -h(alpha), as every state
+of a graph run projected onto both symmetries is, and curves that are odd
+and half-period symmetric, p(alpha + pi) = p(alpha),
+z2(alpha + pi) = -z2(alpha), as every state of a run of the even turning
+family is. The right-hand sides read the pair centres 0..m/4 only and fold
+the terms onto the nodes 0..m/4 through their four images, about a
+quarter of the pairs; the folder takes the sign the shift gives the terms
+(-1 for the graph and the curve's u2, +1 for its u1). ``delta`` reads the
+same centres as the graph, its pair kernel evaluated in place in a
+workspace of those rows, and weights each held pair by its orbit
+(``stabilizer_weights``, shared with the folder). The graph right-hand
+side and ``delta`` thus take one of two paths, the full sum or the quarter
+sum, both chosen by ``pair_sum_path``; the curve right-hand side takes the
+full, the central half or the quarter sum, chosen by
+``curve_pair_sum_path``.
 """
 
 from __future__ import annotations
@@ -92,9 +93,9 @@ from .geometry import TWO_PI, centrally_symmetric
 ONE_OVER_8PI = 1.0 / (8.0 * np.pi)
 ONE_OVER_4PI = 1.0 / (4.0 * np.pi)
 
-# offset rows per block of the full and half pair sums (both right-hand sides
-# and delta): their temporaries are (_BLOCK_ROWS x width), never m x m; each
-# sum holds them in one workspace, reused by every block
+# offset rows per block of the full pair sums (both right-hand sides and
+# delta): their temporaries are (_BLOCK_ROWS x m), never m x m; each sum
+# holds them in one workspace, reused by every block
 _BLOCK_ROWS = 32
 # elements per workspace array of a block of the sums over pair centres
 # (``central_block_rows``) up to m = _ROWS_FIXED_FROM; on larger grids the
@@ -230,30 +231,23 @@ def block_workspace(count: int, width: int, central: bool = False, rows: int = _
     return np.empty((count, *shape, width))
 
 
-def pair_sum_width(h) -> int:
-    """Columns of the offset rows that a pair sum over the heights h reads.
+def _antiperiodic(x) -> bool:
+    """Whether x(alpha + pi) = -x(alpha) holds exactly on the grid."""
+    half = x.size // 2
+    return np.array_equal(x[half:], -x[:half])
 
-    m/2 when h(alpha + pi) = -h(alpha) holds exactly on the grid: the terms
-    of column i + m/2 are then those of column i up to sign (``partner_rows``
-    with that width, ``block_folder(antiperiodic=True)``). Otherwise m.
+
+def pair_sum_path(h) -> bool:
+    """Whether a pair sum over the graph heights h takes the quarter sum.
+
+    It does when m % 4 == 0 and the heights are exactly antiperiodic,
+    h(alpha + pi) = -h(alpha), and exactly odd, h(-alpha) = -h(alpha): the
+    sum then reads the pair centres 0..m/4 of ``central_pair_rows``
+    (``centres`` m/4 + 1). Any other heights take the full sum. Both the
+    graph right-hand side and ``delta`` choose their path here, so they
+    agree about every state. O(m), exact.
     """
-    half = h.size // 2
-    return half if np.array_equal(h[half:], -h[:half]) else h.size
-
-
-def pair_sum_path(h):
-    """(width, quarter): how a pair sum over the graph heights h reads its rows.
-
-    ``width`` is ``pair_sum_width(h)``. ``quarter`` holds when the heights
-    are antiperiodic (width < m), also exactly odd, h(-alpha) = -h(alpha),
-    and m % 4 == 0: the sum then reads the pair centres 0..m/4 of
-    ``central_pair_rows`` (``centres`` m/4 + 1). Both the graph right-hand
-    side and ``delta`` choose their path here, so they agree about every
-    state. O(m), exact.
-    """
-    m = h.size
-    width = pair_sum_width(h)
-    return width, width < m and m % 4 == 0 and centrally_symmetric(None, h)
+    return h.size % 4 == 0 and _antiperiodic(h) and centrally_symmetric(None, h)
 
 
 def curve_pair_sum_path(p, z2):
@@ -271,26 +265,26 @@ def curve_pair_sum_path(p, z2):
     m = p.size
     central = centrally_symmetric(p, z2)
     quarter = (central and m % 4 == 0 and np.array_equal(p[m // 2 :], p[: m // 2])
-               and pair_sum_width(z2) < m)
+               and _antiperiodic(z2))
     return central, quarter
 
 
-def partner_rows(*xs, width=None):
+def partner_rows(*xs):
     """Reader of the partner rows of the arrays xs, for the blocks of one pair sum.
 
     ``rows(r)`` holds, for consecutive offsets r, each x at the partner node
-    i - r (mod m) of every column i < width (all m columns by default): shape
-    (len(xs), len(r), width). The rows are read-only slices of one strided
-    view over the arrays repeated twice, both made here, so no index arrays
-    are built per block and no buffer outlives the sum.
+    i - r (mod m) of every column i: shape (len(xs), len(r), m). The rows
+    are read-only slices of one strided view over the arrays repeated twice,
+    both made here, so no index arrays are built per block and no buffer
+    outlives the sum.
     """
     m = xs[0].size
     # element [k, r, i] is x_k at node i - r, column m + i - r of the buffer
-    win = _window(_twice(xs), (len(xs), m // 2 + 1, width or m), (2 * m, -1, 1), m)
+    win = _window(_twice(xs), (len(xs), m // 2 + 1, m), (2 * m, -1, 1), m)
     return lambda r: win[:, r[0] : r[-1] + 1]
 
 
-def block_folder(m: int, antiperiodic: bool = False):
+def block_folder(m: int):
     """``fold(near, far, r)``: per-node total of one offset block of an m-node sum.
 
     Each unordered pair is evaluated once. Row r, column i holds the pair
@@ -301,27 +295,18 @@ def block_folder(m: int, antiperiodic: bool = False):
     in one fixed order, so shifting the data by a node shifts the total by a
     node, bitwise. The far rows are read through one strided view over a
     buffer, both made here for all the blocks of the sum.
-
-    ``antiperiodic``: the terms of column i + m/2 are those of column i
-    negated (as for heights with h(alpha + pi) = -h(alpha)), so the rows hold
-    only the columns i < m/2 and the total is that of the nodes i < m/2. A
-    far column i + r >= m/2 is then read as the negated column i + r - m/2;
-    every node collects the same values in the same order as in the full
-    sum, so its total is bitwise the full sum's.
     """
-    width, sign = (m // 2, -1.0) if antiperiodic else (m, 1.0)
-    # the rows of far, each followed by its wrapped copy (times sign), laid
-    # end to end, and a tail of _BLOCK_ROWS elements that is never read
-    flat = np.empty(_BLOCK_ROWS * (2 * width + 1))
-    twice = flat[: 2 * width * _BLOCK_ROWS].reshape(_BLOCK_ROWS, 2 * width)
-    # with r_k = r_0 + k, far[k, i + r_k] is element r_0 + k (2 width + 1) + i
-    win = _window(flat, (m // 2 + 1, _BLOCK_ROWS, width), (1, 2 * width + 1, 1))
+    # the rows of far, each followed by its wrapped copy, laid end to end,
+    # and a tail of _BLOCK_ROWS elements that is never read
+    flat = np.empty(_BLOCK_ROWS * (2 * m + 1))
+    twice = flat[: 2 * m * _BLOCK_ROWS].reshape(_BLOCK_ROWS, 2 * m)
+    # with r_k = r_0 + k, far[k, i + r_k] is element r_0 + k (2m + 1) + i
+    win = _window(flat, (m // 2 + 1, _BLOCK_ROWS, m), (1, 2 * m + 1, 1))
 
     def fold(near, far, r):
         n = r.size - 1 if 2 * r[-1] == m else r.size
         if n:
-            twice[:n, :width] = far[:n]
-            np.multiply(far[:n], sign, out=twice[:n, width:])
+            twice[:n, :m] = twice[:n, m:] = far[:n]
             near[:n] += win[r[0], :n]
         return near.sum(axis=0)
 
@@ -741,7 +726,7 @@ def pair_kernel_rows(tables, x2, work=None):
     ``work``, four arrays of x2's shape (new ones by default), holds |x2| in
     the first (which may be x2 itself), the kernel, returned, in the second
     and the intermediates, so that a block of a pair sum allocates no array
-    of its size (the half and quarter sums of ``diagnostics.delta_spectral``).
+    of its size (the full and quarter sums of ``diagnostics.delta_spectral``).
     """
     a, s, u, v = np.empty((4, *np.shape(x2))) if work is None else work
     return _pair_kernel(tables, np.abs(x2, out=a), s, u, v)
@@ -751,8 +736,8 @@ def bilaplacian_pair_kernel_offset_rows(m: int, r: np.ndarray, x2: np.ndarray, w
     """Kpair(r 2pi/m, x2) on an m-node grid, row k of x2 at the offset r[k].
 
     The offsets r lie in 0..m/2; the tables are built once per m. x2 has
-    the shape of r with one more axis, the columns of a row: (len(r), width)
-    for the rows of ``partner_rows``, or (n, 2, centres) for r of shape
+    the shape of r with one more axis, the columns of a row: (len(r), m) for
+    the rows of ``partner_rows``, or (n, 2, centres) for r of shape
     (n, 2) and the rows of ``central_pair_rows``. ``work`` is that of
     ``pair_kernel_rows``.
     """

@@ -138,7 +138,7 @@ def test_delta_invariant_under_vertical_shift_and_roll(m, coeffs, shift, roll):
 @settings(max_examples=10, deadline=None)
 # heights 8 apart: both kernel branches, a < 2 and a >= 2
 @example(m=64, coeffs=[(0.0, 4.0)], symmetry=None)
-# h(alpha + pi) = -h(alpha) exactly: the sum over the first m/2 columns
+# h(alpha + pi) = -h(alpha) exactly, not odd: the full sum
 @example(m=64, coeffs=[(0.0, 4.0), (0.3, 0.1), (0.1, -0.2)], symmetry=antiperiodic)
 # also h(-alpha) = -h(alpha) exactly: the sum over the pair centres 0..m/4
 @example(m=64, coeffs=[(0.0, 4.0), (0.3, 0.1), (0.1, -0.2)], symmetry=doubly_symmetric)
@@ -162,14 +162,13 @@ def out_of_place_delta(interface):
     h, m, d = interface.h, interface.m, interface.spacing
     hp = sc.central_diff(h, d)
     half = m // 2
-    width = kernels.pair_sum_width(h)
     x, xsq, scale, shift, near = kernels._grid_row_tables(m)
     total = 0.0
-    partners = kernels.partner_rows(h, hp, width=width)
+    partners = kernels.partner_rows(h, hp)
     for r in kernels.offset_blocks(m, 0):
         hb, hpb = partners(r)
         rows = r[:, None]
-        a = np.abs(h[:width] - hb)
+        a = np.abs(h - hb)
         clipped = np.minimum(a, 2.0)
         t = clipped - 1.0
         s = near[-1][rows] * t
@@ -186,8 +185,8 @@ def out_of_place_delta(interface):
             li2, li3 = kernels._polylog_series(np.exp(-af + 1j * xf), kernels._FAR_TERMS, (2, 3))
             s[far] = li3.real + af * li2.real
         ker = kernels.ONE_OVER_4PI * s
-        weight = np.where((r == 0) | (r == half), 1.0, 2.0) * (m // width)
-        total += float(weight @ ((ker * hpb) @ hp[:width]))
+        weight = np.where((r == 0) | (r == half), 1.0, 2.0)
+        total += float(weight @ ((ker * hpb) @ hp))
     return 4.0 * d * d * total
 
 
@@ -199,18 +198,20 @@ def out_of_place_delta(interface):
 def test_delta_bitwise_equals_out_of_place_kernel(m, anti, coeffs):
     h = sc.preset_f2(m) + band_limited(m, coeffs)
     if anti:
+        # antiperiodic but not odd: the full sum, as out_of_place_delta
         h = antiperiodic(h)
-    assert (kernels.pair_sum_width(h) < m) == anti
+        assert np.array_equal(h[m // 2 :], -h[: m // 2])
+    assert not kernels.pair_sum_path(h)
     g = sc.GraphInterface(h=h)
     new, ref = bits(sc.delta_spectral(g), out_of_place_delta(g))
     assert np.array_equal(new, ref)
 
 
-def assert_quarter_sum_matches_half_sum(h):
-    assert kernels.pair_sum_path(h)[1]
+def assert_quarter_sum_matches_full_sum(h):
+    assert kernels.pair_sum_path(h)
     g = sc.GraphInterface(h=h)
-    quarter, half = sc.delta_spectral(g), out_of_place_delta(g)
-    assert abs(quarter - half) <= 1e-14 * half
+    quarter, full = sc.delta_spectral(g), out_of_place_delta(g)
+    assert abs(quarter - full) <= 1e-14 * full
 
 
 @pytest.mark.parametrize("preset", [sc.preset_f1, sc.preset_f2])
@@ -218,8 +219,8 @@ def assert_quarter_sum_matches_half_sum(h):
 # m/2 is not a multiple of the block) and several blocks (m = 512)
 @pytest.mark.parametrize("m", [8, 12, 200, 204, 512])
 def test_delta_quarter_sum_on_doubly_symmetric_presets(preset, m):
-    # out_of_place_delta reads the first m/2 columns of every row: the half sum
-    assert_quarter_sum_matches_half_sum(doubly_symmetric(preset(m)))
+    # out_of_place_delta reads all m columns of every row: the full sum
+    assert_quarter_sum_matches_full_sum(doubly_symmetric(preset(m)))
 
 
 COEFFS = [(0.3, -0.2), (0.1, 0.2), (-0.05, 0.1)]
@@ -232,8 +233,8 @@ COEFFS = [(0.3, -0.2), (0.1, 0.2), (-0.05, 0.1)]
 @example(m=204, coeffs=COEFFS)
 @example(m=512, coeffs=COEFFS)
 @settings(max_examples=10, deadline=None)
-def test_delta_quarter_sum_matches_half_sum(m, coeffs):
-    assert_quarter_sum_matches_half_sum(drawn_interface(m, coeffs, doubly_symmetric).h)
+def test_delta_quarter_sum_matches_full_sum(m, coeffs):
+    assert_quarter_sum_matches_full_sum(drawn_interface(m, coeffs, doubly_symmetric).h)
 
 
 @pytest.mark.parametrize("symmetry", [None, antiperiodic, doubly_symmetric])
@@ -241,8 +242,8 @@ def test_delta_is_a_python_float_on_every_path(symmetry):
     h = sc.preset_f2(64) + band_limited(64, COEFFS)
     if symmetry is not None:
         h = symmetry(h)
-    width, quarter = kernels.pair_sum_path(h)
-    assert (width < 64, quarter) == (symmetry is not None, symmetry is doubly_symmetric)
+    # the full sum (raw and antiperiodic heights) and the quarter sum
+    assert kernels.pair_sum_path(h) == (symmetry is doubly_symmetric)
     assert type(sc.delta_spectral(sc.GraphInterface(h=h))) is float
 
 
@@ -263,7 +264,7 @@ def test_delta_m4096_in_bounded_memory(heights):
     g = sc.GraphInterface(h=sc.preset_f2(4096))
     if heights == "doubly-symmetric":
         g = sc.GraphInterface(h=doubly_symmetric(g.h))
-        assert kernels.pair_sum_path(g.h)[1]
+        assert kernels.pair_sum_path(g.h)
         # the first evaluation at this m builds the per-offset kernel tables
         # (about 7 MiB); with them warm the bound is that of the sum alone
         sc.delta_spectral(g)

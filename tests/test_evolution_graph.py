@@ -168,7 +168,7 @@ def assert_quarter_sum_matches_all_offsets(h, quadrature, cell):
 # the row r = m/2 is a block of its own
 @example(m=200, coeffs=[(0.3, -0.2), (0.1, 0.2), (-0.05, 0.1)], anti=False)
 @example(m=66, coeffs=[(0.0, 0.3), (0.2, 0.0)], anti=False)
-# the half sum of antiperiodic heights, m/2 even and odd
+# antiperiodic heights, m/2 even and odd: the full sum, still exactly antiperiodic
 @example(m=200, coeffs=[(0.3, -0.2), (0.1, 0.2), (-0.05, 0.1)], anti=True)
 @example(m=66, coeffs=[(0.0, 0.3), (0.2, 0.0)], anti=True)
 @settings(max_examples=10, deadline=None)
@@ -252,7 +252,7 @@ def test_graph_run_records_take_the_quarter_delta(monkeypatch, preset):
 
     def spy(interface):
         h = interface.h
-        seen.append(exactly_doubly_symmetric(h) and kernels.pair_sum_path(h)[1])
+        seen.append(exactly_doubly_symmetric(h) and kernels.pair_sum_path(h))
         return delta(interface)
 
     delta = diagnostics.delta_spectral
@@ -272,7 +272,7 @@ def test_graph_run_records_take_the_quarter_delta(monkeypatch, preset):
 @example(m=128, coeffs=[(0.3, -0.2), (0.1, 0.2), (-0.05, 0.1)], shift=1, anti=False)
 # several blocks of offset rows
 @example(m=256, coeffs=[(0.3, -0.2), (0.1, 0.2), (-0.05, 0.1)], shift=45, anti=False)
-# the half sum of antiperiodic heights
+# antiperiodic heights: the full sum
 @example(m=256, coeffs=[(0.3, -0.2), (0.1, 0.2), (-0.05, 0.1)], shift=45, anti=True)
 @settings(max_examples=10, deadline=None)
 def test_grid_translation_equivariance(quadrature, m, coeffs, shift, anti):
@@ -285,6 +285,31 @@ def test_grid_translation_equivariance(quadrature, m, coeffs, shift, anti):
     assert np.array_equal(rhs_shifted, np.roll(rhs, shift))
 
 
+@pytest.mark.parametrize("quadrature", ["spectral_log", "taylor_cell"])
+def test_node_shifted_graph_state_takes_the_full_sum(monkeypatch, quadrature):
+    # projected f2 shifted by one node: still exactly antiperiodic, no longer
+    # odd about node 0, so the RHS and delta take the full sum and agree with
+    # the quarter sums of the unshifted state, shifted
+    m = 256
+    h = projected(sc.preset_f2(m))
+    p = params_for(m, quadrature=quadrature)
+    assert kernels.pair_sum_path(h)
+    rhs, delta = _rhs_arrays(h, p), sc.delta_spectral(sc.GraphInterface(h=h))
+    shifted = np.roll(h, 1)
+    assert np.array_equal(shifted[m // 2 :], -shifted[: m // 2])
+    assert not kernels.pair_sum_path(shifted)
+
+    def no_quarter_sum(*args, **kwargs):
+        raise AssertionError("the quarter sum was taken")
+
+    monkeypatch.setattr(evolution_graph, "central_folder", no_quarter_sum)
+    monkeypatch.setattr(diagnostics, "central_pair_rows", no_quarter_sum)
+    rhs_shifted = _rhs_arrays(shifted, p)
+    assert np.max(np.abs(rhs_shifted - np.roll(rhs, 1))) <= 1e-13 * np.max(np.abs(rhs))
+    delta_shifted = sc.delta_spectral(sc.GraphInterface(h=shifted))
+    assert abs(delta_shifted - delta) <= 1e-14 * delta
+
+
 def out_of_place_rhs(h, params):
     """The graph RHS with a fresh array for every term of every block.
 
@@ -295,32 +320,27 @@ def out_of_place_rhs(h, params):
     d = 2 * np.pi / m
     dh = central_diff(h, d)
     spectral = params.quadrature == "spectral_log"
-    width = kernels.pair_sum_width(h)
-    antiperiodic = width < m
-    hw, dhw = h[:width], dh[:width]
     if spectral:
         weights = np.full(m, d)
         omega = _log_circulant(m)
-        one_p = 1.0 + dhw * dhw
-        t23_0 = 2.0 * hw * dhw * dhw * (dhw * dhw - 1.0) / one_p + 4.0 * hw * dhw * dhw / one_p
-        acc = d * (np.log(one_p) * hw * one_p + t23_0) + omega[0] * hw * one_p
+        one_p = 1.0 + dh * dh
+        t23_0 = 2.0 * h * dh * dh * (dh * dh - 1.0) / one_p + 4.0 * h * dh * dh / one_p
+        acc = d * (np.log(one_p) * h * one_p + t23_0) + omega[0] * h * one_p
     else:
         weights = _taylor_cell_weights(m)
-        acc = 2.0 * _cell_correction_values(hw, dhw, d, params.singular_cell_variant)
-    partners = kernels.partner_rows(h, dh, width=width)
-    fold = kernels.block_folder(m, antiperiodic)
+        acc = 2.0 * _cell_correction_values(h, dh, d, params.singular_cell_variant)
+    partners = kernels.partner_rows(h, dh)
+    fold = kernels.block_folder(m)
     # the blocks of offset rows of the production sum on this path
     for r, *_ in _block_constants(m, params.quadrature, False):
         x1 = r * d
         hb, dhb = partners(r)
-        lg, a_ss, a_sn = stokeslet_terms(x1[:, None], hw - hb)
+        lg, a_ss, a_sn = stokeslet_terms(x1[:, None], h - hb)
         if spectral:
             lg += (omega[r] / d - np.log(4.0 * np.sin(0.5 * x1) ** 2))[:, None]
-        dd = dhw * dhb
-        pair = weights[r][:, None] * (lg * (1.0 + dd) + a_ss * (dd - 1.0) + a_sn * (dhw + dhb))
-        acc += fold(hb * pair, hw * pair, r)
-    if antiperiodic:
-        acc = np.concatenate([acc, -acc])
+        dd = dh * dhb
+        pair = weights[r][:, None] * (lg * (1.0 + dd) + a_ss * (dd - 1.0) + a_sn * (dh + dhb))
+        acc += fold(hb * pair, h * pair, r)
     return params.sign_factor * acc + params.viscosity * second_diff(h, d)
 
 
@@ -333,8 +353,10 @@ def out_of_place_rhs(h, params):
 def test_rhs_bitwise_equals_out_of_place_blocks(quadrature, cell, anti, m):
     h = sc.preset_f2(m) + band_limited(m, [(0.3, -0.2), (0.1, 0.2), (-0.05, 0.1)])
     if anti:
+        # antiperiodic but not odd: the full sum, as out_of_place_rhs
         h = antiperiodic(h)
-    assert (kernels.pair_sum_width(h) < m) == anti
+        assert np.array_equal(h[m // 2 :], -h[: m // 2])
+    assert not kernels.pair_sum_path(h)
     p = sc.SchemeParams(sign_factor=-1.0, viscosity=1e-3, m=m, quadrature=quadrature,
                         singular_cell_variant=cell)
     new, ref = bits(_rhs_arrays(h, p), out_of_place_rhs(h, p))
@@ -351,7 +373,7 @@ def test_inputs_left_unchanged(call):
     x1 = np.linspace(0.1, 6.0, 40).reshape(8, 5)
     x2 = np.cos(3.0 * x1)
     if call == "graph":
-        # the full, the half and the quarter sum
+        # the full sum, on raw and on antiperiodic heights, and the quarter sum
         cases = [(y, params_for(m, quadrature=q)) for y in (h, antiperiodic(h), projected(h))
                  for q in ("spectral_log", "taylor_cell")]
         f = _rhs_arrays
@@ -366,11 +388,11 @@ def test_inputs_left_unchanged(call):
             (False, False), (True, False), (True, True)]
         f = _rhs_curve_arrays
     elif call == "delta":
-        # the full, the half and the quarter sum; GraphInterface keeps the
-        # heights it is given, so delta reads this very array
+        # the full sum, on raw and on antiperiodic heights, and the quarter
+        # sum; GraphInterface keeps the heights it is given, so delta reads
+        # this very array
         cases = [(y,) for y in (h, antiperiodic(h), projected(h))]
-        assert [kernels.pair_sum_path(y) for y, in cases] == [
-            (m, False), (m // 2, False), (m // 2, True)]
+        assert [kernels.pair_sum_path(y) for y, in cases] == [False, False, True]
 
         def f(y):
             g = sc.GraphInterface(h=y)
@@ -457,40 +479,35 @@ def test_interleaved_grids_give_the_results_of_fresh_calls():
 
 
 # traced peak of one RHS call at m = 4096, set 20 % above the peaks once
-# measured in a fresh process with 32-row blocks (7.6, 3.9, 8.9 MiB for the
-# full and half sums, NumPy 2.4 on x86-64) and, for the sums over pair
-# centres, about 1.2 times their peaks with the 64-row (quarter) and 32-row
-# (curve central) blocks they take at m >= 1024 (3.44, 4.12 and 4.49 MiB):
-# the one block workspace of each sum (5.0, 2.5, 6.0, 2.5, 3.0 and 3.0 MiB)
-# made twice, or made anew per block while the last is still held, exceeds
-# them
-PEAK_MIB = {"graph": 9.1, "graph-antiperiodic": 4.7, "graph-quarter": 4.1, "curve": 10.6,
-            "curve-central": 4.9, "curve-quarter": 5.4}
+# measured in a fresh process with 32-row blocks (7.6 and 8.9 MiB for the
+# graph and curve full sums, NumPy 2.4 on x86-64) and, for the sums over
+# pair centres, about 1.2 times their peaks with the 64-row (quarter) and
+# 32-row (curve central) blocks they take at m >= 1024 (3.44, 4.12 and
+# 4.49 MiB): the one block workspace of each sum (5.0, 6.0, 2.5, 3.0 and
+# 3.0 MiB) made twice, or made anew per block while the last is still held,
+# exceeds them
+PEAK_MIB = {"graph": 9.1, "graph-quarter": 4.1, "curve": 10.6, "curve-central": 4.9,
+            "curve-quarter": 5.4}
 
 
-@pytest.mark.parametrize("formulation", ["graph", "graph-antiperiodic", "graph-quarter", "curve",
-                                         "curve-central", "curve-quarter"])
+@pytest.mark.parametrize("formulation", ["graph", "graph-quarter", "curve", "curve-central",
+                                         "curve-quarter"])
 def test_rhs_m4096_in_bounded_memory(formulation):
     # peak traced allocation (NumPy reports its buffers to tracemalloc) of one
     # evaluation: the temporaries of a block of offset rows are O(block * m),
     # where one m x m array of pair terms alone is 128 MB. ru_maxrss cannot
     # show it here: a child process starts from the test process's
-    # high-water mark. Raw preset_f2 takes the full sum, its projection
-    # (exactly odd and antiperiodic) the quarter sum, and heights that are
-    # antiperiodic but not odd the half sum. The lift of the projection
-    # takes the curve's quarter sum, the projected lift of odd heights that
-    # are not antiperiodic its central half sum, and the raw lift its full
-    # sum.
+    # high-water mark. Raw preset_f2 takes the full sum and its projection
+    # (exactly odd and antiperiodic) the quarter sum. The lift of the
+    # projection takes the curve's quarter sum, the projected lift of odd
+    # heights that are not antiperiodic its central half sum, and the raw
+    # lift its full sum.
     m = 4096
     h = sc.preset_f2(m)
     j = np.arange(m)
     if formulation in ("graph-quarter", "curve-quarter"):
         h = projected(h)
         assert np.array_equal(h, -h[(-j) % m])
-    elif formulation == "graph-antiperiodic":
-        h = antiperiodic(h + 0.1 * np.cos(sc.uniform_grid(m)))
-        assert not np.array_equal(h, -h[(-j) % m])
-    if formulation in ("graph-antiperiodic", "graph-quarter", "curve-quarter"):
         assert np.array_equal(h[m // 2 :], -h[: m // 2])
     else:
         assert not np.array_equal(h[m // 2 :], -h[: m // 2])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import stokescontour as sc
-from stokescontour import evolution_graph
+from stokescontour import evolution_graph, kernels
 from stokescontour.geometry import SelfIntersectionError
 from stokescontour.integrators import (
     AMPLITUDE_GUARD,
@@ -436,7 +436,8 @@ def test_first_step_starts_from_the_projected_initial_state():
 def test_graph_run_right_hand_side_sees_antiperiodic_states(monkeypatch):
     # preset_f2 carries both symmetries, which together give
     # h(alpha + pi) = -h(alpha); once y0 is projected, every stage state of
-    # every step has it exactly, so each call takes the half pair sum
+    # every step has it exactly and is exactly odd as well, so each call
+    # takes the quarter pair sum
     m = 64
     h = sc.preset_f2(m)
     assert not np.array_equal(h[m // 2 :], -h[: m // 2])
@@ -444,7 +445,7 @@ def test_graph_run_right_hand_side_sees_antiperiodic_states(monkeypatch):
     rhs = evolution_graph._rhs_arrays
 
     def traced(y, params):
-        exact.append(np.array_equal(y[m // 2 :], -y[: m // 2]))
+        exact.append(np.array_equal(y[m // 2 :], -y[: m // 2]) and kernels.pair_sum_path(y))
         return rhs(y, params)
 
     monkeypatch.setattr(evolution_graph, "_rhs_arrays", traced)

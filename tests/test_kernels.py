@@ -375,7 +375,7 @@ def test_central_block_rows_are_even_and_within_the_grid(m):
 def expected_rows(reader, x, r, m):
     """x at the nodes ``partner_rows`` or ``central_pair_rows`` reads for the offsets r."""
     if reader == "partner":
-        return x[(np.arange(m // 2) - r[:, None]) % m]
+        return x[(np.arange(m) - r[:, None]) % m]
     # centre c of the rows r = 2s + 1, 2s + 2: near node c + s + 1, far node
     # c + s + 1 - r
     r = r.reshape(-1, 2)
@@ -391,7 +391,7 @@ def test_reader_keeps_its_rows_after_another_is_built(rng, reader):
     xs, ys = rng.normal(size=(2, 2, m))
     if reader == "partner":
         blocks = list(kernels.offset_blocks(m, 0, 8))
-        first, second = (kernels.partner_rows(*z, width=m // 2) for z in (xs, ys))
+        first, second = (kernels.partner_rows(*z) for z in (xs, ys))
     else:
         blocks = list(kernels.offset_blocks(m, 1, 8))
         first, second = (kernels.central_pair_rows(*z, centres=m // 4 + 1) for z in (xs, ys))
