@@ -10,9 +10,10 @@ normalization rho+- = +-1 is
 
 the squared L2 norm of (-Delta)^{-1} d1 rho written through the measure form
 of grad rho. ``delta_spectral`` evaluates it as a pair sum over the grid
-offsets, reading all m columns of every offset row, or m/4 + 1 pair
-centres on heights that are exactly odd and antiperiodic (the full and
-quarter sums). A run integrated with a different
+offsets, in the one row layout of ``kernels.central_pair_rows``: all m
+columns of every offset row, or m/4 + 1 pair centres on heights that are
+exactly odd and antiperiodic (the full and quarter sums). A run integrated
+with a different
 density jump is the same flow with time rescaled; ``delta_rate`` applies
 that exact factor so the stored dissipation matches dE/dt in the run's own
 time units (sign_factor = (rho^- - rho^+)/(8 pi), so the factor is
@@ -57,7 +58,6 @@ from .kernels import (
     offset_row_tables,
     pair_kernel_rows,
     pair_sum_path,
-    partner_rows,
     read_only,
     stabilizer_weights,
 )
@@ -89,21 +89,25 @@ def delta_spectral(interface: GraphInterface) -> float:
 
     On the uniform grid x1 depends only on the offset r = (i - j) mod m, and
     Kpair is even in x1 and depends on |x2| only, so offsets r and m - r
-    contribute equally. The sum runs over half the offsets, r = 0..m/2 with
-    weights 1, 2, ..., 2, 1, in blocks of offset rows (``offset_blocks``),
-    each row being sum_i h'_i h'_{i-r} Kpair(r d, h_i - h_{i-r}). x1 is fixed
-    along a row, so ``bilaplacian_pair_kernel_offset_rows`` evaluates Kpair in
-    real arithmetic from per-row tables built once per m; memory is
-    O(block * m).
+    contribute equally. The r = 0 row is Kpair(0, 0) sum_i h'_i^2, Kpair(0, 0)
+    taken once per m (``_kpair_origin``). The rows r = 1..m/2, each
+    sum_i h'_i h'_{i-r} Kpair(r d, h_i - h_{i-r}), count twice (the r = m/2
+    row holds each pair twice and counts half, ``stabilizer_weights``), in
+    blocks of offset rows (``offset_blocks``) read through
+    ``central_pair_rows``. x1 is fixed along a row, so
+    ``bilaplacian_pair_kernel_offset_rows`` evaluates Kpair in real
+    arithmetic from per-row tables built once per m, in place in one
+    workspace of a block's rows; memory is O(block * m).
 
     The sum takes one of two paths, chosen as the graph right-hand side
-    chooses its own (``kernels.pair_sum_path``). Heights that are exactly
-    odd, h(-alpha) = -h(alpha), and exactly antiperiodic,
+    chooses its own (``kernels.pair_sum_path``), in one block loop whose
+    rows' width sets the path. Heights that are exactly odd,
+    h(-alpha) = -h(alpha), and exactly antiperiodic,
     h(alpha + pi) = -h(alpha), as every record of a run projected onto both
     symmetries is, take the quarter sum: the mirror i -> r - i and the
-    shift i -> i + m/2 leave a row's term unchanged, so each row is summed
-    over one pair of each orbit, the pair centres 0..m/4
-    (``_quarter_pair_sum``). It agrees with the full sum to roundoff, not
+    shift i -> i + m/2 leave a row's term unchanged, so each row is 4 times
+    its sum over one pair of each orbit, the pair centres 0..m/4 weighted
+    by ``stabilizer_weights``. It agrees with the full sum to roundoff, not
     bitwise. Any other state takes the full sum over all m columns. Both
     paths return a Python float.
 
@@ -117,72 +121,43 @@ def delta_spectral(interface: GraphInterface) -> float:
     m = interface.m
     d = interface.spacing
     hp = central_diff(h, d)
-    if pair_sum_path(h):
-        total = _quarter_pair_sum(h, hp)
-    else:
-        total = 0.0
-        partners = partner_rows(h, hp)
-        # the kernel of a block is computed in place in one workspace for all blocks
-        work = block_workspace(4, m)
-        for r, tables, weight in _kernel_blocks(m, False):
-            hb, hpb = partners(r)
-            block = work[:, : r.size]
-            x2 = np.subtract(h, hb, out=block[0])
-            ker = pair_kernel_rows(tables, x2, block)
-            total += float(weight @ (np.multiply(ker, hpb, out=ker) @ hp))
-    val = 4.0 * d * d * total
-    if val < -1e-6:
-        raise ValueError(f"delta_spectral returned {val}, inconsistent quadrature")
-    return val
-
-
-def _quarter_pair_sum(h, hp) -> float:
-    """The pair sum of ``delta_spectral`` over exactly odd, antiperiodic heights.
-
-    The term hp_i hp_{i-r} Kpair(r d, h_i - h_{i-r}) is unchanged by the
-    mirror i -> r - i and the shift i -> i + m/2, so each offset row r >= 1
-    is 4 times its sum over one pair of each orbit, the pair centres 0..m/4
-    of ``central_pair_rows`` weighted by ``stabilizer_weights``; with the
-    weight 2 of the offsets r < m/2 the blocks count 8 times. The r = 0 row
-    is Kpair(0, 0) sum_i hp_i^2, Kpair(0, 0) taken once per m (``_kpair_origin``).
-    """
-    m = h.size
-    centres = m // 4 + 1
-    rows = central_pair_rows(h, hp, centres=centres)
-    work = block_workspace(4, centres, central=True, rows=central_block_rows(m, centres))
+    quarter = pair_sum_path(h)
+    # the orbit of a held pair: itself and its offset m - r, and on the
+    # quarter sum also its images by the mirror and the shift
+    width, orbit = (m // 4 + 1, 8.0) if quarter else (m, 2.0)
+    rows = central_pair_rows(h, hp, width=width)
+    # the kernel of a block is computed in place in one workspace for all blocks
+    work = block_workspace(4, width, central_block_rows(m, width))
     total = float(_kpair_origin(m) * (hp @ hp))
-    for r, tables, _ in _kernel_blocks(m, True):
+    for r, tables in _kernel_blocks(m, width):
         (ha, hpa), (hb, hpb) = rows(r)
         block = work[:, : r.size // 2]
         x2 = np.subtract(ha, hb, out=block[0])
         ker = pair_kernel_rows(tables, x2, block)
         ker *= hpb
         ker *= hpa
-        total += 8.0 * float(stabilizer_weights(ker, r, m).sum())
-    return total
+        total += orbit * float(stabilizer_weights(ker, r, m).sum())
+    val = 4.0 * d * d * total
+    if val < -1e-6:
+        raise ValueError(f"delta_spectral returned {val}, inconsistent quadrature")
+    return val
 
 
 @lru_cache(maxsize=8)
-def _kernel_blocks(m: int, quarter: bool):
+def _kernel_blocks(m: int, width: int):
     """The blocks of offset rows of ``delta``'s pair sum, with their kernel tables.
 
-    One tuple (r, tables, weight) per block, read-only: ``offset_row_tables``
-    of the block's rows, and the weight 1 of the offsets 0 and m/2, 2 of the
-    others. The full sum takes the offsets 0..m/2 in rows of partners; the
-    quarter sum the offsets 1..m/2 in blocks of
-    ``central_block_rows(m, m/4 + 1)``, shaped (len(r)/2, 2), and no weight
-    (None). Built once per grid and path, not once per block and call.
+    One tuple (r, tables) per block of ``central_block_rows(m, width)``
+    offsets r = 1..m/2, ``width`` being the columns of the sum's rows,
+    read-only: ``offset_row_tables`` of the block's rows, shaped
+    (len(r)/2, 2). Built once per grid and path, not once per block and
+    call.
     """
-    if quarter:
-        blocks = offset_blocks(m, 1, central_block_rows(m, m // 4 + 1))
-    else:
-        blocks = offset_blocks(m, 0)
     out = []
-    for r in blocks:
-        tables = offset_row_tables(m, r.reshape(-1, 2) if quarter else r)
-        weight = None if quarter else np.where((r == 0) | (r == m // 2), 1.0, 2.0)
-        read_only(r, *tables, weight)
-        out.append((r, tables, weight))
+    for r in offset_blocks(m, central_block_rows(m, width)):
+        tables = offset_row_tables(m, r.reshape(-1, 2))
+        read_only(r, *tables)
+        out.append((r, tables))
     return tuple(out)
 
 

@@ -28,20 +28,25 @@ z1(alpha + pi) = z1(alpha) + pi, z2(alpha + pi) = -z2(alpha), reads
 p[j + m/2] = p[j], z2[j + m/2] = -z2[j]. Rounding commutes with these maps,
 so a projected state, every DOPRI5 stage built from it and the velocity
 below keep them bit for bit. The sum takes one of three paths, chosen by
-the exact O(m) test ``kernels.curve_pair_sum_path`` on (p, z2):
+the exact O(m) test ``kernels.curve_pair_sum_path`` on (p, z2). All three
+run one block loop: it reads the rows through ``kernels.central_pair_rows``,
+weights the pair terms by their orbits (``kernels.stabilizer_weights``)
+and totals them with ``kernels.central_folder``, and the width of the rows
+sets the path:
 
 - on exactly odd p and z2 the velocity is odd, and the pair of nodes
   (-i, -j) carries the negated terms of (i, j). The central half sum
-  evaluates one pair of each such mirror orbit, (m/2) * (m/2 + 1) pairs
-  instead of (m/2) * m, totals the nodes alpha in [-pi, 0] and gives the
-  others the negated totals; the nodes alpha = -pi and 0 are exactly 0;
+  (width m/2 + 1) evaluates one pair of each such mirror orbit,
+  (m/2) * (m/2 + 1) pairs instead of (m/2) * m, totals the nodes alpha in
+  [-pi, 0] and gives the others the negated totals; the nodes alpha = -pi
+  and 0 are exactly 0;
 - on such a state that is also exactly half-period symmetric the shift by
   m/2 keeps the u1 terms of a pair and negates its u2 terms. The quarter
-  sum evaluates one pair of each orbit of the four-element group,
-  (m/2) * (m/4 + 1) pairs, totals the nodes alpha in [-pi, -pi/2] and
+  sum (width m/4 + 1) evaluates one pair of each orbit of the four-element
+  group, (m/2) * (m/4 + 1) pairs, totals the nodes alpha in [-pi, -pi/2] and
   writes the others by the reflection n -> m/2 - n (u1 odd, u2 even under
   it) and the central mirror; u1 is exactly 0 at alpha = -pi/2 too;
-- any other state takes the full sum.
+- any other state takes the full sum (width m).
 
 The symmetric sums agree with the full sum to roundoff (not bitwise) and
 their output has the symmetries exactly, so every stage of a run from a
@@ -73,7 +78,6 @@ from .geometry import (
 from .integrators import BlowupError, IntegratorParams, Trajectory, integrate
 from .kernels import (
     ONE_OVER_8PI,
-    block_folder,
     block_workspace,
     central_block_rows,
     central_folder,
@@ -81,7 +85,7 @@ from .kernels import (
     clausen2,
     curve_pair_sum_path,
     offset_blocks,
-    partner_rows,
+    stabilizer_weights,
     stokeslet_terms_into,
 )
 
@@ -128,28 +132,19 @@ def _rhs_curve_arrays(p: np.ndarray, z2: np.ndarray, alpha: np.ndarray, delta_rh
     z1 = p + alpha
     xs = (z2, v1, v2, np.sin(0.5 * z1), np.cos(0.5 * z1))
     central, quarter = curve_pair_sum_path(p, z2)
-    # the block terms are computed in place in one workspace for all blocks
-    if central:
-        # one pair of each mirror orbit, folded onto the nodes 0..m/2; on the
-        # quarter sum one pair of each orbit of the mirror and the
-        # half-period shift, folded onto the nodes 0..m/4, the shift keeping
-        # the u1 terms and negating the u2 terms
-        width = m // 4 + 1 if quarter else m // 2 + 1
-        rows = central_pair_rows(*xs, centres=width)
-        folds = ((central_folder(m, 1.0), central_folder(m, -1.0)) if quarter
-                 else (central_folder(m),) * 2)
-        block = central_block_rows(m, width)
-        blocks = offset_blocks(m, 1, block)
-        work = block_workspace(6, width, central=True, rows=block)
-    else:
-        # the Stokeslet is even, so the offsets r and m - r share one evaluation
-        width = m
-        partners = partner_rows(*xs)
-        rows, folds = (lambda r: (xs, partners(r))), (block_folder(m),) * 2
-        blocks, work = offset_blocks(m, 1), block_workspace(6, width)
+    # the Stokeslet is even, so the offsets r and m - r share one evaluation:
+    # one pair of each mirror orbit, folded onto the nodes 0..m/2; on the
+    # quarter sum one pair of each orbit of the mirror and the half-period
+    # shift, folded onto the nodes 0..m/4; on any other state every pair,
+    # folded onto every node. The block terms are computed in place in one
+    # workspace for all blocks
+    width = m // 4 + 1 if quarter else m // 2 + 1 if central else m
+    rows, fold = central_pair_rows(*xs, width=width), central_folder(m, width)
+    block = central_block_rows(m, width)
+    work = block_workspace(6, width, block)
     acc1 = np.zeros(width)
     acc2 = np.zeros(width)
-    for r in blocks:
+    for r in offset_blocks(m, block):
         (z2a, v1a, v2a, sa, ca), (z2b, v1b, v2b, sb, cb) = rows(r)
         sn2, sc, x2, lg, a_ss, a_sn = work[:, : len(z2b)]
         # lg holds intermediates until the Stokeslet terms are written; sc
@@ -160,17 +155,20 @@ def _rhs_curve_arrays(p: np.ndarray, z2: np.ndarray, alpha: np.ndarray, delta_rh
         sc += np.multiply(sa, sb, out=lg)
         sc *= sn2
         stokeslet_terms_into(sn2, sc, np.subtract(z2a, z2b, out=x2), lg, a_ss, a_sn)
+        for t in (lg, a_ss, a_sn):
+            stabilizer_weights(t, r, m)
         s11 = np.add(lg, a_ss, out=sn2)
         s22 = np.subtract(lg, a_ss, out=sc)
         # the terms of each component for the near and the far node,
-        # s v_b - a_sn w_b and s v_a - a_sn w_a
-        for acc, fold, s, va, vb, wa, wb in ((acc1, folds[0], s11, v1a, v1b, v2a, v2b),
-                                             (acc2, folds[1], s22, v2a, v2b, v1a, v1b)):
+        # s v_b - a_sn w_b and s v_a - a_sn w_a; the half-period shift keeps
+        # the u1 terms and negates the u2 terms (read on the quarter sum)
+        for acc, sign, s, va, vb, wa, wb in ((acc1, 1.0, s11, v1a, v1b, v2a, v2b),
+                                             (acc2, -1.0, s22, v2a, v2b, v1a, v1b)):
             near = np.multiply(s, vb, out=lg)
             near -= np.multiply(a_sn, wb, out=a_ss)
             far = np.multiply(s, va, out=a_ss)
             far -= np.multiply(a_sn, wa, out=x2)
-            acc += fold(near, far, r)
+            acc += fold(near, far, r, sign)
     u1[:width] += d * acc1
     u2[:width] += d * acc2
 

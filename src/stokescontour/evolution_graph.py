@@ -36,7 +36,10 @@ The integrand is symmetric in its two nodes and both quadratures weight the
 offsets r and m - r alike, so every unordered pair is evaluated once: the sum
 runs over the offsets r = 1..m/2 in blocks of offset rows
 (``kernels.offset_blocks``), each pair feeding both of its nodes, and the
-spectral circulant joins the same rows.
+spectral circulant joins the same rows. One block loop reads the rows
+through ``kernels.central_pair_rows``, weights the pair terms by their
+orbits (``kernels.stabilizer_weights``) and totals them with
+``kernels.central_folder``; the width of the rows sets the path.
 
 The sum takes one of two paths, chosen by the exact O(m) test
 ``kernels.pair_sum_path`` of the heights. Heights that are exactly odd,
@@ -45,14 +48,14 @@ h(-alpha) = -h(alpha), and exactly antiperiodic, h(alpha + pi) = -h(alpha)
 projected onto both symmetries is, take the quarter sum: the pairs (i, j),
 (-i, -j), (i + m/2, j + m/2) and (m/2 - i, m/2 - j) carry the same terms
 up to sign, so one pair of each such orbit is evaluated, indexed by its
-centre 0..m/4 in every offset row (``kernels.central_pair_rows``,
-``kernels.central_folder``): m/2 * (m/4 + 1) pairs. The nodes 0..m/4 are
-totalled and the others written by the two reflections. The result agrees
-with the full sum to roundoff (not bitwise) and is exactly odd and
-antiperiodic, so every stage of such a run takes this path again. Any
-other state takes the full sum over all m/2 * m pairs, on which every node
-accumulates its terms in the same order, so shifting the state by one grid
-node shifts the right-hand side by exactly one node, bitwise.
+centre 0..m/4 in every offset row (width m/4 + 1): m/2 * (m/4 + 1) pairs.
+The nodes 0..m/4 are totalled and the others written by the two
+reflections. The result agrees with the full sum to roundoff (not bitwise)
+and is exactly odd and antiperiodic, so every stage of such a run takes
+this path again. Any other state takes the full sum over all m/2 * m
+pairs (width m), on which every node accumulates its terms in the same
+order, so shifting the state by one grid node shifts the right-hand side
+by exactly one node, bitwise.
 
 ``evolve`` supplies only the right-hand side, the symmetry projection (the
 z2 half of ``geometry.symmetry_projection``) and the per-sample record;
@@ -78,7 +81,6 @@ from .geometry import (
 )
 from .integrators import BlowupError, IntegratorParams, Trajectory, integrate
 from .kernels import (
-    block_folder,
     block_workspace,
     central_block_rows,
     central_folder,
@@ -86,8 +88,8 @@ from .kernels import (
     clausen2,
     offset_blocks,
     pair_sum_path,
-    partner_rows,
     read_only,
+    stabilizer_weights,
     stokeslet_terms_into,
 )
 
@@ -158,15 +160,15 @@ def _taylor_cell_weights(m: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _block_constants(m: int, quadrature: str, quarter: bool):
+def _block_constants(m: int, quadrature: str, width: int):
     """The blocks of offset rows of the graph pair sum, with their per-row constants.
 
-    One tuple (r, sin(x1/2), sin(x1)/2, log_row, weight) per block, x1 = r d
-    (the sines ``stokeslet_terms_into`` takes),
-    each constant in the shape of the block's rows ((len(r), 1), or
-    (len(r)/2, 2, 1) on the quarter sum, whose blocks are of
-    ``central_block_rows(m, m/4 + 1)`` offsets) and read-only. ``log_row``
-    is the spectral row term omega_r/d - log(4 sin^2(x1/2)), None for
+    One tuple (r, sin(x1/2), sin(x1)/2, log_row, weight) per block of
+    ``central_block_rows(m, width)`` offsets, ``width`` being the columns of
+    the sum's rows, x1 = r d (the sines
+    ``stokeslet_terms_into`` takes), each constant in the shape
+    (len(r)/2, 2, 1) of the block's rows and read-only. ``log_row`` is the
+    spectral row term omega_r/d - log(4 sin^2(x1/2)), None for
     "taylor_cell". Built once per grid, quadrature and path, block by block
     with the operations the sum took on each block, so the values are those
     it computed per call.
@@ -174,16 +176,12 @@ def _block_constants(m: int, quadrature: str, quarter: bool):
     d = TWO_PI / m
     spectral = quadrature == "spectral_log"
     weights = np.full(m, d) if spectral else _taylor_cell_weights(m)
-    if quarter:
-        blocks, row_shape = offset_blocks(m, 1, central_block_rows(m, m // 4 + 1)), (-1, 2, 1)
-    else:
-        blocks, row_shape = offset_blocks(m, 1), (-1, 1)
     out = []
-    for r in blocks:
+    for r in offset_blocks(m, central_block_rows(m, width)):
         x1 = r * d
         sn2 = np.sin(0.5 * x1)
         log_row = _log_circulant(m)[r] / d - np.log(4.0 * sn2**2) if spectral else None
-        out.append(read_only(r, *(None if a is None else a.reshape(row_shape)
+        out.append(read_only(r, *(None if a is None else a.reshape(-1, 2, 1)
                                   for a in (sn2, 0.5 * np.sin(x1), log_row, weights[r]))))
     return tuple(out)
 
@@ -227,16 +225,11 @@ def _rhs_arrays(h: np.ndarray, params: SchemeParams) -> np.ndarray:
     else:  # taylor_cell
         acc = 2.0 * _cell_correction_values(hw, dhw, d, params.singular_cell_variant)
     # the pair integrand below is symmetric in its two nodes and both weights
-    # are even in the offset, so the offsets r and m - r share one evaluation
+    # are even in the offset, so the offsets r and m - r share one evaluation;
     # the block terms are computed in place in one workspace for all blocks
-    if quarter:
-        rows, fold = central_pair_rows(h, dh, centres=width), central_folder(m, -1.0)
-        work = block_workspace(5, width, central=True, rows=central_block_rows(m, width))
-    else:
-        partners = partner_rows(h, dh)
-        rows, fold = (lambda r: ((h, dh), partners(r))), block_folder(m)
-        work = block_workspace(5, width)
-    for r, sn2, sc, log_row, weight in _block_constants(m, params.quadrature, quarter):
+    rows, fold = central_pair_rows(h, dh, width=width), central_folder(m, width)
+    work = block_workspace(5, width, central_block_rows(m, width))
+    for r, sn2, sc, log_row, weight in _block_constants(m, params.quadrature, width):
         (ha, dha), (hb, dhb) = rows(r)
         x2, lg, a_ss, a_sn, dd = work[:, : len(hb)]
         stokeslet_terms_into(sn2, sc, np.subtract(ha, hb, out=x2), lg, a_ss, a_sn)
@@ -252,8 +245,9 @@ def _rhs_arrays(h: np.ndarray, params: SchemeParams) -> np.ndarray:
         lg += a_ss
         a_sn *= np.add(dha, dhb, out=x2)
         lg += a_sn
-        pair = np.multiply(lg, weight, out=lg)
-        acc += fold(np.multiply(hb, pair, out=x2), np.multiply(ha, pair, out=a_ss), r)
+        pair = stabilizer_weights(np.multiply(lg, weight, out=lg), r, m)
+        # the half-period shift negates the terms (read on the quarter sum)
+        acc += fold(np.multiply(hb, pair, out=x2), np.multiply(ha, pair, out=a_ss), r, -1.0)
 
     rhs = params.sign_factor * acc + params.viscosity * second_diff(h, d)[: acc.size]
     if quarter:

@@ -10,9 +10,9 @@ which is smooth away from x = (0 mod 2pi, 0) where it has a log singularity.
 One body, ``stokeslet_terms_into``, evaluates its terms from x2, sin(x1/2)
 and sin(x1/2) cos(x1/2) = sin(x1)/2 into arrays the caller gives: both
 right-hand sides write into their block workspace, the curve one from sines
-it forms on all its rows from per-node values. ``stokeslet_terms`` (which takes x1)
-and ``stokeslet_terms_from_sines`` call it with new arrays, for the turning
-certificates, ``stokeslet`` and ``dK12``. The mixed second derivative of the
+it forms on all its rows from per-node values. ``stokeslet_terms`` (which
+takes x1) calls it with new arrays, for the turning certificates,
+``stokeslet`` and ``dK12``. The mixed second derivative of the
 bilaplacian Green function K (with Delta^2 K = delta on T x R) has the
 closed form
 
@@ -37,46 +37,48 @@ table of exact zeta values, which also gives the real series of
 
 All three pair sums of the package (both right-hand sides and
 ``diagnostics.delta_spectral``) use that their kernels are even: they run
-over half the grid offsets, r <= m/2, a block of offset rows at a time
-(``offset_blocks``, ``partner_rows``, ``block_folder``), so their memory
-is O(rows * width) per block rather than O(m^2). The full sums take 32
-offsets a block and read all m columns of a row; the sums over pair
-centres below take ``central_block_rows``: as many as make about 16384
-elements per workspace array up to m = 1024 and that grid's rows beyond
-it, even, from 2 to m/2. Each reader and folder is one read-only strided
-view over a buffer made in the call of the sum, never kept across calls,
-so the sums are re-entrant and a block builds no index array. The
-per-grid constants of a block (the sines, log term and weights of the
-graph's rows, the kernel tables of ``delta``'s) are built once per grid
-and path and cached read-only by their sums. The right-hand sides compute
-the terms of a block, and ``delta`` its pair kernel, in place in one
-workspace of (rows x width) arrays (``block_workspace``), made once per
-call and reused by every block, and the folds overwrite the near and far
-terms they are given, so a block allocates no (rows x width) array.
+over half the grid offsets, r = 1..m/2, a block of offset rows at a time
+(``offset_blocks``), so their memory is O(rows * width) per block rather
+than O(m^2). Every sum reads its pairs in one layout: the rows of the
+offsets 2s + 1 and 2s + 2 side by side, shape (n, 2, width)
+(``central_pair_rows``), and one folder totals a block onto the nodes
+(``central_folder``). The width sets the path:
 
-On a curve whose remainder p = z1 - alpha and height z2 are exactly odd
-(``geometry.centrally_symmetric``), the mirror (-i, r - i) of the pair
-(i, i - r) lies in the same offset row with its terms negated, so the
-curve right-hand side reads one pair of each mirror orbit, indexed by the
-pair centre (``central_pair_rows``), and folds the terms onto the nodes
-alpha in [-pi, 0] (``central_folder``): about half the pairs, still in
-O(rows * width) memory. A state with the shift by m/2 as a second exact
-symmetry takes the same reader and folder with that shift: graph heights
-that are odd and antiperiodic, h(alpha + pi) = -h(alpha), as every state
-of a graph run projected onto both symmetries is, and curves that are odd
-and half-period symmetric, p(alpha + pi) = p(alpha),
-z2(alpha + pi) = -z2(alpha), as every state of a run of the even turning
-family is. The right-hand sides read the pair centres 0..m/4 only and fold
-the terms onto the nodes 0..m/4 through their four images, about a
-quarter of the pairs; the folder takes the sign the shift gives the terms
-(-1 for the graph and the curve's u2, +1 for its u1). ``delta`` reads the
-same centres as the graph, its pair kernel evaluated in place in a
-workspace of those rows, and weights each held pair by its orbit
-(``stabilizer_weights``, shared with the folder). The graph right-hand
-side and ``delta`` thus take one of two paths, the full sum or the quarter
-sum, both chosen by ``pair_sum_path``; the curve right-hand side takes the
-full, the central half or the quarter sum, chosen by
-``curve_pair_sum_path``.
+- m columns, the full sum: column i of row r holds the pair (i, i - r);
+- m/2 + 1 pair centres, the central half sum, on a curve whose remainder
+  p = z1 - alpha and height z2 are exactly odd
+  (``geometry.centrally_symmetric``): the mirror (-i, r - i) of the pair
+  (i, i - r) lies in the same offset row with its terms negated, so a row
+  indexed by the pair centre holds one pair of each mirror orbit, folded
+  onto the nodes alpha in [-pi, 0];
+- m/4 + 1 pair centres, the quarter sum, on a state with the shift by m/2
+  as a second exact symmetry: graph heights that are odd and antiperiodic,
+  h(alpha + pi) = -h(alpha), as every state of a graph run projected onto
+  both symmetries is, and curves that are odd and half-period symmetric,
+  p(alpha + pi) = p(alpha), z2(alpha + pi) = -z2(alpha), as every state of
+  a run of the even turning family is. The terms fold onto the nodes
+  0..m/4 through their four images, the folder taking the sign the shift
+  gives them (-1 for the graph and the curve's u2, +1 for its u1).
+
+The folder only folds: each sum weights its pair terms by their orbits
+first (``stabilizer_weights``), so the r = m/2 row, which holds each of its
+pairs twice, counts half on every path. The graph right-hand side and
+``delta`` take the full or the quarter sum, both chosen by
+``pair_sum_path``; the curve right-hand side takes the full, the central
+half or the quarter sum, chosen by ``curve_pair_sum_path``.
+
+Every path takes ``central_block_rows(m, width)`` offsets a block: as many
+as make about 16384 elements per workspace array up to m = 1024 and that
+grid's rows beyond it, even, from 2 to m/2. Each reader and folder is one
+read-only strided view over a buffer made in the call of the sum, never
+kept across calls, so the sums are re-entrant and a block builds no index
+array. The per-grid constants of a block (the sines, log term and weights
+of the graph's rows, the kernel tables of ``delta``'s) are built once per
+grid and path and cached read-only by their sums. The right-hand sides
+compute the terms of a block, and ``delta`` its pair kernel, in place in
+one workspace of (rows x width) arrays (``block_workspace``), made once
+per call and reused by every block, and the folds overwrite the near and
+far terms they are given, so a block allocates no (rows x width) array.
 """
 
 from __future__ import annotations
@@ -93,13 +95,9 @@ from .geometry import TWO_PI, centrally_symmetric
 ONE_OVER_8PI = 1.0 / (8.0 * np.pi)
 ONE_OVER_4PI = 1.0 / (4.0 * np.pi)
 
-# offset rows per block of the full pair sums (both right-hand sides and
-# delta): their temporaries are (_BLOCK_ROWS x m), never m x m; each sum
-# holds them in one workspace, reused by every block
-_BLOCK_ROWS = 32
-# elements per workspace array of a block of the sums over pair centres
-# (``central_block_rows``) up to m = _ROWS_FIXED_FROM; on larger grids the
-# arrays grow with m and the rows stay those of that grid
+# elements per workspace array of a block of every pair sum
+# (``central_block_rows``) up to m = _ROWS_FIXED_FROM, never m x m; on
+# larger grids the arrays grow with m and the rows stay those of that grid
 _BLOCK_ELEMENTS = 16384
 _ROWS_FIXED_FROM = 1024
 
@@ -121,24 +119,17 @@ def stokeslet_terms(x1, x2):
     the half-angle form 2(sinh^2(x2/2) + sin^2(x1/2)), free of cancellation
     near the singularity; the third term is 8pi d1 d2 K. x1 may be a scalar
     or a column against an array x2; coincident points give non-finite values.
-    All three terms are even under x -> -x and 2pi-periodic in x1.
+    All three terms are even under x -> -x and 2pi-periodic in x1. The terms
+    are new arrays (scalars for scalar arguments).
     """
-    return stokeslet_terms_from_sines(np.sin(0.5 * x1), np.sin(x1), x2)
-
-
-def stokeslet_terms_from_sines(sn2, sn, x2):
-    """``stokeslet_terms`` given sn2 = sin(x1/2) and sn = sin(x1) instead of x1.
-
-    The terms are new arrays (scalars for scalar arguments).
-    """
-    shape = np.broadcast_shapes(np.shape(sn2), np.shape(sn), np.shape(x2))
-    out = stokeslet_terms_into(sn2, np.multiply(sn, 0.5), x2,
+    shape = np.broadcast_shapes(np.shape(x1), np.shape(x2))
+    out = stokeslet_terms_into(np.sin(0.5 * x1), np.multiply(np.sin(x1), 0.5), x2,
                                *(np.empty(shape) for _ in range(3)))
     return tuple(t[()] for t in out)
 
 
 def stokeslet_terms_into(sn2, sc, x2, lg, a_ss, a_sn):
-    """``stokeslet_terms_from_sines`` of sn2 = sin(x1/2) and sc = sin(x1)/2, into lg, a_ss, a_sn.
+    """``stokeslet_terms`` of sn2 = sin(x1/2) and sc = sin(x1)/2, into lg, a_ss, a_sn.
 
     The one body of the Stokeslet terms. The output arrays, of the broadcast
     shape of the arguments, also hold its intermediates, so an evaluation
@@ -162,32 +153,35 @@ def stokeslet_terms_into(sn2, sc, x2, lg, a_ss, a_sn):
     return lg, a_ss, a_sn
 
 
-def offset_blocks(m: int, first: int, rows: int = _BLOCK_ROWS):
-    """Consecutive grid offsets r = first..m/2, up to ``rows`` at a time.
+def offset_blocks(m: int, rows: int):
+    """Consecutive grid offsets r = 1..m/2, up to ``rows`` (even) at a time.
 
-    The pair kernels are even, so a pair sum over all offsets folds onto
-    these half offsets.
+    The pair kernels are even, so a pair sum over all offsets r != 0 folds
+    onto these half offsets. Every block holds an even number of offsets,
+    as ``central_pair_rows`` pairs them: where m/2 is odd the last block
+    also holds r = m/2 + 1, which ``stabilizer_weights`` counts zero.
     """
-    half = m // 2
-    for r0 in range(first, half + 1, rows):
-        yield np.arange(r0, min(r0 + rows, half + 1))
+    end = 2 * ((m + 2) // 4)
+    for r0 in range(1, end + 1, rows):
+        yield np.arange(r0, min(r0 + rows, end + 1))
 
 
 def central_block_rows(m: int, width: int) -> int:
-    """Offset rows per block of a sum over ``width`` pair centres a row (``central_pair_rows``).
+    """Offset rows per block of a sum of ``width`` columns a row (``central_pair_rows``).
 
     As many as make about _BLOCK_ELEMENTS elements per workspace array, so
     the narrow rows of the quarter sums (m/4 + 1 centres) take more offsets
-    a block than the central half sum's (m/2 + 1), and a block's fixed cost
-    is spread over about the same work at every m up to _ROWS_FIXED_FROM.
-    Beyond it the element count grows in proportion to m, so the rows stay
-    those of that grid (64 for the quarter sums, 32 for the central half
-    sum): fewer rows would make more blocks, each paying the fixed cost
-    again. Even, as the reader pairs the offsets 2s + 1 and 2s + 2; at least
-    2 and at most m/2 (m being a multiple of 4).
+    a block than the central half sum's (m/2 + 1) and the full sums' (m),
+    and a block's fixed cost is spread over about the same work at every m
+    up to _ROWS_FIXED_FROM. Beyond it the element count grows in proportion
+    to m, so the rows stay those of that grid (64 for the quarter sums, 32
+    for the central half sum, 16 for the full sums): fewer rows would make
+    more blocks, each paying the fixed cost again. Even, as the reader
+    pairs the offsets 2s + 1 and 2s + 2; at least 2 and at most the offsets
+    of ``offset_blocks``, m/2 rounded up to even.
     """
     elements = _BLOCK_ELEMENTS * max(1.0, m / _ROWS_FIXED_FROM)
-    return min(m // 2, 2 * max(1, round(elements / (2 * width))))
+    return 2 * min((m + 2) // 4, max(1, round(elements / (2 * width))))
 
 
 def read_only(*arrays):
@@ -219,16 +213,15 @@ def _twice(xs):
     return buf
 
 
-def block_workspace(count: int, width: int, central: bool = False, rows: int = _BLOCK_ROWS):
+def block_workspace(count: int, width: int, rows: int):
     """``count`` arrays for the terms of one block of a pair sum, reused by every block.
 
-    Each holds ``rows`` offset rows of ``width`` columns: shape (rows, width),
-    or (rows/2, 2, width) for the rows of ``central_pair_rows``
-    (``central``). A shorter last block takes the leading rows,
-    ``work[:, :n]``, whose arrays are contiguous like new ones.
+    Each holds ``rows`` offset rows of ``width`` columns in the shape of the
+    rows of ``central_pair_rows``, (rows/2, 2, width). A shorter last block
+    takes the leading rows, ``work[:, :n]``, whose arrays are contiguous
+    like new ones.
     """
-    shape = (rows // 2, 2) if central else (rows,)
-    return np.empty((count, *shape, width))
+    return np.empty((count, rows // 2, 2, width))
 
 
 def _antiperiodic(x) -> bool:
@@ -243,7 +236,8 @@ def pair_sum_path(h) -> bool:
     It does when m % 4 == 0 and the heights are exactly antiperiodic,
     h(alpha + pi) = -h(alpha), and exactly odd, h(-alpha) = -h(alpha): the
     sum then reads the pair centres 0..m/4 of ``central_pair_rows``
-    (``centres`` m/4 + 1). Any other heights take the full sum. Both the
+    (``width`` m/4 + 1). Any other heights take the full sum (``width`` m).
+    Both the
     graph right-hand side and ``delta`` choose their path here, so they
     agree about every state. O(m), exact.
     """
@@ -255,12 +249,13 @@ def curve_pair_sum_path(p, z2):
 
     p = z1 - alpha. ``central`` holds when p and z2 are exactly odd
     (``geometry.centrally_symmetric``): the sum reads the pair centres
-    0..m/2 of ``central_pair_rows``. ``quarter`` holds when they also have
-    the half-period symmetry exactly, p(alpha + pi) = p(alpha) and
-    z2(alpha + pi) = -z2(alpha), and m % 4 == 0: the sum then reads the
-    centres 0..m/4 (``centres`` m/4 + 1) and folds u1 by
-    ``central_folder(m, 1.0)``, u2 by ``central_folder(m, -1.0)``. The curve
-    analogue of ``pair_sum_path``; O(m), exact.
+    0..m/2 of ``central_pair_rows`` (``width`` m/2 + 1). ``quarter`` holds
+    when they also have the half-period symmetry exactly,
+    p(alpha + pi) = p(alpha) and z2(alpha + pi) = -z2(alpha), and
+    m % 4 == 0: the sum then reads the centres 0..m/4 (``width`` m/4 + 1)
+    and folds u1 with the shift sign +1, u2 with -1. Otherwise it takes
+    the full sum (``width`` m). The curve analogue of ``pair_sum_path``;
+    O(m), exact.
     """
     m = p.size
     central = centrally_symmetric(p, z2)
@@ -269,79 +264,41 @@ def curve_pair_sum_path(p, z2):
     return central, quarter
 
 
-def partner_rows(*xs):
-    """Reader of the partner rows of the arrays xs, for the blocks of one pair sum.
+def central_pair_rows(*xs, width: int):
+    """Reader of the paired offset rows of the arrays xs, for the blocks of one pair sum.
 
-    ``rows(r)`` holds, for consecutive offsets r, each x at the partner node
-    i - r (mod m) of every column i: shape (len(xs), len(r), m). The rows
-    are read-only slices of one strided view over the arrays repeated twice,
-    both made here, so no index arrays are built per block and no buffer
-    outlives the sum.
+    ``rows(r)``, for a block of an even number of consecutive offsets from
+    an odd r[0] (as ``offset_blocks`` gives), returns
+    (near, far): each x at the near and the far node of the block's pairs,
+    shapes (len(xs), n, 1, width) and (len(xs), n, 2, width) with
+    n = len(r)/2, where row (j, p) is the offset r[2j + p]. The far node of
+    a pair is its near node minus the offset, and a column has the same
+    near node in the rows 2s + 1 and 2s + 2. ``width`` sets the columns:
+
+    - m: column i holds the pair (i, i - r), near node i;
+    - m/2 + 1: the pair centres k = 0..m/2 of a centrally symmetric curve
+      or graph. The pair (i, i - r) has its mirror (-i, r - i) in the same
+      row, so the centre k holds one pair of each mirror orbit:
+      (k + s + 1, k - s) for r = 2s + 1 and (k + s + 1, k - s - 1) for
+      r = 2s + 2;
+    - m/4 + 1: the centres k = 0..m/4 of graph heights that are also
+      antiperiodic, or a curve that is also half-period symmetric: the
+      shift by m/2 maps the pair of centre k to that of centre k + m/2, so
+      these centres hold one pair of each orbit of both symmetries.
+
+    Both are read-only slices of two strided views over the arrays repeated
+    twice, all made here, so no index arrays are built per block and no
+    buffer outlives the sum.
     """
     m = xs[0].size
-    # element [k, r, i] is x_k at node i - r, column m + i - r of the buffer
-    win = _window(_twice(xs), (len(xs), m // 2 + 1, m), (2 * m, -1, 1), m)
-    return lambda r: win[:, r[0] : r[-1] + 1]
-
-
-def block_folder(m: int):
-    """``fold(near, far, r)``: per-node total of one offset block of an m-node sum.
-
-    Each unordered pair is evaluated once. Row r, column i holds the pair
-    (i, i - r): ``near`` is its term for node i, ``far`` its term for node
-    i - r. Node i collects near[k, i] and, from the pair (i + r, i),
-    far[k, i + r]. At r = m/2 the nodes i + r and i - r coincide, so that
-    row's far term is dropped. ``near`` is overwritten. The rows are reduced
-    in one fixed order, so shifting the data by a node shifts the total by a
-    node, bitwise. The far rows are read through one strided view over a
-    buffer, both made here for all the blocks of the sum.
-    """
-    # the rows of far, each followed by its wrapped copy, laid end to end,
-    # and a tail of _BLOCK_ROWS elements that is never read
-    flat = np.empty(_BLOCK_ROWS * (2 * m + 1))
-    twice = flat[: 2 * m * _BLOCK_ROWS].reshape(_BLOCK_ROWS, 2 * m)
-    # with r_k = r_0 + k, far[k, i + r_k] is element r_0 + k (2m + 1) + i
-    win = _window(flat, (m // 2 + 1, _BLOCK_ROWS, m), (1, 2 * m + 1, 1))
-
-    def fold(near, far, r):
-        n = r.size - 1 if 2 * r[-1] == m else r.size
-        if n:
-            twice[:n, :m] = twice[:n, m:] = far[:n]
-            near[:n] += win[r[0], :n]
-        return near.sum(axis=0)
-
-    return fold
-
-
-def central_pair_rows(*xs, centres=None):
-    """Reader of the pair rows of a sum over a centrally symmetric curve or graph.
-
-    The pair (i, i - r) of offset row r has its mirror (-i, r - i) in the
-    same row, so a row indexed by the pair centre k = 0..m/2 (``centres``
-    m/2 + 1, the default) holds one pair of each mirror orbit: (k + s, k - s)
-    for r = 2s and (k + s + 1, k - s) for r = 2s + 1. On graph heights that
-    are also antiperiodic, or a curve that is also half-period symmetric,
-    the shift by m/2 maps the pair of centre k to that of centre k + m/2,
-    so the centres k = 0..m/4 (``centres`` m/4 + 1) hold one pair of each
-    orbit of both symmetries. ``rows(r)``, for a block of
-    an even number of consecutive offsets from an odd r[0] (as
-    ``offset_blocks(m, 1)`` gives, m/2 being even), returns (near, far):
-    each x at the near and the far node of those pairs, shapes
-    (len(xs), n, 1, centres) and (len(xs), n, 2, centres) with
-    n = len(r)/2, where row (j, p) is the offset r[2j + p]. The near node
-    s + 1 + k of rows 2s + 1 and 2s + 2 is the same. Both are read-only
-    slices of two strided views over the arrays repeated twice, all made
-    here, so no index arrays are built per block and no buffer outlives the
-    sum.
-    """
-    m = xs[0].size
-    centres = m // 2 + 1 if centres is None else centres
-    buf, shape = _twice(xs), (len(xs), m // 4)
-    # the pair rows of s = 0..m/4 - 1 (offsets 2s + 1, 2s + 2): near node
-    # s + 1 + k, column s + 1 + k of the buffer, and far node k - s - p,
-    # column m + k - s - p
-    near = _window(buf, (*shape, 1, centres), (2 * m, 1, 0, 1), 1)
-    far = _window(buf, (*shape, 2, centres), (2 * m, -1, -1, 1), m)
+    buf, shape = _twice(xs), (len(xs), (m + 2) // 4)
+    # the rows of s = 0, 1, .. (offsets 2s + 1, 2s + 2): near node
+    # c (s + 1) + k, c = 0 on the full layout and 1 on the pair centres,
+    # column c (s + 1) + k of the buffer, and far node that less 2s + 1 + p,
+    # column m + c (s + 1) + k - 2s - 1 - p
+    c = int(width != m)
+    near = _window(buf, (*shape, 1, width), (2 * m, c, 0, 1), c)
+    far = _window(buf, (*shape, 2, width), (2 * m, c - 2, -1, 1), m + c - 1)
 
     def rows(r):
         s0 = r[0] // 2
@@ -354,83 +311,106 @@ def central_pair_rows(*xs, centres=None):
 def stabilizer_weights(t, r, m: int):
     """Weight in place the terms t of one block of ``central_pair_rows`` by orbit size.
 
-    ``t`` has the rows' shape (len(r)/2, 2, last + 1), ``last`` being the
-    last pair centre (m/2, or m/4 with the half-period shift). A held pair that
-    is its own image counts half: the centres 0 and ``last`` of an even row,
-    and every pair of the r = m/2 row, which holds each of its pairs twice.
-    The centre ``last`` of an odd row repeats the orbit of centre last - 1
-    and counts zero. The rules of ``central_folder`` and of ``delta``'s
-    quarter sum.
+    ``t`` has the rows' shape (len(r)/2, 2, width). Every pair of the
+    r = m/2 row counts half, as that row holds each of its pairs twice;
+    where m/2 is odd, the row m/2 + 1 of ``offset_blocks`` repeats the row
+    m/2 - 1 and counts zero. On the pair centres (``width`` below m,
+    ``last`` = width - 1 being m/2, or m/4 with the half-period shift) a
+    held pair that is its own image also counts half: the centres 0 and
+    ``last`` of an even row. The centre ``last`` of an odd row repeats the
+    orbit of centre last - 1 and counts zero. Every pair sum weights its
+    terms so before it folds or adds them.
     """
-    last = t.shape[-1] - 1
-    # row (j, 1) is the even offset r[2j + 1]
-    t[:, 1, ::last] *= 0.5
-    t[:, 0, last] = 0.0
-    if r[-1] == m // 2:
-        t[-1, 1] *= 0.5
+    width = t.shape[-1]
+    if width < m:
+        last = width - 1
+        # row (j, 1) is the even offset r[2j + 1]
+        t[:, 1, ::last] *= 0.5
+        t[:, 0, last] = 0.0
+    # the row m/2 is row (k // 2, k % 2) of the block, if it holds it
+    k = m // 2 - r[0]
+    if k < r.size:
+        t[k // 2, k % 2] *= 0.5
+        t[k // 2, k % 2 + 1 :] = 0.0
     return t
 
 
-def central_folder(m: int, shift_sign: float = 0.0):
-    """``fold(near, far, r)``: total of one block of ``central_pair_rows`` at the nodes 0..m/2.
+def central_folder(m: int, width: int):
+    """``fold(near, far, r, shift_sign)``: per-node total of one block of ``central_pair_rows``.
 
-    ``near`` and ``far`` (shape (len(r)/2, 2, m/2 + 1), as the rows) hold
-    each pair's term for its near and its far node. The terms of a mirror
-    pair are those of the pair negated, so on the nodes 0..m/2 the sum over
-    all pairs is the sum over the held pairs of their terms to a node n
-    minus their terms to -n: a node past m/2 folds, negated, onto its
-    mirror. The terms are weighted by ``stabilizer_weights``: a pair that is
-    its own mirror counts half (the centres 0 and m/2 of an even row, and
-    every pair of the r = m/2 row, which holds each of its pairs twice), and
-    the centre m/2 of an odd row, which repeats the orbit of centre
-    m/2 - 1, counts zero. Nodes 0 and m/2 total exactly 0 (for finite
-    terms), as the symmetry requires. ``near`` and ``far`` are overwritten.
+    ``near`` and ``far`` (the rows' shape (len(r)/2, 2, width)) hold each
+    pair's term for its near and its far node, weighted by
+    ``stabilizer_weights``; both are overwritten. The total is that of the
+    nodes the width covers:
 
-    ``shift_sign`` (+1 or -1; 0, the default, for none): the state also has
-    the half-period symmetry, the shift by W = m/2 maps the pair of centre
-    k to that of centre k + W and multiplies its terms by ``shift_sign``.
-    The rows then hold the centres 0..m/4, and the total is that of the
-    nodes 0..m/4: a node n collects the held terms to n, minus those to -n,
-    plus ``shift_sign`` times those to n + W minus those to W - n. The sign is -1 for graph heights with
-    h(alpha + pi) = -h(alpha) and for the u2 terms of a curve with
-    z1(alpha + pi) = z1(alpha) + pi, z2(alpha + pi) = -z2(alpha), whose u1
-    terms the shift leaves unchanged (+1). The weights are those above with
-    m/4 in place of m/2: the centres 0 and m/4 of an even row count half,
-    the centre m/4 of an odd row zero, and the r = m/2 row half again;
-    ``delta``'s quarter sum weights its terms the same way. Node 0 totals
-    exactly 0 (for finite terms), and so does node m/4 for the sign +1.
+    - m columns, every node. Node i collects the near term of the pair
+      (i, i - r) and the far term of (i + r, i). The rows are reduced in one
+      fixed order, so shifting the data by a node shifts the total by a
+      node, bitwise.
+    - m/2 + 1 centres, the nodes 0..m/2. The terms of a mirror pair are
+      those of the pair negated, so on these nodes the sum over all pairs
+      is the sum over the held pairs of their terms to a node n minus their
+      terms to -n: a node past m/2 folds, negated, onto its mirror. Nodes 0
+      and m/2 total exactly 0 (for finite terms), as the symmetry requires.
+    - m/4 + 1 centres, the nodes 0..m/4. The state also has the half-period
+      symmetry: the shift by W = m/2 maps the pair of centre k to that of
+      centre k + W and multiplies its terms by ``shift_sign`` (read on this
+      width only). A node n collects the held terms to n, minus those to
+      -n, plus ``shift_sign`` times those to n + W minus those to W - n.
+      The sign is -1 for graph heights with h(alpha + pi) = -h(alpha) and
+      for the u2 terms of a curve with z1(alpha + pi) = z1(alpha) + pi,
+      z2(alpha + pi) = -z2(alpha), whose u1 terms the shift leaves
+      unchanged (+1). Node 0 totals exactly 0 (for finite terms), and so
+      does node m/4 for the sign +1.
 
-    The blocks are of ``central_block_rows(m, last + 1)`` offsets. Their
-    rows are shifted into one unwrapped line of the nodes from -m/4 through
-    a strided view over a buffer whose rows are laid end to end (row j read
-    j places further right), both made here for all the blocks of the sum;
-    the line is then folded.
+    The blocks are of ``central_block_rows(m, width)`` offsets. The full
+    sum reads its far rows shifted by their offsets through a strided view
+    over a buffer holding each row followed by its wrapped copy. On the pair
+    centres the rows are shifted into one unwrapped line of the nodes from
+    -m/4 through a strided view over a buffer whose rows are laid end to end
+    (row j read j places further right); the line is then folded. Each
+    buffer is made here for all the blocks of the sum.
     """
+    rows = central_block_rows(m, width)
+    if width == m:
+        # each far row followed by its wrapped copy; with r_k = r_0 + k, the
+        # term of row k for node i, twice[k, i + r_k], is element
+        # r_0 + k (2m + 1) + i
+        twice = np.empty((rows, 2 * m))
+        shifted = _window(twice, (m // 2 + 1, rows, m), (1, 2 * m + 1, 1))
+
+        def fold(near, far, r, shift_sign):
+            n = r.size
+            twice[:n, :m] = twice[:n, m:] = far.reshape(n, m)
+            near = near.reshape(n, m)
+            near += shifted[r[0], :n]
+            return near.sum(axis=0)
+
+        return fold
+
     half, quarter = m // 2, m // 4
     # the last pair centre, and the line of nodes -m/4..last + m/4
-    last = quarter if shift_sign else half
-    pairs = central_block_rows(m, last + 1) // 2
-    width = last + 1 + pairs
-    buf = np.zeros((pairs + 1, width))
+    last = width - 1
+    pairs = rows // 2
+    span = width + pairs
+    buf = np.zeros((pairs + 1, span))
     # element (j, i) of the view is buf[j, i - j], or a zero of the tail of
     # row j - 1 for i < j: columns last + 1.. are never written
-    win = _window(buf, (pairs + 1, width), (width - 1, 1))
-    line = np.empty(2 * quarter + last + 1)
+    win = _window(buf, (pairs + 1, span), (span - 1, 1))
+    line = np.empty(2 * quarter + width)
 
-    def fold(near, far, r):
-        for t in (near, far):
-            stabilizer_weights(t, r, m)
+    def fold(near, far, r, shift_sign):
         s0, n = r[0] // 2, r.size // 2
         line.fill(0.0)
         # near node s0 + 1 + j + k, the same for both rows of a pair j
-        np.add(near[:, 0], near[:, 1], out=buf[:n, : last + 1])
+        np.add(near[:, 0], near[:, 1], out=buf[:n, :width])
         line[quarter + s0 + 1 : quarter + s0 + last + n + 1] += win[:n].sum(axis=0)[: last + n]
         # far node k - (s0 + n) + u, buffer row u = n - j - p
-        buf[:n, : last + 1] = far[::-1, 1]
-        buf[n, : last + 1] = 0.0
-        buf[1 : n + 1, : last + 1] += far[::-1, 0]
-        line[quarter - s0 - n : quarter - s0 + last + 1] += win[: n + 1].sum(axis=0)[: last + n + 1]
-        if shift_sign:
+        buf[:n, :width] = far[::-1, 1]
+        buf[n, :width] = 0.0
+        buf[1 : n + 1, :width] += far[::-1, 0]
+        line[quarter - s0 - n : quarter - s0 + width] += win[: n + 1].sum(axis=0)[: last + n + 1]
+        if last == quarter:
             # the line holds the nodes -m/4..m/2: of the nodes n + W only
             # W (n = 0) and -m/4 (n = m/4); images holds the terms to W - n
             # minus those to n + W
@@ -736,10 +716,9 @@ def bilaplacian_pair_kernel_offset_rows(m: int, r: np.ndarray, x2: np.ndarray, w
     """Kpair(r 2pi/m, x2) on an m-node grid, row k of x2 at the offset r[k].
 
     The offsets r lie in 0..m/2; the tables are built once per m. x2 has
-    the shape of r with one more axis, the columns of a row: (len(r), m) for
-    the rows of ``partner_rows``, or (n, 2, centres) for r of shape
-    (n, 2) and the rows of ``central_pair_rows``. ``work`` is that of
-    ``pair_kernel_rows``.
+    the shape of r with one more axis, the columns of a row: (n, 2, width)
+    for r of shape (n, 2) and the rows of ``central_pair_rows``. ``work`` is
+    that of ``pair_kernel_rows``.
     """
     return pair_kernel_rows(offset_row_tables(m, r), x2, work)
 

@@ -30,6 +30,7 @@ and pi/2, and uses the folded kernel with prefactor z2'(0)/(2 pi) over
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Tuple
 
 import numpy as np
@@ -37,12 +38,13 @@ import numpy as np
 from .geometry import (
     TWO_PI,
     ParamCurve,
+    central_diff,
     check_grid_size,
     curve_derivatives,
     symmetry_errors,
     uniform_grid,
 )
-from .kernels import ONE_OVER_4PI, stokeslet_terms
+from .kernels import ONE_OVER_4PI, read_only, stokeslet_terms
 
 ONE_OVER_2PI = 1.0 / (2.0 * np.pi)
 
@@ -174,11 +176,31 @@ def _z1_even(alpha, p: TurningFamilyParams):
 def build_turning_family(p: TurningFamilyParams, m: int) -> ParamCurve:
     """Sample the family on m nodes and verify its signs.
 
+    Everything but z2 on the nodes that b scales is independent of b, and is
+    built and checked once per family and grid (``_family_without_b``).
+
     Raises
     ------
     ConstructionError
         Naming the violated sign property, when the sampled zstar or z1 does
         not realize the pattern the turning argument needs.
+    """
+    z1, zs, scaled = _family_without_b(replace(p, b=1.0), m, BASIC_AMPLITUDE, BASIC_NEGATIVE,
+                                       EVEN_AMPLITUDE, EVEN_NEGATIVE)
+    curve = ParamCurve(z1=z1.copy(), z2=np.where(scaled, p.b * zs, zs))
+    if central_diff(curve.z2, curve.spacing)[m // 2] <= 0.0:
+        raise ConstructionError("condition 2: slope of z2 at 0 not positive")
+    return curve
+
+
+@lru_cache(maxsize=8)
+def _family_without_b(p: TurningFamilyParams, m: int, *shape_constants):
+    """(z1, zstar, scaled): the b-independent part of a family on m nodes, read-only.
+
+    z2 = b * zstar on the nodes ``scaled`` and zstar elsewhere. Every check
+    of the sampled zstar and z1 that does not read b runs here, once per
+    family (p at b = 1) and grid; the module's shape constants, which zstar
+    reads, are part of the key, so that a changed constant builds afresh.
     """
     check_grid_size(m)  # before the sign checks, which assume 0 is a node
     alpha = uniform_grid(m)
@@ -186,15 +208,15 @@ def build_turning_family(p: TurningFamilyParams, m: int) -> ParamCurve:
     if p.variant == "basic":
         z1 = alpha - np.sin(alpha)
         zs = zstar_basic(alpha, p)
-        z2 = np.where(np.abs(alpha) <= p.alpha2, p.b * zs, zs)
+        scaled = np.abs(alpha) <= p.alpha2
         _check_sign_properties(alpha, zs, p.alpha2, p.alpha2, p.alpha3, upper=np.pi)
     else:
         z1 = _z1_even(alpha, p)
-        # fold to [0, pi/2] with the even reflection, then extend oddly
+        # fold to [0, pi/2] with the even reflection, then extend oddly (a
+        # sign commutes with the scaling by b exactly)
         fold = np.where(np.abs(alpha) > np.pi / 2, np.pi - np.abs(alpha), np.abs(alpha))
-        zf = zstar_even(fold, p)
-        zf = np.where(fold <= p.alpha2, p.b * zf, zf)
-        z2 = np.sign(alpha) * zf
+        zs = np.sign(alpha) * zstar_even(fold, p)
+        scaled = fold <= p.alpha2
         _check_sign_properties(
             alpha,
             zstar_even(alpha, p),
@@ -203,13 +225,14 @@ def build_turning_family(p: TurningFamilyParams, m: int) -> ParamCurve:
             np.pi / 2 - p.eps_flat,
             upper=np.pi / 2,
         )
+        # b scales no node there: fold > alpha2 + eps_flat
         flat_hi = np.abs(np.abs(alpha) - np.pi / 2) <= p.eps_flat
-        if np.any(np.abs(z2[flat_hi]) > 1e-12):
+        if np.any(np.abs(zs[flat_hi]) > 1e-12):
             raise ConstructionError("even variant: z2 not flat near +-pi/2")
 
-    curve = ParamCurve(z1=z1, z2=z2)
-    d = curve.spacing
-    dz1, dz2 = curve_derivatives(curve)
+    d = TWO_PI / m
+    # the tangent of ``geometry.curve_derivatives``
+    dz1 = 1.0 + central_diff(z1 - alpha, d)
     j0 = m // 2
     if not dz1[j0] <= d * d:
         raise ConstructionError("condition 2: slope of z1 at 0 not vanishing")
@@ -219,9 +242,7 @@ def build_turning_family(p: TurningFamilyParams, m: int) -> ParamCurve:
         interior[0] = False  # reflection forces a vertical tangent at +-pi too
     if np.any(dz1[interior] <= 0.0):
         raise ConstructionError("condition 2: z1 not increasing away from 0")
-    if dz2[j0] <= 0.0:
-        raise ConstructionError("condition 2: slope of z2 at 0 not positive")
-    return curve
+    return read_only(z1, zs, scaled)
 
 
 def _check_sign_properties(alpha, zs, pos_end, neg_start, neg_end, upper=np.pi):

@@ -409,29 +409,23 @@ def out_of_place_curve_rhs(p, z2, alpha, delta_rho):
     xs = (z2, v1, v2, np.sin(0.5 * z1), np.cos(0.5 * z1))
     central, quarter = kernels.curve_pair_sum_path(p, z2)
     width = m // 4 + 1 if quarter else m // 2 + 1 if central else m
-    # the blocks of offset rows of the production sum on each path
-    blocks = kernels.offset_blocks(m, 1)
-    if central:
-        blocks = kernels.offset_blocks(m, 1, kernels.central_block_rows(m, width))
-    if quarter:
-        rows = kernels.central_pair_rows(*xs, centres=width)
-        folds = (kernels.central_folder(m, 1.0), kernels.central_folder(m, -1.0))
-    elif central:
-        rows, folds = kernels.central_pair_rows(*xs), (kernels.central_folder(m),) * 2
-    else:
-        partners = kernels.partner_rows(*xs)
-        rows, folds = (lambda r: (xs, partners(r))), (kernels.block_folder(m),) * 2
+    rows, fold = kernels.central_pair_rows(*xs, width=width), kernels.central_folder(m, width)
     acc1 = np.zeros(width)
     acc2 = np.zeros(width)
-    for r in blocks:
+    # the blocks of offset rows of the production sum on each path
+    for r in kernels.offset_blocks(m, kernels.central_block_rows(m, width)):
         (z2a, v1a, v2a, sa, ca), (z2b, v1b, v2b, sb, cb) = rows(r)
         sn2 = sa * cb - ca * sb
-        sn = 2.0 * sn2 * (ca * cb + sa * sb)
-        lg, a_ss, a_sn = kernels.stokeslet_terms_from_sines(sn2, sn, z2a - z2b)
+        # sin(x1/2) cos(x1/2) = sin(x1)/2
+        half_sn = (ca * cb + sa * sb) * sn2
+        x2 = z2a - z2b
+        terms = kernels.stokeslet_terms_into(sn2, half_sn, x2, *np.empty((3, *x2.shape)))
+        lg, a_ss, a_sn = (kernels.stabilizer_weights(t, r, m) for t in terms)
         s11 = lg + a_ss
         s22 = lg - a_ss
-        acc1 += folds[0](s11 * v1b - a_sn * v2b, s11 * v1a - a_sn * v2a, r)
-        acc2 += folds[1](s22 * v2b - a_sn * v1b, s22 * v2a - a_sn * v1a, r)
+        # the half-period shift keeps the u1 terms and negates the u2 terms
+        acc1 += fold(s11 * v1b - a_sn * v2b, s11 * v1a - a_sn * v2a, r, 1.0)
+        acc2 += fold(s22 * v2b - a_sn * v1b, s22 * v2a - a_sn * v1a, r, -1.0)
     u1[:width] += d * acc1
     u2[:width] += d * acc2
     u1 *= delta_rho * ONE_OVER_8PI
@@ -498,12 +492,17 @@ def test_asymmetric_curve_takes_the_full_sum(monkeypatch, change):
         p = p.copy()
         p[0] += 1e-3
     assert not centrally_symmetric(p, z2)
+    # the path the sum chooses sets the width of all its rows
+    paths = []
+    choose = evolution_curve.curve_pair_sum_path
 
-    def no_half_sum(*args):
-        raise AssertionError("the half or the quarter sum was taken")
+    def spy(p, z2):
+        paths.append(choose(p, z2))
+        return paths[-1]
 
-    monkeypatch.setattr(evolution_curve, "central_folder", no_half_sum)
+    monkeypatch.setattr(evolution_curve, "curve_pair_sum_path", spy)
     s1, s2 = _rhs_curve_arrays(p, z2, curve.alpha, -2.0)
+    assert paths == [(False, False)]
     r1, r2 = all_offsets_curve_rhs(p + curve.alpha, z2, curve.alpha, -2.0)
     scale = max(np.max(np.abs(r1)), np.max(np.abs(r2)))
     assert max(np.max(np.abs(s1 - r1)), np.max(np.abs(s2 - r2))) <= 1e-12 * scale

@@ -165,7 +165,8 @@ def assert_quarter_sum_matches_all_offsets(h, quadrature, cell):
                                               ("taylor_cell", "printed")])
 @given(m=grids, coeffs=modes, anti=st.booleans())
 # m = 200: the last block of offset rows is partial and holds r = m/2; m = 66:
-# the row r = m/2 is a block of its own
+# m/2 is odd, so the last block pairs the row r = m/2 with the row m/2 + 1,
+# which counts zero
 @example(m=200, coeffs=[(0.3, -0.2), (0.1, 0.2), (-0.05, 0.1)], anti=False)
 @example(m=66, coeffs=[(0.0, 0.3), (0.2, 0.0)], anti=False)
 # antiperiodic heights, m/2 even and odd: the full sum, still exactly antiperiodic
@@ -297,17 +298,20 @@ def test_node_shifted_graph_state_takes_the_full_sum(monkeypatch, quadrature):
     rhs, delta = _rhs_arrays(h, p), sc.delta_spectral(sc.GraphInterface(h=h))
     shifted = np.roll(h, 1)
     assert np.array_equal(shifted[m // 2 :], -shifted[: m // 2])
-    assert not kernels.pair_sum_path(shifted)
+    # the path each sum chooses sets the width of all its rows
+    paths = []
 
-    def no_quarter_sum(*args, **kwargs):
-        raise AssertionError("the quarter sum was taken")
+    def spy(heights):
+        paths.append(kernels.pair_sum_path(heights))
+        return paths[-1]
 
-    monkeypatch.setattr(evolution_graph, "central_folder", no_quarter_sum)
-    monkeypatch.setattr(diagnostics, "central_pair_rows", no_quarter_sum)
+    monkeypatch.setattr(evolution_graph, "pair_sum_path", spy)
+    monkeypatch.setattr(diagnostics, "pair_sum_path", spy)
     rhs_shifted = _rhs_arrays(shifted, p)
     assert np.max(np.abs(rhs_shifted - np.roll(rhs, 1))) <= 1e-13 * np.max(np.abs(rhs))
     delta_shifted = sc.delta_spectral(sc.GraphInterface(h=shifted))
     assert abs(delta_shifted - delta) <= 1e-14 * delta
+    assert paths == [False, False]
 
 
 def out_of_place_rhs(h, params):
@@ -329,18 +333,20 @@ def out_of_place_rhs(h, params):
     else:
         weights = _taylor_cell_weights(m)
         acc = 2.0 * _cell_correction_values(h, dh, d, params.singular_cell_variant)
-    partners = kernels.partner_rows(h, dh)
-    fold = kernels.block_folder(m)
-    # the blocks of offset rows of the production sum on this path
-    for r, *_ in _block_constants(m, params.quadrature, False):
+    # the rows of all m columns, and the blocks of offset rows of the
+    # production sum on this path
+    rows, fold = kernels.central_pair_rows(h, dh, width=m), kernels.central_folder(m, m)
+    for r, *_ in _block_constants(m, params.quadrature, m):
         x1 = r * d
-        hb, dhb = partners(r)
-        lg, a_ss, a_sn = stokeslet_terms(x1[:, None], h - hb)
+        (ha, dha), (hb, dhb) = rows(r)
+        lg, a_ss, a_sn = stokeslet_terms(x1.reshape(-1, 2, 1), ha - hb)
         if spectral:
-            lg += (omega[r] / d - np.log(4.0 * np.sin(0.5 * x1) ** 2))[:, None]
-        dd = dh * dhb
-        pair = weights[r][:, None] * (lg * (1.0 + dd) + a_ss * (dd - 1.0) + a_sn * (dh + dhb))
-        acc += fold(hb * pair, h * pair, r)
+            lg += (omega[r] / d - np.log(4.0 * np.sin(0.5 * x1) ** 2)).reshape(-1, 2, 1)
+        dd = dha * dhb
+        pair = weights[r].reshape(-1, 2, 1) * (lg * (1.0 + dd) + a_ss * (dd - 1.0)
+                                               + a_sn * (dha + dhb))
+        kernels.stabilizer_weights(pair, r, m)
+        acc += fold(hb * pair, ha * pair, r, -1.0)
     return params.sign_factor * acc + params.viscosity * second_diff(h, d)
 
 
@@ -419,9 +425,11 @@ def cached_constants():
         "kernels._grid_row_tables": [(m,)],
         "evolution_graph._log_circulant": [(m,)],
         "evolution_graph._taylor_cell_weights": [(m,)],
-        "evolution_graph._block_constants": [(m, q, quarter) for q in evolution_graph.QUADRATURES
-                                             for quarter in (False, True)],
-        "diagnostics._kernel_blocks": [(m, False), (m, True)],
+        "evolution_graph._block_constants": [(m, q, width) for q in evolution_graph.QUADRATURES
+                                             for width in (m // 4 + 1, m)],
+        "diagnostics._kernel_blocks": [(m, m // 4 + 1), (m, m)],
+        "turning._family_without_b": [(sc.TurningFamilyParams(b=1.0, variant=v), m)
+                                      for v in ("basic", "even_symmetric")],
         "diagnostics._kpair_origin": [(m,)],
     }
     found = {}
@@ -478,15 +486,15 @@ def test_interleaved_grids_give_the_results_of_fresh_calls():
     assert all(np.array_equal(*bits(a, b)) for a, b in zip(fresh, interleaved))
 
 
-# traced peak of one RHS call at m = 4096, set 20 % above the peaks once
-# measured in a fresh process with 32-row blocks (7.6 and 8.9 MiB for the
-# graph and curve full sums, NumPy 2.4 on x86-64) and, for the sums over
-# pair centres, about 1.2 times their peaks with the 64-row (quarter) and
-# 32-row (curve central) blocks they take at m >= 1024 (3.44, 4.12 and
-# 4.49 MiB): the one block workspace of each sum (5.0, 6.0, 2.5, 3.0 and
-# 3.0 MiB) made twice, or made anew per block while the last is still held,
-# exceeds them
-PEAK_MIB = {"graph": 9.1, "graph-quarter": 4.1, "curve": 10.6, "curve-central": 4.9,
+# traced peak of one RHS call at m = 4096, MiB. Measured in a fresh process
+# (NumPy 2.4 on x86-64): 4.26 and 4.92 for the graph and curve full sums
+# (16-row blocks), 3.44, 4.12 and 4.20 for the graph quarter, curve central
+# half and curve quarter sums (64-, 32- and 64-row blocks). The bounds are
+# about 1.5 times the full sums' peaks and 1.2 to 1.3 times the others',
+# each below its peak plus the sum's one block workspace (2.5, 3.0, 2.5,
+# 3.0 and 3.0 MiB), so that the workspace made twice, or made anew per
+# block while the last is still held, exceeds them
+PEAK_MIB = {"graph": 6.4, "graph-quarter": 4.1, "curve": 7.4, "curve-central": 4.9,
             "curve-quarter": 5.4}
 
 

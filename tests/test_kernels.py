@@ -359,8 +359,9 @@ def test_clausen2_matches_mpmath_on_cell_widths(m):
 
 @pytest.mark.parametrize("m", [8, 12, 200, 204, 512, 2048, 8192])
 def test_central_block_rows_are_even_and_within_the_grid(m):
-    # the rows of the quarter and the central half sum, sized by their width
-    for width in (m // 4 + 1, m // 2 + 1):
+    # the rows of the quarter, the central half and the full sum, sized by
+    # their width
+    for width, fixed in ((m // 4 + 1, 64), (m // 2 + 1, 32), (m, 16)):
         rows = kernels.central_block_rows(m, width)
         assert rows % 2 == 0 and 2 <= rows <= m // 2
         # about _BLOCK_ELEMENTS elements per workspace array up to m = 1024,
@@ -369,42 +370,33 @@ def test_central_block_rows_are_even_and_within_the_grid(m):
         elements = kernels._BLOCK_ELEMENTS * max(1, m / 1024)
         assert rows == m // 2 or abs(rows * width - elements) <= width
         if m >= 1024:
-            assert rows == (64 if width == m // 4 + 1 else 32)
+            assert rows == fixed
 
 
-def expected_rows(reader, x, r, m):
-    """x at the nodes ``partner_rows`` or ``central_pair_rows`` reads for the offsets r."""
-    if reader == "partner":
-        return x[(np.arange(m) - r[:, None]) % m]
-    # centre c of the rows r = 2s + 1, 2s + 2: near node c + s + 1, far node
-    # c + s + 1 - r
+def expected_rows(x, r, m, width):
+    """x at the near and far nodes ``central_pair_rows`` reads for the offsets r."""
+    # column k of the rows r = 2s + 1, 2s + 2: near node k on the full
+    # layout (width m) and k + s + 1 on the pair centres, far node near - r
     r = r.reshape(-1, 2)
-    near = np.arange(m // 4 + 1) + (r[:, :1, None] + 1) // 2
+    near = np.arange(width) + int(width != m) * ((r[:, :1, None] + 1) // 2)
     return x[near % m], x[(near - r[..., None]) % m]
 
 
-@pytest.mark.parametrize("reader", ["partner", "central"])
-def test_reader_keeps_its_rows_after_another_is_built(rng, reader):
+@pytest.mark.parametrize("layout", ["full", "central", "quarter"])
+def test_reader_keeps_its_rows_after_another_is_built(rng, layout):
     # each reader holds a buffer of its own, so a second reader of the same
     # grid and width leaves the rows of the first as they were
     m = 64
+    width = {"full": m, "central": m // 2 + 1, "quarter": m // 4 + 1}[layout]
     xs, ys = rng.normal(size=(2, 2, m))
-    if reader == "partner":
-        blocks = list(kernels.offset_blocks(m, 0, 8))
-        first, second = (kernels.partner_rows(*z) for z in (xs, ys))
-    else:
-        blocks = list(kernels.offset_blocks(m, 1, 8))
-        first, second = (kernels.central_pair_rows(*z, centres=m // 4 + 1) for z in (xs, ys))
-    for r in blocks:
+    first, second = (kernels.central_pair_rows(*z, width=width) for z in (xs, ys))
+    for r in kernels.offset_blocks(m, 8):
         for rows, z in ((first, xs), (second, ys)):
             got = rows(r)
             for k, x in enumerate(z):
-                want = expected_rows(reader, x, r, m)
-                if reader == "partner":
-                    assert np.array_equal(got[k], want)
-                else:
-                    assert np.array_equal(got[0][k], want[0]) and np.array_equal(got[1][k], want[1])
-                    assert not (got[0].flags.writeable or got[1].flags.writeable)
+                want = expected_rows(x, r, m, width)
+                assert np.array_equal(got[0][k], want[0]) and np.array_equal(got[1][k], want[1])
+                assert not (got[0].flags.writeable or got[1].flags.writeable)
 
 
 def test_expansion_tables_are_correctly_rounded():
