@@ -15,7 +15,6 @@ from typing import List, Optional
 
 from .diagnostics import WIENER_EXPONENT_MAX, DiagnosticsOptions
 from .evolution_graph import SchemeParams
-from .geometry import check_grid_size
 from .integrators import IntegratorParams, _prepare_samples
 from .turning import TurningFamilyParams
 
@@ -102,7 +101,7 @@ class RunConfig:
         if (self.sample_times is None) == (self.sample_dt is None):
             raise ConfigError("exactly one of sample_times / sample_dt is required")
         try:
-            check_grid_size(self.m)
+            # the grid rule is the scheme's: ``SchemeParams`` applies it first
             self.scheme_params()
             _prepare_samples(0.0, self.integrator, self.resolved_sample_times())
         except ValueError as exc:

@@ -12,11 +12,11 @@ the squared L2 norm of (-Delta)^{-1} d1 rho written through the measure form
 of grad rho. ``delta_spectral`` evaluates it as a pair sum over the grid
 offsets, in the one row layout of ``kernels.central_pair_rows``: all m
 columns of every offset row, or m/4 + 1 pair centres on heights that are
-exactly odd and antiperiodic (the full and quarter sums). A run integrated
-with a different
-density jump is the same flow with time rescaled; ``delta_rate`` applies
-that exact factor so the stored dissipation matches dE/dt in the run's own
-time units (sign_factor = (rho^- - rho^+)/(8 pi), so the factor is
+exactly odd and antiperiodic (the full and quarter sums, chosen by
+``geometry.exact_symmetries``). A run integrated with a different density
+jump is the same flow with time rescaled; ``delta_rate`` applies that
+exact factor so the stored dissipation matches dE/dt in the run's own time
+units (sign_factor = (rho^- - rho^+)/(8 pi), so the factor is
 -4 pi * sign_factor).
 
 Finger counting follows the flat/steep decomposition: I_mu collects the
@@ -41,6 +41,7 @@ from .geometry import (
     central_diff,
     curve_derivatives,
     curvature,
+    exact_symmetries,
     graph_to_curve,
     height_extremes,
     min_slope_x1,
@@ -50,14 +51,13 @@ from .geometry import (
 )
 from .integrators import Trajectory
 from .kernels import (
-    bilaplacian_pair_kernel_offset_rows,
+    bilaplacian_pair_kernel_exact,
     block_workspace,
     central_block_rows,
     central_pair_rows,
     offset_blocks,
     offset_row_tables,
     pair_kernel_rows,
-    pair_sum_path,
     read_only,
     stabilizer_weights,
 )
@@ -90,17 +90,17 @@ def delta_spectral(interface: GraphInterface) -> float:
     On the uniform grid x1 depends only on the offset r = (i - j) mod m, and
     Kpair is even in x1 and depends on |x2| only, so offsets r and m - r
     contribute equally. The r = 0 row is Kpair(0, 0) sum_i h'_i^2, Kpair(0, 0)
-    taken once per m (``_kpair_origin``). The rows r = 1..m/2, each
+    evaluated once (``_kpair_origin``). The rows r = 1..m/2, each
     sum_i h'_i h'_{i-r} Kpair(r d, h_i - h_{i-r}), count twice (the r = m/2
     row holds each pair twice and counts half, ``stabilizer_weights``), in
     blocks of offset rows (``offset_blocks``) read through
     ``central_pair_rows``. x1 is fixed along a row, so
-    ``bilaplacian_pair_kernel_offset_rows`` evaluates Kpair in real
-    arithmetic from per-row tables built once per m, in place in one
-    workspace of a block's rows; memory is O(block * m).
+    ``kernels.pair_kernel_rows`` evaluates Kpair in real arithmetic from
+    per-row tables built once per m, in place in one workspace of a block's
+    rows; memory is O(block * m).
 
     The sum takes one of two paths, chosen as the graph right-hand side
-    chooses its own (``kernels.pair_sum_path``), in one block loop whose
+    chooses its own (``geometry.exact_symmetries``), in one block loop whose
     rows' width sets the path. Heights that are exactly odd,
     h(-alpha) = -h(alpha), and exactly antiperiodic,
     h(alpha + pi) = -h(alpha), as every record of a run projected onto both
@@ -121,14 +121,13 @@ def delta_spectral(interface: GraphInterface) -> float:
     m = interface.m
     d = interface.spacing
     hp = central_diff(h, d)
-    quarter = pair_sum_path(h)
     # the orbit of a held pair: itself and its offset m - r, and on the
     # quarter sum also its images by the mirror and the shift
-    width, orbit = (m // 4 + 1, 8.0) if quarter else (m, 2.0)
+    width, orbit = (m // 4 + 1, 8.0) if all(exact_symmetries(None, h)) else (m, 2.0)
     rows = central_pair_rows(h, hp, width=width)
     # the kernel of a block is computed in place in one workspace for all blocks
     work = block_workspace(4, width, central_block_rows(m, width))
-    total = float(_kpair_origin(m) * (hp @ hp))
+    total = float(_kpair_origin() * (hp @ hp))
     for r, tables in _kernel_blocks(m, width):
         (ha, hpa), (hb, hpb) = rows(r)
         block = work[:, : r.size // 2]
@@ -161,10 +160,14 @@ def _kernel_blocks(m: int, width: int):
     return tuple(out)
 
 
-@lru_cache(maxsize=8)
-def _kpair_origin(m: int) -> np.float64:
-    """Kpair(0, 0) from the row tables of an m-node grid, evaluated once per m."""
-    return bilaplacian_pair_kernel_offset_rows(m, np.zeros(1, dtype=int), np.zeros((1, 1)))[0, 0]
+@lru_cache(maxsize=1)
+def _kpair_origin() -> np.float64:
+    """Kpair(0, 0), evaluated once, by the first ``delta``.
+
+    The same value on every grid, from the row tables as the sum's other
+    rows are; zeta(3)/(4pi) in closed form rounds 3 ulp lower.
+    """
+    return bilaplacian_pair_kernel_exact(0.0, 0.0)
 
 
 def delta_rate(interface: GraphInterface, sign_factor: float) -> float:

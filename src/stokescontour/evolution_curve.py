@@ -28,11 +28,14 @@ z1(alpha + pi) = z1(alpha) + pi, z2(alpha + pi) = -z2(alpha), reads
 p[j + m/2] = p[j], z2[j + m/2] = -z2[j]. Rounding commutes with these maps,
 so a projected state, every DOPRI5 stage built from it and the velocity
 below keep them bit for bit. The sum takes one of three paths, chosen by
-the exact O(m) test ``kernels.curve_pair_sum_path`` on (p, z2). All three
-run one block loop: it reads the rows through ``kernels.central_pair_rows``,
-weights the pair terms by their orbits (``kernels.stabilizer_weights``)
-and totals them with ``kernels.central_folder``, and the width of the rows
-sets the path:
+the exact O(m) test ``geometry.exact_symmetries`` on (p, z2): given the
+central symmetry, the even one holds exactly if and only if the
+half-period one does. All three run one block loop: it reads the rows
+through ``kernels.central_pair_rows``, weights the pair terms by their
+orbits (``kernels.stabilizer_weights``), totals them with
+``kernels.central_folder`` and writes the nodes a symmetric sum did not
+total with ``kernels.central_unfold``; the width of the rows sets the
+path:
 
 - on exactly odd p and z2 the velocity is odd, and the pair of nodes
   (-i, -j) carries the negated terms of (i, j). The central half sum
@@ -73,6 +76,7 @@ from .geometry import (
     ParamCurve,
     central_diff,
     curve_derivatives,
+    exact_symmetries,
     symmetry_projection,
 )
 from .integrators import BlowupError, IntegratorParams, Trajectory, integrate
@@ -82,8 +86,8 @@ from .kernels import (
     central_block_rows,
     central_folder,
     central_pair_rows,
+    central_unfold,
     clausen2,
-    curve_pair_sum_path,
     offset_blocks,
     stabilizer_weights,
     stokeslet_terms_into,
@@ -108,37 +112,40 @@ def _rhs_curve_arrays(p: np.ndarray, z2: np.ndarray, alpha: np.ndarray, delta_rh
     d = TWO_PI / m
     dz1 = 1.0 + central_diff(p, d)
     dz2 = central_diff(z2, d)
-    speed2 = dz1 * dz1 + dz2 * dz2
 
     # integrand vector zdot_perp * z2 at the source nodes
     v1 = -dz2 * z2
     v2 = dz1 * z2
 
+    # the Stokeslet is even, so the offsets r and m - r share one evaluation:
+    # on an exactly odd state one pair of each mirror orbit, folded onto the
+    # nodes 0..m/2; with the even symmetry too one pair of each orbit of the
+    # mirror and the half-period shift, folded onto the nodes 0..m/4; on any
+    # other state every pair, folded onto every node
+    central, even = exact_symmetries(p, z2)
+    width = m // 4 + 1 if central and even else m // 2 + 1 if central else m
+
     # two half panels of int_0^{d/2} log(4 sin^2(s/2)) ds = -2 Cl2(d/2)
     cell = -4.0 * clausen2(0.5 * d)
 
-    # r = 0: diagonal limits; the log singular factor contributes the frozen
-    # half-panel cell, the smooth remainder its limit log |zdot|^2, and the
-    # rational matrix term its one-sided Taylor limit.
+    # r = 0, on the nodes the sum totals: diagonal limits; the log singular
+    # factor contributes the frozen half-panel cell, the smooth remainder its
+    # limit log |zdot|^2, and the rational matrix term its one-sided Taylor
+    # limit.
+    dz1w, dz2w, v1w, v2w = dz1[:width], dz2[:width], v1[:width], v2[:width]
+    speed2 = dz1w * dz1w + dz2w * dz2w
     g0 = np.log(speed2)
-    a_ss0 = 2.0 * dz2 * dz2 / speed2
-    a_sn0 = 2.0 * dz2 * dz1 / speed2
-    u1 = d * (g0 * v1 + a_ss0 * v1 - a_sn0 * v2) + cell * v1
-    u2 = d * (g0 * v2 - a_sn0 * v1 - a_ss0 * v2) + cell * v2
+    a_ss0 = 2.0 * dz2w * dz2w / speed2
+    a_sn0 = 2.0 * dz2w * dz1w / speed2
+    u1 = d * (g0 * v1w + a_ss0 * v1w - a_sn0 * v2w) + cell * v1w
+    u2 = d * (g0 * v2w - a_sn0 * v1w - a_ss0 * v2w) + cell * v2w
 
     # sin and cos of z1/2 per node: the sines of every pair by angle
     # subtraction; the kernel is 2pi-periodic in x1, so the winding of z1
-    # across the seam is immaterial here
+    # across the seam is immaterial here. The block terms are computed in
+    # place in one workspace for all blocks
     z1 = p + alpha
     xs = (z2, v1, v2, np.sin(0.5 * z1), np.cos(0.5 * z1))
-    central, quarter = curve_pair_sum_path(p, z2)
-    # the Stokeslet is even, so the offsets r and m - r share one evaluation:
-    # one pair of each mirror orbit, folded onto the nodes 0..m/2; on the
-    # quarter sum one pair of each orbit of the mirror and the half-period
-    # shift, folded onto the nodes 0..m/4; on any other state every pair,
-    # folded onto every node. The block terms are computed in place in one
-    # workspace for all blocks
-    width = m // 4 + 1 if quarter else m // 2 + 1 if central else m
     rows, fold = central_pair_rows(*xs, width=width), central_folder(m, width)
     block = central_block_rows(m, width)
     work = block_workspace(6, width, block)
@@ -169,21 +176,14 @@ def _rhs_curve_arrays(p: np.ndarray, z2: np.ndarray, alpha: np.ndarray, delta_rh
             far = np.multiply(s, va, out=a_ss)
             far -= np.multiply(a_sn, wa, out=x2)
             acc += fold(near, far, r, sign)
-    u1[:width] += d * acc1
-    u2[:width] += d * acc2
+    u1 += d * acc1
+    u2 += d * acc2
 
     u1 *= delta_rho * ONE_OVER_8PI
     u2 *= delta_rho * ONE_OVER_8PI
-    half, q = m // 2, m // 4
-    if quarter:
-        # the reflection n -> m/2 - n, under which u1 is odd and u2 even:
-        # nodes m/4 + 1..m/2 repeat m/4 - 1..0
-        u1[q + 1 : half + 1] = -u1[q - 1 :: -1]
-        u2[q + 1 : half + 1] = u2[q - 1 :: -1]
-    if central:
-        # the velocity is odd: nodes m/2 + 1.. mirror 1..m/2 - 1
-        for u in (u1, u2):
-            u[half + 1 :] = -u[half - 1 : 0 : -1]
+    # the velocity is odd, and under the reflection n -> m/2 - n u1 is odd
+    # and u2 even
+    u1, u2 = central_unfold(u1, m, -1.0), central_unfold(u2, m, 1.0)
     if not (np.all(np.isfinite(u1)) and np.all(np.isfinite(u2))):
         bad = ~(np.isfinite(u1) & np.isfinite(u2))
         raise BlowupError(int(np.flatnonzero(bad)[0]))

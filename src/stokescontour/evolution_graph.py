@@ -42,7 +42,7 @@ orbits (``kernels.stabilizer_weights``) and totals them with
 ``kernels.central_folder``; the width of the rows sets the path.
 
 The sum takes one of two paths, chosen by the exact O(m) test
-``kernels.pair_sum_path`` of the heights. Heights that are exactly odd,
+``geometry.exact_symmetries`` of the heights. Heights that are exactly odd,
 h(-alpha) = -h(alpha), and exactly antiperiodic, h(alpha + pi) = -h(alpha)
 (the central and even symmetries together), as every state of a run
 projected onto both symmetries is, take the quarter sum: the pairs (i, j),
@@ -50,12 +50,12 @@ projected onto both symmetries is, take the quarter sum: the pairs (i, j),
 up to sign, so one pair of each such orbit is evaluated, indexed by its
 centre 0..m/4 in every offset row (width m/4 + 1): m/2 * (m/4 + 1) pairs.
 The nodes 0..m/4 are totalled and the others written by the two
-reflections. The result agrees with the full sum to roundoff (not bitwise)
-and is exactly odd and antiperiodic, so every stage of such a run takes
-this path again. Any other state takes the full sum over all m/2 * m
-pairs (width m), on which every node accumulates its terms in the same
-order, so shifting the state by one grid node shifts the right-hand side
-by exactly one node, bitwise.
+reflections (``kernels.central_unfold``). The result agrees with the full
+sum to roundoff (not bitwise) and is exactly odd and antiperiodic, so
+every stage of such a run takes this path again. Any other state takes
+the full sum over all m/2 * m pairs (width m), on which every node
+accumulates its terms in the same order, so shifting the state by one
+grid node shifts the right-hand side by exactly one node, bitwise.
 
 ``evolve`` supplies only the right-hand side, the symmetry projection (the
 z2 half of ``geometry.symmetry_projection``) and the per-sample record;
@@ -75,6 +75,8 @@ from .geometry import (
     GraphInterface,
     TWO_PI,
     central_diff,
+    check_grid_size,
+    exact_symmetries,
     graph_to_curve,
     second_diff,
     symmetry_projection,
@@ -85,9 +87,9 @@ from .kernels import (
     central_block_rows,
     central_folder,
     central_pair_rows,
+    central_unfold,
     clausen2,
     offset_blocks,
-    pair_sum_path,
     read_only,
     stabilizer_weights,
     stokeslet_terms_into,
@@ -110,7 +112,8 @@ class SchemeParams:
     """Physical and discretization constants of the graph scheme.
 
     ``sign_factor`` is (rho^- - rho^+)/(8 pi); negative means the denser
-    fluid sits on top (Rayleigh-Taylor unstable).
+    fluid sits on top (Rayleigh-Taylor unstable). ``m`` is under the grid
+    rule of every interface, ``geometry.check_grid_size``.
     """
 
     sign_factor: float
@@ -120,6 +123,7 @@ class SchemeParams:
     singular_cell_variant: str = "halfangle"
 
     def __post_init__(self):
+        check_grid_size(self.m)
         if self.sign_factor == 0.0:
             raise ValueError("sign_factor must be nonzero")
         if self.viscosity < 0.0:
@@ -212,8 +216,7 @@ def _rhs_arrays(h: np.ndarray, params: SchemeParams) -> np.ndarray:
     # antiperiodic, h(alpha + pi) = -h(alpha), one pair of each orbit of both
     # symmetries, summed onto the nodes 0..m/4; on any other heights every
     # pair, summed onto every node
-    quarter = pair_sum_path(h)
-    width = m // 4 + 1 if quarter else m
+    width = m // 4 + 1 if all(exact_symmetries(None, h)) else m
     hw, dhw = h[:width], dh[:width]
 
     if spectral:
@@ -249,12 +252,9 @@ def _rhs_arrays(h: np.ndarray, params: SchemeParams) -> np.ndarray:
         # the half-period shift negates the terms (read on the quarter sum)
         acc += fold(np.multiply(hb, pair, out=x2), np.multiply(ha, pair, out=a_ss), r, -1.0)
 
-    rhs = params.sign_factor * acc + params.viscosity * second_diff(h, d)[: acc.size]
-    if quarter:
-        # exactly odd and antiperiodic: nodes m/4 + 1..m/2 repeat m/4 - 1..0,
-        # nodes m/2 + 1.. negate 1..m/2 - 1
-        rhs = np.concatenate([rhs, rhs[-2::-1]])
-        rhs = np.concatenate([rhs, -rhs[1:-1]])
+    rhs = params.sign_factor * acc + params.viscosity * second_diff(h, d)[:width]
+    # exactly odd and antiperiodic, so even under n -> m/2 - n
+    rhs = central_unfold(rhs, m, 1.0)
     if not np.all(np.isfinite(rhs)):
         raise BlowupError(int(np.flatnonzero(~np.isfinite(rhs))[0]))
     return rhs

@@ -12,7 +12,8 @@ and extrema are node-wise (no sub-grid interpolation).
 The curve conventions live here alone: the grid rule ``check_grid_size``, the
 winding-aware tangent ``curve_derivatives`` and the table of the two
 symmetries the flow conserves, from which ``carried_symmetries`` decides what
-every run enforces and ``verify`` checks.
+every run enforces and ``verify`` checks, and ``exact_symmetries`` which path
+every pair sum takes.
 
 A ``ParamCurve`` is validated on construction: no two nodes may coincide in
 (z1 mod 2pi, z2), checked on the nodes sorted by z1 mod 2pi in O(m log m)
@@ -335,19 +336,20 @@ def symmetry_errors(curve: ParamCurve, p=None):
     )
 
 
-def centrally_symmetric(p, z2) -> bool:
-    """Whether p = z1 - alpha and z2 are exactly odd on the grid, x(-alpha) = -x(alpha).
+def exact_symmetries(p, z2):
+    """(central, even): whether the state has each symmetry exactly on the grid.
 
-    The central row of ``_reflections`` with zero error on the remainder p,
-    so the test reads the state a curve run integrates; with p None, only
-    its z2 half, h(-alpha) = -h(alpha) for the heights z2 of a graph. A pair
-    sum over such a curve, or over such heights that are also antiperiodic,
-    reads one pair of each mirror orbit (``kernels.curve_pair_sum_path``,
-    ``kernels.pair_sum_path``). O(m), exact.
+    The rows of ``_reflections`` with zero error on the remainder p = z1 -
+    alpha, so the test reads the state a curve run integrates; with p None,
+    only their z2 halves, for the heights z2 of a graph. Given the central
+    symmetry, the even one holds exactly if and only if the half-period one
+    does (for a graph, h(alpha + pi) = -h(alpha)): the maps are exact. The
+    one test behind the path of every pair sum (``kernels.central_pair_rows``).
+    O(m), exact.
     """
-    k, sign = _reflections(z2.size)[0]
-    return bool((p is None or np.array_equal(p[k], -p))
-                and np.array_equal(z2[k], sign * z2))
+    return tuple(bool((p is None or np.array_equal(p[k], -p))
+                      and np.array_equal(z2[k], sign * z2))
+                 for k, sign in _reflections(z2.size))
 
 
 def carried_symmetries(curve: ParamCurve):

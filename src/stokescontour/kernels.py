@@ -46,26 +46,30 @@ offsets 2s + 1 and 2s + 2 side by side, shape (n, 2, width)
 
 - m columns, the full sum: column i of row r holds the pair (i, i - r);
 - m/2 + 1 pair centres, the central half sum, on a curve whose remainder
-  p = z1 - alpha and height z2 are exactly odd
-  (``geometry.centrally_symmetric``): the mirror (-i, r - i) of the pair
-  (i, i - r) lies in the same offset row with its terms negated, so a row
-  indexed by the pair centre holds one pair of each mirror orbit, folded
-  onto the nodes alpha in [-pi, 0];
-- m/4 + 1 pair centres, the quarter sum, on a state with the shift by m/2
-  as a second exact symmetry: graph heights that are odd and antiperiodic,
-  h(alpha + pi) = -h(alpha), as every state of a graph run projected onto
-  both symmetries is, and curves that are odd and half-period symmetric,
-  p(alpha + pi) = p(alpha), z2(alpha + pi) = -z2(alpha), as every state of
-  a run of the even turning family is. The terms fold onto the nodes
-  0..m/4 through their four images, the folder taking the sign the shift
-  gives them (-1 for the graph and the curve's u2, +1 for its u1).
+  p = z1 - alpha and height z2 are exactly odd: the mirror (-i, r - i) of
+  the pair (i, i - r) lies in the same offset row with its terms negated,
+  so a row indexed by the pair centre holds one pair of each mirror orbit,
+  folded onto the nodes alpha in [-pi, 0];
+- m/4 + 1 pair centres, the quarter sum, on a state that also has the
+  even symmetry exactly, and with it the shift by m/2: graph heights that
+  are odd and antiperiodic, h(alpha + pi) = -h(alpha), as every state of a
+  graph run projected onto both symmetries is, and curves that are odd and
+  half-period symmetric, p(alpha + pi) = p(alpha),
+  z2(alpha + pi) = -z2(alpha), as every state of a run of the even turning
+  family is. The terms fold onto the nodes 0..m/4 through their four
+  images, the folder taking the sign the shift gives them (-1 for the
+  graph and the curve's u2, +1 for its u1).
 
 The folder only folds: each sum weights its pair terms by their orbits
 first (``stabilizer_weights``), so the r = m/2 row, which holds each of its
-pairs twice, counts half on every path. The graph right-hand side and
-``delta`` take the full or the quarter sum, both chosen by
-``pair_sum_path``; the curve right-hand side takes the full, the central
-half or the quarter sum, chosen by ``curve_pair_sum_path``.
+pairs twice, counts half on every path, and ``central_unfold`` writes the
+nodes a symmetric sum did not total. Every sum reads its path from the one
+exact test ``geometry.exact_symmetries``: the graph right-hand side and
+``delta`` take the quarter sum when both symmetries hold and the full sum
+otherwise; the curve right-hand side takes the quarter sum when both hold,
+the central half sum when only the central one does, and otherwise the
+full sum. The grid rule (``geometry.check_grid_size``, m a multiple of 4)
+makes m/2 even, so the offsets 1..m/2 pair up without a pad row.
 
 Every path takes ``central_block_rows(m, width)`` offsets a block: as many
 as make about 16384 elements per workspace array up to m = 1024 and that
@@ -90,7 +94,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import TWO_PI, centrally_symmetric
+from .geometry import TWO_PI
 
 ONE_OVER_8PI = 1.0 / (8.0 * np.pi)
 ONE_OVER_4PI = 1.0 / (4.0 * np.pi)
@@ -158,10 +162,10 @@ def offset_blocks(m: int, rows: int):
 
     The pair kernels are even, so a pair sum over all offsets r != 0 folds
     onto these half offsets. Every block holds an even number of offsets,
-    as ``central_pair_rows`` pairs them: where m/2 is odd the last block
-    also holds r = m/2 + 1, which ``stabilizer_weights`` counts zero.
+    as ``central_pair_rows`` pairs them: m/2 is even by the grid rule
+    (``geometry.check_grid_size``).
     """
-    end = 2 * ((m + 2) // 4)
+    end = m // 2
     for r0 in range(1, end + 1, rows):
         yield np.arange(r0, min(r0 + rows, end + 1))
 
@@ -177,11 +181,11 @@ def central_block_rows(m: int, width: int) -> int:
     to m, so the rows stay those of that grid (64 for the quarter sums, 32
     for the central half sum, 16 for the full sums): fewer rows would make
     more blocks, each paying the fixed cost again. Even, as the reader
-    pairs the offsets 2s + 1 and 2s + 2; at least 2 and at most the offsets
-    of ``offset_blocks``, m/2 rounded up to even.
+    pairs the offsets 2s + 1 and 2s + 2; at least 2 and at most the m/2
+    offsets of ``offset_blocks``.
     """
     elements = _BLOCK_ELEMENTS * max(1.0, m / _ROWS_FIXED_FROM)
-    return 2 * min((m + 2) // 4, max(1, round(elements / (2 * width))))
+    return 2 * min(m // 4, max(1, round(elements / (2 * width))))
 
 
 def read_only(*arrays):
@@ -224,46 +228,6 @@ def block_workspace(count: int, width: int, rows: int):
     return np.empty((count, rows // 2, 2, width))
 
 
-def _antiperiodic(x) -> bool:
-    """Whether x(alpha + pi) = -x(alpha) holds exactly on the grid."""
-    half = x.size // 2
-    return np.array_equal(x[half:], -x[:half])
-
-
-def pair_sum_path(h) -> bool:
-    """Whether a pair sum over the graph heights h takes the quarter sum.
-
-    It does when m % 4 == 0 and the heights are exactly antiperiodic,
-    h(alpha + pi) = -h(alpha), and exactly odd, h(-alpha) = -h(alpha): the
-    sum then reads the pair centres 0..m/4 of ``central_pair_rows``
-    (``width`` m/4 + 1). Any other heights take the full sum (``width`` m).
-    Both the
-    graph right-hand side and ``delta`` choose their path here, so they
-    agree about every state. O(m), exact.
-    """
-    return h.size % 4 == 0 and _antiperiodic(h) and centrally_symmetric(None, h)
-
-
-def curve_pair_sum_path(p, z2):
-    """(central, quarter): how the curve pair sum over the state (p, z2) reads its rows.
-
-    p = z1 - alpha. ``central`` holds when p and z2 are exactly odd
-    (``geometry.centrally_symmetric``): the sum reads the pair centres
-    0..m/2 of ``central_pair_rows`` (``width`` m/2 + 1). ``quarter`` holds
-    when they also have the half-period symmetry exactly,
-    p(alpha + pi) = p(alpha) and z2(alpha + pi) = -z2(alpha), and
-    m % 4 == 0: the sum then reads the centres 0..m/4 (``width`` m/4 + 1)
-    and folds u1 with the shift sign +1, u2 with -1. Otherwise it takes
-    the full sum (``width`` m). The curve analogue of ``pair_sum_path``;
-    O(m), exact.
-    """
-    m = p.size
-    central = centrally_symmetric(p, z2)
-    quarter = (central and m % 4 == 0 and np.array_equal(p[m // 2 :], p[: m // 2])
-               and _antiperiodic(z2))
-    return central, quarter
-
-
 def central_pair_rows(*xs, width: int):
     """Reader of the paired offset rows of the arrays xs, for the blocks of one pair sum.
 
@@ -276,9 +240,9 @@ def central_pair_rows(*xs, width: int):
     near node in the rows 2s + 1 and 2s + 2. ``width`` sets the columns:
 
     - m: column i holds the pair (i, i - r), near node i;
-    - m/2 + 1: the pair centres k = 0..m/2 of a centrally symmetric curve
-      or graph. The pair (i, i - r) has its mirror (-i, r - i) in the same
-      row, so the centre k holds one pair of each mirror orbit:
+    - m/2 + 1: the pair centres k = 0..m/2 of a centrally symmetric curve.
+      The pair (i, i - r) has its mirror (-i, r - i) in the same row, so
+      the centre k holds one pair of each mirror orbit:
       (k + s + 1, k - s) for r = 2s + 1 and (k + s + 1, k - s - 1) for
       r = 2s + 2;
     - m/4 + 1: the centres k = 0..m/4 of graph heights that are also
@@ -291,7 +255,7 @@ def central_pair_rows(*xs, width: int):
     buffer outlives the sum.
     """
     m = xs[0].size
-    buf, shape = _twice(xs), (len(xs), (m + 2) // 4)
+    buf, shape = _twice(xs), (len(xs), m // 4)
     # the rows of s = 0, 1, .. (offsets 2s + 1, 2s + 2): near node
     # c (s + 1) + k, c = 0 on the full layout and 1 on the pair centres,
     # column c (s + 1) + k of the buffer, and far node that less 2s + 1 + p,
@@ -312,14 +276,12 @@ def stabilizer_weights(t, r, m: int):
     """Weight in place the terms t of one block of ``central_pair_rows`` by orbit size.
 
     ``t`` has the rows' shape (len(r)/2, 2, width). Every pair of the
-    r = m/2 row counts half, as that row holds each of its pairs twice;
-    where m/2 is odd, the row m/2 + 1 of ``offset_blocks`` repeats the row
-    m/2 - 1 and counts zero. On the pair centres (``width`` below m,
-    ``last`` = width - 1 being m/2, or m/4 with the half-period shift) a
-    held pair that is its own image also counts half: the centres 0 and
-    ``last`` of an even row. The centre ``last`` of an odd row repeats the
-    orbit of centre last - 1 and counts zero. Every pair sum weights its
-    terms so before it folds or adds them.
+    r = m/2 row counts half, as that row holds each of its pairs twice. On
+    the pair centres (``width`` below m, ``last`` = width - 1 being m/2, or
+    m/4 with the half-period shift) a held pair that is its own image also
+    counts half: the centres 0 and ``last`` of an even row. The centre
+    ``last`` of an odd row repeats the orbit of centre last - 1 and counts
+    zero. Every pair sum weights its terms so before it folds or adds them.
     """
     width = t.shape[-1]
     if width < m:
@@ -331,7 +293,6 @@ def stabilizer_weights(t, r, m: int):
     k = m // 2 - r[0]
     if k < r.size:
         t[k // 2, k % 2] *= 0.5
-        t[k // 2, k % 2 + 1 :] = 0.0
     return t
 
 
@@ -426,6 +387,29 @@ def central_folder(m: int, width: int):
         return total
 
     return fold
+
+
+def central_unfold(total, m: int, reflect_sign: float):
+    """All m nodes of a pair sum from its ``total`` on the nodes 0..width - 1.
+
+    The inverse of ``central_folder``, by the symmetries of the path its
+    width sets. On the quarter sums (m/4 + 1 nodes) the nodes m/4 + 1..m/2
+    repeat m/4 - 1..0 by the reflection n -> m/2 - n, times
+    ``reflect_sign``: +1 for the graph's h_t and the curve's u2, -1 for its
+    u1. Below m nodes the total is odd: the nodes m/2 + 1.. mirror
+    m/2 - 1..1, negated. A full sum's total is returned as it is. Values
+    are only copied and their signs changed, so exactly.
+    """
+    width = total.size
+    if width == m:
+        return total
+    half, quarter = m // 2, m // 4
+    out = np.empty(m)
+    out[:width] = total
+    if width == quarter + 1:
+        out[quarter + 1 : half + 1] = reflect_sign * total[quarter - 1 :: -1]
+    out[half + 1 :] = -out[half - 1 : 0 : -1]
+    return out
 
 
 def _regular_args(x1, x2):
@@ -657,8 +641,8 @@ def offset_row_tables(m: int, r):
     """The tables of ``_pair_kernel`` for the offset rows r (0..m/2, any shape) of an m-node grid.
 
     Shaped (*r.shape, 1), to broadcast against x2 of shape (*r.shape, width)
-    as ``bilaplacian_pair_kernel_offset_rows`` takes it. A pair sum takes
-    them once per block of its offsets and grid, not once per call.
+    in ``pair_kernel_rows``. A pair sum takes them once per block of its
+    offsets and grid, not once per call.
     """
     return _take(_grid_row_tables(m), np.asarray(r)[..., None])
 
@@ -710,17 +694,6 @@ def pair_kernel_rows(tables, x2, work=None):
     """
     a, s, u, v = np.empty((4, *np.shape(x2))) if work is None else work
     return _pair_kernel(tables, np.abs(x2, out=a), s, u, v)
-
-
-def bilaplacian_pair_kernel_offset_rows(m: int, r: np.ndarray, x2: np.ndarray, work=None):
-    """Kpair(r 2pi/m, x2) on an m-node grid, row k of x2 at the offset r[k].
-
-    The offsets r lie in 0..m/2; the tables are built once per m. x2 has
-    the shape of r with one more axis, the columns of a row: (n, 2, width)
-    for r of shape (n, 2) and the rows of ``central_pair_rows``. ``work`` is
-    that of ``pair_kernel_rows``.
-    """
-    return pair_kernel_rows(offset_row_tables(m, r), x2, work)
 
 
 def bilaplacian_pair_kernel_exact(x1, x2):

@@ -16,6 +16,7 @@ from stokescontour.diagnostics import (
     record_for_graph,
 )
 from stokescontour import kernels
+from stokescontour.geometry import exact_symmetries
 from stokescontour.kernels import bilaplacian_pair_kernel_exact
 
 from conftest import (
@@ -205,14 +206,14 @@ def test_delta_bitwise_equals_out_of_place_kernel(m, anti, coeffs):
         # antiperiodic but not odd: the full sum, as out_of_place_delta
         h = antiperiodic(h)
         assert np.array_equal(h[m // 2 :], -h[: m // 2])
-    assert not kernels.pair_sum_path(h)
+    assert not all(exact_symmetries(None, h))
     g = sc.GraphInterface(h=h)
     new, ref = bits(sc.delta_spectral(g), out_of_place_delta(g))
     assert np.array_equal(new, ref)
 
 
 def assert_quarter_sum_matches_full_sum(h):
-    assert kernels.pair_sum_path(h)
+    assert all(exact_symmetries(None, h))
     g = sc.GraphInterface(h=h)
     quarter, full = sc.delta_spectral(g), out_of_place_delta(g)
     assert abs(quarter - full) <= 1e-14 * full
@@ -247,7 +248,7 @@ def test_delta_is_a_python_float_on_every_path(symmetry):
     if symmetry is not None:
         h = symmetry(h)
     # the full sum (raw and antiperiodic heights) and the quarter sum
-    assert kernels.pair_sum_path(h) == (symmetry is doubly_symmetric)
+    assert all(exact_symmetries(None, h)) == (symmetry is doubly_symmetric)
     assert type(sc.delta_spectral(sc.GraphInterface(h=h))) is float
 
 
@@ -269,7 +270,7 @@ def test_delta_m4096_in_bounded_memory(heights):
     g = sc.GraphInterface(h=sc.preset_f2(4096))
     if heights == "doubly-symmetric":
         g = sc.GraphInterface(h=doubly_symmetric(g.h))
-    assert kernels.pair_sum_path(g.h) == (heights == "doubly-symmetric")
+    assert all(exact_symmetries(None, g.h)) == (heights == "doubly-symmetric")
     # the first evaluation at this m builds the per-offset kernel tables
     # (about 7 MiB); with them warm the bound is that of the sum alone
     sc.delta_spectral(g)

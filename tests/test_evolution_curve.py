@@ -12,8 +12,8 @@ from stokescontour.evolution_curve import _rhs_curve_arrays
 from stokescontour.geometry import (
     carried_symmetries,
     central_diff,
-    centrally_symmetric,
     curve_derivatives,
+    exact_symmetries,
     symmetry_projection,
 )
 from stokescontour.kernels import ONE_OVER_8PI, clausen2, stokeslet_terms
@@ -196,10 +196,9 @@ def assert_rhs_matches_all_offsets(p, z2, al, delta_rho):
     r1, r2 = all_offsets_curve_rhs(p + al, z2, al, delta_rho)
     scale = max(np.max(np.abs(r1)), np.max(np.abs(r2)))
     assert max(np.max(np.abs(u1 - r1)), np.max(np.abs(u2 - r2))) <= 1e-12 * scale
-    central, quarter = kernels.curve_pair_sum_path(p, z2)
-    assert central == centrally_symmetric(p, z2)
+    central, even = exact_symmetries(p, z2)
     if central:
-        assert_exactly_symmetric_velocity(u1, u2, quarter)
+        assert_exactly_symmetric_velocity(u1, u2, even)
 
 
 @given(m=grids, lift=modes, shear=modes, odd=st.booleans())
@@ -218,7 +217,7 @@ def test_blocked_curve_rhs_matches_all_offsets_sum(m, lift, shear, odd):
     p = z1 - al
     if odd:
         p, z2 = reflected_state(p, z2, even=False)
-        assert centrally_symmetric(p, z2)
+        assert exact_symmetries(p, z2)[0]
     assert_rhs_matches_all_offsets(p, z2, al, -2.0)
 
 
@@ -250,17 +249,17 @@ def test_half_sum_on_projected_turning_families(m, variant, b, fold):
     curve = sc.build_turning_family(sc.TurningFamilyParams(b=b, variant=variant), m)
     z1 = curve.z1 - fold * np.sin(curve.alpha)
     p, z2 = symmetry_projection(sc.ParamCurve(z1=z1, z2=curve.z2))(z1 - curve.alpha, curve.z2)
-    assert kernels.curve_pair_sum_path(p, z2) == (True, variant != "basic" and fold == 0.0)
+    assert exact_symmetries(p, z2) == (True, variant != "basic" and fold == 0.0)
     assert_rhs_matches_all_offsets(p, z2, curve.alpha, 1.0)
 
 
 def quarter_and_central_sums(p, z2, al):
     """The curve RHS on its quarter path and, forced, on the central half
     path, each concatenated (u1, u2)."""
-    assert kernels.curve_pair_sum_path(p, z2) == (True, True)
+    assert exact_symmetries(p, z2) == (True, True)
     quarter = np.concatenate(_rhs_curve_arrays(p, z2, al, -2.0))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(evolution_curve, "curve_pair_sum_path", lambda p, z2: (True, False))
+        mp.setattr(evolution_curve, "exact_symmetries", lambda p, z2: (True, False))
         central = np.concatenate(_rhs_curve_arrays(p, z2, al, -2.0))
     return quarter, central
 
@@ -307,7 +306,7 @@ def test_turning_run_states_stay_centrally_symmetric(monkeypatch, variant, b):
     rhs = evolution_curve._rhs_curve_arrays
 
     def spy(p, z2, alpha, delta_rho):
-        symmetric.append(centrally_symmetric(p, z2))
+        symmetric.append(exact_symmetries(p, z2)[0])
         return rhs(p, z2, alpha, delta_rho)
 
     monkeypatch.setattr(evolution_curve, "_rhs_curve_arrays", spy)
@@ -328,13 +327,13 @@ def test_turning_run_states_keep_their_sum_path(monkeypatch, case, path):
     # so every call takes the quarter sum; the basic family keeps the half
     # sum, and a curve with neither symmetry the full sum
     paths = []
-    choose = evolution_curve.curve_pair_sum_path
+    choose = evolution_curve.exact_symmetries
 
     def spy(p, z2):
         paths.append(choose(p, z2))
         return paths[-1]
 
-    monkeypatch.setattr(evolution_curve, "curve_pair_sum_path", spy)
+    monkeypatch.setattr(evolution_curve, "exact_symmetries", spy)
     if case == "asymmetric":
         z1, z2, _ = lifted_curve(256, LIFT, SHEAR)
         curve = sc.ParamCurve(z1=z1, z2=z2)
@@ -364,7 +363,7 @@ def test_rhs_curve_takes_the_symmetric_sum_on_sampled_states(monkeypatch, case, 
         traj = sc.evolve_curve(sc.CurveState(0.0, curve, delta_rho=1.0), ip,
                                [0.0, 0.001, 0.002, 0.003])
     assert not traj.failed
-    choose = evolution_curve.curve_pair_sum_path
+    choose = evolution_curve.exact_symmetries
     stored = [choose(s.curve.z1 - s.curve.alpha, s.curve.z2) for s in traj.states]
     assert (False, False) in stored
     paths = []
@@ -373,7 +372,7 @@ def test_rhs_curve_takes_the_symmetric_sum_on_sampled_states(monkeypatch, case, 
         paths.append(choose(p, z2))
         return paths[-1]
 
-    monkeypatch.setattr(evolution_curve, "curve_pair_sum_path", spy)
+    monkeypatch.setattr(evolution_curve, "exact_symmetries", spy)
     for state in traj.states:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
@@ -407,7 +406,8 @@ def out_of_place_curve_rhs(p, z2, alpha, delta_rho):
     u2 = d * (g0 * v2 - a_sn0 * v1 - a_ss0 * v2) + cell * v2
     z1 = p + alpha
     xs = (z2, v1, v2, np.sin(0.5 * z1), np.cos(0.5 * z1))
-    central, quarter = kernels.curve_pair_sum_path(p, z2)
+    central, even = exact_symmetries(p, z2)
+    quarter = central and even
     width = m // 4 + 1 if quarter else m // 2 + 1 if central else m
     rows, fold = kernels.central_pair_rows(*xs, width=width), kernels.central_folder(m, width)
     acc1 = np.zeros(width)
@@ -454,7 +454,7 @@ def turning_curve_state(m, variant, b, fold, project):
     p = z1 - alpha
     if project:
         p, z2 = symmetry_projection(sc.ParamCurve(z1=z1, z2=z2))(p, z2)
-        assert centrally_symmetric(p, z2)
+        assert exact_symmetries(p, z2)[0]
     return p, z2, alpha
 
 
@@ -491,16 +491,16 @@ def test_asymmetric_curve_takes_the_full_sum(monkeypatch, change):
         # symmetric but for the seam node alpha = -pi, moved along the curve
         p = p.copy()
         p[0] += 1e-3
-    assert not centrally_symmetric(p, z2)
+    assert not exact_symmetries(p, z2)[0]
     # the path the sum chooses sets the width of all its rows
     paths = []
-    choose = evolution_curve.curve_pair_sum_path
+    choose = evolution_curve.exact_symmetries
 
     def spy(p, z2):
         paths.append(choose(p, z2))
         return paths[-1]
 
-    monkeypatch.setattr(evolution_curve, "curve_pair_sum_path", spy)
+    monkeypatch.setattr(evolution_curve, "exact_symmetries", spy)
     s1, s2 = _rhs_curve_arrays(p, z2, curve.alpha, -2.0)
     assert paths == [(False, False)]
     r1, r2 = all_offsets_curve_rhs(p + curve.alpha, z2, curve.alpha, -2.0)

@@ -19,6 +19,7 @@ from stokescontour import kernels
 from stokescontour.evolution_curve import _rhs_curve_arrays
 from stokescontour.geometry import (
     central_diff,
+    exact_symmetries,
     graph_to_curve,
     second_diff,
     symmetry_projection,
@@ -164,14 +165,10 @@ def assert_quarter_sum_matches_all_offsets(h, quadrature, cell):
                                               ("taylor_cell", "halfangle"),
                                               ("taylor_cell", "printed")])
 @given(m=grids, coeffs=modes, anti=st.booleans())
-# m = 200: the last block of offset rows is partial and holds r = m/2; m = 66:
-# m/2 is odd, so the last block pairs the row r = m/2 with the row m/2 + 1,
-# which counts zero
+# m = 200: the last block of offset rows is partial and holds r = m/2
 @example(m=200, coeffs=[(0.3, -0.2), (0.1, 0.2), (-0.05, 0.1)], anti=False)
-@example(m=66, coeffs=[(0.0, 0.3), (0.2, 0.0)], anti=False)
-# antiperiodic heights, m/2 even and odd: the full sum, still exactly antiperiodic
+# antiperiodic heights: the full sum, still exactly antiperiodic
 @example(m=200, coeffs=[(0.3, -0.2), (0.1, 0.2), (-0.05, 0.1)], anti=True)
-@example(m=66, coeffs=[(0.0, 0.3), (0.2, 0.0)], anti=True)
 @settings(max_examples=10, deadline=None)
 def test_blocked_rhs_matches_all_offsets_sum(quadrature, cell, m, coeffs, anti):
     h = band_limited(m, coeffs)
@@ -184,6 +181,16 @@ def test_blocked_rhs_matches_all_offsets_sum(quadrature, cell, m, coeffs, anti):
         assert np.array_equal(rhs[m // 2 :], -rhs[: m // 2])
     ref = all_offsets_rhs(h, p)
     assert np.max(np.abs(rhs - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_graph_scheme_is_under_the_grid_rule():
+    # m a multiple of 4, as for every interface: m/2 is even, so the pair
+    # sums pair up their offset rows 1..m/2 without a pad row
+    for m in (6, 66, 202):
+        with pytest.raises(ValueError, match=f"m must be a multiple of 4 and >= 8, got {m}"):
+            params_for(m)
+    with pytest.raises(ValueError, match="state has m=66 but params.m=68"):
+        _rhs_arrays(band_limited(66, COEFFS), params_for(68))
 
 
 def projected(h):
@@ -253,7 +260,7 @@ def test_graph_run_records_take_the_quarter_delta(monkeypatch, preset):
 
     def spy(interface):
         h = interface.h
-        seen.append(exactly_doubly_symmetric(h) and kernels.pair_sum_path(h))
+        seen.append(exactly_doubly_symmetric(h) and all(exact_symmetries(None, h)))
         return delta(interface)
 
     delta = diagnostics.delta_spectral
@@ -294,24 +301,24 @@ def test_node_shifted_graph_state_takes_the_full_sum(monkeypatch, quadrature):
     m = 256
     h = projected(sc.preset_f2(m))
     p = params_for(m, quadrature=quadrature)
-    assert kernels.pair_sum_path(h)
+    assert exact_symmetries(None, h) == (True, True)
     rhs, delta = _rhs_arrays(h, p), sc.delta_spectral(sc.GraphInterface(h=h))
     shifted = np.roll(h, 1)
     assert np.array_equal(shifted[m // 2 :], -shifted[: m // 2])
-    # the path each sum chooses sets the width of all its rows
+    # the symmetries each sum reads set the width of all its rows
     paths = []
 
-    def spy(heights):
-        paths.append(kernels.pair_sum_path(heights))
+    def spy(*state):
+        paths.append(exact_symmetries(*state))
         return paths[-1]
 
-    monkeypatch.setattr(evolution_graph, "pair_sum_path", spy)
-    monkeypatch.setattr(diagnostics, "pair_sum_path", spy)
+    monkeypatch.setattr(evolution_graph, "exact_symmetries", spy)
+    monkeypatch.setattr(diagnostics, "exact_symmetries", spy)
     rhs_shifted = _rhs_arrays(shifted, p)
     assert np.max(np.abs(rhs_shifted - np.roll(rhs, 1))) <= 1e-13 * np.max(np.abs(rhs))
     delta_shifted = sc.delta_spectral(sc.GraphInterface(h=shifted))
     assert abs(delta_shifted - delta) <= 1e-14 * delta
-    assert paths == [False, False]
+    assert paths == [(False, False)] * 2
 
 
 def out_of_place_rhs(h, params):
@@ -362,7 +369,7 @@ def test_rhs_bitwise_equals_out_of_place_blocks(quadrature, cell, anti, m):
         # antiperiodic but not odd: the full sum, as out_of_place_rhs
         h = antiperiodic(h)
         assert np.array_equal(h[m // 2 :], -h[: m // 2])
-    assert not kernels.pair_sum_path(h)
+    assert not all(exact_symmetries(None, h))
     p = sc.SchemeParams(sign_factor=-1.0, viscosity=1e-3, m=m, quadrature=quadrature,
                         singular_cell_variant=cell)
     new, ref = bits(_rhs_arrays(h, p), out_of_place_rhs(h, p))
@@ -390,7 +397,7 @@ def test_inputs_left_unchanged(call):
         cases = [(basic.z1 - basic.alpha, basic.z2, basic.alpha, -2.0)]
         cases += [(*symmetry_projection(c)(c.z1 - c.alpha, c.z2), c.alpha, -2.0)
                   for c in (basic, even)]
-        assert [kernels.curve_pair_sum_path(*args[:2]) for args in cases] == [
+        assert [exact_symmetries(*args[:2]) for args in cases] == [
             (False, False), (True, False), (True, True)]
         f = _rhs_curve_arrays
     elif call == "delta":
@@ -398,7 +405,7 @@ def test_inputs_left_unchanged(call):
         # sum; GraphInterface keeps the heights it is given, so delta reads
         # this very array
         cases = [(y,) for y in (h, antiperiodic(h), projected(h))]
-        assert [kernels.pair_sum_path(y) for y, in cases] == [False, False, True]
+        assert [all(exact_symmetries(None, y)) for y, in cases] == [False, False, True]
 
         def f(y):
             g = sc.GraphInterface(h=y)
@@ -430,7 +437,7 @@ def cached_constants():
         "diagnostics._kernel_blocks": [(m, m // 4 + 1), (m, m)],
         "turning._family_without_b": [(sc.TurningFamilyParams(b=1.0, variant=v), m)
                                       for v in ("basic", "even_symmetric")],
-        "diagnostics._kpair_origin": [(m,)],
+        "diagnostics._kpair_origin": [()],
     }
     found = {}
     for module in (sc.geometry, kernels, sc.integrators, sc.turning, evolution_graph,
@@ -527,7 +534,7 @@ def test_rhs_m4096_in_bounded_memory(formulation):
     if formulation.startswith("curve"):
         path = {"curve": (False, False), "curve-central": (True, False),
                 "curve-quarter": (True, True)}[formulation]
-        assert kernels.curve_pair_sum_path(p, z2) == path
+        assert exact_symmetries(p, z2) == path
 
         def call():
             return np.concatenate(_rhs_curve_arrays(p, z2, c.alpha, -2.0))

@@ -12,6 +12,7 @@ from stokescontour.geometry import (
     SelfIntersectionError,
     _check_no_self_intersection,
     curve_derivatives,
+    exact_symmetries,
     second_diff,
     simpson_weights,
 )
@@ -230,6 +231,66 @@ def test_symmetry_errors_zero_on_symmetric_curve_and_positive_on_moved_node():
     z2[2] += 0.25
     curve = sc.ParamCurve(z1=p + sc.uniform_grid(12), z2=z2)
     assert sc.symmetry_errors(curve, p) == (0.25, 0.25)
+
+
+# the exact tests the pair sums once chose their path by, kept as a
+# reference: odd by slices, z2 antiperiodic and p half-period symmetric
+def odd_by_slices(x):
+    return bool(x[0] == -x[0]) and np.array_equal(x[1:], -x[:0:-1])
+
+
+def shifted_by_half(x, sign):
+    half = x.size // 2
+    return np.array_equal(x[half:], sign * x[:half])
+
+
+def reference_symmetries(p, z2):
+    """(odd, odd and shift-symmetric): the central symmetry and the quarter sums' pair."""
+    odd = (p is None or odd_by_slices(p)) and odd_by_slices(z2)
+    shift = (p is None or shifted_by_half(p, 1.0)) and shifted_by_half(z2, -1.0)
+    return odd, odd and shift
+
+
+def reflected(x, k, sign):
+    """x projected onto x[k] = sign * x, exactly, by an index map of its own."""
+    return 0.5 * (x + sign * x[k])
+
+
+@given(m=st.sampled_from([8, 12, 16, 64]), seed=st.integers(0, 2**32 - 1),
+       symmetry=st.sampled_from(["none", "central", "even", "both"]),
+       graph=st.booleans(), shift=st.integers(0, 63),
+       special=st.sampled_from([None, "-0.0", "nan", "ulp"]))
+@settings(max_examples=300, deadline=None)
+def test_exact_symmetries_agree_with_reference_tests(m, seed, symmetry, graph, shift, special):
+    # the curve state (p, z2) or graph heights (p None) with none, one or both
+    # symmetries exactly, shifted by whole nodes, its zeros made -0.0, a node
+    # made NaN or moved by one ulp; given the central symmetry the even one holds exactly
+    # if and only if the half-period one does
+    rng = np.random.default_rng(seed)
+    p, z2 = rng.normal(size=(2, m))
+    j = np.arange(m)
+    central, even = ((-j) % m, -1.0), ((m // 2 - j) % m, 1.0)
+    for (k, sign), on in ((central, symmetry in ("central", "both")),
+                          (even, symmetry in ("even", "both"))):
+        if on:
+            p, z2 = reflected(p, k, -1.0), reflected(z2, k, sign)
+    p, z2 = np.roll(p, shift), np.roll(z2, shift)
+    if special == "-0.0":
+        p[p == 0.0] = -0.0
+        z2[z2 == 0.0] = -0.0
+    elif special is not None:
+        x, i = (p if rng.random() < 0.5 else z2), rng.integers(m)
+        x[i] = np.nan if special == "nan" else np.nextafter(x[i], np.inf)
+    if graph:
+        p = None
+    got = exact_symmetries(p, z2)
+    assert all(type(b) is bool for b in got)
+    assert (got[0], got[0] and got[1]) == reference_symmetries(p, z2)
+    if shift == 0 and special is None:
+        assert got == (symmetry in ("central", "both"), symmetry in ("even", "both"))
+    if graph:
+        # the heights of a graph are the z2 of its lift, whose p is 0
+        assert exact_symmetries(np.zeros(m), z2) == got
 
 
 def test_height_energy_lower_bound(rng):

@@ -13,8 +13,9 @@ import stokescontour as sc
 from stokescontour import kernels
 from stokescontour.kernels import (
     bilaplacian_pair_kernel_exact,
-    bilaplacian_pair_kernel_offset_rows,
     clausen2,
+    offset_row_tables,
+    pair_kernel_rows,
 )
 
 
@@ -297,7 +298,7 @@ def test_offset_rows_match_complex_reference(log2m, row, x2, sign):
     x2 = sign * np.array([x2])
     x1 = r[0] * (2 * np.pi / m)
     ref = complex_pair_kernel(x1, x2)
-    assert np.max(np.abs(bilaplacian_pair_kernel_offset_rows(m, r, x2) - ref)) <= 1e-15
+    assert np.max(np.abs(pair_kernel_rows(offset_row_tables(m, r), x2) - ref)) <= 1e-15
     # the pointwise entry point, also off [0, pi] (evenness and periodicity)
     for shift in (0.0, -2 * x1, 2 * np.pi, -6 * np.pi):
         got = bilaplacian_pair_kernel_exact(x1 + shift, x2)
@@ -309,15 +310,15 @@ def test_offset_rows_match_mpmath(m):
     heights = [0.0, 1e-300, 1e-12, 1.0, np.nextafter(2.0, 0.0), 2.0,
                np.nextafter(2.0, 3.0), 10.0, 40.0, 700.0]
     rows = np.array([0, 1, m // 2 - 1, m // 2])
-    got = bilaplacian_pair_kernel_offset_rows(
-        m, rows, np.broadcast_to(np.array(heights), (rows.size, len(heights))))
+    got = pair_kernel_rows(offset_row_tables(m, rows),
+                           np.broadcast_to(np.array(heights), (rows.size, len(heights))))
     with mp.workdps(40):
         for k, r in enumerate(rows):
             for j, a in enumerate(heights):
                 w = mp.exp(mp.mpf(-a) + 1j * mp.mpf(r * (2 * np.pi / m)))
                 ref = (mp.polylog(3, w).real + mp.mpf(a) * mp.polylog(2, w).real) / (4 * mp.pi)
                 assert abs(got[k, j] - float(ref)) <= 1e-15
-    far = bilaplacian_pair_kernel_offset_rows(m, rows, np.full((rows.size, 1), 2e6))
+    far = pair_kernel_rows(offset_row_tables(m, rows), np.full((rows.size, 1), 2e6))
     assert np.all(np.isfinite(far))
 
 
@@ -327,7 +328,7 @@ def test_far_rows_match_mpmath(rng, m):
     # as complex_pair_kernel, so it is checked against mpmath here
     rows = rng.integers(0, m // 2 + 1, 40)
     x2 = rng.uniform(2.0, 14.0, 40) * rng.choice([-1.0, 1.0], 40)
-    got = bilaplacian_pair_kernel_offset_rows(m, rows, x2[:, None])[:, 0]
+    got = pair_kernel_rows(offset_row_tables(m, rows), x2[:, None])[:, 0]
     exact = bilaplacian_pair_kernel_exact(rows * (2 * np.pi / m), x2)
     with mp.workdps(30):
         for k, r in enumerate(rows):
