@@ -13,11 +13,12 @@ of grad rho. ``delta_spectral`` evaluates it as a pair sum over the grid
 offsets, in the one row layout of ``kernels.central_pair_rows``: all m
 columns of every offset row, or m/4 + 1 pair centres on heights that are
 exactly odd and antiperiodic (the full and quarter sums, chosen by
-``geometry.exact_symmetries``). A run integrated with a different density
-jump is the same flow with time rescaled; ``delta_rate`` applies that
-exact factor so the stored dissipation matches dE/dt in the run's own time
-units (sign_factor = (rho^- - rho^+)/(8 pi), so the factor is
--4 pi * sign_factor).
+``geometry.exact_symmetries``). The kernel tables of each block's rows are
+``kernels._row_tables`` of their x1, built once per grid and path
+(``_kernel_blocks``). A run integrated with a different density jump is the
+same flow with time rescaled; ``delta_rate`` applies that exact factor so
+the stored dissipation matches dE/dt in the run's own time units
+(sign_factor = (rho^- - rho^+)/(8 pi), so the factor is -4 pi * sign_factor).
 
 Finger counting follows the flat/steep decomposition: I_mu collects the
 maximal node ranges where |h'| <= mu, and the count is the number of such
@@ -36,6 +37,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .geometry import (
+    TWO_PI,
     GraphInterface,
     ParamCurve,
     central_diff,
@@ -51,12 +53,11 @@ from .geometry import (
 )
 from .integrators import Trajectory
 from .kernels import (
+    _row_tables,
     bilaplacian_pair_kernel_exact,
     block_workspace,
-    central_block_rows,
     central_pair_rows,
     offset_blocks,
-    offset_row_tables,
     pair_kernel_rows,
     read_only,
     stabilizer_weights,
@@ -96,8 +97,8 @@ def delta_spectral(interface: GraphInterface) -> float:
     blocks of offset rows (``offset_blocks``) read through
     ``central_pair_rows``. x1 is fixed along a row, so
     ``kernels.pair_kernel_rows`` evaluates Kpair in real arithmetic from
-    per-row tables built once per m, in place in one workspace of a block's
-    rows; memory is O(block * m).
+    per-row tables built once per grid, in place in one workspace of a
+    block's rows; memory is O(block * m).
 
     The sum takes one of two paths, chosen as the graph right-hand side
     chooses its own (``geometry.exact_symmetries``), in one block loop whose
@@ -126,7 +127,7 @@ def delta_spectral(interface: GraphInterface) -> float:
     width, orbit = (m // 4 + 1, 8.0) if all(exact_symmetries(None, h)) else (m, 2.0)
     rows = central_pair_rows(h, hp, width=width)
     # the kernel of a block is computed in place in one workspace for all blocks
-    work = block_workspace(4, width, central_block_rows(m, width))
+    work = block_workspace(4, m, width)
     total = float(_kpair_origin() * (hp @ hp))
     for r, tables in _kernel_blocks(m, width):
         (ha, hpa), (hb, hpb) = rows(r)
@@ -146,15 +147,17 @@ def delta_spectral(interface: GraphInterface) -> float:
 def _kernel_blocks(m: int, width: int):
     """The blocks of offset rows of ``delta``'s pair sum, with their kernel tables.
 
-    One tuple (r, tables) per block of ``central_block_rows(m, width)``
-    offsets r = 1..m/2, ``width`` being the columns of the sum's rows,
-    read-only: ``offset_row_tables`` of the block's rows, shaped
-    (len(r)/2, 2). Built once per grid and path, not once per block and
-    call.
+    One tuple (r, tables) per block of offsets r = 1..m/2
+    (``offset_blocks``), ``width`` being the columns of the sum's rows,
+    read-only: ``kernels._row_tables`` of the block's x1 = r 2pi/m, each
+    shaped (len(r)/2, 2, 1) as the block's rows (``near`` with its leading
+    axis of coefficients). Built once per grid and path, not once per block
+    and call.
     """
     out = []
-    for r in offset_blocks(m, central_block_rows(m, width)):
-        tables = offset_row_tables(m, r.reshape(-1, 2))
+    for r in offset_blocks(m, width):
+        tables = tuple(t.reshape(*t.shape[:-1], -1, 2, 1)
+                       for t in _row_tables(r * (TWO_PI / m)))
         read_only(r, *tables)
         out.append((r, tables))
     return tuple(out)

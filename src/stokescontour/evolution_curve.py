@@ -56,10 +56,12 @@ their output has the symmetries exactly, so every stage of a run from a
 projected state takes the path of its initial state: the basic turning
 family the half sum, the even one the quarter sum.
 
-``evolve_curve`` supplies only the right-hand side on the state vector
-(p, z2), ``geometry.symmetry_projection``, the amplitude guard and the
-per-sample record; ``integrators.integrate`` steps, samples and builds the
-Trajectory.
+The state and its velocity are each one (2, m) array, rows p and z2 (u1
+and u2), from ``_rhs_curve_arrays`` through ``integrators.integrate``.
+``evolve_curve`` supplies only the right-hand side,
+``geometry.symmetry_projection`` and the per-sample record;
+``integrators.integrate`` steps, samples, guards the amplitude and builds
+the Trajectory.
 """
 
 from __future__ import annotations
@@ -83,7 +85,6 @@ from .integrators import BlowupError, IntegratorParams, Trajectory, integrate
 from .kernels import (
     ONE_OVER_8PI,
     block_workspace,
-    central_block_rows,
     central_folder,
     central_pair_rows,
     central_unfold,
@@ -94,6 +95,10 @@ from .kernels import (
 )
 
 SPEED_RATIO_WARN = 20.0
+
+# the sign the half-period shift gives the terms of u1 and u2: it keeps u1
+# and negates u2 (read on the quarter sum, by its fold and its unfold)
+_SHIFT_SIGNS = np.array([1.0, -1.0])
 
 
 @dataclass(frozen=True)
@@ -109,14 +114,6 @@ class CurveState:
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _rhs_curve_arrays(p: np.ndarray, z2: np.ndarray, alpha: np.ndarray, delta_rho: float):
     m = p.size
-    d = TWO_PI / m
-    dz1 = 1.0 + central_diff(p, d)
-    dz2 = central_diff(z2, d)
-
-    # integrand vector zdot_perp * z2 at the source nodes
-    v1 = -dz2 * z2
-    v2 = dz1 * z2
-
     # the Stokeslet is even, so the offsets r and m - r share one evaluation:
     # on an exactly odd state one pair of each mirror orbit, folded onto the
     # nodes 0..m/2; with the even symmetry too one pair of each orbit of the
@@ -124,6 +121,29 @@ def _rhs_curve_arrays(p: np.ndarray, z2: np.ndarray, alpha: np.ndarray, delta_rh
     # other state every pair, folded onto every node
     central, even = exact_symmetries(p, z2)
     width = m // 4 + 1 if central and even else m // 2 + 1 if central else m
+    # the sum's temporaries are freed before the unfold allocates the
+    # returned array, which a run keeps as a stage: allocated above them, it
+    # pinned the heap and raised a run's peak RSS (0.5 MB at m = 1024)
+    u = _velocity_totals(p, z2, alpha, width)
+    u *= delta_rho * ONE_OVER_8PI
+    # the velocity is odd; the unfold takes the shift signs the fold took
+    u = central_unfold(u, m, _SHIFT_SIGNS[:, None])
+    bad = ~np.isfinite(u).all(axis=0)
+    if bad.any():
+        raise BlowupError(int(np.flatnonzero(bad)[0]))
+    return u
+
+
+def _velocity_totals(p, z2, alpha, width):
+    """The unscaled velocity on the nodes 0..width - 1 the sum totals, shape (2, width)."""
+    m = p.size
+    d = TWO_PI / m
+    dz1 = 1.0 + central_diff(p, d)
+    dz2 = central_diff(z2, d)
+
+    # integrand vector zdot_perp * z2 at the source nodes
+    v1 = -dz2 * z2
+    v2 = dz1 * z2
 
     # two half panels of int_0^{d/2} log(4 sin^2(s/2)) ds = -2 Cl2(d/2)
     cell = -4.0 * clausen2(0.5 * d)
@@ -137,8 +157,9 @@ def _rhs_curve_arrays(p: np.ndarray, z2: np.ndarray, alpha: np.ndarray, delta_rh
     g0 = np.log(speed2)
     a_ss0 = 2.0 * dz2w * dz2w / speed2
     a_sn0 = 2.0 * dz2w * dz1w / speed2
-    u1 = d * (g0 * v1w + a_ss0 * v1w - a_sn0 * v2w) + cell * v1w
-    u2 = d * (g0 * v2w - a_sn0 * v1w - a_ss0 * v2w) + cell * v2w
+    u = np.empty((2, width))
+    u[0] = d * (g0 * v1w + a_ss0 * v1w - a_sn0 * v2w) + cell * v1w
+    u[1] = d * (g0 * v2w - a_sn0 * v1w - a_ss0 * v2w) + cell * v2w
 
     # sin and cos of z1/2 per node: the sines of every pair by angle
     # subtraction; the kernel is 2pi-periodic in x1, so the winding of z1
@@ -147,12 +168,10 @@ def _rhs_curve_arrays(p: np.ndarray, z2: np.ndarray, alpha: np.ndarray, delta_rh
     z1 = p + alpha
     xs = (z2, v1, v2, np.sin(0.5 * z1), np.cos(0.5 * z1))
     rows, fold = central_pair_rows(*xs, width=width), central_folder(m, width)
-    block = central_block_rows(m, width)
-    work = block_workspace(6, width, block)
-    acc1 = np.zeros(width)
-    acc2 = np.zeros(width)
-    for r in offset_blocks(m, block):
-        (z2a, v1a, v2a, sa, ca), (z2b, v1b, v2b, sb, cb) = rows(r)
+    work = block_workspace(6, m, width)
+    acc = np.zeros((2, width))
+    for r in offset_blocks(m, width):
+        (z2a, *va, sa, ca), (z2b, *vb, sb, cb) = rows(r)
         sn2, sc, x2, lg, a_ss, a_sn = work[:, : len(z2b)]
         # lg holds intermediates until the Stokeslet terms are written; sc
         # is sin(x1/2) cos(x1/2) = sin(x1)/2
@@ -166,32 +185,20 @@ def _rhs_curve_arrays(p: np.ndarray, z2: np.ndarray, alpha: np.ndarray, delta_rh
             stabilizer_weights(t, r, m)
         s11 = np.add(lg, a_ss, out=sn2)
         s22 = np.subtract(lg, a_ss, out=sc)
-        # the terms of each component for the near and the far node,
-        # s v_b - a_sn w_b and s v_a - a_sn w_a; the half-period shift keeps
-        # the u1 terms and negates the u2 terms (read on the quarter sum)
-        for acc, sign, s, va, vb, wa, wb in ((acc1, 1.0, s11, v1a, v1b, v2a, v2b),
-                                             (acc2, -1.0, s22, v2a, v2b, v1a, v1b)):
-            near = np.multiply(s, vb, out=lg)
-            near -= np.multiply(a_sn, wb, out=a_ss)
-            far = np.multiply(s, va, out=a_ss)
-            far -= np.multiply(a_sn, wa, out=x2)
-            acc += fold(near, far, r, sign)
-    u1 += d * acc1
-    u2 += d * acc2
-
-    u1 *= delta_rho * ONE_OVER_8PI
-    u2 *= delta_rho * ONE_OVER_8PI
-    # the velocity is odd, and under the reflection n -> m/2 - n u1 is odd
-    # and u2 even
-    u1, u2 = central_unfold(u1, m, -1.0), central_unfold(u2, m, 1.0)
-    if not (np.all(np.isfinite(u1)) and np.all(np.isfinite(u2))):
-        bad = ~(np.isfinite(u1) & np.isfinite(u2))
-        raise BlowupError(int(np.flatnonzero(bad)[0]))
-    return u1, u2
+        # the terms of u_k for the near and the far node, s v_b - a_sn w_b
+        # and s v_a - a_sn w_a, v being v_k and w the other component
+        for k, s in enumerate((s11, s22)):
+            near = np.multiply(s, vb[k], out=lg)
+            near -= np.multiply(a_sn, vb[1 - k], out=a_ss)
+            far = np.multiply(s, va[k], out=a_ss)
+            far -= np.multiply(a_sn, va[1 - k], out=x2)
+            acc[k] += fold(near, far, r, _SHIFT_SIGNS[k])
+    u += d * acc
+    return u
 
 
 def rhs_curve(state: CurveState):
-    """Material velocity (dz1/dt, dz2/dt) of the contour dynamics.
+    """Material velocity (dz1/dt, dz2/dt) of the contour dynamics, one (2, m) array.
 
     The state (z1 - alpha, z2) is first projected onto the symmetries the
     curve carries (``geometry.symmetry_projection``), as after every step of
@@ -228,37 +235,29 @@ def evolve_curve(
 
     ``integrators.integrate`` steps, samples and captures failures as for the
     graph scheme: a sample inside a step is read from the step's continuous
-    extension, to the integration tolerance, and projected. The state vector
-    is (p, z2), p = z1 - alpha, on which the symmetries are sign and index
-    maps, and each record's symmetry errors are measured on that p, so a
-    projected state reads 0. Each record additionally
-    stores min_slope_x1 so turning (a sign change of the minimum slope) can
+    extension, to the integration tolerance, and projected. The state is the
+    (2, m) array (p, z2), p = z1 - alpha, on which the symmetries are sign
+    and index maps, and each record's symmetry errors are measured on that
+    p, so a projected state reads 0. Each record additionally stores
+    min_slope_x1 so turning (a sign change of the minimum slope) can
     be read off the trajectory, and each sample warns when the nodes cluster
     beyond SPEED_RATIO_WARN. A sample that self-intersects or degenerates
     ends the run early like a blowup. The symmetries the initial curve
     carries to machine precision are enforced after every accepted step by
     ``geometry.symmetry_projection``.
     """
-    m = initial.curve.m
     alpha = initial.curve.alpha
     symmetrize = symmetry_projection(initial.curve)
 
-    def project(y):
-        return np.concatenate(symmetrize(y[:m], y[m:]))
-
-    def guard(y):
-        # one value per node, so that a blowup names the node
-        return np.maximum(np.abs(y[:m]), np.abs(y[m:]))
-
     def f(t, y):
-        u1, u2 = _rhs_curve_arrays(y[:m], y[m:], alpha, initial.delta_rho)
-        return np.concatenate([u1, u2])
+        return _rhs_curve_arrays(*y, alpha, initial.delta_rho)
 
     def sample(t, y):
-        curve = ParamCurve(z1=y[:m] + alpha, z2=y[m:].copy())
+        curve = ParamCurve(z1=y[0] + alpha, z2=y[1].copy())
         _warn_if_clustered(curve)
         state = CurveState(t=t, curve=curve, delta_rho=initial.delta_rho)
-        return state, record_for_curve(t, curve, options, p=y[:m])
+        return state, record_for_curve(t, curve, options, p=y[0])
 
-    y0 = np.concatenate([initial.curve.z1 - alpha, initial.curve.z2]).astype(float)
-    return integrate(f, initial.t, y0, ip, sample_times, project, guard, sample, on_sample)
+    y0 = np.array([initial.curve.z1 - alpha, initial.curve.z2], dtype=float)
+    return integrate(f, initial.t, y0, ip, sample_times, lambda y: np.array(symmetrize(*y)),
+                     sample, on_sample)

@@ -84,7 +84,6 @@ from .geometry import (
 from .integrators import BlowupError, IntegratorParams, Trajectory, integrate
 from .kernels import (
     block_workspace,
-    central_block_rows,
     central_folder,
     central_pair_rows,
     central_unfold,
@@ -168,10 +167,10 @@ def _block_constants(m: int, quadrature: str, width: int):
     """The blocks of offset rows of the graph pair sum, with their per-row constants.
 
     One tuple (r, sin(x1/2), sin(x1)/2, log_row, weight) per block of
-    ``central_block_rows(m, width)`` offsets, ``width`` being the columns of
-    the sum's rows, x1 = r d (the sines
-    ``stokeslet_terms_into`` takes), each constant in the shape
-    (len(r)/2, 2, 1) of the block's rows and read-only. ``log_row`` is the
+    offsets (``offset_blocks``), ``width`` being the columns of the sum's
+    rows, x1 = r d (the sines ``stokeslet_terms_into`` takes), each
+    constant in the shape (len(r)/2, 2, 1) of the block's rows and
+    read-only. ``log_row`` is the
     spectral row term omega_r/d - log(4 sin^2(x1/2)), None for
     "taylor_cell". Built once per grid, quadrature and path, block by block
     with the operations the sum took on each block, so the values are those
@@ -181,7 +180,7 @@ def _block_constants(m: int, quadrature: str, width: int):
     spectral = quadrature == "spectral_log"
     weights = np.full(m, d) if spectral else _taylor_cell_weights(m)
     out = []
-    for r in offset_blocks(m, central_block_rows(m, width)):
+    for r in offset_blocks(m, width):
         x1 = r * d
         sn2 = np.sin(0.5 * x1)
         log_row = _log_circulant(m)[r] / d - np.log(4.0 * sn2**2) if spectral else None
@@ -231,7 +230,7 @@ def _rhs_arrays(h: np.ndarray, params: SchemeParams) -> np.ndarray:
     # are even in the offset, so the offsets r and m - r share one evaluation;
     # the block terms are computed in place in one workspace for all blocks
     rows, fold = central_pair_rows(h, dh, width=width), central_folder(m, width)
-    work = block_workspace(5, width, central_block_rows(m, width))
+    work = block_workspace(5, m, width)
     for r, sn2, sc, log_row, weight in _block_constants(m, params.quadrature, width):
         (ha, dha), (hb, dhb) = rows(r)
         x2, lg, a_ss, a_sn, dd = work[:, : len(hb)]
@@ -253,8 +252,8 @@ def _rhs_arrays(h: np.ndarray, params: SchemeParams) -> np.ndarray:
         acc += fold(np.multiply(hb, pair, out=x2), np.multiply(ha, pair, out=a_ss), r, -1.0)
 
     rhs = params.sign_factor * acc + params.viscosity * second_diff(h, d)[:width]
-    # exactly odd and antiperiodic, so even under n -> m/2 - n
-    rhs = central_unfold(rhs, m, 1.0)
+    # exactly odd and antiperiodic: the shift sign the fold took
+    rhs = central_unfold(rhs, m, -1.0)
     if not np.all(np.isfinite(rhs)):
         raise BlowupError(int(np.flatnonzero(~np.isfinite(rhs))[0]))
     return rhs
@@ -295,4 +294,4 @@ def evolve(
         return state, record_for_graph(t, state.interface, params.sign_factor, options)
 
     return integrate(f, initial.t, initial.interface.h.copy(), ip, sample_times,
-                     lambda y: symmetrize(None, y)[1], np.abs, sample, on_sample)
+                     lambda y: symmetrize(None, y)[1], sample, on_sample)

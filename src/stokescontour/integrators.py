@@ -18,11 +18,13 @@ fourth-order continuous extension (``dense_output``, Hairer, Norsett &
 Wanner, Solving ODEs I, sec. II.6), as MATLAB's ode45 does, so a sample
 carries an error of the order of the integration tolerance. It projects the
 initial state, each accepted state and each interpolated sample, guards the
-amplitude, builds the ``Trajectory`` of sampled states and records with the
-counts of its steps, and turns a failure into an early end recorded on it.
-Every step therefore starts from a projected state: a stage keeps each
-exact symmetry its start state and the right-hand side both have, which
-both right-hand sides use to halve their pair sums.
+amplitude of each node, the last axis of the state (the graph's heights,
+shape (m,), or the curve's (p, z2), shape (2, m)), builds the
+``Trajectory`` of sampled states and records with the counts of its steps,
+and turns a failure into an early end recorded on it. Every step
+therefore starts from a projected state: a stage keeps each exact
+symmetry its start state and the right-hand side both have, which both
+right-hand sides use to halve their pair sums.
 """
 
 from __future__ import annotations
@@ -42,11 +44,11 @@ _SAMPLE_TOL = 1e-12
 
 
 class BlowupError(RuntimeError):
-    """Non-finite value produced by the right-hand side."""
+    """A non-finite right-hand side, or an accepted state past AMPLITUDE_GUARD (``what``)."""
 
-    def __init__(self, node: int, t: Optional[float] = None):
-        super().__init__(f"non-finite right-hand side at node {node}" +
-                         (f", t={t}" if t is not None else ""))
+    def __init__(self, node: int, t: Optional[float] = None,
+                 what: str = "non-finite right-hand side"):
+        super().__init__(f"{what} at node {node}" + (f", t={t}" if t is not None else ""))
         self.node = node
         self.t = t
 
@@ -54,8 +56,8 @@ class BlowupError(RuntimeError):
 class StepFailureError(RuntimeError):
     """dt_min reached with error estimate above tolerance."""
 
-    def __init__(self, t, message="step size underflow"):
-        super().__init__(f"{message} at t={t}")
+    def __init__(self, t):
+        super().__init__(f"step size underflow at t={t}")
         self.t = t
 
 
@@ -201,7 +203,6 @@ def integrate(
     ip: IntegratorParams,
     sample_times,
     project: Callable,
-    guard: Callable,
     sample: Callable,
     on_sample: Optional[Callable] = None,
 ) -> Trajectory:
@@ -217,9 +218,11 @@ def integrate(
     at the current state ends the run at once. An accepted step proposes
     the next dt from its error norm. The initial state and every accepted
     state are replaced by ``project(y)``, so the first sample and every
-    step start from a projected state. ``guard(y)`` gives each node's
-    deviation from the rest state; once the largest exceeds AMPLITUDE_GUARD
-    the run blows up at that node, with no sample taken inside that step.
+    step start from a projected state. The last axis of y is the node, so a
+    node's deviation from the rest state is its largest |y| over the other
+    axes (|h| for graph heights, max(|p|, |z2|) for a curve's (2, m)
+    state); once the largest exceeds AMPLITUDE_GUARD the run blows up at
+    that node, named in the message, with no sample taken inside that step.
     Then every sample time the step reached is sampled: one within
     _SAMPLE_TOL of the step end is that end state, bit for bit, and one
     inside the step is ``project`` of the step's ``dense_output``, a
@@ -282,9 +285,10 @@ def integrate(
             t_start, y_start = t, y
             t, k1 = t + dt_try, k[6]
             y = project(y_new)
-            deviation = guard(y)
+            deviation = np.abs(y).reshape(-1, y.shape[-1]).max(axis=0)
             if np.max(deviation) > AMPLITUDE_GUARD:
-                raise BlowupError(int(np.argmax(deviation)), t)
+                raise BlowupError(int(np.argmax(deviation)), t,
+                                  f"amplitude past AMPLITUDE_GUARD = {AMPLITUDE_GUARD:g}")
             while idx < ts.size and ts[idx] <= t + _SAMPLE_TOL:
                 if ts[idx] >= t - _SAMPLE_TOL:
                     take_sample(ts[idx], y)

@@ -29,11 +29,11 @@ The defining series of the polylogarithms Li2/Li3 of w = exp(-|x2| + i x1),
 by Horner in w, gives the truncated sums and the exact kernel (the
 n_max -> inf limit) where |x2| >= 2. Below that the exact kernel runs in
 real arithmetic from per-x coefficient tables of the expansion of Li2/Li3
-around w = 1, built once per m for the offset rows of the grid, so a point
-costs a log1p and a short real Horner loop; it agrees with the series to
-machine precision. The coefficients of that expansion are rounded from one
-table of exact zeta values, which also gives the real series of
-``clausen2``.
+around w = 1, built once per grid for the offset rows of each block of
+``delta``'s pair sum (``diagnostics._kernel_blocks``), so a point costs a
+log1p and a short real Horner loop; it agrees with the series to machine
+precision. The coefficients of that expansion are rounded from one table of
+exact zeta values, which also gives the real series of ``clausen2``.
 
 All three pair sums of the package (both right-hand sides and
 ``diagnostics.delta_spectral``) use that their kernels are even: they run
@@ -63,18 +63,21 @@ offsets 2s + 1 and 2s + 2 side by side, shape (n, 2, width)
 The folder only folds: each sum weights its pair terms by their orbits
 first (``stabilizer_weights``), so the r = m/2 row, which holds each of its
 pairs twice, counts half on every path, and ``central_unfold`` writes the
-nodes a symmetric sum did not total. Every sum reads its path from the one
-exact test ``geometry.exact_symmetries``: the graph right-hand side and
-``delta`` take the quarter sum when both symmetries hold and the full sum
-otherwise; the curve right-hand side takes the quarter sum when both hold,
-the central half sum when only the central one does, and otherwise the
-full sum. The grid rule (``geometry.check_grid_size``, m a multiple of 4)
-makes m/2 even, so the offsets 1..m/2 pair up without a pad row.
+nodes a symmetric sum did not total, from the same shift sign the fold
+took. Every sum reads its path from the one exact test
+``geometry.exact_symmetries``: the graph right-hand side and ``delta`` take
+the quarter sum when both symmetries hold and the full sum otherwise; the
+curve right-hand side takes the quarter sum when both hold, the central
+half sum when only the central one does, and otherwise the full sum. The
+grid rule (``geometry.check_grid_size``, m a multiple of 4) makes m/2 even,
+so the offsets 1..m/2 pair up without a pad row.
 
 Every path takes ``central_block_rows(m, width)`` offsets a block: as many
 as make about 16384 elements per workspace array up to m = 1024 and that
-grid's rows beyond it, even, from 2 to m/2. Each reader and folder is one
-read-only strided view over a buffer made in the call of the sum, never
+grid's rows beyond it, even, from 2 to m/2. The blocks (``offset_blocks``),
+the workspace (``block_workspace``) and the folder read them from the grid
+and width alone, so no sum passes a row count. Each reader and folder is
+one read-only strided view over a buffer made in the call of the sum, never
 kept across calls, so the sums are re-entrant and a block builds no index
 array. The per-grid constants of a block (the sines, log term and weights
 of the graph's rows, the kernel tables of ``delta``'s) are built once per
@@ -157,15 +160,15 @@ def stokeslet_terms_into(sn2, sc, x2, lg, a_ss, a_sn):
     return lg, a_ss, a_sn
 
 
-def offset_blocks(m: int, rows: int):
-    """Consecutive grid offsets r = 1..m/2, up to ``rows`` (even) at a time.
+def offset_blocks(m: int, width: int):
+    """Consecutive grid offsets r = 1..m/2, ``central_block_rows(m, width)`` at a time.
 
     The pair kernels are even, so a pair sum over all offsets r != 0 folds
     onto these half offsets. Every block holds an even number of offsets,
     as ``central_pair_rows`` pairs them: m/2 is even by the grid rule
     (``geometry.check_grid_size``).
     """
-    end = m // 2
+    end, rows = m // 2, central_block_rows(m, width)
     for r0 in range(1, end + 1, rows):
         yield np.arange(r0, min(r0 + rows, end + 1))
 
@@ -217,15 +220,15 @@ def _twice(xs):
     return buf
 
 
-def block_workspace(count: int, width: int, rows: int):
+def block_workspace(count: int, m: int, width: int):
     """``count`` arrays for the terms of one block of a pair sum, reused by every block.
 
-    Each holds ``rows`` offset rows of ``width`` columns in the shape of the
-    rows of ``central_pair_rows``, (rows/2, 2, width). A shorter last block
-    takes the leading rows, ``work[:, :n]``, whose arrays are contiguous
-    like new ones.
+    Each holds the ``central_block_rows(m, width)`` offset rows of a block
+    (``offset_blocks``) in the shape of the rows of ``central_pair_rows``,
+    (rows/2, 2, width). A shorter last block takes the leading rows,
+    ``work[:, :n]``, whose arrays are contiguous like new ones.
     """
-    return np.empty((count, rows // 2, 2, width))
+    return np.empty((count, central_block_rows(m, width) // 2, 2, width))
 
 
 def central_pair_rows(*xs, width: int):
@@ -389,26 +392,28 @@ def central_folder(m: int, width: int):
     return fold
 
 
-def central_unfold(total, m: int, reflect_sign: float):
+def central_unfold(total, m: int, shift_sign):
     """All m nodes of a pair sum from its ``total`` on the nodes 0..width - 1.
 
     The inverse of ``central_folder``, by the symmetries of the path its
-    width sets. On the quarter sums (m/4 + 1 nodes) the nodes m/4 + 1..m/2
-    repeat m/4 - 1..0 by the reflection n -> m/2 - n, times
-    ``reflect_sign``: +1 for the graph's h_t and the curve's u2, -1 for its
-    u1. Below m nodes the total is odd: the nodes m/2 + 1.. mirror
+    width (the last axis of ``total``) sets; totals stacked on leading axes
+    take a column of signs. ``shift_sign`` is the sign the half-period shift
+    gives the terms, the one the fold took. On the quarter sums (m/4 + 1
+    nodes) the nodes m/4 + 1..m/2 repeat m/4 - 1..0 by the reflection
+    n -> m/2 - n, the central mirror composed with the shift, so times
+    -shift_sign. Below m nodes the total is odd: the nodes m/2 + 1.. mirror
     m/2 - 1..1, negated. A full sum's total is returned as it is. Values
     are only copied and their signs changed, so exactly.
     """
-    width = total.size
+    width = total.shape[-1]
     if width == m:
         return total
     half, quarter = m // 2, m // 4
-    out = np.empty(m)
-    out[:width] = total
+    out = np.empty((*total.shape[:-1], m))
+    out[..., :width] = total
     if width == quarter + 1:
-        out[quarter + 1 : half + 1] = reflect_sign * total[quarter - 1 :: -1]
-    out[half + 1 :] = -out[half - 1 : 0 : -1]
+        out[..., quarter + 1 : half + 1] = -shift_sign * total[..., quarter - 1 :: -1]
+    out[..., half + 1 :] = -out[..., half - 1 : 0 : -1]
     return out
 
 
@@ -558,7 +563,7 @@ def clausen2(w: float) -> float:
 # and the real part of the two regular sums, Taylor re-expanded around
 # mu_c = -1 + i x, is a real polynomial in t = a - 1 whose coefficients depend
 # on x alone. It serves a < 2 (|t| <= 1; |mu_c| + 1 < 2pi): a Horner loop over
-# per-x tables, built once per set of x values, once per m on the grid. An
+# per-x tables, built once per set of x values, once per block of a grid. An
 # error in a table is shared by every point of its row, so the tables are
 # summed in extended precision and the log term is split to keep the
 # polynomial small (``_row_tables``). For a >= 2 the defining series
@@ -625,26 +630,10 @@ def _row_tables(x: np.ndarray):
             np.where(wide, 0, xsq - 1).astype(float), near.astype(float))
 
 
-@lru_cache(maxsize=8)
-def _grid_row_tables(m: int):
-    """``_row_tables`` of the offsets r = 0..m/2 of an m-node grid, x = r 2pi/m; read-only."""
-    return read_only(*_row_tables(np.arange(m // 2 + 1) * (TWO_PI / m)))
-
-
 def _take(tables, cols):
     """The columns ``cols`` (any shape) of the tables, in the shape of cols."""
     *per_x, near = tables
     return (*(t[cols] for t in per_x), near[:, cols])
-
-
-def offset_row_tables(m: int, r):
-    """The tables of ``_pair_kernel`` for the offset rows r (0..m/2, any shape) of an m-node grid.
-
-    Shaped (*r.shape, 1), to broadcast against x2 of shape (*r.shape, width)
-    in ``pair_kernel_rows``. A pair sum takes them once per block of its
-    offsets and grid, not once per call.
-    """
-    return _take(_grid_row_tables(m), np.asarray(r)[..., None])
 
 
 def _pair_kernel(tables, a, s, u, v):
@@ -685,7 +674,10 @@ def _pair_kernel(tables, a, s, u, v):
 
 
 def pair_kernel_rows(tables, x2, work=None):
-    """Kpair on offset rows of heights x2, with the rows' ``offset_row_tables``.
+    """Kpair on offset rows of heights x2, with the rows' ``_row_tables``.
+
+    The tables are shaped (*rows, 1) (``near`` with its leading axis of
+    coefficients), to broadcast against x2 of shape (*rows, width).
 
     ``work``, four arrays of x2's shape (new ones by default), holds |x2| in
     the first (which may be x2 itself), the kernel, returned, in the second

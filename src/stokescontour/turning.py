@@ -185,8 +185,7 @@ def build_turning_family(p: TurningFamilyParams, m: int) -> ParamCurve:
         Naming the violated sign property, when the sampled zstar or z1 does
         not realize the pattern the turning argument needs.
     """
-    z1, zs, scaled = _family_without_b(replace(p, b=1.0), m, BASIC_AMPLITUDE, BASIC_NEGATIVE,
-                                       EVEN_AMPLITUDE, EVEN_NEGATIVE)
+    z1, zs, scaled = _family_without_b(replace(p, b=1.0), m)
     curve = ParamCurve(z1=z1.copy(), z2=np.where(scaled, p.b * zs, zs))
     if central_diff(curve.z2, curve.spacing)[m // 2] <= 0.0:
         raise ConstructionError("condition 2: slope of z2 at 0 not positive")
@@ -194,13 +193,12 @@ def build_turning_family(p: TurningFamilyParams, m: int) -> ParamCurve:
 
 
 @lru_cache(maxsize=8)
-def _family_without_b(p: TurningFamilyParams, m: int, *shape_constants):
+def _family_without_b(p: TurningFamilyParams, m: int):
     """(z1, zstar, scaled): the b-independent part of a family on m nodes, read-only.
 
     z2 = b * zstar on the nodes ``scaled`` and zstar elsewhere. Every check
     of the sampled zstar and z1 that does not read b runs here, once per
-    family (p at b = 1) and grid; the module's shape constants, which zstar
-    reads, are part of the key, so that a changed constant builds afresh.
+    family (p at b = 1) and grid.
     """
     check_grid_size(m)  # before the sign checks, which assume 0 is a node
     alpha = uniform_grid(m)

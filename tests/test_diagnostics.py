@@ -156,7 +156,7 @@ def test_delta_matches_dense_pair_sum(m, coeffs, symmetry):
 def out_of_place_pair_kernel(m, rows, a):
     """Kpair at the offset rows ``rows`` (shaped to broadcast against a) and
     heights a = |x2|, with a fresh array for every step."""
-    x, xsq, scale, shift, near = kernels._grid_row_tables(m)
+    x, xsq, scale, shift, near = kernels._row_tables(np.arange(m // 2 + 1) * (2 * np.pi / m))
     clipped = np.minimum(a, 2.0)
     t = clipped - 1.0
     s = near[-1][rows] * t
@@ -188,7 +188,7 @@ def out_of_place_delta(interface):
     origin = out_of_place_pair_kernel(m, np.zeros((1, 1), dtype=int), np.zeros((1, 1)))[0, 0]
     total = float(origin * (hp @ hp))
     rows = kernels.central_pair_rows(h, hp, width=m)
-    for r in kernels.offset_blocks(m, kernels.central_block_rows(m, m)):
+    for r in kernels.offset_blocks(m, m):
         (ha, hpa), (hb, hpb) = rows(r)
         ker = out_of_place_pair_kernel(m, r.reshape(-1, 2, 1), np.abs(ha - hb))
         total += 2.0 * float(kernels.stabilizer_weights(ker * hpb * hpa, r, m).sum())

@@ -16,6 +16,7 @@ from stokescontour.geometry import (
     exact_symmetries,
     symmetry_projection,
 )
+from stokescontour.integrators import AMPLITUDE_GUARD
 from stokescontour.kernels import ONE_OVER_8PI, clausen2, stokeslet_terms
 
 from conftest import band_limited, grids, make_integrator, modes, sine_interface
@@ -413,7 +414,7 @@ def out_of_place_curve_rhs(p, z2, alpha, delta_rho):
     acc1 = np.zeros(width)
     acc2 = np.zeros(width)
     # the blocks of offset rows of the production sum on each path
-    for r in kernels.offset_blocks(m, kernels.central_block_rows(m, width)):
+    for r in kernels.offset_blocks(m, width):
         (z2a, v1a, v2a, sa, ca), (z2b, v1b, v2b, sb, cb) = rows(r)
         sn2 = sa * cb - ca * sb
         # sin(x1/2) cos(x1/2) = sin(x1)/2
@@ -605,6 +606,31 @@ def test_amplitude_guard_reports_offending_node():
     node = int(re.search(r"at node (\d+)", traj.failure_message).group(1))
     assert 0 <= node < m
     assert node == k
+
+
+def test_amplitude_guard_reports_the_node_where_p_trips_it():
+    # the curve translated far along x1 (p = z1 - alpha near 2e6, with a
+    # bump at node k) and z2 of order 1: p, not z2, passes the guard, at
+    # the node of largest |p|
+    m, k = 64, 21
+    al = sc.uniform_grid(m)
+    z1 = al + 2e6 + 0.1 * np.exp(-(((al - al[k]) / 0.2) ** 2))
+    curve = sc.ParamCurve(z1=z1, z2=0.3 * np.sin(al))
+    assert np.max(np.abs(curve.z2)) < AMPLITUDE_GUARD < np.max(np.abs(z1 - al))
+    ip = make_integrator(t_end=0.1)
+    traj = sc.evolve_curve(sc.CurveState(0.0, curve, delta_rho=1e-12), ip, [0.0, 0.1])
+    assert traj.failed and "AMPLITUDE_GUARD" in traj.failure_message
+    assert int(re.search(r"at node (\d+)", traj.failure_message).group(1)) == k
+
+
+def test_rhs_curve_is_one_two_row_array():
+    # the velocity is one (2, m) array, rows u1 and u2, that unpacks as a pair
+    m = 64
+    curve = sc.graph_to_curve(sc.GraphInterface(h=sc.preset_f2(m)))
+    u = sc.rhs_curve(sc.CurveState(0.0, curve, delta_rho=-2.0))
+    assert isinstance(u, np.ndarray) and u.shape == (2, m)
+    u1, u2 = u
+    assert np.array_equal(u1, u[0]) and np.array_equal(u2, u[1])
 
 
 def test_evolve_curve_snapshots_and_min_slope():

@@ -429,7 +429,6 @@ def cached_constants():
         "geometry._reflections": [(m,)],
         "kernels.clausen2": [(0.1,)],
         "kernels._taylor_shifts": [()],
-        "kernels._grid_row_tables": [(m,)],
         "evolution_graph._log_circulant": [(m,)],
         "evolution_graph._taylor_cell_weights": [(m,)],
         "evolution_graph._block_constants": [(m, q, width) for q in evolution_graph.QUADRATURES

@@ -65,8 +65,8 @@ def test_dense_output_is_fourth_order_on_exponential():
 
 
 def run(f, ip, sample_times, y0=np.ones(2), project=lambda y: y):
-    """integrate with the identity guard input and (t, y) samples."""
-    return integrate(f, 0.0, y0, ip, sample_times, project, np.abs,
+    """integrate with (t, y) samples."""
+    return integrate(f, 0.0, y0, ip, sample_times, project,
                      lambda t, y: ((t, y.copy()), t))
 
 
@@ -317,7 +317,7 @@ def test_sample_error_ends_the_run_at_that_sample_time():
 
     ip = make_integrator(t_end=1.0, dt_init=0.5, dt_max=0.5)
     traj = integrate(lambda t, y: np.zeros_like(y), 0.0, np.ones(2), ip,
-                     [0.0, 0.1, 0.3, 1.0], lambda y: y, np.abs, sample)
+                     [0.0, 0.1, 0.3, 1.0], lambda y: y, sample)
     assert traj.failed and traj.failure_time == 0.3
     assert traj.failure_message == "nodes 1 and 2 coincide"
     assert traj.records == [0.0, 0.1]
@@ -326,14 +326,14 @@ def test_sample_error_ends_the_run_at_that_sample_time():
 
 def test_samples_inside_a_step_that_fails_the_guard_are_not_recorded():
     # on a zero field the first step, 0 -> 0.5, is accepted and holds the
-    # samples 0.1 and 0.2; its end state fails the amplitude guard
+    # samples 0.1 and 0.2; its end state, the initial one, fails the
+    # amplitude guard, which checks accepted states only
     ip = make_integrator(t_end=1.0, dt_init=0.5, dt_max=0.5)
-    traj = integrate(lambda t, y: np.zeros_like(y), 0.0, np.ones(3), ip,
+    traj = integrate(lambda t, y: np.zeros_like(y), 0.0, np.full(3, 2.0 * AMPLITUDE_GUARD), ip,
                      [0.0, 0.1, 0.2, 1.0], lambda y: y,
-                     lambda y: np.full(y.shape, 2.0 * AMPLITUDE_GUARD),
                      lambda t, y: ((t, y.copy()), t))
     assert traj.failed and traj.failure_time == 0.5
-    assert traj.failure_message == "non-finite right-hand side at node 0, t=0.5"
+    assert traj.failure_message == "amplitude past AMPLITUDE_GUARD = 1e+06 at node 0, t=0.5"
     assert traj.records == [0.0]
 
 
@@ -405,7 +405,7 @@ def test_first_sample_just_before_t0_is_the_initial_state():
     y0 = np.array([1.0, -2.0])
     ip = make_integrator(t_end=0.1, dt_max=0.05)
     traj = integrate(lambda t, y: -y, 0.0, y0, ip, [-5e-13, 0.1], lambda y: y,
-                     np.abs, lambda t, y: ((t, y.copy()), t))
+                     lambda t, y: ((t, y.copy()), t))
     samples = traj.states
     assert not traj.failed and traj.records == [0.0, 0.1]
     assert samples[0][0] == 0.0 and np.array_equal(samples[0][1], y0)
@@ -426,7 +426,7 @@ def test_first_step_starts_from_the_projected_initial_state():
         return -y
 
     ip = make_integrator(t_end=0.1, dt_max=0.05)
-    traj = integrate(f, 0.0, y0, ip, [0.0, 0.1], project, np.abs,
+    traj = integrate(f, 0.0, y0, ip, [0.0, 0.1], project,
                      lambda t, y: ((t, y.copy()), t))
     assert not traj.failed
     assert np.array_equal(seen[0], project(y0))

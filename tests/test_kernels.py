@@ -14,7 +14,6 @@ from stokescontour import kernels
 from stokescontour.kernels import (
     bilaplacian_pair_kernel_exact,
     clausen2,
-    offset_row_tables,
     pair_kernel_rows,
 )
 
@@ -285,6 +284,11 @@ heights = st.one_of(
 )
 
 
+def tables_at_offsets(m, r):
+    """``kernels._row_tables`` of the offset rows r of an m-node grid, shaped (*r.shape, 1)."""
+    return tuple(t[..., None] for t in kernels._row_tables(r * (2 * np.pi / m)))
+
+
 @given(
     log2m=st.integers(3, 13),
     row=st.floats(0.0, 1.0),
@@ -298,7 +302,7 @@ def test_offset_rows_match_complex_reference(log2m, row, x2, sign):
     x2 = sign * np.array([x2])
     x1 = r[0] * (2 * np.pi / m)
     ref = complex_pair_kernel(x1, x2)
-    assert np.max(np.abs(pair_kernel_rows(offset_row_tables(m, r), x2) - ref)) <= 1e-15
+    assert np.max(np.abs(pair_kernel_rows(tables_at_offsets(m, r), x2) - ref)) <= 1e-15
     # the pointwise entry point, also off [0, pi] (evenness and periodicity)
     for shift in (0.0, -2 * x1, 2 * np.pi, -6 * np.pi):
         got = bilaplacian_pair_kernel_exact(x1 + shift, x2)
@@ -310,7 +314,7 @@ def test_offset_rows_match_mpmath(m):
     heights = [0.0, 1e-300, 1e-12, 1.0, np.nextafter(2.0, 0.0), 2.0,
                np.nextafter(2.0, 3.0), 10.0, 40.0, 700.0]
     rows = np.array([0, 1, m // 2 - 1, m // 2])
-    got = pair_kernel_rows(offset_row_tables(m, rows),
+    got = pair_kernel_rows(tables_at_offsets(m, rows),
                            np.broadcast_to(np.array(heights), (rows.size, len(heights))))
     with mp.workdps(40):
         for k, r in enumerate(rows):
@@ -318,7 +322,7 @@ def test_offset_rows_match_mpmath(m):
                 w = mp.exp(mp.mpf(-a) + 1j * mp.mpf(r * (2 * np.pi / m)))
                 ref = (mp.polylog(3, w).real + mp.mpf(a) * mp.polylog(2, w).real) / (4 * mp.pi)
                 assert abs(got[k, j] - float(ref)) <= 1e-15
-    far = pair_kernel_rows(offset_row_tables(m, rows), np.full((rows.size, 1), 2e6))
+    far = pair_kernel_rows(tables_at_offsets(m, rows), np.full((rows.size, 1), 2e6))
     assert np.all(np.isfinite(far))
 
 
@@ -328,7 +332,7 @@ def test_far_rows_match_mpmath(rng, m):
     # as complex_pair_kernel, so it is checked against mpmath here
     rows = rng.integers(0, m // 2 + 1, 40)
     x2 = rng.uniform(2.0, 14.0, 40) * rng.choice([-1.0, 1.0], 40)
-    got = pair_kernel_rows(offset_row_tables(m, rows), x2[:, None])[:, 0]
+    got = pair_kernel_rows(tables_at_offsets(m, rows), x2[:, None])[:, 0]
     exact = bilaplacian_pair_kernel_exact(rows * (2 * np.pi / m), x2)
     with mp.workdps(30):
         for k, r in enumerate(rows):
@@ -391,7 +395,8 @@ def test_reader_keeps_its_rows_after_another_is_built(rng, layout):
     width = {"full": m, "central": m // 2 + 1, "quarter": m // 4 + 1}[layout]
     xs, ys = rng.normal(size=(2, 2, m))
     first, second = (kernels.central_pair_rows(*z, width=width) for z in (xs, ys))
-    for r in kernels.offset_blocks(m, 8):
+    # blocks of 8 offsets, so that m = 64 reads several
+    for r in np.arange(1, m // 2 + 1).reshape(-1, 8):
         for rows, z in ((first, xs), (second, ys)):
             got = rows(r)
             for k, x in enumerate(z):

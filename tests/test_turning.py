@@ -51,6 +51,8 @@ def test_even_family_symmetry_and_flats():
 
 
 def test_construction_error_on_violated_signs(monkeypatch):
+    # the b-independent part is cached by family and grid: build it afresh
+    turning._family_without_b.cache_clear()
     monkeypatch.setattr(turning, "BASIC_NEGATIVE", -0.002)  # flips property (c)
     with pytest.raises(sc.ConstructionError, match=r"property \(c\)"):
         sc.build_turning_family(sc.TurningFamilyParams(b=1.0), 512)
