@@ -1,0 +1,5 @@
+"""``python -m stokescontour``: the ``stokescontour`` command (``cli.main``)."""
+from .cli import main
+
+if __name__ == "__main__":
+    raise SystemExit(main())

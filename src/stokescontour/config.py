@@ -51,7 +51,8 @@ class InitialSpec:
             if not self.fourier_coeffs:
                 raise ConfigError("fourier initial data needs a coefficient list")
             for pair in self.fourier_coeffs:
-                if len(pair) != 2 or int(pair[0]) < 1:
+                # the wavenumber k of [k, amplitude] is a positive integer
+                if len(pair) != 2 or not float(pair[0]).is_integer() or pair[0] < 1:
                     raise ConfigError(f"malformed fourier coefficient {pair!r}")
         if self.kind == "snapshot_file" and not self.path:
             raise ConfigError("snapshot_file initial data needs a path")
@@ -134,8 +135,8 @@ class RunConfig:
         if self.sample_times is not None:
             return list(self.sample_times)
         dt = self.sample_dt
-        if dt <= 0:
-            raise ConfigError("sample_dt must be positive")
+        if not 0 < dt < math.inf:
+            raise ConfigError(f"sample_dt must be positive and finite, got {dt}")
         # the last sample may not pass t_end; the slack absorbs roundoff only
         return [i * dt for i in range(math.floor(self.integrator.t_end / dt + 1e-9) + 1)]
 

@@ -30,28 +30,26 @@ so a projected state, every DOPRI5 stage built from it and the velocity
 below keep them bit for bit. The sum takes one of three paths, chosen by
 the exact O(m) test ``geometry.exact_symmetries`` on (p, z2): given the
 central symmetry, the even one holds exactly if and only if the
-half-period one does. All three run one block loop: it reads the rows
-through ``kernels.central_pair_rows``, weights the pair terms by their
-orbits (``kernels.stabilizer_weights``), totals them with
-``kernels.central_folder`` and writes the nodes a symmetric sum did not
-total with ``kernels.central_unfold``; the width of the rows sets the
-path:
+half-period one does. All three run one block loop
+(``_velocity_totals``): it reads the rows through
+``kernels.central_pair_rows``, weights the pair terms by their orbits
+(``kernels.stabilizer_weights``) and totals them on every node with
+``kernels.central_folder``; the width of the rows sets the path:
 
 - on exactly odd p and z2 the velocity is odd, and the pair of nodes
   (-i, -j) carries the negated terms of (i, j). The central half sum
   (width m/2 + 1) evaluates one pair of each such mirror orbit,
-  (m/2) * (m/2 + 1) pairs instead of (m/2) * m, totals the nodes alpha in
-  [-pi, 0] and gives the others the negated totals; the nodes alpha = -pi
-  and 0 are exactly 0;
-- on such a state that is also exactly half-period symmetric the shift by
-  m/2 keeps the u1 terms of a pair and negates its u2 terms. The quarter
+  (m/2) * (m/2 + 1) pairs instead of (m/2) * m;
+- on such a state that is also exactly half-period symmetric the quarter
   sum (width m/4 + 1) evaluates one pair of each orbit of the four-element
-  group, (m/2) * (m/4 + 1) pairs, totals the nodes alpha in [-pi, -pi/2] and
-  writes the others by the reflection n -> m/2 - n (u1 odd, u2 even under
-  it) and the central mirror; u1 is exactly 0 at alpha = -pi/2 too;
+  group, (m/2) * (m/4 + 1) pairs;
 - any other state takes the full sum (width m).
 
-The symmetric sums agree with the full sum to roundoff (not bitwise) and
+A symmetric sum's folder totals the held pairs times the orbit size, and
+the velocity is projected onto the symmetries found
+(``geometry.symmetry_projector``, u1 mapping like p and u2 like z2), whose
+average over each node's images completes the sum over all pairs. The
+symmetric sums agree with the full sum to roundoff (not bitwise) and
 their output has the symmetries exactly, so every stage of a run from a
 projected state takes the path of its initial state: the basic turning
 family the half sum, the even one the quarter sum.
@@ -80,6 +78,7 @@ from .geometry import (
     curve_derivatives,
     exact_symmetries,
     symmetry_projection,
+    symmetry_projector,
 )
 from .integrators import BlowupError, IntegratorParams, Trajectory, integrate
 from .kernels import (
@@ -87,7 +86,6 @@ from .kernels import (
     block_workspace,
     central_folder,
     central_pair_rows,
-    central_unfold,
     clausen2,
     offset_blocks,
     stabilizer_weights,
@@ -95,10 +93,6 @@ from .kernels import (
 )
 
 SPEED_RATIO_WARN = 20.0
-
-# the sign the half-period shift gives the terms of u1 and u2: it keeps u1
-# and negates u2 (read on the quarter sum, by its fold and its unfold)
-_SHIFT_SIGNS = np.array([1.0, -1.0])
 
 
 @dataclass(frozen=True)
@@ -115,19 +109,19 @@ class CurveState:
 def _rhs_curve_arrays(p: np.ndarray, z2: np.ndarray, alpha: np.ndarray, delta_rho: float):
     m = p.size
     # the Stokeslet is even, so the offsets r and m - r share one evaluation:
-    # on an exactly odd state one pair of each mirror orbit, folded onto the
-    # nodes 0..m/2; with the even symmetry too one pair of each orbit of the
-    # mirror and the half-period shift, folded onto the nodes 0..m/4; on any
-    # other state every pair, folded onto every node
+    # on an exactly odd state one pair of each mirror orbit; with the even
+    # symmetry too one pair of each orbit of the mirror and the half-period
+    # shift; each finished by the projection onto its symmetries. On any
+    # other state every pair
     central, even = exact_symmetries(p, z2)
     width = m // 4 + 1 if central and even else m // 2 + 1 if central else m
-    # the sum's temporaries are freed before the unfold allocates the
+    # the sum's temporaries are freed before the projection allocates the
     # returned array, which a run keeps as a stage: allocated above them, it
     # pinned the heap and raised a run's peak RSS (0.5 MB at m = 1024)
     u = _velocity_totals(p, z2, alpha, width)
     u *= delta_rho * ONE_OVER_8PI
-    # the velocity is odd; the unfold takes the shift signs the fold took
-    u = central_unfold(u, m, _SHIFT_SIGNS[:, None])
+    # u1 is a remainder like p, u2 a height like z2
+    u = np.array(symmetry_projector(m, central, even)(*u))
     bad = ~np.isfinite(u).all(axis=0)
     if bad.any():
         raise BlowupError(int(np.flatnonzero(bad)[0]))
@@ -135,7 +129,7 @@ def _rhs_curve_arrays(p: np.ndarray, z2: np.ndarray, alpha: np.ndarray, delta_rh
 
 
 def _velocity_totals(p, z2, alpha, width):
-    """The unscaled velocity on the nodes 0..width - 1 the sum totals, shape (2, width)."""
+    """The unscaled velocity, shape (2, m), by the pair sum of ``width`` columns a row."""
     m = p.size
     d = TWO_PI / m
     dz1 = 1.0 + central_diff(p, d)
@@ -148,18 +142,16 @@ def _velocity_totals(p, z2, alpha, width):
     # two half panels of int_0^{d/2} log(4 sin^2(s/2)) ds = -2 Cl2(d/2)
     cell = -4.0 * clausen2(0.5 * d)
 
-    # r = 0, on the nodes the sum totals: diagonal limits; the log singular
-    # factor contributes the frozen half-panel cell, the smooth remainder its
-    # limit log |zdot|^2, and the rational matrix term its one-sided Taylor
-    # limit.
-    dz1w, dz2w, v1w, v2w = dz1[:width], dz2[:width], v1[:width], v2[:width]
-    speed2 = dz1w * dz1w + dz2w * dz2w
+    # r = 0: diagonal limits; the log singular factor contributes the frozen
+    # half-panel cell, the smooth remainder its limit log |zdot|^2, and the
+    # rational matrix term its one-sided Taylor limit.
+    speed2 = dz1 * dz1 + dz2 * dz2
     g0 = np.log(speed2)
-    a_ss0 = 2.0 * dz2w * dz2w / speed2
-    a_sn0 = 2.0 * dz2w * dz1w / speed2
-    u = np.empty((2, width))
-    u[0] = d * (g0 * v1w + a_ss0 * v1w - a_sn0 * v2w) + cell * v1w
-    u[1] = d * (g0 * v2w - a_sn0 * v1w - a_ss0 * v2w) + cell * v2w
+    a_ss0 = 2.0 * dz2 * dz2 / speed2
+    a_sn0 = 2.0 * dz2 * dz1 / speed2
+    u = np.empty((2, m))
+    u[0] = d * (g0 * v1 + a_ss0 * v1 - a_sn0 * v2) + cell * v1
+    u[1] = d * (g0 * v2 - a_sn0 * v1 - a_ss0 * v2) + cell * v2
 
     # sin and cos of z1/2 per node: the sines of every pair by angle
     # subtraction; the kernel is 2pi-periodic in x1, so the winding of z1
@@ -167,9 +159,8 @@ def _velocity_totals(p, z2, alpha, width):
     # place in one workspace for all blocks
     z1 = p + alpha
     xs = (z2, v1, v2, np.sin(0.5 * z1), np.cos(0.5 * z1))
-    rows, fold = central_pair_rows(*xs, width=width), central_folder(m, width)
+    rows, (fold, total) = central_pair_rows(*xs, width=width), central_folder(m, width, (2,))
     work = block_workspace(6, m, width)
-    acc = np.zeros((2, width))
     for r in offset_blocks(m, width):
         (z2a, *va, sa, ca), (z2b, *vb, sb, cb) = rows(r)
         sn2, sc, x2, lg, a_ss, a_sn = work[:, : len(z2b)]
@@ -192,8 +183,8 @@ def _velocity_totals(p, z2, alpha, width):
             near -= np.multiply(a_sn, vb[1 - k], out=a_ss)
             far = np.multiply(s, va[k], out=a_ss)
             far -= np.multiply(a_sn, va[1 - k], out=x2)
-            acc[k] += fold(near, far, r, _SHIFT_SIGNS[k])
-    u += d * acc
+            fold(near, far, r, k)
+    u += d * total()
     return u
 
 

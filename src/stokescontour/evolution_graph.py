@@ -36,9 +36,9 @@ The integrand is symmetric in its two nodes and both quadratures weight the
 offsets r and m - r alike, so every unordered pair is evaluated once: the sum
 runs over the offsets r = 1..m/2 in blocks of offset rows
 (``kernels.offset_blocks``), each pair feeding both of its nodes, and the
-spectral circulant joins the same rows. One block loop reads the rows
-through ``kernels.central_pair_rows``, weights the pair terms by their
-orbits (``kernels.stabilizer_weights``) and totals them with
+spectral circulant joins the same rows. One block loop (``_pair_totals``)
+reads the rows through ``kernels.central_pair_rows``, weights the pair terms
+by their orbits (``kernels.stabilizer_weights``) and totals them with
 ``kernels.central_folder``; the width of the rows sets the path.
 
 The sum takes one of two paths, chosen by the exact O(m) test
@@ -49,8 +49,10 @@ projected onto both symmetries is, take the quarter sum: the pairs (i, j),
 (-i, -j), (i + m/2, j + m/2) and (m/2 - i, m/2 - j) carry the same terms
 up to sign, so one pair of each such orbit is evaluated, indexed by its
 centre 0..m/4 in every offset row (width m/4 + 1): m/2 * (m/4 + 1) pairs.
-The nodes 0..m/4 are totalled and the others written by the two
-reflections (``kernels.central_unfold``). The result agrees with the full
+The folder totals their terms on every node, four times over, and the
+right-hand side is projected onto both symmetries
+(``geometry.symmetry_projector``), whose average over the four images of
+each node completes the sum over all pairs. The result agrees with the full
 sum to roundoff (not bitwise) and is exactly odd and antiperiodic, so
 every stage of such a run takes this path again. Any other state takes
 the full sum over all m/2 * m pairs (width m), on which every node
@@ -75,18 +77,19 @@ from .geometry import (
     GraphInterface,
     TWO_PI,
     central_diff,
+    check_finite_fields,
     check_grid_size,
     exact_symmetries,
     graph_to_curve,
     second_diff,
     symmetry_projection,
+    symmetry_projector,
 )
 from .integrators import BlowupError, IntegratorParams, Trajectory, integrate
 from .kernels import (
     block_workspace,
     central_folder,
     central_pair_rows,
-    central_unfold,
     clausen2,
     offset_blocks,
     read_only,
@@ -123,6 +126,7 @@ class SchemeParams:
 
     def __post_init__(self):
         check_grid_size(self.m)
+        check_finite_fields(self, "sign_factor", "viscosity")
         if self.sign_factor == 0.0:
             raise ValueError("sign_factor must be nonzero")
         if self.viscosity < 0.0:
@@ -210,34 +214,43 @@ def _rhs_arrays(h: np.ndarray, params: SchemeParams) -> np.ndarray:
         raise ValueError(f"state has m={m} but params.m={params.m}")
     d = TWO_PI / m
     dh = central_diff(h, d)
-    spectral = params.quadrature == "spectral_log"
     # on heights that are exactly odd, h(-alpha) = -h(alpha), and
     # antiperiodic, h(alpha + pi) = -h(alpha), one pair of each orbit of both
-    # symmetries, summed onto the nodes 0..m/4; on any other heights every
-    # pair, summed onto every node
-    width = m // 4 + 1 if all(exact_symmetries(None, h)) else m
-    hw, dhw = h[:width], dh[:width]
-
-    if spectral:
+    # symmetries, finished by the projection onto them; on any other heights
+    # every pair
+    quarter = all(exact_symmetries(None, h))
+    # the sum's temporaries are freed before the returned array is allocated
+    totals = _pair_totals(h, dh, params, m // 4 + 1 if quarter else m)
+    if params.quadrature == "spectral_log":
         # r = 0: removable limits of the three terms, trapezoid cell weight d;
         # the log(4 sin^2) factor is integrated by the circulant omega
-        one_p = 1.0 + dhw * dhw
-        t23_0 = 2.0 * hw * dhw * dhw * (dhw * dhw - 1.0) / one_p + 4.0 * hw * dhw * dhw / one_p
-        acc = d * (np.log(one_p) * hw * one_p + t23_0) + _log_circulant(m)[0] * hw * one_p
+        one_p = 1.0 + dh * dh
+        t23_0 = 2.0 * h * dh * dh * (dh * dh - 1.0) / one_p + 4.0 * h * dh * dh / one_p
+        r0 = d * (np.log(one_p) * h * one_p + t23_0) + _log_circulant(m)[0] * h * one_p
     else:  # taylor_cell
-        acc = 2.0 * _cell_correction_values(hw, dhw, d, params.singular_cell_variant)
+        r0 = 2.0 * _cell_correction_values(h, dh, d, params.singular_cell_variant)
+    rhs = params.sign_factor * (r0 + totals) + params.viscosity * second_diff(h, d)
+    rhs = symmetry_projector(m, quarter, quarter)(None, rhs)[1]
+    if not np.all(np.isfinite(rhs)):
+        raise BlowupError(int(np.flatnonzero(~np.isfinite(rhs))[0]))
+    return rhs
+
+
+def _pair_totals(h, dh, params, width):
+    """The pair sum of ``width`` columns a row, ``central_folder``'s totals on all m nodes."""
+    m = h.size
     # the pair integrand below is symmetric in its two nodes and both weights
     # are even in the offset, so the offsets r and m - r share one evaluation;
     # the block terms are computed in place in one workspace for all blocks
-    rows, fold = central_pair_rows(h, dh, width=width), central_folder(m, width)
+    rows, (fold, total) = central_pair_rows(h, dh, width=width), central_folder(m, width)
     work = block_workspace(5, m, width)
     for r, sn2, sc, log_row, weight in _block_constants(m, params.quadrature, width):
         (ha, dha), (hb, dhb) = rows(r)
         x2, lg, a_ss, a_sn, dd = work[:, : len(hb)]
         stokeslet_terms_into(sn2, sc, np.subtract(ha, hb, out=x2), lg, a_ss, a_sn)
-        if spectral:
-            # keep the smooth remainder of the log only; the circulant weight
-            # omega_r of its log(4 sin^2) factor joins it per offset row
+        if log_row is not None:
+            # spectral: keep the smooth remainder of the log only; the circulant
+            # weight omega_r of its log(4 sin^2) factor joins it per offset row
             lg += log_row
         # pair = w_r (lg (1 + dd) + a_ss (dd - 1) + a_sn (h'_i + h'_j)), in place
         np.multiply(dha, dhb, out=dd)
@@ -248,15 +261,8 @@ def _rhs_arrays(h: np.ndarray, params: SchemeParams) -> np.ndarray:
         a_sn *= np.add(dha, dhb, out=x2)
         lg += a_sn
         pair = stabilizer_weights(np.multiply(lg, weight, out=lg), r, m)
-        # the half-period shift negates the terms (read on the quarter sum)
-        acc += fold(np.multiply(hb, pair, out=x2), np.multiply(ha, pair, out=a_ss), r, -1.0)
-
-    rhs = params.sign_factor * acc + params.viscosity * second_diff(h, d)[:width]
-    # exactly odd and antiperiodic: the shift sign the fold took
-    rhs = central_unfold(rhs, m, -1.0)
-    if not np.all(np.isfinite(rhs)):
-        raise BlowupError(int(np.flatnonzero(~np.isfinite(rhs))[0]))
-    return rhs
+        fold(np.multiply(hb, pair, out=x2), np.multiply(ha, pair, out=a_ss), r)
+    return total()
 
 
 def rhs_graph(state: GraphState, params: SchemeParams) -> np.ndarray:

@@ -13,7 +13,10 @@ The curve conventions live here alone: the grid rule ``check_grid_size``, the
 winding-aware tangent ``curve_derivatives`` and the table of the two
 symmetries the flow conserves, from which ``carried_symmetries`` decides what
 every run enforces and ``verify`` checks, and ``exact_symmetries`` which path
-every pair sum takes.
+every pair sum takes. The table's one projection, ``symmetry_projector``,
+enforces the symmetries on every state of a run and also finishes every
+symmetric pair sum of the right-hand sides, so no other module maps nodes or
+signs by a symmetry.
 
 A ``ParamCurve`` is validated on construction: no two nodes may coincide in
 (z1 mod 2pi, z2), checked on the nodes sorted by z1 mod 2pi in O(m log m)
@@ -60,6 +63,17 @@ def check_grid_size(m: int) -> None:
     """ValueError unless m >= 8 is a multiple of 4, so that 0 and +-pi/2 are nodes."""
     if m < 8 or m % 4:
         raise ValueError(f"m must be a multiple of 4 and >= 8, got {m}")
+
+
+def check_finite_fields(params, *names: str) -> None:
+    """ValueError naming the first of the fields ``names`` of ``params`` that is not finite.
+
+    JSON configs may spell NaN and Infinity, which no range check rejects.
+    """
+    for name in names:
+        value = getattr(params, name)
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 def central_diff(values, spacing: float) -> np.ndarray:
@@ -304,8 +318,8 @@ def _reflections(m: int):
     z(alpha) = -z(-alpha) pairs j with -j; even symmetry pairs j with
     m/2 - j, mirroring the curve about the lines z1 = -pi/2 on [-pi, 0] and
     z1 = pi/2 on (0, pi). Their composition is the half-period symmetry
-    p[j + m/2] = p[j], z2[j + m/2] = -z2[j]. The index rows are read-only,
-    built once per m.
+    p[j + m/2] = p[j], z2[j + m/2] = -z2[j]. A velocity maps as the state:
+    u1 like p and u2 like z2. The index rows are read-only, built once per m.
     """
     j = np.arange(m)
     rows = (((-j) % m, -1.0), ((m // 2 - j) % m, 1.0))
@@ -357,18 +371,24 @@ def carried_symmetries(curve: ParamCurve):
     return tuple(err <= CARRIED_TOL for err in symmetry_errors(curve))
 
 
-def symmetry_projection(curve: ParamCurve):
-    """Projection onto the symmetries ``curve`` carries (``carried_symmetries``).
+def symmetry_projector(m: int, central: bool, even: bool):
+    """``project(p, z2) -> (p, z2)``: the projection onto the requested symmetries.
 
-    Both are conserved by the flow, so enforcing them keeps roundoff
-    asymmetries from growing under unstable dynamics. Returns ``project(p,
-    z2) -> (p, z2)`` on the remainder p = z1 - alpha: each reflection is a
-    sign and index map there, so the result has both symmetries, and their
-    composition, the half-period symmetry, exactly. Its z2 half alone
-    projects the heights of a graph, and ``project(None, h)`` computes only
-    that half.
+    On the remainder p = z1 - alpha each reflection of ``_reflections`` is a
+    sign and index map, and the projection averages over the group they
+    generate: each requested one halves the sum of the state and its signed
+    reflected copy. The result has each requested symmetry, and with both
+    their composition, the half-period symmetry, exactly, and projecting it
+    again returns it bit for bit; with none requested the inputs are
+    returned as they are. Its z2 half alone projects the heights of a graph,
+    and ``project(None, h)`` computes only that half.
+
+    The same average finishes every symmetric pair sum: the sum over all
+    pairs is the group order times the projection of the terms of the pairs
+    the sum held (``kernels.central_folder``), so each right-hand side
+    projects its output onto the symmetries that chose its path.
     """
-    rows = [row for row, on in zip(_reflections(curve.m), carried_symmetries(curve)) if on]
+    rows = [row for row, on in zip(_reflections(m), (central, even)) if on]
 
     def project(p, z2):
         for k, sign in rows:
@@ -378,6 +398,15 @@ def symmetry_projection(curve: ParamCurve):
         return p, z2
 
     return project
+
+
+def symmetry_projection(curve: ParamCurve):
+    """``symmetry_projector`` onto the symmetries ``curve`` carries (``carried_symmetries``).
+
+    Both are conserved by the flow, so enforcing them keeps roundoff
+    asymmetries from growing under unstable dynamics.
+    """
+    return symmetry_projector(curve.m, *carried_symmetries(curve))
 
 
 # ---------------------------------------------------------------------------

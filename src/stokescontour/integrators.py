@@ -34,7 +34,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .geometry import DegenerateParametrizationError, SelfIntersectionError
+from .geometry import DegenerateParametrizationError, SelfIntersectionError, check_finite_fields
 
 # accepted states deviating beyond this amplitude are treated as blown up
 AMPLITUDE_GUARD = 1e6
@@ -101,6 +101,7 @@ class IntegratorParams:
     dt_max: float = 0.1
 
     def __post_init__(self):
+        check_finite_fields(self, "t_end", "rel_tol", "abs_tol", "dt_init", "dt_min", "dt_max")
         if self.rel_tol < 1e-12 or self.abs_tol < 1e-12:
             raise ValueError("tolerances must be >= 1e-12")
         if not (0 < self.dt_min <= self.dt_init <= self.dt_max):
@@ -150,10 +151,11 @@ def _step_factor(err_norm: float) -> float:
 
 
 def _prepare_samples(t0: float, ip: IntegratorParams, sample_times) -> np.ndarray:
-    """Sample times as an array, or ValueError unless increasing within [t0, t_end]."""
+    """Sample times as an array, or ValueError unless finite, increasing within [t0, t_end]."""
     ts = np.asarray(list(sample_times), dtype=float)
-    if ts.size == 0:
-        raise ValueError("sample_times must be nonempty")
+    # a NaN passes every comparison below, and a run would never reach it
+    if ts.size == 0 or not np.all(np.isfinite(ts)):
+        raise ValueError("sample_times must be nonempty and finite")
     if np.any(np.diff(ts) <= 0):
         raise ValueError("sample_times must be strictly increasing")
     if ts[0] < t0 - _SAMPLE_TOL or ts[-1] > ip.t_end + _SAMPLE_TOL:

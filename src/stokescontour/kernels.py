@@ -41,30 +41,32 @@ over half the grid offsets, r = 1..m/2, a block of offset rows at a time
 (``offset_blocks``), so their memory is O(rows * width) per block rather
 than O(m^2). Every sum reads its pairs in one layout: the rows of the
 offsets 2s + 1 and 2s + 2 side by side, shape (n, 2, width)
-(``central_pair_rows``), and one folder totals a block onto the nodes
-(``central_folder``). The width sets the path:
+(``central_pair_rows``), and both right-hand sides add each block into one
+folder (``central_folder``), which totals the blocks on the nodes once. The
+width sets the path:
 
 - m columns, the full sum: column i of row r holds the pair (i, i - r);
 - m/2 + 1 pair centres, the central half sum, on a curve whose remainder
   p = z1 - alpha and height z2 are exactly odd: the mirror (-i, r - i) of
   the pair (i, i - r) lies in the same offset row with its terms negated,
-  so a row indexed by the pair centre holds one pair of each mirror orbit,
-  folded onto the nodes alpha in [-pi, 0];
+  so a row indexed by the pair centre holds one pair of each mirror orbit;
 - m/4 + 1 pair centres, the quarter sum, on a state that also has the
   even symmetry exactly, and with it the shift by m/2: graph heights that
   are odd and antiperiodic, h(alpha + pi) = -h(alpha), as every state of a
   graph run projected onto both symmetries is, and curves that are odd and
   half-period symmetric, p(alpha + pi) = p(alpha),
   z2(alpha + pi) = -z2(alpha), as every state of a run of the even turning
-  family is. The terms fold onto the nodes 0..m/4 through their four
-  images, the folder taking the sign the shift gives them (-1 for the
-  graph and the curve's u2, +1 for its u1).
+  family is. These centres hold one pair of each orbit of both symmetries.
 
-The folder only folds: each sum weights its pair terms by their orbits
-first (``stabilizer_weights``), so the r = m/2 row, which holds each of its
-pairs twice, counts half on every path, and ``central_unfold`` writes the
-nodes a symmetric sum did not total, from the same shift sign the fold
-took. Every sum reads its path from the one exact test
+The folder only accumulates: each sum weights its pair terms by their
+orbits first (``stabilizer_weights``), so the r = m/2 row, which holds each
+of its pairs twice, counts half on every path, as does a held pair that is
+its own image. A symmetric sum's folder totals the held pairs' terms on
+the nodes times the orbit size, and the sum over all pairs is their average
+over the symmetry group: the projection ``geometry.symmetry_projector``
+onto the path's symmetries, which each right-hand side applies to its
+output. The signs and node maps of the symmetries live in ``geometry``'s
+table alone. Every sum reads its path from the one exact test
 ``geometry.exact_symmetries``: the graph right-hand side and ``delta`` take
 the quarter sum when both symmetries hold and the full sum otherwise; the
 curve right-hand side takes the quarter sum when both hold, the central
@@ -299,60 +301,54 @@ def stabilizer_weights(t, r, m: int):
     return t
 
 
-def central_folder(m: int, width: int):
-    """``fold(near, far, r, shift_sign)``: per-node total of one block of ``central_pair_rows``.
+def central_folder(m: int, width: int, lead=()):
+    """``(fold, total)``: the per-node totals of the blocks of ``central_pair_rows``.
 
-    ``near`` and ``far`` (the rows' shape (len(r)/2, 2, width)) hold each
-    pair's term for its near and its far node, weighted by
-    ``stabilizer_weights``; both are overwritten. The total is that of the
-    nodes the width covers:
+    ``fold(near, far, r, k=())`` adds one block into accumulator ``k`` of
+    the ``lead`` axes. ``near`` and ``far`` (the rows' shape
+    (len(r)/2, 2, width)) hold each pair's term for its near and its far
+    node, weighted by ``stabilizer_weights``; both are overwritten.
+    ``total()`` returns the accumulated totals on all m nodes, shape
+    (*lead, m):
 
-    - m columns, every node. Node i collects the near term of the pair
-      (i, i - r) and the far term of (i + r, i). The rows are reduced in one
-      fixed order, so shifting the data by a node shifts the total by a
-      node, bitwise.
-    - m/2 + 1 centres, the nodes 0..m/2. The terms of a mirror pair are
-      those of the pair negated, so on these nodes the sum over all pairs
-      is the sum over the held pairs of their terms to a node n minus their
-      terms to -n: a node past m/2 folds, negated, onto its mirror. Nodes 0
-      and m/2 total exactly 0 (for finite terms), as the symmetry requires.
-    - m/4 + 1 centres, the nodes 0..m/4. The state also has the half-period
-      symmetry: the shift by W = m/2 maps the pair of centre k to that of
-      centre k + W and multiplies its terms by ``shift_sign`` (read on this
-      width only). A node n collects the held terms to n, minus those to
-      -n, plus ``shift_sign`` times those to n + W minus those to W - n.
-      The sign is -1 for graph heights with h(alpha + pi) = -h(alpha) and
-      for the u2 terms of a curve with z1(alpha + pi) = z1(alpha) + pi,
-      z2(alpha + pi) = -z2(alpha), whose u1 terms the shift leaves
-      unchanged (+1). Node 0 totals exactly 0 (for finite terms), and so
-      does node m/4 for the sign +1.
+    - m columns, every pair: node i collects the near term of the pair
+      (i, i - r) and the far term of (i + r, i). The accumulator is the node
+      array itself and every node adds its rows in one fixed order, so
+      shifting the data by a node shifts the total by a node, bitwise.
+    - pair centres (m/2 + 1 or m/4 + 1 of them), one pair of each orbit of
+      the symmetries the state has: the held pairs' terms to each node,
+      times the orbit size, 2 or 4 (exact). The sum over all pairs is the
+      group average of these, ``geometry.symmetry_projector`` onto the
+      path's symmetries, which the caller applies to its output.
 
     The blocks are of ``central_block_rows(m, width)`` offsets. The full
     sum reads its far rows shifted by their offsets through a strided view
     over a buffer holding each row followed by its wrapped copy. On the pair
-    centres the rows are shifted into one unwrapped line of the nodes from
-    -m/4 through a strided view over a buffer whose rows are laid end to end
-    (row j read j places further right); the line is then folded. Each
-    buffer is made here for all the blocks of the sum.
+    centres the rows are shifted onto one unwrapped line of the nodes
+    -m/4..width - 1 + m/4 through a strided view over a buffer whose rows
+    are laid end to end (row j read j places further right); ``total``
+    wraps the line onto the nodes. Each buffer is made here for all the
+    blocks of the sum.
     """
     rows = central_block_rows(m, width)
     if width == m:
+        acc = np.zeros((*lead, m))
         # each far row followed by its wrapped copy; with r_k = r_0 + k, the
         # term of row k for node i, twice[k, i + r_k], is element
         # r_0 + k (2m + 1) + i
         twice = np.empty((rows, 2 * m))
         shifted = _window(twice, (m // 2 + 1, rows, m), (1, 2 * m + 1, 1))
 
-        def fold(near, far, r, shift_sign):
+        def fold(near, far, r, k=()):
             n = r.size
             twice[:n, :m] = twice[:n, m:] = far.reshape(n, m)
             near = near.reshape(n, m)
             near += shifted[r[0], :n]
-            return near.sum(axis=0)
+            acc[k] += near.sum(axis=0)
 
-        return fold
+        return fold, lambda: acc
 
-    half, quarter = m // 2, m // 4
+    quarter = m // 4
     # the last pair centre, and the line of nodes -m/4..last + m/4
     last = width - 1
     pairs = rows // 2
@@ -361,60 +357,30 @@ def central_folder(m: int, width: int):
     # element (j, i) of the view is buf[j, i - j], or a zero of the tail of
     # row j - 1 for i < j: columns last + 1.. are never written
     win = _window(buf, (pairs + 1, span), (span - 1, 1))
-    line = np.empty(2 * quarter + width)
+    line = np.zeros((*lead, 2 * quarter + width))
 
-    def fold(near, far, r, shift_sign):
+    def fold(near, far, r, k=()):
         s0, n = r[0] // 2, r.size // 2
-        line.fill(0.0)
-        # near node s0 + 1 + j + k, the same for both rows of a pair j
+        acc = line[k]
+        # near node s0 + 1 + j + c, the same for both rows of a pair j
         np.add(near[:, 0], near[:, 1], out=buf[:n, :width])
-        line[quarter + s0 + 1 : quarter + s0 + last + n + 1] += win[:n].sum(axis=0)[: last + n]
-        # far node k - (s0 + n) + u, buffer row u = n - j - p
+        acc[quarter + s0 + 1 : quarter + s0 + last + n + 1] += win[:n].sum(axis=0)[: last + n]
+        # far node c - (s0 + n) + u, buffer row u = n - j - p
         buf[:n, :width] = far[::-1, 1]
         buf[n, :width] = 0.0
         buf[1 : n + 1, :width] += far[::-1, 0]
-        line[quarter - s0 - n : quarter - s0 + width] += win[: n + 1].sum(axis=0)[: last + n + 1]
-        if last == quarter:
-            # the line holds the nodes -m/4..m/2: of the nodes n + W only
-            # W (n = 0) and -m/4 (n = m/4); images holds the terms to W - n
-            # minus those to n + W
-            total = line[quarter : half + 1] - line[quarter::-1]
-            images = line[3 * quarter : half - 1 : -1].copy()
-            images[0] -= line[3 * quarter]
-            images[quarter] -= line[0]
-            total -= np.multiply(images, shift_sign, out=images)
-            return total
-        total = line[quarter : quarter + half + 1].copy()
-        total[quarter:] -= line[quarter + half :][::-1]
-        total[: quarter + 1] -= line[: quarter + 1][::-1]
-        return total
+        acc[quarter - s0 - n : quarter - s0 + width] += win[: n + 1].sum(axis=0)[: last + n + 1]
 
-    return fold
+    def total():
+        # node n is line element n + m/4; the orbits hold 4 pairs on the
+        # quarter sum and 2 on the central half sum
+        out = np.zeros((*lead, m))
+        out[..., : quarter + width] = line[..., quarter:]
+        out[..., m - quarter :] += line[..., :quarter]
+        out *= 4.0 if last == quarter else 2.0
+        return out
 
-
-def central_unfold(total, m: int, shift_sign):
-    """All m nodes of a pair sum from its ``total`` on the nodes 0..width - 1.
-
-    The inverse of ``central_folder``, by the symmetries of the path its
-    width (the last axis of ``total``) sets; totals stacked on leading axes
-    take a column of signs. ``shift_sign`` is the sign the half-period shift
-    gives the terms, the one the fold took. On the quarter sums (m/4 + 1
-    nodes) the nodes m/4 + 1..m/2 repeat m/4 - 1..0 by the reflection
-    n -> m/2 - n, the central mirror composed with the shift, so times
-    -shift_sign. Below m nodes the total is odd: the nodes m/2 + 1.. mirror
-    m/2 - 1..1, negated. A full sum's total is returned as it is. Values
-    are only copied and their signs changed, so exactly.
-    """
-    width = total.shape[-1]
-    if width == m:
-        return total
-    half, quarter = m // 2, m // 4
-    out = np.empty((*total.shape[:-1], m))
-    out[..., :width] = total
-    if width == quarter + 1:
-        out[..., quarter + 1 : half + 1] = -shift_sign * total[..., quarter - 1 :: -1]
-    out[..., half + 1 :] = -out[..., half - 1 : 0 : -1]
-    return out
+    return fold, total
 
 
 def _regular_args(x1, x2):

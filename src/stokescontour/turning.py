@@ -39,6 +39,7 @@ from .geometry import (
     TWO_PI,
     ParamCurve,
     central_diff,
+    check_finite_fields,
     check_grid_size,
     curve_derivatives,
     symmetry_errors,
@@ -78,6 +79,7 @@ class TurningFamilyParams:
     variant: str = "basic"
 
     def __post_init__(self):
+        check_finite_fields(self, "b")
         if not (0.0 < self.alpha2 < self.alpha3 < np.pi / 2):
             raise ValueError("need 0 < alpha2 < alpha3 < pi/2")
         if self.b < 1.0:

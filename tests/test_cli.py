@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -84,6 +86,13 @@ def test_malformed_fourier_rejected():
         InitialSpec(kind="fourier", fourier_coeffs=[[0, 1.0]])
     with pytest.raises(ConfigError):
         InitialSpec(kind="fourier", fourier_coeffs=None)
+
+
+@pytest.mark.parametrize("k", [2.5, float("inf"), float("nan")])
+def test_non_integral_fourier_wavenumber_rejected(k):
+    # sin(k alpha) is periodic on the strip for integral k only; 2.5 once ran as 2
+    with pytest.raises(ConfigError, match="malformed fourier coefficient"):
+        InitialSpec(kind="fourier", fourier_coeffs=[[1, 0.1], [k, 0.1]])
 
 
 # --- config serialization ------------------------------------------------------
@@ -354,6 +363,55 @@ def test_main_rejects_bad_scheme_values(tmp_path, key, value, verb):
     assert not os.path.exists(data["outputs"]["diagnostics_csv"])
 
 
+def turning_config_dict(tmp_path):
+    turning = InitialSpec(kind="turning_family", turning=sc.TurningFamilyParams(b=4.0))
+    return config_to_dict(base_config(tmp_path, initial=turning, formulation="curve"))
+
+
+# every float field of IntegratorParams and SchemeParams, and the turning
+# family's b, by the dict that holds it in a config
+NON_FINITE_FIELDS = ([("integrator", k) for k in ("t_end", "rel_tol", "abs_tol", "dt_init",
+                                                   "dt_min", "dt_max")]
+                     + [(None, "sign_factor"), (None, "viscosity"), ("turning", "b")])
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")], ids=str)
+@pytest.mark.parametrize("where, key", NON_FINITE_FIELDS, ids=lambda x: str(x))
+def test_non_finite_config_numbers_are_config_errors(tmp_path, where, key, value):
+    # JSON spells NaN and Infinity; no range check rejects NaN, and a run
+    # from one ended as a partial run, not as a config error
+    data = turning_config_dict(tmp_path) if where == "turning" else config_to_dict(
+        base_config(tmp_path))
+    section = {None: data, "integrator": data["integrator"],
+               "turning": data["initial"].get("turning")}[where]
+    section[key] = value
+    with pytest.raises(ConfigError, match=f"{key} must be finite"):
+        config_from_dict(data)
+    path = tmp_path / "non_finite.json"
+    path.write_text(json.dumps(data))
+    assert main(["run", str(path)]) == EXIT_CONFIG
+    assert not os.path.exists(data["outputs"]["diagnostics_csv"])
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("sample_times", [0.0, float("nan"), 0.05], "sample_times must be nonempty and finite"),
+    ("sample_dt", float("nan"), "sample_dt must be positive and finite"),
+    ("sample_dt", float("inf"), "sample_dt must be positive and finite"),
+], ids=["sample_times_nan", "sample_dt_nan", "sample_dt_inf"])
+def test_non_finite_sample_times_are_config_errors(tmp_path, key, value, message):
+    # a NaN sample time (sample_dt = Infinity gave 0 * inf) passed every
+    # range check, and a run from it never ended
+    data = config_to_dict(base_config(tmp_path))
+    data["sample_times"] = None
+    data[key] = value
+    with pytest.raises(ConfigError, match=message):
+        config_from_dict(data)
+    path = tmp_path / "samples.json"
+    path.write_text(json.dumps(data))
+    assert main(["run", str(path)]) == EXIT_CONFIG
+    assert not os.path.exists(data["outputs"]["diagnostics_csv"])
+
+
 def test_legacy_deterministic_key_still_loads(tmp_path):
     cfg = base_config(tmp_path)
     data = config_to_dict(cfg)
@@ -396,6 +454,15 @@ def test_main_preset_dump(tmp_path):
     obj = sc.read_snapshot(out)
     assert isinstance(obj, sc.GraphInterface)
     assert obj.m == 64
+
+
+def test_python_dash_m_runs_the_command(tmp_path):
+    src = os.path.dirname(os.path.dirname(sc.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", "stokescontour", "preset-dump", "f2", "--m", "8"],
+                          env=env, cwd=tmp_path, capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (EXIT_OK, "")
+    assert sc.read_snapshot(tmp_path / "f2_m8.csv").m == 8
 
 
 @pytest.mark.parametrize("m", [7, 10])

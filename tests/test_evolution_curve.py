@@ -15,6 +15,7 @@ from stokescontour.geometry import (
     curve_derivatives,
     exact_symmetries,
     symmetry_projection,
+    symmetry_projector,
 )
 from stokescontour.integrators import AMPLITUDE_GUARD
 from stokescontour.kernels import ONE_OVER_8PI, clausen2, stokeslet_terms
@@ -408,11 +409,9 @@ def out_of_place_curve_rhs(p, z2, alpha, delta_rho):
     z1 = p + alpha
     xs = (z2, v1, v2, np.sin(0.5 * z1), np.cos(0.5 * z1))
     central, even = exact_symmetries(p, z2)
-    quarter = central and even
-    width = m // 4 + 1 if quarter else m // 2 + 1 if central else m
-    rows, fold = kernels.central_pair_rows(*xs, width=width), kernels.central_folder(m, width)
-    acc1 = np.zeros(width)
-    acc2 = np.zeros(width)
+    width = m // 4 + 1 if central and even else m // 2 + 1 if central else m
+    rows, (fold, total) = (kernels.central_pair_rows(*xs, width=width),
+                           kernels.central_folder(m, width, (2,)))
     # the blocks of offset rows of the production sum on each path
     for r in kernels.offset_blocks(m, width):
         (z2a, v1a, v2a, sa, ca), (z2b, v1b, v2b, sb, cb) = rows(r)
@@ -424,21 +423,16 @@ def out_of_place_curve_rhs(p, z2, alpha, delta_rho):
         lg, a_ss, a_sn = (kernels.stabilizer_weights(t, r, m) for t in terms)
         s11 = lg + a_ss
         s22 = lg - a_ss
-        # the half-period shift keeps the u1 terms and negates the u2 terms
-        acc1 += fold(s11 * v1b - a_sn * v2b, s11 * v1a - a_sn * v2a, r, 1.0)
-        acc2 += fold(s22 * v2b - a_sn * v1b, s22 * v2a - a_sn * v1a, r, -1.0)
-    u1[:width] += d * acc1
-    u2[:width] += d * acc2
+        fold(s11 * v1b - a_sn * v2b, s11 * v1a - a_sn * v2a, r, 0)
+        fold(s22 * v2b - a_sn * v1b, s22 * v2a - a_sn * v1a, r, 1)
+    acc1, acc2 = total()
+    u1 += d * acc1
+    u2 += d * acc2
     u1 *= delta_rho * ONE_OVER_8PI
     u2 *= delta_rho * ONE_OVER_8PI
-    half, q = m // 2, m // 4
-    if quarter:
-        u1[q + 1 : half + 1] = -u1[q - 1 :: -1]
-        u2[q + 1 : half + 1] = u2[q - 1 :: -1]
-    if central:
-        for u in (u1, u2):
-            u[half + 1 :] = -u[half - 1 : 0 : -1]
-    return u1, u2
+    # the sum over all pairs averages the held pairs' terms over the group:
+    # u1 is a remainder like p, u2 a height like z2
+    return symmetry_projector(m, central, even)(u1, u2)
 
 
 def turning_curve_state(m, variant, b, fold, project):

@@ -336,13 +336,13 @@ def out_of_place_rhs(h, params):
         omega = _log_circulant(m)
         one_p = 1.0 + dh * dh
         t23_0 = 2.0 * h * dh * dh * (dh * dh - 1.0) / one_p + 4.0 * h * dh * dh / one_p
-        acc = d * (np.log(one_p) * h * one_p + t23_0) + omega[0] * h * one_p
+        r0 = d * (np.log(one_p) * h * one_p + t23_0) + omega[0] * h * one_p
     else:
         weights = _taylor_cell_weights(m)
-        acc = 2.0 * _cell_correction_values(h, dh, d, params.singular_cell_variant)
+        r0 = 2.0 * _cell_correction_values(h, dh, d, params.singular_cell_variant)
     # the rows of all m columns, and the blocks of offset rows of the
     # production sum on this path
-    rows, fold = kernels.central_pair_rows(h, dh, width=m), kernels.central_folder(m, m)
+    rows, (fold, total) = kernels.central_pair_rows(h, dh, width=m), kernels.central_folder(m, m)
     for r, *_ in _block_constants(m, params.quadrature, m):
         x1 = r * d
         (ha, dha), (hb, dhb) = rows(r)
@@ -353,8 +353,8 @@ def out_of_place_rhs(h, params):
         pair = weights[r].reshape(-1, 2, 1) * (lg * (1.0 + dd) + a_ss * (dd - 1.0)
                                                + a_sn * (dha + dhb))
         kernels.stabilizer_weights(pair, r, m)
-        acc += fold(hb * pair, ha * pair, r, -1.0)
-    return params.sign_factor * acc + params.viscosity * second_diff(h, d)
+        fold(hb * pair, ha * pair, r)
+    return params.sign_factor * (r0 + total()) + params.viscosity * second_diff(h, d)
 
 
 @pytest.mark.parametrize("quadrature, cell", [("spectral_log", "halfangle"),

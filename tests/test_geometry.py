@@ -15,6 +15,7 @@ from stokescontour.geometry import (
     exact_symmetries,
     second_diff,
     simpson_weights,
+    symmetry_projector,
 )
 
 from conftest import bits, sine_interface
@@ -291,6 +292,25 @@ def test_exact_symmetries_agree_with_reference_tests(m, seed, symmetry, graph, s
     if graph:
         # the heights of a graph are the z2 of its lift, whose p is 0
         assert exact_symmetries(np.zeros(m), z2) == got
+
+
+@given(m=st.sampled_from([8, 12, 16, 64, 200]), seed=st.integers(0, 2**32 - 1),
+       central=st.booleans(), even=st.booleans(),
+       scale=st.sampled_from([1e-300, 1e-3, 1.0, 1e300]))
+@settings(max_examples=100, deadline=None)
+def test_symmetry_projector_is_an_exact_projection(m, seed, central, even, scale):
+    # the requested symmetries exactly, bitwise idempotent, the identity on
+    # no symmetry; its z2 half alone projects graph heights
+    p, z2 = scale * np.random.default_rng(seed).normal(size=(2, m))
+    project = symmetry_projector(m, central, even)
+    q, w = project(p, z2)
+    if not (central or even):
+        assert q is p and w is z2
+    got = exact_symmetries(q, w)
+    assert (got[0] or not central) and (got[1] or not even)
+    assert all(map(np.array_equal, bits(q, w), bits(*project(q, w))))
+    heights = project(None, z2)
+    assert heights[0] is None and np.array_equal(*bits(heights[1], w))
 
 
 def test_height_energy_lower_bound(rng):

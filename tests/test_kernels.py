@@ -405,6 +405,37 @@ def test_reader_keeps_its_rows_after_another_is_built(rng, layout):
                 assert not (got[0].flags.writeable or got[1].flags.writeable)
 
 
+@pytest.mark.parametrize("layout", ["full", "central", "quarter"])
+@pytest.mark.parametrize("m", [8, 12, 64])
+def test_folded_and_projected_terms_are_the_orbit_sum(rng, m, layout):
+    # weighted random terms of the held pairs, folded and projected onto the
+    # path's symmetries, are their sum over every image of every pair, for a
+    # component that maps like p (row 0) and one that maps like z2 (row 1)
+    width = {"full": m, "central": m // 2 + 1, "quarter": m // 4 + 1}[layout]
+    central, even = layout != "full", layout == "quarter"
+    (kc, sign_c), (ke, sign_e) = sc.geometry._reflections(m)
+    # (node map, sign of the p row, sign of the z2 row) of each group element
+    group = [(np.arange(m), 1.0, 1.0)]
+    group += [(kc, -1.0, sign_c)] if central else []
+    group += [(ke, -1.0, sign_e), (ke[kc], 1.0, sign_c * sign_e)] if even else []
+    fold, total = kernels.central_folder(m, width, (2,))
+    expect = np.zeros((2, m))
+    for r in kernels.offset_blocks(m, width):
+        # near node of column i of row r: i on all m columns, i + s + 1 with
+        # r = 2s + 1 or 2s + 2 on the pair centres; the far node r less
+        offset = r.reshape(-1, 2, 1)
+        near_node = (np.arange(width) + (width < m) * ((offset - 1) // 2 + 1)) % m
+        for k in range(2):
+            near, far = (kernels.stabilizer_weights(rng.normal(size=(r.size // 2, 2, width)), r, m)
+                         for _ in range(2))
+            for g, *signs in group:
+                np.add.at(expect[k], g[near_node], signs[k] * near)
+                np.add.at(expect[k], g[(near_node - offset) % m], signs[k] * far)
+            fold(near, far, r, k)
+    got = np.array(sc.geometry.symmetry_projector(m, central, even)(*total()))
+    assert np.max(np.abs(got - expect)) <= 1e-14 * np.max(np.abs(expect))
+
+
 def test_expansion_tables_are_correctly_rounded():
     # (-1)^j zeta(1 - 2j)/(2j + 1)! of the Cl2 series, bit for bit
     with mp.workdps(50):
