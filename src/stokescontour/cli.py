@@ -308,6 +308,3 @@ def main(argv: Optional[list] = None) -> int:
     out = args.out or f"{args.name}_m{args.m}.csv"
     return preset_dump(args.name, args.m, out, args.f1_reading)
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -51,8 +51,9 @@ class InitialSpec:
             if not self.fourier_coeffs:
                 raise ConfigError("fourier initial data needs a coefficient list")
             for pair in self.fourier_coeffs:
-                # the wavenumber k of [k, amplitude] is a positive integer
-                if len(pair) != 2 or not float(pair[0]).is_integer() or pair[0] < 1:
+                # the wavenumber k of [k, amplitude] is an integer in 1..2**53, exact
+                # in a float; these comparisons cannot overflow for any JSON number
+                if len(pair) != 2 or not (1 <= pair[0] <= 2**53 and pair[0] % 1 == 0):
                     raise ConfigError(f"malformed fourier coefficient {pair!r}")
         if self.kind == "snapshot_file" and not self.path:
             raise ConfigError("snapshot_file initial data needs a path")

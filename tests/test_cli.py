@@ -88,9 +88,10 @@ def test_malformed_fourier_rejected():
         InitialSpec(kind="fourier", fourier_coeffs=None)
 
 
-@pytest.mark.parametrize("k", [2.5, float("inf"), float("nan")])
+@pytest.mark.parametrize("k", [2.5, float("inf"), float("nan"), 10**400])
 def test_non_integral_fourier_wavenumber_rejected(k):
-    # sin(k alpha) is periodic on the strip for integral k only; 2.5 once ran as 2
+    # sin(k alpha) is periodic on the strip for integral k only; 2.5 once ran as 2,
+    # and an integer past the float range (10**400 in JSON) raised OverflowError
     with pytest.raises(ConfigError, match="malformed fourier coefficient"):
         InitialSpec(kind="fourier", fourier_coeffs=[[1, 0.1], [k, 0.1]])
 
