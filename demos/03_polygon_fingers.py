@@ -4,8 +4,13 @@ The trapezoid-shaped initial profile rises into a long finger under the
 unstable stratification. Its perimeter grows steadily while the maximal
 curvature stays of the order of its initial (resolution-dependent) value.
 The run uses the classical panel quadrature with the printed singular-cell
-variant, the combination whose mild cell defect damps the grid-scale
-steepening over long horizons.
+variant, whose O(d) cell defect slows the steepening. The accurate
+`spectral_log` runs agree across m = 512-2048 up to t = 0.24; then the
+interface overturns at alpha = 0 near t = 0.288, a real overturning past
+which no graph can follow it, not a grid-scale mode. At m = 1024 the
+printed cell's max slope at t = 0.3 is 47.6, which the accurate run reaches
+at t ~ 0.277, and its L(0.3) moves 15.644 -> 15.717 -> 15.754 over
+m = 512, 1024, 2048, at first order in the grid spacing.
 
 Scaled-down version of the acceptance-scale run (m = 256 instead of
 1024); takes about half a minute.

@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .config import F1_READINGS, ConfigError, RunConfig, load_config
+from .config import ConfigError, RunConfig, load_config
 from .diagnostics import (
     DiagnosticsWriter,
     dEdt_series,
@@ -55,23 +55,19 @@ DELTA_REL_TOL = 0.05
 DELTA_FLOOR = 1e-6
 
 
-def preset_f1(m: int, reading: str = "corrected") -> np.ndarray:
+def preset_f1(m: int) -> np.ndarray:
     """Polygonal initial heights: rise to 1, plateau, descend, odd extension.
 
-    The printed third branch -x - pi jumps away from the plateau value; the
-    corrected reading -(x - pi) restores continuity at both junctions and is
-    the default. Both are sampled on x = alpha mod 2pi. Any other ``reading``
-    raises ValueError.
+    The descending branch is pi - x, continuous at both junctions (the
+    printed -x - pi is a typo that jumps away from the plateau), sampled on
+    x = alpha mod 2pi.
     """
-    if reading not in F1_READINGS:
-        raise ValueError(f"f1 reading must be one of {F1_READINGS}, got {reading!r}")
     x = np.mod(uniform_grid(m), 2.0 * np.pi)
 
     def positive_part(xx):
-        third = (np.pi - xx) if reading == "corrected" else (-xx - np.pi)
         return np.select(
             [xx <= 1.0, xx <= np.pi - 1.0, xx <= np.pi],
-            [xx, np.ones_like(xx), third],
+            [xx, np.ones_like(xx), np.pi - xx],
         )
 
     h = np.where(x <= np.pi, positive_part(x), -positive_part(2.0 * np.pi - x))
@@ -97,8 +93,7 @@ def build_initial(config: RunConfig):
     kind = config.initial.kind
     delta_rho = 8.0 * np.pi * config.sign_factor
     if kind == "preset_f1":
-        h = preset_f1(config.m, config.f1_reading)
-        interface = GraphInterface(h=h)
+        interface = GraphInterface(h=preset_f1(config.m))
     elif kind == "preset_f2":
         interface = GraphInterface(h=preset_f2(config.m))
     elif kind == "fourier":
@@ -258,14 +253,14 @@ def _print_report(report: dict) -> None:
         print(f"[{status}] {name}: {details}")
 
 
-def preset_dump(name: str, m: int, path: str, f1_reading: str = "corrected") -> int:
+def preset_dump(name: str, m: int, path: str) -> int:
     try:
         check_grid_size(m)
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     if name == "f1":
-        obj = GraphInterface(h=preset_f1(m, f1_reading))
+        obj = GraphInterface(h=preset_f1(m))
     elif name == "f2":
         obj = GraphInterface(h=preset_f2(m))
     else:
@@ -289,7 +284,6 @@ def main(argv: Optional[list] = None) -> int:
     p_dump.add_argument("name", choices=["f1", "f2"])
     p_dump.add_argument("--m", type=int, default=1024)
     p_dump.add_argument("--out", default=None)
-    p_dump.add_argument("--f1-reading", default="corrected", choices=["corrected", "printed"])
 
     args = parser.parse_args(argv)
 
@@ -306,5 +300,5 @@ def main(argv: Optional[list] = None) -> int:
         return code
 
     out = args.out or f"{args.name}_m{args.m}.csv"
-    return preset_dump(args.name, args.m, out, args.f1_reading)
+    return preset_dump(args.name, args.m, out)
 

@@ -22,7 +22,6 @@ SCHEMA_VERSION = 1
 
 INITIAL_KINDS = ("preset_f1", "preset_f2", "fourier", "snapshot_file", "turning_family")
 FORMULATIONS = ("graph", "curve")
-F1_READINGS = ("corrected", "printed")
 
 
 class ConfigError(ValueError):
@@ -68,8 +67,10 @@ class OutputSpec:
     snapshot_every: int = 1
 
     def __post_init__(self):
-        if self.snapshot_every < 1:
-            raise ConfigError("snapshot_every must be >= 1")
+        # JSON can spell NaN, which fails every comparison: require the valid range
+        every = self.snapshot_every
+        if not (1 <= every < math.inf and every % 1 == 0):
+            raise ConfigError(f"snapshot_every must be an integer >= 1, got {every!r}")
 
 
 @dataclass
@@ -88,7 +89,6 @@ class RunConfig:
     diagnostics: DiagnosticsOptions = field(default_factory=DiagnosticsOptions)
     quadrature: str = "spectral_log"
     singular_cell_variant: str = "halfangle"
-    f1_reading: str = "corrected"
     schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self):
@@ -98,8 +98,6 @@ class RunConfig:
             raise ConfigError(f"unknown formulation {self.formulation!r}")
         if self.initial.kind == "turning_family" and self.formulation != "curve":
             raise ConfigError("turning_family initial data requires the curve formulation")
-        if self.f1_reading not in F1_READINGS:
-            raise ConfigError(f"unknown f1_reading {self.f1_reading!r}")
         if (self.sample_times is None) == (self.sample_dt is None):
             raise ConfigError("exactly one of sample_times / sample_dt is required")
         try:
@@ -149,9 +147,12 @@ def config_to_dict(cfg: RunConfig) -> dict:
 def config_from_dict(data: dict) -> RunConfig:
     try:
         data = dict(data)
-        # v1 configs may still carry the retired "deterministic" (never read)
-        # and "delta_n_max" (0, the exact kernel, was the only value used)
+        # v1 configs may still carry the retired "deterministic" (never read),
+        # "delta_n_max" (0, the exact kernel, was the only value used) and
+        # "f1_reading" ("corrected", the continuous polygon, was the only one run)
         data.pop("deterministic", None)
+        if data.pop("f1_reading", "corrected") != "corrected":
+            raise ConfigError("f1_reading is retired; preset_f1 is the continuous polygon")
         initial = dict(data.pop("initial"))
         turning = initial.pop("turning", None)
         if turning is not None:

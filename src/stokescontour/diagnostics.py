@@ -282,12 +282,10 @@ def wiener_norm(interface: GraphInterface, s: float, nu: float) -> float:
     """Weighted Fourier-coefficient sum  sum_k e^{nu |k|} |k|^s |h_hat(k)|.
 
     h_hat(k) = (1/2pi)(2pi/m) sum_j h_j e^{-ik alpha_j} over k in
-    (-m/2, m/2]; the k = 0 term enters only for s = 0. Requires m to be a
-    power of two and nu * m/2 <= 700 (overflow guard).
+    (-m/2, m/2] (m is even on every admitted grid); the k = 0 term enters
+    only for s = 0. Requires nu * m/2 <= 700 (overflow guard).
     """
     m = interface.m
-    if m & (m - 1) != 0:
-        raise ValueError("wiener_norm requires m to be a power of two")
     if nu < 0 or s < 0:
         raise ValueError("s and nu must be nonnegative")
     if nu * (m / 2) > WIENER_EXPONENT_MAX:
@@ -376,14 +374,11 @@ def record_for_graph(
     added, and min_slope_x1 stays unset.
     """
     opt = options or DiagnosticsOptions()
-    wnorm = None
-    if interface.m & (interface.m - 1) == 0:  # the norm needs a power-of-two grid
-        wnorm = wiener_norm(interface, opt.wiener_s, opt.wiener_nu)
     return replace(
         record_for_curve(t, graph_to_curve(interface), opt),
         delta=delta_rate(interface, sign_factor) if opt.compute_delta else float("nan"),
         finger_count=finger_decomposition(interface, opt.mu).zero_count_in_R,
-        wiener_norm=wnorm,
+        wiener_norm=wiener_norm(interface, opt.wiener_s, opt.wiener_nu),
         min_slope_x1=None,
     )
 

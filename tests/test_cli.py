@@ -43,7 +43,7 @@ def base_config(tmp_path, **overrides):
 # --- presets -----------------------------------------------------------------
 
 
-def test_preset_f1_values_and_readings():
+def test_preset_f1_values():
     m = 1024
     al = sc.uniform_grid(m)
     h = sc.preset_f1(m)
@@ -56,16 +56,6 @@ def test_preset_f1_values_and_readings():
     # odd extension
     j = np.arange(m)
     assert np.max(np.abs(h + h[(-j) % m])) <= 1e-15
-    # the literally printed third branch jumps instead of descending
-    hp = sc.preset_f1(m, reading="printed")
-    assert np.allclose(hp[descending], -al[descending] - np.pi)
-    assert not np.allclose(h, hp)
-
-
-@pytest.mark.parametrize("reading", ["Corrected", "print", None])
-def test_preset_f1_rejects_unknown_reading(reading):
-    with pytest.raises(ValueError, match="corrected.*printed"):
-        sc.preset_f1(64, reading)
 
 
 def test_preset_f2_values():
@@ -150,6 +140,18 @@ def test_run_flat_initial(tmp_path):
     # snapshots written every other sample
     snaps = sorted(os.listdir(cfg.outputs.snapshots_dir))
     assert snaps == ["snapshot_00000.csv", "snapshot_00002.csv"]
+
+
+def test_run_wiener_column_off_power_of_two_grid(tmp_path):
+    cfg = base_config(tmp_path, m=200, outputs=OutputSpec(
+        diagnostics_csv=str(tmp_path / "diag.csv"), snapshots_dir=str(tmp_path / "snaps")))
+    assert sc.run(cfg) == EXIT_OK
+    wiener = read_diagnostics_csv(cfg.outputs.diagnostics_csv)["wiener"]
+    snaps = sorted(os.listdir(cfg.outputs.snapshots_dir))
+    assert len(snaps) == wiener.size == 3
+    for w, name in zip(wiener, snaps):
+        g = sc.read_snapshot(os.path.join(cfg.outputs.snapshots_dir, name))
+        assert w == pytest.approx(sc.wiener_norm(g, 0.0, 0.0), rel=1e-12)
 
 
 def test_run_deterministic_outputs(tmp_path):
@@ -421,6 +423,49 @@ def test_legacy_deterministic_key_still_loads(tmp_path):
     path = tmp_path / "v1.json"
     path.write_text(json.dumps(data))
     assert load_config(path) == cfg
+
+
+def f1_config_dict(tmp_path, name):
+    data = config_to_dict(base_config(
+        tmp_path, initial=InitialSpec(kind="preset_f1"),
+        outputs=OutputSpec(diagnostics_csv=str(tmp_path / f"{name}.csv"))))
+    path = tmp_path / f"{name}.json"
+    return data, path
+
+
+def test_retired_f1_reading_corrected_still_runs(tmp_path):
+    # every config dump_config wrote before the key was retired carries it
+    legacy, legacy_path = f1_config_dict(tmp_path, "legacy")
+    legacy["f1_reading"] = "corrected"
+    legacy_path.write_text(json.dumps(legacy, indent=2, sort_keys=True) + "\n")
+    current, current_path = f1_config_dict(tmp_path, "current")
+    current_path.write_text(json.dumps(current))
+    assert main(["run", str(legacy_path)]) == EXIT_OK
+    assert main(["run", str(current_path)]) == EXIT_OK
+    assert (open(tmp_path / "legacy.csv", "rb").read()
+            == open(tmp_path / "current.csv", "rb").read())
+
+
+def test_retired_f1_reading_printed_is_config_error(tmp_path, capsys):
+    data, path = f1_config_dict(tmp_path, "printed")
+    data["f1_reading"] = "printed"
+    path.write_text(json.dumps(data))
+    assert main(["run", str(path)]) == EXIT_CONFIG
+    assert "f1_reading is retired" in capsys.readouterr().err
+    assert not os.path.exists(data["outputs"]["diagnostics_csv"])
+
+
+@pytest.mark.parametrize("every", [float("nan"), float("inf"), 1.5, 0, -2], ids=str)
+def test_snapshot_every_must_be_positive_integer(tmp_path, every):
+    # NaN once wrote no snapshot, 1.5 every third sample and Infinity only the first
+    data = config_to_dict(base_config(tmp_path))
+    data["outputs"]["snapshot_every"] = every
+    with pytest.raises(ConfigError, match="snapshot_every must be an integer >= 1"):
+        config_from_dict(data)
+    path = tmp_path / "snapshot_every.json"
+    path.write_text(json.dumps(data))
+    assert main(["run", str(path)]) == EXIT_CONFIG
+    assert not os.path.exists(data["outputs"]["diagnostics_csv"])
 
 
 @pytest.mark.parametrize(

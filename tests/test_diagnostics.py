@@ -396,20 +396,29 @@ def test_wiener_monotone_in_weights(nu, s):
 
 def test_wiener_guards():
     with pytest.raises(ValueError):
-        sc.wiener_norm(sc.GraphInterface(h=np.zeros(96)), 0.0, 0.0)  # not a power of 2
-    with pytest.raises(ValueError):
         sc.wiener_norm(sc.GraphInterface(h=np.zeros(1024)), 0.0, 2.0)  # overflow guard
+
+
+# h = a sin(k alpha) has |h_hat(+-k)| = a/2 and no other mode: norm a e^{nu k} k^s
+SINE_A, SINE_K, WIENER_S, WIENER_NU = 0.3, 5, 1.5, 0.2
+SINE_WIENER = SINE_A * np.exp(WIENER_NU * SINE_K) * SINE_K**WIENER_S
+
+
+@pytest.mark.parametrize("m", [96, 200, 1024])  # 96 and 200 are not powers of two
+def test_wiener_closed_form(m):
+    g = sine_interface(m, SINE_A, SINE_K)
+    assert sc.wiener_norm(g, WIENER_S, WIENER_NU) == pytest.approx(SINE_WIENER, rel=1e-12)
 
 
 # --- records and CSV ---------------------------------------------------------------
 
 
-def test_record_for_graph_wiener_only_on_power_of_two_grids():
-    opts = DiagnosticsOptions(wiener_s=1.0, wiener_nu=0.1, compute_delta=False)
-    g = sine_interface(64, 0.1)
-    assert record_for_graph(0.0, g, -1.0, opts).wiener_norm == sc.wiener_norm(g, 1.0, 0.1)
-    assert record_for_graph(0.0, sine_interface(96, 0.1), -1.0, opts).wiener_norm is None
-    # any other invalid knob is an error, not a silent gap (configs reject it)
+def test_record_for_graph_wiener_on_every_grid():
+    opts = DiagnosticsOptions(wiener_s=WIENER_S, wiener_nu=WIENER_NU, compute_delta=False)
+    g = sine_interface(96, SINE_A, SINE_K)
+    wnorm = record_for_graph(0.0, g, -1.0, opts).wiener_norm
+    assert wnorm == pytest.approx(SINE_WIENER, rel=1e-12)
+    # an invalid knob is an error, not a silent gap (configs reject it)
     with pytest.raises(ValueError, match="overflow guard"):
         record_for_graph(0.0, g, -1.0, DiagnosticsOptions(wiener_nu=22.0, compute_delta=False))
 
