@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
+import sys
 from dataclasses import asdict, dataclass, field
 from typing import List, Optional
 
-from .diagnostics import WIENER_EXPONENT_MAX, DiagnosticsOptions
+from .diagnostics import DiagnosticsOptions, check_wiener_weights
 from .evolution_graph import SchemeParams
 from .integrators import IntegratorParams, _prepare_samples
 from .turning import TurningFamilyParams
@@ -50,9 +52,13 @@ class InitialSpec:
             if not self.fourier_coeffs:
                 raise ConfigError("fourier initial data needs a coefficient list")
             for pair in self.fourier_coeffs:
-                # the wavenumber k of [k, amplitude] is an integer in 1..2**53, exact
-                # in a float; these comparisons cannot overflow for any JSON number
-                if len(pair) != 2 or not (1 <= pair[0] <= 2**53 and pair[0] % 1 == 0):
+                # [k, amplitude] are numbers, not booleans: the wavenumber k an
+                # integer in 1..2**53, exact in a float, the amplitude finite as a
+                # float; these comparisons cannot overflow for any JSON number
+                if not (len(pair) == 2 and all(isinstance(v, numbers.Real)
+                                               and not isinstance(v, bool) for v in pair)
+                        and 1 <= pair[0] <= 2**53 and pair[0] % 1 == 0
+                        and abs(pair[1]) <= sys.float_info.max):
                     raise ConfigError(f"malformed fourier coefficient {pair!r}")
         if self.kind == "snapshot_file" and not self.path:
             raise ConfigError("snapshot_file initial data needs a path")
@@ -100,24 +106,20 @@ class RunConfig:
             raise ConfigError("turning_family initial data requires the curve formulation")
         if (self.sample_times is None) == (self.sample_dt is None):
             raise ConfigError("exactly one of sample_times / sample_dt is required")
+        diag = self.diagnostics
         try:
             # the grid rule is the scheme's: ``SchemeParams`` applies it first
             self.scheme_params()
             _prepare_samples(0.0, self.integrator, self.resolved_sample_times())
+            check_wiener_weights(diag.wiener_s, diag.wiener_nu, self.m)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        diag = self.diagnostics
         if not diag.mu > 0:
             raise ConfigError(f"diagnostics.mu must be positive, got {diag.mu}")
-        if not (diag.wiener_s >= 0 and diag.wiener_nu >= 0):
+        # JSON's "false" is a truthy string
+        if not isinstance(diag.compute_delta, bool):
             raise ConfigError(
-                f"diagnostics.wiener_s and wiener_nu must be nonnegative, got "
-                f"{diag.wiener_s} and {diag.wiener_nu}"
-            )
-        if diag.wiener_nu * (self.m / 2) > WIENER_EXPONENT_MAX:
-            raise ConfigError(
-                f"diagnostics.wiener_nu * m/2 = {diag.wiener_nu * self.m / 2:g} exceeds "
-                f"the overflow guard ({WIENER_EXPONENT_MAX:g})"
+                f"diagnostics.compute_delta must be true or false, got {diag.compute_delta!r}"
             )
 
     def scheme_params(self) -> SchemeParams:

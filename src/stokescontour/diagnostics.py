@@ -30,6 +30,7 @@ strictly between steep nodes. A state with no steep region has no fingers.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import List, Optional, Tuple
@@ -274,8 +275,22 @@ def finger_decomposition(interface: GraphInterface, mu: float) -> FingerDecompos
     )
 
 
-# largest exponent nu * |k| of the Wiener weights: e^700 is still finite
+# largest log, nu |k| + s log|k|, of a Wiener weight: e^700 is still finite
 WIENER_EXPONENT_MAX = 700.0
+
+
+def check_wiener_weights(s: float, nu: float, m: int) -> None:
+    """ValueError unless s, nu >= 0 and the largest Wiener weight on m nodes is finite.
+
+    That weight is e^{nu m/2} (m/2)^s, whose log nu m/2 + s log(m/2) may
+    not pass WIENER_EXPONENT_MAX (the overflow guard). NaN fails both tests.
+    """
+    if not (s >= 0 and nu >= 0):
+        raise ValueError(f"wiener_s and wiener_nu must be nonnegative, got {s} and {nu}")
+    exponent = nu * (m / 2) + s * math.log(m / 2)
+    if not exponent <= WIENER_EXPONENT_MAX:
+        raise ValueError(f"log of the largest Wiener weight, wiener_nu m/2 + wiener_s ln(m/2) "
+                         f"= {exponent:g}, passes the overflow guard ({WIENER_EXPONENT_MAX:g})")
 
 
 def wiener_norm(interface: GraphInterface, s: float, nu: float) -> float:
@@ -283,13 +298,10 @@ def wiener_norm(interface: GraphInterface, s: float, nu: float) -> float:
 
     h_hat(k) = (1/2pi)(2pi/m) sum_j h_j e^{-ik alpha_j} over k in
     (-m/2, m/2] (m is even on every admitted grid); the k = 0 term enters
-    only for s = 0. Requires nu * m/2 <= 700 (overflow guard).
+    only for s = 0. Requires the weights of ``check_wiener_weights``.
     """
     m = interface.m
-    if nu < 0 or s < 0:
-        raise ValueError("s and nu must be nonnegative")
-    if nu * (m / 2) > WIENER_EXPONENT_MAX:
-        raise ValueError(f"nu * m/2 exceeds the overflow guard ({WIENER_EXPONENT_MAX:g})")
+    check_wiener_weights(s, nu, m)
     coeffs = np.abs(np.fft.fft(interface.h)) / m
     # coefficients at FFT roundoff level are exact zeros of the data; without
     # this floor the e^{nu k} weight amplifies machine noise astronomically

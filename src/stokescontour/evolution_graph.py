@@ -81,6 +81,7 @@ from .geometry import (
     check_grid_size,
     exact_symmetries,
     graph_to_curve,
+    open_simpson_weights,
     second_diff,
     symmetry_projection,
     symmetry_projector,
@@ -154,18 +155,6 @@ def _log_circulant(m: int) -> np.ndarray:
     return read_only(omega)[0]
 
 
-@lru_cache(maxsize=8)
-def _taylor_cell_weights(m: int) -> np.ndarray:
-    """Composite Simpson weights by offset over panels [Delta, 2pi - Delta]."""
-    d = TWO_PI / m
-    c = np.zeros(m)
-    k = np.arange(1, m)
-    c[1:] = np.where(k % 2 == 0, 4.0, 2.0)
-    c[1] = 1.0
-    c[m - 1] = 1.0
-    return read_only(c * (d / 3.0))[0]
-
-
 @lru_cache(maxsize=16)
 def _block_constants(m: int, quadrature: str, width: int):
     """The blocks of offset rows of the graph pair sum, with their per-row constants.
@@ -182,14 +171,16 @@ def _block_constants(m: int, quadrature: str, width: int):
     """
     d = TWO_PI / m
     spectral = quadrature == "spectral_log"
-    weights = np.full(m, d) if spectral else _taylor_cell_weights(m)
+    # by offset 1..m - 1: the trapezoid rule, or Simpson's over the panels
+    # [d, 2pi - d] away from the cell
+    weights = np.full(m - 1, d) if spectral else open_simpson_weights(m - 1, d)
     out = []
     for r in offset_blocks(m, width):
         x1 = r * d
         sn2 = np.sin(0.5 * x1)
         log_row = _log_circulant(m)[r] / d - np.log(4.0 * sn2**2) if spectral else None
         out.append(read_only(r, *(None if a is None else a.reshape(-1, 2, 1)
-                                  for a in (sn2, 0.5 * np.sin(x1), log_row, weights[r]))))
+                                  for a in (sn2, 0.5 * np.sin(x1), log_row, weights[r - 1]))))
     return tuple(out)
 
 

@@ -121,17 +121,38 @@ def second_diff(values, spacing: float) -> np.ndarray:
     return out
 
 
+def open_simpson_weights(nodes: int, spacing: float) -> np.ndarray:
+    """Composite Simpson weights on ``nodes`` consecutive nodes of a uniform grid.
+
+    Simpson's rule (1, 4, 2, ..., 4, 1) spacing/3 on an even panel count;
+    on an odd count the 3/8 rule (1, 3, 3, 1) 3 spacing/8 on the last three
+    panels and Simpson's before them, and the trapezoid rule on one panel
+    (one node, no panel, weighs 0). Cubics are integrated exactly on three
+    nodes and more. The one composite-Simpson rule of the package.
+    """
+    if nodes == 2:
+        return np.full(2, 0.5 * spacing)
+    head = nodes - 1 - 3 * ((nodes - 1) % 2)  # Simpson's panels, the 3/8 rule's after
+    w = np.zeros(nodes)
+    w[1:head:2], w[2:head:2] = 4.0, 2.0
+    w[0] = w[head] = float(head > 0)
+    w *= spacing / 3.0
+    if head < nodes - 1:
+        w[head:] += 3.0 * spacing / 8.0 * np.array([1.0, 3.0, 3.0, 1.0])
+    return w
+
+
 def simpson_weights(m: int, spacing: float) -> np.ndarray:
     """Composite Simpson weights for one full period on an even uniform grid.
 
-    With periodic closure f[m] = f[0] the classical rule collapses to weight
-    2*spacing/3 on even nodes and 4*spacing/3 on odd nodes.
+    The rule of ``open_simpson_weights`` on the m + 1 nodes of the closed
+    period, the last weight folded onto the first by the periodic closure
+    f[m] = f[0]: 2*spacing/3 on even nodes and 4*spacing/3 on odd nodes.
     """
     check_grid_size(m)
-    w = np.empty(m)
-    w[0::2] = 2.0
-    w[1::2] = 4.0
-    return w * (spacing / 3.0)
+    w = open_simpson_weights(m + 1, spacing)
+    w[0] += w[m]
+    return w[:m]
 
 
 @dataclass(frozen=True)

@@ -42,6 +42,7 @@ from .geometry import (
     check_finite_fields,
     check_grid_size,
     curve_derivatives,
+    open_simpson_weights,
     symmetry_errors,
     uniform_grid,
 )
@@ -270,27 +271,6 @@ def _check_sign_properties(alpha, zs, pos_end, neg_start, neg_end, upper=np.pi):
         raise ConstructionError("property (d): zstar positive in the tail")
 
 
-def _simpson_on_nodes(values: np.ndarray, spacing: float) -> float:
-    """Composite Simpson over consecutive nodes; 3/8 rule absorbs odd counts."""
-    n = values.size - 1  # panels
-    if n <= 0:
-        return 0.0
-    if n == 1:
-        return float(0.5 * spacing * (values[0] + values[1]))
-    if n == 2:
-        return float(spacing / 3.0 * (values[0] + 4 * values[1] + values[2]))
-    if n % 2 == 0:
-        w = np.ones(n + 1)
-        w[1:-1:2] = 4.0
-        w[2:-1:2] = 2.0
-        return float(spacing / 3.0 * np.dot(w, values))
-    head = _simpson_on_nodes(values[: n - 2], spacing)
-    tail = values[n - 3 :]
-    return float(
-        head + 3.0 * spacing / 8.0 * (tail[0] + 3 * tail[1] + 3 * tail[2] + tail[3])
-    )
-
-
 def _half_period_arrays(curve: ParamCurve):
     """z2'(0), then z1, z2, dz1 on the closed node range alpha in [0, pi].
 
@@ -322,7 +302,7 @@ def turning_integral(curve: ParamCurve) -> Tuple[float, float, float]:
     g = np.zeros_like(z2)
     g[1:] = stokeslet_terms(z1[1:], z2[1:])[2] * dz1[1:]
     pref = slope0 * ONE_OVER_4PI
-    return _split_certificate(curve, g, pref, upper_index=curve.m // 2)
+    return _split_certificate(z2, g, pref, curve.spacing)
 
 
 def turning_integral_even(curve: ParamCurve) -> Tuple[float, float, float]:
@@ -343,30 +323,28 @@ def turning_integral_even(curve: ParamCurve) -> Tuple[float, float, float]:
     folded = stokeslet_terms(z1i, z2i)[2] + stokeslet_terms(np.pi - z1i, z2i)[2]
     g[inner] = 0.5 * folded * dz1[inner]
     pref = slope0 * ONE_OVER_2PI
-    return _split_certificate(curve, g, pref, upper_index=quarter)
+    return _split_certificate(z2, g, pref, curve.spacing)
 
 
-def _split_certificate(curve, g, pref, upper_index):
-    d = curve.spacing
-    # alpha2 recovered from the sampled z2: the split node is the first node
-    # where z2 stops being positive, which is exact enough because every
-    # default family vanishes at the split point.
-    k = min(max(_find_split(curve), 1), upper_index - 1)
-    j1 = pref * _simpson_on_nodes(g[: k + 1], d)
-    j2 = pref * _simpson_on_nodes(g[k:], d)
+def _split_certificate(z2, g, pref, d):
+    """(J1, J2, J1 + J2): pref times the Simpson sums of g up to and from the split node.
+
+    The split node recovers alpha2 from z2 on the same nodes, read from
+    alpha = 0: the first node where z2 stops being positive after being
+    positive, which is exact enough because every default family vanishes
+    at its split point; node 1 where z2 is nowhere positive; kept in
+    [1, last - 1]. Both parts are summed by ``geometry.open_simpson_weights``.
+    """
+    last = g.size - 1
+    pos = np.flatnonzero(z2 > 0.0)
+    k = 1
+    if pos.size:
+        stop = np.flatnonzero(z2[pos[0]:] <= 0.0)
+        k = pos[0] + stop[0] if stop.size else last
+    k = int(min(max(k, 1), last - 1))
+    j1 = pref * float(open_simpson_weights(k + 1, d) @ g[: k + 1])
+    j2 = pref * float(open_simpson_weights(last + 1 - k, d) @ g[k:])
     return j1, j2, j1 + j2
-
-
-def _find_split(curve: ParamCurve) -> int:
-    """Index, from alpha = 0, of the first node where z2 stops being positive."""
-    m = curve.m
-    half = curve.z2[m // 2 :]
-    pos = np.flatnonzero(half > 0.0)
-    if pos.size == 0:
-        return 1
-    first = pos[0]
-    rest = np.flatnonzero(half[first:] <= 0.0)
-    return int(first + (rest[0] if rest.size else half.size - 1))
 
 
 def find_b_threshold(

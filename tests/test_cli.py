@@ -86,6 +86,24 @@ def test_non_integral_fourier_wavenumber_rejected(k):
         InitialSpec(kind="fourier", fourier_coeffs=[[1, 0.1], [k, 0.1]])
 
 
+@pytest.mark.parametrize("amplitude", ["0.5", None, [0.5], True, float("inf"),
+                                       float("nan"), 10**400],
+                         ids=["string", "null", "list", "bool", "inf", "nan", "huge_int"])
+def test_non_numeric_fourier_amplitude_rejected(amplitude):
+    # a string or null once ran into a traceback, and [0.5] was broadcast
+    with pytest.raises(ConfigError, match="malformed fourier coefficient"):
+        InitialSpec(kind="fourier", fourier_coeffs=[[1, 0.1], [2, amplitude]])
+
+
+def test_main_rejects_string_fourier_amplitude(tmp_path):
+    data = config_to_dict(base_config(tmp_path))
+    data["initial"]["fourier_coeffs"] = [[1, "0.5"]]
+    path = tmp_path / "amplitude.json"
+    path.write_text(json.dumps(data))
+    assert main(["run", str(path)]) == EXIT_CONFIG
+    assert not os.path.exists(data["outputs"]["diagnostics_csv"])
+
+
 # --- config serialization ------------------------------------------------------
 
 
@@ -333,9 +351,15 @@ def test_main_rejects_m_not_multiple_of_4(tmp_path):
         ("wiener_s", -1.0),     # the Wiener weights need s, nu >= 0
         ("wiener_nu", -0.1),
         ("wiener_nu", 22.0),    # nu * m/2 = 704 is past the overflow guard
+        # s ln(m/2) is past it too: these once wrote a nan wiener column
+        ("wiener_s", 800.0),
+        ("wiener_s", 1e300),
+        ("wiener_s", float("inf")),
+        ("compute_delta", "no"),  # a truthy string, not a boolean
     ],
     ids=["mu_zero", "mu_negative", "wiener_s_negative", "wiener_nu_negative",
-         "wiener_nu_overflow"],
+         "wiener_nu_overflow", "wiener_s_800", "wiener_s_1e300", "wiener_s_inf",
+         "compute_delta_string"],
 )
 def test_main_rejects_bad_diagnostics_options(tmp_path, option, value):
     data = config_to_dict(base_config(tmp_path))  # m = 64

@@ -399,6 +399,15 @@ def test_wiener_guards():
         sc.wiener_norm(sc.GraphInterface(h=np.zeros(1024)), 0.0, 2.0)  # overflow guard
 
 
+@pytest.mark.parametrize("s, nu", [(800.0, 0.0), (float("nan"), 0.0), (0.0, float("nan"))],
+                         ids=["s_overflow", "s_nan", "nu_nan"])
+def test_wiener_guards_reject_large_s_and_nan(s, nu):
+    # (m/2)^800 overflows at m = 1024 (log 4990), and NaN fails no < 0 test;
+    # both once gave a nan norm
+    with pytest.raises(ValueError):
+        sc.wiener_norm(sc.GraphInterface(h=np.zeros(1024)), s, nu)
+
+
 # h = a sin(k alpha) has |h_hat(+-k)| = a/2 and no other mode: norm a e^{nu k} k^s
 SINE_A, SINE_K, WIENER_S, WIENER_NU = 0.3, 5, 1.5, 0.2
 SINE_WIENER = SINE_A * np.exp(WIENER_NU * SINE_K) * SINE_K**WIENER_S

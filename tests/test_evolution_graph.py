@@ -13,7 +13,6 @@ from stokescontour.evolution_graph import (
     _cell_correction_values,
     _log_circulant,
     _rhs_arrays,
-    _taylor_cell_weights,
 )
 from stokescontour import kernels
 from stokescontour.evolution_curve import _rhs_curve_arrays
@@ -110,6 +109,16 @@ def test_rhs_odd_symmetry(m, coeffs):
     assert np.max(np.abs(rhs + rhs[(-j) % m])) <= 1e-12
 
 
+def taylor_cell_offset_weights(m):
+    """Simpson's weights 1, 4, 2, ..., 4, 1 times d/3 by offset r = 1..m-1, 0 at r = 0."""
+    weights = np.zeros(m)
+    weights[1::2] = 2.0
+    weights[2::2] = 4.0
+    weights[1] = weights[m - 1] = 1.0
+    d = 2 * np.pi / m
+    return weights * (d / 3.0)
+
+
 def all_offsets_rhs(h, params):
     """The graph RHS as a plain sum over every offset r = 1..m-1, one at a time."""
     m = h.size
@@ -125,7 +134,7 @@ def all_offsets_rhs(h, params):
         weights = np.full(m, d)
     else:
         acc = 2 * _cell_correction_values(h, dh, d, params.singular_cell_variant)
-        weights = _taylor_cell_weights(m)
+        weights = taylor_cell_offset_weights(m)
     for r in range(1, m):
         hb, dhb = np.roll(h, r), np.roll(dh, r)
         lg, a_ss, a_sn = stokeslet_terms(r * d, h - hb)
@@ -338,7 +347,7 @@ def out_of_place_rhs(h, params):
         t23_0 = 2.0 * h * dh * dh * (dh * dh - 1.0) / one_p + 4.0 * h * dh * dh / one_p
         r0 = d * (np.log(one_p) * h * one_p + t23_0) + omega[0] * h * one_p
     else:
-        weights = _taylor_cell_weights(m)
+        weights = taylor_cell_offset_weights(m)
         r0 = 2.0 * _cell_correction_values(h, dh, d, params.singular_cell_variant)
     # the rows of all m columns, and the blocks of offset rows of the
     # production sum on this path
@@ -430,7 +439,6 @@ def cached_constants():
         "kernels.clausen2": [(0.1,)],
         "kernels._taylor_shifts": [()],
         "evolution_graph._log_circulant": [(m,)],
-        "evolution_graph._taylor_cell_weights": [(m,)],
         "evolution_graph._block_constants": [(m, q, width) for q in evolution_graph.QUADRATURES
                                              for width in (m // 4 + 1, m)],
         "diagnostics._kernel_blocks": [(m, m // 4 + 1), (m, m)],

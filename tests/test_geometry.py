@@ -13,6 +13,7 @@ from stokescontour.geometry import (
     _check_no_self_intersection,
     curve_derivatives,
     exact_symmetries,
+    open_simpson_weights,
     second_diff,
     simpson_weights,
     symmetry_projector,
@@ -459,6 +460,27 @@ def test_simpson_weights_integrate_trig_exactly():
     al = sc.uniform_grid(m)
     assert abs(np.dot(w, np.ones(m)) - 2 * np.pi) <= 1e-12
     assert abs(np.dot(w, np.sin(al) ** 2) - np.pi) <= 1e-9
+
+
+def test_open_simpson_weights_exact_on_cubics_and_periodic_closure():
+    # Simpson, with the 3/8 rule on the last three panels of an odd count, is
+    # exact on cubics; the trapezoid rule on one panel is exact on lines
+    spacing = 0.3
+    for nodes in range(2, 42):
+        x = spacing * np.arange(nodes)
+        end = x[-1]
+        coeffs = [0.7, -1.3, 2.1, -0.4] if nodes > 2 else [0.7, -1.3]
+        f = sum(c * x**p for p, c in enumerate(coeffs))
+        exact = sum(c * end ** (p + 1) / (p + 1) for p, c in enumerate(coeffs))
+        w = open_simpson_weights(nodes, spacing)
+        assert w.shape == (nodes,)
+        assert np.dot(w, f) == pytest.approx(exact, rel=1e-13)
+    assert np.array_equal(open_simpson_weights(1, spacing), [0.0])  # no panel
+    # the periodic closure is the classical 2, 4, 2, ... pattern, bit for bit
+    for m in (8, 12, 200, 1024):
+        d = 2 * np.pi / m
+        classical = np.tile([2.0, 4.0], m // 2) * (d / 3.0)
+        assert np.array_equal(*bits(simpson_weights(m, d), classical))
 
 
 def test_snapshot_roundtrip(tmp_path):
