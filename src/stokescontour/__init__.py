@@ -35,13 +35,12 @@ from .integrators import BlowupError, IntegratorParams, StepFailureError, Trajec
 from .diagnostics import (
     DiagnosticsOptions,
     DiagnosticsRecord,
-    FingerDecomposition,
     dE_dt_fd,
     delta_rate,
     delta_spectral,
     energy,
     energy_curve,
-    finger_decomposition,
+    finger_count,
     wiener_norm,
 )
 from .evolution_graph import GraphState, SchemeParams, evolve, rhs_graph

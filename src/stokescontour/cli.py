@@ -108,11 +108,9 @@ def build_initial(config: RunConfig):
             if config.formulation != "curve":
                 raise ConfigError("curve snapshot requires the curve formulation")
             return CurveState(t=0.0, curve=interface, delta_rho=delta_rho)
-    elif kind == "turning_family":
+    else:  # "turning_family": InitialSpec admits no other kind
         curve = build_turning_family(config.initial.turning, config.m)
         return CurveState(t=0.0, curve=curve, delta_rho=delta_rho)
-    else:  # pragma: no cover - InitialSpec already validates
-        raise ConfigError(f"unknown initial kind {kind!r}")
 
     if config.formulation == "curve":
         return CurveState(t=0.0, curve=graph_to_curve(interface), delta_rho=delta_rho)
@@ -166,10 +164,7 @@ def run(config: RunConfig) -> int:
                 options=config.diagnostics, on_sample=on_sample,
             )
         else:
-            traj = evolve_curve(
-                state, config.integrator, sample_times,
-                options=config.diagnostics, on_sample=on_sample,
-            )
+            traj = evolve_curve(state, config.integrator, sample_times, on_sample=on_sample)
 
     if traj.failed:
         failure = {

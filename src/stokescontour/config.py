@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
-import sys
 from dataclasses import asdict, dataclass, field
 from typing import List, Optional
 
 from .diagnostics import DiagnosticsOptions, check_wiener_weights
 from .evolution_graph import SchemeParams
+from .geometry import check_finite_fields, is_finite_number
 from .integrators import IntegratorParams, _prepare_samples
 from .turning import TurningFamilyParams
 
@@ -52,13 +51,10 @@ class InitialSpec:
             if not self.fourier_coeffs:
                 raise ConfigError("fourier initial data needs a coefficient list")
             for pair in self.fourier_coeffs:
-                # [k, amplitude] are numbers, not booleans: the wavenumber k an
-                # integer in 1..2**53, exact in a float, the amplitude finite as a
-                # float; these comparisons cannot overflow for any JSON number
-                if not (len(pair) == 2 and all(isinstance(v, numbers.Real)
-                                               and not isinstance(v, bool) for v in pair)
-                        and 1 <= pair[0] <= 2**53 and pair[0] % 1 == 0
-                        and abs(pair[1]) <= sys.float_info.max):
+                # [k, amplitude] are finite numbers, the wavenumber k an integer
+                # in 1..2**53, exact in a float
+                if not (len(pair) == 2 and all(map(is_finite_number, pair))
+                        and 1 <= pair[0] <= 2**53 and pair[0] % 1 == 0):
                     raise ConfigError(f"malformed fourier coefficient {pair!r}")
         if self.kind == "snapshot_file" and not self.path:
             raise ConfigError("snapshot_file initial data needs a path")
@@ -73,9 +69,8 @@ class OutputSpec:
     snapshot_every: int = 1
 
     def __post_init__(self):
-        # JSON can spell NaN, which fails every comparison: require the valid range
         every = self.snapshot_every
-        if not (1 <= every < math.inf and every % 1 == 0):
+        if not (is_finite_number(every) and every >= 1 and every % 1 == 0):
             raise ConfigError(f"snapshot_every must be an integer >= 1, got {every!r}")
 
 
@@ -110,6 +105,7 @@ class RunConfig:
         try:
             # the grid rule is the scheme's: ``SchemeParams`` applies it first
             self.scheme_params()
+            check_finite_fields(diag, "mu", "wiener_s", "wiener_nu")
             _prepare_samples(0.0, self.integrator, self.resolved_sample_times())
             check_wiener_weights(diag.wiener_s, diag.wiener_nu, self.m)
         except ValueError as exc:
@@ -136,7 +132,7 @@ class RunConfig:
         if self.sample_times is not None:
             return list(self.sample_times)
         dt = self.sample_dt
-        if not 0 < dt < math.inf:
+        if not (is_finite_number(dt) and dt > 0):
             raise ConfigError(f"sample_dt must be positive and finite, got {dt}")
         # the last sample may not pass t_end; the slack absorbs roundoff only
         return [i * dt for i in range(math.floor(self.integrator.t_end / dt + 1e-9) + 1)]

@@ -20,11 +20,11 @@ same flow with time rescaled; ``delta_rate`` applies that exact factor so
 the stored dissipation matches dE/dt in the run's own time units
 (sign_factor = (rho^- - rho^+)/(8 pi), so the factor is -4 pi * sign_factor).
 
-Finger counting follows the flat/steep decomposition: I_mu collects the
-maximal node ranges where |h'| <= mu, and the count is the number of such
-ranges (each isolated near-flat window between steep flanks marks one
-extremum of the interface), plus any slope sign flips happening at grid scale
-strictly between steep nodes. A state with no steep region has no fingers.
+``finger_count`` counts fingers by the flat/steep split: I_mu collects the
+nodes where |h'| <= mu, and the count is the number of its maximal ranges
+(each isolated near-flat window between steep flanks marks one extremum of
+the interface), plus any slope sign flips happening at grid scale strictly
+between steep nodes. A state with no steep region has no fingers.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import csv
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -211,68 +211,22 @@ def dEdt_series(t: np.ndarray, e: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass
-class FingerDecomposition:
-    """Flat/steep split of the grid at slope threshold mu.
+def finger_count(interface: GraphInterface, mu: float) -> int:
+    """Number of fingers at slope threshold mu: I_mu is |h'| <= mu, R_mu the rest.
 
-    ``flat_intervals`` lists the maximal index ranges with |h'| <= mu as
-    (start, length) pairs in cyclic order (a range may wrap past node m-1).
-    """
-
-    mu: float
-    flat_intervals: List[Tuple[int, int]]
-    zero_count_in_R: int
-    zero_locations: List[int]
-
-
-def finger_decomposition(interface: GraphInterface, mu: float) -> FingerDecomposition:
-    """Decompose the grid into I_mu (|h'| <= mu) and R_mu, and count fingers.
-
-    Every maximal I_mu range bordered by steep nodes contributes one count
-    (its minimum-|h'| node is reported as the zero location); a sign change
-    of h' between two adjacent steep nodes (an extremum unresolved at grid
-    scale) also counts once. If the whole grid is flat there is no finger.
+    Every maximal cyclic range of I_mu counts once, by its first node, and so
+    does a sign change of h' between two adjacent R_mu nodes (an extremum
+    unresolved at grid scale). A grid that is all flat has neither, so no
+    finger.
     """
     if mu <= 0:
         raise ValueError("mu must be positive")
-    h = interface.h
-    m = interface.m
-    slope = central_diff(h, interface.spacing)
+    slope = central_diff(interface.h, interface.spacing)
     flat = np.abs(slope) <= mu
-
-    if flat.all():
-        return FingerDecomposition(
-            mu=mu, flat_intervals=[(0, m)], zero_count_in_R=0, zero_locations=[]
-        )
-
-    intervals: List[Tuple[int, int]] = []
-    locations: List[int] = []
-    if flat.any():
-        # maximal cyclic runs of flat nodes
-        starts = np.flatnonzero(flat & ~np.roll(flat, 1))
-        for s in starts:
-            length = 1
-            while flat[(s + length) % m]:
-                length += 1
-            intervals.append((int(s), int(length)))
-            idx = (s + np.arange(length)) % m
-            locations.append(int(idx[np.argmin(np.abs(slope[idx]))]))
-
-    count = len(intervals)
-    # grid-scale sign flips strictly inside the steep region
     steep = ~flat
-    nxt = np.roll(slope, -1)
-    flips = steep & np.roll(steep, -1) & (slope * nxt < 0.0)
-    for j in np.flatnonzero(flips):
-        count += 1
-        locations.append(int(j))
-
-    return FingerDecomposition(
-        mu=mu,
-        flat_intervals=intervals,
-        zero_count_in_R=count,
-        zero_locations=sorted(locations),
-    )
+    starts = flat & ~np.roll(flat, 1)
+    flips = steep & np.roll(steep, -1) & (slope * np.roll(slope, -1) < 0.0)
+    return int(np.count_nonzero(starts) + np.count_nonzero(flips))
 
 
 # largest log, nu |k| + s log|k|, of a Wiener weight: e^700 is still finite
@@ -341,7 +295,7 @@ class DiagnosticsRecord:
 
 @dataclass
 class DiagnosticsOptions:
-    """Knobs for the per-sample record computation."""
+    """Knobs of a graph run's per-sample record; a curve record reads none."""
 
     mu: float = 0.05
     wiener_s: float = 0.0
@@ -349,9 +303,7 @@ class DiagnosticsOptions:
     compute_delta: bool = True
 
 
-def record_for_curve(
-    t: float, curve: ParamCurve, options: Optional[DiagnosticsOptions] = None, p=None
-) -> DiagnosticsRecord:
+def record_for_curve(t: float, curve: ParamCurve, p=None) -> DiagnosticsRecord:
     """DiagnosticsRecord for a parametric state (no delta/finger/wiener).
 
     The symmetry errors are measured on the remainder p = z1 - alpha, the
@@ -387,9 +339,9 @@ def record_for_graph(
     """
     opt = options or DiagnosticsOptions()
     return replace(
-        record_for_curve(t, graph_to_curve(interface), opt),
+        record_for_curve(t, graph_to_curve(interface)),
         delta=delta_rate(interface, sign_factor) if opt.compute_delta else float("nan"),
-        finger_count=finger_decomposition(interface, opt.mu).zero_count_in_R,
+        finger_count=finger_count(interface, opt.mu),
         wiener_norm=wiener_norm(interface, opt.wiener_s, opt.wiener_nu),
         min_slope_x1=None,
     )

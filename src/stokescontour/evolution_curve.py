@@ -70,7 +70,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .diagnostics import DiagnosticsOptions, record_for_curve
+from .diagnostics import record_for_curve
 from .geometry import (
     TWO_PI,
     ParamCurve,
@@ -219,7 +219,6 @@ def evolve_curve(
     initial: CurveState,
     ip: IntegratorParams,
     sample_times: Sequence[float],
-    options: Optional[DiagnosticsOptions] = None,
     on_sample: Optional[Callable] = None,
 ) -> Trajectory:
     """Integrate the contour dynamics with the shared embedded RK machinery.
@@ -247,7 +246,7 @@ def evolve_curve(
         curve = ParamCurve(z1=y[0] + alpha, z2=y[1].copy())
         _warn_if_clustered(curve)
         state = CurveState(t=t, curve=curve, delta_rho=initial.delta_rho)
-        return state, record_for_curve(t, curve, options, p=y[0])
+        return state, record_for_curve(t, curve, p=y[0])
 
     y0 = np.array([initial.curve.z1 - alpha, initial.curve.z2], dtype=float)
     return integrate(f, initial.t, y0, ip, sample_times, lambda y: np.array(symmetrize(*y)),

@@ -25,6 +25,8 @@ time and O(m) memory, and the discrete tangent may not vanish.
 
 from __future__ import annotations
 
+import numbers
+import sys
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -65,15 +67,26 @@ def check_grid_size(m: int) -> None:
         raise ValueError(f"m must be a multiple of 4 and >= 8, got {m}")
 
 
-def check_finite_fields(params, *names: str) -> None:
-    """ValueError naming the first of the fields ``names`` of ``params`` that is not finite.
+def is_finite_number(value) -> bool:
+    """Whether ``value`` is an int or float (NumPy's too) that a float holds finitely.
 
-    JSON configs may spell NaN and Infinity, which no range check rejects.
+    JSON configs may spell NaN and Infinity, which no range check rejects,
+    and booleans and strings, which NumPy reads as numbers; none of them is
+    one.
     """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    # a Python int compares exactly, so one past the float range fails
+    return bool(abs(value) <= sys.float_info.max if isinstance(value, int) else np.isfinite(value))
+
+
+def check_finite_fields(params, *names: str) -> None:
+    """ValueError naming the first of the fields ``names`` of ``params`` that
+    is not a finite number (``is_finite_number``)."""
     for name in names:
         value = getattr(params, name)
-        if not np.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+        if not is_finite_number(value):
+            raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 def central_diff(values, spacing: float) -> np.ndarray:

@@ -34,7 +34,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .geometry import DegenerateParametrizationError, SelfIntersectionError, check_finite_fields
+from .geometry import (
+    DegenerateParametrizationError,
+    SelfIntersectionError,
+    check_finite_fields,
+    is_finite_number,
+)
 
 # accepted states deviating beyond this amplitude are treated as blown up
 AMPLITUDE_GUARD = 1e6
@@ -152,10 +157,12 @@ def _step_factor(err_norm: float) -> float:
 
 def _prepare_samples(t0: float, ip: IntegratorParams, sample_times) -> np.ndarray:
     """Sample times as an array, or ValueError unless finite, increasing within [t0, t_end]."""
-    ts = np.asarray(list(sample_times), dtype=float)
-    # a NaN passes every comparison below, and a run would never reach it
-    if ts.size == 0 or not np.all(np.isfinite(ts)):
-        raise ValueError("sample_times must be nonempty and finite")
+    times = list(sample_times)
+    # a NaN passes every comparison below, and a run would never reach it;
+    # NumPy would read a boolean or a string as a time
+    if not times or not all(map(is_finite_number, times)):
+        raise ValueError("sample_times must be nonempty and finite numbers")
+    ts = np.asarray(times, dtype=float)
     if np.any(np.diff(ts) <= 0):
         raise ValueError("sample_times must be strictly increasing")
     if ts[0] < t0 - _SAMPLE_TOL or ts[-1] > ip.t_end + _SAMPLE_TOL:

@@ -80,7 +80,7 @@ class TurningFamilyParams:
     variant: str = "basic"
 
     def __post_init__(self):
-        check_finite_fields(self, "b")
+        check_finite_fields(self, "b", "alpha2", "alpha3", "eps_flat")
         if not (0.0 < self.alpha2 < self.alpha3 < np.pi / 2):
             raise ValueError("need 0 < alpha2 < alpha3 < pi/2")
         if self.b < 1.0:

@@ -264,7 +264,7 @@ def test_criterion_12_unit_fixtures():
     g = sc.GraphInterface(h=np.sin(sc.uniform_grid(1024)))
     w0 = sc.wiener_norm(g, 0.0, 0.0)
     w1 = sc.wiener_norm(g, 1.0, 1.0)
-    fingers = sc.finger_decomposition(g, 0.1).zero_count_in_R
+    fingers = sc.finger_count(g, 0.1)
     ok = abs(w0 - 1.0) <= 1e-8 and abs(w1 - np.e) <= 1e-8 and fingers == 2
     report(12, "Wiener and finger unit fixtures",
            ok, f"A^0_0={w0:.10f}, A^1_1={w1:.10f}, fingers={fingers}")

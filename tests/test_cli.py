@@ -269,6 +269,29 @@ def test_run_curve_formulation(tmp_path):
     assert np.all(np.isnan(data["delta"]))  # delta is a graph-only monitor
 
 
+@pytest.mark.parametrize("key, value", [
+    ("diagnostics", {"mu": 0.7, "wiener_s": 2.0, "wiener_nu": 0.5, "compute_delta": False}),
+    ("quadrature", "taylor_cell"),
+    ("singular_cell_variant", "printed"),
+    ("viscosity", 0.3),
+])
+@pytest.mark.filterwarnings("ignore:node clustering:RuntimeWarning")
+def test_curve_runs_ignore_graph_only_fields(tmp_path, key, value):
+    # a curve record reads no diagnostics option and the curve velocity no
+    # scheme constant but sign_factor: the CSVs are byte-identical
+    csvs = []
+    for name, changed in (("default", False), ("changed", True)):
+        data = turning_config_dict(tmp_path)
+        data["outputs"] = {"diagnostics_csv": str(tmp_path / f"{name}.csv")}
+        if changed:
+            data[key] = value
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(data))
+        assert main(["run", str(path)]) == EXIT_OK
+        csvs.append((tmp_path / f"{name}.csv").read_bytes())
+    assert csvs[0] == csvs[1]
+
+
 # --- verify ----------------------------------------------------------------------
 
 
@@ -412,7 +435,7 @@ def test_non_finite_config_numbers_are_config_errors(tmp_path, where, key, value
     section = {None: data, "integrator": data["integrator"],
                "turning": data["initial"].get("turning")}[where]
     section[key] = value
-    with pytest.raises(ConfigError, match=f"{key} must be finite"):
+    with pytest.raises(ConfigError, match=f"{key} must be a finite number"):
         config_from_dict(data)
     path = tmp_path / "non_finite.json"
     path.write_text(json.dumps(data))
@@ -436,6 +459,47 @@ def test_non_finite_sample_times_are_config_errors(tmp_path, key, value, message
     path = tmp_path / "samples.json"
     path.write_text(json.dumps(data))
     assert main(["run", str(path)]) == EXIT_CONFIG
+    assert not os.path.exists(data["outputs"]["diagnostics_csv"])
+
+
+# booleans and strings, which NumPy reads as numbers, by the dict that holds
+# them in a config: each of these once ran, and rel_tol "1e-6" failed with
+# NumPy's message, which names no field
+NOT_NUMBERS = [
+    (None, "sign_factor", True),
+    (None, "viscosity", True),
+    (None, "viscosity", False),
+    ("integrator", "t_end", True),
+    ("integrator", "dt_max", True),
+    ("integrator", "rel_tol", "1e-6"),
+    ("diagnostics", "mu", True),
+    ("diagnostics", "wiener_s", True),
+    ("diagnostics", "wiener_nu", False),
+    ("outputs", "snapshot_every", True),
+    (None, "sample_dt", True),
+    (None, "sample_times", [False, 0.005, 0.01]),
+    (None, "sample_times", ["0", "0.005", "0.01"]),
+    ("turning", "b", True),
+    ("turning", "alpha2", True),
+    ("turning", "alpha3", True),
+    ("turning", "eps_flat", True),
+]
+
+
+@pytest.mark.parametrize("where, key, value", NOT_NUMBERS,
+                         ids=[f"{key}={value!r}" for _, key, value in NOT_NUMBERS])
+def test_main_rejects_non_numbers_naming_the_field(tmp_path, capsys, where, key, value):
+    data = turning_config_dict(tmp_path) if where == "turning" else config_to_dict(
+        base_config(tmp_path))
+    if key == "sample_dt":
+        data["sample_times"] = None
+    section = (data if where is None else data["initial"]["turning"] if where == "turning"
+               else data[where])
+    section[key] = value
+    path = tmp_path / "not_a_number.json"
+    path.write_text(json.dumps(data))
+    assert main(["run", str(path)]) == EXIT_CONFIG
+    assert key in capsys.readouterr().err
     assert not os.path.exists(data["outputs"]["diagnostics_csv"])
 
 

@@ -303,7 +303,7 @@ def test_dEdt_flat_and_errors():
         dEdt_series(np.array([0.0, 0.1]), np.zeros(2))
 
 
-# --- finger decomposition --------------------------------------------------------
+# --- finger count ----------------------------------------------------------------
 
 
 def brute_force_count(h, mu):
@@ -326,38 +326,17 @@ def brute_force_count(h, mu):
 
 
 def test_fingers_flat():
-    fd = sc.finger_decomposition(sc.GraphInterface(h=np.zeros(64)), 0.1)
-    assert fd.zero_count_in_R == 0
-    assert fd.flat_intervals == [(0, 64)]
+    assert sc.finger_count(sc.GraphInterface(h=np.zeros(64)), 0.1) == 0
 
 
 def test_fingers_sine():
     g = sine_interface(1024)
-    fd = sc.finger_decomposition(g, 0.1)
-    assert fd.zero_count_in_R == 2 == brute_force_count(g.h, 0.1)
-    # the two flat windows sit at the sine's extrema, +-pi/2
-    locs = np.sort(g.alpha[fd.zero_locations])
-    assert np.allclose(locs, [-np.pi / 2, np.pi / 2], atol=0.02)
+    assert sc.finger_count(g, 0.1) == 2 == brute_force_count(g.h, 0.1)
 
 
 def test_fingers_f2_baseline_frozen():
     g = sc.GraphInterface(h=sc.preset_f2(2048))
-    fd = sc.finger_decomposition(g, 0.05)
-    assert fd.zero_count_in_R == brute_force_count(g.h, 0.05) == 4
-
-
-def test_fingers_flat_interval_invariants(rng):
-    h = np.fft.irfft(np.fft.rfft(rng.normal(size=256))[:13], 256)
-    g = sc.GraphInterface(h=h)
-    mu = 0.25
-    fd = sc.finger_decomposition(g, mu)
-    slope = sc.central_diff(h, g.spacing)
-    covered = np.zeros(256, dtype=bool)
-    for start, length in fd.flat_intervals:
-        idx = (start + np.arange(length)) % 256
-        assert np.all(np.abs(slope[idx]) <= mu)
-        covered[idx] = True
-    assert np.all(np.abs(slope[~covered]) > mu)  # complement is the steep set
+    assert sc.finger_count(g, 0.05) == brute_force_count(g.h, 0.05) == 4
 
 
 def test_fingers_grid_scale_flip_counts():
@@ -366,9 +345,36 @@ def test_fingers_grid_scale_flip_counts():
     h = np.zeros(m)
     h[10] = 1.0
     g = sc.GraphInterface(h=h)
-    fd = sc.finger_decomposition(g, 0.05)
-    assert fd.zero_count_in_R == brute_force_count(h, 0.05)
-    assert fd.zero_count_in_R >= 1
+    count = sc.finger_count(g, 0.05)
+    assert count == brute_force_count(h, 0.05)
+    assert count >= 1
+
+
+@st.composite
+def finger_heights(draw):
+    """Heights on m = 8..256 nodes, m a multiple of 4: runs of repeated
+    levels, exact zeros among them, repeated cyclically to m nodes, so that
+    flat ranges of every length occur and some wrap past node m - 1."""
+    m = 4 * draw(st.integers(2, 64))
+    level = st.sampled_from([0.0, 0.5, -0.5, 1e-3]) | st.floats(-3.0, 3.0)
+    runs = draw(st.lists(st.tuples(level, st.integers(1, 12)), min_size=1, max_size=40))
+    return np.resize(np.repeat(*zip(*runs)), m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(h=finger_heights(), mu=st.floats(0.0, 4.0, exclude_min=True))
+@example(h=[0.0] * 8, mu=0.1)                                   # all flat
+@example(h=[0.0, 0.0, 0.0, 1.0, 2.0, 1.0, 0.0, 0.0], mu=0.1)    # a range wraps past m - 1
+@example(h=[0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0], mu=0.1)    # a one-node spike
+@example(h=[3.0 * k * k for k in range(8)], mu=0.1)             # no flat node
+def test_finger_count_matches_brute_force(h, mu):
+    g = sc.GraphInterface(h=np.array(h))
+    assert sc.finger_count(g, mu) == brute_force_count(h, mu)
+
+
+def test_finger_count_needs_positive_mu():
+    with pytest.raises(ValueError, match="mu must be positive"):
+        sc.finger_count(sine_interface(64), 0.0)
 
 
 # --- wiener norm -----------------------------------------------------------------

@@ -13,6 +13,7 @@ from stokescontour.geometry import (
     _check_no_self_intersection,
     curve_derivatives,
     exact_symmetries,
+    is_finite_number,
     open_simpson_weights,
     second_diff,
     simpson_weights,
@@ -20,6 +21,20 @@ from stokescontour.geometry import (
 )
 
 from conftest import bits, sine_interface
+
+
+# --- finite numbers ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("value, expected", [
+    (0, True), (-2, True), (1.5, True), (-1.7e308, True), (np.float32(2.0), True),
+    (np.int64(3), True), (True, False), (np.True_, False), (False, False), ("1e-6", False),
+    (None, False), ([1.0], False), (float("nan"), False), (float("inf"), False),
+    (10**400, False),
+], ids=repr)
+def test_is_finite_number(value, expected):
+    # booleans and strings are not numbers, though NumPy reads them as such
+    assert is_finite_number(value) is expected
 
 
 # --- central_diff -----------------------------------------------------------
