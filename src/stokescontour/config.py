@@ -101,6 +101,10 @@ class RunConfig:
             raise ConfigError("turning_family initial data requires the curve formulation")
         if (self.sample_times is None) == (self.sample_dt is None):
             raise ConfigError("exactly one of sample_times / sample_dt is required")
+        # JSON writes a grid size as 64.0 as readily as 64
+        if not (is_finite_number(self.m) and self.m % 1 == 0):
+            raise ConfigError(f"m must be an integer, got {self.m!r}")
+        self.m = int(self.m)
         diag = self.diagnostics
         try:
             # the grid rule is the scheme's: ``SchemeParams`` applies it first

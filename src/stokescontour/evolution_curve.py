@@ -49,17 +49,20 @@ A symmetric sum's folder totals the held pairs times the orbit size, and
 the velocity is projected onto the symmetries found
 (``geometry.symmetry_projector``, u1 mapping like p and u2 like z2), whose
 average over each node's images completes the sum over all pairs. The
-symmetric sums agree with the full sum to roundoff (not bitwise) and
-their output has the symmetries exactly, so every stage of a run from a
-projected state takes the path of its initial state: the basic turning
-family the half sum, the even one the quarter sum.
+symmetric sums agree with the full sum to roundoff (not bitwise).
+
+The right-hand side is the owner of the symmetries of a run: its output
+has exactly every symmetry its input has, so every DOPRI5 stage, accepted
+state and sample built from a projected state keeps them bit for bit and
+takes the path of its initial state: the basic turning family the half
+sum, the even one the quarter sum.
 
 The state and its velocity are each one (2, m) array, rows p and z2 (u1
 and u2), from ``_rhs_curve_arrays`` through ``integrators.integrate``.
-``evolve_curve`` supplies only the right-hand side,
-``geometry.symmetry_projection`` and the per-sample record;
-``integrators.integrate`` steps, samples, guards the amplitude and builds
-the Trajectory.
+``evolve_curve`` projects only the initial state, by
+``geometry.symmetry_projection``, and supplies the right-hand side and the
+per-sample record; ``integrators.integrate`` steps, samples, guards the
+amplitude and builds the Trajectory.
 """
 
 from __future__ import annotations
@@ -192,9 +195,9 @@ def rhs_curve(state: CurveState):
     """Material velocity (dz1/dt, dz2/dt) of the contour dynamics, one (2, m) array.
 
     The state (z1 - alpha, z2) is first projected onto the symmetries the
-    curve carries (``geometry.symmetry_projection``), as after every step of
-    a run: z1 - alpha recomputed from a stored z1 is odd only to roundoff,
-    and the projected state takes the sum of its symmetries.
+    curve carries (``geometry.symmetry_projection``), as a run projects its
+    initial state: z1 - alpha recomputed from a stored z1 is odd only to
+    roundoff, and the projected state takes the sum of its symmetries.
     """
     c = state.curve
     _warn_if_clustered(c)
@@ -225,7 +228,7 @@ def evolve_curve(
 
     ``integrators.integrate`` steps, samples and captures failures as for the
     graph scheme: a sample inside a step is read from the step's continuous
-    extension, to the integration tolerance, and projected. The state is the
+    extension, to the integration tolerance. The state is the
     (2, m) array (p, z2), p = z1 - alpha, on which the symmetries are sign
     and index maps, and each record's symmetry errors are measured on that
     p, so a projected state reads 0. Each record additionally stores
@@ -233,8 +236,9 @@ def evolve_curve(
     be read off the trajectory, and each sample warns when the nodes cluster
     beyond SPEED_RATIO_WARN. A sample that self-intersects or degenerates
     ends the run early like a blowup. The symmetries the initial curve
-    carries to machine precision are enforced after every accepted step by
-    ``geometry.symmetry_projection``.
+    carries to machine precision are made exact on the initial state by
+    ``geometry.symmetry_projection``; the right-hand side keeps them exact
+    on every later state.
     """
     alpha = initial.curve.alpha
     symmetrize = symmetry_projection(initial.curve)
@@ -248,6 +252,5 @@ def evolve_curve(
         state = CurveState(t=t, curve=curve, delta_rho=initial.delta_rho)
         return state, record_for_curve(t, curve, p=y[0])
 
-    y0 = np.array([initial.curve.z1 - alpha, initial.curve.z2], dtype=float)
-    return integrate(f, initial.t, y0, ip, sample_times, lambda y: np.array(symmetrize(*y)),
-                     sample, on_sample)
+    y0 = np.array(symmetrize(initial.curve.z1 - alpha, initial.curve.z2))
+    return integrate(f, initial.t, y0, ip, sample_times, sample, on_sample)

@@ -44,23 +44,25 @@ by their orbits (``kernels.stabilizer_weights``) and totals them with
 The sum takes one of two paths, chosen by the exact O(m) test
 ``geometry.exact_symmetries`` of the heights. Heights that are exactly odd,
 h(-alpha) = -h(alpha), and exactly antiperiodic, h(alpha + pi) = -h(alpha)
-(the central and even symmetries together), as every state of a run
-projected onto both symmetries is, take the quarter sum: the pairs (i, j),
-(-i, -j), (i + m/2, j + m/2) and (m/2 - i, m/2 - j) carry the same terms
-up to sign, so one pair of each such orbit is evaluated, indexed by its
-centre 0..m/4 in every offset row (width m/4 + 1): m/2 * (m/4 + 1) pairs.
-The folder totals their terms on every node, four times over, and the
-right-hand side is projected onto both symmetries
-(``geometry.symmetry_projector``), whose average over the four images of
-each node completes the sum over all pairs. The result agrees with the full
-sum to roundoff (not bitwise) and is exactly odd and antiperiodic, so
-every stage of such a run takes this path again. Any other state takes
-the full sum over all m/2 * m pairs (width m), on which every node
+(the central and even symmetries together) take the quarter sum: the pairs
+(i, j), (-i, -j), (i + m/2, j + m/2) and (m/2 - i, m/2 - j) carry the same
+terms up to sign, so one pair of each such orbit is evaluated, indexed by
+its centre 0..m/4 in every offset row (width m/4 + 1): m/2 * (m/4 + 1)
+pairs. The folder totals their terms on every node, four times over, and
+the projection onto both symmetries (``geometry.symmetry_projector``),
+whose average over the four images of each node completes the sum over all
+pairs, agrees with the full sum to roundoff (not bitwise). Any other state
+takes the full sum over all m/2 * m pairs (width m), on which every node
 accumulates its terms in the same order, so shifting the state by one
-grid node shifts the right-hand side by exactly one node, bitwise.
+grid node shifts the sum by exactly one node, bitwise.
 
-``evolve`` supplies only the right-hand side, the symmetry projection (the
-z2 half of ``geometry.symmetry_projection``) and the per-sample record;
+The right-hand side is the owner of the symmetries of a run: whatever the
+path, it is projected onto every symmetry its heights have exactly, so it
+has each of them exactly too, and every DOPRI5 stage, accepted state and
+sample built from exactly symmetric heights keeps their symmetries bit for
+bit and takes the path of the initial state. ``evolve`` projects only the
+initial heights, by the z2 half of ``geometry.symmetry_projection``, and
+supplies the right-hand side and the per-sample record;
 ``integrators.integrate`` steps, samples and builds the Trajectory.
 """
 
@@ -208,10 +210,10 @@ def _rhs_arrays(h: np.ndarray, params: SchemeParams) -> np.ndarray:
     # on heights that are exactly odd, h(-alpha) = -h(alpha), and
     # antiperiodic, h(alpha + pi) = -h(alpha), one pair of each orbit of both
     # symmetries, finished by the projection onto them; on any other heights
-    # every pair
-    quarter = all(exact_symmetries(None, h))
+    # every pair, the projection making exact each symmetry the heights have
+    central, even = exact_symmetries(None, h)
     # the sum's temporaries are freed before the returned array is allocated
-    totals = _pair_totals(h, dh, params, m // 4 + 1 if quarter else m)
+    totals = _pair_totals(h, dh, params, m // 4 + 1 if central and even else m)
     if params.quadrature == "spectral_log":
         # r = 0: removable limits of the three terms, trapezoid cell weight d;
         # the log(4 sin^2) factor is integrated by the circulant omega
@@ -221,7 +223,7 @@ def _rhs_arrays(h: np.ndarray, params: SchemeParams) -> np.ndarray:
     else:  # taylor_cell
         r0 = 2.0 * _cell_correction_values(h, dh, d, params.singular_cell_variant)
     rhs = params.sign_factor * (r0 + totals) + params.viscosity * second_diff(h, d)
-    rhs = symmetry_projector(m, quarter, quarter)(None, rhs)[1]
+    rhs = symmetry_projector(m, central, even)(None, rhs)[1]
     if not np.all(np.isfinite(rhs)):
         raise BlowupError(int(np.flatnonzero(~np.isfinite(rhs))[0]))
     return rhs
@@ -278,10 +280,11 @@ def evolve(
     record)`` is invoked as each one is taken (used for incremental output),
     and a blowup or step failure ends the run early and is recorded on the
     returned Trajectory with the run's step counts. The symmetries the initial
-    data carries to machine precision are enforced on every accepted state
-    by the z2 half of ``geometry.symmetry_projection`` of its lift.
+    data carries to machine precision are made exact on the initial heights
+    by the z2 half of ``geometry.symmetry_projection`` of its lift; the
+    right-hand side keeps them exact on every later state.
     """
-    symmetrize = symmetry_projection(graph_to_curve(initial.interface))
+    h0 = symmetry_projection(graph_to_curve(initial.interface))(None, initial.interface.h)[1]
 
     def f(t, y):
         return _rhs_arrays(y, params)
@@ -290,5 +293,4 @@ def evolve(
         state = GraphState(t=t, interface=GraphInterface(h=y.copy()))
         return state, record_for_graph(t, state.interface, params.sign_factor, options)
 
-    return integrate(f, initial.t, initial.interface.h.copy(), ip, sample_times,
-                     lambda y: symmetrize(None, y)[1], sample, on_sample)
+    return integrate(f, initial.t, h0, ip, sample_times, sample, on_sample)

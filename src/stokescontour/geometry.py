@@ -14,9 +14,11 @@ winding-aware tangent ``curve_derivatives`` and the table of the two
 symmetries the flow conserves, from which ``carried_symmetries`` decides what
 every run enforces and ``verify`` checks, and ``exact_symmetries`` which path
 every pair sum takes. The table's one projection, ``symmetry_projector``,
-enforces the symmetries on every state of a run and also finishes every
-symmetric pair sum of the right-hand sides, so no other module maps nodes or
-signs by a symmetry.
+makes the carried symmetries exact on the initial state of every run and
+finishes every right-hand side, whose output it makes exactly symmetric on
+every symmetry its input has exactly, so every later state of a run keeps
+them without a projection; no other module maps nodes or signs by a
+symmetry.
 
 A ``ParamCurve`` is validated on construction: no two nodes may coincide in
 (z1 mod 2pi, z2), checked on the nodes sorted by z1 mod 2pi in O(m log m)
@@ -62,9 +64,12 @@ def _shared_grid(m: int) -> np.ndarray:
 
 
 def check_grid_size(m: int) -> None:
-    """ValueError unless m >= 8 is a multiple of 4, so that 0 and +-pi/2 are nodes."""
-    if m < 8 or m % 4:
-        raise ValueError(f"m must be a multiple of 4 and >= 8, got {m}")
+    """ValueError unless m >= 8 is an integer multiple of 4, so that 0 and +-pi/2 are nodes.
+
+    A float, even an integral one, and a boolean are not grid sizes.
+    """
+    if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 8 or m % 4:
+        raise ValueError(f"m must be an integer multiple of 4 and >= 8, got {m!r}")
 
 
 def is_finite_number(value) -> bool:
@@ -420,7 +425,8 @@ def symmetry_projector(m: int, central: bool, even: bool):
     The same average finishes every symmetric pair sum: the sum over all
     pairs is the group order times the projection of the terms of the pairs
     the sum held (``kernels.central_folder``), so each right-hand side
-    projects its output onto the symmetries that chose its path.
+    projects its output onto the symmetries its input has exactly
+    (``exact_symmetries``), which also chose its path.
     """
     rows = [row for row, on in zip(_reflections(m), (central, even)) if on]
 
@@ -437,7 +443,8 @@ def symmetry_projector(m: int, central: bool, even: bool):
 def symmetry_projection(curve: ParamCurve):
     """``symmetry_projector`` onto the symmetries ``curve`` carries (``carried_symmetries``).
 
-    Both are conserved by the flow, so enforcing them keeps roundoff
+    Both are conserved by the flow, so making them exact on the initial
+    state of a run, which the right-hand sides then keep, keeps roundoff
     asymmetries from growing under unstable dynamics.
     """
     return symmetry_projector(curve.m, *carried_symmetries(curve))

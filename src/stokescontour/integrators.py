@@ -16,15 +16,19 @@ rejects a trial step (``dopri_step``). It does not shorten a step to reach a
 sample time: a sample inside an accepted step is read from DOPRI5's free
 fourth-order continuous extension (``dense_output``, Hairer, Norsett &
 Wanner, Solving ODEs I, sec. II.6), as MATLAB's ode45 does, so a sample
-carries an error of the order of the integration tolerance. It projects the
-initial state, each accepted state and each interpolated sample, guards the
+carries an error of the order of the integration tolerance. It guards the
 amplitude of each node, the last axis of the state (the graph's heights,
 shape (m,), or the curve's (p, z2), shape (2, m)), builds the
 ``Trajectory`` of sampled states and records with the counts of its steps,
-and turns a failure into an early end recorded on it. Every step
-therefore starts from a projected state: a stage keeps each exact
-symmetry its start state and the right-hand side both have, which both
-right-hand sides use to halve their pair sums.
+and turns a failure into an early end recorded on it.
+
+It makes no projection. The symmetries are owned by the formulations:
+each projects its initial state once, and each right-hand side returns a
+velocity with exactly every symmetry its input has. A symmetry is a sign
+and an index map, which commute with rounding, so every stage, accepted
+state and interpolated sample, a sum of scalar multiples of such arrays,
+keeps the start state's exact symmetries bit for bit, and both
+right-hand sides use them to cut their pair sums.
 """
 
 from __future__ import annotations
@@ -211,7 +215,6 @@ def integrate(
     y0: np.ndarray,
     ip: IntegratorParams,
     sample_times,
-    project: Callable,
     sample: Callable,
     on_sample: Optional[Callable] = None,
 ) -> Trajectory:
@@ -225,16 +228,16 @@ def integrate(
     infinite error norm). A rejection at dt_min is a StepFailureError
     ("step size underflow"), or the BlowupError itself, and a BlowupError
     at the current state ends the run at once. An accepted step proposes
-    the next dt from its error norm. The initial state and every accepted
-    state are replaced by ``project(y)``, so the first sample and every
-    step start from a projected state. The last axis of y is the node, so a
-    node's deviation from the rest state is its largest |y| over the other
-    axes (|h| for graph heights, max(|p|, |z2|) for a curve's (2, m)
-    state); once the largest exceeds AMPLITUDE_GUARD the run blows up at
-    that node, named in the message, with no sample taken inside that step.
-    Then every sample time the step reached is sampled: one within
-    _SAMPLE_TOL of the step end is that end state, bit for bit, and one
-    inside the step is ``project`` of the step's ``dense_output``, a
+    the next dt from its error norm. No state is projected: y0 is the
+    first sample and the start of the first step, and every state keeps
+    the exact symmetries of y0 that f keeps (module docstring). The last
+    axis of y is the node, so a node's deviation from the rest state is its
+    largest |y| over the other axes (|h| for graph heights, max(|p|, |z2|)
+    for a curve's (2, m) state); once the largest exceeds AMPLITUDE_GUARD
+    the run blows up at that node, named in the message, with no sample
+    taken inside that step. Then every sample time the step reached is
+    sampled: one within _SAMPLE_TOL of the step end is that end state, bit
+    for bit, and one inside the step is the step's ``dense_output``, a
     fourth-order interpolant, so it carries an error of the order of the
     integration tolerance. At each sample, ``sample(t, y)`` returns the
     (state, record) pair appended to the Trajectory, and
@@ -260,8 +263,7 @@ def integrate(
             on_sample(state, record)
 
     ts = _prepare_samples(t0, ip, sample_times)
-    t = t0
-    y = project(y0)
+    t, y = t0, y0
     t_last, idx = float(ts[-1]), 0
     if abs(ts[0] - t) <= _SAMPLE_TOL:
         take_sample(t, y)
@@ -289,11 +291,9 @@ def integrate(
             stats.accepted_steps += 1
             stats.min_dt = dt_try if stats.min_dt is None else min(stats.min_dt, dt_try)
             stats.max_dt = dt_try if stats.max_dt is None else max(stats.max_dt, dt_try)
-            # k[6] is f at the unprojected y_new; the projection moves that
-            # state only at roundoff, so it still serves as the next k1 (FSAL)
+            # k[6] is f at y_new, the next k1 (FSAL)
             t_start, y_start = t, y
-            t, k1 = t + dt_try, k[6]
-            y = project(y_new)
+            t, y, k1 = t + dt_try, y_new, k[6]
             deviation = np.abs(y).reshape(-1, y.shape[-1]).max(axis=0)
             if np.max(deviation) > AMPLITUDE_GUARD:
                 raise BlowupError(int(np.argmax(deviation)), t,
@@ -303,7 +303,7 @@ def integrate(
                     take_sample(ts[idx], y)
                 else:
                     theta = (ts[idx] - t_start) / dt_try
-                    take_sample(ts[idx], project(dense_output(y_start, y_new, k, dt_try, theta)))
+                    take_sample(ts[idx], dense_output(y_start, y_new, k, dt_try, theta))
                 idx += 1
     except (BlowupError, StepFailureError) as exc:
         traj.failed, traj.failure_time, traj.failure_message = True, t, str(exc)

@@ -503,6 +503,40 @@ def test_main_rejects_non_numbers_naming_the_field(tmp_path, capsys, where, key,
     assert not os.path.exists(data["outputs"]["diagnostics_csv"])
 
 
+# a grid size as a JSON config may spell it: a string, a boolean, a
+# fraction, and a number past the float range, which Python reads as inf;
+# each once ended in a traceback or named no field
+@pytest.mark.parametrize("text", ['"64"', "true", "64.5", "1e400"])
+def test_main_rejects_a_grid_size_that_is_not_an_integer(tmp_path, capsys, text):
+    data = config_to_dict(base_config(tmp_path))
+    data["m"] = None
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(data).replace('"m": null', f'"m": {text}'))
+    assert main(["run", str(path)]) == EXIT_CONFIG
+    assert "m must be an integer, got" in capsys.readouterr().err
+    assert not os.path.exists(data["outputs"]["diagnostics_csv"])
+
+
+@pytest.mark.parametrize("kind", ["preset_f2", "fourier", "turning_family"])
+def test_integral_float_grid_size_runs_as_an_integer(tmp_path, kind):
+    # "m": 64.0 once ended in a traceback; it runs as 64, byte for byte
+    if kind == "turning_family":
+        data = turning_config_dict(tmp_path)
+    else:
+        initial = InitialSpec(kind=kind, fourier_coeffs=[[1, 1e-3]] if kind == "fourier" else None)
+        data = config_to_dict(base_config(tmp_path, initial=initial))
+    written = []
+    for m in (64, 64.0):
+        data["m"] = m
+        data["outputs"] = {"diagnostics_csv": str(tmp_path / f"{m!r}.csv")}
+        path = tmp_path / f"{m!r}.json"
+        path.write_text(json.dumps(data))
+        assert type(load_config(path).m) is int
+        assert main(["run", str(path)]) == EXIT_OK
+        written.append(open(data["outputs"]["diagnostics_csv"], "rb").read())
+    assert written[0] == written[1]
+
+
 def test_legacy_deterministic_key_still_loads(tmp_path):
     cfg = base_config(tmp_path)
     data = config_to_dict(cfg)

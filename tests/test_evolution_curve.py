@@ -325,9 +325,10 @@ def test_turning_run_states_stay_centrally_symmetric(monkeypatch, variant, b):
                                         ("asymmetric", (False, False))])
 def test_turning_run_states_keep_their_sum_path(monkeypatch, case, path):
     # the even family carries the half-period symmetry as well: its projected
-    # state, every DOPRI5 stage and every accepted state keep both exactly,
-    # so every call takes the quarter sum; the basic family keeps the half
-    # sum, and a curve with neither symmetry the full sum
+    # state, every DOPRI5 stage, every accepted state and every sample keep
+    # both exactly with no projection in the driver, so every call takes the
+    # quarter sum; the basic family keeps the half sum, and a curve with
+    # neither symmetry the full sum
     paths = []
     choose = evolution_curve.exact_symmetries
 
@@ -346,9 +347,16 @@ def test_turning_run_states_keep_their_sum_path(monkeypatch, case, path):
     ip = make_integrator(t_end=0.003, dt_max=0.001)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # node clustering
-        traj = sc.evolve_curve(sc.CurveState(0.0, curve, delta_rho=1.0), ip, [0.0, 0.003])
-    assert not traj.failed
+        traj = sc.evolve_curve(sc.CurveState(0.0, curve, delta_rho=1.0), ip,
+                               np.linspace(0.0, 0.003, 7))
+    assert not traj.failed and len(traj.states) == 7
+    # fewer steps than sample intervals: some samples lie inside a step
+    assert traj.stats.accepted_steps < 6
     assert len(paths) >= 1 + 3 * 6 and set(paths) == {path}
+    # each record measures the symmetries on the sampled p itself
+    for record in traj.records:
+        errors = (record.central_sym_err, record.even_sym_err)
+        assert all(err == 0.0 for err, on in zip(errors, path) if on)
 
 
 @pytest.mark.parametrize("case, path", [("basic", (True, False)), ("even_symmetric", (True, True))])

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -22,6 +23,7 @@ from stokescontour.geometry import (
     graph_to_curve,
     second_diff,
     symmetry_projection,
+    symmetry_projector,
 )
 from stokescontour.integrators import BlowupError, dopri_step
 from stokescontour.kernels import dK12, stokeslet, stokeslet_terms
@@ -193,10 +195,12 @@ def test_blocked_rhs_matches_all_offsets_sum(quadrature, cell, m, coeffs, anti):
 
 
 def test_graph_scheme_is_under_the_grid_rule():
-    # m a multiple of 4, as for every interface: m/2 is even, so the pair
-    # sums pair up their offset rows 1..m/2 without a pad row
-    for m in (6, 66, 202):
-        with pytest.raises(ValueError, match=f"m must be a multiple of 4 and >= 8, got {m}"):
+    # m an integer multiple of 4, as for every interface: m/2 is even, so
+    # the pair sums pair up their offset rows 1..m/2 without a pad row; a
+    # float, even an integral one, or a boolean is no grid size
+    for m in (6, 66, 202, 64.0, 64.5, True):
+        with pytest.raises(ValueError, match=re.escape(
+                f"m must be an integer multiple of 4 and >= 8, got {m!r}")):
             params_for(m)
     with pytest.raises(ValueError, match="state has m=66 but params.m=68"):
         _rhs_arrays(band_limited(66, COEFFS), params_for(68))
@@ -282,6 +286,25 @@ def test_graph_run_records_take_the_quarter_delta(monkeypatch, preset):
     assert not traj.failed
     assert len(seen) == len(traj.records) == samples.size and all(seen)
     assert all(np.isfinite(rec.delta) and rec.delta > 0.0 for rec in traj.records)
+
+
+@pytest.mark.parametrize("quadrature", ["spectral_log", "taylor_cell"])
+@pytest.mark.parametrize("symmetry", ["central", "even"])
+def test_rhs_keeps_a_single_exact_symmetry(quadrature, symmetry):
+    # the stepper does not project: on heights with one symmetry exactly the
+    # full sum is symmetric only to roundoff, and the right-hand side's own
+    # projection makes that symmetry exact, so every stage keeps it
+    rng = np.random.default_rng(7)
+    which = ("central", "even").index(symmetry)
+    carried = (which == 0, which == 1)
+    exact = []
+    for _ in range(30):
+        m = int(rng.choice([8, 16, 32, 48, 64]))
+        coeffs = rng.uniform(-0.3, 0.3, size=(int(rng.integers(1, 7)), 2))
+        h = symmetry_projector(m, *carried)(None, band_limited(m, coeffs))[1]
+        assert exact_symmetries(None, h) == carried
+        exact.append(exact_symmetries(None, _rhs_arrays(h, params_for(m, quadrature)))[which])
+    assert all(exact), f"{exact.count(False)} of {len(exact)} outputs not exactly {symmetry}"
 
 
 @pytest.mark.parametrize("quadrature", ["spectral_log", "taylor_cell"])

@@ -1,9 +1,17 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import stokescontour as sc
-from stokescontour import evolution_graph
-from stokescontour.geometry import SelfIntersectionError, exact_symmetries
+from stokescontour import evolution_curve, evolution_graph
+from stokescontour.cli import fourier_heights
+from stokescontour.geometry import (
+    SelfIntersectionError,
+    exact_symmetries,
+    graph_to_curve,
+    symmetry_projection,
+)
 from stokescontour.integrators import (
     AMPLITUDE_GUARD,
     BlowupError,
@@ -64,10 +72,14 @@ def test_dense_output_is_fourth_order_on_exponential():
     assert np.array_equal(dense_output(y0, y1, k, 0.05, 0.0), y0)
 
 
-def run(f, ip, sample_times, y0=np.ones(2), project=lambda y: y):
+def reversal_odd(y):
+    """y projected onto y[::-1] = -y, which -c(t) y keeps exactly."""
+    return 0.5 * (y - y[::-1])
+
+
+def run(f, ip, sample_times, y0=np.ones(2)):
     """integrate with (t, y) samples."""
-    return integrate(f, 0.0, y0, ip, sample_times, project,
-                     lambda t, y: ((t, y.copy()), t))
+    return integrate(f, 0.0, y0, ip, sample_times, lambda t, y: ((t, y.copy()), t))
 
 
 def test_advance_grows_dt_on_trivial_field():
@@ -161,7 +173,7 @@ def test_blowup_persisting_at_dt_min_ends_the_run():
     assert traj.failure_message.startswith("non-finite right-hand side at node 0")
 
 
-def reference_integrate(f, y0, ip, sample_times, project):
+def reference_integrate(f, y0, ip, sample_times):
     """The stepping loop with accept/reject in a separate retry function.
 
     A second, independent statement of the step control on top of
@@ -169,9 +181,10 @@ def reference_integrate(f, y0, ip, sample_times, project):
     shrunk after a rejection (error norm > 1 or a BlowupError on a trial
     stage), raises StepFailureError at dt_min and proposes the next dt
     clamped to [dt_min, dt_max]; only the last sample time caps a step. A
-    sample inside a step is the projected ``dense_output`` of that step, one
-    within 1e-12 of a step end the end state. Returns the (t, y) samples,
-    the failure message (or None) and counts of the step events.
+    sample inside a step is the ``dense_output`` of that step, one within
+    1e-12 of a step end the end state; no state is projected. Returns the
+    (t, y) samples, the failure message (or None) and counts of the step
+    events.
     """
     events = {"accepted": 0, "rejected": 0, "blown_up": 0, "interpolated": 0}
 
@@ -195,7 +208,7 @@ def reference_integrate(f, y0, ip, sample_times, project):
             events["rejected"] += 1
             dt = max(dt_try * _step_factor(err), ip.dt_min)
 
-    t, y, dt = 0.0, project(y0), ip.dt_init
+    t, y, dt = 0.0, y0, ip.dt_init
     samples = [(t, y.copy())]
     pending = list(sample_times[1:])
     try:
@@ -203,7 +216,7 @@ def reference_integrate(f, y0, ip, sample_times, project):
         while pending:
             h, y_new, k, dt = accepted_step(t, y, dt, k1, sample_times[-1] - t)
             t_start, y_start = t, y
-            t, y, k1 = t + h, project(y_new), k[6]
+            t, y, k1 = t + h, y_new, k[6]
             while pending and pending[0] <= t + 1e-12:
                 target = pending.pop(0)
                 if target >= t - 1e-12:
@@ -211,7 +224,7 @@ def reference_integrate(f, y0, ip, sample_times, project):
                 else:
                     events["interpolated"] += 1
                     y_mid = dense_output(y_start, y_new, k, h, (target - t_start) / h)
-                    samples.append((target, project(y_mid)))
+                    samples.append((target, y_mid))
     except (BlowupError, StepFailureError) as exc:
         return samples, str(exc), events
     return samples, None, events
@@ -220,30 +233,29 @@ def reference_integrate(f, y0, ip, sample_times, project):
 @pytest.mark.parametrize("rel_tol, dt_min", [(1e-8, 1e-12), (1e-12, 1e-3)],
                          ids=["completes", "step_failure"])
 def test_integrate_matches_a_reference_retry_loop_bitwise(rel_tol, dt_min):
-    # rejections, interpolated samples and blown-up trial stages, all on one run
+    # rejections, interpolated samples and blown-up trial stages, all on one
+    # run from a state odd under reversal, which f keeps exactly
     def f(t, y):
         calls.append((t, y.copy()))
         if np.max(np.abs(y)) > 2.0:
             raise BlowupError(int(np.argmax(np.abs(y))), t)
         return -12.0 * (1.0 + np.cos(3.0 * t)) * y
 
-    def project(y):
-        return 0.5 * (y - y[::-1])
-
-    y0 = np.array([1.0, -0.3, 0.2, -1.1])
+    y0 = reversal_odd(np.array([1.0, -0.3, 0.2, -1.1]))
     ip = sc.IntegratorParams(t_end=1.0, rel_tol=rel_tol, abs_tol=1e-10,
                              dt_init=0.5, dt_min=dt_min, dt_max=0.5)
     sample_times = [0.0, 0.37, 1.0]
     calls = []
-    samples, failure, events = reference_integrate(f, y0, ip, sample_times, project)
+    samples, failure, events = reference_integrate(f, y0, ip, sample_times)
     reference_calls, calls = calls, []
-    traj = run(f, ip, sample_times, y0=y0, project=project)
+    traj = run(f, ip, sample_times, y0=y0)
 
     assert traj.failed == (failure is not None)
     assert traj.failure_message == failure
     assert len(traj.states) == len(samples)
     for (t, y), (t_ref, y_ref) in zip(traj.states, samples):
         assert t == t_ref and np.array_equal(y, y_ref)
+        assert np.array_equal(y, reversal_odd(y))
     assert len(calls) == len(reference_calls)
     assert all(t == t_ref and np.array_equal(y, y_ref)
                for (t, y), (t_ref, y_ref) in zip(calls, reference_calls))
@@ -261,28 +273,26 @@ def test_integrate_matches_a_reference_retry_loop_bitwise(rel_tol, dt_min):
 
 def test_sample_at_a_step_end_is_the_end_state_bitwise():
     # samples do not move the steps: a rerun sampling at (and 5e-13 past) a
-    # step end makes the same calls and records that step's projected state
+    # step end makes the same calls and records that step's end state, the
+    # input of its last stage (FSAL), kept odd under reversal by f
     times, ends = [], []
 
     def f(t, y):
         times.append(t)
+        ends.append(y.copy())
         return -4.0 * (1.0 + t) * y
 
-    def project(y):
-        out = 0.5 * (y - y[::-1])
-        ends.append(out)
-        return out
-
-    y0 = np.array([1.0, -0.3, 0.2, -1.1])
+    y0 = reversal_odd(np.array([1.0, -0.3, 0.2, -1.1]))
     ip = make_integrator(t_end=1.0, dt_init=0.05, dt_max=0.2)
-    first = run(f, ip, [0.0, 1.0], y0=y0, project=project)
+    first = run(f, ip, [0.0, 1.0], y0=y0)
     assert not first.failed and first.stats.rejected_steps == 0
-    step_ends, states, calls = times[6::6], ends[1:], times
+    step_ends, states, calls = times[6::6], ends[6::6], times
     assert len(step_ends) == len(states) == first.stats.accepted_steps > 4
+    assert all(np.array_equal(y, reversal_odd(y)) for y in states)
     for offset in (0.0, 5e-13):
         times, ends = [], []
         t_end = step_ends[3]
-        traj = run(f, ip, [0.0, t_end + offset, 1.0], y0=y0, project=project)
+        traj = run(f, ip, [0.0, t_end + offset, 1.0], y0=y0)
         assert times == calls
         assert traj.records == [0.0, t_end + offset, 1.0]
         assert np.array_equal(traj.states[1][1], states[3])
@@ -290,8 +300,9 @@ def test_sample_at_a_step_end_is_the_end_state_bitwise():
 
 
 def test_projected_f2_samples_are_exactly_odd_and_antiperiodic():
-    # samples read from the continuous extension are projected like the
-    # step ends, so each one keeps both symmetries exactly
+    # samples read from the continuous extension are sums of scalar multiples
+    # of the exactly symmetric start state and stages, like the step ends,
+    # so each one keeps both symmetries exactly
     m = 64
     params = sc.SchemeParams(sign_factor=-1.0, viscosity=1e-3, m=m)
     sample_times = np.linspace(0.0, 0.04, 17)
@@ -317,7 +328,7 @@ def test_sample_error_ends_the_run_at_that_sample_time():
 
     ip = make_integrator(t_end=1.0, dt_init=0.5, dt_max=0.5)
     traj = integrate(lambda t, y: np.zeros_like(y), 0.0, np.ones(2), ip,
-                     [0.0, 0.1, 0.3, 1.0], lambda y: y, sample)
+                     [0.0, 0.1, 0.3, 1.0], sample)
     assert traj.failed and traj.failure_time == 0.3
     assert traj.failure_message == "nodes 1 and 2 coincide"
     assert traj.records == [0.0, 0.1]
@@ -330,8 +341,7 @@ def test_samples_inside_a_step_that_fails_the_guard_are_not_recorded():
     # amplitude guard, which checks accepted states only
     ip = make_integrator(t_end=1.0, dt_init=0.5, dt_max=0.5)
     traj = integrate(lambda t, y: np.zeros_like(y), 0.0, np.full(3, 2.0 * AMPLITUDE_GUARD), ip,
-                     [0.0, 0.1, 0.2, 1.0], lambda y: y,
-                     lambda t, y: ((t, y.copy()), t))
+                     [0.0, 0.1, 0.2, 1.0], lambda t, y: ((t, y.copy()), t))
     assert traj.failed and traj.failure_time == 0.5
     assert traj.failure_message == "amplitude past AMPLITUDE_GUARD = 1e+06 at node 0, t=0.5"
     assert traj.records == [0.0]
@@ -404,7 +414,7 @@ def test_first_sample_just_before_t0_is_the_initial_state():
     # accepted as in range, so taken at t0 without a backward step
     y0 = np.array([1.0, -2.0])
     ip = make_integrator(t_end=0.1, dt_max=0.05)
-    traj = integrate(lambda t, y: -y, 0.0, y0, ip, [-5e-13, 0.1], lambda y: y,
+    traj = integrate(lambda t, y: -y, 0.0, y0, ip, [-5e-13, 0.1],
                      lambda t, y: ((t, y.copy()), t))
     samples = traj.states
     assert not traj.failed and traj.records == [0.0, 0.1]
@@ -412,45 +422,82 @@ def test_first_sample_just_before_t0_is_the_initial_state():
     assert [s[0] for s in samples] == [0.0, 0.1]
 
 
-def test_first_step_starts_from_the_projected_initial_state():
-    # y0 is projected before the first sample and the first right-hand side
-    y0 = np.array([1.0, 2.0, -0.5, 3.0])
-
-    def project(y):
-        return 0.5 * (y - y[::-1])
-
+@pytest.mark.parametrize("formulation", ["graph", "curve"])
+def test_first_step_starts_from_the_projected_initial_state(monkeypatch, formulation):
+    # the initial state carries its symmetries only to roundoff; the
+    # formulation projects it once, and that is the first right-hand-side
+    # input and the first sample, bit for bit
     seen = []
+    ip = make_integrator(t_end=0.002, dt_max=0.001)
+    if formulation == "graph":
+        interface = sc.GraphInterface(h=sc.preset_f2(64))
+        raw = interface.h
+        projected = symmetry_projection(graph_to_curve(interface))(None, raw)[1]
+        rhs = evolution_graph._rhs_arrays
 
-    def f(t, y):
-        seen.append(y.copy())
-        return -y
+        def spy(y, params):
+            seen.append(y.copy())
+            return rhs(y, params)
 
-    ip = make_integrator(t_end=0.1, dt_max=0.05)
-    traj = integrate(f, 0.0, y0, ip, [0.0, 0.1], project,
-                     lambda t, y: ((t, y.copy()), t))
-    assert not traj.failed
-    assert np.array_equal(seen[0], project(y0))
-    assert np.array_equal(traj.states[0][1], project(y0))
+        monkeypatch.setattr(evolution_graph, "_rhs_arrays", spy)
+        params = sc.SchemeParams(sign_factor=-1.0, viscosity=1e-3, m=64)
+        traj = sc.evolve(sc.GraphState(0.0, interface), params, ip, [0.0, 0.002])
+        first, expected = traj.states[0].interface.h, projected
+    else:
+        curve = sc.build_turning_family(sc.TurningFamilyParams(b=16.9), 64)
+        raw = np.array([curve.z1 - curve.alpha, curve.z2])
+        projected = np.array(symmetry_projection(curve)(*raw))
+        rhs = evolution_curve._rhs_curve_arrays
+
+        def spy(p, z2, *args):
+            seen.append(np.array([p, z2]))
+            return rhs(p, z2, *args)
+
+        monkeypatch.setattr(evolution_curve, "_rhs_curve_arrays", spy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # node clustering
+            traj = sc.evolve_curve(sc.CurveState(0.0, curve, delta_rho=1.0), ip, [0.0, 0.002])
+        # the sample stores z1 = p + alpha
+        first = np.array([traj.states[0].curve.z1, traj.states[0].curve.z2])
+        expected = np.array([projected[0] + curve.alpha, projected[1]])
+    assert not traj.failed and not np.array_equal(raw, projected)
+    assert np.array_equal(seen[0], projected)
+    assert np.array_equal(first, expected)
 
 
-def test_graph_run_right_hand_side_sees_antiperiodic_states(monkeypatch):
+# at m = 128 the full sum on the central-only series is not exactly odd
+# on most calls, so a state would lose the symmetry without the projection
+GRAPH_RUNS = {"f2": (sc.preset_f2(128), (True, True)),
+              "central-only fourier": (fourier_heights(128, [[1, 0.3], [2, 0.15], [4, 0.05]]),
+                                       (True, False))}
+
+
+@pytest.mark.parametrize("case", GRAPH_RUNS)
+def test_graph_run_right_hand_side_sees_antiperiodic_states(monkeypatch, case):
     # preset_f2 carries both symmetries, which together give
-    # h(alpha + pi) = -h(alpha); once y0 is projected, every stage state of
-    # every step has it exactly and is exactly odd as well, so each call
-    # takes the quarter pair sum
-    m = 64
-    h = sc.preset_f2(m)
-    assert not np.array_equal(h[m // 2 :], -h[: m // 2])
-    exact = []
+    # h(alpha + pi) = -h(alpha), the Fourier series the central one alone;
+    # once y0 is projected, with no projection in the driver, every stage
+    # state of every step and every sample, read inside a step or at its
+    # end, has exactly the carried symmetries, so each call takes the
+    # quarter pair sum on f2 and the full sum on the series
+    h, carried = GRAPH_RUNS[case]
+    assert not any(exact_symmetries(None, h))
+    paths = []
     rhs = evolution_graph._rhs_arrays
 
     def traced(y, params):
-        exact.append(np.array_equal(y[m // 2 :], -y[: m // 2]) and all(exact_symmetries(None, y)))
+        paths.append(exact_symmetries(None, y))
         return rhs(y, params)
 
     monkeypatch.setattr(evolution_graph, "_rhs_arrays", traced)
-    params = sc.SchemeParams(sign_factor=-1.0, viscosity=1e-3, m=m)
+    params = sc.SchemeParams(sign_factor=-1.0, viscosity=1e-3, m=h.size)
     traj = sc.evolve(sc.GraphState(0.0, sc.GraphInterface(h=h)), params,
-                     make_integrator(t_end=0.02, dt_max=0.01), [0.0, 0.02])
-    assert not traj.failed
-    assert len(exact) > 7 and all(exact)
+                     make_integrator(t_end=0.02, dt_max=0.01), np.linspace(0.0, 0.02, 9))
+    assert not traj.failed and len(traj.states) == 9
+    # fewer steps than sample intervals: some samples lie inside a step
+    assert traj.stats.accepted_steps < 8
+    assert len(paths) > 7 and set(paths) == {carried}
+    for state, record in zip(traj.states, traj.records):
+        assert exact_symmetries(None, state.interface.h) == carried
+        errors = (record.central_sym_err, record.even_sym_err)
+        assert all(err == 0.0 for err, on in zip(errors, carried) if on)
