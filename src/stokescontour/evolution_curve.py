@@ -9,13 +9,7 @@ smooth part of the kernel is summed over nodes with its removable diagonal
 limits filled in (the log remainder tends to log |zdot(a)|^2 and the rational
 matrix term to -(1/4pi)(dz2/|zdot|^2) [[-dz2, dz1], [dz1, dz2]]), while the
 log(4 sin^2((a-b)/2)) factor is integrated analytically over the two half
-panels adjacent to the singular node against the frozen node value. The
-Stokeslet is even, S(-x) = S(x), so each unordered pair of nodes is
-evaluated once and feeds both nodes: the sum runs over the offsets
-r = 1..m/2 in blocks of offset rows, every node accumulating in the same
-order. The kernel needs sin(x1/2) and sin(x1) of every pair: every row
-reads them from per-node sin and cos of z1/2 by angle subtraction, so no
-pair costs a sine.
+panels adjacent to the singular node against the frozen node value.
 The tangential component of the velocity is kept exactly as the
 integral produces it; node clustering is only monitored.
 
@@ -30,32 +24,57 @@ so a projected state, every DOPRI5 stage built from it and the velocity
 below keep them bit for bit. The sum takes one of three paths, chosen by
 the exact O(m) test ``geometry.exact_symmetries`` on (p, z2): given the
 central symmetry, the even one holds exactly if and only if the
-half-period one does. All three run one block loop
-(``_velocity_totals``): it reads the rows through
-``kernels.central_pair_rows``, weights the pair terms by their orbits
-(``kernels.stabilizer_weights``) and totals them on every node with
-``kernels.central_folder``; the width of the rows sets the path:
+half-period one does. The path's group (``geometry.symmetry_group``) is
+the identity alone, or with the central symmetry, or with all four maps,
+and the sum runs over a domain F holding one node of each orbit:
 
-- on exactly odd p and z2 the velocity is odd, and the pair of nodes
-  (-i, -j) carries the negated terms of (i, j). The central half sum
-  (width m/2 + 1) evaluates one pair of each such mirror orbit,
-  (m/2) * (m/2 + 1) pairs instead of (m/2) * m;
-- on such a state that is also exactly half-period symmetric the quarter
-  sum (width m/4 + 1) evaluates one pair of each orbit of the four-element
-  group, (m/2) * (m/4 + 1) pairs;
-- any other state takes the full sum (width m).
+- the full path, on a state with neither symmetry: F is every node;
+- the central path, on exactly odd p and z2: F is the nodes 0..m/2;
+- the quarter path, on such a state that is also exactly half-period
+  symmetric: F is the nodes 0..m/4.
 
-A symmetric sum's folder totals the held pairs times the orbit size, and
-the velocity is projected onto the symmetries found
-(``geometry.symmetry_projector``, u1 mapping like p and u2 like z2), whose
-average over each node's images completes the sum over all pairs. The
-symmetric sums agree with the full sum to roundoff (not bitwise).
+The sum runs on node blocks (``_velocity_totals``): a block of rows of F
+(``kernels.node_blocks``) against the run of columns from its first row
+to the end of F, in each image g(F) of F under the group, side by side.
+The Stokeslet is even, S(-x) = S(x), so each pair is held once, on the
+upper triangle of F against each image, the diagonal half weighted and a
+node paired with itself dropped, and feeds both its nodes. The three steps
+around the kernel are matrix products of the block with per-node vectors:
+
+- the pair sines sin((z1_a - z1_b)/2) and cos((z1_a - z1_b)/2) and the
+  heights z2_a - z2_b are one product of per-node rows, from the sin and
+  cos of z1/2 and z2 at the row nodes, with per-node columns at the image
+  nodes; its zero entries add exactly, so the heights round once, as the
+  difference does;
+- the near sum, onto the row nodes, is the product of the blocks lg, a_ss
+  and a_sn with the column nodes' (v1, v2), (v1, -v2) and (-v2, -v1),
+  v = zdot_perp * z2, each weighted by 1 over its stabilizer;
+- the far sum, onto the column nodes, is the transposed product with the
+  row nodes' vectors: the pair swap maps the terms of (a, g(b)) to those
+  of (b, g(a)), a_sn taking the p sign times the z2 sign of g.
+
+``kernels.stokeslet_terms_into`` evaluates the block in place in one
+workspace. The graph right-hand side and ``diagnostics.delta_spectral``
+stay on offset rows (``kernels``): on a graph x1 is fixed along an offset
+row, so each row has constants built once per grid, and the graph's full
+sum adds every node's rows in one order, which keeps it bitwise
+equivariant under a shift of the nodes. A curve's x1 differs along every
+row, so it has no such constants, and the products of the node blocks
+replace the elementwise passes of the offset rows. The central path holds
+about m^2/4 pairs and the quarter path about m^2/8, as the pair orbits of
+their groups. The totals on F, times each node's orbit size, are
+projected onto the symmetries found (``geometry.symmetry_projector``, u1
+mapping like p and u2 like z2), whose average over each node's images
+completes the sum on all m nodes. The sums reduce inside BLAS, so their
+rounding is that of its kernels, which also depends on the memory layout
+of the operands: equal for equal inputs on one machine, and within
+roundoff of the sums of the other paths (not bitwise).
 
 The right-hand side is the owner of the symmetries of a run: its output
 has exactly every symmetry its input has, so every DOPRI5 stage, accepted
 state and sample built from a projected state keeps them bit for bit and
-takes the path of its initial state: the basic turning family the half
-sum, the even one the quarter sum.
+takes the path of its initial state: the basic turning family the central
+path, the even one the quarter path.
 
 The state and its velocity are each one (2, m) array, rows p and z2 (u1
 and u2), from ``_rhs_curve_arrays`` through ``integrators.integrate``.
@@ -69,6 +88,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -80,20 +100,12 @@ from .geometry import (
     central_diff,
     curve_derivatives,
     exact_symmetries,
+    symmetry_group,
     symmetry_projection,
     symmetry_projector,
 )
 from .integrators import BlowupError, IntegratorParams, Trajectory, integrate
-from .kernels import (
-    ONE_OVER_8PI,
-    block_workspace,
-    central_folder,
-    central_pair_rows,
-    clausen2,
-    offset_blocks,
-    stabilizer_weights,
-    stokeslet_terms_into,
-)
+from .kernels import ONE_OVER_8PI, clausen2, node_blocks, read_only, stokeslet_terms_into
 
 SPEED_RATIO_WARN = 20.0
 
@@ -111,17 +123,15 @@ class CurveState:
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _rhs_curve_arrays(p: np.ndarray, z2: np.ndarray, alpha: np.ndarray, delta_rho: float):
     m = p.size
-    # the Stokeslet is even, so the offsets r and m - r share one evaluation:
-    # on an exactly odd state one pair of each mirror orbit; with the even
-    # symmetry too one pair of each orbit of the mirror and the half-period
-    # shift; each finished by the projection onto its symmetries. On any
-    # other state every pair
+    # on an exactly odd state the pairs of nodes 0..m/2 with themselves and
+    # with their mirror images; with the even symmetry too those of nodes
+    # 0..m/4 with their four images; each finished by the projection onto
+    # its symmetries. On any other state every pair
     central, even = exact_symmetries(p, z2)
-    width = m // 4 + 1 if central and even else m // 2 + 1 if central else m
     # the sum's temporaries are freed before the projection allocates the
     # returned array, which a run keeps as a stage: allocated above them, it
     # pinned the heap and raised a run's peak RSS (0.5 MB at m = 1024)
-    u = _velocity_totals(p, z2, alpha, width)
+    u = _velocity_totals(p, z2, alpha, central, even)
     u *= delta_rho * ONE_OVER_8PI
     # u1 is a remainder like p, u2 a height like z2
     u = np.array(symmetry_projector(m, central, even)(*u))
@@ -131,8 +141,55 @@ def _rhs_curve_arrays(p: np.ndarray, z2: np.ndarray, alpha: np.ndarray, delta_rh
     return u
 
 
-def _velocity_totals(p, z2, alpha, width):
-    """The unscaled velocity, shape (2, m), by the pair sum of ``width`` columns a row."""
+@lru_cache(maxsize=16)
+def _path_blocks(m: int, central: bool, even: bool):
+    """The node blocks of the curve pair sum on one path, with their constants.
+
+    Returns (images, orbit, far_signs, blocks), read-only. The domain F is
+    the nodes 0..size-1: every node on the full path, 0..m/2 on the central
+    one and 0..m/4 on the quarter one, one node of each orbit of the path's
+    group (``geometry.symmetry_group``). ``images`` (elements x size) holds
+    the image g(k) of each node k of F and ``orbit`` the size of the orbit
+    of k. ``far_signs`` (3, 1, elements, 1) holds the sign each of lg, a_ss
+    and a_sn takes under the pair swap for each element g: 1, 1 and the p
+    sign of g times its z2 sign.
+
+    ``blocks`` holds (start, stop, dropped, weight) per block of rows
+    (``kernels.node_blocks``), each row i paired with the columns
+    start..size-1 of every image. On the leading square of those columns
+    (rows x elements x rows) ``weight`` keeps the triangle: 1 above the
+    diagonal, 1/2 on it (as the near and the far sum both add it), 0 below
+    it and on the pairs (i, g(i)) of a node with itself; ``dropped`` marks
+    its zeros.
+    """
+    group = symmetry_group(m, central, even)
+    size = m if len(group) == 1 else m // len(group) + 1
+    nodes = np.arange(size)
+    images = np.array([g[:size] for g, _, _ in group])
+    orbit = len(group) / np.sum(images == nodes, axis=0)
+    far_signs = np.ones((3, 1, len(group), 1))
+    far_signs[2, 0, :, 0] = [p_sign * z2_sign for _, p_sign, z2_sign in group]
+    blocks = tuple(node_blocks(size, len(group) * size))
+    # one triangle for every block, (rows x elements x rows); a block holding
+    # a node that an element fixes (the ends of F) takes a copy with that
+    # node's pair with itself weighted 0
+    rows = nodes[: blocks[0][1]]
+    offset = (rows - rows[:, None])[:, None]
+    triangle = np.repeat(np.where(offset > 0, 1.0, 0.5 * (offset == 0)), len(group), axis=1)
+    triangle[:, 0] *= offset[:, 0] > 0
+    out = []
+    for start, stop in blocks:
+        n = stop - start
+        weight = triangle[:n, :, :n]
+        singular = images[:, start:stop] == nodes[start:stop, None, None]
+        if singular[:, 1:].any():
+            weight = np.where(singular, 0.0, weight)
+        out.append((start, stop, *read_only(weight == 0.0, weight)))
+    return (*read_only(images, orbit, far_signs), tuple(out))
+
+
+def _velocity_totals(p, z2, alpha, central, even):
+    """The unscaled velocity, shape (2, m), by the node-block pair sum of the path."""
     m = p.size
     d = TWO_PI / m
     dz1 = 1.0 + central_diff(p, d)
@@ -156,38 +213,59 @@ def _velocity_totals(p, z2, alpha, width):
     u[0] = d * (g0 * v1 + a_ss0 * v1 - a_sn0 * v2) + cell * v1
     u[1] = d * (g0 * v2 - a_sn0 * v1 - a_ss0 * v2) + cell * v2
 
-    # sin and cos of z1/2 per node: the sines of every pair by angle
-    # subtraction; the kernel is 2pi-periodic in x1, so the winding of z1
-    # across the seam is immaterial here. The block terms are computed in
-    # place in one workspace for all blocks
+    images, orbit, far_signs, blocks = _path_blocks(m, central, even)
+    count, size = images.shape
+    # sin((z1_a - z1_b)/2), cos((z1_a - z1_b)/2) and z2_a - z2_b of a block's
+    # pairs are one product each: the rows (sin, -cos, 0, 0), (cos, sin, 0, 0)
+    # and (0, 0, z2, 1) at the row node a with the column (cos, sin, 1, -z2)
+    # at the image node b, whose zeros add exactly, so the heights round once,
+    # as the difference does. The kernel is 2pi-periodic in x1, so the
+    # winding of z1 across the seam is immaterial here
     z1 = p + alpha
-    xs = (z2, v1, v2, np.sin(0.5 * z1), np.cos(0.5 * z1))
-    rows, (fold, total) = central_pair_rows(*xs, width=width), central_folder(m, width, (2,))
-    work = block_workspace(6, m, width)
-    for r in offset_blocks(m, width):
-        (z2a, *va, sa, ca), (z2b, *vb, sb, cb) = rows(r)
-        sn2, sc, x2, lg, a_ss, a_sn = work[:, : len(z2b)]
-        # lg holds intermediates until the Stokeslet terms are written; sc
-        # is sin(x1/2) cos(x1/2) = sin(x1)/2
-        np.multiply(sa, cb, out=sn2)
-        sn2 -= np.multiply(ca, sb, out=lg)
-        np.multiply(ca, cb, out=sc)
-        sc += np.multiply(sa, sb, out=lg)
+    sn, cs = np.sin(0.5 * z1), np.cos(0.5 * z1)
+    rows = np.zeros((3, size, 4))
+    rows[0, :, 0] = rows[1, :, 1] = sn[:size]
+    np.negative(cs[:size], out=rows[0, :, 1])
+    rows[1, :, 0] = cs[:size]
+    rows[2, :, 2] = z2[:size]
+    rows[2, :, 3] = 1.0
+    # (take keeps the columns row-major, so BLAS reads them untransposed, as
+    # the rounding of its products depends on the layout)
+    cols = np.stack((cs, sn, np.ones(m), -z2)).take(images, axis=1)
+    # the node vectors that lg, a_ss and a_sn multiply, (v1, v2), (v1, -v2)
+    # and (-v2, -v1) at each image node, weighted by 1 over its stabilizer:
+    # the near sum reads them at the column nodes, the far sum at the row
+    # nodes, signed by the pair swap
+    w = orbit / count
+    w1, w2 = v1[images] * w, v2[images] * w
+    near_vecs = np.empty((3, count, size, 2))
+    near_vecs[0, ..., 0] = near_vecs[1, ..., 0] = w1
+    near_vecs[0, ..., 1] = w2
+    np.negative(w2, out=near_vecs[1, ..., 1])
+    np.negative(w2, out=near_vecs[2, ..., 0])
+    np.negative(w1, out=near_vecs[2, ..., 1])
+    far_vecs = near_vecs.transpose(0, 2, 1, 3)
+    near, far = np.zeros((3, size, 2)), np.zeros((size, 2))
+    work = np.empty(6 * (blocks[0][1] - blocks[0][0]) * count * size)
+    for start, stop, dropped, weight in blocks:
+        n, width = stop - start, size - start
+        block = work[: 6 * n * count * width].reshape(6, n, count, width)
+        (sn2, sc, x2), terms = block[:3], block[3:]
+        np.matmul(rows[:, start:stop], cols[:, :, start:].reshape(4, -1),
+                  out=block[:3].reshape(3, n, -1))
+        # sc is sin(x1/2) cos(x1/2) = sin(x1)/2
         sc *= sn2
-        stokeslet_terms_into(sn2, sc, np.subtract(z2a, z2b, out=x2), lg, a_ss, a_sn)
-        for t in (lg, a_ss, a_sn):
-            stabilizer_weights(t, r, m)
-        s11 = np.add(lg, a_ss, out=sn2)
-        s22 = np.subtract(lg, a_ss, out=sc)
-        # the terms of u_k for the near and the far node, s v_b - a_sn w_b
-        # and s v_a - a_sn w_a, v being v_k and w the other component
-        for k, s in enumerate((s11, s22)):
-            near = np.multiply(s, vb[k], out=lg)
-            near -= np.multiply(a_sn, vb[1 - k], out=a_ss)
-            far = np.multiply(s, va[k], out=a_ss)
-            far -= np.multiply(a_sn, va[1 - k], out=x2)
-            fold(near, far, r, k)
-    u += d * total()
+        # any finite terms on the pairs weighted 0 below, the pairs of a
+        # node with itself among them
+        np.copyto(sn2[..., :n], 1.0, where=dropped)
+        stokeslet_terms_into(sn2, sc, x2, *terms)
+        terms[..., :n] *= weight
+        # the near sum onto the row nodes, the far one onto the column nodes
+        near[:, start:stop] += np.matmul(terms.reshape(3, n, -1),
+                                         near_vecs[:, :, start:].reshape(3, -1, 2))
+        far[start:] += terms.reshape(-1, width).T @ (far_vecs[:, start:stop] * far_signs).reshape(-1, 2)
+    # each node of F times its orbit, the projection completing the sum
+    u[:, :size] += d * ((near.sum(axis=0) + far) * orbit[:, None]).T
     return u
 
 

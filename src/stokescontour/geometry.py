@@ -397,8 +397,7 @@ def exact_symmetries(p, z2):
     only their z2 halves, for the heights z2 of a graph. Given the central
     symmetry, the even one holds exactly if and only if the half-period one
     does (for a graph, h(alpha + pi) = -h(alpha)): the maps are exact. The
-    one test behind the path of every pair sum (``kernels.central_pair_rows``).
-    O(m), exact.
+    one test behind the path of every pair sum. O(m), exact.
     """
     return tuple(bool((p is None or np.array_equal(p[k], -p))
                       and np.array_equal(z2[k], sign * z2))
@@ -424,9 +423,11 @@ def symmetry_projector(m: int, central: bool, even: bool):
 
     The same average finishes every symmetric pair sum: the sum over all
     pairs is the group order times the projection of the terms of the pairs
-    the sum held (``kernels.central_folder``), so each right-hand side
-    projects its output onto the symmetries its input has exactly
-    (``exact_symmetries``), which also chose its path.
+    the sum held (``kernels.central_folder`` on offset rows, the node
+    totals of ``evolution_curve``'s domain times their orbit sizes on node
+    blocks), so each right-hand side projects its output onto the
+    symmetries its input has exactly (``exact_symmetries``), which also
+    chose its path.
     """
     rows = [row for row, on in zip(_reflections(m), (central, even)) if on]
 
@@ -438,6 +439,22 @@ def symmetry_projector(m: int, central: bool, even: bool):
         return p, z2
 
     return project
+
+
+def symmetry_group(m: int, central: bool, even: bool):
+    """The group the requested symmetries generate: (node map, p sign, z2 sign) each.
+
+    The identity first, then each element composed with each requested row
+    of ``_reflections``: with both, the central symmetry j -> -j, the even
+    one j -> m/2 - j and their composition, the half-period shift
+    j -> j + m/2. An element maps a state (or a velocity) X to its signed
+    copy sign * X[node map], p and u1 by the p sign, z2 and u2 by the z2 one.
+    """
+    group = [(np.arange(m), 1.0, 1.0)]
+    for (k, sign), on in zip(_reflections(m), (central, even)):
+        if on:
+            group += [(k[g], -p_sign, sign * z2_sign) for g, p_sign, z2_sign in group]
+    return group
 
 
 def symmetry_projection(curve: ParamCurve):
@@ -478,7 +495,9 @@ def read_snapshot(path):
     unrecognized header, with a row of the wrong length, with a value that is
     not a number or with data the constructor rejects (a grid off the grid
     rule, say). The columns are kept as contiguous copies, not views of the
-    parsed table.
+    parsed table: a curve's z1 and z2 are the rows of one (2, m) copy, one
+    allocation a curve, so a program that keeps many read curves fragments
+    its heap less.
     """
     with open(path, newline="") as fh:
         header = fh.readline().rstrip("\r\n").split(",")
@@ -495,6 +514,7 @@ def read_snapshot(path):
                 raise ValueError(f"every snapshot row needs {len(header)} values")
             if len(header) == 2:
                 return GraphInterface(h=data[:, 1].copy())
-            return ParamCurve(z1=data[:, 1].copy(), z2=data[:, 2].copy())
+            z1, z2 = np.ascontiguousarray(data[:, 1:].T)
+            return ParamCurve(z1=z1, z2=z2)
         except ValueError as exc:
             raise type(exc)(f"{path}: {exc}") from exc

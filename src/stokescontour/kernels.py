@@ -10,8 +10,8 @@ which is smooth away from x = (0 mod 2pi, 0) where it has a log singularity.
 One body, ``stokeslet_terms_into``, evaluates its terms from x2, sin(x1/2)
 and sin(x1/2) cos(x1/2) = sin(x1)/2 into arrays the caller gives: both
 right-hand sides write into their block workspace, the curve one from sines
-it forms on all its rows from per-node values. ``stokeslet_terms`` (which
-takes x1) calls it with new arrays, for the turning certificates,
+it forms on its node blocks from per-node values. ``stokeslet_terms``
+(which takes x1) calls it with new arrays, for the turning certificates,
 ``stokeslet`` and ``dK12``. The mixed second derivative of the
 bilaplacian Green function K (with Delta^2 K = delta on T x R) has the
 closed form
@@ -35,59 +35,67 @@ log1p and a short real Horner loop; it agrees with the series to machine
 precision. The coefficients of that expansion are rounded from one table of
 exact zeta values, which also gives the real series of ``clausen2``.
 
-All three pair sums of the package (both right-hand sides and
-``diagnostics.delta_spectral``) use that their kernels are even: they run
-over half the grid offsets, r = 1..m/2, a block of offset rows at a time
-(``offset_blocks``), so their memory is O(rows * width) per block rather
-than O(m^2). Every sum reads its pairs in one layout: the rows of the
-offsets 2s + 1 and 2s + 2 side by side, shape (n, 2, width)
-(``central_pair_rows``), and both right-hand sides add each block into one
-folder (``central_folder``), which totals the blocks on the nodes once. The
-width sets the path:
+The three pair sums of the package use that their kernels are even, so
+each unordered pair of nodes is evaluated once, and run a block at a time,
+so their memory is O(rows * width) per block rather than O(m^2). They take
+one of two layouts.
+
+The graph right-hand side and ``diagnostics.delta_spectral`` run on offset
+rows: over half the grid offsets, r = 1..m/2, a block of offset rows at a
+time (``offset_blocks``). On a graph x1 = r 2pi/m is fixed along an offset
+row, so each row has its constants, built once per grid: the graph's
+sines, spectral log term and quadrature weight, ``delta``'s kernel tables.
+And the full sum adds every node's rows in one fixed order, which keeps
+the graph's sum bitwise equivariant under a shift of the nodes. Both read
+their pairs in one layout: the rows of the offsets 2s + 1 and 2s + 2 side
+by side, shape (n, 2, width) (``central_pair_rows``), and the graph
+right-hand side adds each block into one folder (``central_folder``),
+which totals the blocks on the nodes once. The width sets the path:
 
 - m columns, the full sum: column i of row r holds the pair (i, i - r);
-- m/2 + 1 pair centres, the central half sum, on a curve whose remainder
-  p = z1 - alpha and height z2 are exactly odd: the mirror (-i, r - i) of
-  the pair (i, i - r) lies in the same offset row with its terms negated,
-  so a row indexed by the pair centre holds one pair of each mirror orbit;
-- m/4 + 1 pair centres, the quarter sum, on a state that also has the
-  even symmetry exactly, and with it the shift by m/2: graph heights that
-  are odd and antiperiodic, h(alpha + pi) = -h(alpha), as every state of a
-  graph run projected onto both symmetries is, and curves that are odd and
-  half-period symmetric, p(alpha + pi) = p(alpha),
-  z2(alpha + pi) = -z2(alpha), as every state of a run of the even turning
-  family is. These centres hold one pair of each orbit of both symmetries.
+- m/4 + 1 pair centres, the quarter sum, on graph heights that are odd
+  and antiperiodic, h(alpha + pi) = -h(alpha), as every state of a graph
+  run projected onto both symmetries is. The mirror (-i, r - i) of the
+  pair (i, i - r) lies in the same offset row, and the shift by m/2 maps
+  row onto row, so these centres hold one pair of each orbit of both
+  symmetries.
 
 The folder only accumulates: each sum weights its pair terms by their
 orbits first (``stabilizer_weights``), so the r = m/2 row, which holds each
-of its pairs twice, counts half on every path, as does a held pair that is
-its own image. A symmetric sum's folder totals the held pairs' terms on
+of its pairs twice, counts half on both paths, as does a held pair that is
+its own image. The quarter sum's folder totals the held pairs' terms on
 the nodes times the orbit size, and the sum over all pairs is their average
 over the symmetry group: the projection ``geometry.symmetry_projector``
-onto the path's symmetries, which each right-hand side applies to its
-output. The signs and node maps of the symmetries live in ``geometry``'s
-table alone. Every sum reads its path from the one exact test
-``geometry.exact_symmetries``: the graph right-hand side and ``delta`` take
-the quarter sum when both symmetries hold and the full sum otherwise; the
-curve right-hand side takes the quarter sum when both hold, the central
-half sum when only the central one does, and otherwise the full sum. The
-grid rule (``geometry.check_grid_size``, m a multiple of 4) makes m/2 even,
-so the offsets 1..m/2 pair up without a pad row.
+onto both symmetries, which the graph right-hand side applies to its
+output. The graph right-hand side and ``delta`` read their path from the
+one exact test ``geometry.exact_symmetries``, the quarter sum when both
+symmetries hold and the full sum otherwise. The grid rule
+(``geometry.check_grid_size``, m a multiple of 4) makes m/2 even, so the
+offsets 1..m/2 pair up without a pad row.
 
-Every path takes ``central_block_rows(m, width)`` offsets a block: as many
-as make about 16384 elements per workspace array up to m = 1024 and that
-grid's rows beyond it, even, from 2 to m/2. The blocks (``offset_blocks``),
-the workspace (``block_workspace``) and the folder read them from the grid
-and width alone, so no sum passes a row count. Each reader and folder is
-one read-only strided view over a buffer made in the call of the sum, never
-kept across calls, so the sums are re-entrant and a block builds no index
-array. The per-grid constants of a block (the sines, log term and weights
-of the graph's rows, the kernel tables of ``delta``'s) are built once per
-grid and path and cached read-only by their sums. The right-hand sides
-compute the terms of a block, and ``delta`` its pair kernel, in place in
-one workspace of (rows x width) arrays (``block_workspace``), made once
-per call and reused by every block, and the folds overwrite the near and
-far terms they are given, so a block allocates no (rows x width) array.
+Every offset-row path takes ``central_block_rows(m, width)`` offsets a
+block: as many as make about 16384 elements per workspace array up to
+m = 1024 and that grid's rows beyond it, even, from 2 to m/2. The blocks
+(``offset_blocks``), the workspace (``block_workspace``) and the folder
+read them from the grid and width alone, so no sum passes a row count.
+Each reader and folder is one read-only strided view over a buffer made in
+the call of the sum, never kept across calls, so the sums are re-entrant
+and a block builds no index array. The per-grid constants of a block are
+built once per grid and path and cached read-only by their sums. The
+graph right-hand side computes the terms of a block, and ``delta`` its pair
+kernel, in place in one workspace of (rows x width) arrays
+(``block_workspace``), made once per call and reused by every block, and
+the folds overwrite the near and far terms they are given, so a block
+allocates no (rows x width) array.
+
+The curve right-hand side runs on node blocks (``node_blocks``): a block
+of row nodes of its domain against a run of column nodes of each of the
+domain's images under its symmetry group (``evolution_curve``). A curve's
+x1 differs along every row and column, so there are no per-offset
+constants to keep; instead the pair sines, the heights and both velocity
+sums are small matrix products with per-node vectors, and the Stokeslet
+terms are all that remains per pair. Its blocks take their rows from the
+width of the widest block alone, at least _NODE_BLOCK_MIN_ROWS.
 """
 
 from __future__ import annotations
@@ -109,6 +117,10 @@ ONE_OVER_4PI = 1.0 / (4.0 * np.pi)
 # larger grids the arrays grow with m and the rows stay those of that grid
 _BLOCK_ELEMENTS = 16384
 _ROWS_FIXED_FROM = 1024
+# elements per workspace array of a block of the curve's node-block sum
+# (``node_blocks``), and its fewest rows a block
+_NODE_BLOCK_ELEMENTS = 8192
+_NODE_BLOCK_MIN_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -180,17 +192,34 @@ def central_block_rows(m: int, width: int) -> int:
 
     As many as make about _BLOCK_ELEMENTS elements per workspace array, so
     the narrow rows of the quarter sums (m/4 + 1 centres) take more offsets
-    a block than the central half sum's (m/2 + 1) and the full sums' (m),
-    and a block's fixed cost is spread over about the same work at every m
-    up to _ROWS_FIXED_FROM. Beyond it the element count grows in proportion
-    to m, so the rows stay those of that grid (64 for the quarter sums, 32
-    for the central half sum, 16 for the full sums): fewer rows would make
-    more blocks, each paying the fixed cost again. Even, as the reader
+    a block than the full sums' (m), and a block's fixed cost is spread over
+    about the same work at every m up to _ROWS_FIXED_FROM. Beyond it the
+    element count grows in proportion to m, so the rows stay those of that
+    grid (64 for the quarter sums, 16 for the full sums): fewer rows would
+    make more blocks, each paying the fixed cost again. Even, as the reader
     pairs the offsets 2s + 1 and 2s + 2; at least 2 and at most the m/2
     offsets of ``offset_blocks``.
     """
     elements = _BLOCK_ELEMENTS * max(1.0, m / _ROWS_FIXED_FROM)
     return 2 * min(m // 4, max(1, round(elements / (2 * width))))
+
+
+def node_blocks(size: int, columns: int):
+    """Consecutive row nodes 0..size-1 of a node-block pair sum, as (start, stop).
+
+    Each block but the last holds round(_NODE_BLOCK_ELEMENTS / ``columns``)
+    rows, at least _NODE_BLOCK_MIN_ROWS, ``columns`` being the width of the
+    sum's widest block (about m on every path of the curve sum). So a
+    block's workspace arrays hold about _NODE_BLOCK_ELEMENTS elements each
+    up to m = 1024 (8 rows there, 16 at m = 512), and the 8 rows beyond it
+    keep a block's fixed cost small against its work. Fewer rows waste less
+    on the diagonal square of a block's triangle and keep the workspace (six
+    arrays, 0.4 MB at m = 1024) small; more rows pay the fixed cost fewer
+    times.
+    """
+    rows = max(_NODE_BLOCK_MIN_ROWS, round(_NODE_BLOCK_ELEMENTS / columns))
+    for start in range(0, size, rows):
+        yield start, min(start + rows, size)
 
 
 def read_only(*arrays):
@@ -245,15 +274,13 @@ def central_pair_rows(*xs, width: int):
     near node in the rows 2s + 1 and 2s + 2. ``width`` sets the columns:
 
     - m: column i holds the pair (i, i - r), near node i;
-    - m/2 + 1: the pair centres k = 0..m/2 of a centrally symmetric curve.
-      The pair (i, i - r) has its mirror (-i, r - i) in the same row, so
-      the centre k holds one pair of each mirror orbit:
-      (k + s + 1, k - s) for r = 2s + 1 and (k + s + 1, k - s - 1) for
-      r = 2s + 2;
-    - m/4 + 1: the centres k = 0..m/4 of graph heights that are also
-      antiperiodic, or a curve that is also half-period symmetric: the
-      shift by m/2 maps the pair of centre k to that of centre k + m/2, so
-      these centres hold one pair of each orbit of both symmetries.
+    - m/4 + 1: the pair centres k = 0..m/4 of graph heights that are odd
+      and antiperiodic. The pair (i, i - r) has its mirror (-i, r - i) in
+      the same row, so the centre k, the pair (k + s + 1, k - s) for
+      r = 2s + 1 and (k + s + 1, k - s - 1) for r = 2s + 2, holds one pair
+      of each mirror orbit on k = 0..m/2; the shift by m/2 maps the pair of
+      centre k to that of centre k + m/2, so the centres 0..m/4 hold one
+      pair of each orbit of both symmetries.
 
     Both are read-only slices of two strided views over the arrays repeated
     twice, all made here, so no index arrays are built per block and no
@@ -282,11 +309,11 @@ def stabilizer_weights(t, r, m: int):
 
     ``t`` has the rows' shape (len(r)/2, 2, width). Every pair of the
     r = m/2 row counts half, as that row holds each of its pairs twice. On
-    the pair centres (``width`` below m, ``last`` = width - 1 being m/2, or
-    m/4 with the half-period shift) a held pair that is its own image also
-    counts half: the centres 0 and ``last`` of an even row. The centre
-    ``last`` of an odd row repeats the orbit of centre last - 1 and counts
-    zero. Every pair sum weights its terms so before it folds or adds them.
+    the pair centres (``width`` m/4 + 1, ``last`` = m/4) a held pair that
+    is its own image also counts half: the centres 0 and ``last`` of an
+    even row. The centre ``last`` of an odd row repeats the orbit of centre
+    last - 1 and counts zero. Every pair sum weights its terms so before it
+    folds or adds them.
     """
     width = t.shape[-1]
     if width < m:
@@ -301,55 +328,52 @@ def stabilizer_weights(t, r, m: int):
     return t
 
 
-def central_folder(m: int, width: int, lead=()):
+def central_folder(m: int, width: int):
     """``(fold, total)``: the per-node totals of the blocks of ``central_pair_rows``.
 
-    ``fold(near, far, r, k=())`` adds one block into accumulator ``k`` of
-    the ``lead`` axes. ``near`` and ``far`` (the rows' shape
-    (len(r)/2, 2, width)) hold each pair's term for its near and its far
-    node, weighted by ``stabilizer_weights``; both are overwritten.
-    ``total()`` returns the accumulated totals on all m nodes, shape
-    (*lead, m):
+    ``fold(near, far, r)`` adds one block. ``near`` and ``far`` (the rows'
+    shape (len(r)/2, 2, width)) hold each pair's term for its near and its
+    far node, weighted by ``stabilizer_weights``; both are overwritten.
+    ``total()`` returns the accumulated totals on all m nodes:
 
     - m columns, every pair: node i collects the near term of the pair
       (i, i - r) and the far term of (i + r, i). The accumulator is the node
       array itself and every node adds its rows in one fixed order, so
       shifting the data by a node shifts the total by a node, bitwise.
-    - pair centres (m/2 + 1 or m/4 + 1 of them), one pair of each orbit of
-      the symmetries the state has: the held pairs' terms to each node,
-      times the orbit size, 2 or 4 (exact). The sum over all pairs is the
-      group average of these, ``geometry.symmetry_projector`` onto the
-      path's symmetries, which the caller applies to its output.
+    - m/4 + 1 pair centres, one pair of each orbit of both symmetries: the
+      held pairs' terms to each node, times the orbit size 4 (exact). The
+      sum over all pairs is the group average of these,
+      ``geometry.symmetry_projector`` onto both symmetries, which the
+      caller applies to its output.
 
     The blocks are of ``central_block_rows(m, width)`` offsets. The full
     sum reads its far rows shifted by their offsets through a strided view
     over a buffer holding each row followed by its wrapped copy. On the pair
     centres the rows are shifted onto one unwrapped line of the nodes
-    -m/4..width - 1 + m/4 through a strided view over a buffer whose rows
-    are laid end to end (row j read j places further right); ``total``
-    wraps the line onto the nodes. Each buffer is made here for all the
-    blocks of the sum.
+    -m/4..m/2 through a strided view over a buffer whose rows are laid end
+    to end (row j read j places further right); ``total`` wraps the line
+    onto the nodes. Each buffer is made here for all the blocks of the sum.
     """
     rows = central_block_rows(m, width)
     if width == m:
-        acc = np.zeros((*lead, m))
+        acc = np.zeros(m)
         # each far row followed by its wrapped copy; with r_k = r_0 + k, the
         # term of row k for node i, twice[k, i + r_k], is element
         # r_0 + k (2m + 1) + i
         twice = np.empty((rows, 2 * m))
         shifted = _window(twice, (m // 2 + 1, rows, m), (1, 2 * m + 1, 1))
 
-        def fold(near, far, r, k=()):
+        def fold(near, far, r):
             n = r.size
             twice[:n, :m] = twice[:n, m:] = far.reshape(n, m)
             near = near.reshape(n, m)
             near += shifted[r[0], :n]
-            acc[k] += near.sum(axis=0)
+            acc[...] += near.sum(axis=0)
 
         return fold, lambda: acc
 
     quarter = m // 4
-    # the last pair centre, and the line of nodes -m/4..last + m/4
+    # the last pair centre, and the line of nodes -m/4..m/2
     last = width - 1
     pairs = rows // 2
     span = width + pairs
@@ -357,27 +381,25 @@ def central_folder(m: int, width: int, lead=()):
     # element (j, i) of the view is buf[j, i - j], or a zero of the tail of
     # row j - 1 for i < j: columns last + 1.. are never written
     win = _window(buf, (pairs + 1, span), (span - 1, 1))
-    line = np.zeros((*lead, 2 * quarter + width))
+    line = np.zeros(2 * quarter + width)
 
-    def fold(near, far, r, k=()):
+    def fold(near, far, r):
         s0, n = r[0] // 2, r.size // 2
-        acc = line[k]
         # near node s0 + 1 + j + c, the same for both rows of a pair j
         np.add(near[:, 0], near[:, 1], out=buf[:n, :width])
-        acc[quarter + s0 + 1 : quarter + s0 + last + n + 1] += win[:n].sum(axis=0)[: last + n]
+        line[quarter + s0 + 1 : quarter + s0 + last + n + 1] += win[:n].sum(axis=0)[: last + n]
         # far node c - (s0 + n) + u, buffer row u = n - j - p
         buf[:n, :width] = far[::-1, 1]
         buf[n, :width] = 0.0
         buf[1 : n + 1, :width] += far[::-1, 0]
-        acc[quarter - s0 - n : quarter - s0 + width] += win[: n + 1].sum(axis=0)[: last + n + 1]
+        line[quarter - s0 - n : quarter - s0 + width] += win[: n + 1].sum(axis=0)[: last + n + 1]
 
     def total():
-        # node n is line element n + m/4; the orbits hold 4 pairs on the
-        # quarter sum and 2 on the central half sum
-        out = np.zeros((*lead, m))
-        out[..., : quarter + width] = line[..., quarter:]
-        out[..., m - quarter :] += line[..., :quarter]
-        out *= 4.0 if last == quarter else 2.0
+        # node n is line element n + m/4; each orbit holds 4 pairs
+        out = np.zeros(m)
+        out[: quarter + width] = line[quarter:]
+        out[m - quarter :] += line[:quarter]
+        out *= 4.0
         return out
 
     return fold, total

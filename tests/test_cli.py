@@ -172,12 +172,25 @@ def test_run_wiener_column_off_power_of_two_grid(tmp_path):
         assert w == pytest.approx(sc.wiener_norm(g, 0.0, 0.0), rel=1e-12)
 
 
+@pytest.mark.filterwarnings("ignore:node clustering:RuntimeWarning")
 def test_run_deterministic_outputs(tmp_path):
-    cfg1 = base_config(tmp_path, outputs=OutputSpec(diagnostics_csv=str(tmp_path / "a.csv")))
-    cfg2 = base_config(tmp_path, outputs=OutputSpec(diagnostics_csv=str(tmp_path / "b.csv")))
-    assert sc.run(cfg1) == EXIT_OK
-    assert sc.run(cfg2) == EXIT_OK
-    assert open(tmp_path / "a.csv", "rb").read() == open(tmp_path / "b.csv", "rb").read()
+    # a graph run and a curve run (whose pair sums reduce inside BLAS), each
+    # twice: byte-identical diagnostics and snapshots
+    curve = dict(initial=InitialSpec(kind="turning_family", turning=sc.TurningFamilyParams(b=2.0)),
+                 formulation="curve", m=128, sign_factor=1.0 / (8 * np.pi),
+                 integrator=sc.IntegratorParams(t_end=0.02, dt_max=0.01),
+                 sample_times=[0.0, 0.01, 0.02])
+    for kind, overrides in (("graph", {}), ("curve", curve)):
+        outputs = []
+        for run in ("a", "b"):
+            out = tmp_path / f"{kind}-{run}"
+            cfg = base_config(tmp_path, outputs=OutputSpec(
+                diagnostics_csv=str(out) + ".csv", snapshots_dir=str(out)), **overrides)
+            assert sc.run(cfg) == EXIT_OK
+            snaps = sorted(os.listdir(out))
+            outputs.append([(out.with_suffix(".csv")).read_bytes()]
+                           + [(out / name).read_bytes() for name in snaps])
+        assert len(outputs[0]) == 4 and outputs[0] == outputs[1]
 
 
 def test_run_partial_writes_valid_csv_and_failure_record(tmp_path):

@@ -14,6 +14,7 @@ from stokescontour.geometry import (
     central_diff,
     curve_derivatives,
     exact_symmetries,
+    symmetry_group,
     symmetry_projection,
     symmetry_projector,
 )
@@ -203,23 +204,38 @@ def assert_rhs_matches_all_offsets(p, z2, al, delta_rho):
         assert_exactly_symmetric_velocity(u1, u2, even)
 
 
-@given(m=grids, lift=modes, shear=modes, odd=st.booleans())
-# m = 200: the last block of offset rows is partial and holds r = m/2
-@example(m=200, lift=LIFT, shear=SHEAR, odd=False)
-# the half sum: one block (m = 8), a partial last block holding r = m/2
-# (m = 200) and m/4 odd (m = 12, 204)
-@example(m=8, lift=LIFT, shear=SHEAR, odd=True)
-@example(m=12, lift=LIFT, shear=SHEAR, odd=True)
-@example(m=200, lift=LIFT, shear=SHEAR, odd=True)
-@example(m=204, lift=LIFT, shear=SHEAR, odd=True)
-@example(m=1024, lift=LIFT, shear=SHEAR, odd=True)
+PATHS = {"full": (False, False), "central": (True, False), "quarter": (True, True)}
+
+
+@given(m=grids, lift=modes, shear=modes, path=st.sampled_from(sorted(PATHS)))
+# each path on one node block (m = 8, 12), on the blocks of m = 200 and 204
+# (the full path's last block partial) and on the blocks of m = 1024 (every
+# path's last block partial); every path's domain holds its fixed nodes,
+# 0 and m/2 (central) or 0 and m/4 (quarter)
+@example(m=8, lift=LIFT, shear=SHEAR, path="full")
+@example(m=12, lift=LIFT, shear=SHEAR, path="full")
+@example(m=200, lift=LIFT, shear=SHEAR, path="full")
+@example(m=204, lift=LIFT, shear=SHEAR, path="full")
+@example(m=1024, lift=LIFT, shear=SHEAR, path="full")
+@example(m=8, lift=LIFT, shear=SHEAR, path="central")
+@example(m=12, lift=LIFT, shear=SHEAR, path="central")
+@example(m=200, lift=LIFT, shear=SHEAR, path="central")
+@example(m=204, lift=LIFT, shear=SHEAR, path="central")
+@example(m=1024, lift=LIFT, shear=SHEAR, path="central")
+@example(m=8, lift=LIFT, shear=SHEAR, path="quarter")
+@example(m=12, lift=LIFT, shear=SHEAR, path="quarter")
+@example(m=200, lift=LIFT, shear=SHEAR, path="quarter")
+@example(m=204, lift=LIFT, shear=SHEAR, path="quarter")
+@example(m=1024, lift=LIFT, shear=SHEAR, path="quarter")
 @settings(max_examples=10, deadline=None)
-def test_blocked_curve_rhs_matches_all_offsets_sum(m, lift, shear, odd):
+def test_blocked_curve_rhs_matches_all_offsets_sum(m, lift, shear, path):
     z1, z2, al = lifted_curve(m, lift, shear)
     p = z1 - al
-    if odd:
-        p, z2 = reflected_state(p, z2, even=False)
-        assert exact_symmetries(p, z2)[0]
+    if path != "full":
+        p, z2 = reflected_state(p, z2, even=path == "quarter")
+    # the state has at least the symmetries of its path exactly (a flat
+    # curve has both)
+    assert all(have or not want for have, want in zip(exact_symmetries(p, z2), PATHS[path]))
     assert_rhs_matches_all_offsets(p, z2, al, -2.0)
 
 
@@ -256,8 +272,8 @@ def test_half_sum_on_projected_turning_families(m, variant, b, fold):
 
 
 def quarter_and_central_sums(p, z2, al):
-    """The curve RHS on its quarter path and, forced, on the central half
-    path, each concatenated (u1, u2)."""
+    """The curve RHS on its quarter path and, forced, on the central path,
+    each concatenated (u1, u2)."""
     assert exact_symmetries(p, z2) == (True, True)
     quarter = np.concatenate(_rhs_curve_arrays(p, z2, al, -2.0))
     with pytest.MonkeyPatch.context() as mp:
@@ -267,10 +283,10 @@ def quarter_and_central_sums(p, z2, al):
 
 
 # the turning families' velocity is a 1e-3 remainder of O(1) terms: at
-# m = 1024 the central half and the full sum differ by 5.1e-14 of its
-# scale, the quarter and the half sum by 1.9e-14 (the even family at
-# b = 10.4); on the lift of f2 and the hypothesis curves both stay below
-# 2.2e-15
+# m = 1024 the central and the full path differ by 2.2e-14 of its scale
+# (the basic family at b = 16.9), the quarter and the central path by
+# 2.7e-14 (the even family at b = 10.4); on the lift of f2 the quarter and
+# the central path differ by at most 1.3e-15 (m = 8-1024)
 @pytest.mark.parametrize("m", [8, 12, 200, 204, 1024])
 def test_quarter_sum_matches_central_sum_on_projected_even_family(m):
     p, z2, al = turning_curve_state(m, "even_symmetric", 10.4, 0.0, True)
@@ -301,9 +317,9 @@ def test_quarter_sum_matches_central_sum_on_symmetric_curves(m, lift, shear):
 
 @pytest.mark.parametrize("variant, b", [("basic", 16.9), ("even_symmetric", 10.4)])
 def test_turning_run_states_stay_centrally_symmetric(monkeypatch, variant, b):
-    # the projected initial state is exactly symmetric and the half sum is
-    # exactly odd, so every DOPRI5 stage and accepted state stays symmetric
-    # and every call of the run takes the half sum
+    # the projected initial state is exactly symmetric and the central path's
+    # output is exactly odd, so every DOPRI5 stage and accepted state stays
+    # symmetric and every call of the run takes a symmetric path
     symmetric = []
     rhs = evolution_curve._rhs_curve_arrays
 
@@ -327,8 +343,8 @@ def test_turning_run_states_keep_their_sum_path(monkeypatch, case, path):
     # the even family carries the half-period symmetry as well: its projected
     # state, every DOPRI5 stage, every accepted state and every sample keep
     # both exactly with no projection in the driver, so every call takes the
-    # quarter sum; the basic family keeps the half sum, and a curve with
-    # neither symmetry the full sum
+    # quarter path; the basic family keeps the central path, and a curve
+    # with neither symmetry the full path
     paths = []
     choose = evolution_curve.exact_symmetries
 
@@ -399,7 +415,8 @@ def out_of_place_curve_rhs(p, z2, alpha, delta_rho):
 
     The same operations in the same order as ``_rhs_curve_arrays``, which
     computes the block terms in place in one workspace: the two agree bit
-    for bit, on the full, the central half and the quarter sum.
+    for bit, on the full, the central and the quarter path. The domain, its
+    images and the triangle weights are built here from the path's group.
     """
     m = p.size
     d = 2 * np.pi / m
@@ -414,32 +431,56 @@ def out_of_place_curve_rhs(p, z2, alpha, delta_rho):
     a_sn0 = 2.0 * dz2 * dz1 / speed2
     u1 = d * (g0 * v1 + a_ss0 * v1 - a_sn0 * v2) + cell * v1
     u2 = d * (g0 * v2 - a_sn0 * v1 - a_ss0 * v2) + cell * v2
-    z1 = p + alpha
-    xs = (z2, v1, v2, np.sin(0.5 * z1), np.cos(0.5 * z1))
     central, even = exact_symmetries(p, z2)
-    width = m // 4 + 1 if central and even else m // 2 + 1 if central else m
-    rows, (fold, total) = (kernels.central_pair_rows(*xs, width=width),
-                           kernels.central_folder(m, width, (2,)))
-    # the blocks of offset rows of the production sum on each path
-    for r in kernels.offset_blocks(m, width):
-        (z2a, v1a, v2a, sa, ca), (z2b, v1b, v2b, sb, cb) = rows(r)
-        sn2 = sa * cb - ca * sb
+    # nodes 0..size-1, one of each orbit, and their images by every element
+    group = symmetry_group(m, central, even)
+    count = len(group)
+    size = m if count == 1 else m // count + 1
+    images = np.array([g[:size] for g, _, _ in group])
+    orbit = count / np.sum(images == np.arange(size), axis=0)
+    z1 = p + alpha
+    sn, cs = np.sin(0.5 * z1), np.cos(0.5 * z1)
+    w1, w2 = v1[images] * (orbit / count), v2[images] * (orbit / count)
+    vectors = [np.stack(pair, axis=-1) for pair in ((w1, w2), (w1, -w2), (-w2, -w1))]
+    near = np.zeros((3, size, 2))
+    far = np.zeros((size, 2))
+    for start, stop in kernels.node_blocks(size, count * size):
+        n, width = stop - start, size - start
+        rows, cols = np.arange(start, stop), images[:, start:]
+        # sin(x1/2), cos(x1/2) and x2 of every pair: one product of the rows
+        # (sin, -cos, 0, 0), (cos, sin, 0, 0) and (0, 0, z2, 1) at the row
+        # node with the column (cos, sin, 1, -z2) at the image node
+        zero = np.zeros(n)
+        a = np.array([np.stack(r, axis=1) for r in ((sn[rows], -cs[rows], zero, zero),
+                                                    (cs[rows], sn[rows], zero, zero),
+                                                    (zero, zero, z2[rows], np.ones(n)))])
+        b = np.stack((cs[cols].ravel(), sn[cols].ravel(), np.ones(width * count), -z2[cols].ravel()))
+        sn2, cos_half, x2 = (a @ b).reshape(3, n, count, width)
         # sin(x1/2) cos(x1/2) = sin(x1)/2
-        half_sn = (ca * cb + sa * sb) * sn2
-        x2 = z2a - z2b
+        half_sn = cos_half * sn2
+        # the leading square: 1 above the diagonal, 1/2 on it, 0 below it and
+        # on a node paired with itself
+        offset = (rows - rows[:, None])[:, None]
+        weight = np.where(offset > 0, 1.0, 0.5 * (offset == 0)) * np.ones((1, count, 1))
+        weight[images[:, start:stop] == rows[:, None, None]] = 0.0
+        sn2 = np.concatenate((np.where(weight == 0.0, 1.0, sn2[..., :n]), sn2[..., n:]), axis=-1)
         terms = kernels.stokeslet_terms_into(sn2, half_sn, x2, *np.empty((3, *x2.shape)))
-        lg, a_ss, a_sn = (kernels.stabilizer_weights(t, r, m) for t in terms)
-        s11 = lg + a_ss
-        s22 = lg - a_ss
-        fold(s11 * v1b - a_sn * v2b, s11 * v1a - a_sn * v2a, r, 0)
-        fold(s22 * v2b - a_sn * v1b, s22 * v2a - a_sn * v1a, r, 1)
-    acc1, acc2 = total()
-    u1 += d * acc1
-    u2 += d * acc2
+        terms = np.array([np.concatenate((t[..., :n] * weight, t[..., n:]), axis=-1)
+                          for t in terms])
+        near_vec = np.array([v[:, start:].reshape(-1, 2) for v in vectors])
+        near[:, start:stop] += np.matmul(terms.reshape(3, n, -1), near_vec)
+        # the far sum reads the vectors at the row nodes, a_sn's signed by
+        # the swap: the p sign times the z2 sign of each element
+        far_vec = np.array([v[:, start:stop].transpose(1, 0, 2) for v in vectors])
+        far_vec[2] *= np.array([p_sign * z2_sign for _, p_sign, z2_sign in group])[:, None]
+        far[start:] += terms.reshape(-1, width).T @ far_vec.reshape(-1, 2)
+    acc1, acc2 = ((near.sum(axis=0) + far) * orbit[:, None]).T
+    u1[:size] += d * acc1
+    u2[:size] += d * acc2
     u1 *= delta_rho * ONE_OVER_8PI
     u2 *= delta_rho * ONE_OVER_8PI
-    # the sum over all pairs averages the held pairs' terms over the group:
-    # u1 is a remainder like p, u2 a height like z2
+    # the group average completes the sum over all pairs: u1 is a remainder
+    # like p, u2 a height like z2
     return symmetry_projector(m, central, even)(u1, u2)
 
 
@@ -477,6 +518,10 @@ def test_rhs_bitwise_equals_out_of_place_blocks(m, case):
     new = np.concatenate(_rhs_curve_arrays(p, z2, alpha, -2.0))
     ref = np.concatenate(out_of_place_curve_rhs(p, z2, alpha, -2.0))
     assert np.array_equal(new.view(np.uint64), ref.view(np.uint64))
+    # the node-block sums reduce inside BLAS: a second call on the same state
+    # repeats the first bit for bit
+    again = np.concatenate(_rhs_curve_arrays(p, z2, alpha, -2.0))
+    assert np.array_equal(again.view(np.uint64), new.view(np.uint64))
 
 
 @pytest.mark.parametrize("change", ["shift", "seam"])

@@ -545,8 +545,11 @@ def test_snapshot_bytes_match_savetxt(tmp_path, kind):
     back = sc.read_snapshot(tmp_path / "new.csv")
     for got, want in zip(((back.h,) if kind == "graph" else (back.z1, back.z2)), columns[1:]):
         assert np.array_equal(bits(got)[0], bits(want)[0])
-        # a copy of its own, not a view keeping the whole parsed table alive
-        assert got.flags.c_contiguous and got.flags.owndata
+        # a copy of its own, not a view keeping the whole parsed table alive:
+        # the heights own their data, a curve's z1 and z2 are the two rows of
+        # one (2, m) array that does
+        own = got if kind == "graph" else got.base
+        assert got.flags.c_contiguous and own.flags.owndata and own.size == m * (len(columns) - 1)
 
 
 @pytest.mark.parametrize(

@@ -364,9 +364,8 @@ def test_clausen2_matches_mpmath_on_cell_widths(m):
 
 @pytest.mark.parametrize("m", [8, 12, 200, 204, 512, 2048, 8192])
 def test_central_block_rows_are_even_and_within_the_grid(m):
-    # the rows of the quarter, the central half and the full sum, sized by
-    # their width
-    for width, fixed in ((m // 4 + 1, 64), (m // 2 + 1, 32), (m, 16)):
+    # the rows of the quarter and the full sum, sized by their width
+    for width, fixed in ((m // 4 + 1, 64), (m, 16)):
         rows = kernels.central_block_rows(m, width)
         assert rows % 2 == 0 and 2 <= rows <= m // 2
         # about _BLOCK_ELEMENTS elements per workspace array up to m = 1024,
@@ -378,21 +377,37 @@ def test_central_block_rows_are_even_and_within_the_grid(m):
             assert rows == fixed
 
 
+@pytest.mark.parametrize("m", [8, 12, 200, 204, 1024, 4096])
+def test_node_blocks_cover_the_domain_in_order(m):
+    # the row blocks of the curve's full, central and quarter domains: every
+    # node once, in order, each block but the last of one size, about
+    # _NODE_BLOCK_ELEMENTS elements a row of the widest block's m columns
+    for size, count in ((m, 1), (m // 2 + 1, 2), (m // 4 + 1, 4)):
+        blocks = list(kernels.node_blocks(size, count * size))
+        assert [start for start, _ in blocks] == [0] + [stop for _, stop in blocks[:-1]]
+        assert blocks[-1][1] == size
+        rows = blocks[0][1] - blocks[0][0]
+        assert all(stop - start == rows for start, stop in blocks[:-1])
+        assert rows == size or rows == max(kernels._NODE_BLOCK_MIN_ROWS,
+                                           round(kernels._NODE_BLOCK_ELEMENTS / (count * size)))
+
+
 def expected_rows(x, r, m, width):
     """x at the near and far nodes ``central_pair_rows`` reads for the offsets r."""
     # column k of the rows r = 2s + 1, 2s + 2: near node k on the full
-    # layout (width m) and k + s + 1 on the pair centres, far node near - r
+    # layout (width m) and k + s + 1 on the pair centres (width m/4 + 1),
+    # far node near - r
     r = r.reshape(-1, 2)
     near = np.arange(width) + int(width != m) * ((r[:, :1, None] + 1) // 2)
     return x[near % m], x[(near - r[..., None]) % m]
 
 
-@pytest.mark.parametrize("layout", ["full", "central", "quarter"])
+@pytest.mark.parametrize("layout", ["full", "quarter"])
 def test_reader_keeps_its_rows_after_another_is_built(rng, layout):
     # each reader holds a buffer of its own, so a second reader of the same
     # grid and width leaves the rows of the first as they were
     m = 64
-    width = {"full": m, "central": m // 2 + 1, "quarter": m // 4 + 1}[layout]
+    width = {"full": m, "quarter": m // 4 + 1}[layout]
     xs, ys = rng.normal(size=(2, 2, m))
     first, second = (kernels.central_pair_rows(*z, width=width) for z in (xs, ys))
     # blocks of 8 offsets, so that m = 64 reads several
@@ -405,20 +420,21 @@ def test_reader_keeps_its_rows_after_another_is_built(rng, layout):
                 assert not (got[0].flags.writeable or got[1].flags.writeable)
 
 
-@pytest.mark.parametrize("layout", ["full", "central", "quarter"])
+@pytest.mark.parametrize("layout", ["full", "quarter"])
 @pytest.mark.parametrize("m", [8, 12, 64])
 def test_folded_and_projected_terms_are_the_orbit_sum(rng, m, layout):
     # weighted random terms of the held pairs, folded and projected onto the
     # path's symmetries, are their sum over every image of every pair, for a
-    # component that maps like p (row 0) and one that maps like z2 (row 1)
-    width = {"full": m, "central": m // 2 + 1, "quarter": m // 4 + 1}[layout]
-    central, even = layout != "full", layout == "quarter"
+    # component that maps like p (row 0) and one that maps like z2 (row 1),
+    # each in a folder of its own
+    width = {"full": m, "quarter": m // 4 + 1}[layout]
+    central = even = layout == "quarter"
     (kc, sign_c), (ke, sign_e) = sc.geometry._reflections(m)
     # (node map, sign of the p row, sign of the z2 row) of each group element
     group = [(np.arange(m), 1.0, 1.0)]
-    group += [(kc, -1.0, sign_c)] if central else []
-    group += [(ke, -1.0, sign_e), (ke[kc], 1.0, sign_c * sign_e)] if even else []
-    fold, total = kernels.central_folder(m, width, (2,))
+    if even:
+        group += [(kc, -1.0, sign_c), (ke, -1.0, sign_e), (ke[kc], 1.0, sign_c * sign_e)]
+    folders = [kernels.central_folder(m, width) for _ in range(2)]
     expect = np.zeros((2, m))
     for r in kernels.offset_blocks(m, width):
         # near node of column i of row r: i on all m columns, i + s + 1 with
@@ -431,8 +447,8 @@ def test_folded_and_projected_terms_are_the_orbit_sum(rng, m, layout):
             for g, *signs in group:
                 np.add.at(expect[k], g[near_node], signs[k] * near)
                 np.add.at(expect[k], g[(near_node - offset) % m], signs[k] * far)
-            fold(near, far, r, k)
-    got = np.array(sc.geometry.symmetry_projector(m, central, even)(*total()))
+            folders[k][0](near, far, r)
+    got = np.array(sc.geometry.symmetry_projector(m, central, even)(*(t() for _, t in folders)))
     assert np.max(np.abs(got - expect)) <= 1e-14 * np.max(np.abs(expect))
 
 
