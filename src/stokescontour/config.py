@@ -16,7 +16,7 @@ from typing import List, Optional
 from .diagnostics import DiagnosticsOptions, check_wiener_weights
 from .evolution_graph import SchemeParams
 from .geometry import check_finite_fields, is_finite_number
-from .integrators import IntegratorParams, _prepare_samples
+from .integrators import IntegratorParams, check_sample_times
 from .turning import TurningFamilyParams
 
 SCHEMA_VERSION = 1
@@ -110,7 +110,7 @@ class RunConfig:
             # the grid rule is the scheme's: ``SchemeParams`` applies it first
             self.scheme_params()
             check_finite_fields(diag, "mu", "wiener_s", "wiener_nu")
-            _prepare_samples(0.0, self.integrator, self.resolved_sample_times())
+            check_sample_times(0.0, self.integrator, self.resolved_sample_times())
             check_wiener_weights(diag.wiener_s, diag.wiener_nu, self.m)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc

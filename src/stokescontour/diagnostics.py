@@ -13,12 +13,14 @@ of grad rho. ``delta_spectral`` evaluates it as a pair sum over the grid
 offsets, in the one row layout of ``kernels.central_pair_rows``: all m
 columns of every offset row, or m/4 + 1 pair centres on heights that are
 exactly odd and antiperiodic (the full and quarter sums, chosen by
-``geometry.exact_symmetries``). The kernel tables of each block's rows are
-``kernels._row_tables`` of their x1, built once per grid and path
-(``_kernel_blocks``). A run integrated with a different density jump is the
-same flow with time rescaled; ``delta_rate`` applies that exact factor so
-the stored dissipation matches dE/dt in the run's own time units
-(sign_factor = (rho^- - rho^+)/(8 pi), so the factor is -4 pi * sign_factor).
+``geometry.exact_symmetries``). Each block of the sum is a slice of the
+row pairs (``kernels.offset_blocks``), and reads its slice of the kernel
+tables of all the offsets, built once per grid
+(``kernels.pair_kernel_tables``). A run integrated with a different
+density jump is the same flow with time rescaled; ``delta_rate`` applies
+that exact factor so the stored dissipation matches dE/dt in the run's own
+time units (sign_factor = (rho^- - rho^+)/(8 pi), so the factor is
+-4 pi * sign_factor).
 
 ``finger_count`` counts fingers by the flat/steep split: I_mu collects the
 nodes where |h'| <= mu, and the count is the number of its maximal ranges
@@ -38,7 +40,6 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .geometry import (
-    TWO_PI,
     GraphInterface,
     ParamCurve,
     central_diff,
@@ -54,13 +55,12 @@ from .geometry import (
 )
 from .integrators import Trajectory
 from .kernels import (
-    _row_tables,
     bilaplacian_pair_kernel_exact,
     block_workspace,
     central_pair_rows,
     offset_blocks,
     pair_kernel_rows,
-    read_only,
+    pair_kernel_tables,
     stabilizer_weights,
 )
 
@@ -95,11 +95,12 @@ def delta_spectral(interface: GraphInterface) -> float:
     evaluated once (``_kpair_origin``). The rows r = 1..m/2, each
     sum_i h'_i h'_{i-r} Kpair(r d, h_i - h_{i-r}), count twice (the r = m/2
     row holds each pair twice and counts half, ``stabilizer_weights``), in
-    blocks of offset rows (``offset_blocks``) read through
+    blocks of row pairs (``offset_blocks``), each a slice of the rows of
     ``central_pair_rows``. x1 is fixed along a row, so
     ``kernels.pair_kernel_rows`` evaluates Kpair in real arithmetic from
-    per-row tables built once per grid, in place in one workspace of a
-    block's rows; memory is O(block * m).
+    the block's slice of per-row tables built once per grid
+    (``pair_kernel_tables``), in place in one workspace of a block's rows;
+    memory is O(block * m).
 
     The sum takes one of two paths, chosen as the graph right-hand side
     chooses its own (``geometry.exact_symmetries``), in one block loop whose
@@ -126,42 +127,23 @@ def delta_spectral(interface: GraphInterface) -> float:
     # the orbit of a held pair: itself and its offset m - r, and on the
     # quarter sum also its images by the mirror and the shift
     width, orbit = (m // 4 + 1, 8.0) if all(exact_symmetries(None, h)) else (m, 2.0)
-    rows = central_pair_rows(h, hp, width=width)
+    near, far = central_pair_rows(h, hp, width=width)
+    tables = pair_kernel_tables(m)
     # the kernel of a block is computed in place in one workspace for all blocks
     work = block_workspace(4, m, width)
     total = float(_kpair_origin() * (hp @ hp))
-    for r, tables in _kernel_blocks(m, width):
-        (ha, hpa), (hb, hpb) = rows(r)
-        block = work[:, : r.size // 2]
+    for b in offset_blocks(m, width):
+        (ha, hpa), (hb, hpb) = near[:, b], far[:, b]
+        block = work[:, : len(hb)]
         x2 = np.subtract(ha, hb, out=block[0])
-        ker = pair_kernel_rows(tables, x2, block)
+        ker = pair_kernel_rows([t[..., b, :, :] for t in tables], x2, block)
         ker *= hpb
         ker *= hpa
-        total += orbit * float(stabilizer_weights(ker, r, m).sum())
+        total += orbit * float(stabilizer_weights(ker, b, m).sum())
     val = 4.0 * d * d * total
     if val < -1e-6:
         raise ValueError(f"delta_spectral returned {val}, inconsistent quadrature")
     return val
-
-
-@lru_cache(maxsize=8)
-def _kernel_blocks(m: int, width: int):
-    """The blocks of offset rows of ``delta``'s pair sum, with their kernel tables.
-
-    One tuple (r, tables) per block of offsets r = 1..m/2
-    (``offset_blocks``), ``width`` being the columns of the sum's rows,
-    read-only: ``kernels._row_tables`` of the block's x1 = r 2pi/m, each
-    shaped (len(r)/2, 2, 1) as the block's rows (``near`` with its leading
-    axis of coefficients). Built once per grid and path, not once per block
-    and call.
-    """
-    out = []
-    for r in offset_blocks(m, width):
-        tables = tuple(t.reshape(*t.shape[:-1], -1, 2, 1)
-                       for t in _row_tables(r * (TWO_PI / m)))
-        read_only(r, *tables)
-        out.append((r, tables))
-    return tuple(out)
 
 
 @lru_cache(maxsize=1)

@@ -33,13 +33,15 @@ and the sum runs over a domain F holding one node of each orbit:
 - the quarter path, on such a state that is also exactly half-period
   symmetric: F is the nodes 0..m/4.
 
-The sum runs on node blocks (``_velocity_totals``): a block of rows of F
-(``kernels.node_blocks``) against the run of columns from its first row
-to the end of F, in each image g(F) of F under the group, side by side.
-The Stokeslet is even, S(-x) = S(x), so each pair is held once, on the
-upper triangle of F against each image, the diagonal half weighted and a
-node paired with itself dropped, and feeds both its nodes. The three steps
-around the kernel are matrix products of the block with per-node vectors:
+The sum runs on node blocks (``_velocity_totals``): a block, a slice of
+the rows of F (``kernels.blocks``, sized by ``kernels.block_rows`` as the
+blocks of every pair sum are), against the run of columns from its first
+row to the end of F, in each image g(F) of F under the group, side by
+side. The Stokeslet is even, S(-x) = S(x), so each pair is held once, on
+the upper triangle of F against each image, the diagonal half weighted and
+a node paired with itself dropped, and feeds both its nodes. The three
+steps around the kernel are matrix products of the block with per-node
+vectors:
 
 - the pair sines sin((z1_a - z1_b)/2) and cos((z1_a - z1_b)/2) and the
   heights z2_a - z2_b are one product of per-node rows, from the sin and
@@ -54,21 +56,24 @@ around the kernel are matrix products of the block with per-node vectors:
   of (b, g(a)), a_sn taking the p sign times the z2 sign of g.
 
 ``kernels.stokeslet_terms_into`` evaluates the block in place in one
-workspace. The graph right-hand side and ``diagnostics.delta_spectral``
-stay on offset rows (``kernels``): on a graph x1 is fixed along an offset
-row, so each row has constants built once per grid, and the graph's full
-sum adds every node's rows in one order, which keeps it bitwise
-equivariant under a shift of the nodes. A curve's x1 differs along every
-row, so it has no such constants, and the products of the node blocks
-replace the elementwise passes of the offset rows. The central path holds
-about m^2/4 pairs and the quarter path about m^2/8, as the pair orbits of
-their groups. The totals on F, times each node's orbit size, are
-projected onto the symmetries found (``geometry.symmetry_projector``, u1
-mapping like p and u2 like z2), whose average over each node's images
-completes the sum on all m nodes. The sums reduce inside BLAS, so their
-rounding is that of its kernels, which also depends on the memory layout
-of the operands: equal for equal inputs on one machine, and within
-roundoff of the sums of the other paths (not bitwise).
+workspace. The per-path constants (the images, orbits, signs and the
+weights of each block's leading square) are built once per grid and path
+(``_path_blocks``). The graph right-hand side and
+``diagnostics.delta_spectral`` run on offset rows instead (``kernels``):
+on a graph x1 is fixed along an offset row, so each row has constants
+built once per grid, and the graph's full sum adds every node's rows in
+one order, which keeps it bitwise equivariant under a shift of the nodes.
+A curve's x1 differs along every row, so it has no such constants, and the
+products of the node blocks replace the elementwise passes of the offset
+rows. The central path holds about m^2/4 pairs and the quarter path about
+m^2/8, as the pair orbits of their groups. The totals on F, times each
+node's orbit size, are projected onto the symmetries found
+(``geometry.symmetry_projector``, u1 mapping like p and u2 like z2), whose
+average over each node's images completes the sum on all m nodes. The
+sums reduce inside BLAS, so their rounding is that of its kernels, which
+also depends on the memory layout of the operands: equal for equal inputs
+on one machine, and within roundoff of the sums of the other paths (not
+bitwise).
 
 The right-hand side is the owner of the symmetries of a run: its output
 has exactly every symmetry its input has, so every DOPRI5 stage, accepted
@@ -105,7 +110,7 @@ from .geometry import (
     symmetry_projector,
 )
 from .integrators import BlowupError, IntegratorParams, Trajectory, integrate
-from .kernels import ONE_OVER_8PI, clausen2, node_blocks, read_only, stokeslet_terms_into
+from .kernels import ONE_OVER_8PI, block_rows, blocks, clausen2, read_only, stokeslet_terms_into
 
 SPEED_RATIO_WARN = 20.0
 
@@ -154,13 +159,14 @@ def _path_blocks(m: int, central: bool, even: bool):
     and a_sn takes under the pair swap for each element g: 1, 1 and the p
     sign of g times its z2 sign.
 
-    ``blocks`` holds (start, stop, dropped, weight) per block of rows
-    (``kernels.node_blocks``), each row i paired with the columns
-    start..size-1 of every image. On the leading square of those columns
-    (rows x elements x rows) ``weight`` keeps the triangle: 1 above the
-    diagonal, 1/2 on it (as the near and the far sum both add it), 0 below
-    it and on the pairs (i, g(i)) of a node with itself; ``dropped`` marks
-    its zeros.
+    ``blocks`` holds (b, dropped, weight) per block b, a slice of the rows
+    of F (``kernels.blocks``, ``kernels.block_rows`` rows a block for the
+    elements x size columns of the widest block), each row i paired with
+    the columns b.start..size-1 of every image. On the leading square of
+    those columns (rows x elements x rows) ``weight`` keeps the triangle: 1
+    above the diagonal, 1/2 on it (as the near and the far sum both add
+    it), 0 below it and on the pairs (i, g(i)) of a node with itself;
+    ``dropped`` marks its zeros.
     """
     group = symmetry_group(m, central, even)
     size = m if len(group) == 1 else m // len(group) + 1
@@ -169,22 +175,23 @@ def _path_blocks(m: int, central: bool, even: bool):
     orbit = len(group) / np.sum(images == nodes, axis=0)
     far_signs = np.ones((3, 1, len(group), 1))
     far_signs[2, 0, :, 0] = [p_sign * z2_sign for _, p_sign, z2_sign in group]
-    blocks = tuple(node_blocks(size, len(group) * size))
+    columns = len(group) * size
+    plan = blocks(size, block_rows(columns, columns))
     # one triangle for every block, (rows x elements x rows); a block holding
     # a node that an element fixes (the ends of F) takes a copy with that
     # node's pair with itself weighted 0
-    rows = nodes[: blocks[0][1]]
+    rows = nodes[plan[0]]
     offset = (rows - rows[:, None])[:, None]
     triangle = np.repeat(np.where(offset > 0, 1.0, 0.5 * (offset == 0)), len(group), axis=1)
     triangle[:, 0] *= offset[:, 0] > 0
     out = []
-    for start, stop in blocks:
-        n = stop - start
+    for b in plan:
+        n = b.stop - b.start
         weight = triangle[:n, :, :n]
-        singular = images[:, start:stop] == nodes[start:stop, None, None]
+        singular = images[:, b] == nodes[b, None, None]
         if singular[:, 1:].any():
             weight = np.where(singular, 0.0, weight)
-        out.append((start, stop, *read_only(weight == 0.0, weight)))
+        out.append((b, *read_only(weight == 0.0, weight)))
     return (*read_only(images, orbit, far_signs), tuple(out))
 
 
@@ -246,12 +253,12 @@ def _velocity_totals(p, z2, alpha, central, even):
     np.negative(w1, out=near_vecs[2, ..., 1])
     far_vecs = near_vecs.transpose(0, 2, 1, 3)
     near, far = np.zeros((3, size, 2)), np.zeros((size, 2))
-    work = np.empty(6 * (blocks[0][1] - blocks[0][0]) * count * size)
-    for start, stop, dropped, weight in blocks:
-        n, width = stop - start, size - start
+    work = np.empty(6 * blocks[0][0].stop * count * size)
+    for b, dropped, weight in blocks:
+        n, width = b.stop - b.start, size - b.start
         block = work[: 6 * n * count * width].reshape(6, n, count, width)
         (sn2, sc, x2), terms = block[:3], block[3:]
-        np.matmul(rows[:, start:stop], cols[:, :, start:].reshape(4, -1),
+        np.matmul(rows[:, b], cols[:, :, b.start :].reshape(4, -1),
                   out=block[:3].reshape(3, n, -1))
         # sc is sin(x1/2) cos(x1/2) = sin(x1)/2
         sc *= sn2
@@ -261,9 +268,9 @@ def _velocity_totals(p, z2, alpha, central, even):
         stokeslet_terms_into(sn2, sc, x2, *terms)
         terms[..., :n] *= weight
         # the near sum onto the row nodes, the far one onto the column nodes
-        near[:, start:stop] += np.matmul(terms.reshape(3, n, -1),
-                                         near_vecs[:, :, start:].reshape(3, -1, 2))
-        far[start:] += terms.reshape(-1, width).T @ (far_vecs[:, start:stop] * far_signs).reshape(-1, 2)
+        near[:, b] += np.matmul(terms.reshape(3, n, -1),
+                                near_vecs[:, :, b.start :].reshape(3, -1, 2))
+        far[b.start :] += terms.reshape(-1, width).T @ (far_vecs[:, b] * far_signs).reshape(-1, 2)
     # each node of F times its orbit, the projection completing the sum
     u[:, :size] += d * ((near.sum(axis=0) + far) * orbit[:, None]).T
     return u

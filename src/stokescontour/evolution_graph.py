@@ -34,11 +34,15 @@ for A/B comparison.
 
 The integrand is symmetric in its two nodes and both quadratures weight the
 offsets r and m - r alike, so every unordered pair is evaluated once: the sum
-runs over the offsets r = 1..m/2 in blocks of offset rows
-(``kernels.offset_blocks``), each pair feeding both of its nodes, and the
-spectral circulant joins the same rows. One block loop (``_pair_totals``)
-reads the rows through ``kernels.central_pair_rows``, weights the pair terms
-by their orbits (``kernels.stabilizer_weights``) and totals them with
+runs over the offsets r = 1..m/2, each pair feeding both of its nodes, and
+the spectral circulant joins the same rows. The offsets are paired as the
+row pairs s = 0..m/4 - 1 (offsets 2s + 1 and 2s + 2), and every block of
+the sum is a slice of them (``kernels.offset_blocks``). The per-offset
+constants (the sines, the spectral row term and the weights) are built
+once per grid over all the row pairs (``_block_constants``), and one block
+loop (``_pair_totals``) reads its slice of them and of the rows of
+``kernels.central_pair_rows``, weights the pair terms by their orbits
+(``kernels.stabilizer_weights``) and totals them with
 ``kernels.central_folder``; the width of the rows sets the path.
 
 The sum takes one of two paths, chosen by the exact O(m) test
@@ -158,32 +162,27 @@ def _log_circulant(m: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _block_constants(m: int, quadrature: str, width: int):
-    """The blocks of offset rows of the graph pair sum, with their per-row constants.
+def _block_constants(m: int, quadrature: str):
+    """The per-offset constants of the graph pair sum, built once per grid and quadrature.
 
-    One tuple (r, sin(x1/2), sin(x1)/2, log_row, weight) per block of
-    offsets (``offset_blocks``), ``width`` being the columns of the sum's
-    rows, x1 = r d (the sines ``stokeslet_terms_into`` takes), each
-    constant in the shape (len(r)/2, 2, 1) of the block's rows and
-    read-only. ``log_row`` is the
-    spectral row term omega_r/d - log(4 sin^2(x1/2)), None for
-    "taylor_cell". Built once per grid, quadrature and path, block by block
-    with the operations the sum took on each block, so the values are those
-    it computed per call.
+    (sin(x1/2), sin(x1)/2, log_row, weight) over the offsets r = 1..m/2,
+    x1 = r d (the sines ``stokeslet_terms_into`` takes), each in the
+    row-pair shape (m/4, 2, 1) of ``kernels.central_pair_rows`` and
+    read-only, so that a block b of the sum reads the slice [b] of each.
+    ``log_row`` is the spectral row term omega_r/d - log(4 sin^2(x1/2)),
+    None for "taylor_cell"; ``weight`` the quadrature weight of the offset.
     """
     d = TWO_PI / m
+    r = np.arange(1, m // 2 + 1)
+    x1 = r * d
+    sn2 = np.sin(0.5 * x1)
     spectral = quadrature == "spectral_log"
     # by offset 1..m - 1: the trapezoid rule, or Simpson's over the panels
     # [d, 2pi - d] away from the cell
     weights = np.full(m - 1, d) if spectral else open_simpson_weights(m - 1, d)
-    out = []
-    for r in offset_blocks(m, width):
-        x1 = r * d
-        sn2 = np.sin(0.5 * x1)
-        log_row = _log_circulant(m)[r] / d - np.log(4.0 * sn2**2) if spectral else None
-        out.append(read_only(r, *(None if a is None else a.reshape(-1, 2, 1)
-                                  for a in (sn2, 0.5 * np.sin(x1), log_row, weights[r - 1]))))
-    return tuple(out)
+    log_row = _log_circulant(m)[r] / d - np.log(4.0 * sn2**2) if spectral else None
+    return read_only(*(None if a is None else a.reshape(-1, 2, 1)
+                       for a in (sn2, 0.5 * np.sin(x1), log_row, weights[r - 1])))
 
 
 def _cell_correction_values(h, dh, width, variant):
@@ -235,16 +234,17 @@ def _pair_totals(h, dh, params, width):
     # the pair integrand below is symmetric in its two nodes and both weights
     # are even in the offset, so the offsets r and m - r share one evaluation;
     # the block terms are computed in place in one workspace for all blocks
-    rows, (fold, total) = central_pair_rows(h, dh, width=width), central_folder(m, width)
+    (near, far), (fold, total) = central_pair_rows(h, dh, width=width), central_folder(m, width)
     work = block_workspace(5, m, width)
-    for r, sn2, sc, log_row, weight in _block_constants(m, params.quadrature, width):
-        (ha, dha), (hb, dhb) = rows(r)
+    sn2, sc, log_row, weight = _block_constants(m, params.quadrature)
+    for b in offset_blocks(m, width):
+        (ha, dha), (hb, dhb) = near[:, b], far[:, b]
         x2, lg, a_ss, a_sn, dd = work[:, : len(hb)]
-        stokeslet_terms_into(sn2, sc, np.subtract(ha, hb, out=x2), lg, a_ss, a_sn)
+        stokeslet_terms_into(sn2[b], sc[b], np.subtract(ha, hb, out=x2), lg, a_ss, a_sn)
         if log_row is not None:
             # spectral: keep the smooth remainder of the log only; the circulant
             # weight omega_r of its log(4 sin^2) factor joins it per offset row
-            lg += log_row
+            lg += log_row[b]
         # pair = w_r (lg (1 + dd) + a_ss (dd - 1) + a_sn (h'_i + h'_j)), in place
         np.multiply(dha, dhb, out=dd)
         a_ss *= np.subtract(dd, 1.0, out=x2)
@@ -253,8 +253,8 @@ def _pair_totals(h, dh, params, width):
         lg += a_ss
         a_sn *= np.add(dha, dhb, out=x2)
         lg += a_sn
-        pair = stabilizer_weights(np.multiply(lg, weight, out=lg), r, m)
-        fold(np.multiply(hb, pair, out=x2), np.multiply(ha, pair, out=a_ss), r)
+        pair = stabilizer_weights(np.multiply(lg, weight[b], out=lg), b, m)
+        fold(np.multiply(hb, pair, out=x2), np.multiply(ha, pair, out=a_ss), b)
     return total()
 
 

@@ -159,7 +159,7 @@ def _step_factor(err_norm: float) -> float:
     return min(MAX_FACTOR, max(MIN_FACTOR, SAFETY * err_norm ** (-0.2)))
 
 
-def _prepare_samples(t0: float, ip: IntegratorParams, sample_times) -> np.ndarray:
+def check_sample_times(t0: float, ip: IntegratorParams, sample_times) -> np.ndarray:
     """Sample times as an array, or ValueError unless finite, increasing within [t0, t_end]."""
     times = list(sample_times)
     # a NaN passes every comparison below, and a run would never reach it;
@@ -262,7 +262,7 @@ def integrate(
         if on_sample is not None:
             on_sample(state, record)
 
-    ts = _prepare_samples(t0, ip, sample_times)
+    ts = check_sample_times(t0, ip, sample_times)
     t, y = t0, y0
     t_last, idx = float(ts[-1]), 0
     if abs(ts[0] - t) <= _SAMPLE_TOL:

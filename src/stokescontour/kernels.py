@@ -29,28 +29,34 @@ The defining series of the polylogarithms Li2/Li3 of w = exp(-|x2| + i x1),
 by Horner in w, gives the truncated sums and the exact kernel (the
 n_max -> inf limit) where |x2| >= 2. Below that the exact kernel runs in
 real arithmetic from per-x coefficient tables of the expansion of Li2/Li3
-around w = 1, built once per grid for the offset rows of each block of
-``delta``'s pair sum (``diagnostics._kernel_blocks``), so a point costs a
-log1p and a short real Horner loop; it agrees with the series to machine
-precision. The coefficients of that expansion are rounded from one table of
-exact zeta values, which also gives the real series of ``clausen2``.
+around w = 1, built once per grid for the offsets of ``delta``'s pair sum
+(``pair_kernel_tables``), so a point costs a log1p and a short real Horner
+loop; it agrees with the series to machine precision. The coefficients of
+that expansion are rounded from one table of exact zeta values, which also
+gives the real series of ``clausen2``.
 
 The three pair sums of the package use that their kernels are even, so
 each unordered pair of nodes is evaluated once, and run a block at a time,
-so their memory is O(rows * width) per block rather than O(m^2). They take
-one of two layouts.
+so their memory is O(rows * width) per block rather than O(m^2). Every
+block of every sum is a slice of the rows of the sum (``blocks``), and one
+rule sizes them all: ``block_rows(width, m)`` rows of ``width`` columns,
+about _BLOCK_ELEMENTS elements up to m = _ROWS_FIXED_FROM and that grid's
+rows beyond it.
 
 The graph right-hand side and ``diagnostics.delta_spectral`` run on offset
-rows: over half the grid offsets, r = 1..m/2, a block of offset rows at a
-time (``offset_blocks``). On a graph x1 = r 2pi/m is fixed along an offset
-row, so each row has its constants, built once per grid: the graph's
-sines, spectral log term and quadrature weight, ``delta``'s kernel tables.
-And the full sum adds every node's rows in one fixed order, which keeps
-the graph's sum bitwise equivariant under a shift of the nodes. Both read
-their pairs in one layout: the rows of the offsets 2s + 1 and 2s + 2 side
-by side, shape (n, 2, width) (``central_pair_rows``), and the graph
-right-hand side adds each block into one folder (``central_folder``),
-which totals the blocks on the nodes once. The width sets the path:
+rows, over half the grid offsets, r = 1..m/2. Their rows are paired, the
+offsets 2s + 1 and 2s + 2 side by side in the row pair s = 0..m/4 - 1, and
+a block is a slice of the row pairs (``offset_blocks``). On a graph
+x1 = r 2pi/m is fixed along an offset row, so each row has its constants:
+the graph's sines, spectral log term and quadrature weight, ``delta``'s
+kernel tables (``pair_kernel_tables``). Each is built once per grid over
+all the offsets, in the row-pair shape (m/4, 2, 1), and a block reads its
+slice. ``central_pair_rows`` reads the pairs of every row pair, shape
+(m/4, 2, width), as two views for the whole sum that a block slices too,
+and the graph right-hand side adds each block into one folder
+(``central_folder``), which totals the blocks on the nodes once. The full
+sum adds every node's rows in one fixed order, which keeps the graph's sum
+bitwise equivariant under a shift of the nodes. The width sets the path:
 
 - m columns, the full sum: column i of row r holds the pair (i, i - r);
 - m/4 + 1 pair centres, the quarter sum, on graph heights that are odd
@@ -73,29 +79,24 @@ symmetries hold and the full sum otherwise. The grid rule
 (``geometry.check_grid_size``, m a multiple of 4) makes m/2 even, so the
 offsets 1..m/2 pair up without a pad row.
 
-Every offset-row path takes ``central_block_rows(m, width)`` offsets a
-block: as many as make about 16384 elements per workspace array up to
-m = 1024 and that grid's rows beyond it, even, from 2 to m/2. The blocks
-(``offset_blocks``), the workspace (``block_workspace``) and the folder
-read them from the grid and width alone, so no sum passes a row count.
-Each reader and folder is one read-only strided view over a buffer made in
-the call of the sum, never kept across calls, so the sums are re-entrant
-and a block builds no index array. The per-grid constants of a block are
-built once per grid and path and cached read-only by their sums. The
-graph right-hand side computes the terms of a block, and ``delta`` its pair
-kernel, in place in one workspace of (rows x width) arrays
-(``block_workspace``), made once per call and reused by every block, and
+The reader, the folder and the workspace (``block_workspace``) read the
+blocks from the grid and width alone, so no sum passes a row count. Each
+reader and folder is one read-only strided view over a buffer made in the
+call of the sum, never kept across calls, so the sums are re-entrant and a
+block builds no index array. The graph right-hand side computes the terms
+of a block, and ``delta`` its pair kernel, in place in one workspace of
+(rows x width) arrays, made once per call and reused by every block, and
 the folds overwrite the near and far terms they are given, so a block
 allocates no (rows x width) array.
 
-The curve right-hand side runs on node blocks (``node_blocks``): a block
-of row nodes of its domain against a run of column nodes of each of the
-domain's images under its symmetry group (``evolution_curve``). A curve's
+The curve right-hand side runs on node blocks: a slice of the row nodes
+of its domain against a run of column nodes of each of the domain's images
+under its symmetry group (``evolution_curve``), ``block_rows(columns,
+columns)`` rows a block for the ``columns`` of its widest block. A curve's
 x1 differs along every row and column, so there are no per-offset
 constants to keep; instead the pair sines, the heights and both velocity
 sums are small matrix products with per-node vectors, and the Stokeslet
-terms are all that remains per pair. Its blocks take their rows from the
-width of the widest block alone, at least _NODE_BLOCK_MIN_ROWS.
+terms are all that remains per pair.
 """
 
 from __future__ import annotations
@@ -112,15 +113,11 @@ from .geometry import TWO_PI
 ONE_OVER_8PI = 1.0 / (8.0 * np.pi)
 ONE_OVER_4PI = 1.0 / (4.0 * np.pi)
 
-# elements per workspace array of a block of every pair sum
-# (``central_block_rows``) up to m = _ROWS_FIXED_FROM, never m x m; on
-# larger grids the arrays grow with m and the rows stay those of that grid
-_BLOCK_ELEMENTS = 16384
+# elements per block of every pair sum (``block_rows``) up to
+# m = _ROWS_FIXED_FROM, never m x m; on larger grids the blocks grow with m
+# and the rows stay those of that grid
+_BLOCK_ELEMENTS = 8192
 _ROWS_FIXED_FROM = 1024
-# elements per workspace array of a block of the curve's node-block sum
-# (``node_blocks``), and its fewest rows a block
-_NODE_BLOCK_ELEMENTS = 8192
-_NODE_BLOCK_MIN_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -174,52 +171,38 @@ def stokeslet_terms_into(sn2, sc, x2, lg, a_ss, a_sn):
     return lg, a_ss, a_sn
 
 
+def block_rows(width: int, m: int) -> int:
+    """Rows per block of a pair sum of ``width`` columns a row on an m-node grid.
+
+    As many as make about _BLOCK_ELEMENTS elements a block, so that narrow
+    rows take more rows a block than wide ones, and a block's fixed cost is
+    spread over about the same work at every m up to _ROWS_FIXED_FROM.
+    Beyond it the element count grows in proportion to m, so the rows stay
+    those of that grid: fewer rows would make more blocks, each paying the
+    fixed cost again. Rows are row pairs on the offset-row sums
+    (``offset_blocks``: 32 row pairs of the quarter sums and 8 of the full
+    sums from m = 1024 on) and nodes on the curve's node blocks (with m
+    the width of its widest block: 16 rows at m = 512, 8 from m = 1024 on).
+    """
+    return round(_BLOCK_ELEMENTS * max(1.0, m / _ROWS_FIXED_FROM) / width)
+
+
+def blocks(count: int, rows: int):
+    """The blocks of a pair sum: slices of 0..count-1 in order, ``rows`` each but the last."""
+    return tuple(slice(start, min(start + rows, count)) for start in range(0, count, rows))
+
+
 def offset_blocks(m: int, width: int):
-    """Consecutive grid offsets r = 1..m/2, ``central_block_rows(m, width)`` at a time.
+    """The blocks of the row pairs s = 0..m/4 - 1 of a sum of ``width`` columns a row.
 
     The pair kernels are even, so a pair sum over all offsets r != 0 folds
-    onto these half offsets. Every block holds an even number of offsets,
-    as ``central_pair_rows`` pairs them: m/2 is even by the grid rule
-    (``geometry.check_grid_size``).
+    onto the half offsets r = 1..m/2, paired as ``central_pair_rows`` reads
+    them, the offsets 2s + 1 and 2s + 2 in the row pair s: m/2 is even by
+    the grid rule (``geometry.check_grid_size``). Each block but the last
+    holds ``block_rows(width, m)`` row pairs, at least 1 and at most m/4.
     """
-    end, rows = m // 2, central_block_rows(m, width)
-    for r0 in range(1, end + 1, rows):
-        yield np.arange(r0, min(r0 + rows, end + 1))
-
-
-def central_block_rows(m: int, width: int) -> int:
-    """Offset rows per block of a sum of ``width`` columns a row (``central_pair_rows``).
-
-    As many as make about _BLOCK_ELEMENTS elements per workspace array, so
-    the narrow rows of the quarter sums (m/4 + 1 centres) take more offsets
-    a block than the full sums' (m), and a block's fixed cost is spread over
-    about the same work at every m up to _ROWS_FIXED_FROM. Beyond it the
-    element count grows in proportion to m, so the rows stay those of that
-    grid (64 for the quarter sums, 16 for the full sums): fewer rows would
-    make more blocks, each paying the fixed cost again. Even, as the reader
-    pairs the offsets 2s + 1 and 2s + 2; at least 2 and at most the m/2
-    offsets of ``offset_blocks``.
-    """
-    elements = _BLOCK_ELEMENTS * max(1.0, m / _ROWS_FIXED_FROM)
-    return 2 * min(m // 4, max(1, round(elements / (2 * width))))
-
-
-def node_blocks(size: int, columns: int):
-    """Consecutive row nodes 0..size-1 of a node-block pair sum, as (start, stop).
-
-    Each block but the last holds round(_NODE_BLOCK_ELEMENTS / ``columns``)
-    rows, at least _NODE_BLOCK_MIN_ROWS, ``columns`` being the width of the
-    sum's widest block (about m on every path of the curve sum). So a
-    block's workspace arrays hold about _NODE_BLOCK_ELEMENTS elements each
-    up to m = 1024 (8 rows there, 16 at m = 512), and the 8 rows beyond it
-    keep a block's fixed cost small against its work. Fewer rows waste less
-    on the diagonal square of a block's triangle and keep the workspace (six
-    arrays, 0.4 MB at m = 1024) small; more rows pay the fixed cost fewer
-    times.
-    """
-    rows = max(_NODE_BLOCK_MIN_ROWS, round(_NODE_BLOCK_ELEMENTS / columns))
-    for start in range(0, size, rows):
-        yield start, min(start + rows, size)
+    quarter = m // 4
+    return blocks(quarter, min(quarter, max(1, block_rows(width, m))))
 
 
 def read_only(*arrays):
@@ -254,24 +237,24 @@ def _twice(xs):
 def block_workspace(count: int, m: int, width: int):
     """``count`` arrays for the terms of one block of a pair sum, reused by every block.
 
-    Each holds the ``central_block_rows(m, width)`` offset rows of a block
-    (``offset_blocks``) in the shape of the rows of ``central_pair_rows``,
-    (rows/2, 2, width). A shorter last block takes the leading rows,
-    ``work[:, :n]``, whose arrays are contiguous like new ones.
+    Each holds the row pairs of a block (``offset_blocks``) in the shape of
+    the rows of ``central_pair_rows``, (rows, 2, width). A shorter last
+    block takes the leading rows, ``work[:, :n]``, whose arrays are
+    contiguous like new ones.
     """
-    return np.empty((count, central_block_rows(m, width) // 2, 2, width))
+    return np.empty((count, offset_blocks(m, width)[0].stop, 2, width))
 
 
 def central_pair_rows(*xs, width: int):
-    """Reader of the paired offset rows of the arrays xs, for the blocks of one pair sum.
+    """The paired offset rows of the arrays xs, for the blocks of one pair sum.
 
-    ``rows(r)``, for a block of an even number of consecutive offsets from
-    an odd r[0] (as ``offset_blocks`` gives), returns
-    (near, far): each x at the near and the far node of the block's pairs,
-    shapes (len(xs), n, 1, width) and (len(xs), n, 2, width) with
-    n = len(r)/2, where row (j, p) is the offset r[2j + p]. The far node of
-    a pair is its near node minus the offset, and a column has the same
-    near node in the rows 2s + 1 and 2s + 2. ``width`` sets the columns:
+    Returns (near, far): each x at the near and the far node of the pairs
+    of every row pair s = 0..m/4 - 1, shapes (len(xs), m/4, 1, width) and
+    (len(xs), m/4, 2, width), where row (s, p) is the offset 2s + 1 + p; a
+    block (``offset_blocks``) reads ``near[:, b]`` and ``far[:, b]``. The
+    far node of a pair is its near node minus the offset, and a column has
+    the same near node in both rows of a row pair. ``width`` sets the
+    columns:
 
     - m: column i holds the pair (i, i - r), near node i;
     - m/4 + 1: the pair centres k = 0..m/4 of graph heights that are odd
@@ -282,9 +265,9 @@ def central_pair_rows(*xs, width: int):
       centre k to that of centre k + m/2, so the centres 0..m/4 hold one
       pair of each orbit of both symmetries.
 
-    Both are read-only slices of two strided views over the arrays repeated
-    twice, all made here, so no index arrays are built per block and no
-    buffer outlives the sum.
+    Both are read-only strided views over the arrays repeated twice, all
+    made here, so no index arrays are built per block and no buffer
+    outlives the sum.
     """
     m = xs[0].size
     buf, shape = _twice(xs), (len(xs), m // 4)
@@ -293,48 +276,40 @@ def central_pair_rows(*xs, width: int):
     # column c (s + 1) + k of the buffer, and far node that less 2s + 1 + p,
     # column m + c (s + 1) + k - 2s - 1 - p
     c = int(width != m)
-    near = _window(buf, (*shape, 1, width), (2 * m, c, 0, 1), c)
-    far = _window(buf, (*shape, 2, width), (2 * m, c - 2, -1, 1), m + c - 1)
-
-    def rows(r):
-        s0 = r[0] // 2
-        s1 = s0 + r.size // 2
-        return near[:, s0:s1], far[:, s0:s1]
-
-    return rows
+    return (_window(buf, (*shape, 1, width), (2 * m, c, 0, 1), c),
+            _window(buf, (*shape, 2, width), (2 * m, c - 2, -1, 1), m + c - 1))
 
 
-def stabilizer_weights(t, r, m: int):
-    """Weight in place the terms t of one block of ``central_pair_rows`` by orbit size.
+def stabilizer_weights(t, b, m: int):
+    """Weight in place the terms t of the block b of ``central_pair_rows`` by orbit size.
 
-    ``t`` has the rows' shape (len(r)/2, 2, width). Every pair of the
-    r = m/2 row counts half, as that row holds each of its pairs twice. On
-    the pair centres (``width`` m/4 + 1, ``last`` = m/4) a held pair that
-    is its own image also counts half: the centres 0 and ``last`` of an
-    even row. The centre ``last`` of an odd row repeats the orbit of centre
-    last - 1 and counts zero. Every pair sum weights its terms so before it
-    folds or adds them.
+    ``t`` has the rows' shape (n, 2, width) of the row pairs b. Every pair
+    of the r = m/2 row counts half, as that row holds each of its pairs
+    twice. On the pair centres (``width`` m/4 + 1, ``last`` = m/4) a held
+    pair that is its own image also counts half: the centres 0 and
+    ``last`` of an even row. The centre ``last`` of an odd row repeats the
+    orbit of centre last - 1 and counts zero. Every pair sum weights its
+    terms so before it folds or adds them.
     """
     width = t.shape[-1]
     if width < m:
         last = width - 1
-        # row (j, 1) is the even offset r[2j + 1]
+        # row (j, 1) is an even offset
         t[:, 1, ::last] *= 0.5
         t[:, 0, last] = 0.0
-    # the row m/2 is row (k // 2, k % 2) of the block, if it holds it
-    k = m // 2 - r[0]
-    if k < r.size:
-        t[k // 2, k % 2] *= 0.5
+    # the row m/2 is the even row of the last row pair
+    if b.stop == m // 4:
+        t[-1, 1] *= 0.5
     return t
 
 
 def central_folder(m: int, width: int):
     """``(fold, total)``: the per-node totals of the blocks of ``central_pair_rows``.
 
-    ``fold(near, far, r)`` adds one block. ``near`` and ``far`` (the rows'
-    shape (len(r)/2, 2, width)) hold each pair's term for its near and its
-    far node, weighted by ``stabilizer_weights``; both are overwritten.
-    ``total()`` returns the accumulated totals on all m nodes:
+    ``fold(near, far, b)`` adds the block b (``offset_blocks``). ``near``
+    and ``far`` (the rows' shape (n, 2, width)) hold each pair's term for
+    its near and its far node, weighted by ``stabilizer_weights``; both are
+    overwritten. ``total()`` returns the accumulated totals on all m nodes:
 
     - m columns, every pair: node i collects the near term of the pair
       (i, i - r) and the far term of (i + r, i). The accumulator is the node
@@ -346,28 +321,28 @@ def central_folder(m: int, width: int):
       ``geometry.symmetry_projector`` onto both symmetries, which the
       caller applies to its output.
 
-    The blocks are of ``central_block_rows(m, width)`` offsets. The full
-    sum reads its far rows shifted by their offsets through a strided view
-    over a buffer holding each row followed by its wrapped copy. On the pair
-    centres the rows are shifted onto one unwrapped line of the nodes
-    -m/4..m/2 through a strided view over a buffer whose rows are laid end
-    to end (row j read j places further right); ``total`` wraps the line
-    onto the nodes. Each buffer is made here for all the blocks of the sum.
+    The full sum reads its far rows shifted by their offsets through a
+    strided view over a buffer holding each row followed by its wrapped
+    copy. On the pair centres the rows are shifted onto one unwrapped line
+    of the nodes -m/4..m/2 through a strided view over a buffer whose rows
+    are laid end to end (row j read j places further right); ``total``
+    wraps the line onto the nodes. Each buffer is made here for all the
+    blocks of the sum.
     """
-    rows = central_block_rows(m, width)
+    pairs = offset_blocks(m, width)[0].stop
     if width == m:
         acc = np.zeros(m)
-        # each far row followed by its wrapped copy; with r_k = r_0 + k, the
-        # term of row k for node i, twice[k, i + r_k], is element
-        # r_0 + k (2m + 1) + i
-        twice = np.empty((rows, 2 * m))
-        shifted = _window(twice, (m // 2 + 1, rows, m), (1, 2 * m + 1, 1))
+        # each far row followed by its wrapped copy; row k of the block from
+        # the row pair s holds the offset r_k = 2s + 1 + k, and its term for
+        # node i, twice[k, i + r_k], is element 2s + 1 + k (2m + 1) + i
+        twice = np.empty((2 * pairs, 2 * m))
+        shifted = _window(twice, (m // 4, 2 * pairs, m), (2, 2 * m + 1, 1), 1)
 
-        def fold(near, far, r):
-            n = r.size
+        def fold(near, far, b):
+            n = 2 * (b.stop - b.start)
             twice[:n, :m] = twice[:n, m:] = far.reshape(n, m)
             near = near.reshape(n, m)
-            near += shifted[r[0], :n]
+            near += shifted[b.start, :n]
             acc[...] += near.sum(axis=0)
 
         return fold, lambda: acc
@@ -375,7 +350,6 @@ def central_folder(m: int, width: int):
     quarter = m // 4
     # the last pair centre, and the line of nodes -m/4..m/2
     last = width - 1
-    pairs = rows // 2
     span = width + pairs
     buf = np.zeros((pairs + 1, span))
     # element (j, i) of the view is buf[j, i - j], or a zero of the tail of
@@ -383,8 +357,8 @@ def central_folder(m: int, width: int):
     win = _window(buf, (pairs + 1, span), (span - 1, 1))
     line = np.zeros(2 * quarter + width)
 
-    def fold(near, far, r):
-        s0, n = r[0] // 2, r.size // 2
+    def fold(near, far, b):
+        s0, n = b.start, b.stop - b.start
         # near node s0 + 1 + j + c, the same for both rows of a pair j
         np.add(near[:, 0], near[:, 1], out=buf[:n, :width])
         line[quarter + s0 + 1 : quarter + s0 + last + n + 1] += win[:n].sum(axis=0)[: last + n]
@@ -551,10 +525,10 @@ def clausen2(w: float) -> float:
 # and the real part of the two regular sums, Taylor re-expanded around
 # mu_c = -1 + i x, is a real polynomial in t = a - 1 whose coefficients depend
 # on x alone. It serves a < 2 (|t| <= 1; |mu_c| + 1 < 2pi): a Horner loop over
-# per-x tables, built once per set of x values, once per block of a grid. An
-# error in a table is shared by every point of its row, so the tables are
-# summed in extended precision and the log term is split to keep the
-# polynomial small (``_row_tables``). For a >= 2 the defining series
+# per-x tables, built once per set of x values, once per grid for the offset
+# rows (``pair_kernel_tables``). An error in a table is shared by every point
+# of its row, so the tables are summed in extended precision and the log
+# term is split to keep the polynomial small (``_row_tables``). For a >= 2 the defining series
 # converges fast (|w| <= e^{-2}) and is summed as is.
 
 _NEAR_DEGREE = 31  # coefficient tail below 5e-19 on every row
@@ -661,11 +635,25 @@ def _pair_kernel(tables, a, s, u, v):
     return s
 
 
+@lru_cache(maxsize=8)
+def pair_kernel_tables(m: int):
+    """``_row_tables`` of the offsets r = 1..m/2 of an m-node grid, x1 = r 2pi/m.
+
+    Each table in the row-pair shape (m/4, 2, 1) of ``central_pair_rows``
+    (``near`` with its leading axis of coefficients), read-only: the block
+    b of a pair sum reads ``t[..., b, :, :]`` of each. Built once per grid,
+    not once per block and call.
+    """
+    r = np.arange(1, m // 2 + 1)
+    return read_only(*(t.reshape(*t.shape[:-1], -1, 2, 1) for t in _row_tables(r * (TWO_PI / m))))
+
+
 def pair_kernel_rows(tables, x2, work=None):
     """Kpair on offset rows of heights x2, with the rows' ``_row_tables``.
 
     The tables are shaped (*rows, 1) (``near`` with its leading axis of
-    coefficients), to broadcast against x2 of shape (*rows, width).
+    coefficients), to broadcast against x2 of shape (*rows, width), as a
+    block's slice of ``pair_kernel_tables`` is.
 
     ``work``, four arrays of x2's shape (new ones by default), holds |x2| in
     the first (which may be x2 itself), the kernel, returned, in the second

@@ -190,11 +190,13 @@ def out_of_place_delta(interface, magnitudes=False):
     hp = sc.central_diff(h, d)
     origin = out_of_place_pair_kernel(m, np.zeros((1, 1), dtype=int), np.zeros((1, 1)))[0, 0]
     total = float(size(origin) * (hp @ hp))
-    rows = kernels.central_pair_rows(h, hp, width=m)
-    for r in kernels.offset_blocks(m, m):
-        (ha, hpa), (hb, hpb) = rows(r)
+    near, far = kernels.central_pair_rows(h, hp, width=m)
+    for b in kernels.offset_blocks(m, m):
+        # the row pairs b hold the offsets 2 b.start + 1 .. 2 b.stop
+        r = np.arange(2 * b.start + 1, 2 * b.stop + 1)
+        (ha, hpa), (hb, hpb) = near[:, b], far[:, b]
         ker = out_of_place_pair_kernel(m, r.reshape(-1, 2, 1), np.abs(ha - hb))
-        total += 2.0 * float(kernels.stabilizer_weights(size(ker * hpb * hpa), r, m).sum())
+        total += 2.0 * float(kernels.stabilizer_weights(size(ker * hpb * hpa), b, m).sum())
     return 4.0 * d * d * total
 
 

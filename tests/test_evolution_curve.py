@@ -444,7 +444,8 @@ def out_of_place_curve_rhs(p, z2, alpha, delta_rho):
     vectors = [np.stack(pair, axis=-1) for pair in ((w1, w2), (w1, -w2), (-w2, -w1))]
     near = np.zeros((3, size, 2))
     far = np.zeros((size, 2))
-    for start, stop in kernels.node_blocks(size, count * size):
+    for b in kernels.blocks(size, kernels.block_rows(count * size, count * size)):
+        start, stop = b.start, b.stop
         n, width = stop - start, size - start
         rows, cols = np.arange(start, stop), images[:, start:]
         # sin(x1/2), cos(x1/2) and x2 of every pair: one product of the rows

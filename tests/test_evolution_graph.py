@@ -10,7 +10,6 @@ from scipy.integrate import quad
 import stokescontour as sc
 from stokescontour import diagnostics, evolution_graph
 from stokescontour.evolution_graph import (
-    _block_constants,
     _cell_correction_values,
     _log_circulant,
     _rhs_arrays,
@@ -388,18 +387,21 @@ def out_of_place_rhs(h, params):
         r0 = 2.0 * _cell_correction_values(h, dh, d, params.singular_cell_variant)
     # the rows of all m columns, and the blocks of offset rows of the
     # production sum on this path
-    rows, (fold, total) = kernels.central_pair_rows(h, dh, width=m), kernels.central_folder(m, m)
-    for r, *_ in _block_constants(m, params.quadrature, m):
+    near, far = kernels.central_pair_rows(h, dh, width=m)
+    fold, total = kernels.central_folder(m, m)
+    for b in kernels.offset_blocks(m, m):
+        # the row pairs b hold the offsets 2 b.start + 1 .. 2 b.stop
+        r = np.arange(2 * b.start + 1, 2 * b.stop + 1)
         x1 = r * d
-        (ha, dha), (hb, dhb) = rows(r)
+        (ha, dha), (hb, dhb) = near[:, b], far[:, b]
         lg, a_ss, a_sn = stokeslet_terms(x1.reshape(-1, 2, 1), ha - hb)
         if spectral:
             lg += (omega[r] / d - np.log(4.0 * np.sin(0.5 * x1) ** 2)).reshape(-1, 2, 1)
         dd = dha * dhb
         pair = weights[r].reshape(-1, 2, 1) * (lg * (1.0 + dd) + a_ss * (dd - 1.0)
                                                + a_sn * (dha + dhb))
-        kernels.stabilizer_weights(pair, r, m)
-        fold(hb * pair, ha * pair, r)
+        kernels.stabilizer_weights(pair, b, m)
+        fold(hb * pair, ha * pair, b)
     return params.sign_factor * (r0 + total()) + params.viscosity * second_diff(h, d)
 
 
@@ -476,9 +478,8 @@ def cached_constants():
         "kernels.clausen2": [(0.1,)],
         "kernels._taylor_shifts": [()],
         "evolution_graph._log_circulant": [(m,)],
-        "evolution_graph._block_constants": [(m, q, width) for q in evolution_graph.QUADRATURES
-                                             for width in (m // 4 + 1, m)],
-        "diagnostics._kernel_blocks": [(m, m // 4 + 1), (m, m)],
+        "kernels.pair_kernel_tables": [(m,)],
+        "evolution_graph._block_constants": [(m, q) for q in evolution_graph.QUADRATURES],
         "evolution_curve._path_blocks": [(m, False, False), (m, True, False), (m, True, True)],
         "turning._family_without_b": [(sc.TurningFamilyParams(b=1.0, variant=v), m)
                                       for v in ("basic", "even_symmetric")],
@@ -538,16 +539,16 @@ def test_interleaved_grids_give_the_results_of_fresh_calls():
     assert all(np.array_equal(*bits(a, b)) for a, b in zip(fresh, interleaved))
 
 
-# traced peak of one RHS call at m = 4096, MiB. Measured in a fresh process
-# (NumPy 2.4 on x86-64): 4.26 and 3.44 for the graph full and quarter sums
-# (16- and 64-row blocks), whose bounds are about 1.5 and 1.2 times that,
-# each below its peak plus the sum's one block workspace (2.5 MiB), so that
-# the workspace made twice, or made anew per block while the last is still
-# held, exceeds them. The bounds of the curve's three paths were set so for
-# its offset-row sums (peaks 4.92, 4.12 and 4.20); on node blocks of 8 rows
-# they read 3.52, 2.99 and 2.77 (1.5 MiB workspace)
-PEAK_MIB = {"graph": 6.4, "graph-quarter": 4.1, "curve": 7.4, "curve-central": 4.9,
-            "curve-quarter": 5.4}
+# traced peak of one RHS call at m = 4096, MiB, the first call of a fresh
+# process (NumPy 2.4 on x86-64): 4.03 and 3.25 for the graph full and
+# quarter sums (8 and 32 row pairs a block, 2.5 MiB workspace), and 3.45,
+# 3.00 and 2.77 for the curve's full, central and quarter paths (node
+# blocks of 8 rows, 1.5 MiB workspace). Each bound is the peak plus half
+# the sum's one block workspace, rounded up, so that the workspace made
+# twice, or made anew per block while the last is still held, exceeds it;
+# the graph quarter sum's bound, 4.1, is below that already
+PEAK_MIB = {"graph": 5.3, "graph-quarter": 4.1, "curve": 4.3, "curve-central": 3.8,
+            "curve-quarter": 3.6}
 
 
 @pytest.mark.parametrize("formulation", ["graph", "graph-quarter", "curve", "curve-central",

@@ -359,37 +359,51 @@ def test_clausen2_matches_mpmath_on_cell_widths(m):
             assert abs(clausen2(w) - ref) <= 2e-15 * abs(ref)
 
 
-# --- blocks of offset rows ------------------------------------------------------
+# --- blocks of the pair sums ----------------------------------------------------
 
 
-@pytest.mark.parametrize("m", [8, 12, 200, 204, 512, 2048, 8192])
-def test_central_block_rows_are_even_and_within_the_grid(m):
-    # the rows of the quarter and the full sum, sized by their width
-    for width, fixed in ((m // 4 + 1, 64), (m, 16)):
-        rows = kernels.central_block_rows(m, width)
-        assert rows % 2 == 0 and 2 <= rows <= m // 2
-        # about _BLOCK_ELEMENTS elements per workspace array up to m = 1024,
-        # unless the grid holds fewer offsets, and beyond it proportionally
-        # more, so that the rows stay those of m = 1024
-        elements = kernels._BLOCK_ELEMENTS * max(1, m / 1024)
-        assert rows == m // 2 or abs(rows * width - elements) <= width
-        if m >= 1024:
-            assert rows == fixed
+def block_plan(path, m):
+    """(blocks, rows to cover, width, m of the rule) of one path of a pair sum.
+
+    The offset-row sums (graph and ``delta``) block the row pairs
+    s = 0..m/4 - 1 of width m/4 + 1 or m; the curve's node blocks the nodes
+    of its domain, against the elements x nodes columns of its widest block.
+    """
+    kind, name = path.split("-")
+    if kind == "offset":
+        width = m // 4 + 1 if name == "quarter" else m
+        return kernels.offset_blocks(m, width), m // 4, width, m
+    central, even = {"full": (False, False), "central": (True, False),
+                     "quarter": (True, True)}[name]
+    images, _, _, plan = sc.evolution_curve._path_blocks(m, central, even)
+    return tuple(b for b, _, _ in plan), images.shape[1], images.size, images.size
 
 
-@pytest.mark.parametrize("m", [8, 12, 200, 204, 1024, 4096])
-def test_node_blocks_cover_the_domain_in_order(m):
-    # the row blocks of the curve's full, central and quarter domains: every
-    # node once, in order, each block but the last of one size, about
-    # _NODE_BLOCK_ELEMENTS elements a row of the widest block's m columns
-    for size, count in ((m, 1), (m // 2 + 1, 2), (m // 4 + 1, 4)):
-        blocks = list(kernels.node_blocks(size, count * size))
-        assert [start for start, _ in blocks] == [0] + [stop for _, stop in blocks[:-1]]
-        assert blocks[-1][1] == size
-        rows = blocks[0][1] - blocks[0][0]
-        assert all(stop - start == rows for start, stop in blocks[:-1])
-        assert rows == size or rows == max(kernels._NODE_BLOCK_MIN_ROWS,
-                                           round(kernels._NODE_BLOCK_ELEMENTS / (count * size)))
+# offsets (two a row pair) or nodes a block: at m = 512, and from m = 1024 on
+PINNED_ROWS = {"offset-quarter": (128, 64), "offset-full": (32, 16), "node-full": (16, 8),
+               "node-central": (16, 8), "node-quarter": (16, 8)}
+
+
+@pytest.mark.parametrize("path", list(PINNED_ROWS))
+@pytest.mark.parametrize("m", [8, 12, 200, 204, 512, 1024, 2048, 8192])
+def test_blocks_are_slices_sized_by_the_one_rule(path, m):
+    # every block is a slice of the rows, and the slices cover the rows once,
+    # in order, each but the last of one size
+    blocks, count, width, scale = block_plan(path, m)
+    assert all(b.step is None for b in blocks)
+    assert [b.start for b in blocks] == [0] + [b.stop for b in blocks[:-1]]
+    assert blocks[-1].stop == count
+    rows = blocks[0].stop
+    assert all(b.stop - b.start == rows for b in blocks[:-1])
+    # the rule: about _BLOCK_ELEMENTS elements a block up to m = 1024, and
+    # beyond it proportionally more, so that the rows stay those of m = 1024;
+    # at least one row and at most all of them
+    assert rows == min(count, max(1, kernels.block_rows(width, scale)))
+    elements = kernels._BLOCK_ELEMENTS * max(1, scale / 1024)
+    assert 1 <= rows <= count and (rows == count or abs(rows * width - elements) <= width / 2)
+    if m >= 512:
+        per_row = 2 if path.startswith("offset") else 1
+        assert per_row * rows == PINNED_ROWS[path][m > 512]
 
 
 def expected_rows(x, r, m, width):
@@ -410,10 +424,11 @@ def test_reader_keeps_its_rows_after_another_is_built(rng, layout):
     width = {"full": m, "quarter": m // 4 + 1}[layout]
     xs, ys = rng.normal(size=(2, 2, m))
     first, second = (kernels.central_pair_rows(*z, width=width) for z in (xs, ys))
-    # blocks of 8 offsets, so that m = 64 reads several
-    for r in np.arange(1, m // 2 + 1).reshape(-1, 8):
-        for rows, z in ((first, xs), (second, ys)):
-            got = rows(r)
+    # blocks of 4 row pairs (8 offsets), so that m = 64 reads several
+    for b in kernels.blocks(m // 4, 4):
+        r = np.arange(2 * b.start + 1, 2 * b.stop + 1)
+        for (near, far), z in ((first, xs), (second, ys)):
+            got = near[:, b], far[:, b]
             for k, x in enumerate(z):
                 want = expected_rows(x, r, m, width)
                 assert np.array_equal(got[0][k], want[0]) and np.array_equal(got[1][k], want[1])
@@ -436,18 +451,18 @@ def test_folded_and_projected_terms_are_the_orbit_sum(rng, m, layout):
         group += [(kc, -1.0, sign_c), (ke, -1.0, sign_e), (ke[kc], 1.0, sign_c * sign_e)]
     folders = [kernels.central_folder(m, width) for _ in range(2)]
     expect = np.zeros((2, m))
-    for r in kernels.offset_blocks(m, width):
+    for b in kernels.offset_blocks(m, width):
         # near node of column i of row r: i on all m columns, i + s + 1 with
         # r = 2s + 1 or 2s + 2 on the pair centres; the far node r less
-        offset = r.reshape(-1, 2, 1)
+        offset = np.arange(2 * b.start + 1, 2 * b.stop + 1).reshape(-1, 2, 1)
         near_node = (np.arange(width) + (width < m) * ((offset - 1) // 2 + 1)) % m
         for k in range(2):
-            near, far = (kernels.stabilizer_weights(rng.normal(size=(r.size // 2, 2, width)), r, m)
+            near, far = (kernels.stabilizer_weights(rng.normal(size=(len(offset), 2, width)), b, m)
                          for _ in range(2))
             for g, *signs in group:
                 np.add.at(expect[k], g[near_node], signs[k] * near)
                 np.add.at(expect[k], g[(near_node - offset) % m], signs[k] * far)
-            folders[k][0](near, far, r)
+            folders[k][0](near, far, b)
     got = np.array(sc.geometry.symmetry_projector(m, central, even)(*(t() for _, t in folders)))
     assert np.max(np.abs(got - expect)) <= 1e-14 * np.max(np.abs(expect))
 
