@@ -80,6 +80,10 @@ def preset_f2(m: int) -> np.ndarray:
     return np.sin(uniform_grid(m)) ** 3
 
 
+# the initial heights by preset name, of preset-dump and the config kinds "preset_<name>"
+PRESETS = {"f1": preset_f1, "f2": preset_f2}
+
+
 def fourier_heights(m: int, coeffs) -> np.ndarray:
     alpha = uniform_grid(m)
     h = np.zeros(m)
@@ -92,11 +96,7 @@ def build_initial(config: RunConfig):
     """Construct the configured initial state (GraphState or CurveState)."""
     kind = config.initial.kind
     delta_rho = 8.0 * np.pi * config.sign_factor
-    if kind == "preset_f1":
-        interface = GraphInterface(h=preset_f1(config.m))
-    elif kind == "preset_f2":
-        interface = GraphInterface(h=preset_f2(config.m))
-    elif kind == "fourier":
+    if kind == "fourier":
         interface = GraphInterface(h=fourier_heights(config.m, config.initial.fourier_coeffs))
     elif kind == "snapshot_file":
         interface = read_snapshot(config.initial.path)
@@ -108,9 +108,11 @@ def build_initial(config: RunConfig):
             if config.formulation != "curve":
                 raise ConfigError("curve snapshot requires the curve formulation")
             return CurveState(t=0.0, curve=interface, delta_rho=delta_rho)
-    else:  # "turning_family": InitialSpec admits no other kind
+    elif kind == "turning_family":
         curve = build_turning_family(config.initial.turning, config.m)
         return CurveState(t=0.0, curve=curve, delta_rho=delta_rho)
+    else:  # "preset_f1" or "preset_f2": InitialSpec admits no other kind
+        interface = GraphInterface(h=PRESETS[kind.removeprefix("preset_")](config.m))
 
     if config.formulation == "curve":
         return CurveState(t=0.0, curve=graph_to_curve(interface), delta_rho=delta_rho)
@@ -249,19 +251,20 @@ def _print_report(report: dict) -> None:
 
 
 def preset_dump(name: str, m: int, path: str) -> int:
+    """Write the preset ``name`` on m nodes as a snapshot CSV; an unwritable path is exit 3."""
     try:
         check_grid_size(m)
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    if name == "f1":
-        obj = GraphInterface(h=preset_f1(m))
-    elif name == "f2":
-        obj = GraphInterface(h=preset_f2(m))
-    else:
+    if name not in PRESETS:
         print(f"unknown preset {name!r}", file=sys.stderr)
         return EXIT_CONFIG
-    write_snapshot(path, obj)
+    try:
+        write_snapshot(path, GraphInterface(h=PRESETS[name](m)))
+    except OSError as exc:
+        print(f"config error: cannot write {path}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     return EXIT_OK
 
 
@@ -276,7 +279,7 @@ def main(argv: Optional[list] = None) -> int:
     p_ver.add_argument("config")
 
     p_dump = sub.add_parser("preset-dump", help="write a sampled preset snapshot")
-    p_dump.add_argument("name", choices=["f1", "f2"])
+    p_dump.add_argument("name", choices=sorted(PRESETS))
     p_dump.add_argument("--m", type=int, default=1024)
     p_dump.add_argument("--out", default=None)
 

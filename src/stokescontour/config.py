@@ -29,6 +29,16 @@ class ConfigError(ValueError):
     """Malformed or inconsistent run configuration."""
 
 
+def _check_path(name: str, value, nullable: bool = False) -> None:
+    """ConfigError naming the field unless ``value`` is a non-empty str (or None if nullable).
+
+    ``open`` and ``os.makedirs`` would take an int as a file descriptor, or
+    fail on other types with an error that names no field.
+    """
+    if not (isinstance(value, str) and value or nullable and value is None):
+        raise ConfigError(f"{name} must be a non-empty path string, got {value!r}")
+
+
 @dataclass
 class InitialSpec:
     """Initial interface: a named preset, sine series, file, or turning family.
@@ -36,7 +46,7 @@ class InitialSpec:
     ``fourier_coeffs`` is a list of [k, amplitude] pairs synthesizing
     sum_k amplitude * sin(k * alpha); ``turning`` holds the family
     parameters for kind "turning_family"; ``path`` the snapshot CSV for
-    kind "snapshot_file".
+    kind "snapshot_file", a non-empty string (``_check_path``).
     """
 
     kind: str
@@ -56,19 +66,23 @@ class InitialSpec:
                 if not (len(pair) == 2 and all(map(is_finite_number, pair))
                         and 1 <= pair[0] <= 2**53 and pair[0] % 1 == 0):
                     raise ConfigError(f"malformed fourier coefficient {pair!r}")
-        if self.kind == "snapshot_file" and not self.path:
-            raise ConfigError("snapshot_file initial data needs a path")
+        if self.kind == "snapshot_file":
+            _check_path("initial.path", self.path)
         if self.kind == "turning_family" and self.turning is None:
             raise ConfigError("turning_family initial data needs parameters")
 
 
 @dataclass
 class OutputSpec:
+    """Output paths, each a non-empty string (``_check_path``); snapshots_dir None writes none."""
+
     diagnostics_csv: str
     snapshots_dir: Optional[str] = None
     snapshot_every: int = 1
 
     def __post_init__(self):
+        _check_path("outputs.diagnostics_csv", self.diagnostics_csv)
+        _check_path("outputs.snapshots_dir", self.snapshots_dir, nullable=True)
         every = self.snapshot_every
         if not (is_finite_number(every) and every >= 1 and every % 1 == 0):
             raise ConfigError(f"snapshot_every must be an integer >= 1, got {every!r}")

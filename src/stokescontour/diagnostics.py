@@ -15,11 +15,11 @@ columns of every offset row, or m/4 + 1 pair centres on heights that are
 exactly odd and antiperiodic (the full and quarter sums, chosen by
 ``geometry.exact_symmetries``). Each block of the sum is a slice of the
 row pairs (``kernels.offset_blocks``), and reads its slice of the kernel
-tables of all the offsets, built once per grid
-(``kernels.pair_kernel_tables``). A run integrated with a different
-density jump is the same flow with time rescaled; ``delta_rate`` applies
-that exact factor so the stored dissipation matches dE/dt in the run's own
-time units (sign_factor = (rho^- - rho^+)/(8 pi), so the factor is
+tables of all the offsets, built once per grid with the r = 0 row's
+Kpair(0, 0) (``kernels.pair_kernel_tables``). A run integrated with a
+different density jump is the same flow with time rescaled; ``delta_rate``
+applies that exact factor so the stored dissipation matches dE/dt in the
+run's own time units (sign_factor = (rho^- - rho^+)/(8 pi), so the factor is
 -4 pi * sign_factor).
 
 ``finger_count`` counts fingers by the flat/steep split: I_mu collects the
@@ -34,7 +34,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Optional, Tuple
 
 import numpy as np
@@ -55,7 +54,6 @@ from .geometry import (
 )
 from .integrators import Trajectory
 from .kernels import (
-    bilaplacian_pair_kernel_exact,
     block_workspace,
     central_pair_rows,
     offset_blocks,
@@ -92,13 +90,13 @@ def delta_spectral(interface: GraphInterface) -> float:
     On the uniform grid x1 depends only on the offset r = (i - j) mod m, and
     Kpair is even in x1 and depends on |x2| only, so offsets r and m - r
     contribute equally. The r = 0 row is Kpair(0, 0) sum_i h'_i^2, Kpair(0, 0)
-    evaluated once (``_kpair_origin``). The rows r = 1..m/2, each
-    sum_i h'_i h'_{i-r} Kpair(r d, h_i - h_{i-r}), count twice (the r = m/2
-    row holds each pair twice and counts half, ``stabilizer_weights``), in
-    blocks of row pairs (``offset_blocks``), each a slice of the rows of
-    ``central_pair_rows``. x1 is fixed along a row, so
-    ``kernels.pair_kernel_rows`` evaluates Kpair in real arithmetic from
-    the block's slice of per-row tables built once per grid
+    read from the grid's tables (``pair_kernel_tables``). The rows
+    r = 1..m/2, each sum_i h'_i h'_{i-r} Kpair(r d, h_i - h_{i-r}), count
+    twice (the r = m/2 row holds each pair twice and counts half,
+    ``stabilizer_weights``), in blocks of row pairs (``offset_blocks``),
+    each a slice of the rows of ``central_pair_rows``. x1 is fixed along a
+    row, so ``kernels.pair_kernel_rows`` evaluates Kpair in real arithmetic
+    from the block's slice of per-row tables built once per grid
     (``pair_kernel_tables``), in place in one workspace of a block's rows;
     memory is O(block * m).
 
@@ -128,10 +126,10 @@ def delta_spectral(interface: GraphInterface) -> float:
     # quarter sum also its images by the mirror and the shift
     width, orbit = (m // 4 + 1, 8.0) if all(exact_symmetries(None, h)) else (m, 2.0)
     near, far = central_pair_rows(h, hp, width=width)
-    tables = pair_kernel_tables(m)
+    *tables, origin = pair_kernel_tables(m)
     # the kernel of a block is computed in place in one workspace for all blocks
     work = block_workspace(4, m, width)
-    total = float(_kpair_origin() * (hp @ hp))
+    total = float(origin * (hp @ hp))
     for b in offset_blocks(m, width):
         (ha, hpa), (hb, hpb) = near[:, b], far[:, b]
         block = work[:, : len(hb)]
@@ -144,16 +142,6 @@ def delta_spectral(interface: GraphInterface) -> float:
     if val < -1e-6:
         raise ValueError(f"delta_spectral returned {val}, inconsistent quadrature")
     return val
-
-
-@lru_cache(maxsize=1)
-def _kpair_origin() -> np.float64:
-    """Kpair(0, 0), evaluated once, by the first ``delta``.
-
-    The same value on every grid, from the row tables as the sum's other
-    rows are; zeta(3)/(4pi) in closed form rounds 3 ulp lower.
-    """
-    return bilaplacian_pair_kernel_exact(0.0, 0.0)
 
 
 def delta_rate(interface: GraphInterface, sign_factor: float) -> float:

@@ -56,9 +56,10 @@ vectors:
   of (b, g(a)), a_sn taking the p sign times the z2 sign of g.
 
 ``kernels.stokeslet_terms_into`` evaluates the block in place in one
-workspace. The per-path constants (the images, orbits, signs and the
-weights of each block's leading square) are built once per grid and path
-(``_path_blocks``). The graph right-hand side and
+workspace. The per-path constants (the images, orbits, signs, the frozen
+cell -4 Cl2(d/2) of the r = 0 term and the weights of each block's leading
+square) are built once per grid and path (``_path_blocks``), so a call
+evaluates no Clausen function. The graph right-hand side and
 ``diagnostics.delta_spectral`` run on offset rows instead (``kernels``):
 on a graph x1 is fixed along an offset row, so each row has constants
 built once per grid, and the graph's full sum adds every node's rows in
@@ -150,14 +151,16 @@ def _rhs_curve_arrays(p: np.ndarray, z2: np.ndarray, alpha: np.ndarray, delta_rh
 def _path_blocks(m: int, central: bool, even: bool):
     """The node blocks of the curve pair sum on one path, with their constants.
 
-    Returns (images, orbit, far_signs, blocks), read-only. The domain F is
+    Returns (images, orbit, far_signs, cell, blocks), read-only. The domain F is
     the nodes 0..size-1: every node on the full path, 0..m/2 on the central
     one and 0..m/4 on the quarter one, one node of each orbit of the path's
     group (``geometry.symmetry_group``). ``images`` (elements x size) holds
     the image g(k) of each node k of F and ``orbit`` the size of the orbit
     of k. ``far_signs`` (3, 1, elements, 1) holds the sign each of lg, a_ss
     and a_sn takes under the pair swap for each element g: 1, 1 and the p
-    sign of g times its z2 sign.
+    sign of g times its z2 sign. ``cell`` is the r = 0 integral of the log
+    factor against the frozen node value, -4 Cl2(d/2) on the two half panels
+    next to the node.
 
     ``blocks`` holds (b, dropped, weight) per block b, a slice of the rows
     of F (``kernels.blocks``, ``kernels.block_rows`` rows a block for the
@@ -192,7 +195,10 @@ def _path_blocks(m: int, central: bool, even: bool):
         if singular[:, 1:].any():
             weight = np.where(singular, 0.0, weight)
         out.append((b, *read_only(weight == 0.0, weight)))
-    return (*read_only(images, orbit, far_signs), tuple(out))
+    # the frozen cell: two half panels of int_0^{d/2} log(4 sin^2(s/2)) ds
+    # = -2 Cl2(d/2), d/2 = pi/m
+    cell = -4.0 * clausen2(np.pi / m)
+    return (*read_only(images, orbit, far_signs), cell, tuple(out))
 
 
 def _velocity_totals(p, z2, alpha, central, even):
@@ -206,9 +212,6 @@ def _velocity_totals(p, z2, alpha, central, even):
     v1 = -dz2 * z2
     v2 = dz1 * z2
 
-    # two half panels of int_0^{d/2} log(4 sin^2(s/2)) ds = -2 Cl2(d/2)
-    cell = -4.0 * clausen2(0.5 * d)
-
     # r = 0: diagonal limits; the log singular factor contributes the frozen
     # half-panel cell, the smooth remainder its limit log |zdot|^2, and the
     # rational matrix term its one-sided Taylor limit.
@@ -216,11 +219,11 @@ def _velocity_totals(p, z2, alpha, central, even):
     g0 = np.log(speed2)
     a_ss0 = 2.0 * dz2 * dz2 / speed2
     a_sn0 = 2.0 * dz2 * dz1 / speed2
+    images, orbit, far_signs, cell, blocks = _path_blocks(m, central, even)
     u = np.empty((2, m))
     u[0] = d * (g0 * v1 + a_ss0 * v1 - a_sn0 * v2) + cell * v1
     u[1] = d * (g0 * v2 - a_sn0 * v1 - a_ss0 * v2) + cell * v2
 
-    images, orbit, far_signs, blocks = _path_blocks(m, central, even)
     count, size = images.shape
     # sin((z1_a - z1_b)/2), cos((z1_a - z1_b)/2) and z2_a - z2_b of a block's
     # pairs are one product each: the rows (sin, -cos, 0, 0), (cos, sin, 0, 0)

@@ -32,18 +32,28 @@ half-angle form of the cell logarithm is the small-height limit of the true
 kernel; the variant "printed" drops the half angle and is kept selectable
 for A/B comparison.
 
+Both quadratures have one diagonal (r = 0) term,
+
+    r0 = w0 (h (1+h'^2) log(1+h'^2) + 2 h h'^2) + c0 h (1+h'^2),
+
+the removable limit of the pair term, weighted w0, plus the log(4 sin^2)
+factor integrated against the frozen node value: (w0, c0) = (d, omega_0)
+for "spectral_log" and (2d, 2 clog) for "taylor_cell", with clog =
+-2 Cl2(d) for the half-angle cell and -Cl2(2d) for the printed one.
+
 The integrand is symmetric in its two nodes and both quadratures weight the
 offsets r and m - r alike, so every unordered pair is evaluated once: the sum
 runs over the offsets r = 1..m/2, each pair feeding both of its nodes, and
 the spectral circulant joins the same rows. The offsets are paired as the
 row pairs s = 0..m/4 - 1 (offsets 2s + 1 and 2s + 2), and every block of
 the sum is a slice of them (``kernels.offset_blocks``). The per-offset
-constants (the sines, the spectral row term and the weights) are built
-once per grid over all the row pairs (``_block_constants``), and one block
-loop (``_pair_totals``) reads its slice of them and of the rows of
-``kernels.central_pair_rows``, weights the pair terms by their orbits
-(``kernels.stabilizer_weights``) and totals them with
-``kernels.central_folder``; the width of the rows sets the path.
+constants (the sines, the spectral row term and the weights) and the r = 0
+pair (w0, c0) are built once per grid, quadrature and cell over all the row
+pairs (``_block_constants``), so a call evaluates no Clausen function and
+no circulant. One block loop (``_pair_totals``) reads its slice of them and
+of the rows of ``kernels.central_pair_rows``, weights the pair terms by
+their orbits (``kernels.stabilizer_weights``), totals them with
+``kernels.central_folder`` and adds r0; the width of the rows sets the path.
 
 The sum takes one of two paths, chosen by the exact O(m) test
 ``geometry.exact_symmetries`` of the heights. Heights that are exactly odd,
@@ -144,7 +154,6 @@ class SchemeParams:
             raise ValueError(f"unknown cell variant {self.singular_cell_variant!r}")
 
 
-@lru_cache(maxsize=8)
 def _log_circulant(m: int) -> np.ndarray:
     """Column of the circulant integrating log(4 sin^2(.)/2) exactly.
 
@@ -152,18 +161,14 @@ def _log_circulant(m: int) -> np.ndarray:
     equals the integral of log(4 sin^2((a_j - b)/2)) against the trig
     interpolant of f; the Fourier symbol of the log kernel is -2pi/|n|.
     """
-    n = np.fft.fftfreq(m, d=1.0 / m)
-    mult = np.zeros(m)
-    nz = n != 0
-    mult[nz] = -TWO_PI / np.abs(n[nz])
-    omega = np.fft.ifft(mult).real
-    omega -= omega.mean()  # exact zero mean: constants integrate to zero
-    return read_only(omega)[0]
+    n = np.abs(np.fft.fftfreq(m, d=1.0 / m))
+    omega = np.fft.ifft(np.divide(-TWO_PI, n, out=np.zeros(m), where=n != 0)).real
+    return omega - omega.mean()  # exact zero mean: constants integrate to zero
 
 
 @lru_cache(maxsize=16)
-def _block_constants(m: int, quadrature: str):
-    """The per-offset constants of the graph pair sum, built once per grid and quadrature.
+def _block_constants(m: int, quadrature: str, cell: str):
+    """The constants of the graph pair sum, built once per grid, quadrature and cell.
 
     (sin(x1/2), sin(x1)/2, log_row, weight) over the offsets r = 1..m/2,
     x1 = r d (the sines ``stokeslet_terms_into`` takes), each in the
@@ -171,29 +176,27 @@ def _block_constants(m: int, quadrature: str):
     read-only, so that a block b of the sum reads the slice [b] of each.
     ``log_row`` is the spectral row term omega_r/d - log(4 sin^2(x1/2)),
     None for "taylor_cell"; ``weight`` the quadrature weight of the offset.
+    Then (w0, c0) of the r = 0 term: the weight of the removable limit of
+    the pair term, and the integral of the log(4 sin^2) factor against the
+    node value. That is omega_0 on the spectral circulant; on the Taylor
+    cell it is the log over its two panels [-d, d] in closed form, -2 Cl2(d)
+    each, or -Cl2(2d) each for the printed log(4 sin^2 b) (``cell``).
     """
     d = TWO_PI / m
     r = np.arange(1, m // 2 + 1)
     x1 = r * d
     sn2 = np.sin(0.5 * x1)
-    spectral = quadrature == "spectral_log"
-    # by offset 1..m - 1: the trapezoid rule, or Simpson's over the panels
-    # [d, 2pi - d] away from the cell
-    weights = np.full(m - 1, d) if spectral else open_simpson_weights(m - 1, d)
-    log_row = _log_circulant(m)[r] / d - np.log(4.0 * sn2**2) if spectral else None
-    return read_only(*(None if a is None else a.reshape(-1, 2, 1)
-                       for a in (sn2, 0.5 * np.sin(x1), log_row, weights[r - 1])))
-
-
-def _cell_correction_values(h, dh, width, variant):
-    """Vectorized single-panel Taylor cell value at every node.
-
-    The cell logarithm integrates in closed form: log(4 sin^2(b/2)) over
-    [0, w] gives -2 Cl2(w), and the printed log(4 sin^2 b) half of that at 2w.
-    """
-    clog = -2.0 * clausen2(width) if variant == "halfangle" else -clausen2(2.0 * width)
-    one_p = 1.0 + dh * dh
-    return h * one_p * clog + h * one_p * np.log(one_p) * width + 2.0 * h * dh * dh * width
+    if quadrature == "spectral_log":
+        omega = _log_circulant(m)
+        log_row = omega[r] / d - np.log(4.0 * sn2**2)
+        # by offset 1..m - 1: the trapezoid rule
+        weights, w0, c0 = np.full(m - 1, d), d, omega[0]
+    else:
+        # Simpson's over the panels [d, 2pi - d] away from the cell
+        log_row, weights, w0 = None, open_simpson_weights(m - 1, d), 2.0 * d
+        c0 = -4.0 * clausen2(d) if cell == "halfangle" else -2.0 * clausen2(2.0 * d)
+    return (*read_only(*(None if a is None else a.reshape(-1, 2, 1)
+                         for a in (sn2, 0.5 * np.sin(x1), log_row, weights[r - 1]))), w0, c0)
 
 
 # transient over/underflows surface as the finiteness check below; the
@@ -213,15 +216,7 @@ def _rhs_arrays(h: np.ndarray, params: SchemeParams) -> np.ndarray:
     central, even = exact_symmetries(None, h)
     # the sum's temporaries are freed before the returned array is allocated
     totals = _pair_totals(h, dh, params, m // 4 + 1 if central and even else m)
-    if params.quadrature == "spectral_log":
-        # r = 0: removable limits of the three terms, trapezoid cell weight d;
-        # the log(4 sin^2) factor is integrated by the circulant omega
-        one_p = 1.0 + dh * dh
-        t23_0 = 2.0 * h * dh * dh * (dh * dh - 1.0) / one_p + 4.0 * h * dh * dh / one_p
-        r0 = d * (np.log(one_p) * h * one_p + t23_0) + _log_circulant(m)[0] * h * one_p
-    else:  # taylor_cell
-        r0 = 2.0 * _cell_correction_values(h, dh, d, params.singular_cell_variant)
-    rhs = params.sign_factor * (r0 + totals) + params.viscosity * second_diff(h, d)
+    rhs = params.sign_factor * totals + params.viscosity * second_diff(h, d)
     rhs = symmetry_projector(m, central, even)(None, rhs)[1]
     if not np.all(np.isfinite(rhs)):
         raise BlowupError(int(np.flatnonzero(~np.isfinite(rhs))[0]))
@@ -229,14 +224,15 @@ def _rhs_arrays(h: np.ndarray, params: SchemeParams) -> np.ndarray:
 
 
 def _pair_totals(h, dh, params, width):
-    """The pair sum of ``width`` columns a row, ``central_folder``'s totals on all m nodes."""
+    """The pair sum of ``width`` columns a row, r = 0 included, on all m nodes."""
     m = h.size
     # the pair integrand below is symmetric in its two nodes and both weights
     # are even in the offset, so the offsets r and m - r share one evaluation;
     # the block terms are computed in place in one workspace for all blocks
     (near, far), (fold, total) = central_pair_rows(h, dh, width=width), central_folder(m, width)
     work = block_workspace(5, m, width)
-    sn2, sc, log_row, weight = _block_constants(m, params.quadrature)
+    sn2, sc, log_row, weight, w0, c0 = _block_constants(m, params.quadrature,
+                                                        params.singular_cell_variant)
     for b in offset_blocks(m, width):
         (ha, dha), (hb, dhb) = near[:, b], far[:, b]
         x2, lg, a_ss, a_sn, dd = work[:, : len(hb)]
@@ -255,7 +251,11 @@ def _pair_totals(h, dh, params, width):
         lg += a_sn
         pair = stabilizer_weights(np.multiply(lg, weight[b], out=lg), b, m)
         fold(np.multiply(hb, pair, out=x2), np.multiply(ha, pair, out=a_ss), b)
-    return total()
+    # r = 0: the removable limit h ((1 + h'^2) log(1 + h'^2) + 2 h'^2) of the
+    # pair term, weight w0, and the log(4 sin^2) factor integrated against
+    # the frozen node value h (1 + h'^2), c0
+    one_p = 1.0 + dh * dh
+    return total() + (w0 * (h * one_p * np.log(one_p) + 2.0 * h * dh * dh) + c0 * h * one_p)
 
 
 def rhs_graph(state: GraphState, params: SchemeParams) -> np.ndarray:

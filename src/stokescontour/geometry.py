@@ -193,6 +193,8 @@ class GraphInterface:
 
     def __post_init__(self):
         h = np.asarray(self.h, dtype=float)
+        if h.ndim != 1:
+            raise ValueError("heights must be a 1-d array")
         check_grid_size(h.size)
         if not np.all(np.isfinite(h)):
             raise ValueError("heights must be finite")

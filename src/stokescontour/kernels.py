@@ -33,7 +33,11 @@ around w = 1, built once per grid for the offsets of ``delta``'s pair sum
 (``pair_kernel_tables``), so a point costs a log1p and a short real Horner
 loop; it agrees with the series to machine precision. The coefficients of
 that expansion are rounded from one table of exact zeta values, which also
-gives the real series of ``clausen2``.
+gives the real series of ``clausen2``. ``clausen2`` is not cached: the pair
+sums call it only while they build their per-grid tables (the r = 0
+constants of ``evolution_graph._block_constants`` and
+``evolution_curve._path_blocks``), as ``delta``'s tables evaluate Kpair(0, 0)
+once per grid (``pair_kernel_tables``).
 
 The three pair sums of the package use that their kernels are even, so
 each unordered pair of nodes is evaluated once, and run a block at a time,
@@ -495,7 +499,6 @@ def _polylog_series(w, n_terms: int, orders):
     return [w * s for s in sums]
 
 
-@lru_cache(maxsize=32)
 def clausen2(w: float) -> float:
     """Clausen function Cl2(w) = Im Li2(e^{iw}) for 0 < w < 2pi.
 
@@ -637,15 +640,18 @@ def _pair_kernel(tables, a, s, u, v):
 
 @lru_cache(maxsize=8)
 def pair_kernel_tables(m: int):
-    """``_row_tables`` of the offsets r = 1..m/2 of an m-node grid, x1 = r 2pi/m.
+    """``_row_tables`` of the offsets r = 1..m/2 of an m-node grid, x1 = r 2pi/m, and Kpair(0, 0).
 
     Each table in the row-pair shape (m/4, 2, 1) of ``central_pair_rows``
     (``near`` with its leading axis of coefficients), read-only: the block
-    b of a pair sum reads ``t[..., b, :, :]`` of each. Built once per grid,
-    not once per block and call.
+    b of a pair sum reads ``t[..., b, :, :]`` of each. The last entry is
+    the r = 0 row's kernel, Kpair(0, 0) by ``bilaplacian_pair_kernel_exact``,
+    from the row tables as the other rows' (zeta(3)/(4pi) in closed form
+    rounds 3 ulp lower). Built once per grid, not once per block and call.
     """
     r = np.arange(1, m // 2 + 1)
-    return read_only(*(t.reshape(*t.shape[:-1], -1, 2, 1) for t in _row_tables(r * (TWO_PI / m))))
+    tables = (t.reshape(*t.shape[:-1], -1, 2, 1) for t in _row_tables(r * (TWO_PI / m)))
+    return (*read_only(*tables), bilaplacian_pair_kernel_exact(0.0, 0.0))
 
 
 def pair_kernel_rows(tables, x2, work=None):

@@ -629,12 +629,13 @@ def test_main_sample_times(tmp_path, samples):
         assert not os.path.exists(data["outputs"]["diagnostics_csv"])
 
 
-def test_main_preset_dump(tmp_path):
-    out = tmp_path / "f2.csv"
-    assert main(["preset-dump", "f2", "--m", "64", "--out", str(out)]) == EXIT_OK
+@pytest.mark.parametrize("name", ["f1", "f2"])
+def test_main_preset_dump(tmp_path, name):
+    out = tmp_path / f"{name}.csv"
+    assert main(["preset-dump", name, "--m", "64", "--out", str(out)]) == EXIT_OK
     obj = sc.read_snapshot(out)
     assert isinstance(obj, sc.GraphInterface)
-    assert obj.m == 64
+    assert np.array_equal(obj.h, getattr(sc, f"preset_{name}")(64))
 
 
 def test_python_dash_m_runs_the_command(tmp_path):
@@ -660,3 +661,87 @@ def test_run_unwritable_output_is_config_error(tmp_path):
         outputs=OutputSpec(diagnostics_csv=str(tmp_path / "no" / "such" / "dir" / "d.csv")),
     )
     assert sc.run(cfg) == EXIT_CONFIG
+
+
+# --- paths, unwritable outputs and the branches of build_initial and verify ---
+
+
+@pytest.mark.parametrize("field, value", [
+    ("outputs.diagnostics_csv", 7), ("outputs.diagnostics_csv", ""),
+    ("outputs.snapshots_dir", 3), ("outputs.snapshots_dir", ["a"]), ("outputs.snapshots_dir", ""),
+    ("initial.path", 9), ("initial.path", True),
+], ids=str)
+@pytest.mark.parametrize("verb", ["run", "verify"])
+def test_main_rejects_a_path_that_is_not_a_string(tmp_path, capsys, monkeypatch, verb, field,
+                                                  value):
+    # open() takes an int as a file descriptor (True as fd 1, stdout) and
+    # os.makedirs fails on it with a TypeError; either is a config error
+    # naming the field, before anything is opened
+    data = config_to_dict(base_config(tmp_path))
+    if field == "initial.path":
+        data["initial"] = {"kind": "snapshot_file", "path": value}
+    section, key = field.split(".")
+    data[section][key] = value
+    path = tmp_path / "paths.json"
+    path.write_text(json.dumps(data))
+    opened = []
+    real_open = open
+
+    def spy(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", spy)
+    assert main([verb, str(path)]) == EXIT_CONFIG
+    assert f"{field} must be a non-empty path string" in capsys.readouterr().err
+    assert opened == [str(path)]
+
+
+@pytest.mark.parametrize("where", ["missing_dir", "a_directory"])
+def test_main_preset_dump_unwritable_output_is_config_error(tmp_path, capsys, where):
+    out = tmp_path / "no" / "x.csv" if where == "missing_dir" else tmp_path
+    assert main(["preset-dump", "f1", "--m", "16", "--out", str(out)]) == EXIT_CONFIG
+    assert f"config error: cannot write {out}" in capsys.readouterr().err
+
+
+def test_run_curve_snapshot_under_the_graph_formulation_is_config_error(tmp_path, capsys):
+    snap = tmp_path / "curve.csv"
+    sc.write_snapshot(snap, sc.build_turning_family(sc.TurningFamilyParams(b=2.0), 64))
+    cfg = base_config(tmp_path, initial=InitialSpec(kind="snapshot_file", path=str(snap)))
+    assert sc.run(cfg) == EXIT_CONFIG
+    assert "curve snapshot requires the curve formulation" in capsys.readouterr().err
+
+
+def test_graph_preset_under_the_curve_formulation_runs_from_the_graph_state(tmp_path):
+    # the lift of the preset: its t = 0 record is the graph run's, but for
+    # the graph-only columns
+    rows = {}
+    for formulation in ("graph", "curve"):
+        cfg = base_config(
+            tmp_path, initial=InitialSpec(kind="preset_f2"), formulation=formulation,
+            integrator=sc.IntegratorParams(t_end=0.02, dt_max=0.01),
+            sample_times=[0.0, 0.01, 0.02],
+            outputs=OutputSpec(diagnostics_csv=str(tmp_path / f"{formulation}.csv")))
+        assert sc.run(cfg) == EXIT_OK
+        assert sc.verify(cfg)[0] == EXIT_OK
+        rows[formulation] = read_diagnostics_csv(cfg.outputs.diagnostics_csv)
+    for column in ("t", "E", "L", "Kmax", "Mheight", "mheight", "csym", "esym"):
+        assert rows["curve"][column][0] == rows["graph"][column][0], column
+
+
+@pytest.mark.parametrize("outputs, message", [
+    (None, "verify: cannot load outputs"), ([0.0, 0.05], "verify: need at least 3 samples")],
+    ids=["missing_csv", "two_samples"])
+def test_verify_without_enough_outputs_is_config_error(tmp_path, capsys, outputs, message):
+    cfg = base_config(tmp_path, sample_times=outputs or [0.0, 0.025, 0.05])
+    if outputs:
+        assert sc.run(cfg) == EXIT_OK
+    assert sc.verify(cfg) == (EXIT_CONFIG, {})
+    assert message in capsys.readouterr().err
+
+
+def test_main_invalid_json_is_config_error(tmp_path, capsys):
+    path = tmp_path / "broken.json"
+    path.write_text('{"m": 64,')
+    assert main(["run", str(path)]) == EXIT_CONFIG
+    assert f"config error: invalid JSON in {path}" in capsys.readouterr().err

@@ -9,11 +9,7 @@ from scipy.integrate import quad
 
 import stokescontour as sc
 from stokescontour import diagnostics, evolution_graph
-from stokescontour.evolution_graph import (
-    _cell_correction_values,
-    _log_circulant,
-    _rhs_arrays,
-)
+from stokescontour.evolution_graph import _log_circulant, _rhs_arrays
 from stokescontour import kernels
 from stokescontour.evolution_curve import _rhs_curve_arrays
 from stokescontour.geometry import (
@@ -25,7 +21,7 @@ from stokescontour.geometry import (
     symmetry_projector,
 )
 from stokescontour.integrators import BlowupError, dopri_step
-from stokescontour.kernels import dK12, stokeslet, stokeslet_terms
+from stokescontour.kernels import clausen2, dK12, stokeslet, stokeslet_terms
 
 from conftest import (
     antiperiodic,
@@ -120,6 +116,18 @@ def taylor_cell_offset_weights(m):
     return weights * (d / 3.0)
 
 
+def cell_correction_values(h, dh, width, variant):
+    """The one-panel Taylor cell at every node, the r = 0 term of "taylor_cell" halved.
+
+    h(1 + h'^2) times the closed-form cell logarithm, log(4 sin^2(b/2)) over
+    [0, w] giving -2 Cl2(w) and the printed log(4 sin^2 b) half of that at
+    2w, plus the removable limits h(1 + h'^2) log(1 + h'^2) + 2 h h'^2 times w.
+    """
+    clog = -2.0 * clausen2(width) if variant == "halfangle" else -clausen2(2.0 * width)
+    one_p = 1.0 + dh * dh
+    return h * one_p * clog + h * one_p * np.log(one_p) * width + 2.0 * h * dh * dh * width
+
+
 def all_offsets_rhs(h, params):
     """The graph RHS as a plain sum over every offset r = 1..m-1, one at a time."""
     m = h.size
@@ -134,7 +142,7 @@ def all_offsets_rhs(h, params):
         log_a, log_b = omega[0] * h, omega[0] * h * dh
         weights = np.full(m, d)
     else:
-        acc = 2 * _cell_correction_values(h, dh, d, params.singular_cell_variant)
+        acc = 2 * cell_correction_values(h, dh, d, params.singular_cell_variant)
         weights = taylor_cell_offset_weights(m)
     for r in range(1, m):
         hb, dhb = np.roll(h, r), np.roll(dh, r)
@@ -379,12 +387,12 @@ def out_of_place_rhs(h, params):
     if spectral:
         weights = np.full(m, d)
         omega = _log_circulant(m)
-        one_p = 1.0 + dh * dh
-        t23_0 = 2.0 * h * dh * dh * (dh * dh - 1.0) / one_p + 4.0 * h * dh * dh / one_p
-        r0 = d * (np.log(one_p) * h * one_p + t23_0) + omega[0] * h * one_p
     else:
         weights = taylor_cell_offset_weights(m)
-        r0 = 2.0 * _cell_correction_values(h, dh, d, params.singular_cell_variant)
+    *_, w0, c0 = evolution_graph._block_constants(m, params.quadrature,
+                                                  params.singular_cell_variant)
+    one_p = 1.0 + dh * dh
+    r0 = w0 * (h * one_p * np.log(one_p) + 2.0 * h * dh * dh) + c0 * h * one_p
     # the rows of all m columns, and the blocks of offset rows of the
     # production sum on this path
     near, far = kernels.central_pair_rows(h, dh, width=m)
@@ -402,7 +410,7 @@ def out_of_place_rhs(h, params):
                                                + a_sn * (dha + dhb))
         kernels.stabilizer_weights(pair, b, m)
         fold(hb * pair, ha * pair, b)
-    return params.sign_factor * (r0 + total()) + params.viscosity * second_diff(h, d)
+    return params.sign_factor * (total() + r0) + params.viscosity * second_diff(h, d)
 
 
 @pytest.mark.parametrize("quadrature, cell", [("spectral_log", "halfangle"),
@@ -475,15 +483,12 @@ def cached_constants():
     args = {
         "geometry._shared_grid": [(m,)],
         "geometry._reflections": [(m,)],
-        "kernels.clausen2": [(0.1,)],
         "kernels._taylor_shifts": [()],
-        "evolution_graph._log_circulant": [(m,)],
         "kernels.pair_kernel_tables": [(m,)],
-        "evolution_graph._block_constants": [(m, q) for q in evolution_graph.QUADRATURES],
+        "evolution_graph._block_constants": [(m, q, c) for q, c in QUADRATURES],
         "evolution_curve._path_blocks": [(m, False, False), (m, True, False), (m, True, True)],
         "turning._family_without_b": [(sc.TurningFamilyParams(b=1.0, variant=v), m)
                                       for v in ("basic", "even_symmetric")],
-        "diagnostics._kpair_origin": [()],
     }
     found = {}
     for module in (sc.geometry, kernels, sc.integrators, sc.turning, evolution_graph,
@@ -537,6 +542,35 @@ def test_interleaved_grids_give_the_results_of_fresh_calls():
         fresh.append(f())
     interleaved = [f() for _, f in calls]
     assert all(np.array_equal(*bits(a, b)) for a, b in zip(fresh, interleaved))
+
+
+def test_pair_sums_read_their_r0_constants_from_the_tables(monkeypatch):
+    # once each per-grid table is built, no call of a pair sum evaluates a
+    # Clausen function, the log circulant or the pair kernel at the origin
+    m = 64
+    h = projected(sc.preset_f2(m))
+    heights = (h, np.roll(h, 1))
+    assert [exact_symmetries(None, y) for y in heights] == [(True, True), (False, False)]
+    basic, even = (sc.build_turning_family(sc.TurningFamilyParams(b=b, variant=v), m)
+                   for v, b in (("basic", 16.9), ("even_symmetric", 10.4)))
+    raw = [(c.z1 - c.alpha, c.z2) for c in (basic, even)]
+    states = [raw[0], symmetry_projection(basic)(*raw[0]), symmetry_projection(even)(*raw[1])]
+    assert [exact_symmetries(*y) for y in states] == [(False, False), (True, False), (True, True)]
+    calls = [lambda q=q, c=c, y=y: _rhs_arrays(y, sc.SchemeParams(
+                 sign_factor=-1.0, viscosity=1e-3, m=m, quadrature=q, singular_cell_variant=c))
+             for q, c in QUADRATURES for y in heights]
+    calls += [lambda y=y: np.array(sc.delta_spectral(sc.GraphInterface(h=y))) for y in heights]
+    calls += [lambda y=y: _rhs_curve_arrays(*y, basic.alpha, -2.0) for y in states]
+    warm = [f() for f in calls]
+
+    def fail(*args):
+        raise AssertionError("an r = 0 constant evaluated outside its table")
+
+    for module, name in ((evolution_graph, "clausen2"), (sc.evolution_curve, "clausen2"),
+                         (evolution_graph, "_log_circulant"),
+                         (kernels, "bilaplacian_pair_kernel_exact")):
+        monkeypatch.setattr(module, name, fail)
+    assert all(np.array_equal(*bits(a, f())) for a, f in zip(warm, calls))
 
 
 # traced peak of one RHS call at m = 4096, MiB, the first call of a fresh
@@ -610,7 +644,7 @@ def test_rhs_blowup_error_carries_node():
 
 def cell_values(h, w, variant="halfangle"):
     """Taylor-cell value of the singular panel [0, w] at every node."""
-    return _cell_correction_values(h, sc.central_diff(h, 2 * np.pi / h.size), w, variant)
+    return cell_correction_values(h, sc.central_diff(h, 2 * np.pi / h.size), w, variant)
 
 
 def test_singular_cell_zero_height():

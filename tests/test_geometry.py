@@ -188,6 +188,15 @@ def test_odd_grid_rejected():
         sc.ParamCurve(z1=sc.uniform_grid(10), z2=np.zeros(10))
 
 
+
+@pytest.mark.parametrize("h", [np.zeros((2, 8)), np.zeros((16, 1)), 0.0], ids=["2x8", "16x1", "0d"])
+def test_graph_interface_rejects_heights_that_are_not_1d(h):
+    # a (2, 8) array once made a 16-node interface whose first use failed
+    # with an error naming nothing
+    with pytest.raises(ValueError, match="heights must be a 1-d array"):
+        sc.GraphInterface(h=h)
+
+
 # --- extremes, slopes, symmetry ---------------------------------------------
 
 

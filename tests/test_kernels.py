@@ -375,7 +375,7 @@ def block_plan(path, m):
         return kernels.offset_blocks(m, width), m // 4, width, m
     central, even = {"full": (False, False), "central": (True, False),
                      "quarter": (True, True)}[name]
-    images, _, _, plan = sc.evolution_curve._path_blocks(m, central, even)
+    images, _, _, _, plan = sc.evolution_curve._path_blocks(m, central, even)
     return tuple(b for b, _, _ in plan), images.shape[1], images.size, images.size
 
 
