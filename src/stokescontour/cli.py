@@ -257,9 +257,6 @@ def preset_dump(name: str, m: int, path: str) -> int:
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    if name not in PRESETS:
-        print(f"unknown preset {name!r}", file=sys.stderr)
-        return EXIT_CONFIG
     try:
         write_snapshot(path, GraphInterface(h=PRESETS[name](m)))
     except OSError as exc:

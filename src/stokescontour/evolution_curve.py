@@ -49,11 +49,18 @@ vectors:
   nodes; its zero entries add exactly, so the heights round once, as the
   difference does;
 - the near sum, onto the row nodes, is the product of the blocks lg, a_ss
-  and a_sn with the column nodes' (v1, v2), (v1, -v2) and (-v2, -v1),
-  v = zdot_perp * z2, each weighted by 1 over its stabilizer;
+  and a_sn with the column nodes' source vectors, each weighted by 1 over
+  its stabilizer;
 - the far sum, onto the column nodes, is the transposed product with the
   row nodes' vectors: the pair swap maps the terms of (a, g(b)) to those
   of (b, g(a)), a_sn taking the p sign times the z2 sign of g.
+
+The source vectors, (v1, v2), (v1, -v2) and (-v2, -v1) with
+v = zdot_perp * z2, are one (3, m, 2) array built once a call. The r = 0
+term is its contraction with the diagonal limits of lg, a_ss and a_sn, as
+a block's sums are with the block. Its copy at the image nodes, weighted
+by the stabilizers, serves the near sum of every block, and the transpose
+of that copy, its a_sn vectors signed by the pair swap, the far sum.
 
 ``kernels.stokeslet_terms_into`` evaluates the block in place in one
 workspace. The per-path constants (the images, orbits, signs, the frozen
@@ -156,9 +163,9 @@ def _path_blocks(m: int, central: bool, even: bool):
     one and 0..m/4 on the quarter one, one node of each orbit of the path's
     group (``geometry.symmetry_group``). ``images`` (elements x size) holds
     the image g(k) of each node k of F and ``orbit`` the size of the orbit
-    of k. ``far_signs`` (3, 1, elements, 1) holds the sign each of lg, a_ss
-    and a_sn takes under the pair swap for each element g: 1, 1 and the p
-    sign of g times its z2 sign. ``cell`` is the r = 0 integral of the log
+    of k. ``far_signs`` (elements,) holds the sign a_sn takes under the pair
+    swap for each element g, the p sign of g times its z2 sign (lg and a_ss
+    keep theirs). ``cell`` is the r = 0 integral of the log
     factor against the frozen node value, -4 Cl2(d/2) on the two half panels
     next to the node.
 
@@ -176,8 +183,7 @@ def _path_blocks(m: int, central: bool, even: bool):
     nodes = np.arange(size)
     images = np.array([g[:size] for g, _, _ in group])
     orbit = len(group) / np.sum(images == nodes, axis=0)
-    far_signs = np.ones((3, 1, len(group), 1))
-    far_signs[2, 0, :, 0] = [p_sign * z2_sign for _, p_sign, z2_sign in group]
+    far_signs = np.array([p_sign * z2_sign for _, p_sign, z2_sign in group])
     columns = len(group) * size
     plan = blocks(size, block_rows(columns, columns))
     # one triangle for every block, (rows x elements x rows); a block holding
@@ -207,22 +213,18 @@ def _velocity_totals(p, z2, alpha, central, even):
     d = TWO_PI / m
     dz1 = 1.0 + central_diff(p, d)
     dz2 = central_diff(z2, d)
-
-    # integrand vector zdot_perp * z2 at the source nodes
-    v1 = -dz2 * z2
-    v2 = dz1 * z2
-
-    # r = 0: diagonal limits; the log singular factor contributes the frozen
-    # half-panel cell, the smooth remainder its limit log |zdot|^2, and the
-    # rational matrix term its one-sided Taylor limit.
-    speed2 = dz1 * dz1 + dz2 * dz2
-    g0 = np.log(speed2)
-    a_ss0 = 2.0 * dz2 * dz2 / speed2
-    a_sn0 = 2.0 * dz2 * dz1 / speed2
+    # the source vectors that lg, a_ss and a_sn multiply, (v1, v2), (v1, -v2)
+    # and (-v2, -v1) with v = zdot_perp * z2, shape (3, m, 2)
+    v1, v2 = -dz2 * z2, dz1 * z2
+    vecs = np.array(((v1, v2), (v1, -v2), (-v2, -v1))).transpose(0, 2, 1)
     images, orbit, far_signs, cell, blocks = _path_blocks(m, central, even)
-    u = np.empty((2, m))
-    u[0] = d * (g0 * v1 + a_ss0 * v1 - a_sn0 * v2) + cell * v1
-    u[1] = d * (g0 * v2 - a_sn0 * v1 - a_ss0 * v2) + cell * v2
+
+    # r = 0: the diagonal limits of lg, a_ss and a_sn (the smooth remainder's
+    # log |zdot|^2 and the rational term's one-sided Taylor limits) against
+    # the node's own vectors, and the log factor's frozen half-panel cell
+    speed2 = dz1 * dz1 + dz2 * dz2
+    diagonal = np.array((np.log(speed2), 2.0 * dz2 * dz2 / speed2, 2.0 * dz2 * dz1 / speed2))
+    u = d * (diagonal[..., None] * vecs).sum(axis=0) + cell * vecs[0]
 
     count, size = images.shape
     # sin((z1_a - z1_b)/2), cos((z1_a - z1_b)/2) and z2_a - z2_b of a block's
@@ -239,22 +241,15 @@ def _velocity_totals(p, z2, alpha, central, even):
     rows[1, :, 0] = cs[:size]
     rows[2, :, 2] = z2[:size]
     rows[2, :, 3] = 1.0
-    # (take keeps the columns row-major, so BLAS reads them untransposed, as
-    # the rounding of its products depends on the layout)
+    # (take keeps the columns and the vectors row-major, so BLAS reads them
+    # untransposed, as the rounding of its products depends on the layout)
     cols = np.stack((cs, sn, np.ones(m), -z2)).take(images, axis=1)
-    # the node vectors that lg, a_ss and a_sn multiply, (v1, v2), (v1, -v2)
-    # and (-v2, -v1) at each image node, weighted by 1 over its stabilizer:
-    # the near sum reads them at the column nodes, the far sum at the row
-    # nodes, signed by the pair swap
-    w = orbit / count
-    w1, w2 = v1[images] * w, v2[images] * w
-    near_vecs = np.empty((3, count, size, 2))
-    near_vecs[0, ..., 0] = near_vecs[1, ..., 0] = w1
-    near_vecs[0, ..., 1] = w2
-    np.negative(w2, out=near_vecs[1, ..., 1])
-    np.negative(w2, out=near_vecs[2, ..., 0])
-    np.negative(w1, out=near_vecs[2, ..., 1])
-    far_vecs = near_vecs.transpose(0, 2, 1, 3)
+    # the near sum reads the vectors at the image nodes, weighted by 1 over
+    # their stabilizer; the far sum the same at the row nodes, a_sn's signed
+    # by the pair swap
+    near_vecs = vecs.take(images, axis=1) * (orbit / count)[:, None]
+    far_vecs = near_vecs.transpose(0, 2, 1, 3).copy()
+    far_vecs[2] *= far_signs[:, None]
     near, far = np.zeros((3, size, 2)), np.zeros((size, 2))
     work = np.empty(6 * blocks[0][0].stop * count * size)
     for b, dropped, weight in blocks:
@@ -273,10 +268,10 @@ def _velocity_totals(p, z2, alpha, central, even):
         # the near sum onto the row nodes, the far one onto the column nodes
         near[:, b] += np.matmul(terms.reshape(3, n, -1),
                                 near_vecs[:, :, b.start :].reshape(3, -1, 2))
-        far[b.start :] += terms.reshape(-1, width).T @ (far_vecs[:, b] * far_signs).reshape(-1, 2)
+        far[b.start :] += terms.reshape(-1, width).T @ far_vecs[:, b].reshape(-1, 2)
     # each node of F times its orbit, the projection completing the sum
-    u[:, :size] += d * ((near.sum(axis=0) + far) * orbit[:, None]).T
-    return u
+    u[:size] += d * ((near.sum(axis=0) + far) * orbit[:, None])
+    return u.T
 
 
 def rhs_curve(state: CurveState):

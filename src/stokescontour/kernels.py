@@ -229,15 +229,6 @@ def _window(buf, shape, strides, offset=0):
     return view
 
 
-def _twice(xs):
-    """The arrays xs, each followed by a copy of itself: shape (len(xs), 2m)."""
-    m = xs[0].size
-    buf = np.empty((len(xs), 2 * m))
-    for row, x in zip(buf, xs):
-        row[:m] = row[m:] = x
-    return buf
-
-
 def block_workspace(count: int, m: int, width: int):
     """``count`` arrays for the terms of one block of a pair sum, reused by every block.
 
@@ -274,7 +265,8 @@ def central_pair_rows(*xs, width: int):
     outlives the sum.
     """
     m = xs[0].size
-    buf, shape = _twice(xs), (len(xs), m // 4)
+    # each x followed by a copy of itself, shape (len(xs), 2m)
+    buf, shape = np.tile(np.stack(xs), 2), (len(xs), m // 4)
     # the rows of s = 0, 1, .. (offsets 2s + 1, 2s + 2): near node
     # c (s + 1) + k, c = 0 on the full layout and 1 on the pair centres,
     # column c (s + 1) + k of the buffer, and far node that less 2s + 1 + p,

@@ -745,3 +745,47 @@ def test_main_invalid_json_is_config_error(tmp_path, capsys):
     path.write_text('{"m": 64,')
     assert main(["run", str(path)]) == EXIT_CONFIG
     assert f"config error: invalid JSON in {path}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda data: data["initial"].update(kind="bogus"), "unknown initial kind 'bogus'"),
+    (lambda data: data["initial"].pop("turning"),
+     "turning_family initial data needs parameters"),
+    (lambda data: data.update(schema_version=2), "unsupported schema_version 2"),
+], ids=["unknown_initial_kind", "turning_family_without_parameters", "schema_version_2"])
+def test_main_rejects_an_unsupported_config(tmp_path, capsys, change, message):
+    data = turning_config_dict(tmp_path)
+    change(data)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    assert main(["run", str(path)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:node clustering:RuntimeWarning")
+def test_curve_run_restarts_from_its_last_snapshot(tmp_path):
+    # the snapshot holds 17 significant digits and the run projects the read
+    # curve onto the symmetries it carries, so the restart's first record is
+    # the source run's last
+    times = [0.0, 0.005, 0.01]
+    source = base_config(
+        tmp_path,
+        initial=InitialSpec(kind="turning_family", turning=sc.TurningFamilyParams(b=16.9)),
+        formulation="curve", m=256, sign_factor=1.0 / (8 * np.pi),
+        integrator=sc.IntegratorParams(t_end=0.01, dt_max=0.005), sample_times=times,
+        outputs=OutputSpec(diagnostics_csv=str(tmp_path / "source.csv"),
+                           snapshots_dir=str(tmp_path / "snaps"), snapshot_every=1))
+    assert sc.run(source) == EXIT_OK
+    last = sorted((tmp_path / "snaps").glob("snapshot_*.csv"))[-1]
+    restart = base_config(
+        tmp_path, initial=InitialSpec(kind="snapshot_file", path=str(last)),
+        formulation="curve", m=256, sign_factor=source.sign_factor,
+        integrator=source.integrator, sample_times=times,
+        outputs=OutputSpec(diagnostics_csv=str(tmp_path / "restart.csv")))
+    assert sc.run(restart) == EXIT_OK
+    code, report = sc.verify(restart)
+    assert code == EXIT_OK and report["central_symmetry"]["pass"]
+    before = read_diagnostics_csv(source.outputs.diagnostics_csv)
+    after = read_diagnostics_csv(restart.outputs.diagnostics_csv)
+    for column in ("E", "L", "Kmax", "Mheight", "mheight", "csym"):
+        assert abs(after[column][0] - before[column][-1]) <= 1e-14 * abs(before[column][-1]), column

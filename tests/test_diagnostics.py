@@ -479,6 +479,21 @@ def test_diagnostics_csv_roundtrip(tmp_path):
     assert np.allclose(data["dEdt"][1:], 10.0)  # backward difference of E over t
 
 
+
+def test_diagnostics_csv_rejects_a_wrong_header(tmp_path):
+    path = tmp_path / "diag.csv"
+    path.write_text(",".join(DIAG_COLUMNS[::-1]) + "\n")
+    with pytest.raises(ValueError, match="unexpected diagnostics header"):
+        read_diagnostics_csv(path)
+
+
+def test_diagnostics_csv_with_only_a_header_has_empty_columns(tmp_path):
+    path = tmp_path / "diag.csv"
+    path.write_text(",".join(DIAG_COLUMNS) + "\n")
+    data = read_diagnostics_csv(path)
+    assert list(data) == DIAG_COLUMNS
+    assert all(column.shape == (0,) for column in data.values())
+
 def test_perimeter_lower_bound_chain_on_short_run():
     g = sine_interface(128, 0.4)
     params = sc.SchemeParams(sign_factor=-1.0, viscosity=1e-3, m=128)

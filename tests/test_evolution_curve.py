@@ -430,7 +430,7 @@ def out_of_place_curve_rhs(p, z2, alpha, delta_rho):
     a_ss0 = 2.0 * dz2 * dz2 / speed2
     a_sn0 = 2.0 * dz2 * dz1 / speed2
     u1 = d * (g0 * v1 + a_ss0 * v1 - a_sn0 * v2) + cell * v1
-    u2 = d * (g0 * v2 - a_sn0 * v1 - a_ss0 * v2) + cell * v2
+    u2 = d * (g0 * v2 - a_ss0 * v2 - a_sn0 * v1) + cell * v2
     central, even = exact_symmetries(p, z2)
     # nodes 0..size-1, one of each orbit, and their images by every element
     group = symmetry_group(m, central, even)
@@ -707,3 +707,12 @@ def test_evolve_flat_curve_stationary():
         # the symmetry projection may touch the last bit of the stored grid
         assert np.allclose(state.curve.z1, curve.z1, rtol=0, atol=1e-14)
         assert np.array_equal(state.curve.z2, curve.z2)
+
+
+def test_non_finite_velocity_is_a_blowup_at_its_first_node():
+    # z2 scaled by 1e300: the velocity overflows at every node, the first
+    # of which the error names
+    c = sc.build_turning_family(sc.TurningFamilyParams(b=16.9), 256)
+    with pytest.raises(sc.BlowupError, match="non-finite right-hand side at node 0") as err:
+        _rhs_curve_arrays(c.z1 - c.alpha, c.z2 * 1e300, c.alpha, 1.0)
+    assert err.value.node == 0

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -195,6 +196,37 @@ def test_graph_interface_rejects_heights_that_are_not_1d(h):
     # with an error naming nothing
     with pytest.raises(ValueError, match="heights must be a 1-d array"):
         sc.GraphInterface(h=h)
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: sc.central_diff(np.zeros(8), 0.0), ValueError, "spacing must be positive"),
+    (lambda: second_diff(np.zeros(2), 1.0), ValueError,
+     "second_diff needs a 1-d array of length >= 3"),
+    (lambda: sc.GraphInterface(h=np.r_[np.nan, np.zeros(7)]), ValueError,
+     "heights must be finite"),
+    (lambda: sc.ParamCurve(z1=sc.uniform_grid(8), z2=np.zeros(12)), ValueError,
+     "z1 and z2 must be 1-d arrays of equal length"),
+    (lambda: sc.ParamCurve(z1=sc.uniform_grid(8), z2=np.r_[np.inf, np.zeros(7)]), ValueError,
+     "curve samples must be finite"),
+    (lambda: sc.write_snapshot("unused.csv", [0.0] * 8), TypeError,
+     "cannot snapshot object of type <class 'list'>"),
+], ids=["central_diff_spacing_0", "second_diff_2_nodes", "nan_heights", "unequal_z1_z2",
+        "infinite_z2", "snapshot_of_a_list"])
+def test_invalid_geometry_input_is_rejected(make, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        make()
+
+
+def test_vanishing_tangent_with_distinct_nodes_is_degenerate():
+    # nodes 2 and 4 stay 1.2e-12 apart, past the 1e-12 coincidence check,
+    # but the central difference at node 3 is 7.6e-13 long
+    m = 8
+    z1, z2 = sc.uniform_grid(m).copy(), np.zeros(m)
+    z1[4] = z1[2]
+    z2[4] = z2[2] + 1.2e-12
+    assert np.hypot(z1[4] - z1[2], z2[4] - z2[2]) == 1.2e-12
+    with pytest.raises(DegenerateParametrizationError, match="vanishing tangent at node 3"):
+        sc.ParamCurve(z1=z1, z2=z2)
 
 
 # --- extremes, slopes, symmetry ---------------------------------------------

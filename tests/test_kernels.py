@@ -166,6 +166,11 @@ def test_dk1_series_auto_truncation_tail():
     assert abs(val_auto - val_big) <= 1e-12
 
 
+
+def test_dk1_series_rejects_a_negative_truncation():
+    with pytest.raises(ValueError, match="n_max must be >= 1, or 0 for automatic truncation"):
+        sc.dK1_series(1.1, 0.5, -1)
+
 def test_dk1_series_memory_is_independent_of_n_max(rng):
     # peak traced allocation of 20,000 points at the automatic truncation,
     # here n_max = 800: a (points, n_max) array of terms would be 128 MB

@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 from pathlib import Path
 
@@ -21,6 +22,10 @@ def test_params_validation():
         sc.TurningFamilyParams(b=0.5)
     with pytest.raises(ValueError):
         sc.TurningFamilyParams(b=1.0, variant="even_symmetric", eps_flat=1.0)
+    # eps_flat = 0.2 fits the flats (below (pi/2 - alpha2)/2) but not alpha2/2
+    with pytest.raises(ValueError, match="eps_flat too large relative to alpha2"):
+        sc.TurningFamilyParams(b=1.0, variant="even_symmetric", alpha2=0.3, alpha3=0.5,
+                               eps_flat=0.2)
     with pytest.raises(ValueError):
         sc.TurningFamilyParams(b=1.0, variant="unknown")
 
@@ -172,3 +177,25 @@ def test_even_turning_appears_at_both_ends():
     m = final.m
     assert dz1[m // 2] < 0.0  # turned at alpha = 0
     assert dz1[0] < 0.0       # and at alpha = +-pi
+
+
+def rolled_by_one_node(curve):
+    return sc.ParamCurve(z1=np.roll(curve.z1 - curve.alpha, 1) + curve.alpha,
+                         z2=np.roll(curve.z2, 1))
+
+
+@pytest.mark.parametrize("change, message", [
+    (rolled_by_one_node, "turning integrals need central symmetry, error"),
+    (lambda c: sc.ParamCurve(z1=c.z1, z2=-c.z2), "turning integrals need dz2/da >= 0"),
+], ids=["rolled", "z2_negated"])
+def test_turning_integral_rejects_a_curve_outside_its_preconditions(change, message):
+    curve = change(sc.build_turning_family(sc.TurningFamilyParams(b=16.9), 256))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        sc.turning_integral(curve)
+
+
+@pytest.mark.parametrize("m, variant", [(8, "basic"), (8, "even_symmetric"),
+                                        (12, "even_symmetric")])
+def test_family_on_too_coarse_a_grid_violates_property_a(m, variant):
+    with pytest.raises(sc.ConstructionError, match=r"property \(a\)"):
+        sc.build_turning_family(sc.TurningFamilyParams(b=2.0, variant=variant), m)

@@ -14,17 +14,26 @@ one copy of the tool, and evaluates deterministic inputs:
 - delta on the same heights;
 - the curve right-hand side on the basic turning family (b = 16.9) and the
   even one (b = 10.4), raw (the full path) and projected (the central and
-  quarter paths), at m in CURVE_GRIDS.
+  quarter paths), at m in CURVE_GRIDS;
+- the diagnostics columns and the last snapshot of the short RUNS, each
+  run by the ``run`` command on a config written to a temporary directory:
+  f2 on spectral_log and f1 on taylor_cell/printed (m = 64, t <= 0.02,
+  5 samples, delta on), and the basic family (m = 128, t <= 0.005,
+  3 samples).
 
-``compare`` prints, for each output, "bitwise" or max |a - b| / max |a|,
-and exits 1 if an output passes BOUND (1e-12) or the two dumps hold
+``compare`` prints, for each output, "bitwise" or max |a - b| / max |a|
+over the entries that are not NaN in both, and exits 1 if an output passes
+BOUND (1e-12), holds NaN where the other does not, or the two dumps hold
 different outputs.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +44,16 @@ QUADRATURES = (("spectral_log", "halfangle"), ("taylor_cell", "halfangle"),
                ("taylor_cell", "printed"))
 FAMILIES = (("basic", 16.9), ("even_symmetric", 10.4))
 BOUND = 1e-12
+# (name, config fields, t_end, samples) of the short runs
+RUNS = (
+    ("f2-spectral_log", {"initial": {"kind": "preset_f2"}, "quadrature": "spectral_log"},
+     0.02, 5),
+    ("f1-taylor_cell-printed", {"initial": {"kind": "preset_f1"}, "quadrature": "taylor_cell",
+                                "singular_cell_variant": "printed"}, 0.02, 5),
+    ("curve-basic", {"initial": {"kind": "turning_family", "turning": {"b": 16.9}},
+                     "formulation": "curve", "m": 128, "sign_factor": 1.0 / (8.0 * np.pi)},
+     0.005, 3),
+)
 
 
 def outputs():
@@ -64,11 +83,39 @@ def outputs():
             for path, (p, z2) in (("raw", raw), ("projected", symmetry_projection(c)(*raw))):
                 out[f"curve-{variant}-{path}-m{m}"] = np.array(
                     _rhs_curve_arrays(p, z2, c.alpha, 1.0))
+    with tempfile.TemporaryDirectory() as tmp:
+        out.update(run_outputs(Path(tmp)))
+    return out
+
+
+def run_outputs(tmp: Path):
+    """The diagnostics columns and the last snapshot of each of RUNS, by name."""
+    from stokescontour.cli import EXIT_OK, main
+    from stokescontour.diagnostics import read_diagnostics_csv
+
+    out = {}
+    for name, fields, t_end, samples in RUNS:
+        config = {"formulation": "graph", "m": 64, "viscosity": 1e-3, "sign_factor": -1.0,
+                  **fields, "integrator": {"t_end": t_end},
+                  "sample_times": np.linspace(0.0, t_end, samples).tolist(),
+                  "outputs": {"diagnostics_csv": str(tmp / f"{name}.csv"),
+                              "snapshots_dir": str(tmp / name)}}
+        path = tmp / f"{name}.json"
+        path.write_text(json.dumps(config))
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "node clustering", RuntimeWarning)
+            code = main(["run", str(path)])
+        if code != EXIT_OK:
+            raise RuntimeError(f"run {name} did not complete")
+        for column, values in read_diagnostics_csv(tmp / f"{name}.csv").items():
+            out[f"run-{name}-{column}"] = values
+        last = max((tmp / name).iterdir())
+        out[f"run-{name}-state"] = np.loadtxt(last, delimiter=",", skiprows=1)
     return out
 
 
 def compare(a: dict, b: dict) -> int:
-    """Print each output's difference; 1 if one passes BOUND or the names differ."""
+    """Print each output's difference; 1 if one passes BOUND, its NaNs or the names differ."""
     failed = False
     for key in sorted(a.keys() ^ b.keys()):
         print(f"{key}  only in {'the first' if key in a else 'the second'} dump")
@@ -80,7 +127,11 @@ def compare(a: dict, b: dict) -> int:
             failed = True
         elif np.array_equal(x.view(np.uint64), y.view(np.uint64)):
             print(f"{key}  bitwise")
+        elif not np.array_equal(np.isnan(x), np.isnan(y)):
+            print(f"{key}  NaN at different entries  FAIL")
+            failed = True
         else:
+            x, y = x[~np.isnan(x)], y[~np.isnan(y)]
             rel = np.max(np.abs(x - y)) / np.max(np.abs(x))
             bad = not rel <= BOUND
             failed |= bad
