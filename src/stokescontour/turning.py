@@ -8,10 +8,16 @@ split point and a shallow negative arch -c3 sin(pi (a - alpha2)/(pi -
 alpha2)) after it, crossing zero exactly at alpha2 so the b-scaling keeps the
 curve continuous. The sign properties
 
-    (a) zstar'(0) > 0,   (b) zstar > 0 on (0, alpha2),
-    (c) zstar < 0 on (alpha2, alpha3),   (d) zstar <= 0 on [alpha3, pi]
+    (a) zstar'(0) > 0,   (b) zstar >= 0 on (0, alpha2),
+    (c) zstar <= 0 on (alpha2, alpha3),   (d) zstar <= 0 on [alpha3, pi]
 
-are re-checked node-wise at construction time.
+and z1' > 0 away from its vertical tangents are checked node-wise at
+construction time. (b) and (c) reject a node of the wrong sign but pass an
+exact zero: the smooth steps of the even variant underflow to exact zeros
+near their window ends. Three more properties hold by construction and are
+not checked: z2'(0) > 0 follows from (a) because b >= 1 only enlarges the
+positive hump; z1'(0) = 1 - cos(0) = 0, the vertical tangent; and the even
+variant's z2 is exactly zero within eps_flat of +-pi/2.
 
 The sign of the initial slope velocity at alpha = 0 in the stable regime
 (rho^- - rho^+ = 1) is the turning certificate
@@ -23,8 +29,8 @@ split into J1 (over [0, alpha2], suppressed as b grows) and J2 (over
 [alpha2, pi], negative). The even-symmetric variant replaces z1 beyond
 alpha1 by a quintic Hermite transition into the reflection z1(a) = pi -
 z1(pi - a), flattens zstar to exactly zero in eps_flat-windows around alpha2
-and pi/2, and uses the folded kernel with prefactor z2'(0)/(2 pi) over
-[0, pi/2].
+and pi/2, and folds the integral onto [0, pi/2]: the kernel at (z1, z2) plus
+the kernel at (pi - z1, z2), with the same prefactor z2'(0)/(4 pi).
 """
 
 from __future__ import annotations
@@ -47,8 +53,6 @@ from .geometry import (
     uniform_grid,
 )
 from .kernels import ONE_OVER_4PI, read_only, stokeslet_terms
-
-ONE_OVER_2PI = 1.0 / (2.0 * np.pi)
 
 # default shape constants (amplitudes chosen so the b = 1 certificate is
 # positive, the threshold b* is moderate, and the grids in use resolve
@@ -185,14 +189,13 @@ def build_turning_family(p: TurningFamilyParams, m: int) -> ParamCurve:
     Raises
     ------
     ConstructionError
-        Naming the violated sign property, when the sampled zstar or z1 does
-        not realize the pattern the turning argument needs.
+        Naming the violated property: (a)-(d) of the sampled zstar, or z1
+        not increasing away from its vertical tangents. An exact zero passes
+        (b) and (c). The slopes of z2 and z1 at 0 and the even variant's
+        zeros near +-pi/2 hold by construction and are not checked.
     """
     z1, zs, scaled = _family_without_b(replace(p, b=1.0), m)
-    curve = ParamCurve(z1=z1.copy(), z2=np.where(scaled, p.b * zs, zs))
-    if central_diff(curve.z2, curve.spacing)[m // 2] <= 0.0:
-        raise ConstructionError("condition 2: slope of z2 at 0 not positive")
-    return curve
+    return ParamCurve(z1=z1.copy(), z2=np.where(scaled, p.b * zs, zs))
 
 
 @lru_cache(maxsize=8)
@@ -200,8 +203,7 @@ def _family_without_b(p: TurningFamilyParams, m: int):
     """(z1, zstar, scaled): the b-independent part of a family on m nodes, read-only.
 
     z2 = b * zstar on the nodes ``scaled`` and zstar elsewhere. Every check
-    of the sampled zstar and z1 that does not read b runs here, once per
-    family (p at b = 1) and grid.
+    of the family runs here, once per family (p at b = 1) and grid.
     """
     check_grid_size(m)  # before the sign checks, which assume 0 is a node
     alpha = uniform_grid(m)
@@ -218,56 +220,35 @@ def _family_without_b(p: TurningFamilyParams, m: int):
         fold = np.where(np.abs(alpha) > np.pi / 2, np.pi - np.abs(alpha), np.abs(alpha))
         zs = np.sign(alpha) * zstar_even(fold, p)
         scaled = fold <= p.alpha2
-        _check_sign_properties(
-            alpha,
-            zstar_even(alpha, p),
-            p.alpha2 - p.eps_flat,
-            p.alpha2 + p.eps_flat,
-            np.pi / 2 - p.eps_flat,
-            upper=np.pi / 2,
-        )
-        # b scales no node there: fold > alpha2 + eps_flat
-        flat_hi = np.abs(np.abs(alpha) - np.pi / 2) <= p.eps_flat
-        if np.any(np.abs(zs[flat_hi]) > 1e-12):
-            raise ConstructionError("even variant: z2 not flat near +-pi/2")
+        _check_sign_properties(alpha, zs, p.alpha2 - p.eps_flat, p.alpha2 + p.eps_flat,
+                               np.pi / 2 - p.eps_flat, upper=np.pi / 2)
 
-    d = TWO_PI / m
-    # the tangent of ``geometry.curve_derivatives``
-    dz1 = 1.0 + central_diff(z1 - alpha, d)
-    j0 = m // 2
-    if not dz1[j0] <= d * d:
-        raise ConstructionError("condition 2: slope of z1 at 0 not vanishing")
-    interior = np.ones(m, dtype=bool)
-    interior[j0] = False
-    if p.variant == "even_symmetric":
-        interior[0] = False  # reflection forces a vertical tangent at +-pi too
-    if np.any(dz1[interior] <= 0.0):
+    # the tangent of ``geometry.curve_derivatives``: vertical at 0 and, under
+    # the even reflection, at +-pi
+    dz1 = 1.0 + central_diff(z1 - alpha, TWO_PI / m)
+    vertical = [m // 2, 0] if p.variant == "even_symmetric" else [m // 2]
+    if np.any(np.delete(dz1, vertical) <= 0.0):
         raise ConstructionError("condition 2: z1 not increasing away from 0")
     return read_only(z1, zs, scaled)
 
 
-def _check_sign_properties(alpha, zs, pos_end, neg_start, neg_end, upper=np.pi):
+def _check_sign_properties(alpha, zs, pos_end, neg_start, neg_end, upper):
     """Node-wise (a)-(d) checks of a sampled zstar (positive alphas only).
 
-    (b) and (c) are verified on the open intervals (0, pos_end) and
-    (neg_start, neg_end): a continuous zstar cannot be strictly positive up
-    to the split and strictly negative at it, so the crossing point itself
-    is exempt.
+    (a) reads the central difference at alpha = 0. (b) and (c) reject a node
+    of the wrong sign on the open intervals (0, pos_end) and (neg_start,
+    neg_end), and pass an exact zero: a continuous zstar cannot be strictly
+    positive up to the split and strictly negative at it, so the crossing
+    point itself is exempt, and the even variant's smooth steps round to
+    exact zeros near their window ends.
     """
-    da = alpha[1] - alpha[0]
-    j0 = len(alpha) // 2
-    slope0 = (zs[j0 + 1] - zs[j0 - 1]) / (2 * da)
-    if slope0 <= 0.0:
+    if central_diff(zs, TWO_PI / zs.size)[zs.size // 2] <= 0.0:
         raise ConstructionError("property (a): zstar slope at 0 not positive")
-    a = alpha
-    sel_b = (a > 1e-12) & (a < pos_end - 1e-12)
-    if np.any(zs[sel_b] <= 0.0):
-        raise ConstructionError("property (b): zstar not positive before the split")
-    sel_c = (a > neg_start + 1e-12) & (a < neg_end - 1e-12)
-    if np.any(zs[sel_c] >= 0.0):
-        raise ConstructionError("property (c): zstar not negative after the split")
-    sel_d = (a >= neg_end) & (a <= upper)
-    if np.any(zs[sel_d] > 1e-12):
+    if np.any(zs[(alpha > 1e-12) & (alpha < pos_end - 1e-12)] < 0.0):
+        raise ConstructionError("property (b): zstar negative before the split")
+    if np.any(zs[(alpha > neg_start + 1e-12) & (alpha < neg_end - 1e-12)] > 0.0):
+        raise ConstructionError("property (c): zstar positive after the split")
+    if np.any(zs[(alpha >= neg_end) & (alpha <= upper)] > 1e-12):
         raise ConstructionError("property (d): zstar positive in the tail")
 
 
@@ -298,11 +279,7 @@ def turning_integral(curve: ParamCurve) -> Tuple[float, float, float]:
     the family vanishes there), scaled by z2'(0)/(4 pi). The integrand's
     removable endpoint singularity at beta = 0 is evaluated as its limit 0.
     """
-    slope0, z1, z2, dz1 = _half_period_arrays(curve)
-    g = np.zeros_like(z2)
-    g[1:] = stokeslet_terms(z1[1:], z2[1:])[2] * dz1[1:]
-    pref = slope0 * ONE_OVER_4PI
-    return _split_certificate(z2, g, pref, curve.spacing)
+    return _certificate(curve, folded=False)
 
 
 def turning_integral_even(curve: ParamCurve) -> Tuple[float, float, float]:
@@ -314,16 +291,28 @@ def turning_integral_even(curve: ParamCurve) -> Tuple[float, float, float]:
     endpoint singularities are removable with limit 0 (z2 is flat-zero near
     pi/2 by construction).
     """
+    return _certificate(curve, folded=True)
+
+
+def _certificate(curve: ParamCurve, folded: bool) -> Tuple[float, float, float]:
+    """The one body of both certificates, on [0, pi] or, folded, on [0, pi/2].
+
+    g is the basic kernel on the inner nodes plus, folded, the kernel at
+    pi - z1 (twice the folded kernel), times z1'; the prefactor is
+    z2'(0)/(4 pi) on both, which halves the folded sum exactly. The first
+    node (and, folded, the last) keeps its limit 0.
+    """
     slope0, z1, z2, dz1 = _half_period_arrays(curve)
-    quarter = curve.m // 4
-    z1, z2, dz1 = z1[: quarter + 1], z2[: quarter + 1], dz1[: quarter + 1]
+    if folded:
+        nodes = curve.m // 4 + 1
+        z1, z2, dz1 = z1[:nodes], z2[:nodes], dz1[:nodes]
+    inner = slice(1, -1 if folded else None)
     g = np.zeros_like(z2)
-    inner = slice(1, quarter)  # beta = 0 and pi/2 carry limit value 0
-    z1i, z2i = z1[inner], z2[inner]
-    folded = stokeslet_terms(z1i, z2i)[2] + stokeslet_terms(np.pi - z1i, z2i)[2]
-    g[inner] = 0.5 * folded * dz1[inner]
-    pref = slope0 * ONE_OVER_2PI
-    return _split_certificate(z2, g, pref, curve.spacing)
+    g[inner] = stokeslet_terms(z1[inner], z2[inner])[2]
+    if folded:
+        g[inner] += stokeslet_terms(np.pi - z1[inner], z2[inner])[2]
+    g[inner] *= dz1[inner]
+    return _split_certificate(z2, g, slope0 * ONE_OVER_4PI, curve.spacing)
 
 
 def _split_certificate(z2, g, pref, d):
@@ -355,11 +344,10 @@ def find_b_threshold(
     Requires total(b_lo) > 0 > total(b_hi); returns b* to relative width 1e-6.
     """
 
+    folded = p.variant == "even_symmetric"
+
     def total(b):
-        curve = build_turning_family(replace(p, b=b), m)
-        if p.variant == "basic":
-            return turning_integral(curve)[2]
-        return turning_integral_even(curve)[2]
+        return _certificate(build_turning_family(replace(p, b=b), m), folded)[2]
 
     t_lo, t_hi = total(b_lo), total(b_hi)
     if not (t_lo > 0.0 > t_hi):

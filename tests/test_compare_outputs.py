@@ -25,6 +25,10 @@ def test_compare_outputs_reads_bitwise_and_flags_a_perturbed_output(tmp_path):
     names = {line.split()[0] for line in lines}
     for run in ("f2-spectral_log", "f1-taylor_cell-printed", "curve-basic"):
         assert {f"run-{run}-{column}" for column in ("t", "E", "delta", "state")} <= names
+    # the turning certificates and thresholds of both families
+    for variant in ("basic", "even_symmetric"):
+        assert {f"turning-{variant}-m256", f"turning-{variant}-m1024",
+                f"bstar-{variant}-m512"} <= names
 
     # one array off by 1e-10 of its scale, past the 1e-12 bound; a run's
     # column with NaN at the same entries, off by 1e-14, within it; and a

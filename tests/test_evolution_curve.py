@@ -1,4 +1,7 @@
+import os
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -523,6 +526,35 @@ def test_rhs_bitwise_equals_out_of_place_blocks(m, case):
     # repeats the first bit for bit
     again = np.concatenate(_rhs_curve_arrays(p, z2, alpha, -2.0))
     assert np.array_equal(again.view(np.uint64), new.view(np.uint64))
+
+
+# writes the curve velocities of the raw and projected turning families at
+# m = 256 to stdout, as raw bytes
+BLAS_THREADS_CHILD = """
+import sys
+import stokescontour as sc
+from stokescontour.evolution_curve import _rhs_curve_arrays
+from stokescontour.geometry import symmetry_projection
+
+for variant, b in (("basic", 16.9), ("even_symmetric", 10.4)):
+    c = sc.build_turning_family(sc.TurningFamilyParams(b=b, variant=variant), 256)
+    raw = (c.z1 - c.alpha, c.z2)
+    for p, z2 in (raw, symmetry_projection(c)(*raw)):
+        sys.stdout.buffer.write(_rhs_curve_arrays(p, z2, c.alpha, 1.0).tobytes())
+"""
+
+
+def test_curve_rhs_repeats_bitwise_under_one_and_two_blas_threads():
+    # the README's determinism claim: the node-block products reduce inside
+    # BLAS, and its thread count does not change their bits (2 threads at
+    # most, so that the test asks for no more cores than a small host has)
+    src = os.path.dirname(os.path.dirname(sc.__file__))
+    outs = [subprocess.run([sys.executable, "-c", BLAS_THREADS_CHILD], check=True,
+                           capture_output=True,
+                           env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+                           ).stdout for threads in ("1", "2")]
+    assert len(outs[0]) == 4 * 2 * 256 * 8  # four states, two velocity rows
+    assert outs[0] == outs[1]
 
 
 @pytest.mark.parametrize("change", ["shift", "seam"])

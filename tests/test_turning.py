@@ -30,29 +30,37 @@ def test_params_validation():
         sc.TurningFamilyParams(b=1.0, variant="unknown")
 
 
-def test_basic_family_conditions():
-    m = 2048
-    p = sc.TurningFamilyParams(b=3.0)
-    curve = sc.build_turning_family(p, m)
+@pytest.mark.parametrize("m", [2048, 3072])
+@pytest.mark.parametrize("variant", ["basic", "even_symmetric"])
+def test_basic_family_conditions(variant, m):
+    curve = sc.build_turning_family(sc.TurningFamilyParams(b=3.0, variant=variant), m)
     d = curve.spacing
     dz1 = 1.0 + central_diff(curve.z1 - curve.alpha, d)
     j0 = m // 2
     assert abs(dz1[j0]) <= d * d  # vertical tangent at alpha = 0
-    keep = np.ones(m, dtype=bool)
-    keep[j0] = False
-    assert np.all(dz1[keep] > 0.0)
+    assert central_diff(curve.z2, d)[j0] > 0.0
+    # increasing away from the vertical tangents (also at +-pi when even)
+    vertical = [j0, 0] if variant == "even_symmetric" else [j0]
+    assert np.all(np.delete(dz1, vertical) > 0.0)
     csym, _ = sc.symmetry_errors(curve)
     assert csym <= 1e-12
 
 
-def test_even_family_symmetry_and_flats():
-    m = 2048
+# the smooth steps of the even zstar underflow to exact zeros near their
+# window ends, which properties (b) and (c) pass: such zeros lie inside
+# (c)'s interval at m = 332 and inside (b)'s at m = 1420
+@pytest.mark.parametrize("m", [332, 1420, 2048, 3072, 6144, 16384])
+def test_even_family_symmetry_and_flats(m):
     p = sc.TurningFamilyParams(b=4.0, variant="even_symmetric")
     curve = sc.build_turning_family(p, m)
     csym, esym = sc.symmetry_errors(curve)
     assert csym <= 1e-12 and esym <= 1e-12
-    near = np.abs(np.abs(curve.alpha) - np.pi / 2) <= p.eps_flat
-    assert np.max(np.abs(curve.z2[near])) <= 1e-12
+    a, z2 = curve.alpha, curve.z2
+    near = np.abs(np.abs(a) - np.pi / 2) <= p.eps_flat
+    assert np.all(z2[near] == 0.0)
+    # no node of the reversed sign (z2 has the signs of zstar)
+    assert np.all(z2[(a > 0.0) & (a < p.alpha2 - p.eps_flat)] >= 0.0)
+    assert np.all(z2[(a > p.alpha2 + p.eps_flat) & (a < np.pi / 2 - p.eps_flat)] <= 0.0)
 
 
 def test_construction_error_on_violated_signs(monkeypatch):

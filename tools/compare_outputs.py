@@ -15,6 +15,8 @@ one copy of the tool, and evaluates deterministic inputs:
 - the curve right-hand side on the basic turning family (b = 16.9) and the
   even one (b = 10.4), raw (the full path) and projected (the central and
   quarter paths), at m in CURVE_GRIDS;
+- the turning certificate (J1, J2, J1 + J2) of the same two families at m
+  in CURVE_GRIDS, and each family's threshold b* on [1, 64] at m = 512;
 - the diagnostics columns and the last snapshot of the short RUNS, each
   run by the ``run`` command on a config written to a temporary directory:
   f2 on spectral_log and f1 on taylor_cell/printed (m = 64, t <= 0.02,
@@ -83,6 +85,11 @@ def outputs():
             for path, (p, z2) in (("raw", raw), ("projected", symmetry_projection(c)(*raw))):
                 out[f"curve-{variant}-{path}-m{m}"] = np.array(
                     _rhs_curve_arrays(p, z2, c.alpha, 1.0))
+            certificate = sc.turning_integral if variant == "basic" else sc.turning_integral_even
+            out[f"turning-{variant}-m{m}"] = np.array(certificate(c))
+    for variant, _ in FAMILIES:
+        out[f"bstar-{variant}-m512"] = np.array(sc.find_b_threshold(
+            sc.TurningFamilyParams(b=1.0, variant=variant), 1.0, 64.0, m=512))
     with tempfile.TemporaryDirectory() as tmp:
         out.update(run_outputs(Path(tmp)))
     return out
